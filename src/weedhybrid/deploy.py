@@ -185,7 +185,11 @@ def load_checkpoint(data: bytes) -> tuple:
         raw, offset = _take(data, offset, 2, f"name length of tensor {index}")
         (name_len,) = struct.unpack("<H", raw)
         raw, offset = _take(data, offset, name_len, f"name of tensor {index}")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"name of tensor {index} at offset "
+                              f"{offset - name_len} is not UTF-8: {exc}") from exc
         if name in entries:
             raise FormatError(f"duplicate tensor name {name!r} at offset "
                               f"{offset - name_len}")
@@ -251,8 +255,8 @@ def encode_backbone_config(cfg: bb.BackboneConfig) -> np.ndarray:
 
 
 def decode_backbone_config(arr: np.ndarray) -> bb.BackboneConfig:
-    vals = [int(v) for v in np.asarray(arr).reshape(-1)]
     try:
+        vals = [int(v) for v in np.asarray(arr).reshape(-1)]
         (h, w, patch, embed, heads, depth, reduction, in_ch, fusion,
          n_cnn) = vals[:10]
         cnn = tuple(vals[10:10 + n_cnn])
@@ -266,7 +270,7 @@ def decode_backbone_config(arr: np.ndarray) -> bb.BackboneConfig:
                                  fusion_dim=fusion, vit_depth=depth,
                                  attention_reduction=reduction,
                                  in_channels=in_ch)
-    except (IndexError, ValueError, ContractError) as exc:
+    except (IndexError, ValueError, OverflowError, ContractError) as exc:
         raise FormatError(f"invalid backbone config entry: {exc}") from exc
 
 
@@ -339,13 +343,13 @@ def gan_entries(params: gn.GanParams) -> dict:
 def gan_from_entries(entries: dict) -> gn.GanParams:
     if "meta.gan" not in entries:
         raise FormatError("checkpoint has no meta.gan entry")
-    vals = [int(v) for v in _entry_array("meta.gan", entries["meta.gan"])]
     try:
+        vals = [int(v) for v in _entry_array("meta.gan", entries["meta.gan"])]
         latent, classes, h, w, base, label_dim = vals
         cfg = gn.GanConfig(latent_dim=latent, class_count=classes,
                            image_size=(h, w), base_channels=base,
                            label_dim=label_dim)
-    except (ValueError, ContractError) as exc:
+    except (ValueError, OverflowError, ContractError) as exc:
         raise FormatError(f"invalid gan config entry: {exc}") from exc
     params = gn.init_gan(cfg, np.random.default_rng(0))
     for name, t in gn.named_gan_parameters(params):

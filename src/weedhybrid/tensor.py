@@ -7,6 +7,17 @@ active append (output, backward-rule) records in execution order, and
 Tape.backward walks the records once in reverse. Tensors are treated as
 immutable once produced; there is no implicit broadcasting between tensors
 except the scalar-tensor case.
+
+Memory and precision contract of the spatial primitives' forward passes:
+- conv2d keeps its im2col matrix in the storage dtype (backward reuses it)
+  and runs the 64-bit GEMM and bias add over row blocks of at most
+  _GEMM_BLOCK_BYTES, writing each block straight into the output. The
+  64-bit sums of a row can depend on the block size in the last bit, since
+  BLAS picks its kernel by matrix size; rounding to float32 hides that.
+- avg_pool2d sums the window's strided slices into one 64-bit array.
+- upsample_bilinear2d is separable: Ry @ X @ Rx^T with per-axis (out, in)
+  interpolation matrices, never a dense (OH*OW, H*W) matrix.
+No primitive holds a 64-bit copy of a whole im2col matrix or window view.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 _DEFAULT_DTYPE = np.float32
+_GEMM_BLOCK_BYTES = 16 << 20   # float64 working set of one conv2d GEMM row block
 
 
 def set_default_dtype(dtype) -> None:
@@ -690,10 +702,15 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
     win = win[:, :, ::stride, ::stride]                      # (N,C,OH,OW,kh,kw)
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
     wmat = kernels.data.reshape(k, c * kh * kw)
-    out = (_f64(cols) @ _f64(wmat).T).reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
-    if bias is not None:
-        out = out + _f64(bias.data)[None, :, None, None]
-    out = out.astype(_out_dtype(x, kernels))
+    w64t = _f64(wmat).T
+    out = np.empty((n * oh * ow, k), dtype=_out_dtype(x, kernels))
+    rows = max(1, _GEMM_BLOCK_BYTES // (8 * (c * kh * kw + k)))
+    for r0 in range(0, n * oh * ow, rows):
+        block = _f64(cols[r0:r0 + rows]) @ w64t
+        if bias is not None:
+            block += _f64(bias.data)
+        out[r0:r0 + rows] = block
+    out = out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
     if squeeze:
         out = out[0]
 
@@ -777,9 +794,13 @@ def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     ow = (w - window) // stride + 1
     if oh <= 0 or ow <= 0:
         raise DimensionError(f"avg_pool2d: window {window} too large for {h}x{w}")
-    win = np.lib.stride_tricks.sliding_window_view(xd, (window, window), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    out = _f64(win).mean(axis=(-2, -1)).astype(x.data.dtype)
+    taps = [xd[:, :, i:i + stride * (oh - 1) + 1:stride,
+               j:j + stride * (ow - 1) + 1:stride]
+            for i in range(window) for j in range(window)]
+    acc = taps[0].astype(np.float64)   # in xd's memory order; conv2d output is channels-last
+    for tap in taps[1:]:
+        acc += tap
+    out = (acc / (window * window)).astype(x.data.dtype)
     if squeeze:
         out = out[0]
 
@@ -795,38 +816,17 @@ def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     return _result(out, "avg_pool2d", (x,), back)
 
 
-def _bilinear_matrix(in_hw: tuple[int, int], out_hw: tuple[int, int]) -> np.ndarray:
-    """Dense (out_h*out_w, in_h*in_w) interpolation matrix, half-pixel centers."""
-    ih, iw = in_hw
-    oh, ow = out_hw
-    m = np.zeros((oh * ow, ih * iw), dtype=np.float64)
-
-    def coords(o, i):
-        s = (np.arange(o, dtype=np.float64) + 0.5) * (i / o) - 0.5
-        s = np.clip(s, 0.0, i - 1.0)
-        lo = np.floor(s).astype(int)
-        lo = np.minimum(lo, i - 1)
-        hi = np.minimum(lo + 1, i - 1)
-        frac = s - lo
-        return lo, hi, frac
-
-    y0, y1, fy = coords(oh, ih)
-    x0, x1, fx = coords(ow, iw)
-    for oy in range(oh):
-        for ox in range(ow):
-            w00 = (1 - fy[oy]) * (1 - fx[ox])
-            w01 = (1 - fy[oy]) * fx[ox]
-            w10 = fy[oy] * (1 - fx[ox])
-            w11 = fy[oy] * fx[ox]
-            row = oy * ow + ox
-            m[row, y0[oy] * iw + x0[ox]] += w00
-            m[row, y0[oy] * iw + x1[ox]] += w01
-            m[row, y1[oy] * iw + x0[ox]] += w10
-            m[row, y1[oy] * iw + x1[ox]] += w11
+def _interp_matrix(out_n: int, in_n: int) -> np.ndarray:
+    """(out_n, in_n) linear interpolation weights along one axis, half-pixel centers."""
+    src = np.clip((np.arange(out_n) + 0.5) * (in_n / out_n) - 0.5, 0.0, in_n - 1.0)
+    lo = np.floor(src).astype(np.intp)
+    hi = np.minimum(lo + 1, in_n - 1)
+    frac = src - lo
+    m = np.zeros((out_n, in_n), dtype=np.float64)
+    rows = np.arange(out_n)
+    np.add.at(m, (rows, lo), 1.0 - frac)
+    np.add.at(m, (rows, hi), frac)
     return m
-
-
-_BILINEAR_CACHE: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
 
 
 def upsample_bilinear2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
@@ -836,19 +836,15 @@ def upsample_bilinear2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     oh, ow = out_hw
     if oh < 1 or ow < 1:
         raise DimensionError(f"upsample_bilinear2d: bad target {out_hw}")
-    key = ((h, w), (oh, ow))
-    mat = _BILINEAR_CACHE.get(key)
-    if mat is None:
-        mat = _bilinear_matrix((h, w), (oh, ow))
-        _BILINEAR_CACHE[key] = mat
-    flat = _f64(xd).reshape(n * c, h * w)
-    out = (flat @ mat.T).reshape(n, c, oh, ow).astype(x.data.dtype)
+    ry = _interp_matrix(oh, h)
+    rx = _interp_matrix(ow, w)
+    out = (ry @ _f64(xd) @ rx.T).astype(x.data.dtype)
     if squeeze:
         out = out[0]
 
     def back(g):
         gd = g[None] if squeeze else g
-        dx = (_f64(gd).reshape(n * c, oh * ow) @ mat).reshape(n, c, h, w)
+        dx = ry.T @ _f64(gd) @ rx
         _accum(x, (dx[0] if squeeze else dx).astype(x.data.dtype))
 
     return _result(out, "upsample_bilinear2d", (x,), back)

@@ -34,6 +34,54 @@ def conv2d_loops(x, kernels, stride=1, padding=0, bias=None):
     return out
 
 
+def bilinear_weights_loops(in_hw, out_hw):
+    """Bilinear resize weights (half-pixel centers) as {(out_pixel, in_pixel): weight}.
+
+    These are the nonzeros of the dense (OH*OW, H*W) interpolation matrix,
+    built one output pixel at a time; pixels are flattened row-major.
+    Source coordinates clamp to the border.
+    """
+    ih, iw = in_hw
+    oh, ow = out_hw
+
+    def taps(o, i):
+        out = []
+        for k in range(o):
+            s = min(max((k + 0.5) * i / o - 0.5, 0.0), i - 1.0)
+            lo = int(math.floor(s))
+            out.append((lo, min(lo + 1, i - 1), s - lo))
+        return out
+
+    weights = {}
+    for oy, (y0, y1, fy) in enumerate(taps(oh, ih)):
+        for ox, (x0, x1, fx) in enumerate(taps(ow, iw)):
+            for y, wy in ((y0, 1.0 - fy), (y1, fy)):
+                for xx, wx in ((x0, 1.0 - fx), (x1, fx)):
+                    key = (oy * ow + ox, y * iw + xx)
+                    weights[key] = weights.get(key, 0.0) + wy * wx
+    return weights
+
+
+def upsample_bilinear_loops(x, out_hw):
+    """Bilinear resize of x (C,H,W) to (C,OH,OW), one weight at a time."""
+    c, h, w = x.shape
+    src = np.asarray(x, dtype=np.float64).reshape(c, h * w)
+    out = np.zeros((c, out_hw[0] * out_hw[1]), dtype=np.float64)
+    for (row, col), weight in bilinear_weights_loops((h, w), out_hw).items():
+        out[:, row] += weight * src[:, col]
+    return out.reshape(c, *out_hw)
+
+
+def upsample_bilinear_adjoint_loops(g, in_hw):
+    """Transpose of upsample_bilinear_loops: g (C,OH,OW) -> input gradient (C,H,W)."""
+    c, oh, ow = g.shape
+    src = np.asarray(g, dtype=np.float64).reshape(c, oh * ow)
+    out = np.zeros((c, in_hw[0] * in_hw[1]), dtype=np.float64)
+    for (row, col), weight in bilinear_weights_loops(in_hw, (oh, ow)).items():
+        out[:, col] += weight * src[:, row]
+    return out.reshape(c, *in_hw)
+
+
 def median_filter_loops(img, window):
     """Per-channel windowed median with clamp-to-border indexing. img: (H,W,C) uint8."""
     h, w, c = img.shape

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import weedhybrid.backbone as bb
 import weedhybrid.cli as cli
 import weedhybrid.dataio as dio
 import weedhybrid.deploy as dp
@@ -92,6 +93,28 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys):
     img = tmp_path / "img.ppm"
     rc = cli.main(["infer", "--model", str(bad), "--image", str(img)])
     assert rc == 2
+
+
+def test_non_finite_backbone_config_is_data_error(tmp_path, capsys):
+    model = tmp_path / "nan.hwdm"
+    meta = dp.encode_backbone_config(bb.desk_config())
+    meta[0] = np.nan
+    dp.write_checkpoint(str(model), {"meta.backbone": meta})
+    rc = cli.main(["infer", "--model", str(model),
+                   "--image", str(tmp_path / "img.ppm")])
+    assert rc == 2
+    assert "backbone config" in capsys.readouterr().err
+
+
+def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
+    blob = bytearray(dp.save_checkpoint({"w": np.ones(3, dtype=np.float32)}))
+    blob[blob.index(b"w")] = 0xFF
+    model = tmp_path / "badname.hwdm"
+    model.write_bytes(bytes(blob))
+    rc = cli.main(["quantize", "--model", str(model),
+                   "--out", str(tmp_path / "q.hwdm")])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_divergent_training_exits_three(workspace, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import weedhybrid.backbone as bb
 import weedhybrid.deploy as dp
+import weedhybrid.gan as gn
 import weedhybrid.heads as hd
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, FormatError
@@ -196,6 +197,14 @@ def test_checkpoint_trailing_bytes_rejected():
         dp.load_checkpoint(blob + b"\x00")
 
 
+def test_checkpoint_invalid_utf8_name_names_offset():
+    blob = bytearray(dp.save_checkpoint({"ab": np.zeros(2, dtype=np.float32)}))
+    name_at = blob.index(b"ab")
+    blob[name_at] = 0xFF
+    with pytest.raises(FormatError, match=f"offset {name_at}"):
+        dp.load_checkpoint(bytes(blob))
+
+
 def test_checkpoint_file_roundtrip_atomic(tmp_path):
     rng = np.random.default_rng(6)
     entries = {"w": rng.standard_normal((4, 4)).astype(np.float32)}
@@ -216,6 +225,25 @@ def test_backbone_config_roundtrip():
                             num_heads=2, cnn_channels=(3, 5), gcn_dims=(7,),
                             fusion_dim=12, vit_depth=2, attention_reduction=3)
     assert dp.decode_backbone_config(dp.encode_backbone_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_backbone_config_rejected(bad):
+    params, _ = tiny_model()
+    vals = dp.encode_backbone_config(params.config)
+    vals[3] = bad
+    with pytest.raises(FormatError, match="backbone config"):
+        dp.decode_backbone_config(vals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gan_config_rejected(bad):
+    entries = dp.gan_entries(gn.init_gan(gn.GanConfig(
+        latent_dim=3, class_count=2, image_size=(4, 4), base_channels=2,
+        label_dim=2), np.random.default_rng(0)))
+    entries["meta.gan"][0] = bad
+    with pytest.raises(FormatError, match="gan config"):
+        dp.gan_from_entries(entries)
 
 
 def test_model_save_load_bit_exact(tmp_path):

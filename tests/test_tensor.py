@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from helpers import gradcheck, rand_tensor
+import weedhybrid.backbone as bb
+import weedhybrid.heads as hd
 from weedhybrid import tensor as T
 from weedhybrid.errors import ContractError, DimensionError, NumericError
 
@@ -95,6 +98,90 @@ def test_conv2d_matches_loop_oracle():
 def test_conv2d_nonpositive_output_raises():
     with pytest.raises(DimensionError):
         T.conv2d(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)))
+
+
+@pytest.mark.parametrize("stride,with_bias,dtype", [
+    (1, True, np.float32), (1, False, np.float32), (2, True, np.float32),
+    (1, True, np.float64)], ids=["bias", "no-bias", "stride-2", "float64"])
+def test_conv2d_row_blocks_match_one_block(monkeypatch, stride, with_bias, dtype):
+    rng = np.random.default_rng(12)
+    with T.default_dtype(dtype):
+        x = T.Tensor(rng.standard_normal((2, 3, 11, 11)))
+        k = T.Tensor(rng.standard_normal((4, 3, 3, 3)))
+        b = T.Tensor(rng.standard_normal(4)) if with_bias else None
+        whole = T.conv2d(x, k, stride=stride, padding=1, bias=b).data
+        # a row costs 8 * (3*3*3 + 4) = 248 bytes: 5-row blocks, so 242 rows
+        # (stride 1) and 72 rows (stride 2) both end in a 2-row block
+        monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", 5 * 248 + 7)
+        blocked = T.conv2d(x, k, stride=stride, padding=1, bias=b).data
+    assert blocked.dtype == whole.dtype == dtype
+    if dtype == np.float32:
+        assert blocked.tobytes() == whole.tobytes()
+    else:
+        # BLAS picks its kernel by matrix size, so a 64-bit sum may differ in
+        # the last bit with the number of rows in its block
+        np.testing.assert_allclose(blocked, whole, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_avg_pool2d_matches_window_mean_bytes(window):
+    x = np.random.default_rng(13).standard_normal((2, 3, 12, 13)).astype(np.float32)
+    win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(2, 3))
+    want = win[:, :, ::window, ::window].astype(np.float64).mean(axis=(-2, -1))
+    got = T.avg_pool2d(T.Tensor(x), window).data
+    assert got.tobytes() == want.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("in_shape,out_hw", [
+    ((2, 3, 4), (7, 9)), ((2, 9, 6), (4, 5)), ((3, 1, 1), (4, 6)),
+    ((2, 5, 7), (1, 1)), ((2, 28, 28), (224, 224))],
+    ids=["up", "down", "1x1-input", "1x1-output", "paper-28-to-224"])
+def test_upsample_matches_loop_oracle(in_shape, out_hw):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(in_shape)
+    g = rng.standard_normal((in_shape[0],) + out_hw)
+    with T.default_dtype(np.float64):
+        xt = T.Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            out = T.upsample_bilinear2d(xt, out_hw)
+            tape.backward(T.sum_(T.mul(out, T.const(g))))
+    np.testing.assert_allclose(out.data, oracles.upsample_bilinear_loops(x, out_hw),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        xt.grad, oracles.upsample_bilinear_adjoint_loops(g, in_shape[1:]),
+        rtol=0, atol=1e-12)
+
+
+def _peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_segment_head_paper_shape_memory():
+    rng = np.random.default_rng(15)
+    params = hd.init_heads(bb.paper_config(), rng)
+    spatial = T.Tensor(rng.standard_normal((128, 28, 28)))
+    peak = _peak_traced_bytes(lambda: hd.segment_head(spatial, params))
+    # a dense 28->224 interpolation matrix alone is 50176 x 784 float64, 315 MB
+    assert peak < 16 << 20
+
+
+def test_conv2d_memory_is_cols_plus_one_block():
+    rng = np.random.default_rng(16)
+    x = T.Tensor(rng.standard_normal((1, 32, 112, 112)))
+    k = T.Tensor(rng.standard_normal((32, 32, 3, 3)))
+    b = T.Tensor(rng.standard_normal(32))
+    cols_bytes = 112 * 112 * 32 * 9 * 4
+    out_bytes = 32 * 112 * 112 * 4
+    peak = _peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
+    # the float32 im2col matrix, one float64 row block, and room for the
+    # padded input and the output; a float64 copy of the whole im2col
+    # matrix (2 * cols_bytes on top of it) does not fit
+    assert peak < cols_bytes + T._GEMM_BLOCK_BYTES + 4 * out_bytes
 
 
 def test_softmax_symmetry_cases():
