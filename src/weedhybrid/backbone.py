@@ -34,6 +34,7 @@ __all__ = [
     "BackboneFeatures",
     "desk_config",
     "paper_config",
+    "build_backbone",
     "init_backbone",
     "named_parameters",
     "parameters",
@@ -203,59 +204,70 @@ class BackboneParams:
     config: BackboneConfig = field(repr=False, default=None)
 
 
-def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> BackboneParams:
-    """He-initialize conv/fusion weights, Xavier for projections."""
+def build_backbone(cfg: BackboneConfig, param) -> BackboneParams:
+    """Walk the parameter layout of cfg; param(name, shape, init) makes each tensor.
 
-    def he(shape, fan_in):
-        return T.Tensor(rng.standard_normal(shape) * math.sqrt(2.0 / fan_in),
-                        requires_grad=True)
+    Tensors are requested in a fixed order (the order init_backbone draws
+    them). `name` is the checkpoint entry name, or None for a tensor that is
+    not stored: depth 1 has no pre-norm layers. `init` is "zeros", "ones" or
+    the standard deviation of a normal draw (see tensor.init_param): He for
+    conv/fusion weights, Xavier for projections.
+    """
 
-    def xavier(shape):
-        fan_in, fan_out = shape[0], shape[-1]
-        return T.Tensor(rng.standard_normal(shape)
-                        * math.sqrt(2.0 / (fan_in + fan_out)), requires_grad=True)
+    def he(name, shape, fan_in):
+        return param(name, shape, math.sqrt(2.0 / fan_in))
+
+    def xavier(name, shape):
+        return param(name, shape, math.sqrt(2.0 / (shape[0] + shape[-1])))
 
     cnn = []
     c_in = cfg.in_channels
-    for c_out in cfg.cnn_channels:
-        kernel = he((c_out, c_in, 3, 3), c_in * 9)
-        bias = T.zeros(c_out, requires_grad=True)
-        cnn.append((kernel, bias))
+    for i, c_out in enumerate(cfg.cnn_channels):
+        cnn.append((he(f"cnn.{i}.kernel", (c_out, c_in, 3, 3), c_in * 9),
+                    param(f"cnn.{i}.bias", (c_out,), "zeros")))
         c_in = c_out
 
-    def heads():
-        return tuple(xavier((cfg.embed_dim, cfg.head_dim))
-                     for _ in range(cfg.num_heads))
+    def heads(b, kind):
+        return tuple(xavier(f"vit.{b}.{h}.{kind}", (cfg.embed_dim, cfg.head_dim))
+                     for h in range(cfg.num_heads))
 
+    deep = cfg.vit_depth > 1
     blocks = []
-    for _ in range(cfg.vit_depth):
+    for b in range(cfg.vit_depth):
         blocks.append(MsaBlockParams(
-            w_q=heads(), w_k=heads(), w_v=heads(),
-            ln_gain=T.ones(cfg.embed_dim, requires_grad=True),
-            ln_bias=T.zeros(cfg.embed_dim, requires_grad=True)))
+            w_q=heads(b, "w_q"), w_k=heads(b, "w_k"), w_v=heads(b, "w_v"),
+            ln_gain=param(f"vit.{b}.ln_gain" if deep else None,
+                          (cfg.embed_dim,), "ones"),
+            ln_bias=param(f"vit.{b}.ln_bias" if deep else None,
+                          (cfg.embed_dim,), "zeros")))
     vit = ViTParams(
-        w_e=xavier((cfg.patch_dim, cfg.embed_dim)),
-        e_pos=T.Tensor(rng.standard_normal((cfg.num_patches, cfg.embed_dim)) * 0.02,
-                       requires_grad=True),
+        w_e=xavier("vit.w_e", (cfg.patch_dim, cfg.embed_dim)),
+        e_pos=param("vit.e_pos", (cfg.num_patches, cfg.embed_dim), 0.02),
         blocks=tuple(blocks), d_k=cfg.head_dim)
 
     gcn = []
     d_in = cfg.embed_dim
-    for d_out in cfg.gcn_dims:
-        gcn.append(GcnLayerParams(w=xavier((d_in, d_out))))
+    for i, d_out in enumerate(cfg.gcn_dims):
+        gcn.append(GcnLayerParams(w=xavier(f"gcn.{i}.w", (d_in, d_out))))
         d_in = d_out
 
     c = cfg.concat_dim
     hidden = c // cfg.attention_reduction
     attention = ChannelAttentionParams(
-        w1=xavier((c, hidden)), w2=xavier((hidden, c)),
+        w1=xavier("attention.w1", (c, hidden)),
+        w2=xavier("attention.w2", (hidden, c)),
         reduction=cfg.attention_reduction)
 
     fuse_in = c + cfg.gcn_dims[-1]
-    fusion = FusionParams(w=he((fuse_in, cfg.fusion_dim), fuse_in),
-                          b=T.zeros(cfg.fusion_dim, requires_grad=True))
+    fusion = FusionParams(w=he("fusion.w", (fuse_in, cfg.fusion_dim), fuse_in),
+                          b=param("fusion.b", (cfg.fusion_dim,), "zeros"))
     return BackboneParams(cnn=tuple(cnn), vit=vit, gcn=tuple(gcn),
                           attention=attention, fusion=fusion, config=cfg)
+
+
+def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> BackboneParams:
+    """Fresh random parameters drawn from rng (He conv/fusion, Xavier projections)."""
+    return build_backbone(cfg, lambda name, shape, init: T.init_param(shape, init, rng))
 
 
 def named_parameters(params: BackboneParams) -> list:

@@ -318,14 +318,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     params, heads, flags = dp.load_model(args.model)
     if heads is None:
         raise ContractError(f"{args.model} has no heads; train it first")
-    pre_cfg = im.PreprocessConfig(
-        target_size=tuple(params.config.image_size),
-        median_window=cfg.preprocess_median_window,
-        clahe_tile=cfg.preprocess_clahe_tile,
-        clahe_clip=cfg.preprocess_clahe_clip,
-        gamma=cfg.preprocess_gamma, beta=cfg.preprocess_beta,
-        normalize=cfg.preprocess_normalize)
-    data, _ = dataio.load_dataset(args.manifest, pre_cfg)
+    data, _ = dataio.load_dataset(
+        args.manifest, cfg.preprocess_config(params.config.image_size))
     report = tr.evaluate(params, heads, data)
     paths = tr.emit_plot_data([], report, args.out)
     print(f"evaluated {len(data)} samples")
@@ -362,32 +356,16 @@ def cmd_prune(args, cfg: RunConfig) -> int:
 
 
 def cmd_infer(args, cfg: RunConfig) -> int:
-    entries, flags = dp.read_checkpoint(args.model)
-    if "meta.backbone" not in entries:
-        raise FormatError(f"{args.model} has no meta.backbone entry")
-    bcfg = dp.decode_backbone_config(
-        entries["meta.backbone"] if not isinstance(
-            entries["meta.backbone"], dp.QuantizedTensor)
-        else dp.dequantize(entries["meta.backbone"]))
-    pre_cfg = im.PreprocessConfig(
-        target_size=tuple(bcfg.image_size),
-        median_window=cfg.preprocess_median_window,
-        clahe_tile=cfg.preprocess_clahe_tile,
-        clahe_clip=cfg.preprocess_clahe_clip,
-        gamma=cfg.preprocess_gamma, beta=cfg.preprocess_beta,
-        normalize=cfg.preprocess_normalize)
+    entries, _ = dp.read_checkpoint(args.model)
+    params, heads = dp.model_from_entries(entries)  # int8 entries dequantize
+    if heads is None:
+        raise ContractError(f"{args.model} has no heads; train it first")
     img = im.read_image(args.image)
     if img.channels != 3:
         raise DataError(f"{args.image}: expected a color image")
+    pre_cfg = cfg.preprocess_config(params.config.image_size)
     x = im.preprocess(img, pre_cfg).data.astype(np.float32)
-
-    if flags & dp.FLAG_QUANTIZED:
-        pred = dp.quantized_forward((entries, flags), x)
-    else:
-        params, heads, _ = dp.load_model(args.model)
-        if heads is None:
-            raise ContractError(f"{args.model} has no heads; train it first")
-        pred = hd.predict(bb.backbone_forward(T.const(x), params), heads)
+    pred = hd.predict(bb.backbone_forward(T.const(x), params), heads)
 
     names = synthdata.CLASS_NAMES
     print(f"class: {names[pred.label]}")

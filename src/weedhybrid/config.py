@@ -76,9 +76,13 @@ class RunConfig:
     def backbone_config(self) -> bb.BackboneConfig:
         return bb.paper_config() if self.preset == "paper" else bb.desk_config()
 
-    def preprocess_config(self) -> im.PreprocessConfig:
+    def preprocess_config(self, image_size: tuple = None) -> im.PreprocessConfig:
+        """The preprocessing settings; image_size (a loaded model's) overrides
+        the preset's."""
+        if image_size is None:
+            image_size = self.backbone_config().image_size
         return im.PreprocessConfig(
-            target_size=tuple(self.backbone_config().image_size),
+            target_size=tuple(image_size),
             median_window=self.preprocess_median_window,
             clahe_tile=self.preprocess_clahe_tile,
             clahe_clip=self.preprocess_clahe_clip,

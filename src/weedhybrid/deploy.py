@@ -289,28 +289,39 @@ def _entry_array(name: str, value) -> np.ndarray:
     return dequantize(value) if isinstance(value, QuantizedTensor) else value
 
 
+def _entry_param(entries: dict):
+    """Builder callback that takes each tensor from its checkpoint entry.
+
+    The entry's shape is checked before anything is copied, so a corrupt
+    config fails on the first mismatched entry without allocating for it.
+    """
+
+    def param(name, shape, init):
+        if name is None:  # not stored: the builder's constant
+            return T.init_param(shape, init)
+        if name not in entries:
+            raise FormatError(f"checkpoint is missing tensor {name}")
+        value = entries[name]
+        if tuple(value.shape) != shape:
+            raise FormatError(f"tensor {name} has shape {tuple(value.shape)}, "
+                              f"expected {shape}")
+        data = (dequantize(value) if isinstance(value, QuantizedTensor)
+                else np.array(value, dtype=np.float32))
+        return T.Tensor(data, requires_grad=True, dtype=np.float32)
+
+    return param
+
+
 def model_from_entries(entries: dict) -> tuple:
     """Rebuild (BackboneParams, HeadParams or None) from checkpoint entries."""
     if "meta.backbone" not in entries:
         raise FormatError("checkpoint has no meta.backbone entry")
     cfg = decode_backbone_config(_entry_array("meta.backbone",
                                               entries["meta.backbone"]))
-    rng = np.random.default_rng(0)
-    params = bb.init_backbone(cfg, rng)
+    param = _entry_param(entries)
+    params = bb.build_backbone(cfg, param)
     has_heads = any(n.startswith("head.") for n in entries)
-    head_params = hd.init_heads(cfg, rng) if has_heads else None
-    named = dict(bb.named_parameters(params))
-    if head_params is not None:
-        named.update(hd.named_head_parameters(head_params))
-    for name, t in named.items():
-        if name not in entries:
-            raise FormatError(f"checkpoint is missing tensor {name}")
-        arr = _entry_array(name, entries[name])
-        if tuple(arr.shape) != t.shape:
-            raise FormatError(f"tensor {name} has shape {tuple(arr.shape)}, "
-                              f"expected {t.shape}")
-        t.data = arr.astype(np.float32, copy=True)
-    return params, head_params
+    return params, (hd.build_heads(cfg, param) if has_heads else None)
 
 
 def save_model(path: str, params: bb.BackboneParams,
@@ -351,15 +362,7 @@ def gan_from_entries(entries: dict) -> gn.GanParams:
                            label_dim=label_dim)
     except (ValueError, OverflowError, ContractError) as exc:
         raise FormatError(f"invalid gan config entry: {exc}") from exc
-    params = gn.init_gan(cfg, np.random.default_rng(0))
-    for name, t in gn.named_gan_parameters(params):
-        if name not in entries:
-            raise FormatError(f"checkpoint is missing tensor {name}")
-        arr = _entry_array(name, entries[name])
-        if tuple(arr.shape) != t.shape:
-            raise FormatError(f"tensor {name} has shape {tuple(arr.shape)}, "
-                              f"expected {t.shape}")
-        t.data = arr.astype(np.float32, copy=True)
+    params = gn.build_gan(cfg, _entry_param(entries))
     if "meta.gan_steps" in entries:
         params.trained_steps = int(_entry_array(
             "meta.gan_steps", entries["meta.gan_steps"])[0])

@@ -26,6 +26,7 @@ from .training import OptimizerState, adam_step, init_optimizer
 __all__ = [
     "GanConfig",
     "GanParams",
+    "build_gan",
     "init_gan",
     "named_generator_parameters",
     "named_discriminator_parameters",
@@ -89,31 +90,34 @@ class GanParams:
     trained_steps: int = 0
 
 
-def init_gan(cfg: GanConfig, rng: np.random.Generator) -> GanParams:
-    def normal(shape, std=0.02):
-        return T.Tensor(rng.standard_normal(shape) * std, requires_grad=True)
-
+def build_gan(cfg: GanConfig, param) -> GanParams:
+    """Walk the GAN parameter layout; param(name, shape, init) makes each
+    tensor, as in backbone.build_backbone."""
     sh, sw = cfg.seed_hw
     base = cfg.base_channels
     h, w = cfg.image_size
+    flat = 2 * base * sh * sw
     return GanParams(
-        g_embed=normal((cfg.class_count, cfg.label_dim), 0.1),
-        g_fc_w=normal((cfg.latent_dim + cfg.label_dim, 2 * base * sh * sw),
-                      math.sqrt(2.0 / (cfg.latent_dim + cfg.label_dim))),
-        g_fc_b=T.zeros(2 * base * sh * sw, requires_grad=True),
-        g_deconv1=normal((2 * base, base, 4, 4)),
-        g_deconv1_b=T.zeros(base, requires_grad=True),
-        g_deconv2=normal((base, 3, 4, 4)),
-        g_deconv2_b=T.zeros(3, requires_grad=True),
-        d_embed=normal((cfg.class_count, h * w), 0.1),
-        d_conv1=normal((base, 4, 4, 4)),
-        d_conv1_b=T.zeros(base, requires_grad=True),
-        d_conv2=normal((2 * base, base, 4, 4)),
-        d_conv2_b=T.zeros(2 * base, requires_grad=True),
-        d_fc_w=normal((2 * base * sh * sw, 1),
-                      math.sqrt(1.0 / (2 * base * sh * sw))),
-        d_fc_b=T.zeros(1, requires_grad=True),
+        g_embed=param("gan.g_embed", (cfg.class_count, cfg.label_dim), 0.1),
+        g_fc_w=param("gan.g_fc_w", (cfg.latent_dim + cfg.label_dim, flat),
+                     math.sqrt(2.0 / (cfg.latent_dim + cfg.label_dim))),
+        g_fc_b=param("gan.g_fc_b", (flat,), "zeros"),
+        g_deconv1=param("gan.g_deconv1", (2 * base, base, 4, 4), 0.02),
+        g_deconv1_b=param("gan.g_deconv1_b", (base,), "zeros"),
+        g_deconv2=param("gan.g_deconv2", (base, 3, 4, 4), 0.02),
+        g_deconv2_b=param("gan.g_deconv2_b", (3,), "zeros"),
+        d_embed=param("gan.d_embed", (cfg.class_count, h * w), 0.1),
+        d_conv1=param("gan.d_conv1", (base, 4, 4, 4), 0.02),
+        d_conv1_b=param("gan.d_conv1_b", (base,), "zeros"),
+        d_conv2=param("gan.d_conv2", (2 * base, base, 4, 4), 0.02),
+        d_conv2_b=param("gan.d_conv2_b", (2 * base,), "zeros"),
+        d_fc_w=param("gan.d_fc_w", (flat, 1), math.sqrt(1.0 / flat)),
+        d_fc_b=param("gan.d_fc_b", (1,), "zeros"),
         config=cfg)
+
+
+def init_gan(cfg: GanConfig, rng: np.random.Generator) -> GanParams:
+    return build_gan(cfg, lambda name, shape, init: T.init_param(shape, init, rng))
 
 
 def named_generator_parameters(params: GanParams) -> list:

@@ -28,6 +28,7 @@ __all__ = [
     "LossWeights",
     "LossReport",
     "HeadParams",
+    "build_heads",
     "init_heads",
     "named_head_parameters",
     "classify_head",
@@ -91,24 +92,30 @@ class HeadParams:
     image_size: tuple
 
 
-def init_heads(cfg: BackboneConfig, rng: np.random.Generator,
-               num_classes: int = NUM_CLASSES) -> HeadParams:
-    def xavier(shape):
-        return T.Tensor(rng.standard_normal(shape)
-                        * math.sqrt(2.0 / (shape[0] + shape[-1])),
-                        requires_grad=True)
+def build_heads(cfg: BackboneConfig, param,
+                num_classes: int = NUM_CLASSES) -> HeadParams:
+    """Walk the head parameter layout; param(name, shape, init) makes each
+    tensor, as in backbone.build_backbone."""
+
+    def xavier(name, shape):
+        return param(name, shape, math.sqrt(2.0 / (shape[0] + shape[-1])))
 
     c_spatial = cfg.cnn_channels[-1]
     return HeadParams(
-        cls_w=xavier((cfg.fusion_dim, num_classes)),
-        cls_b=T.zeros(num_classes, requires_grad=True),
-        seg_kernel=T.Tensor(
-            rng.standard_normal((num_classes, c_spatial, 1, 1))
-            * math.sqrt(2.0 / c_spatial), requires_grad=True),
-        seg_bias=T.zeros(num_classes, requires_grad=True),
-        growth_w=xavier((cfg.fusion_dim, 1)),
-        growth_b=T.zeros(1, requires_grad=True),
+        cls_w=xavier("head.cls_w", (cfg.fusion_dim, num_classes)),
+        cls_b=param("head.cls_b", (num_classes,), "zeros"),
+        seg_kernel=param("head.seg_kernel", (num_classes, c_spatial, 1, 1),
+                         math.sqrt(2.0 / c_spatial)),
+        seg_bias=param("head.seg_bias", (num_classes,), "zeros"),
+        growth_w=xavier("head.growth_w", (cfg.fusion_dim, 1)),
+        growth_b=param("head.growth_b", (1,), "zeros"),
         image_size=tuple(cfg.image_size))
+
+
+def init_heads(cfg: BackboneConfig, rng: np.random.Generator,
+               num_classes: int = NUM_CLASSES) -> HeadParams:
+    return build_heads(cfg, lambda name, shape, init: T.init_param(shape, init, rng),
+                       num_classes)
 
 
 def named_head_parameters(params: HeadParams) -> list:

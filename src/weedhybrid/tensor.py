@@ -14,6 +14,9 @@ Memory and precision contract of the spatial primitives' forward passes:
   _GEMM_BLOCK_BYTES, writing each block straight into the output. The
   64-bit sums of a row can depend on the block size in the last bit, since
   BLAS picks its kernel by matrix size; rounding to float32 hides that.
+- conv2d with no tape recording it builds its im2col rows one block at a
+  time in a block-sized buffer, never the whole matrix; the blocks and the
+  output bytes are the same as when taped.
 - avg_pool2d sums the window's strided slices into one 64-bit array.
 - upsample_bilinear2d is separable: Ry @ X @ Rx^T with per-axis (out, in)
   interpolation matrices, never a dense (OH*OW, H*W) matrix.
@@ -142,6 +145,16 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
+def init_param(shape, init, rng: np.random.Generator = None) -> Tensor:
+    """A trainable tensor: init is "zeros", "ones", or the standard deviation
+    of a standard-normal draw from rng."""
+    if init == "zeros":
+        return zeros(shape, requires_grad=True)
+    if init == "ones":
+        return ones(shape, requires_grad=True)
+    return Tensor(rng.standard_normal(shape) * init, requires_grad=True)
+
+
 # ---------------------------------------------------------------------------
 # tape
 
@@ -214,14 +227,18 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
+def _recorded(inputs: Sequence[Tensor]) -> bool:
+    """Whether _result will put an op over these inputs on the active tape."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _result(data: np.ndarray, op: str, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     _finite_or_raise(data, op)
-    rg = any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=rg, dtype=data.dtype)
-    tape = _active_tape()
-    if tape is not None and rg:
-        tape._record(out, backward_fn)
+    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs),
+                 dtype=data.dtype)
+    if _recorded(inputs):
+        _active_tape()._record(out, backward_fn)
     return out
 
 
@@ -675,6 +692,28 @@ def _to_batched(a: Tensor) -> tuple[np.ndarray, bool]:
     raise DimensionError(f"expected (C,H,W) or (N,C,H,W), got shape {a.shape}")
 
 
+def _im2col_rows(win: np.ndarray, r0: int, r1: int, dest: np.ndarray) -> None:
+    """Copy rows r0:r1 of the im2col matrix of win (N,OH,OW,C,kh,kw) into dest.
+
+    Row r is output pixel r of the flattened (N, OH, OW) grid. Runs of whole
+    output rows within one image take one copy each.
+    """
+    _, oh, ow = win.shape[:3]
+    r = r0
+    while r < r1:
+        img, pix = divmod(r, oh * ow)
+        i, j = divmod(pix, ow)
+        if j or r1 - r < ow:        # part of one output row
+            take = min(ow - j, r1 - r)
+            src = win[img, i, j:j + take]
+        else:                       # whole output rows of one image
+            lines = min(oh - i, (r1 - r) // ow)
+            take = lines * ow
+            src = win[img, i:i + lines]
+        np.copyto(dest[r - r0:r - r0 + take].reshape(src.shape), src)
+        r += take
+
+
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation with zero padding.
@@ -699,22 +738,26 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
             f"gives non-positive output for input {h}x{w}")
     xp = _pad_hw(xd, padding)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                      # (N,C,OH,OW,kh,kw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)  # (N,OH,OW,C,kh,kw)
+    inputs = (x, kernels) if bias is None else (x, kernels, bias)
+    m = n * oh * ow
+    rows = min(m, max(1, _GEMM_BLOCK_BYTES // (8 * (c * kh * kw + k))))
+    taped = _recorded(inputs)   # backward needs the whole im2col matrix
+    cols = np.empty((m if taped else rows, c * kh * kw), dtype=xp.dtype)
     wmat = kernels.data.reshape(k, c * kh * kw)
     w64t = _f64(wmat).T
-    out = np.empty((n * oh * ow, k), dtype=_out_dtype(x, kernels))
-    rows = max(1, _GEMM_BLOCK_BYTES // (8 * (c * kh * kw + k)))
-    for r0 in range(0, n * oh * ow, rows):
-        block = _f64(cols[r0:r0 + rows]) @ w64t
+    out = np.empty((m, k), dtype=_out_dtype(x, kernels))
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        dest = cols[r0:r1] if taped else cols[:r1 - r0]
+        _im2col_rows(win, r0, r1, dest)
+        block = _f64(dest) @ w64t
         if bias is not None:
             block += _f64(bias.data)
-        out[r0:r0 + rows] = block
+        out[r0:r1] = block
     out = out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
     if squeeze:
         out = out[0]
-
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
 
     def back(g):
         gd = g[None] if squeeze else g

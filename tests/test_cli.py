@@ -1,6 +1,7 @@
 """End-to-end command surface: exit codes, determinism, artifact wiring."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import weedhybrid.backbone as bb
 import weedhybrid.cli as cli
 import weedhybrid.dataio as dio
 import weedhybrid.deploy as dp
+import weedhybrid.heads as hd
 from weedhybrid.synthdata import CLASS_NAMES
 
 TINY_CONF = """\
@@ -104,6 +106,25 @@ def test_non_finite_backbone_config_is_data_error(tmp_path, capsys):
                    "--image", str(tmp_path / "img.ppm")])
     assert rc == 2
     assert "backbone config" in capsys.readouterr().err
+
+
+def test_infer_corrupt_config_fails_before_allocating(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    cfg = bb.desk_config()
+    entries = dp.model_entries(bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    entries["meta.backbone"][3] = 2**30  # embed_dim: a valid config, wrong entries
+    model = tmp_path / "huge.hwdm"
+    dp.write_checkpoint(str(model), entries)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["infer", "--model", str(model),
+                       "--image", str(tmp_path / "img.ppm")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "tensor vit.0.0.w_q has shape (32, 8), expected" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
@@ -310,6 +331,22 @@ def test_quantize_prune_infer_chain(workspace, trained, tmp_path, capsys):
         assert text.startswith("class: ")
         assert "growth:" in text and "mask:" in text
         assert all(f"p({name})" in text for name in CLASS_NAMES)
+
+
+def test_infer_reads_float_checkpoint_once(workspace, trained, monkeypatch, capsys):
+    reads = []
+    real = dp.read_checkpoint
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(dp, "read_checkpoint", counting)
+    image = str(workspace["data"] / "images" / "soil_0000.ppm")
+    rc = cli.main(["infer", "--model", trained["model"], "--image", image,
+                   "--config", workspace["conf"]])
+    assert rc == 0
+    assert reads == [trained["model"]]
 
 
 def test_prune_bad_fraction_is_usage_error(trained, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Checkpoints, magnitude pruning, int8 quantization, quantized inference."""
 
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +279,117 @@ def test_model_missing_tensor_rejected():
     del entries["head.cls_w"]
     with pytest.raises(FormatError, match="head.cls_w"):
         dp.model_from_entries(entries)
+
+
+def _all_tensors(params, head_params=None):
+    """Every backbone and head tensor, including a depth-1 ViT's unstored
+    layer norm."""
+    out = list(bb.named_parameters(params))
+    for b, blk in enumerate(params.vit.blocks):
+        out += [(f"vit.{b}.ln_gain", blk.ln_gain), (f"vit.{b}.ln_bias", blk.ln_bias)]
+    if head_params is not None:
+        out += hd.named_head_parameters(head_params)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["full", "pretrain-only", "depth-1", "int8"])
+def test_loaded_model_is_saved_model(kind):
+    cfg = bb.BackboneConfig(image_size=(8, 8), patch_size=4, embed_dim=4,
+                            num_heads=2, cnn_channels=(2,), gcn_dims=(4,),
+                            fusion_dim=8, vit_depth=1 if kind == "depth-1" else 2)
+    rng = np.random.default_rng(20)
+    params = bb.init_backbone(cfg, rng)
+    head_params = None if kind == "pretrain-only" else hd.init_heads(cfg, rng)
+    entries = dp.model_entries(params, head_params)
+    if kind == "int8":
+        entries = dp.quantize_entries(entries)
+    loaded, loaded_heads = dp.model_from_entries(entries)
+    assert loaded.config == cfg
+    assert (loaded_heads is None) == (head_params is None)
+    saved, back = _all_tensors(params, head_params), _all_tensors(loaded, loaded_heads)
+    assert [n for n, _ in saved] == [n for n, _ in back]
+    for (name, orig), (_, t) in zip(saved, back):
+        want = orig.data.astype(np.float32)
+        if kind == "int8" and name in entries:
+            want = dp.dequantize(entries[name])
+        assert t.requires_grad, name
+        assert t.data.dtype == np.float32, name
+        assert t.data.tobytes() == want.tobytes(), name
+
+
+def test_loaders_draw_no_random_model(monkeypatch):
+    params, head_params = tiny_model(seed=21)
+    model = dp.model_entries(params, head_params)
+    gan = dp.gan_entries(gn.init_gan(gn.GanConfig(
+        latent_dim=3, class_count=2, image_size=(4, 4), base_channels=2,
+        label_dim=2), np.random.default_rng(22)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a loader drew a random model")
+
+    for module, name in ((bb, "init_backbone"), (hd, "init_heads"), (gn, "init_gan")):
+        monkeypatch.setattr(module, name, refuse)
+    loaded, loaded_heads = dp.model_from_entries(model)
+    assert loaded_heads.cls_w.data.tobytes() == head_params.cls_w.data.tobytes()
+    assert dp.gan_entries(dp.gan_from_entries(gan)).keys() == gan.keys()
+
+
+def test_init_backbone_bytes_are_pinned():
+    # SHA-256 of the desk model drawn from seed 0: initialization draws and
+    # their order are part of every seeded artifact
+    rng = np.random.default_rng(0)
+    cfg = bb.desk_config()
+    blob = dp.save_checkpoint(dp.model_entries(bb.init_backbone(cfg, rng),
+                                               hd.init_heads(cfg, rng)))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "166568b6f21c1a42344afa6f24d2734613e1ca682d8648774723b0f74cc4443d")
+    blob = dp.save_checkpoint(dp.gan_entries(
+        gn.init_gan(gn.GanConfig(), np.random.default_rng(0))))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "21c231e13061d6d5afcc92e355c4cc85053f66b4edd85ea46471ecb7d8efbd50")
+
+
+def _peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("index,value,first_bad", [
+    (3, 2**30, "vit.0.0.w_q"),            # embed_dim
+    (8, 2**30, "fusion.w"),               # fusion_dim
+    (0, 2**20, "vit.e_pos"),              # image height: 2**34 patches
+    (11, 2**30, "cnn.1.kernel")],         # second conv's channels
+    ids=["embed_dim", "fusion_dim", "image_h", "cnn_channels"])
+def test_corrupt_backbone_config_fails_before_allocating(index, value, first_bad):
+    rng = np.random.default_rng(23)
+    cfg = bb.desk_config()
+    entries = dp.model_entries(bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    entries["meta.backbone"][index] = value
+    dp.decode_backbone_config(entries["meta.backbone"])  # a valid config
+
+    def load():
+        with pytest.raises(FormatError, match=rf"tensor {first_bad} has shape .*, expected"):
+            dp.model_from_entries(entries)
+
+    assert _peak_traced_bytes(load) < 1 << 20
+
+
+def test_corrupt_gan_config_fails_before_allocating():
+    entries = dp.gan_entries(gn.init_gan(gn.GanConfig(
+        latent_dim=3, class_count=2, image_size=(4, 4), base_channels=2,
+        label_dim=2), np.random.default_rng(24)))
+    entries["meta.gan"][0] = 2**30  # latent_dim
+
+    def load():
+        with pytest.raises(FormatError, match=r"tensor gan.g_fc_w has shape .*, expected"):
+            dp.gan_from_entries(entries)
+
+    assert _peak_traced_bytes(load) < 1 << 20
 
 
 def test_quantize_entries_skips_meta():

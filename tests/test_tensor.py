@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -173,15 +174,59 @@ def test_segment_head_paper_shape_memory():
 def test_conv2d_memory_is_cols_plus_one_block():
     rng = np.random.default_rng(16)
     x = T.Tensor(rng.standard_normal((1, 32, 112, 112)))
-    k = T.Tensor(rng.standard_normal((32, 32, 3, 3)))
-    b = T.Tensor(rng.standard_normal(32))
+    k = T.Tensor(rng.standard_normal((32, 32, 3, 3)), requires_grad=True)
+    b = T.Tensor(rng.standard_normal(32), requires_grad=True)
     cols_bytes = 112 * 112 * 32 * 9 * 4
     out_bytes = 32 * 112 * 112 * 4
-    peak = _peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
-    # the float32 im2col matrix, one float64 row block, and room for the
-    # padded input and the output; a float64 copy of the whole im2col
-    # matrix (2 * cols_bytes on top of it) does not fit
+
+    def taped():
+        with T.Tape():
+            T.conv2d(x, k, padding=1, bias=b)
+
+    peak = _peak_traced_bytes(taped)
+    # the float32 im2col matrix (kept for backward), one float64 row block,
+    # and room for the padded input and the output; a float64 copy of the
+    # whole im2col matrix (2 * cols_bytes on top of it) does not fit
     assert peak < cols_bytes + T._GEMM_BLOCK_BYTES + 4 * out_bytes
+
+
+def test_conv2d_tape_free_memory_has_no_im2col_matrix():
+    rng = np.random.default_rng(17)
+    x = T.Tensor(rng.standard_normal((8, 32, 112, 112)))
+    k = T.Tensor(rng.standard_normal((64, 32, 3, 3)), requires_grad=True)
+    b = T.Tensor(rng.standard_normal(64), requires_grad=True)
+    cols_bytes = 8 * 112 * 112 * 32 * 9 * 4      # 116 MB
+    out_bytes = 8 * 64 * 112 * 112 * 4           # 26 MB
+    pad_bytes = 8 * 32 * 114 * 114 * 4           # 13 MB
+    peak = _peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
+    # the padded input, the output and one row block (float32 rows, their
+    # float64 copy and the float64 product); building the whole im2col
+    # matrix, as a taped call must, peaked at 166 MB
+    assert peak < pad_bytes + out_bytes + 2 * T._GEMM_BLOCK_BYTES < cols_bytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("block_bytes", [None, 5 * 248 + 7], ids=["one-block", "5-row-blocks"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_tape_free_matches_taped(monkeypatch, dtype, block_bytes, stride):
+    rng = np.random.default_rng(18)
+    if block_bytes is not None:
+        # a row costs 8 * (3*3*3 + 4) = 248 bytes; 5-row blocks cut output
+        # rows and images at many places
+        monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", block_bytes)
+    with T.default_dtype(dtype):
+        x = T.Tensor(rng.standard_normal((3, 3, 11, 11)))
+        k = T.Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = T.Tensor(rng.standard_normal(4), requires_grad=True)
+        free = T.conv2d(x, k, stride=stride, padding=1, bias=b).data
+        with T.Tape() as tape:
+            taped = T.conv2d(x, k, stride=stride, padding=1, bias=b)
+        assert len(tape) == 1
+    assert free.dtype == taped.data.dtype == dtype
+    if dtype == np.float32:
+        assert free.tobytes() == taped.data.tobytes()
+    else:
+        np.testing.assert_allclose(free, taped.data, rtol=1e-13, atol=1e-13)
 
 
 def test_softmax_symmetry_cases():
@@ -401,8 +446,11 @@ def _case_structural(rng):
 
 @pytest.mark.parametrize("name", sorted(FD_CASES))
 def test_gradcheck_primitive(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # a fixed seed per case (str hashes change per process); eps=1e-5 keeps
+    # the central-difference truncation error well below rtol where tanh
+    # saturates and the gradient is small
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     with T.default_dtype(np.float64):
         for _ in range(3):
             build, params = FD_CASES[name](rng)
-            gradcheck(build, params)
+            gradcheck(build, params, eps=1e-5)
