@@ -7,9 +7,11 @@ ViT branch vectors are concatenated, reweighted by squeeze-excite channel
 attention, joined with the pooled graph embedding, and projected to the
 final fused feature.
 
-All forward functions accept a single sample (leading batch axis absent)
-or a batch; single samples return unbatched outputs.  Every function is
-differentiable through :mod:`weedhybrid.tensor`.
+Forward functions are batch-only: images are (N, C, H, W), token sets
+(N, P, d) and feature vectors (N, d); an input without the leading batch
+axis raises DimensionError.  A caller with one sample adds the axis itself.
+The graph functions work on node features of any leading shape.  Every
+function is differentiable through :mod:`weedhybrid.tensor`.
 """
 
 from __future__ import annotations
@@ -152,18 +154,6 @@ class ViTParams:
     blocks: tuple              # MsaBlockParams per stage
     d_k: int
 
-    @property
-    def w_q(self):
-        return self.blocks[0].w_q
-
-    @property
-    def w_k(self):
-        return self.blocks[0].w_k
-
-    @property
-    def w_v(self):
-        return self.blocks[0].w_v
-
 
 @dataclass(frozen=True)
 class PlantGraph:
@@ -300,37 +290,24 @@ def parameters(params: BackboneParams) -> list:
     return [t for _, t in named_parameters(params)]
 
 
-def _promote(x: T.Tensor) -> tuple:
-    if x.ndim == 3:
-        return T.reshape(x, (1,) + x.shape), True
-    if x.ndim == 4:
-        return x, False
-    raise DimensionError(f"expected (C,H,W) or (N,C,H,W), got {x.shape}")
-
-
-def _strip(x: T.Tensor, single: bool) -> T.Tensor:
-    return T.reshape(x, x.shape[1:]) if single else x
-
-
 def cnn_forward(x: T.Tensor, params: BackboneParams) -> tuple:
     """Conv stack (3x3, pad 1, ReLU, 2x2 mean-pool per block) -> (vector, map)."""
     cfg = params.config
-    x, single = _promote(x)
     if x.shape[1:] != (cfg.in_channels,) + tuple(cfg.image_size):
         raise DimensionError(
-            f"input {x.shape} does not match configured image "
+            f"input {x.shape} is not an (N, C, H, W) batch of configured images "
             f"{(cfg.in_channels,) + tuple(cfg.image_size)}")
     h = x
     for kernel, bias in params.cnn:
         h = T.avg_pool2d(T.relu(T.conv2d(h, kernel, stride=1, padding=1,
                                          bias=bias)), 2, 2)
-    vec = T.gap(h)
-    return _strip(vec, single), _strip(h, single)
+    return T.gap(h), h
 
 
 def patch_embed(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> T.Tensor:
     """E_i = W_E . Flatten(P_i) + E_pos_i over the row-major patch grid."""
-    x, single = _promote(x)
+    if x.ndim != 4:
+        raise DimensionError(f"expected an (N,C,H,W) batch, got {x.shape}")
     n, c, h, w = x.shape
     p = cfg.patch_size
     if (c, h, w) != (cfg.in_channels,) + tuple(cfg.image_size):
@@ -342,30 +319,28 @@ def patch_embed(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> T.Tensor:
     t = T.reshape(x, (n, c, gh, p, gw, p))
     t = T.transpose(t, (0, 2, 4, 1, 3, 5))
     flat = T.reshape(t, (n, gh * gw, c * p * p))
-    emb = T.add_bcast(T.matmul(flat, vit.w_e), vit.e_pos)
-    return _strip(emb, single)
+    return T.add_bcast(T.matmul(flat, vit.w_e), vit.e_pos)
 
 
 def multi_head_self_attention(e: T.Tensor, vit: ViTParams,
                               block: MsaBlockParams = None) -> T.Tensor:
     """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V."""
     blk = block if block is not None else vit.blocks[0]
+    if e.ndim != 3:
+        raise DimensionError(f"expected (N,P,d) tokens, got {e.shape}")
     d = e.shape[-1]
     if d != len(blk.w_q) * vit.d_k:
         raise ContractError(
             f"token dim {d} != {len(blk.w_q)} heads x d_k {vit.d_k}")
-    single = e.ndim == 2
-    tokens = T.reshape(e, (1,) + e.shape) if single else e
     scale = 1.0 / math.sqrt(vit.d_k)
     heads = []
     for wq, wk, wv in zip(blk.w_q, blk.w_k, blk.w_v):
-        q = T.matmul(tokens, wq)
-        k = T.matmul(tokens, wk)
-        v = T.matmul(tokens, wv)
+        q = T.matmul(e, wq)
+        k = T.matmul(e, wk)
+        v = T.matmul(e, wv)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
         heads.append(T.matmul(T.softmax(scores, axis=-1), v))
-    out = T.concat(heads, axis=-1)
-    return _strip(out, single)
+    return T.concat(heads, axis=-1)
 
 
 def vit_forward(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> tuple:
@@ -450,15 +425,12 @@ def gnn_forward(g: PlantGraph, layers) -> T.Tensor:
 
 def channel_attention(f: T.Tensor, params: ChannelAttentionParams) -> T.Tensor:
     """F' = sigmoid(W2 . ReLU(W1 . GAP(F))) (.) F; each weight in (0, 1)."""
-    if f.ndim == 1:
-        out = channel_attention(T.reshape(f, (1,) + f.shape), params)
-        return T.reshape(out, out.shape[1:])
     if f.ndim == 2:
         squeeze = f
     elif f.ndim == 4:
         squeeze = T.gap(f)
     else:
-        raise DimensionError(f"expected (C,), (N,C) or (N,C,H,W), got {f.shape}")
+        raise DimensionError(f"expected (N,C) or (N,C,H,W), got {f.shape}")
     if squeeze.shape[-1] != params.w1.shape[0]:
         raise DimensionError(
             f"channel count {squeeze.shape[-1]} vs W1 rows {params.w1.shape[0]}")
@@ -468,20 +440,19 @@ def channel_attention(f: T.Tensor, params: ChannelAttentionParams) -> T.Tensor:
 
 def fuse_final(f_prime: T.Tensor, f_gnn: T.Tensor, params: FusionParams) -> T.Tensor:
     """F_final = phi([F' || F_GNN]); phi is a linear map plus ReLU."""
-    single = f_prime.ndim == 1
-    a = T.reshape(f_prime, (1,) + f_prime.shape) if single else f_prime
-    b = T.reshape(f_gnn, (1,) + f_gnn.shape) if f_gnn.ndim == 1 else f_gnn
-    cat = T.concat([a, b], axis=-1)
+    if f_prime.ndim != 2 or f_gnn.ndim != 2:
+        raise DimensionError(f"expected (N,d) features, got {f_prime.shape} "
+                             f"and {f_gnn.shape}")
+    cat = T.concat([f_prime, f_gnn], axis=-1)
     if cat.shape[-1] != params.w.shape[0]:
         raise DimensionError(
             f"fused input dim {cat.shape[-1]} vs phi rows {params.w.shape[0]}")
-    out = T.relu(T.add_rowvec(T.matmul(cat, params.w), params.b))
-    return _strip(out, single)
+    return T.relu(T.add_rowvec(T.matmul(cat, params.w), params.b))
 
 
 @dataclass
 class BackboneFeatures:
-    """Every intermediate the heads need, batched the same way as the input."""
+    """Every intermediate the heads need, one row per input image."""
 
     f_cnn: T.Tensor          # (N, C_cnn)
     spatial: T.Tensor        # (N, C_cnn, h, w) conv map for segmentation
@@ -493,18 +464,13 @@ class BackboneFeatures:
 
 
 def backbone_forward(x: T.Tensor, params: BackboneParams) -> BackboneFeatures:
-    """Full three-branch forward pass to the fused feature."""
+    """Full three-branch forward pass of an (N,C,H,W) batch to the fused feature."""
     cfg = params.config
-    xb, single = _promote(x)
-    f_cnn, spatial = cnn_forward(xb, params)
-    tokens, f_vit = vit_forward(xb, params.vit, cfg)
+    f_cnn, spatial = cnn_forward(x, params)
+    tokens, f_vit = vit_forward(x, params.vit, cfg)
     graph = build_plant_graph(tokens, cfg.grid)
     f_gnn = gnn_forward(graph, params.gcn)
     f_cat = T.concat([f_cnn, f_vit], axis=-1)
     f_att = channel_attention(f_cat, params.attention)
     f_final = fuse_final(f_att, f_gnn, params.fusion)
-    if single:
-        return BackboneFeatures(*[_strip(t, True) for t in
-                                  (f_cnn, spatial, tokens, f_vit, f_gnn,
-                                   f_att, f_final)])
     return BackboneFeatures(f_cnn, spatial, tokens, f_vit, f_gnn, f_att, f_final)

@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import backbone as bb
 from . import dataio
 from . import deploy as dp
 from . import gan as gn
@@ -365,15 +364,15 @@ def cmd_infer(args, cfg: RunConfig) -> int:
         raise DataError(f"{args.image}: expected a color image")
     pre_cfg = cfg.preprocess_config(params.config.image_size)
     x = im.preprocess(img, pre_cfg).data.astype(np.float32)
-    pred = hd.predict(bb.backbone_forward(T.const(x), params), heads)
+    pred = hd.predict(params, heads, T.const(x[None]))
+    probs = pred.class_probs.data[0]
 
     names = synthdata.CLASS_NAMES
-    print(f"class: {names[pred.label]}")
-    order = np.argsort(pred.class_probs.data)[::-1]
-    for k in order:
-        print(f"p({names[k]}) = {float(pred.class_probs.data[k]):.4f}")
-    print(f"growth: {pred.growth:.4f}")
-    mask = np.argmax(pred.seg_mask.data, axis=0)
+    print(f"class: {names[pred.labels[0]]}")
+    for k in np.argsort(probs)[::-1]:
+        print(f"p({names[k]}) = {float(probs[k]):.4f}")
+    print(f"growth: {float(pred.growth.data[0]):.4f}")
+    mask = np.argmax(pred.seg_mask.data[0], axis=0)
     fractions = [(names[k], float((mask == k).mean()))
                  for k in range(len(names))]
     summary = ", ".join(f"{name} {100.0 * frac:.1f}%"

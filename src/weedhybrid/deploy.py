@@ -13,6 +13,9 @@ Checkpoint layout (all integers little-endian; see docs/checkpoint-format.md):
         kind 1 only: scale float32, zero_point int8 (always 0)
         payload             float32[n] or int8[n], n = product of dims
 
+The reader rejects NaN/inf float32 payloads and int8 scales that are not
+finite and positive, naming the tensor and the byte offset.
+
 Quantization is symmetric per-tensor: scale = max|x|/127 (1.0 for all-zero
 tensors), zero point 0, codes rounded half away from zero and clamped to
 [-127, 127], so every element reconstructs to within scale/2.
@@ -200,16 +203,21 @@ def load_checkpoint(data: bytes) -> tuple:
         n = int(np.prod(dims, dtype=np.int64)) if rank else 1
         if kind == _KIND_FLOAT32:
             raw, offset = _take(data, offset, 4 * n, f"payload of {name}")
-            entries[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            values = np.frombuffer(raw, dtype="<f4")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise FormatError(f"non-finite value in {name} at offset "
+                                  f"{offset - 4 * n + 4 * int(bad[0])}")
+            entries[name] = values.reshape(dims).copy()
         elif kind == _KIND_INT8:
             raw, offset = _take(data, offset, 5, f"scale of {name}")
             scale, zero_point = struct.unpack("<fb", raw)
             if zero_point != 0:
                 raise FormatError(f"nonzero zero point for {name} at offset "
                                   f"{offset - 1}")
-            if not scale > 0:
-                raise FormatError(f"non-positive scale for {name} at offset "
-                                  f"{offset - 5}")
+            if not 0 < scale < np.inf:
+                raise FormatError(f"non-positive or non-finite scale for {name} "
+                                  f"at offset {offset - 5}")
             raw, offset = _take(data, offset, n, f"codes of {name}")
             codes = np.frombuffer(raw, dtype=np.int8).reshape(dims).copy()
             entries[name] = QuantizedTensor(codes=codes, scale=float(scale))
@@ -391,12 +399,12 @@ def quantize_entries(entries: dict) -> dict:
     return out
 
 
-def quantized_forward(source, image) -> hd.Prediction:
-    """Run inference from a quantized checkpoint (weights int8 on disk,
-    dequantized to float32 on use; no gradients are recorded).
+def quantized_forward(source, images) -> hd.Prediction:
+    """Run batched inference from a quantized checkpoint (weights int8 on
+    disk, dequantized to float32 on use; no gradients are recorded).
 
-    `source` is a checkpoint path or an (entries, flags) pair; `image` is a
-    (3, H, W) model-scale array or tensor.
+    `source` is a checkpoint path or an (entries, flags) pair; `images` is an
+    (N, 3, H, W) model-scale array or tensor.
     """
     if isinstance(source, (str, os.PathLike)):
         entries, flags = read_checkpoint(source)
@@ -407,6 +415,5 @@ def quantized_forward(source, image) -> hd.Prediction:
     params, head_params = model_from_entries(entries)
     if head_params is None:
         raise ContractError("checkpoint has no head parameters")
-    x = image if isinstance(image, T.Tensor) else T.const(np.asarray(image))
-    features = bb.backbone_forward(x, params)
-    return hd.predict(features, head_params)
+    x = images if isinstance(images, T.Tensor) else T.const(np.asarray(images))
+    return hd.predict(params, head_params, x)

@@ -14,11 +14,11 @@ class NumericError(ArithmeticError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; carries the offending component."""
+    """A model forward or loss went non-finite; carries the offending component."""
 
     def __init__(self, component: str, detail: str = ""):
         self.component = component
-        msg = f"training diverged: non-finite {component} loss"
+        msg = f"{component} diverged: non-finite values"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

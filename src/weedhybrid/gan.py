@@ -3,12 +3,14 @@
 The generator maps a latent vector concatenated with a learned label
 embedding through a dense layer and two stride-2 transposed convolutions
 to a tanh image in (-1, 1).  The discriminator projects the label to an
-extra input channel and runs a stride-2 conv stack to a single logit.
+extra input channel and runs a stride-2 conv stack to one logit per image.
 Losses are the stable softplus forms of binary cross-entropy on logits,
 with the non-saturating generator objective.
 
 Images enter and leave this module on the (-1, 1) scale; helpers convert
-to and from 8-bit images for the rest of the pipeline.
+to and from 8-bit images for the rest of the pipeline.  The networks are
+batch-only: latents are (N, latent_dim), images (N, 3, H, W) and labels
+(N,); an input without the leading batch axis raises DimensionError.
 """
 
 from __future__ import annotations
@@ -152,54 +154,49 @@ def _one_hot(labels: np.ndarray, class_count: int) -> T.Tensor:
 
 
 def generate(z: T.Tensor, label, params: GanParams) -> T.Tensor:
-    """Deterministic conditional generation; output in (-1, 1)."""
+    """Deterministic conditional generation: (N, latent) -> (N,3,H,W) in (-1, 1)."""
     cfg = params.config
-    single = z.ndim == 1
-    zb = T.reshape(z, (1,) + z.shape) if single else z
-    if zb.shape[-1] != cfg.latent_dim:
+    if z.ndim != 2 or z.shape[1] != cfg.latent_dim:
         raise DimensionError(
-            f"latent dim {zb.shape[-1]} != configured {cfg.latent_dim}")
+            f"expected (N, {cfg.latent_dim}) latents, got {z.shape}")
     labels = _check_labels(label, cfg.class_count)
-    if labels.size != zb.shape[0]:
-        raise DimensionError(f"{zb.shape[0]} latents but {labels.size} labels")
+    if labels.size != z.shape[0]:
+        raise DimensionError(f"{z.shape[0]} latents but {labels.size} labels")
     cond = T.matmul(_one_hot(labels, cfg.class_count), params.g_embed)
-    h = T.concat([zb, cond], axis=1)
+    h = T.concat([z, cond], axis=1)
     h = T.relu(T.add_rowvec(T.matmul(h, params.g_fc_w), params.g_fc_b))
     sh, sw = cfg.seed_hw
-    h = T.reshape(h, (zb.shape[0], 2 * cfg.base_channels, sh, sw))
+    h = T.reshape(h, (z.shape[0], 2 * cfg.base_channels, sh, sw))
     h = T.relu(T.conv_transpose2d(h, params.g_deconv1, stride=2, padding=1,
                                   bias=params.g_deconv1_b))
-    img = T.tanh(T.conv_transpose2d(h, params.g_deconv2, stride=2, padding=1,
-                                    bias=params.g_deconv2_b))
-    return T.reshape(img, img.shape[1:]) if single else img
+    return T.tanh(T.conv_transpose2d(h, params.g_deconv2, stride=2, padding=1,
+                                     bias=params.g_deconv2_b))
 
 
 def _disc_logit(x: T.Tensor, label, params: GanParams) -> T.Tensor:
     cfg = params.config
-    single = x.ndim == 3
-    xb = T.reshape(x, (1,) + x.shape) if single else x
     h, w = cfg.image_size
-    if xb.shape[1:] != (3, h, w):
-        raise DimensionError(f"image {x.shape} does not match configured "
-                             f"(3, {h}, {w})")
+    if x.ndim != 4 or x.shape[1:] != (3, h, w):
+        raise DimensionError(f"images {x.shape} do not match configured "
+                             f"(N, 3, {h}, {w})")
+    n = x.shape[0]
     labels = _check_labels(label, cfg.class_count)
-    if labels.size != xb.shape[0]:
-        raise DimensionError(f"{xb.shape[0]} images but {labels.size} labels")
+    if labels.size != n:
+        raise DimensionError(f"{n} images but {labels.size} labels")
     proj = T.matmul(_one_hot(labels, cfg.class_count), params.d_embed)
-    proj = T.reshape(proj, (xb.shape[0], 1, h, w))
-    stacked = T.concat([xb, proj], axis=1)
+    proj = T.reshape(proj, (n, 1, h, w))
+    stacked = T.concat([x, proj], axis=1)
     f = T.leaky_relu(T.conv2d(stacked, params.d_conv1, stride=2, padding=1,
                               bias=params.d_conv1_b))
     f = T.leaky_relu(T.conv2d(f, params.d_conv2, stride=2, padding=1,
                               bias=params.d_conv2_b))
-    flat = T.reshape(f, (xb.shape[0], f.size // xb.shape[0]))
+    flat = T.reshape(f, (n, f.size // n))
     logit = T.add_rowvec(T.matmul(flat, params.d_fc_w), params.d_fc_b)
-    out = T.reshape(logit, (xb.shape[0],))
-    return T.reshape(out, ()) if single else out
+    return T.reshape(logit, (n,))
 
 
 def discriminate(x: T.Tensor, label, params: GanParams) -> T.Tensor:
-    """Probability the sample is real, per the current discriminator."""
+    """Probability each image is real, per the current discriminator: (N,)."""
     return T.sigmoid(_disc_logit(x, label, params))
 
 
@@ -341,8 +338,8 @@ def rebalance(samples: list, target_counts, params: GanParams,
     for cls in range(cfg.class_count):
         need = max(0, targets[cls] - counts[cls])
         for _ in range(need):
-            z = T.const(rng.standard_normal(cfg.latent_dim))
-            img = to_image(generate(z, cls, params).data)
+            z = T.const(rng.standard_normal((1, cfg.latent_dim)))
+            img = to_image(generate(z, [cls], params).data[0])
             if out_size is not None and (img.height, img.width) != tuple(out_size):
                 img = im.resize_bilinear(img, out_size)
             out.append((img, cls, True))

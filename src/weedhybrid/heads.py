@@ -9,18 +9,25 @@ The training objective is the weighted sum
 
 with cross-entropy, soft Dice (eps = 1), and mean squared error as the
 component losses.  Default weights are (0.5, 0.3, 0.2).
+
+Heads and losses are batch-only: features are (N, d), spatial maps and
+masks (N, C, h, w), labels and growth targets (N,); an input without the
+leading batch axis raises DimensionError.  `predict` is the one model
+forward (backbone plus all three heads) behind training, evaluation,
+inference and quantized inference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import BackboneConfig, BackboneFeatures
-from .errors import ContractError, DimensionError
+from .backbone import BackboneConfig, BackboneParams, backbone_forward
+from .errors import ContractError, DimensionError, DivergenceError, NumericError
 
 __all__ = [
     "NUM_CLASSES",
@@ -49,15 +56,16 @@ DICE_EPS = 1.0
 
 @dataclass
 class Prediction:
-    """One sample's outputs: class distribution, mask probabilities, growth."""
+    """A batch's outputs: class distributions, mask probabilities, growth."""
 
-    class_probs: T.Tensor    # (num_classes,)
-    seg_mask: T.Tensor       # (num_classes, H, W), per-pixel distributions
-    growth: float
+    class_probs: T.Tensor    # (N, num_classes)
+    seg_mask: T.Tensor       # (N, num_classes, H, W), per-pixel distributions
+    growth: T.Tensor         # (N,)
 
     @property
-    def label(self) -> int:
-        return int(np.argmax(self.class_probs.data))
+    def labels(self) -> np.ndarray:
+        """Top-1 class per sample, (N,) int64."""
+        return np.argmax(self.class_probs.data, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -126,35 +134,27 @@ def named_head_parameters(params: HeadParams) -> list:
             ("head.growth_b", params.growth_b)]
 
 
-def _promote_rows(f: T.Tensor) -> tuple:
-    if f.ndim == 1:
-        return T.reshape(f, (1,) + f.shape), True
-    if f.ndim == 2:
-        return f, False
-    raise DimensionError(f"expected feature vector or batch, got {f.shape}")
+def _check_rows(f: T.Tensor, w: T.Tensor) -> None:
+    if f.ndim != 2 or f.shape[1] != w.shape[0]:
+        raise DimensionError(
+            f"expected (N, {w.shape[0]}) features, got {f.shape}")
 
 
 def classify_head(f_final: T.Tensor, params: HeadParams) -> T.Tensor:
-    """Linear layer then softmax over the class axis."""
-    f, single = _promote_rows(f_final)
-    if f.shape[-1] != params.cls_w.shape[0]:
+    """Linear layer then softmax over the class axis: (N,d) -> (N,K)."""
+    _check_rows(f_final, params.cls_w)
+    return T.softmax(T.add_rowvec(T.matmul(f_final, params.cls_w), params.cls_b),
+                     axis=-1)
+
+
+def cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
+    """Mean over rows of -log p(label), probabilities floored at 1e-12."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if probs.ndim != 2 or labels.shape != probs.shape[:1]:
         raise DimensionError(
-            f"feature dim {f.shape[-1]} vs head input {params.cls_w.shape[0]}")
-    probs = T.softmax(T.add_rowvec(T.matmul(f, params.cls_w), params.cls_b),
-                      axis=-1)
-    return T.reshape(probs, probs.shape[1:]) if single else probs
-
-
-def cross_entropy(class_probs: T.Tensor, label) -> T.Tensor:
-    """-log p(label), probabilities floored at 1e-12; batches are averaged."""
-    probs, single = _promote_rows(class_probs)
+            f"expected (N,K) probabilities and (N,) labels, got {probs.shape} "
+            f"and {labels.shape}")
     k = probs.shape[-1]
-    labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-    if single and labels.shape != (1,):
-        raise DimensionError(f"one probability row but {labels.shape[0]} labels")
-    if not single and labels.shape[0] != probs.shape[0]:
-        raise DimensionError(
-            f"{probs.shape[0]} probability rows but {labels.shape[0]} labels")
     if labels.min() < 0 or labels.max() >= k:
         raise ContractError(f"labels must lie in [0, {k}), got {labels.tolist()}")
     onehot = T.const(np.eye(k)[labels])
@@ -164,31 +164,25 @@ def cross_entropy(class_probs: T.Tensor, label) -> T.Tensor:
 
 def segment_head(spatial: T.Tensor, params: HeadParams) -> T.Tensor:
     """1x1 conv -> per-pixel softmax -> bilinear upsample to image size."""
-    single = spatial.ndim == 3
-    s = T.reshape(spatial, (1,) + spatial.shape) if single else spatial
-    if s.ndim != 4 or s.shape[1] != params.seg_kernel.shape[1]:
+    if spatial.ndim != 4 or spatial.shape[1] != params.seg_kernel.shape[1]:
         raise DimensionError(
             f"spatial map {spatial.shape} vs seg kernel {params.seg_kernel.shape}")
-    logits = T.conv2d(s, params.seg_kernel, bias=params.seg_bias)
+    logits = T.conv2d(spatial, params.seg_kernel, bias=params.seg_bias)
     probs = T.softmax(logits, axis=1)
-    up = T.upsample_bilinear2d(probs, params.image_size)
-    return T.reshape(up, up.shape[1:]) if single else up
+    return T.upsample_bilinear2d(probs, params.image_size)
 
 
 def dice_loss(seg_mask: T.Tensor, truth_mask: T.Tensor) -> T.Tensor:
-    """Soft Dice averaged over classes, pooled over all pixels (and batch).
+    """Soft Dice averaged over classes, pooled over all pixels of the batch.
 
     1 - (2 * sum(p*t) + eps) / (sum(p) + sum(t) + eps) per class, eps = 1.
     """
     if seg_mask.shape != truth_mask.shape:
         raise DimensionError(
             f"mask shapes differ: {seg_mask.shape} vs {truth_mask.shape}")
-    if seg_mask.ndim == 3:
-        pool = (1, 2)
-    elif seg_mask.ndim == 4:
-        pool = (0, 2, 3)
-    else:
-        raise DimensionError(f"expected (K,h,w) or (N,K,h,w), got {seg_mask.shape}")
+    if seg_mask.ndim != 4:
+        raise DimensionError(f"expected (N,K,h,w) masks, got {seg_mask.shape}")
+    pool = (0, 2, 3)
     inter = T.sum_(T.mul(seg_mask, truth_mask), axis=pool)
     psum = T.sum_(seg_mask, axis=pool)
     tsum = T.sum_(truth_mask, axis=pool)
@@ -198,13 +192,10 @@ def dice_loss(seg_mask: T.Tensor, truth_mask: T.Tensor) -> T.Tensor:
 
 
 def growth_head(f_final: T.Tensor, params: HeadParams) -> T.Tensor:
-    """Linear scalar regressor; returns () for one sample, (N,) for a batch."""
-    f, single = _promote_rows(f_final)
-    if f.shape[-1] != params.growth_w.shape[0]:
-        raise DimensionError(
-            f"feature dim {f.shape[-1]} vs head input {params.growth_w.shape[0]}")
-    out = T.add_rowvec(T.matmul(f, params.growth_w), params.growth_b)
-    return T.reshape(out, ()) if single else T.reshape(out, (out.shape[0],))
+    """Linear scalar regressor: (N,d) -> (N,)."""
+    _check_rows(f_final, params.growth_w)
+    out = T.add_rowvec(T.matmul(f_final, params.growth_w), params.growth_b)
+    return T.reshape(out, (out.shape[0],))
 
 
 def mse_loss(growth: T.Tensor, truth) -> T.Tensor:
@@ -224,25 +215,46 @@ def total_loss(l_cls: T.Tensor, l_seg: T.Tensor, l_growth: T.Tensor,
                  T.mul(l_growth, weights.gamma))
 
 
-def predict(features: BackboneFeatures, params: HeadParams) -> Prediction:
-    """Package one sample's head outputs (input features must be unbatched)."""
-    probs = classify_head(features.f_final, params)
-    mask = segment_head(features.spatial, params)
-    growth = growth_head(features.f_final, params)
-    return Prediction(class_probs=probs, seg_mask=mask,
-                      growth=float(growth.data))
+@contextlib.contextmanager
+def _diverges_as(component: str):
+    """Turn a NumericError inside the block into DivergenceError(component)."""
+    try:
+        yield
+    except NumericError as exc:
+        raise DivergenceError(component, detail=str(exc)) from exc
 
 
-def compute_losses(features: BackboneFeatures, params: HeadParams, labels,
-                   truth_masks: T.Tensor, growth_truth,
-                   weights: LossWeights = LossWeights()) -> tuple:
-    """All three heads plus the weighted total; returns (loss, LossReport)."""
-    probs = classify_head(features.f_final, params)
-    l_cls = cross_entropy(probs, labels)
-    mask = segment_head(features.spatial, params)
-    l_seg = dice_loss(mask, truth_masks)
-    growth = growth_head(features.f_final, params)
-    l_growth = mse_loss(growth, growth_truth)
+def predict(params: BackboneParams, head_params: HeadParams,
+            x: T.Tensor) -> Prediction:
+    """Backbone plus all three heads over an (N,3,H,W) batch.
+
+    A NumericError becomes DivergenceError naming the component that
+    produced it: backbone, classification, segmentation or growth.
+    """
+    with _diverges_as("backbone"):
+        feats = backbone_forward(x, params)
+    with _diverges_as("classification"):
+        probs = classify_head(feats.f_final, head_params)
+    with _diverges_as("segmentation"):
+        mask = segment_head(feats.spatial, head_params)
+    with _diverges_as("growth"):
+        growth = growth_head(feats.f_final, head_params)
+    return Prediction(class_probs=probs, seg_mask=mask, growth=growth)
+
+
+def compute_losses(prediction: Prediction, labels, truth_masks: T.Tensor,
+                   growth_truth, weights: LossWeights = LossWeights()) -> tuple:
+    """The three losses of a batched prediction plus the weighted total;
+    returns (loss, LossReport).  `truth_masks` is one-hot (N,K,H,W).
+
+    A NumericError becomes DivergenceError naming the loss component.
+    """
+    with _diverges_as("classification"):
+        l_cls = cross_entropy(prediction.class_probs, labels)
+    with _diverges_as("segmentation"):
+        l_seg = dice_loss(prediction.seg_mask, truth_masks)
+    with _diverges_as("growth"):
+        l_growth = mse_loss(prediction.growth, growth_truth)
     ltot = total_loss(l_cls, l_seg, l_growth, weights)
     report = LossReport(l_cls=float(l_cls.data), l_seg=float(l_seg.data),
                         l_growth=float(l_growth.data),

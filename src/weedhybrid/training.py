@@ -1,4 +1,4 @@
-"""Optimization loop, stratified cross-validation, and the metric suite.
+"""Optimization loop, stratified folds, and the metric suite.
 
 Training minimizes the weighted multi-task loss with bias-corrected Adam.
 Every epoch reshuffles with a generator seeded from (run seed, epoch), so
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import backbone as bb
 from . import heads as hd
 from . import tensor as T
-from .errors import ContractError, DivergenceError, NumericError
+from .errors import ContractError
 
 __all__ = [
     "OptimizerState",
@@ -36,7 +36,6 @@ __all__ = [
     "TrainResult",
     "train",
     "evaluate",
-    "cross_validate",
     "emit_plot_data",
 ]
 
@@ -263,41 +262,13 @@ def _one_hot_masks(masks: np.ndarray, num_classes: int) -> np.ndarray:
                         (0, 3, 1, 2))
 
 
-def _batch_losses(params, heads, x, labels, masks_1h, growth, weights):
-    """Forward one batch; isolate which loss component went non-finite."""
-    component = "backbone"
-    try:
-        feats = bb.backbone_forward(T.const(x), params)
-        component = "classification"
-        probs = hd.classify_head(feats.f_final, heads)
-        l_cls = hd.cross_entropy(probs, labels)
-        component = "segmentation"
-        mask = hd.segment_head(feats.spatial, heads)
-        l_seg = hd.dice_loss(mask, T.const(masks_1h))
-        component = "growth"
-        pred_growth = hd.growth_head(feats.f_final, heads)
-        l_growth = hd.mse_loss(pred_growth, growth.astype(np.float64))
-    except NumericError as exc:
-        raise DivergenceError(component, detail=str(exc)) from exc
-    total = hd.total_loss(l_cls, l_seg, l_growth, weights)
-    for name, value in (("classification", l_cls), ("segmentation", l_seg),
-                        ("growth", l_growth)):
-        if not np.isfinite(value.data):
-            raise DivergenceError(name)
-    preds = np.argmax(probs.data, axis=-1)
-    return total, (float(l_cls.data), float(l_seg.data), float(l_growth.data),
-                   float(total.data)), preds
-
-
-def _accuracy(params, heads, images, labels, batch: int) -> float:
-    correct = 0
-    for start in range(0, images.shape[0], batch):
-        x = images[start:start + batch]
-        feats = bb.backbone_forward(T.const(x), params)
-        probs = hd.classify_head(feats.f_final, heads)
-        correct += int(np.sum(np.argmax(probs.data, axis=-1)
-                              == labels[start:start + batch]))
-    return correct / images.shape[0]
+def _score(params, heads, data: TrainData, sel, weights) -> tuple:
+    """Predict one batch of samples; returns (loss, LossReport, correct count)."""
+    pred = hd.predict(params, heads, T.const(data.images[sel]))
+    masks_1h = T.const(_one_hot_masks(data.masks[sel], heads.cls_w.shape[-1]))
+    total, report = hd.compute_losses(pred, data.labels[sel], masks_1h,
+                                      data.growth[sel].astype(np.float64), weights)
+    return total, report, int(np.sum(pred.labels == data.labels[sel]))
 
 
 def _snapshot(named):
@@ -334,7 +305,6 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
     named = _named_model_parameters(params, heads)
     tensors = [t for _, t in named]
     state = init_optimizer(tensors, cfg.lr)
-    num_classes = heads.cls_w.shape[-1]
 
     history = []
     best_val = float("inf")
@@ -347,30 +317,24 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
         correct = 0
         for start in range(0, order.size, cfg.batch):
             sel = order[start:start + cfg.batch]
-            masks_1h = _one_hot_masks(data.masks[sel], num_classes)
             with T.Tape() as tape:
-                total, parts, preds = _batch_losses(
-                    params, heads, data.images[sel], data.labels[sel],
-                    masks_1h, data.growth[sel], cfg.weights)
+                total, report, hits = _score(params, heads, data, sel, cfg.weights)
                 tape.backward(total)
             adam_step(tensors, state)
             T.zero_grads(tensors)
-            sums += parts
+            sums += astuple(report)
             batches += 1
-            correct += int(np.sum(preds == data.labels[sel]))
+            correct += hits
 
         val_parts = np.zeros(4)
         val_batches = 0
         val_correct = 0
         for start in range(0, val_idx.size, cfg.batch):
-            sel = val_idx[start:start + cfg.batch]
-            masks_1h = _one_hot_masks(data.masks[sel], num_classes)
-            _, parts, preds = _batch_losses(
-                params, heads, data.images[sel], data.labels[sel],
-                masks_1h, data.growth[sel], cfg.weights)
-            val_parts += parts
+            _, report, hits = _score(params, heads, data,
+                                     val_idx[start:start + cfg.batch], cfg.weights)
+            val_parts += astuple(report)
             val_batches += 1
-            val_correct += int(np.sum(preds == data.labels[sel]))
+            val_correct += hits
 
         val_total = val_parts[3] / max(val_batches, 1)
         history.append(EpochStats(
@@ -402,43 +366,15 @@ def evaluate(params: bb.BackboneParams, heads: hd.HeadParams,
     pred_masks = []
     for start in range(0, idx.size, batch):
         sel = idx[start:start + batch]
-        feats = bb.backbone_forward(T.const(data.images[sel]), params)
-        probs = hd.classify_head(feats.f_final, heads)
-        preds[start:start + sel.size] = np.argmax(probs.data, axis=-1)
-        mask = hd.segment_head(feats.spatial, heads)
-        pred_masks.extend(np.argmax(mask.data, axis=1))
+        pred = hd.predict(params, heads, T.const(data.images[sel]))
+        preds[start:start + sel.size] = pred.labels
+        pred_masks.extend(np.argmax(pred.seg_mask.data, axis=1))
     report = classification_metrics(data.labels[idx], preds, num_classes)
     miou, per_class, flagged = mean_iou(pred_masks, data.masks[idx], num_classes)
     report.mean_iou = miou
     report.iou_per_class = per_class
     report.zero_division = report.zero_division or flagged
     return report
-
-
-def cross_validate(data: TrainData, cfg: TrainConfig, k: int = 5) -> tuple:
-    """k-fold stratified CV: per-fold reports plus a pooled report."""
-    plan = stratified_folds(data.labels, k=k, seed=cfg.seed)
-    fold_reports = []
-    all_labels = []
-    all_preds = []
-    num_classes = 0
-    for fold in range(k):
-        tr, va = plan.split(fold)
-        result = train(data, cfg, train_idx=tr, val_idx=va)
-        report = evaluate(result.params, result.heads, data, indices=va)
-        fold_reports.append(report)
-        num_classes = report.confusion.shape[0]
-        all_labels.append(data.labels[va])
-        preds = []
-        for start in range(0, va.size, cfg.batch):
-            sel = va[start:start + cfg.batch]
-            feats = bb.backbone_forward(T.const(data.images[sel]), result.params)
-            probs = hd.classify_head(feats.f_final, result.heads)
-            preds.append(np.argmax(probs.data, axis=-1))
-        all_preds.append(np.concatenate(preds))
-    pooled = classification_metrics(np.concatenate(all_labels),
-                                    np.concatenate(all_preds), num_classes)
-    return fold_reports, pooled
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _tiny_msa(rng, n_heads=2, d_k=2, n_tokens=3):
     vit = bb.ViTParams(w_e=T.zeros((1, embed)),
                        e_pos=T.zeros((n_tokens, embed)),
                        blocks=(blk,), d_k=d_k)
-    e = rand_tensor(rng, (n_tokens, embed), 0.7)
+    e = rand_tensor(rng, (1, n_tokens, embed), 0.7)
     return e, vit, blk
 
 
@@ -346,8 +346,8 @@ def test_criterion_2_invariants():
             out = bb.multi_head_self_attention(e, vit).data
             tperm = rng.permutation(5)
             out_p = bb.multi_head_self_attention(
-                T.const(e.data[tperm]), vit).data
-            np.testing.assert_allclose(out_p, out[tperm], atol=1e-6,
+                T.const(e.data[:, tperm]), vit).data
+            np.testing.assert_allclose(out_p, out[:, tperm], atol=1e-6,
                                        err_msg="MSA permutation equivariance")
     except Exception as exc:
         ok, detail = False, _first_line(exc)
@@ -645,12 +645,12 @@ def test_criterion_7_deployment(dataset400, trained400, tmp_path):
         qsource = (quantized, dp.FLAG_FULL | dp.FLAG_QUANTIZED)
         matches, drifts = 0, []
         for i in eval_idx:
-            feats = bb.backbone_forward(T.const(data.images[i]), result.params)
-            float_pred = hd.predict(feats, result.heads)
-            q_pred = dp.quantized_forward(qsource, data.images[i])
-            matches += int(float_pred.label == q_pred.label)
-            drifts.append(np.max(np.abs(float_pred.class_probs.data
-                                        - q_pred.class_probs.data)))
+            float_pred = hd.predict(result.params, result.heads,
+                                    T.const(data.images[i:i + 1]))
+            q_pred = dp.quantized_forward(qsource, data.images[i:i + 1])
+            matches += int(float_pred.labels[0] == q_pred.labels[0])
+            drifts.append(np.max(np.abs(float_pred.class_probs.data[0]
+                                        - q_pred.class_probs.data[0])))
         agree = matches / eval_idx.size
         drift = float(np.max(drifts))
         assert agree >= 0.95, f"agreement {agree:.3f} < 0.95"

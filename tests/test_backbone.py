@@ -58,10 +58,10 @@ def test_desk_preset_shapes():
 def test_cnn_desk_output_shapes():
     cfg = bb.desk_config()
     params = bb.init_backbone(cfg, np.random.default_rng(0))
-    x = T.Tensor(np.random.default_rng(1).standard_normal((3, 32, 32)))
+    x = T.Tensor(np.random.default_rng(1).standard_normal((1, 3, 32, 32)))
     vec, spatial = bb.cnn_forward(x, params)
-    assert vec.shape == (16,)
-    assert spatial.shape == (16, 8, 8)
+    assert vec.shape == (1, 16)
+    assert spatial.shape == (1, 16, 8, 8)
     batch = T.Tensor(np.random.default_rng(2).standard_normal((5, 3, 32, 32)))
     vec, spatial = bb.cnn_forward(batch, params)
     assert vec.shape == (5, 16)
@@ -71,9 +71,10 @@ def test_cnn_desk_output_shapes():
 def test_cnn_zero_input_zero_bias_gives_zeros():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(3))
-    vec, spatial = bb.cnn_forward(T.zeros((3, 8, 8)), params)
-    np.testing.assert_array_equal(vec.data, np.zeros(2, dtype=np.float32))
-    np.testing.assert_array_equal(spatial.data, np.zeros((2, 4, 4), dtype=np.float32))
+    vec, spatial = bb.cnn_forward(T.zeros((1, 3, 8, 8)), params)
+    np.testing.assert_array_equal(vec.data[0], np.zeros(2, dtype=np.float32))
+    np.testing.assert_array_equal(spatial.data[0],
+                                  np.zeros((2, 4, 4), dtype=np.float32))
 
 
 def test_cnn_single_block_matches_loop_oracle():
@@ -92,15 +93,15 @@ def test_cnn_single_block_matches_loop_oracle():
             for xx in range(2):
                 pooled[c, y, xx] = act[c, 2 * y:2 * y + 2, 2 * xx:2 * xx + 2].mean()
     vec_want = pooled.reshape(3, -1).mean(axis=1)
-    vec, spatial = bb.cnn_forward(T.Tensor(x), params)
-    np.testing.assert_allclose(spatial.data, pooled, atol=1e-5)
-    np.testing.assert_allclose(vec.data, vec_want, atol=1e-5)
+    vec, spatial = bb.cnn_forward(T.Tensor(x[None]), params)
+    np.testing.assert_allclose(spatial.data[0], pooled, atol=1e-5)
+    np.testing.assert_allclose(vec.data[0], vec_want, atol=1e-5)
 
 
 def test_cnn_shape_mismatch_rejected():
     params = bb.init_backbone(bb.desk_config(), np.random.default_rng(6))
     with pytest.raises(DimensionError):
-        bb.cnn_forward(T.zeros((3, 16, 16)), params)
+        bb.cnn_forward(T.zeros((1, 3, 16, 16)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +112,8 @@ def test_patch_embed_zero_image_zero_pos():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(7))
     params.vit.e_pos = T.zeros((cfg.num_patches, cfg.embed_dim), requires_grad=True)
-    emb = bb.patch_embed(T.zeros((3, 8, 8)), params.vit, cfg)
-    np.testing.assert_array_equal(emb.data, np.zeros((4, 4), dtype=np.float32))
+    emb = bb.patch_embed(T.zeros((1, 3, 8, 8)), params.vit, cfg)
+    np.testing.assert_array_equal(emb.data[0], np.zeros((4, 4), dtype=np.float32))
 
 
 def test_patch_embed_identity_projection():
@@ -123,10 +124,10 @@ def test_patch_embed_identity_projection():
     params = bb.init_backbone(cfg, rng)
     params.vit.w_e = T.Tensor(np.eye(12), requires_grad=True)
     x = rng.standard_normal((3, 2, 2)).astype(np.float32)
-    emb = bb.patch_embed(T.Tensor(x), params.vit, cfg)
-    # channel-major flatten of the single patch, plus the positional row
+    emb = bb.patch_embed(T.Tensor(x[None]), params.vit, cfg)
+    # channel-major flatten of the only patch, plus the positional row
     want = x.reshape(-1) + params.vit.e_pos.data[0]
-    np.testing.assert_allclose(emb.data[0], want, atol=1e-6)
+    np.testing.assert_allclose(emb.data[0, 0], want, atol=1e-6)
 
 
 def test_patch_embed_row_major_patch_order():
@@ -137,16 +138,16 @@ def test_patch_embed_row_major_patch_order():
     params.vit.e_pos = T.zeros((4, cfg.embed_dim), requires_grad=True)
     x = np.zeros((3, 8, 8), dtype=np.float32)
     x[0, 0, 4] = 5.0   # top-right patch = grid index 1 in row-major order
-    emb = bb.patch_embed(T.Tensor(x), params.vit, cfg)
-    assert emb.data[1, 0] == pytest.approx(5.0)
-    assert np.all(emb.data[[0, 2, 3]] == 0)
+    emb = bb.patch_embed(T.Tensor(x[None]), params.vit, cfg)
+    assert emb.data[0, 1, 0] == pytest.approx(5.0)
+    assert np.all(emb.data[0, [0, 2, 3]] == 0)
 
 
 def test_patch_embed_size_mismatch():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(10))
     with pytest.raises(ContractError):
-        bb.patch_embed(T.zeros((3, 4, 4)), params.vit, cfg)
+        bb.patch_embed(T.zeros((1, 3, 4, 4)), params.vit, cfg)
 
 
 def test_msa_single_token_returns_value_row():
@@ -154,10 +155,11 @@ def test_msa_single_token_returns_value_row():
                             num_heads=2, cnn_channels=(2,), gcn_dims=(4,),
                             fusion_dim=8, attention_reduction=2)
     params = bb.init_backbone(cfg, np.random.default_rng(11))
-    e = T.Tensor(np.random.default_rng(12).standard_normal((1, 6)))
+    e = T.Tensor(np.random.default_rng(12).standard_normal((1, 1, 6)))
     out = bb.multi_head_self_attention(e, params.vit)
-    want = np.concatenate([e.data @ w.data for w in params.vit.w_v], axis=-1)
-    np.testing.assert_allclose(out.data, want, atol=1e-5)
+    want = np.concatenate([e.data[0] @ w.data for w in params.vit.blocks[0].w_v],
+                          axis=-1)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-5)
 
 
 def test_msa_zero_queries_give_uniform_attention():
@@ -166,11 +168,11 @@ def test_msa_zero_queries_give_uniform_attention():
     blk = params.vit.blocks[0]
     blk.w_q = tuple(T.zeros(w.shape, requires_grad=True) for w in blk.w_q)
     blk.w_k = tuple(T.zeros(w.shape, requires_grad=True) for w in blk.w_k)
-    e = T.Tensor(np.random.default_rng(14).standard_normal((4, 4)))
+    e = T.Tensor(np.random.default_rng(14).standard_normal((1, 4, 4)))
     out = bb.multi_head_self_attention(e, params.vit)
-    v = np.concatenate([e.data @ w.data for w in params.vit.w_v], axis=-1)
+    v = np.concatenate([e.data[0] @ w.data for w in blk.w_v], axis=-1)
     want = np.tile(v.mean(axis=0), (4, 1))
-    np.testing.assert_allclose(out.data, want, atol=1e-5)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-5)
 
 
 def test_msa_two_tokens_scalar_recompute():
@@ -183,7 +185,7 @@ def test_msa_two_tokens_scalar_recompute():
     blk.w_k = (T.Tensor([[0.0, 1.0], [1.0, 0.0]], requires_grad=True),)
     blk.w_v = (T.Tensor([[1.0, 1.0], [0.0, 2.0]], requires_grad=True),)
     e = np.array([[1.0, 2.0], [3.0, -1.0]])
-    out = bb.multi_head_self_attention(T.Tensor(e), params.vit)
+    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit)
 
     q = e  # identity W_Q
     k = e[:, ::-1]  # swapped columns
@@ -198,14 +200,14 @@ def test_msa_two_tokens_scalar_recompute():
         weights = [wt / z for wt in weights]
         for d in range(2):
             want[i, d] = sum(weights[j] * v[j, d] for j in range(2))
-    np.testing.assert_allclose(out.data, want, atol=1e-5)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-5)
 
 
 def test_msa_head_dim_mismatch():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(16))
     with pytest.raises(ContractError):
-        bb.multi_head_self_attention(T.zeros((4, 6)), params.vit)
+        bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit)
 
 
 def test_msa_permutation_equivariant():
@@ -214,9 +216,9 @@ def test_msa_permutation_equivariant():
     rng = np.random.default_rng(18)
     e = rng.standard_normal((16, 32)).astype(np.float32)
     perm = rng.permutation(16)
-    out = bb.multi_head_self_attention(T.Tensor(e), params.vit)
-    out_p = bb.multi_head_self_attention(T.Tensor(e[perm]), params.vit)
-    np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-6)
+    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit)
+    out_p = bb.multi_head_self_attention(T.Tensor(e[perm][None]), params.vit)
+    np.testing.assert_allclose(out_p.data[0], out.data[0][perm], atol=1e-6)
 
 
 def test_vit_forward_depth_two_runs_and_pools():
@@ -225,10 +227,11 @@ def test_vit_forward_depth_two_runs_and_pools():
                             fusion_dim=8, vit_depth=2)
     params = bb.init_backbone(cfg, np.random.default_rng(19))
     tokens, pooled = bb.vit_forward(T.Tensor(
-        np.random.default_rng(20).standard_normal((3, 8, 8))), params.vit, cfg)
-    assert tokens.shape == (4, 4)
-    assert pooled.shape == (4,)
-    np.testing.assert_allclose(pooled.data, tokens.data.mean(axis=0), atol=1e-6)
+        np.random.default_rng(20).standard_normal((1, 3, 8, 8))), params.vit, cfg)
+    assert tokens.shape == (1, 4, 4)
+    assert pooled.shape == (1, 4)
+    np.testing.assert_allclose(pooled.data[0], tokens.data[0].mean(axis=0),
+                               atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +356,9 @@ def test_channel_attention_zero_weights_halve():
     params = bb.ChannelAttentionParams(w1=T.zeros((6, 2), requires_grad=True),
                                        w2=T.zeros((2, 6), requires_grad=True),
                                        reduction=3)
-    f = T.Tensor(np.random.default_rng(26).standard_normal(6))
+    f = T.Tensor(np.random.default_rng(26).standard_normal((1, 6)))
     out = bb.channel_attention(f, params)
-    np.testing.assert_allclose(out.data, f.data / 2.0, atol=1e-6)
+    np.testing.assert_allclose(out.data[0], f.data[0] / 2.0, atol=1e-6)
 
 
 def test_channel_attention_zero_features():
@@ -364,8 +367,8 @@ def test_channel_attention_zero_features():
         w1=T.Tensor(rng.standard_normal((6, 2)), requires_grad=True),
         w2=T.Tensor(rng.standard_normal((2, 6)), requires_grad=True),
         reduction=3)
-    out = bb.channel_attention(T.zeros(6), params)
-    np.testing.assert_array_equal(out.data, np.zeros(6, dtype=np.float32))
+    out = bb.channel_attention(T.zeros((1, 6)), params)
+    np.testing.assert_array_equal(out.data[0], np.zeros(6, dtype=np.float32))
 
 
 def test_channel_attention_scalar_recompute():
@@ -378,14 +381,14 @@ def test_channel_attention_scalar_recompute():
         params = bb.ChannelAttentionParams(w1=T.Tensor(w1, requires_grad=True),
                                            w2=T.Tensor(w2, requires_grad=True),
                                            reduction=r)
-        out = bb.channel_attention(T.Tensor(f), params)
+        out = bb.channel_attention(T.Tensor(f[None]), params)
         hidden = [max(0.0, sum(f[i] * w1[i, j] for i in range(c)))
                   for j in range(c // r)]
         gate = [1.0 / (1.0 + math.exp(-sum(hidden[j] * w2[j, k]
                                            for j in range(c // r))))
                 for k in range(c)]
         want = [gate[k] * f[k] for k in range(c)]
-        np.testing.assert_allclose(out.data, want, atol=1e-5)
+        np.testing.assert_allclose(out.data[0], want, atol=1e-5)
 
 
 def test_channel_attention_never_grows_magnitude():
@@ -396,9 +399,9 @@ def test_channel_attention_never_grows_magnitude():
         reduction=4)
     for _ in range(20):
         f = rng.standard_normal(8).astype(np.float32) * 3
-        out = bb.channel_attention(T.Tensor(f), params)
-        assert np.all(np.abs(out.data) <= np.abs(f))
-        assert np.all(np.sign(out.data) == np.sign(f))
+        out = bb.channel_attention(T.Tensor(f[None]), params)
+        assert np.all(np.abs(out.data[0]) <= np.abs(f))
+        assert np.all(np.sign(out.data[0]) == np.sign(f))
 
 
 def test_channel_attention_spatial_broadcast():
@@ -421,17 +424,17 @@ def test_channel_attention_dim_mismatch():
                                        w2=T.zeros((2, 6), requires_grad=True),
                                        reduction=3)
     with pytest.raises(DimensionError):
-        bb.channel_attention(T.zeros(5), params)
+        bb.channel_attention(T.zeros((1, 5)), params)
 
 
 def test_fuse_identity_returns_concatenation():
-    f1 = T.Tensor(np.abs(np.random.default_rng(31).standard_normal(4)))
-    f2 = T.Tensor(np.abs(np.random.default_rng(32).standard_normal(3)))
+    f1 = T.Tensor(np.abs(np.random.default_rng(31).standard_normal((1, 4))))
+    f2 = T.Tensor(np.abs(np.random.default_rng(32).standard_normal((1, 3))))
     params = bb.FusionParams(w=T.Tensor(np.eye(7), requires_grad=True),
                              b=T.zeros(7, requires_grad=True))
     out = bb.fuse_final(f1, f2, params)
-    np.testing.assert_allclose(out.data,
-                               np.concatenate([f1.data, f2.data]), atol=1e-6)
+    np.testing.assert_allclose(out.data[0],
+                               np.concatenate([f1.data[0], f2.data[0]]), atol=1e-6)
 
 
 def test_fuse_zero_inputs():
@@ -439,18 +442,18 @@ def test_fuse_zero_inputs():
         w=T.Tensor(np.random.default_rng(33).standard_normal((7, 5)),
                    requires_grad=True),
         b=T.zeros(5, requires_grad=True))
-    out = bb.fuse_final(T.zeros(4), T.zeros(3), params)
-    np.testing.assert_array_equal(out.data, np.zeros(5, dtype=np.float32))
+    out = bb.fuse_final(T.zeros((1, 4)), T.zeros((1, 3)), params)
+    np.testing.assert_array_equal(out.data[0], np.zeros(5, dtype=np.float32))
 
 
 def test_fuse_output_length_is_fusion_dim():
     cfg = bb.desk_config()
     params = bb.init_backbone(cfg, np.random.default_rng(34))
-    f1 = T.Tensor(np.random.default_rng(35).standard_normal(cfg.concat_dim))
-    f2 = T.Tensor(np.random.default_rng(36).standard_normal(cfg.gcn_dims[-1]))
-    assert bb.fuse_final(f1, f2, params.fusion).shape == (cfg.fusion_dim,)
+    f1 = T.Tensor(np.random.default_rng(35).standard_normal((1, cfg.concat_dim)))
+    f2 = T.Tensor(np.random.default_rng(36).standard_normal((1, cfg.gcn_dims[-1])))
+    assert bb.fuse_final(f1, f2, params.fusion).shape == (1, cfg.fusion_dim)
     with pytest.raises(DimensionError):
-        bb.fuse_final(T.zeros(3), f2, params.fusion)
+        bb.fuse_final(T.zeros((1, 3)), f2, params.fusion)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +472,9 @@ def test_backbone_forward_shapes():
     assert feats.f_gnn.shape == (2, 32)
     assert feats.f_attended.shape == (2, 48)
     assert feats.f_final.shape == (2, 64)
-    single = bb.backbone_forward(T.Tensor(x.data[0]), params)
-    assert single.f_final.shape == (64,)
-    np.testing.assert_allclose(single.f_final.data, feats.f_final.data[0],
+    first = bb.backbone_forward(T.Tensor(x.data[:1]), params)
+    assert first.f_final.shape == (1, 64)
+    np.testing.assert_allclose(first.f_final.data[0], feats.f_final.data[0],
                                atol=1e-5)
 
 

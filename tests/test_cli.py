@@ -105,7 +105,7 @@ def test_non_finite_backbone_config_is_data_error(tmp_path, capsys):
     rc = cli.main(["infer", "--model", str(model),
                    "--image", str(tmp_path / "img.ppm")])
     assert rc == 2
-    assert "backbone config" in capsys.readouterr().err
+    assert "non-finite value in meta.backbone" in capsys.readouterr().err
 
 
 def test_infer_corrupt_config_fails_before_allocating(tmp_path, capsys):
@@ -136,6 +136,47 @@ def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
                    "--out", str(tmp_path / "q.hwdm")])
     assert rc == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def desk_checkpoint(path, name, value):
+    """A random desk model with every element of tensor `name` set to `value`."""
+    rng = np.random.default_rng(4)
+    cfg = bb.desk_config()
+    entries = dp.model_entries(bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    entries[name][...] = value
+    dp.write_checkpoint(str(path), entries)
+    return str(path)
+
+
+def model_command(command, model, workspace, tmp_path):
+    image = str(workspace["data"] / "images" / "soil_0000.ppm")
+    return {"infer": ["infer", "--model", model, "--image", image],
+            "eval": ["eval", "--manifest", workspace["manifest"],
+                     "--model", model, "--out", str(tmp_path / "eval")],
+            "quantize": ["quantize", "--model", model,
+                         "--out", str(tmp_path / "q.hwdm")]}[command]
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "quantize"])
+def test_non_finite_checkpoint_entry_is_data_error(workspace, tmp_path, capsys,
+                                                   command):
+    model = desk_checkpoint(tmp_path / "nan.hwdm", "fusion.w", np.nan)
+    rc = cli.main(model_command(command, model, workspace, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "non-finite value in fusion.w at offset" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "q.hwdm")
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_overflowing_weights_exit_three(workspace, tmp_path, capsys, command):
+    model = desk_checkpoint(tmp_path / "big.hwdm", "fusion.w", 3e38)
+    rc = cli.main(model_command(command, model, workspace, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "backbone diverged" in err
+    assert "Traceback" not in err
 
 
 def test_divergent_training_exits_three(workspace, tmp_path, capsys):

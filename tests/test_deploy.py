@@ -207,6 +207,23 @@ def test_checkpoint_invalid_utf8_name_names_offset():
         dp.load_checkpoint(bytes(blob))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected_with_offset(bad):
+    blob = dp.save_checkpoint({"fusion.w": np.array([1.0, 2.0, bad, 4.0],
+                                                    dtype=np.float32)})
+    at = len(blob) - 16 + 2 * 4  # third value of the last payload
+    with pytest.raises(FormatError, match=rf"fusion\.w at offset {at}$"):
+        dp.load_checkpoint(blob)
+
+
+def test_infinite_int8_scale_rejected_with_offset():
+    qt = dp.QuantizedTensor(codes=np.array([1, -2], dtype=np.int8), scale=np.inf)
+    blob = dp.save_checkpoint({"w": qt}, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
+    at = len(blob) - 2 - 5  # scale and zero point precede the two codes
+    with pytest.raises(FormatError, match=rf"scale for w at offset {at}$"):
+        dp.load_checkpoint(blob)
+
+
 def test_checkpoint_file_roundtrip_atomic(tmp_path):
     rng = np.random.default_rng(6)
     entries = {"w": rng.standard_normal((4, 4)).astype(np.float32)}
@@ -408,7 +425,7 @@ def test_quantized_forward_requires_flag(tmp_path):
     path = str(tmp_path / "float.hwdm")
     dp.save_model(path, params, head_params)
     with pytest.raises(ContractError, match="quantized"):
-        dp.quantized_forward(path, np.zeros((3, 8, 8), dtype=np.float32))
+        dp.quantized_forward(path, np.zeros((1, 3, 8, 8), dtype=np.float32))
 
 
 def test_quantized_forward_prediction(tmp_path):
@@ -417,12 +434,12 @@ def test_quantized_forward_prediction(tmp_path):
     path = str(tmp_path / "quant.hwdm")
     dp.write_checkpoint(path, q, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
     rng = np.random.default_rng(13)
-    image = rng.standard_normal((3, 8, 8)).astype(np.float32)
+    image = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
     pred = dp.quantized_forward(path, image)
-    assert pred.class_probs.shape == (hd.NUM_CLASSES,)
-    assert abs(float(pred.class_probs.data.sum()) - 1.0) < 1e-5
-    assert pred.seg_mask.shape == (hd.NUM_CLASSES, 8, 8)
-    assert 0 <= pred.label < hd.NUM_CLASSES
+    assert pred.class_probs.shape == (1, hd.NUM_CLASSES)
+    assert abs(float(pred.class_probs.data[0].sum()) - 1.0) < 1e-5
+    assert pred.seg_mask.shape == (1, hd.NUM_CLASSES, 8, 8)
+    assert 0 <= pred.labels[0] < hd.NUM_CLASSES
     again = dp.quantized_forward(path, image)
     np.testing.assert_array_equal(pred.class_probs.data, again.class_probs.data)
 
@@ -434,9 +451,9 @@ def test_quantized_forward_close_to_float():
     rng = np.random.default_rng(15)
     drift = 0.0
     for _ in range(5):
-        image = rng.standard_normal((3, 8, 8)).astype(np.float32)
+        image = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         fparams, fheads = dp.model_from_entries(entries)
-        float_pred = hd.predict(bb.backbone_forward(T.const(image), fparams), fheads)
+        float_pred = hd.predict(fparams, fheads, T.const(image))
         q_pred = dp.quantized_forward((q, dp.FLAG_FULL | dp.FLAG_QUANTIZED), image)
         delta = np.abs(q_pred.class_probs.data - float_pred.class_probs.data).max()
         assert np.isfinite(delta)

@@ -62,36 +62,36 @@ def test_generate_single_sample_matches_batch():
     z = np.random.default_rng(2).standard_normal((3, cfg.latent_dim))
     batch = G.generate(T.const(z), np.array([2, 0, 1]), params)
     for i, cls in enumerate([2, 0, 1]):
-        single = G.generate(T.const(z[i]), cls, params)
-        assert single.shape == (3, 8, 8)
-        np.testing.assert_array_equal(single.data, batch.data[i])
+        one = G.generate(T.const(z[i:i + 1]), [cls], params)
+        assert one.shape == (1, 3, 8, 8)
+        np.testing.assert_array_equal(one.data[0], batch.data[i])
 
 
 def test_generate_is_deterministic():
     cfg, params = tiny_gan()
-    z = T.const(np.random.default_rng(3).standard_normal(cfg.latent_dim))
-    a = G.generate(z, 1, params).data
-    b = G.generate(z, 1, params).data
+    z = T.const(np.random.default_rng(3).standard_normal((1, cfg.latent_dim)))
+    a = G.generate(z, [1], params).data
+    b = G.generate(z, [1], params).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_generate_depends_on_label():
     cfg, params = tiny_gan()
-    z = T.const(np.random.default_rng(4).standard_normal(cfg.latent_dim))
-    a = G.generate(z, 0, params).data
-    b = G.generate(z, 2, params).data
+    z = T.const(np.random.default_rng(4).standard_normal((1, cfg.latent_dim)))
+    a = G.generate(z, [0], params).data
+    b = G.generate(z, [2], params).data
     assert not np.array_equal(a, b)
 
 
 def test_generate_rejects_bad_label_and_dim():
     cfg, params = tiny_gan()
-    z = T.const(np.zeros(cfg.latent_dim))
+    z = T.const(np.zeros((1, cfg.latent_dim)))
     with pytest.raises(ContractError):
-        G.generate(z, cfg.class_count, params)
+        G.generate(z, [cfg.class_count], params)
     with pytest.raises(ContractError):
-        G.generate(z, -1, params)
+        G.generate(z, [-1], params)
     with pytest.raises(DimensionError):
-        G.generate(T.const(np.zeros(cfg.latent_dim + 1)), 0, params)
+        G.generate(T.const(np.zeros((1, cfg.latent_dim + 1))), [0], params)
 
 
 def test_generator_gradcheck():
@@ -131,17 +131,10 @@ def test_discriminate_zero_weights_give_half():
     np.testing.assert_allclose(p.data, 0.5, atol=1e-12)
 
 
-def test_discriminate_single_sample_is_scalar():
-    cfg, params = tiny_gan()
-    x = T.const(np.random.default_rng(7).uniform(-1, 1, (3, 8, 8)))
-    p = G.discriminate(x, 1, params)
-    assert p.shape == ()
-
-
 def test_discriminate_rejects_wrong_size():
     cfg, params = tiny_gan()
     with pytest.raises(DimensionError):
-        G.discriminate(T.const(np.zeros((3, 8, 10))), 0, params)
+        G.discriminate(T.const(np.zeros((1, 3, 8, 10))), [0], params)
 
 
 def test_discriminator_gradcheck():
@@ -169,7 +162,7 @@ def test_discriminator_input_gradient_matches_fd():
         x = T.Tensor(rng.uniform(-0.5, 0.5, (1, 3, 8, 8)), requires_grad=True)
 
         def loss_fn():
-            return T.sum_(T.softplus(G._disc_logit(x, 0, params)))
+            return T.sum_(T.softplus(G._disc_logit(x, [0], params)))
 
         gradcheck(loss_fn, [x], rtol=1e-3)
 

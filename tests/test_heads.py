@@ -30,20 +30,20 @@ def one_hot_mask(rng, k, h, w):
 def test_classify_zero_weights_uniform():
     cfg, _, heads = small_setup()
     heads.cls_w = T.zeros((cfg.fusion_dim, 4), requires_grad=True)
-    probs = hd.classify_head(T.Tensor(np.random.default_rng(1).standard_normal(8)),
-                             heads)
-    np.testing.assert_allclose(probs.data, [0.25] * 4, atol=1e-7)
+    probs = hd.classify_head(
+        T.Tensor(np.random.default_rng(1).standard_normal((1, 8))), heads)
+    np.testing.assert_allclose(probs.data[0], [0.25] * 4, atol=1e-7)
 
 
 def test_classify_argmax_shift_invariant():
     cfg, _, heads = small_setup(2)
-    f = T.Tensor(np.random.default_rng(3).standard_normal(8))
+    f = T.Tensor(np.random.default_rng(3).standard_normal((1, 8)))
     base = hd.classify_head(f, heads)
     shifted_bias = T.Tensor(heads.cls_b.data + 7.25, requires_grad=True)
     heads.cls_b = shifted_bias
     moved = hd.classify_head(f, heads)
-    assert int(np.argmax(base.data)) == int(np.argmax(moved.data))
-    np.testing.assert_allclose(base.data, moved.data, atol=1e-5)
+    assert int(np.argmax(base.data[0])) == int(np.argmax(moved.data[0]))
+    np.testing.assert_allclose(base.data[0], moved.data[0], atol=1e-5)
 
 
 def test_classify_matches_softmax_oracle():
@@ -52,48 +52,48 @@ def test_classify_matches_softmax_oracle():
     logits = f @ heads.cls_w.data + heads.cls_b.data
     denom = sum(math.exp(v - max(logits)) for v in logits)
     want = [math.exp(v - max(logits)) / denom for v in logits]
-    probs = hd.classify_head(T.Tensor(f), heads)
-    np.testing.assert_allclose(probs.data, want, atol=1e-6)
-    assert probs.data.sum() == pytest.approx(1.0, abs=1e-6)
+    probs = hd.classify_head(T.Tensor(f[None]), heads)
+    np.testing.assert_allclose(probs.data[0], want, atol=1e-6)
+    assert probs.data[0].sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_classify_dim_mismatch():
     _, _, heads = small_setup(6)
     with pytest.raises(DimensionError):
-        hd.classify_head(T.zeros(5), heads)
+        hd.classify_head(T.zeros((1, 5)), heads)
 
 
 def test_cross_entropy_certain_prediction_is_zero():
-    probs = T.Tensor([0.0, 1.0, 0.0, 0.0])
-    assert float(hd.cross_entropy(probs, 1).data) == pytest.approx(0.0, abs=1e-7)
+    probs = T.Tensor([[0.0, 1.0, 0.0, 0.0]])
+    assert float(hd.cross_entropy(probs, [1]).data) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_cross_entropy_uniform_is_ln4():
-    probs = T.Tensor([0.25] * 4)
-    assert float(hd.cross_entropy(probs, 2).data) == pytest.approx(
+    probs = T.Tensor([[0.25] * 4])
+    assert float(hd.cross_entropy(probs, [2]).data) == pytest.approx(
         math.log(4.0), abs=1e-6)
-    assert float(hd.cross_entropy(probs, 2).data) == pytest.approx(1.3863, abs=1e-4)
+    assert float(hd.cross_entropy(probs, [2]).data) == pytest.approx(1.3863, abs=1e-4)
 
 
 def test_cross_entropy_half_is_ln2():
-    probs = T.Tensor([0.5, 0.3, 0.1, 0.1])
-    assert float(hd.cross_entropy(probs, 0).data) == pytest.approx(
+    probs = T.Tensor([[0.5, 0.3, 0.1, 0.1]])
+    assert float(hd.cross_entropy(probs, [0]).data) == pytest.approx(
         math.log(2.0), abs=1e-6)
-    assert float(hd.cross_entropy(probs, 0).data) == pytest.approx(0.6931, abs=1e-4)
+    assert float(hd.cross_entropy(probs, [0]).data) == pytest.approx(0.6931, abs=1e-4)
 
 
 def test_cross_entropy_floor_keeps_finite():
-    probs = T.Tensor([1.0, 0.0, 0.0, 0.0])
-    val = float(hd.cross_entropy(probs, 3).data)
+    probs = T.Tensor([[1.0, 0.0, 0.0, 0.0]])
+    val = float(hd.cross_entropy(probs, [3]).data)
     assert math.isfinite(val)
     assert val == pytest.approx(-math.log(1e-12), rel=1e-5)
 
 
 def test_cross_entropy_label_range():
-    probs = T.Tensor([0.25] * 4)
+    probs = T.Tensor([[0.25] * 4])
     for bad in (-1, 4, 7):
         with pytest.raises(ContractError):
-            hd.cross_entropy(probs, bad)
+            hd.cross_entropy(probs, [bad])
 
 
 def test_cross_entropy_batch_averages():
@@ -113,9 +113,9 @@ def test_cross_entropy_batch_averages():
 def test_segment_zero_weights_uniform():
     cfg, params, heads = small_setup(8)
     heads.seg_kernel = T.zeros((4, 4, 1, 1), requires_grad=True)
-    spatial = T.Tensor(np.random.default_rng(9).standard_normal((4, 4, 4)))
+    spatial = T.Tensor(np.random.default_rng(9).standard_normal((1, 4, 4, 4)))
     mask = hd.segment_head(spatial, heads)
-    np.testing.assert_allclose(mask.data, np.full((4, 8, 8), 0.25), atol=1e-6)
+    np.testing.assert_allclose(mask.data[0], np.full((4, 8, 8), 0.25), atol=1e-6)
 
 
 def test_segment_output_matches_image_size():
@@ -131,22 +131,22 @@ def test_segment_output_matches_image_size():
 def test_segment_dim_mismatch():
     _, _, heads = small_setup(12)
     with pytest.raises(DimensionError):
-        hd.segment_head(T.zeros((7, 4, 4)), heads)
+        hd.segment_head(T.zeros((1, 7, 4, 4)), heads)
 
 
 def test_dice_perfect_prediction_near_zero():
     rng = np.random.default_rng(13)
-    truth = one_hot_mask(rng, 4, 32, 32)  # 1024 pixels
+    truth = one_hot_mask(rng, 4, 32, 32)[None]  # 1024 pixels
     loss = float(hd.dice_loss(T.Tensor(truth), T.const(truth)).data)
     assert 0.0 <= loss <= 1e-3
 
 
 def test_dice_disjoint_near_one():
     h = w = 64
-    pred = np.zeros((2, h, w))
-    truth = np.zeros((2, h, w))
-    pred[0] = 1.0   # predicts class 0 everywhere
-    truth[1] = 1.0  # truth is class 1 everywhere
+    pred = np.zeros((1, 2, h, w))
+    truth = np.zeros((1, 2, h, w))
+    pred[0, 0] = 1.0   # predicts class 0 everywhere
+    truth[0, 1] = 1.0  # truth is class 1 everywhere
     loss = float(hd.dice_loss(T.Tensor(pred), T.const(truth)).data)
     assert loss == pytest.approx(1.0, abs=1e-3)
 
@@ -164,7 +164,7 @@ def test_dice_partial_overlap_exact():
     inter = [float((pred[k] * truth[k]).sum()) for k in range(2)]
     sums = [float(pred[k].sum() + truth[k].sum()) for k in range(2)]
     want = np.mean([1 - (2 * inter[k] + 1) / (sums[k] + 1) for k in range(2)])
-    got = float(hd.dice_loss(T.Tensor(pred), T.const(truth)).data)
+    got = float(hd.dice_loss(T.Tensor(pred[None]), T.const(truth[None])).data)
     assert got == pytest.approx(want, rel=1e-5)
     # class-1 term alone approaches 1/3 as eps vanishes relative to counts
     assert 1 - (2 * inter[1]) / sums[1] == pytest.approx(1 / 3, abs=1e-9)
@@ -176,21 +176,21 @@ def test_dice_bounds_and_monotonicity():
         pred = rng.random((3, 6, 6))
         pred /= pred.sum(axis=0, keepdims=True)
         truth = np.transpose(np.eye(3)[rng.integers(0, 3, size=(6, 6))], (2, 0, 1))
-        loss = float(hd.dice_loss(T.Tensor(pred), T.const(truth)).data)
+        loss = float(hd.dice_loss(T.Tensor(pred[None]), T.const(truth[None])).data)
         assert 0.0 <= loss <= 1.0
     # moving prediction mass onto the true class lowers the loss
     truth = np.zeros((2, 4, 4))
     truth[1] = 1.0
     weak = np.stack([np.full((4, 4), 0.7), np.full((4, 4), 0.3)])
     strong = np.stack([np.full((4, 4), 0.2), np.full((4, 4), 0.8)])
-    l_weak = float(hd.dice_loss(T.Tensor(weak), T.const(truth)).data)
-    l_strong = float(hd.dice_loss(T.Tensor(strong), T.const(truth)).data)
+    l_weak = float(hd.dice_loss(T.Tensor(weak[None]), T.const(truth[None])).data)
+    l_strong = float(hd.dice_loss(T.Tensor(strong[None]), T.const(truth[None])).data)
     assert l_strong < l_weak
 
 
 def test_dice_shape_mismatch():
     with pytest.raises(DimensionError):
-        hd.dice_loss(T.zeros((2, 4, 4)), T.zeros((2, 5, 4)))
+        hd.dice_loss(T.zeros((1, 2, 4, 4)), T.zeros((1, 2, 5, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +212,9 @@ def test_mse_batch_average():
 
 def test_growth_head_shapes():
     cfg, _, heads = small_setup(15)
-    single = hd.growth_head(T.Tensor(np.random.default_rng(16).standard_normal(8)),
-                            heads)
-    assert single.shape == ()
+    one = hd.growth_head(
+        T.Tensor(np.random.default_rng(16).standard_normal((1, 8))), heads)
+    assert one.shape == (1,)
     batch = hd.growth_head(
         T.Tensor(np.random.default_rng(17).standard_normal((5, 8))), heads)
     assert batch.shape == (5,)
@@ -311,23 +311,22 @@ def test_losses_gradcheck():
 def test_predict_and_compute_losses():
     cfg, params, heads = small_setup(20)
     rng = np.random.default_rng(21)
-    x = T.Tensor(rng.standard_normal((3, 8, 8)) * 0.5)
-    feats = bb.backbone_forward(x, params)
-    pred = hd.predict(feats, heads)
-    assert pred.class_probs.shape == (4,)
-    assert pred.class_probs.data.sum() == pytest.approx(1.0, abs=1e-6)
-    assert pred.seg_mask.shape == (4, 8, 8)
-    np.testing.assert_allclose(pred.seg_mask.data.sum(axis=0),
+    x = T.Tensor(rng.standard_normal((1, 3, 8, 8)) * 0.5)
+    pred = hd.predict(params, heads, x)
+    assert pred.class_probs.shape == (1, 4)
+    assert pred.class_probs.data[0].sum() == pytest.approx(1.0, abs=1e-6)
+    assert pred.seg_mask.shape == (1, 4, 8, 8)
+    np.testing.assert_allclose(pred.seg_mask.data[0].sum(axis=0),
                                np.ones((8, 8)), atol=1e-6)
-    assert isinstance(pred.growth, float)
-    assert 0 <= pred.label < 4
+    assert pred.growth.shape == (1,)
+    assert 0 <= pred.labels[0] < 4
 
     xb = T.Tensor(rng.standard_normal((2, 3, 8, 8)) * 0.5)
     truth = T.const(np.transpose(
         np.eye(4)[rng.integers(0, 4, size=(2, 8, 8))], (0, 3, 1, 2)))
     with T.Tape() as tape:
-        featsb = bb.backbone_forward(xb, params)
-        loss, report = hd.compute_losses(featsb, heads, np.array([1, 3]),
+        predb = hd.predict(params, heads, xb)
+        loss, report = hd.compute_losses(predb, np.array([1, 3]),
                                          truth, rng.random(2))
         tape.backward(loss)
     assert report.l_total == pytest.approx(

@@ -165,7 +165,7 @@ def _peak_traced_bytes(fn):
 def test_segment_head_paper_shape_memory():
     rng = np.random.default_rng(15)
     params = hd.init_heads(bb.paper_config(), rng)
-    spatial = T.Tensor(rng.standard_normal((128, 28, 28)))
+    spatial = T.Tensor(rng.standard_normal((1, 128, 28, 28)))
     peak = _peak_traced_bytes(lambda: hd.segment_head(spatial, params))
     # a dense 28->224 interpolation matrix alone is 50176 x 784 float64, 315 MB
     assert peak < 16 << 20
