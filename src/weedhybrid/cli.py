@@ -175,25 +175,19 @@ def _load_images(manifest_path: str) -> tuple:
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
     os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
     records = []
-    wrote_masks = False
     for s, img in zip(samples, images):
         processed = im.preprocess_image(img, pre_cfg)
         rel = os.path.join("images", os.path.basename(s.image))
         im.write_image(os.path.join(args.out, rel), processed)
         mask_rel = None
         if s.mask is not None:
-            mask_img = im.read_image(os.path.join(base, s.mask))
-            arr = mask_img.as_array()[:, :, 0]
-            resized = dataio._resize_mask_nearest(arr, pre_cfg.target_size)
+            mask = dataio.read_mask(args.manifest, s, pre_cfg.target_size)
             mask_rel = os.path.join("masks", os.path.basename(s.mask))
-            if not wrote_masks:
-                os.makedirs(os.path.join(args.out, "masks"), exist_ok=True)
-                wrote_masks = True
+            os.makedirs(os.path.join(args.out, "masks"), exist_ok=True)
             im.write_image(os.path.join(args.out, mask_rel),
-                           im.ImageU8.from_array(resized))
+                           im.ImageU8.from_array(mask))
         records.append(dataio.Sample(image=rel, label=s.label, mask=mask_rel,
                                      growth=s.growth, synthetic=s.synthetic))
     manifest = os.path.join(args.out, "manifest.tsv")
@@ -215,7 +209,7 @@ def cmd_gan_train(args, cfg: RunConfig) -> int:
     stack = np.stack(arrays)
     labels = np.asarray([s.label for s in samples])
     params, history = gn.train_gan(stack, labels, gan_cfg, seed=cfg.seed)
-    dp.write_checkpoint(args.out, dp.gan_entries(params), flags=dp.FLAG_GAN)
+    dp.save_gan(args.out, params)
     d0, g0 = history[0]
     d1, g1 = history[-1]
     print(f"trained {gan_cfg.epochs} epochs on {len(samples)} samples")

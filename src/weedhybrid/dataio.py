@@ -20,7 +20,7 @@ from .errors import DataError
 from .synthdata import CLASS_NAMES
 from .training import TrainData
 
-__all__ = ["Sample", "write_manifest", "read_manifest", "load_dataset"]
+__all__ = ["Sample", "write_manifest", "read_manifest", "read_mask", "load_dataset"]
 
 _MISSING = "-"
 
@@ -133,6 +133,20 @@ def _resize_mask_nearest(mask: np.ndarray, size) -> np.ndarray:
     return mask[np.ix_(rows, cols)]
 
 
+def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
+    """A sample's checked single-channel mask, nearest-resampled to (H, W)."""
+    mask_img = im.read_image(os.path.join(
+        os.path.dirname(os.path.abspath(manifest_path)), sample.mask))
+    if mask_img.channels != 1:
+        raise DataError(f"{manifest_path}:{sample.line}: mask must be "
+                        f"single-channel: {sample.mask}")
+    arr = mask_img.as_array()[:, :, 0].astype(np.int64)
+    if arr.max() >= len(CLASS_NAMES):
+        raise DataError(f"{manifest_path}:{sample.line}: mask value "
+                        f"{arr.max()} outside the class vocabulary")
+    return _resize_mask_nearest(arr, size)
+
+
 def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
                  require_masks: bool = True) -> tuple:
     """Load, preprocess and batch every manifest sample -> (TrainData, samples).
@@ -160,15 +174,7 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
         images[i] = im.preprocess(img, pre_cfg).data.astype(np.float32)
         labels[i] = s.label
         if s.mask is not None:
-            mask_img = im.read_image(os.path.join(base, s.mask))
-            if mask_img.channels != 1:
-                raise DataError(f"{manifest_path}:{s.line}: mask must be "
-                                f"single-channel: {s.mask}")
-            arr = mask_img.as_array()[:, :, 0].astype(np.int64)
-            if arr.max() >= len(CLASS_NAMES):
-                raise DataError(f"{manifest_path}:{s.line}: mask value "
-                                f"{arr.max()} outside the class vocabulary")
-            masks[i] = _resize_mask_nearest(arr, (h, w))
+            masks[i] = read_mask(manifest_path, s, (h, w))
         elif require_masks:
             raise DataError(f"{manifest_path}:{s.line}: sample has no mask "
                             f"(required for training): {s.image}")

@@ -293,7 +293,7 @@ def model_entries(params: bb.BackboneParams,
     return entries
 
 
-def _entry_array(name: str, value) -> np.ndarray:
+def _entry_array(value) -> np.ndarray:
     return dequantize(value) if isinstance(value, QuantizedTensor) else value
 
 
@@ -324,8 +324,7 @@ def model_from_entries(entries: dict) -> tuple:
     """Rebuild (BackboneParams, HeadParams or None) from checkpoint entries."""
     if "meta.backbone" not in entries:
         raise FormatError("checkpoint has no meta.backbone entry")
-    cfg = decode_backbone_config(_entry_array("meta.backbone",
-                                              entries["meta.backbone"]))
+    cfg = decode_backbone_config(_entry_array(entries["meta.backbone"]))
     param = _entry_param(entries)
     params = bb.build_backbone(cfg, param)
     has_heads = any(n.startswith("head.") for n in entries)
@@ -363,17 +362,19 @@ def gan_from_entries(entries: dict) -> gn.GanParams:
     if "meta.gan" not in entries:
         raise FormatError("checkpoint has no meta.gan entry")
     try:
-        vals = [int(v) for v in _entry_array("meta.gan", entries["meta.gan"])]
+        vals = [int(v) for v in _entry_array(entries["meta.gan"])]
         latent, classes, h, w, base, label_dim = vals
         cfg = gn.GanConfig(latent_dim=latent, class_count=classes,
                            image_size=(h, w), base_channels=base,
                            label_dim=label_dim)
+        steps = np.ravel(_entry_array(entries.get("meta.gan_steps", [0])))
+        if steps.size != 1:
+            raise ValueError(f"meta.gan_steps holds {steps.size} values, expected 1")
+        trained_steps = int(steps[0])
     except (ValueError, OverflowError, ContractError) as exc:
         raise FormatError(f"invalid gan config entry: {exc}") from exc
     params = gn.build_gan(cfg, _entry_param(entries))
-    if "meta.gan_steps" in entries:
-        params.trained_steps = int(_entry_array(
-            "meta.gan_steps", entries["meta.gan_steps"])[0])
+    params.trained_steps = trained_steps
     return params
 
 

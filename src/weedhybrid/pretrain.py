@@ -35,7 +35,6 @@ __all__ = [
     "pretrain",
 ]
 
-IDENTITY_POLICY = ("identity",)
 DEFAULT_OPS = ("identity",) + im.GEOMETRIC_OPS
 
 

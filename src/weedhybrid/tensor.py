@@ -8,19 +8,19 @@ Tape.backward walks the records once in reverse. Tensors are treated as
 immutable once produced; there is no implicit broadcasting between tensors
 except the scalar-tensor case.
 
-Memory and precision contract of the spatial primitives' forward passes:
+The spatial primitives take only batched (N, C, H, W) maps and accumulate
+in 64-bit. _windows is their one strided window view and _col2im, its
+adjoint, their one kh x kw scatter. conv_transpose2d runs on conv2d's code:
+its forward is conv2d's input gradient (a GEMM, then _col2im), its backward
+conv2d's forward and kernel gradient.
 - conv2d keeps its im2col matrix in the storage dtype (backward reuses it)
   and runs the 64-bit GEMM and bias add over row blocks of at most
-  _GEMM_BLOCK_BYTES, writing each block straight into the output. The
-  64-bit sums of a row can depend on the block size in the last bit, since
-  BLAS picks its kernel by matrix size; rounding to float32 hides that.
-- conv2d with no tape recording it builds its im2col rows one block at a
-  time in a block-sized buffer, never the whole matrix; the blocks and the
-  output bytes are the same as when taped.
-- avg_pool2d sums the window's strided slices into one 64-bit array.
-- upsample_bilinear2d is separable: Ry @ X @ Rx^T with per-axis (out, in)
-  interpolation matrices, never a dense (OH*OW, H*W) matrix.
-No primitive holds a 64-bit copy of a whole im2col matrix or window view.
+  _GEMM_BLOCK_BYTES, straight into the output; untaped, it builds one block
+  of rows at a time. A row's 64-bit sum can depend on the block size in the
+  last bit (BLAS picks its kernel by size); rounding to float32 hides that.
+- upsample_bilinear2d is separable: Ry @ X @ Rx^T, no dense (OH*OW, H*W) matrix.
+Only conv_transpose2d's forward holds a whole 64-bit im2col-sized matrix,
+its (N*H*W, K*kh*kw) GEMM product.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ def set_default_dtype(dtype) -> None:
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"unsupported tensor dtype {dt}")
     _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -90,12 +86,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -126,10 +116,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def const(data) -> Tensor:
@@ -675,7 +661,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 # ---------------------------------------------------------------------------
-# spatial primitives
+# spatial primitives (batch-only: every map is (N, C, H, W))
+
+
+def _shape4(t: Tensor, what: str) -> tuple[int, int, int, int]:
+    if t.ndim != 4:
+        raise DimensionError(f"{what} must be 4-D, got shape {t.shape}")
+    return t.shape
 
 
 def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
@@ -684,12 +676,26 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
-def _to_batched(a: Tensor) -> tuple[np.ndarray, bool]:
-    if a.ndim == 3:
-        return a.data[None], True
-    if a.ndim == 4:
-        return a.data, False
-    raise DimensionError(f"expected (C,H,W) or (N,C,H,W), got shape {a.shape}")
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The (N,C,OH,OW,kh,kw) view of the kh x kw windows of xp at a stride."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int) -> np.ndarray:
+    """Adjoint of _windows: add cols (N,C,OH,OW,kh,kw) onto a 64-bit zero map."""
+    n, c, oh, ow, kh, kw = cols.shape
+    out = np.zeros((n, c) + tuple(hw), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * (oh - 1) + 1:stride,
+                j:j + stride * (ow - 1) + 1:stride] += cols[:, :, :, :, i, j]
+    return out
+
+
+def _pixel_rows(a: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> the 64-bit (N*H*W, C) matrix with one row per pixel."""
+    return _f64(a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]))
 
 
 def _im2col_rows(win: np.ndarray, r0: int, r1: int, dest: np.ndarray) -> None:
@@ -714,82 +720,80 @@ def _im2col_rows(win: np.ndarray, r0: int, r1: int, dest: np.ndarray) -> None:
         r += take
 
 
+def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
+               out_dtype, keep_cols: bool, bias: np.ndarray | None = None) -> tuple:
+    """Cross-correlate a padded (N,C,H,W) array with wmat (K, C*kh*kw) by a
+    64-bit GEMM over im2col row blocks of at most _GEMM_BLOCK_BYTES.
+    Returns (N,K,OH,OW) and, if keep_cols, the whole im2col matrix."""
+    win = _windows(xp, kh, kw, stride).transpose(0, 2, 3, 1, 4, 5)  # (N,OH,OW,C,kh,kw)
+    n, oh, ow = win.shape[:3]
+    k, row_len = wmat.shape
+    m = n * oh * ow
+    rows = min(m, max(1, _GEMM_BLOCK_BYTES // (8 * (row_len + k))))
+    cols = np.empty((m if keep_cols else rows, row_len), dtype=xp.dtype)
+    w64t = _f64(wmat).T
+    out = np.empty((m, k), dtype=out_dtype)
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        dest = cols[r0:r1] if keep_cols else cols[:r1 - r0]
+        _im2col_rows(win, r0, r1, dest)
+        block = _f64(dest) @ w64t
+        if bias is not None:
+            block += _f64(bias)
+        out[r0:r1] = block
+    return out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2), cols if keep_cols else None
+
+
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation with zero padding.
 
-    x: (C,H,W) or (N,C,H,W); kernels: (K,C,kh,kw); optional bias (K,).
+    x: (N,C,H,W); kernels: (K,C,kh,kw); optional bias (K,).
     Output spatial extents are floor((H + 2p - kh)/stride) + 1.
     """
-    xd, squeeze = _to_batched(x)
-    if kernels.ndim != 4:
-        raise DimensionError(f"conv2d: kernels must be (K,C,kh,kw), got {kernels.shape}")
-    n, c, h, w = xd.shape
-    k, ck, kh, kw = kernels.shape
+    n, c, h, w = _shape4(x, "conv2d: input (N,C,H,W)")
+    k, ck, kh, kw = _shape4(kernels, "conv2d: kernels (K,C,kh,kw)")
     if ck != c:
         raise DimensionError(f"conv2d: input channels {c} != kernel channels {ck}")
     if bias is not None and bias.shape != (k,):
         raise DimensionError(f"conv2d: bias shape {bias.shape} != ({k},)")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    if oh <= 0 or ow <= 0 or kh > h + 2 * padding or kw > w + 2 * padding:
+    if oh <= 0 or ow <= 0:
         raise DimensionError(
             f"conv2d: kernel {kh}x{kw} stride {stride} pad {padding} "
             f"gives non-positive output for input {h}x{w}")
-    xp = _pad_hw(xd, padding)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)  # (N,OH,OW,C,kh,kw)
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    m = n * oh * ow
-    rows = min(m, max(1, _GEMM_BLOCK_BYTES // (8 * (c * kh * kw + k))))
-    taped = _recorded(inputs)   # backward needs the whole im2col matrix
-    cols = np.empty((m if taped else rows, c * kh * kw), dtype=xp.dtype)
     wmat = kernels.data.reshape(k, c * kh * kw)
-    w64t = _f64(wmat).T
-    out = np.empty((m, k), dtype=_out_dtype(x, kernels))
-    for r0 in range(0, m, rows):
-        r1 = min(r0 + rows, m)
-        dest = cols[r0:r1] if taped else cols[:r1 - r0]
-        _im2col_rows(win, r0, r1, dest)
-        block = _f64(dest) @ w64t
-        if bias is not None:
-            block += _f64(bias.data)
-        out[r0:r1] = block
-    out = out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
-    if squeeze:
-        out = out[0]
+    # backward needs the whole im2col matrix only if a tape records this call
+    out, cols = _conv_gemm(_pad_hw(x.data, padding), wmat, kh, kw, stride,
+                           _out_dtype(x, kernels), _recorded(inputs),
+                           None if bias is None else bias.data)
 
     def back(g):
-        gd = g[None] if squeeze else g
-        gmat = _f64(gd.transpose(0, 2, 3, 1).reshape(n * oh * ow, k))
+        gmat = _pixel_rows(g)
         dk = (gmat.T @ _f64(cols)).reshape(k, c, kh, kw)
         _accum(kernels, dk.astype(kernels.data.dtype))
         if bias is not None:
             _accum(bias, gmat.sum(axis=0).astype(bias.data.dtype))
         dcols = (gmat @ _f64(wmat)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + stride * (oh - 1) + 1:stride,
-                    j:j + stride * (ow - 1) + 1:stride] += dcols[:, :, :, :, i, j]
-        dx = dxp[:, :, padding:padding + h, padding:padding + w]
-        _accum(x, (dx[0] if squeeze else dx).astype(x.data.dtype))
+        dxp = _col2im(dcols, (h + 2 * padding, w + 2 * padding), stride)
+        _accum(x, dxp[:, :, padding:padding + h, padding:padding + w].astype(x.data.dtype))
 
     return _result(out, "conv2d", inputs, back)
 
 
 def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
                      bias: Tensor | None = None) -> Tensor:
-    """Transposed 2-D convolution (the adjoint of conv2d's input map).
+    """Transposed 2-D convolution, the adjoint of conv2d's input map.
 
-    x: (C,H,W) or (N,C,H,W); kernels: (C,K,kh,kw); output spatial extent is
-    (H-1)*stride - 2p + kh.
+    x: (N,C,H,W); kernels: (C,K,kh,kw); output spatial extent is
+    (H-1)*stride - 2p + kh. The forward pass is conv2d's input gradient,
+    dx is conv2d's forward pass over the padded gradient, and dk is conv2d's
+    kernel gradient with x and the gradient in swapped roles.
     """
-    xd, squeeze = _to_batched(x)
-    if kernels.ndim != 4:
-        raise DimensionError(f"conv_transpose2d: kernels must be (C,K,kh,kw), got {kernels.shape}")
-    n, c, h, w = xd.shape
-    ck, k, kh, kw = kernels.shape
+    n, c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")
+    ck, k, kh, kw = _shape4(kernels, "conv_transpose2d: kernels (C,K,kh,kw)")
     if ck != c:
         raise DimensionError(f"conv_transpose2d: channels {c} != kernel channels {ck}")
     if bias is not None and bias.shape != (k,):
@@ -798,63 +802,44 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     ow = (w - 1) * stride + kw - 2 * padding
     if oh <= 0 or ow <= 0:
         raise DimensionError("conv_transpose2d: non-positive output extent")
-    contrib = np.einsum("nchw,ckij->nkhwij", _f64(xd), _f64(kernels.data))
-    ypad = np.zeros((n, k, oh + 2 * padding, ow + 2 * padding), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            ypad[:, :, i:i + stride * (h - 1) + 1:stride,
-                 j:j + stride * (w - 1) + 1:stride] += contrib[:, :, :, :, i, j]
-    out = ypad[:, :, padding:padding + oh, padding:padding + ow]
+    kmat = kernels.data.reshape(c, k * kh * kw)
+    cols = (_pixel_rows(x.data) @ _f64(kmat)).reshape(n, h, w, k, kh, kw)
+    cols = cols.transpose(0, 3, 1, 2, 4, 5)
+    out = _col2im(cols, (oh + 2 * padding, ow + 2 * padding), stride)
+    out = out[:, :, padding:padding + oh, padding:padding + ow]
     if bias is not None:
         out = out + _f64(bias.data)[None, :, None, None]
-    out = out.astype(_out_dtype(x, kernels))
-    if squeeze:
-        out = out[0]
-
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
 
     def back(g):
-        gd = g[None] if squeeze else g
-        gpad = _pad_hw(_f64(gd), padding)
-        gwin = np.lib.stride_tricks.sliding_window_view(gpad, (kh, kw), axis=(2, 3))
-        gwin = gwin[:, :, ::stride, ::stride]                # (N,K,H,W,kh,kw)
-        dx = np.einsum("nkhwij,ckij->nchw", gwin, _f64(kernels.data))
-        dk = np.einsum("nchw,nkhwij->ckij", _f64(xd), gwin)
-        _accum(x, (dx[0] if squeeze else dx).astype(x.data.dtype))
+        dx, gcols = _conv_gemm(_pad_hw(g, padding), kmat, kh, kw, stride,
+                               x.data.dtype, keep_cols=True)
+        _accum(x, dx)
+        dk = (_pixel_rows(x.data).T @ _f64(gcols)).reshape(c, k, kh, kw)
         _accum(kernels, dk.astype(kernels.data.dtype))
         if bias is not None:
-            _accum(bias, _f64(gd).sum(axis=(0, 2, 3)).astype(bias.data.dtype))
+            _accum(bias, _f64(g).sum(axis=(0, 2, 3)).astype(bias.data.dtype))
 
-    return _result(out, "conv_transpose2d", inputs, back)
+    return _result(out.astype(_out_dtype(x, kernels)), "conv_transpose2d", inputs, back)
 
 
 def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
-    """Average pooling over square windows; x is (C,H,W) or (N,C,H,W)."""
+    """Average pooling over square windows of an (N,C,H,W) map."""
     stride = window if stride is None else stride
-    xd, squeeze = _to_batched(x)
-    n, c, h, w = xd.shape
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    if oh <= 0 or ow <= 0:
+    h, w = _shape4(x, "avg_pool2d: input (N,C,H,W)")[2:]
+    if window > h or window > w:
         raise DimensionError(f"avg_pool2d: window {window} too large for {h}x{w}")
-    taps = [xd[:, :, i:i + stride * (oh - 1) + 1:stride,
-               j:j + stride * (ow - 1) + 1:stride]
-            for i in range(window) for j in range(window)]
-    acc = taps[0].astype(np.float64)   # in xd's memory order; conv2d output is channels-last
+    win = _windows(x.data, window, window, stride)
+    taps = [win[:, :, :, :, i, j] for i in range(window) for j in range(window)]
+    acc = taps[0].astype(np.float64)   # in x's memory order; conv2d output is channels-last
     for tap in taps[1:]:
         acc += tap
     out = (acc / (window * window)).astype(x.data.dtype)
-    if squeeze:
-        out = out[0]
 
     def back(g):
-        gd = (g[None] if squeeze else g) / (window * window)
-        dx = np.zeros((n, c, h, w), dtype=np.float64)
-        for i in range(window):
-            for j in range(window):
-                dx[:, :, i:i + stride * (oh - 1) + 1:stride,
-                   j:j + stride * (ow - 1) + 1:stride] += gd
-        _accum(x, (dx[0] if squeeze else dx).astype(x.data.dtype))
+        gd = g / (window * window)
+        cols = np.broadcast_to(gd[..., None, None], gd.shape + (window, window))
+        _accum(x, _col2im(cols, (h, w), stride).astype(x.data.dtype))
 
     return _result(out, "avg_pool2d", (x,), back)
 
@@ -873,21 +858,16 @@ def _interp_matrix(out_n: int, in_n: int) -> np.ndarray:
 
 
 def upsample_bilinear2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    """Bilinear resize of a (C,H,W) or (N,C,H,W) map (half-pixel convention)."""
-    xd, squeeze = _to_batched(x)
-    n, c, h, w = xd.shape
+    """Bilinear resize of an (N,C,H,W) map (half-pixel convention)."""
+    h, w = _shape4(x, "upsample_bilinear2d: input (N,C,H,W)")[2:]
     oh, ow = out_hw
     if oh < 1 or ow < 1:
         raise DimensionError(f"upsample_bilinear2d: bad target {out_hw}")
     ry = _interp_matrix(oh, h)
     rx = _interp_matrix(ow, w)
-    out = (ry @ _f64(xd) @ rx.T).astype(x.data.dtype)
-    if squeeze:
-        out = out[0]
+    out = (ry @ _f64(x.data) @ rx.T).astype(x.data.dtype)
 
     def back(g):
-        gd = g[None] if squeeze else g
-        dx = ry.T @ _f64(gd) @ rx
-        _accum(x, (dx[0] if squeeze else dx).astype(x.data.dtype))
+        _accum(x, (ry.T @ _f64(g) @ rx).astype(x.data.dtype))
 
     return _result(out, "upsample_bilinear2d", (x,), back)

@@ -106,7 +106,7 @@ def _check_conv(rng):
         h, w = int(rng.integers(3, 6)), int(rng.integers(3, 6))
         kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         stride, pad = int(rng.integers(1, 3)), int(rng.integers(0, 2))
-        x = rand_tensor(rng, (c_in, h, w), 0.7)
+        x = rand_tensor(rng, (1, c_in, h, w), 0.7)
         k = rand_tensor(rng, (c_out, c_in, kh, kw), 0.7)
         b = rand_tensor(rng, (c_out,), 0.5)
         def loss():
@@ -367,12 +367,12 @@ def _oracle_conv(rng):
         kh = int(rng.integers(1, min(h, 3) + 1))
         kw = int(rng.integers(1, min(w, 3) + 1))
         stride, pad = int(rng.integers(1, 3)), int(rng.integers(0, 2))
-        x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+        x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
         k = rng.standard_normal((c_out, c_in, kh, kw)).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)
         fast = T.conv2d(T.const(x), T.const(k), stride=stride, padding=pad,
-                        bias=T.const(b)).data
-        slow = oracles.conv2d_loops(x, k, stride=stride, padding=pad, bias=b)
+                        bias=T.const(b)).data[0]
+        slow = oracles.conv2d_loops(x[0], k, stride=stride, padding=pad, bias=b)
         assert np.max(np.abs(fast - slow)) <= 1e-5, "conv2d vs loops"
 
 

@@ -1,6 +1,7 @@
 """End-to-end command surface: exit codes, determinism, artifact wiring."""
 
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import weedhybrid.cli as cli
 import weedhybrid.dataio as dio
 import weedhybrid.deploy as dp
 import weedhybrid.heads as hd
+import weedhybrid.imaging as im
 from weedhybrid.synthdata import CLASS_NAMES
 
 TINY_CONF = """\
@@ -223,6 +225,24 @@ def test_preprocess_deterministic(workspace, tmp_path):
     assert len(samples) == 16
 
 
+@pytest.mark.parametrize("mask,message", [
+    (np.full((16, 16, 3), 9, np.uint8), "mask must be single-channel"),
+    (np.full((16, 16), 9, np.uint8), "mask value 9 outside the class vocabulary")],
+    ids=["three-channel", "out-of-vocabulary"])
+def test_preprocess_rejects_invalid_mask(workspace, tmp_path, capsys, mask, message):
+    sample = dio.read_manifest(workspace["manifest"])[0]
+    (tmp_path / "images").mkdir()
+    shutil.copyfile(workspace["data"] / sample.image, tmp_path / "images" / "a.ppm")
+    im.write_image(str(tmp_path / "bad_mask.pnm"), im.ImageU8.from_array(mask))
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), [dio.Sample(
+        image="images/a.ppm", label=sample.label, mask="bad_mask.pnm")])
+    rc = cli.main(["preprocess", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- gan + augment
 
 
@@ -250,7 +270,6 @@ def test_augment_balances_and_keeps_originals(workspace, gan_checkpoint,
     keep += [s for s in src if s.label_name == "grass"][:2]
     keep += [s for s in src if s.label_name == "broadleaf"][:1]
     skewed = tmp_path / "skewed.tsv"
-    import shutil
     for s in keep:
         dst = tmp_path / s.image
         dst.parent.mkdir(parents=True, exist_ok=True)
@@ -282,6 +301,18 @@ def test_augment_balances_and_keeps_originals(workspace, gan_checkpoint,
     synth = [s for s in balanced if s.synthetic]
     assert len(synth) == len(balanced) - len(keep)
     assert all(s.label_name in ("grass", "broadleaf") for s in synth)
+
+
+def test_augment_rejects_empty_gan_steps(workspace, gan_checkpoint, tmp_path,
+                                         capsys):
+    entries, flags = dp.read_checkpoint(gan_checkpoint)
+    entries["meta.gan_steps"] = np.zeros(0, dtype=np.float32)
+    bad = tmp_path / "gan.hwdm"
+    dp.write_checkpoint(str(bad), entries, flags)
+    rc = cli.main(["augment", "--manifest", workspace["manifest"], "--gan",
+                   str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "meta.gan_steps holds 0 values, expected 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- pretrain/train

@@ -58,6 +58,12 @@ UNBATCHED = {
         lambda: dp.quantized_forward(QUANTIZED, np.zeros((3, 8, 8), np.float32)),
     "gan.generate": lambda: gn.generate(T.zeros(6), 0, GAN),
     "gan.discriminate": lambda: gn.discriminate(T.zeros((3, 8, 8)), 0, GAN),
+    "tensor.conv2d": lambda: T.conv2d(T.zeros((3, 8, 8)), T.zeros((4, 3, 3, 3))),
+    "tensor.conv_transpose2d":
+        lambda: T.conv_transpose2d(T.zeros((3, 4, 4)), T.zeros((3, 2, 2, 2))),
+    "tensor.avg_pool2d": lambda: T.avg_pool2d(T.zeros((3, 8, 8))),
+    "tensor.upsample_bilinear2d":
+        lambda: T.upsample_bilinear2d(T.zeros((3, 4, 4)), (8, 8)),
 }
 
 

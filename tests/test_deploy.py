@@ -265,6 +265,16 @@ def test_non_finite_gan_config_rejected(bad):
         dp.gan_from_entries(entries)
 
 
+@pytest.mark.parametrize("steps", [[], [1.0, 2.0]], ids=["empty", "two-values"])
+def test_gan_steps_entry_must_hold_one_value(steps):
+    entries = dp.gan_entries(gn.init_gan(gn.GanConfig(
+        latent_dim=3, class_count=2, image_size=(4, 4), base_channels=2,
+        label_dim=2), np.random.default_rng(0)))
+    entries["meta.gan_steps"] = np.asarray(steps, dtype=np.float32)
+    with pytest.raises(FormatError, match=f"meta.gan_steps holds {len(steps)} values"):
+        dp.gan_from_entries(entries)
+
+
 def test_model_save_load_bit_exact(tmp_path):
     params, head_params = tiny_model(seed=7)
     path = str(tmp_path / "full.hwdm")

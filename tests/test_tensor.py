@@ -56,7 +56,7 @@ def test_matmul_batched_matches_loop():
 
 def test_conv2d_identity_kernel_bit_exact():
     rng = np.random.default_rng(3)
-    x = T.Tensor(rng.standard_normal((1, 3, 3)).astype(np.float32))
+    x = T.Tensor(rng.standard_normal((1, 1, 3, 3)).astype(np.float32))
     k = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
     out = T.conv2d(x, k)
     assert out.data.tobytes() == x.data.tobytes()
@@ -64,17 +64,17 @@ def test_conv2d_identity_kernel_bit_exact():
 
 def test_conv2d_zero_kernel():
     rng = np.random.default_rng(4)
-    x = T.Tensor(rng.standard_normal((2, 4, 4)))
+    x = T.Tensor(rng.standard_normal((1, 2, 4, 4)))
     k = T.zeros((3, 2, 2, 2))
     out = T.conv2d(x, k)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
 def test_conv2d_box_kernel():
-    x = T.ones((1, 4, 4))
+    x = T.ones((1, 1, 4, 4))
     k = T.ones((1, 1, 2, 2))
     out = T.conv2d(x, k, stride=2)
-    np.testing.assert_array_equal(out.data, np.full((1, 2, 2), 4.0, dtype=np.float32))
+    np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0, dtype=np.float32))
 
 
 def test_conv2d_matches_loop_oracle():
@@ -87,18 +87,34 @@ def test_conv2d_matches_loop_oracle():
         kh = int(rng.integers(1, min(4, h + 1)))
         stride = int(rng.integers(1, 3))
         pad = int(rng.integers(0, 2))
-        x = rng.standard_normal((c, h, w)).astype(np.float32)
+        x = rng.standard_normal((1, c, h, w)).astype(np.float32)
         kern = rng.standard_normal((k, c, kh, kh)).astype(np.float32)
         bias = rng.standard_normal(k).astype(np.float32)
         got = T.conv2d(T.Tensor(x), T.Tensor(kern), stride=stride, padding=pad,
                        bias=T.Tensor(bias))
-        want = oracles.conv2d_loops(x, kern, stride=stride, padding=pad, bias=bias)
-        np.testing.assert_allclose(got.data, want, atol=1e-5)
+        want = oracles.conv2d_loops(x[0], kern, stride=stride, padding=pad, bias=bias)
+        np.testing.assert_allclose(got.data[0], want, atol=1e-5)
 
 
 def test_conv2d_nonpositive_output_raises():
     with pytest.raises(DimensionError):
-        T.conv2d(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)))
+        T.conv2d(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 5, 5)))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_transpose2d_is_adjoint_of_conv2d(stride, padding):
+    # <conv2d(x, K), y> == <x, conv_transpose2d(y, K)>; 7x5 inputs leave no
+    # rows that a stride-2 window skips, so both maps cover all of x
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, 3, 7, 5))
+    kern = T.Tensor(rng.standard_normal((4, 3, 3, 3)), dtype=np.float64)
+    fwd = T.conv2d(T.Tensor(x, dtype=np.float64), kern, stride, padding).data
+    y = rng.standard_normal(fwd.shape)
+    adj = T.conv_transpose2d(T.Tensor(y, dtype=np.float64), kern, stride, padding).data
+    assert fwd.dtype == adj.dtype == np.float64
+    assert adj.shape == x.shape
+    np.testing.assert_allclose(np.vdot(fwd, y), np.vdot(x, adj), rtol=1e-12)
 
 
 @pytest.mark.parametrize("stride,with_bias,dtype", [
@@ -139,17 +155,17 @@ def test_avg_pool2d_matches_window_mean_bytes(window):
     ids=["up", "down", "1x1-input", "1x1-output", "paper-28-to-224"])
 def test_upsample_matches_loop_oracle(in_shape, out_hw):
     rng = np.random.default_rng(14)
-    x = rng.standard_normal(in_shape)
-    g = rng.standard_normal((in_shape[0],) + out_hw)
+    x = rng.standard_normal((1,) + in_shape)
+    g = rng.standard_normal((1, in_shape[0]) + out_hw)
     with T.default_dtype(np.float64):
         xt = T.Tensor(x, requires_grad=True)
         with T.Tape() as tape:
             out = T.upsample_bilinear2d(xt, out_hw)
             tape.backward(T.sum_(T.mul(out, T.const(g))))
-    np.testing.assert_allclose(out.data, oracles.upsample_bilinear_loops(x, out_hw),
+    np.testing.assert_allclose(out.data[0], oracles.upsample_bilinear_loops(x[0], out_hw),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        xt.grad, oracles.upsample_bilinear_adjoint_loops(g, in_shape[1:]),
+        xt.grad[0], oracles.upsample_bilinear_adjoint_loops(g[0], in_shape[1:]),
         rtol=0, atol=1e-12)
 
 
@@ -363,7 +379,7 @@ def _case_matmul(rng):
 
 @_fd_case("conv2d")
 def _case_conv(rng):
-    x = rand_tensor(rng, (2, 5, 5))
+    x = rand_tensor(rng, (1, 2, 5, 5))
     k = rand_tensor(rng, (3, 2, 3, 3))
     b = rand_tensor(rng, (3,))
     s = int(rng.integers(1, 3))
@@ -373,20 +389,20 @@ def _case_conv(rng):
 
 @_fd_case("conv_transpose2d")
 def _case_convt(rng):
-    x = rand_tensor(rng, (2, 3, 3))
+    x = rand_tensor(rng, (1, 2, 3, 3))
     k = rand_tensor(rng, (2, 3, 2, 2))
     return lambda: T.sum_(T.tanh(T.conv_transpose2d(x, k, stride=2, padding=1))), [x, k]
 
 
 @_fd_case("avg_pool2d")
 def _case_pool(rng):
-    x = rand_tensor(rng, (2, 4, 4))
+    x = rand_tensor(rng, (1, 2, 4, 4))
     return lambda: T.sum_(T.mul(T.avg_pool2d(x, 2), T.avg_pool2d(x, 2))), [x]
 
 
 @_fd_case("upsample")
 def _case_upsample(rng):
-    x = rand_tensor(rng, (2, 3, 3))
+    x = rand_tensor(rng, (1, 2, 3, 3))
     return lambda: T.sum_(T.tanh(T.upsample_bilinear2d(x, (5, 7)))), [x]
 
 
