@@ -177,8 +177,8 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     samples, images = _load_images(args.manifest)
     os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
     records = []
-    for s, img in zip(samples, images):
-        processed = im.preprocess_image(img, pre_cfg)
+    staged = im.preprocess_batch(images, pre_cfg, as_images=True)
+    for s, processed in zip(samples, staged):
         rel = os.path.join("images", os.path.basename(s.image))
         im.write_image(os.path.join(args.out, rel), processed)
         mask_rel = None
@@ -265,7 +265,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
-    staged = [im.preprocess_image(img, pre_cfg) for img in images]
+    staged = im.preprocess_batch(images, pre_cfg, as_images=True)
     params, history = pt.pretrain(staged, cfg.contrastive_config(),
                                   backbone_cfg=cfg.backbone_config(),
                                   seed=cfg.seed)
@@ -357,8 +357,8 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     if img.channels != 3:
         raise DataError(f"{args.image}: expected a color image")
     pre_cfg = cfg.preprocess_config(params.config.image_size)
-    x = im.preprocess(img, pre_cfg).data.astype(np.float32)
-    pred = hd.predict(params, heads, T.const(x[None]))
+    x = im.preprocess_batch([img], pre_cfg)
+    pred = hd.predict(params, heads, T.const(x))
     probs = pred.class_probs.data[0]
 
     names = synthdata.CLASS_NAMES

@@ -151,10 +151,12 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
                  require_masks: bool = True) -> tuple:
     """Load, preprocess and batch every manifest sample -> (TrainData, samples).
 
-    Images run through the full preprocessing pipeline at pre_cfg's target
-    size; masks are nearest-neighbor resampled to the same size.  A missing
-    growth value falls back to the mask's foreground fraction (foreground =
-    any non-soil class), or 0 with no mask.
+    Every row is read and checked (image channels, then mask) in manifest
+    order, so the first bad row raises; then all images run as one batch
+    through the preprocessing pipeline at pre_cfg's target size.  Masks are
+    nearest-neighbor resampled to the same size.  A missing growth value
+    falls back to the mask's foreground fraction (foreground = any non-soil
+    class), or 0 with no mask.
     """
     from .synthdata import SOIL_ID
 
@@ -162,7 +164,7 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
     base = os.path.dirname(os.path.abspath(manifest_path))
     h, w = pre_cfg.target_size
     n = len(samples)
-    images = np.zeros((n, 3, h, w), dtype=np.float32)
+    raw = []
     labels = np.zeros(n, dtype=np.int64)
     masks = np.zeros((n, h, w), dtype=np.int64)
     growth = np.zeros(n, dtype=np.float64)
@@ -171,7 +173,7 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
         if img.channels != 3:
             raise DataError(f"{manifest_path}:{s.line}: expected a color "
                             f"image, got {img.channels} channel(s): {s.image}")
-        images[i] = im.preprocess(img, pre_cfg).data.astype(np.float32)
+        raw.append(img)
         labels[i] = s.label
         if s.mask is not None:
             masks[i] = read_mask(manifest_path, s, (h, w))
@@ -184,5 +186,6 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
             growth[i] = s.growth
         elif s.mask is not None:
             growth[i] = float((masks[i] != SOIL_ID).mean())
+    images = im.preprocess_batch(raw, pre_cfg)
     return TrainData(images=images, labels=labels, masks=masks,
                      growth=growth), samples

@@ -10,6 +10,20 @@ functions.  The canonical preprocessing pipeline is::
 Denoising runs before the contrast operations so impulse noise cannot
 distort tile histograms.  Disk I/O is binary PPM (P6) for color and PGM
 (P5) for grayscale; no other container is parsed.
+
+Every stage after resizing runs on private kernels over an (N, H, W, C)
+uint8 stack: an exact bitwise radix median for any odd window, read as
+shifted views of one edge-padded array; CLAHE with one ``bincount`` over
+(image, tile, luma) keys for every tile histogram; and a per-image,
+per-channel standardization.  :func:`preprocess_batch` is the one entry
+point: it resizes each image and runs the stages over chunks of whole
+images, each chunk at most ``_CHUNK_PIXELS`` target pixels, so its working
+memory is bounded by a chunk, not by the batch.  ``median_filter``,
+``equalization_mappings``, ``adaptive_hist_eq``, ``to_model_tensor``,
+``preprocess_image`` and ``preprocess`` are one-image calls of the same
+kernels.  The kernels are byte-identical to the per-image reference
+pipeline in ``tests/oracles.py``: the float64 operations, and the order
+of every float64 sum, are the same.
 """
 
 from __future__ import annotations
@@ -33,11 +47,11 @@ __all__ = [
     "adaptive_hist_eq",
     "adjust_brightness",
     "gamma_correct",
-    "auto_gamma",
     "to_model_tensor",
     "geometric_augment",
     "preprocess_image",
     "preprocess",
+    "preprocess_batch",
     "GEOMETRIC_OPS",
 ]
 
@@ -45,6 +59,8 @@ GEOMETRIC_OPS = ("hflip", "vflip", "rot90", "rot180", "rot270")
 
 # ITU-R 601 luma weights used when equalizing color images.
 _LUMA = (0.299, 0.587, 0.114)
+
+_CHUNK_PIXELS = 1 << 15   # target pixels (N*H*W) of one preprocessing chunk
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,10 @@ class PreprocessConfig:
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise ContractError(
                 f"median window must be odd and >= 1, got {self.median_window}")
+        if self.median_window > min(th, tw):
+            raise ContractError(
+                f"median window {self.median_window} exceeds the target size "
+                f"{self.target_size}")
         if self.clahe_tile < 1:
             raise ContractError(f"clahe tile must be >= 1, got {self.clahe_tile}")
         if self.clahe_clip <= 0:
@@ -240,66 +260,78 @@ def geometric_augment(img: ImageU8, op: str) -> ImageU8:
 
 
 # ---------------------------------------------------------------------------
-# Intensity operations
+# Stack kernels: (N, H, W, C) uint8 in, uint8 out
 
 
-def median_filter(img: ImageU8, window: int = 3) -> ImageU8:
-    """Per-channel windowed median with clamp-to-border edge handling."""
-    if window < 1 or window % 2 == 0:
-        raise ContractError(f"median window must be odd and >= 1, got {window}")
+def _median_stack(arr: np.ndarray, window: int) -> np.ndarray:
+    """Exact per-channel window median of an (N,H,W,C) uint8 stack.
+
+    Edges are clamped. The median's bits are set from high to low: a bit
+    stays set when at most window**2 // 2 of the window's values lie below
+    the trial value. The window is read as shifted views of one padded array.
+    """
     if window == 1:
-        return img
-    arr = img.as_array()
+        return arr
+    n, h, w, c = arr.shape
     r = window // 2
-    padded = np.pad(arr, ((r, r), (r, r), (0, 0)), mode="edge")
-    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(0, 1))
-    out = np.median(view, axis=(-2, -1)).astype(np.uint8)
-    return ImageU8(img.height, img.width, img.channels, out.tobytes())
+    padded = np.pad(arr, ((0, 0), (r, r), (r, r), (0, 0)), mode="edge")
+    rank = window * window // 2
+    out = np.zeros(arr.shape, dtype=np.uint8)
+    trial = np.empty(arr.shape, dtype=np.uint8)
+    below = np.empty(arr.shape, dtype=bool)
+    count = np.empty(arr.shape, dtype=np.min_scalar_type(window * window))
+    for shift in range(7, -1, -1):
+        np.bitwise_or(out, 1 << shift, out=trial)
+        count.fill(0)
+        for dy in range(window):
+            for dx in range(window):
+                np.less(padded[:, dy:dy + h, dx:dx + w], trial, out=below)
+                np.add(count, below.view(np.uint8), out=count, casting="unsafe")
+        np.less_equal(count, rank, out=below)
+        out |= below.view(np.uint8) << shift
+    return out
 
 
-def _luminance(arr) -> np.ndarray:
-    """Quantized ITU-R 601 luma of an (H,W,3) uint8 array, as uint8."""
-    r = arr[:, :, 0].astype(np.float64)
-    g = arr[:, :, 1].astype(np.float64)
-    b = arr[:, :, 2].astype(np.float64)
+def _luminance(arr: np.ndarray) -> np.ndarray:
+    """Quantized ITU-R 601 luma of a (..., 3) uint8 array, as uint8."""
+    r = arr[..., 0].astype(np.float64)
+    g = arr[..., 1].astype(np.float64)
+    b = arr[..., 2].astype(np.float64)
     y = _LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b
     return np.floor(y + 0.5).astype(np.uint8)
 
 
-def equalization_mappings(img: ImageU8, tile: int = 8, clip: float = 2.0):
-    """Per-tile clipped-equalization mappings used by :func:`adaptive_hist_eq`.
-
-    Returns ``(row_bounds, col_bounds, luts)`` where ``luts`` has shape
-    (grid_rows, grid_cols, 256) and each mapping is monotone non-decreasing.
-    The grid is ``tile`` per axis, clamped to the image extent; tile
-    boundaries are ``floor(i * extent / grid)``.  Each tile histogram is
-    clipped at ``max(1, clip * area / 256)`` counts per bin, the clipped
-    excess is redistributed uniformly, and the mapping is
-    ``255 * cdf(v) / area``.
-    """
-    if tile < 1:
-        raise ContractError(f"tile must be >= 1, got {tile}")
-    if clip <= 0:
-        raise ContractError(f"clip must be positive, got {clip}")
-    arr = img.as_array()
-    h, w = img.height, img.width
-    lum = _luminance(arr) if img.channels == 3 else arr[:, :, 0]
+def _tile_bounds(h: int, w: int, tile: int) -> tuple:
+    """Tile boundaries floor(i * extent / grid) per axis, grid clamped to the extent."""
     gy = min(tile, h)
     gx = min(tile, w)
     by = np.floor(np.arange(gy + 1, dtype=np.int64) * h / gy).astype(np.int64)
     bx = np.floor(np.arange(gx + 1, dtype=np.int64) * w / gx).astype(np.int64)
-    luts = np.empty((gy, gx, 256), dtype=np.float64)
-    for ty in range(gy):
-        for tx in range(gx):
-            block = lum[by[ty]:by[ty + 1], bx[tx]:bx[tx + 1]]
-            hist = np.bincount(block.ravel(), minlength=256).astype(np.float64)
-            area = block.size
-            climit = max(1.0, clip * area / 256.0)
-            excess = float(np.sum(np.maximum(hist - climit, 0.0)))
-            share = excess / 256.0
-            running = np.cumsum(np.minimum(hist, climit) + share)
-            luts[ty, tx] = 255.0 * running / area
-    return by, bx, luts
+    return by, bx
+
+
+def _clahe_luts(lum: np.ndarray, by, bx, clip: float) -> np.ndarray:
+    """(N, gy, gx, 256) float64 tile mappings of an (N,H,W) uint8 luma stack.
+
+    One bincount over (image, tile, luma) keys gives every tile histogram.
+    """
+    n = lum.shape[0]
+    gy, gx = len(by) - 1, len(bx) - 1
+    rows, cols = np.diff(by), np.diff(bx)
+    tile = (np.repeat(np.arange(gy) * gx, rows)[:, None]
+            + np.repeat(np.arange(gx), cols)[None, :])
+    keys = ((np.arange(n)[:, None, None] * (gy * gx) + tile) << 8) + lum
+    hist = np.bincount(keys.ravel(), minlength=n * gy * gx * 256)
+    hist = hist.reshape(n, gy, gx, 256).astype(np.float64)
+    area = (rows[:, None] * cols[None, :])[:, :, None]
+    climit = np.maximum(1.0, clip * area / 256.0)
+    share = np.sum(np.maximum(hist - climit, 0.0), axis=-1, keepdims=True) / 256.0
+    np.minimum(hist, climit, out=hist)
+    hist += share
+    np.cumsum(hist, axis=-1, out=hist)
+    hist *= 255.0
+    hist /= area
+    return hist
 
 
 def _blend_axis(extent: int, bounds) -> tuple:
@@ -314,6 +346,147 @@ def _blend_axis(extent: int, bounds) -> tuple:
     return t, u
 
 
+def _clahe_stack(arr: np.ndarray, tile: int, clip: float) -> np.ndarray:
+    """Contrast-limited adaptive histogram equalization of an (N,H,W,C) stack."""
+    n, h, w, c = arr.shape
+    lum = _luminance(arr) if c == 3 else arr[..., 0]
+    by, bx = _tile_bounds(h, w, tile)
+    luts = _clahe_luts(lum, by, bx, clip)
+    gy, gx = luts.shape[1], luts.shape[2]
+
+    ty, uy = _blend_axis(h, by)
+    tx, ux = _blend_axis(w, bx)
+    ty2 = np.minimum(ty + 1, gy - 1)
+    tx2 = np.minimum(tx + 1, gx - 1)
+
+    flat = luts.reshape(-1)
+    # flat index of (image, luma); each corner adds its tile's offset
+    lv = np.arange(n, dtype=np.int64)[:, None, None] * (gy * gx << 8) + lum
+
+    def at(rows, cols):
+        return flat.take(lv + ((rows[:, None] * gx + cols[None, :]) << 8))
+
+    w00 = (1.0 - uy)[:, None] * (1.0 - ux)[None, :]
+    w01 = (1.0 - uy)[:, None] * ux[None, :]
+    w10 = uy[:, None] * (1.0 - ux)[None, :]
+    w11 = uy[:, None] * ux[None, :]
+    m = w00 * at(ty, tx)
+    m += w01 * at(ty, tx2)
+    m += w10 * at(ty2, tx)
+    m += w11 * at(ty2, tx2)
+
+    fallback = np.clip(np.floor(m + 0.5), 0, 255)
+    if c == 1:
+        return fallback.astype(np.uint8)[..., None]
+    # A zero-luma pixel takes the equalized value on every channel: its
+    # ratio is 0, so its scaled channels are 0 and fill adds the value.
+    zero = lum == 0
+    ratio = np.where(zero, 0.0, m / np.maximum(lum, 1))
+    fill = np.where(zero, fallback, 0.0)
+    out = np.empty(arr.shape, dtype=np.uint8)
+    for ch in range(c):
+        scaled = arr[..., ch] * ratio
+        scaled += 0.5
+        np.clip(np.floor(scaled, out=scaled), 0, 255, out=scaled)
+        scaled += fill
+        out[..., ch] = scaled
+    return out
+
+
+def _brighten(arr: np.ndarray, beta: float) -> np.ndarray:
+    if beta == 0.0:
+        return arr
+    out = arr.astype(np.float64) + beta
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def _gamma(arr: np.ndarray, gamma: float) -> np.ndarray:
+    if gamma == 1.0:
+        return arr
+    levels = np.arange(256, dtype=np.float64) / 255.0
+    lut = np.clip(np.floor(255.0 * np.power(levels, gamma) + 0.5), 0, 255)
+    return lut.astype(np.uint8)[arr]
+
+
+def _standardize(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """(N,H,W,C) uint8 -> (N,C,H,W) float64 model values.
+
+    Each image channel is standardized on the integer scale as
+    (x - mu) / (sigma + 255e-6), the [0,1]-scale formula with every term
+    multiplied by 255; integer-valued means are exact, so constant channels
+    come out exactly zero. Without normalize the values are x / 255.
+
+    The channel sums are integers, exact in any order. The squared
+    deviations are summed as NumPy's mean and std sum one (H,W,C) image:
+    pairwise over the contiguous pixels of a one-channel image, and in pixel
+    order, one running sum per channel, for a colour image.
+    """
+    n, h, w, c = arr.shape
+    x = np.ascontiguousarray(np.transpose(arr, (0, 3, 1, 2))).reshape(
+        n, c, h * w).astype(np.float64)
+    if not normalize:
+        return (x / 255.0).reshape(n, c, h, w)
+    dev = x - x.sum(axis=-1, keepdims=True) / (h * w)
+    sq = np.multiply(dev, dev, out=x)
+    if c == 1:
+        total = sq.sum(axis=-1, keepdims=True)
+    else:
+        total = np.add.accumulate(sq, axis=-1, out=sq)[..., -1:]
+    dev /= np.sqrt(total / (h * w)) + 255.0e-6
+    return dev.reshape(n, c, h, w)
+
+
+def _stage(arr: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    """The image-space stages after resizing, over an (N,H,W,C) stack."""
+    arr = _median_stack(arr, cfg.median_window)
+    arr = _clahe_stack(arr, cfg.clahe_tile, cfg.clahe_clip)
+    arr = _brighten(arr, cfg.beta)
+    return _gamma(arr, cfg.gamma)
+
+
+def _as_image(arr: np.ndarray) -> ImageU8:
+    h, w, c = arr.shape
+    return ImageU8(h, w, c, arr.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# Per-image operations: one-image calls of the stack kernels
+
+
+def median_filter(img: ImageU8, window: int = 3) -> ImageU8:
+    """Per-channel windowed median with clamp-to-border edge handling."""
+    if window < 1 or window % 2 == 0:
+        raise ContractError(f"median window must be odd and >= 1, got {window}")
+    if window == 1:
+        return img
+    return _as_image(_median_stack(img.as_array()[None], window)[0])
+
+
+def _check_clahe(tile: int, clip: float) -> None:
+    if tile < 1:
+        raise ContractError(f"tile must be >= 1, got {tile}")
+    if clip <= 0:
+        raise ContractError(f"clip must be positive, got {clip}")
+
+
+def equalization_mappings(img: ImageU8, tile: int = 8, clip: float = 2.0):
+    """Per-tile clipped-equalization mappings used by :func:`adaptive_hist_eq`.
+
+    Returns ``(row_bounds, col_bounds, luts)`` where ``luts`` has shape
+    (grid_rows, grid_cols, 256) and each mapping is monotone non-decreasing.
+    The grid is ``tile`` per axis, clamped to the image extent; tile
+    boundaries are ``floor(i * extent / grid)``.  Each tile histogram is
+    clipped at ``max(1, clip * area / 256)`` counts per bin, the clipped
+    excess is redistributed uniformly, and the mapping is
+    ``255 * cdf(v) / area``.
+    """
+    _check_clahe(tile, clip)
+    arr = img.as_array()
+    lum = _luminance(arr) if img.channels == 3 else arr[:, :, 0]
+    by, bx = _tile_bounds(img.height, img.width, tile)
+    return by, bx, _clahe_luts(lum[None], by, bx, clip)[0]
+
+
 def adaptive_hist_eq(img: ImageU8, tile: int = 8, clip: float = 2.0) -> ImageU8:
     """Contrast-limited adaptive histogram equalization.
 
@@ -324,50 +497,15 @@ def adaptive_hist_eq(img: ImageU8, tile: int = 8, clip: float = 2.0) -> ImageU8:
     mappings of its four nearest tile centers bilinearly, and the final
     value is rounded half-up.
     """
-    by, bx, luts = equalization_mappings(img, tile, clip)
-    arr = img.as_array()
-    h, w = img.height, img.width
-    gy, gx = luts.shape[0], luts.shape[1]
-    lum = _luminance(arr) if img.channels == 3 else arr[:, :, 0]
-
-    ty, uy = _blend_axis(h, by)
-    tx, ux = _blend_axis(w, bx)
-    ty2 = np.minimum(ty + 1, gy - 1)
-    tx2 = np.minimum(tx + 1, gx - 1)
-
-    flat = luts.reshape(gy * gx, 256)
-    v = lum.astype(np.int64)
-    a = flat[(ty[:, None] * gx + tx[None, :]), v]
-    b = flat[(ty[:, None] * gx + tx2[None, :]), v]
-    c = flat[(ty2[:, None] * gx + tx[None, :]), v]
-    d = flat[(ty2[:, None] * gx + tx2[None, :]), v]
-    w00 = (1.0 - uy)[:, None] * (1.0 - ux)[None, :]
-    w01 = (1.0 - uy)[:, None] * ux[None, :]
-    w10 = uy[:, None] * (1.0 - ux)[None, :]
-    w11 = uy[:, None] * ux[None, :]
-    m = w00 * a + w01 * b + w10 * c + w11 * d
-
-    if img.channels == 1:
-        out = np.clip(np.floor(m + 0.5), 0, 255).astype(np.uint8)[:, :, None]
-        return ImageU8(h, w, 1, out.tobytes())
-
-    vf = lum.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(vf > 0, m / np.where(vf > 0, vf, 1.0), 0.0)
-    scaled = np.clip(np.floor(arr.astype(np.float64) * ratio[:, :, None] + 0.5),
-                     0, 255)
-    fallback = np.clip(np.floor(m + 0.5), 0, 255)
-    out = np.where((vf == 0)[:, :, None], fallback[:, :, None], scaled)
-    return ImageU8(h, w, 3, out.astype(np.uint8).tobytes())
+    _check_clahe(tile, clip)
+    return _as_image(_clahe_stack(img.as_array()[None], tile, clip)[0])
 
 
 def adjust_brightness(img: ImageU8, beta: float) -> ImageU8:
     """Additive brightness offset, clipped to [0, 255]; beta=0 is identity."""
     if beta == 0.0:
         return img
-    arr = img.as_array().astype(np.float64) + beta
-    out = np.clip(np.floor(arr + 0.5), 0, 255).astype(np.uint8)
-    return ImageU8(img.height, img.width, img.channels, out.tobytes())
+    return _as_image(_brighten(img.as_array(), beta))
 
 
 def gamma_correct(img: ImageU8, gamma: float) -> ImageU8:
@@ -376,52 +514,67 @@ def gamma_correct(img: ImageU8, gamma: float) -> ImageU8:
         raise ContractError(f"gamma must be positive, got {gamma}")
     if gamma == 1.0:
         return img
-    levels = np.arange(256, dtype=np.float64) / 255.0
-    lut = np.clip(np.floor(255.0 * np.power(levels, gamma) + 0.5), 0, 255)
-    out = lut.astype(np.uint8)[img.as_array()]
-    return ImageU8(img.height, img.width, img.channels, out.tobytes())
-
-
-def auto_gamma(img: ImageU8) -> float:
-    """Per-image adaptive gamma that moves the mean intensity toward mid-gray.
-
-    Solves (mean/255) ** gamma = 0.5 and clamps the result to [0.25, 4.0].
-    """
-    mean = float(img.as_array().mean()) / 255.0
-    mean = min(max(mean, 1e-6), 1.0 - 1e-6)
-    return float(min(max(np.log(0.5) / np.log(mean), 0.25), 4.0))
-
-
-# ---------------------------------------------------------------------------
-# Model tensor conversion and the full pipeline
+    return _as_image(_gamma(img.as_array(), gamma))
 
 
 def to_model_tensor(img: ImageU8) -> tensor_ops.Tensor:
     """Scale to [0,1] and standardize each channel: (x - mean) / (std + 1e-6).
 
-    Computed on the integer scale as (x - mu) / (sigma + 255e-6), which is
-    the same formula with every term multiplied by 255; integer-valued
-    means are exact, so constant channels come out exactly zero.
+    Returns a (C,H,W) tensor; see :func:`_standardize` for the arithmetic.
     """
-    chw = np.transpose(img.as_array(), (2, 0, 1)).astype(np.float64)
-    mean = chw.mean(axis=(1, 2), keepdims=True)
-    std = chw.std(axis=(1, 2), keepdims=True)
-    return tensor_ops.Tensor((chw - mean) / (std + 255.0e-6))
+    return tensor_ops.Tensor(_standardize(img.as_array()[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# The batched pipeline
+
+
+def _chunks(images, pixels: int):
+    """(start, stop) runs of whole images with one channel count, each at
+    most _CHUNK_PIXELS target pixels (and at least one image)."""
+    per = max(1, _CHUNK_PIXELS // pixels)
+    start = 0
+    while start < len(images):
+        stop = start + 1
+        while (stop < min(len(images), start + per)
+               and images[stop].channels == images[start].channels):
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def preprocess_batch(images, cfg: PreprocessConfig = PreprocessConfig(),
+                     as_images: bool = False):
+    """Run the pipeline over a sequence of images, chunk by chunk.
+
+    Each image is resized to ``cfg.target_size``; the resized images are
+    stacked in chunks of whole images and the remaining stages run over each
+    chunk at once. Returns an (N,C,H,W) float32 array of model values, or,
+    with ``as_images``, the list of image-space results (everything but
+    scaling). The tensor form needs one channel count across the images.
+    """
+    th, tw = cfg.target_size
+    channels = {img.channels for img in images}
+    if not as_images and len(channels) > 1:
+        raise ContractError(f"images mix channel counts {sorted(channels)}")
+    out = [] if as_images else np.empty(
+        (len(images), channels.pop() if channels else 3, th, tw), dtype=np.float32)
+    for start, stop in _chunks(images, th * tw):
+        stack = _stage(np.stack([resize_bilinear(img, cfg.target_size).as_array()
+                                 for img in images[start:stop]]), cfg)
+        if as_images:
+            out.extend(_as_image(a) for a in stack)
+        else:
+            out[start:stop] = _standardize(stack, cfg.normalize)
+    return out
 
 
 def preprocess_image(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()) -> ImageU8:
     """The image-space stages of the pipeline (everything but scaling)."""
-    img = resize_bilinear(img, cfg.target_size)
-    img = median_filter(img, cfg.median_window)
-    img = adaptive_hist_eq(img, cfg.clahe_tile, cfg.clahe_clip)
-    img = adjust_brightness(img, cfg.beta)
-    return gamma_correct(img, cfg.gamma)
+    return preprocess_batch([img], cfg, as_images=True)[0]
 
 
 def preprocess(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()):
-    """Run the full pipeline and return a (C,H,W) float32 model tensor."""
-    img = preprocess_image(img, cfg)
-    if cfg.normalize:
-        return to_model_tensor(img)
-    return tensor_ops.Tensor(
-        np.transpose(img.as_array(), (2, 0, 1)).astype(np.float64) / 255.0)
+    """Run the full pipeline and return a (C,H,W) model tensor."""
+    arr = _stage(resize_bilinear(img, cfg.target_size).as_array()[None], cfg)
+    return tensor_ops.Tensor(_standardize(arr, cfg.normalize)[0])

@@ -776,6 +776,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
         _accum(kernels, dk.astype(kernels.data.dtype))
         if bias is not None:
             _accum(bias, gmat.sum(axis=0).astype(bias.data.dtype))
+        if not x.requires_grad:
+            return
         dcols = (gmat @ _f64(wmat)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         dxp = _col2im(dcols, (h + 2 * padding, w + 2 * padding), stride)
         _accum(x, dxp[:, :, padding:padding + h, padding:padding + w].astype(x.data.dtype))

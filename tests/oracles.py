@@ -2,7 +2,9 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations.
+shared with the package implementations. The per-image preprocessing section
+at the end is the exception: it is the NumPy pipeline the package's stack
+kernels must match byte for byte, one image and one tile at a time.
 """
 
 import math
@@ -279,3 +281,141 @@ def quantize_scalar(values):
         code = int(math.floor(abs(q) + 0.5)) * (1 if q >= 0 else -1)
         codes.append(max(-127, min(127, code)))
     return codes, scale
+
+
+# ---------------------------------------------------------------------------
+# Per-image preprocessing: one image at a time, the median by np.median over
+# a window view and CLAHE one tile histogram at a time. The stack kernels of
+# weedhybrid.imaging must reproduce these bytes exactly. Arrays are (H,W,C)
+# uint8; nothing here calls the package.
+
+_LUMA = (0.299, 0.587, 0.114)
+
+
+def resize_per_image(arr, target):
+    """Bilinear resize, half-pixel centers, round half-up."""
+    h, w = arr.shape[:2]
+    th, tw = target
+    if (th, tw) == (h, w):
+        return arr
+    src = arr.astype(np.float64)
+
+    def axis_weights(n_out, n_in):
+        pos = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
+        pos = np.clip(pos, 0.0, n_in - 1)
+        lo = np.floor(pos).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_in - 1), pos - lo
+
+    y0, y1, wy = axis_weights(th, h)
+    x0, x1, wx = axis_weights(tw, w)
+    wy = wy[:, None, None]
+    wx = wx[None, :, None]
+    top = src[y0][:, x0] * (1.0 - wx) + src[y0][:, x1] * wx
+    bot = src[y1][:, x0] * (1.0 - wx) + src[y1][:, x1] * wx
+    out = top * (1.0 - wy) + bot * wy
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def median_per_image(arr, window):
+    if window == 1:
+        return arr
+    r = window // 2
+    padded = np.pad(arr, ((r, r), (r, r), (0, 0)), mode="edge")
+    view = np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(0, 1))
+    return np.median(view, axis=(-2, -1)).astype(np.uint8)
+
+
+def _luma_per_image(arr):
+    y = (_LUMA[0] * arr[:, :, 0].astype(np.float64)
+         + _LUMA[1] * arr[:, :, 1].astype(np.float64)
+         + _LUMA[2] * arr[:, :, 2].astype(np.float64))
+    return np.floor(y + 0.5).astype(np.uint8)
+
+
+def clahe_luts_per_tile(arr, tile, clip):
+    """(row_bounds, col_bounds, (gy, gx, 256) LUTs), one tile at a time."""
+    h, w = arr.shape[:2]
+    lum = _luma_per_image(arr) if arr.shape[2] == 3 else arr[:, :, 0]
+    gy, gx = min(tile, h), min(tile, w)
+    by = np.floor(np.arange(gy + 1, dtype=np.int64) * h / gy).astype(np.int64)
+    bx = np.floor(np.arange(gx + 1, dtype=np.int64) * w / gx).astype(np.int64)
+    luts = np.empty((gy, gx, 256), dtype=np.float64)
+    for ty in range(gy):
+        for tx in range(gx):
+            block = lum[by[ty]:by[ty + 1], bx[tx]:bx[tx + 1]]
+            hist = np.bincount(block.ravel(), minlength=256).astype(np.float64)
+            area = block.size
+            climit = max(1.0, clip * area / 256.0)
+            excess = float(np.sum(np.maximum(hist - climit, 0.0)))
+            running = np.cumsum(np.minimum(hist, climit) + excess / 256.0)
+            luts[ty, tx] = 255.0 * running / area
+    return by, bx, luts
+
+
+def clahe_per_image(arr, tile, clip):
+    h, w, c = arr.shape
+    by, bx, luts = clahe_luts_per_tile(arr, tile, clip)
+    gy, gx = luts.shape[:2]
+    lum = _luma_per_image(arr) if c == 3 else arr[:, :, 0]
+
+    def blend_axis(extent, bounds):
+        n = len(bounds) - 1
+        centers = (bounds[:-1] + bounds[1:] - 1) / 2.0
+        pos = np.arange(extent, dtype=np.float64)
+        if n == 1:
+            return np.zeros(extent, dtype=np.int64), np.zeros(extent)
+        t = np.clip(np.searchsorted(centers, pos, side="right") - 1, 0, n - 2)
+        return t, np.clip((pos - centers[t]) / (centers[t + 1] - centers[t]), 0.0, 1.0)
+
+    ty, uy = blend_axis(h, by)
+    tx, ux = blend_axis(w, bx)
+    ty2, tx2 = np.minimum(ty + 1, gy - 1), np.minimum(tx + 1, gx - 1)
+    flat = luts.reshape(gy * gx, 256)
+    v = lum.astype(np.int64)
+    a = flat[ty[:, None] * gx + tx[None, :], v]
+    b = flat[ty[:, None] * gx + tx2[None, :], v]
+    cc = flat[ty2[:, None] * gx + tx[None, :], v]
+    d = flat[ty2[:, None] * gx + tx2[None, :], v]
+    m = ((1.0 - uy)[:, None] * (1.0 - ux)[None, :] * a
+         + (1.0 - uy)[:, None] * ux[None, :] * b
+         + uy[:, None] * (1.0 - ux)[None, :] * cc
+         + uy[:, None] * ux[None, :] * d)
+    fallback = np.clip(np.floor(m + 0.5), 0, 255)
+    if c == 1:
+        return fallback.astype(np.uint8)[:, :, None]
+    vf = lum.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(vf > 0, m / np.where(vf > 0, vf, 1.0), 0.0)
+    scaled = np.clip(np.floor(arr.astype(np.float64) * ratio[:, :, None] + 0.5), 0, 255)
+    return np.where((vf == 0)[:, :, None], fallback[:, :, None], scaled).astype(np.uint8)
+
+
+def stage_per_image(arr, cfg):
+    """Resize, median, CLAHE, brightness and gamma of one image."""
+    arr = resize_per_image(arr, cfg.target_size)
+    arr = median_per_image(arr, cfg.median_window)
+    arr = clahe_per_image(arr, cfg.clahe_tile, cfg.clahe_clip)
+    if cfg.beta != 0.0:
+        arr = np.clip(np.floor(arr.astype(np.float64) + cfg.beta + 0.5),
+                      0, 255).astype(np.uint8)
+    if cfg.gamma != 1.0:
+        levels = np.arange(256, dtype=np.float64) / 255.0
+        lut = np.clip(np.floor(255.0 * np.power(levels, cfg.gamma) + 0.5), 0, 255)
+        arr = lut.astype(np.uint8)[arr]
+    return arr
+
+
+def standardize_per_image(arr, normalize=True):
+    """(H,W,C) uint8 -> (C,H,W) float64, standardized per channel."""
+    chw = np.transpose(arr, (2, 0, 1)).astype(np.float64)
+    if not normalize:
+        return chw / 255.0
+    mean = chw.mean(axis=(1, 2), keepdims=True)
+    std = chw.std(axis=(1, 2), keepdims=True)
+    return (chw - mean) / (std + 255.0e-6)
+
+
+def preprocess_per_image(arr, cfg):
+    """The whole pipeline of one image -> (C,H,W) float32."""
+    chw = standardize_per_image(stage_per_image(arr, cfg), cfg.normalize)
+    return chw.astype(np.float32)

@@ -129,6 +129,23 @@ def test_infer_corrupt_config_fails_before_allocating(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
+    conf = tmp_path / "wide.conf"
+    conf.write_text("preprocess.median_window = 100001\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["preprocess", "--manifest", str(tmp_path / "m.tsv"),
+                       "--out", str(tmp_path / "out"), "--config", str(conf)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "median window 100001 exceeds the target size" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+
+
 def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
     blob = bytearray(dp.save_checkpoint({"w": np.ones(3, dtype=np.float32)}))
     blob[blob.index(b"w")] = 0xFF

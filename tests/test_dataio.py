@@ -161,6 +161,23 @@ def test_load_dataset_requires_masks_by_default(tmp_path):
     assert data.growth[0] == 0.0
 
 
+def test_load_dataset_reports_the_first_bad_row(tmp_path):
+    # every row is checked in order before any image is preprocessed, so
+    # the mask-less first row fails before the grey second row is seen
+    make_files(tmp_path, ["a.ppm"])
+    make_files(tmp_path, ["g.pgm", "m.pgm"], channels=1)
+    path = write_lines(tmp_path, ["a.ppm\tgrass\t-\t-\t0",
+                                  "g.pgm\tgrass\tm.pgm\t-\t0"])
+    with pytest.raises(DataError) as info:
+        dio.load_dataset(path, small_cfg())
+    assert str(info.value) == (f"{path}:1: sample has no mask (required for "
+                               f"training): a.ppm")
+    with pytest.raises(DataError) as info:
+        dio.load_dataset(path, small_cfg(), require_masks=False)
+    assert str(info.value) == (f"{path}:2: expected a color image, got 1 "
+                               f"channel(s): g.pgm")
+
+
 def test_load_dataset_rejects_out_of_vocab_mask(tmp_path):
     make_files(tmp_path, ["img.ppm"])
     mask = np.full((8, 8), 9, dtype=np.uint8)

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from weedhybrid import imaging as im
+from weedhybrid import tensor as T
 from weedhybrid.errors import ContractError, DimensionError, FormatError
 
 
@@ -267,14 +271,6 @@ def test_brightness_offset():
     assert list(down.pixels) == [0, 80, 230]
 
 
-def test_auto_gamma_direction():
-    dark = im.ImageU8.from_array(np.full((4, 4), 30, dtype=np.uint8))
-    bright = im.ImageU8.from_array(np.full((4, 4), 220, dtype=np.uint8))
-    assert im.auto_gamma(dark) < 1.0 < im.auto_gamma(bright)
-    mid = im.ImageU8.from_array(np.full((4, 4), 128, dtype=np.uint8))
-    assert im.auto_gamma(mid) == pytest.approx(1.0, abs=1e-2)
-
-
 # ---------------------------------------------------------------------------
 # model tensor
 
@@ -385,3 +381,142 @@ def test_preprocess_config_validation():
         im.PreprocessConfig(clahe_tile=0)
     with pytest.raises(DimensionError):
         im.PreprocessConfig(target_size=(0, 5))
+    im.PreprocessConfig(target_size=(5, 9), median_window=5)
+    for size in ((4, 9), (9, 4)):
+        with pytest.raises(ContractError, match="exceeds the target size"):
+            im.PreprocessConfig(target_size=size, median_window=5)
+
+
+# ---------------------------------------------------------------------------
+# stack kernels against the per-image references in oracles.py
+
+SHAPES = st.one_of(st.sampled_from([(1, 9), (9, 1), (5, 3), (7, 13), (1, 1)]),
+                   st.tuples(st.integers(1, 16), st.integers(1, 16)))
+CLIPS = st.sampled_from([0.05, 0.5, 1.0, 2.0, 3.7, 40.0])
+TEXTURES = ("noise", "dark", "two-tone", "flat")
+
+
+def _pixels(seed, shape, texture):
+    rng = np.random.default_rng(seed)
+    if texture == "noise":
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    if texture == "dark":  # many zero-luma pixels in colour
+        return rng.integers(0, 6, shape, dtype=np.uint8)
+    if texture == "two-tone":
+        return np.where(rng.random(shape) < 0.5, 0, 200).astype(np.uint8)
+    return np.full(shape, rng.integers(0, 256), dtype=np.uint8)
+
+
+@st.composite
+def image_arrays(draw, max_count=7):
+    """A list of (H,W,C) uint8 arrays of one shape."""
+    count = draw(st.integers(1, max_count))
+    shape = draw(SHAPES) + (draw(st.sampled_from([1, 3])),)
+    texture = draw(st.sampled_from(TEXTURES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return [_pixels([seed, i], shape, texture) for i in range(count)]
+
+
+@st.composite
+def preprocess_configs(draw):
+    th, tw = draw(SHAPES)
+    window = draw(st.sampled_from([w for w in (1, 3, 5, 7) if w <= min(th, tw)]))
+    return im.PreprocessConfig(
+        target_size=(th, tw), median_window=window,
+        clahe_tile=draw(st.integers(1, 8)), clahe_clip=draw(CLIPS),
+        gamma=draw(st.sampled_from([1.0, 0.6, 2.2])),
+        beta=draw(st.sampled_from([0.0, -7.5, 20.0])),
+        normalize=draw(st.booleans()))
+
+
+def _named_case(shape, channels, target, window, count, per_chunk):
+    arrs = [_pixels([7, i], shape + (channels,), "noise") for i in range(count)]
+    cfg = im.PreprocessConfig(target_size=target, median_window=window,
+                              clahe_tile=4, clahe_clip=2.0, gamma=0.6)
+    return {"arrs": arrs, "cfg": cfg, "per_chunk": per_chunk, "slack": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrs=image_arrays(), cfg=preprocess_configs(),
+       per_chunk=st.integers(1, 4), slack=st.integers(0, 1))
+@example(**_named_case((1, 9), 3, (1, 9), 1, 5, 2))
+@example(**_named_case((5, 3), 1, (5, 3), 3, 3, 2))
+@example(**_named_case((7, 13), 3, (7, 13), 7, 7, 3))
+@example(**_named_case((20, 24), 3, (16, 16), 5, 9, 4))
+def test_preprocess_batch_matches_per_image_pipeline(arrs, cfg, per_chunk, slack):
+    th, tw = cfg.target_size
+    imgs = [im.ImageU8.from_array(a) for a in arrs]
+    # chunks of per_chunk images, so most batches straddle a chunk boundary
+    with mock.patch.object(im, "_CHUNK_PIXELS", per_chunk * th * tw + slack):
+        got = im.preprocess_batch(imgs, cfg)
+        staged = im.preprocess_batch(imgs, cfg, as_images=True)
+    want = np.stack([oracles.preprocess_per_image(a, cfg) for a in arrs])
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for img, arr in zip(staged, arrs):
+        assert img.as_array().tobytes() == oracles.stage_per_image(arr, cfg).tobytes()
+    assert im.preprocess(imgs[0], cfg).data.tobytes() == want[0].tobytes()
+    assert im.preprocess_image(imgs[0], cfg) == staged[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrs=image_arrays(max_count=1), window=st.sampled_from([1, 3, 5, 7]))
+def test_median_filter_matches_window_median(arrs, window):
+    # windows wider than the image clamp to its edge like any other
+    got = im.median_filter(im.ImageU8.from_array(arrs[0]), window).as_array()
+    assert got.tobytes() == oracles.median_per_image(arrs[0], window).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrs=image_arrays(max_count=1), tile=st.integers(1, 8), clip=CLIPS)
+def test_equalization_matches_tile_loop(arrs, tile, clip):
+    img = im.ImageU8.from_array(arrs[0])
+    by, bx, luts = im.equalization_mappings(img, tile, clip)
+    want_by, want_bx, want_luts = oracles.clahe_luts_per_tile(arrs[0], tile, clip)
+    np.testing.assert_array_equal(by, want_by)
+    np.testing.assert_array_equal(bx, want_bx)
+    assert luts.tobytes() == want_luts.tobytes()
+    got = im.adaptive_hist_eq(img, tile, clip).as_array()
+    assert got.tobytes() == oracles.clahe_per_image(arrs[0], tile, clip).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrs=image_arrays(max_count=1))
+def test_model_tensor_matches_per_image_standardization(arrs):
+    # in 64-bit storage no float32 rounding hides the order of the sums
+    with T.default_dtype(np.float64):
+        got = im.to_model_tensor(im.ImageU8.from_array(arrs[0])).data
+    assert got.dtype == np.float64
+    assert got.tobytes() == oracles.standardize_per_image(arrs[0]).tobytes()
+
+
+def test_preprocess_batch_channel_counts():
+    rng = np.random.default_rng(18)
+    imgs = [_rand_img(rng, 6, 6, 3), _rand_img(rng, 6, 6, 1), _rand_img(rng, 6, 6, 3)]
+    cfg = im.PreprocessConfig(target_size=(6, 6))
+    staged = im.preprocess_batch(imgs, cfg, as_images=True)
+    assert [img.channels for img in staged] == [3, 1, 3]
+    assert staged == [im.preprocess_image(img, cfg) for img in imgs]
+    with pytest.raises(ContractError, match="mix channel counts"):
+        im.preprocess_batch(imgs, cfg)
+    assert im.preprocess_batch([], cfg).shape == (0, 3, 6, 6)
+
+
+def test_preprocess_batch_memory_stays_within_a_chunk(monkeypatch):
+    monkeypatch.setattr(im, "_CHUNK_PIXELS", 4 * 16 * 16)  # four images a chunk
+    rng = np.random.default_rng(19)
+    imgs = [_rand_img(rng, 16, 16, 3) for _ in range(64)]
+    cfg = im.PreprocessConfig(target_size=(16, 16))
+
+    def peak_beyond_output(batch):
+        tracemalloc.start()
+        try:
+            out = im.preprocess_batch(batch, cfg)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = peak_beyond_output(imgs[:4])
+    # sixteen chunks cost what one does: 64 images at once would need
+    # sixteen times the tile histograms and pixel buffers
+    assert peak_beyond_output(imgs) < 2 * one_chunk

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import zlib
@@ -243,6 +244,34 @@ def test_conv2d_tape_free_matches_taped(monkeypatch, dtype, block_bytes, stride)
         assert free.tobytes() == taped.data.tobytes()
     else:
         np.testing.assert_allclose(free, taped.data, rtol=1e-13, atol=1e-13)
+
+
+def test_conv2d_constant_input_skips_input_gradient(monkeypatch):
+    def conv_grads():
+        rng = np.random.default_rng(19)
+        x = T.Tensor(rng.standard_normal((2, 3, 9, 9)), requires_grad=needs_dx)
+        k = T.Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        b = T.Tensor(rng.standard_normal(4), requires_grad=True)
+        with T.Tape() as tape:
+            y = T.conv2d(x, k, stride=2, padding=1, bias=b)
+            tape.backward(T.sum_(T.mul(y, y)))
+        return x.grad, k.grad.tobytes() + b.grad.tobytes()
+
+    needs_dx = True
+    dx, with_dx = conv_grads()
+    assert dx is not None
+
+    def no_scatter(*args):
+        raise AssertionError("conv2d built an input gradient nobody needs")
+
+    monkeypatch.setattr(T, "_col2im", no_scatter)
+    needs_dx = False
+    dx, without_dx = conv_grads()
+    assert dx is None
+    assert without_dx == with_dx
+    # the kernel and bias gradients as they were when conv2d always built dx
+    assert hashlib.sha256(without_dx).hexdigest() == (
+        "7adf204a727daaf05f1b7d6613fb9033cae88b98375c50f3b62a7c6a75104fd8")
 
 
 def test_softmax_symmetry_cases():
