@@ -39,7 +39,6 @@ __all__ = [
     "build_backbone",
     "init_backbone",
     "named_parameters",
-    "parameters",
     "cnn_forward",
     "patch_embed",
     "multi_head_self_attention",
@@ -284,10 +283,6 @@ def named_parameters(params: BackboneParams) -> list:
     out.append(("fusion.w", params.fusion.w))
     out.append(("fusion.b", params.fusion.b))
     return out
-
-
-def parameters(params: BackboneParams) -> list:
-    return [t for _, t in named_parameters(params)]
 
 
 def cnn_forward(x: T.Tensor, params: BackboneParams) -> tuple:

@@ -113,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    from dataclasses import replace
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.preset is not None:
-        cfg = replace(cfg, preset=args.preset)
-    return cfg
+    """The config file with --seed and --preset applied before validation."""
+    overrides = {name: value for name, value in (("seed", args.seed),
+                                                 ("preset", args.preset))
+                 if value is not None}
+    if args.config:
+        return load_config(args.config, overrides)
+    return RunConfig(**overrides)
 
 
 def main(argv=None) -> int:
@@ -265,6 +265,10 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
+    for s, img in zip(samples, images):
+        if img.channels != 3:
+            raise DataError(f"{args.manifest}:{s.line}: expected a color "
+                            f"image, got {img.channels} channel(s): {s.image}")
     staged = im.preprocess_batch(images, pre_cfg, as_images=True)
     params, history = pt.pretrain(staged, cfg.contrastive_config(),
                                   backbone_cfg=cfg.backbone_config(),

@@ -150,9 +150,14 @@ _KEYS = {
 assert {f.name for f in fields(RunConfig)} == {f for f, _ in _KEYS.values()}
 
 
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse a key = value document into a validated RunConfig."""
-    overrides = {}
+def parse_config(text: str, source: str = "<config>",
+                 overrides: dict = None) -> RunConfig:
+    """Parse a key = value document into a validated RunConfig.
+
+    ``overrides`` (RunConfig field -> value, e.g. command-line ``seed`` and
+    ``preset``) replace the document's values before validation.
+    """
+    values = {}
     first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -171,11 +176,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         first_line[key] = lineno
         field_name, convert = _KEYS[key]
         try:
-            overrides[field_name] = convert(value)
+            values[field_name] = convert(value)
         except ValueError as exc:
             raise DataError(f"{source}:{lineno}: bad value for {key}: "
                             f"{exc}") from None
-    cfg = replace(RunConfig(), **overrides)
+    cfg = replace(RunConfig(), **{**values, **(overrides or {})})
     _validate(cfg, source, first_line)
     return cfg
 
@@ -201,6 +206,6 @@ def _validate(cfg: RunConfig, source: str, first_line: dict) -> None:
                         f"got {cfg.folds_k}")
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=path)
+        return parse_config(fh.read(), source=path, overrides=overrides)

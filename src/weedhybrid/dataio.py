@@ -147,16 +147,15 @@ def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
     return _resize_mask_nearest(arr, size)
 
 
-def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
-                 require_masks: bool = True) -> tuple:
+def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
     """Load, preprocess and batch every manifest sample -> (TrainData, samples).
 
     Every row is read and checked (image channels, then mask) in manifest
     order, so the first bad row raises; then all images run as one batch
     through the preprocessing pipeline at pre_cfg's target size.  Masks are
-    nearest-neighbor resampled to the same size.  A missing growth value
-    falls back to the mask's foreground fraction (foreground = any non-soil
-    class), or 0 with no mask.
+    nearest-neighbor resampled to the same size; a row without a mask
+    raises.  A missing growth value falls back to the mask's foreground
+    fraction (foreground = any non-soil class).
     """
     from .synthdata import SOIL_ID
 
@@ -175,17 +174,12 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig,
                             f"image, got {img.channels} channel(s): {s.image}")
         raw.append(img)
         labels[i] = s.label
-        if s.mask is not None:
-            masks[i] = read_mask(manifest_path, s, (h, w))
-        elif require_masks:
+        if s.mask is None:
             raise DataError(f"{manifest_path}:{s.line}: sample has no mask "
                             f"(required for training): {s.image}")
-        else:
-            masks[i] = SOIL_ID
-        if s.growth is not None:
-            growth[i] = s.growth
-        elif s.mask is not None:
-            growth[i] = float((masks[i] != SOIL_ID).mean())
+        masks[i] = read_mask(manifest_path, s, (h, w))
+        growth[i] = (float((masks[i] != SOIL_ID).mean()) if s.growth is None
+                     else s.growth)
     images = im.preprocess_batch(raw, pre_cfg)
     return TrainData(images=images, labels=labels, masks=masks,
                      growth=growth), samples

@@ -14,16 +14,18 @@ distort tile histograms.  Disk I/O is binary PPM (P6) for color and PGM
 Every stage after resizing runs on private kernels over an (N, H, W, C)
 uint8 stack: an exact bitwise radix median for any odd window, read as
 shifted views of one edge-padded array; CLAHE with one ``bincount`` over
-(image, tile, luma) keys for every tile histogram; and a per-image,
-per-channel standardization.  :func:`preprocess_batch` is the one entry
-point: it resizes each image and runs the stages over chunks of whole
-images, each chunk at most ``_CHUNK_PIXELS`` target pixels, so its working
-memory is bounded by a chunk, not by the batch.  ``median_filter``,
-``equalization_mappings``, ``adaptive_hist_eq``, ``to_model_tensor``,
-``preprocess_image`` and ``preprocess`` are one-image calls of the same
-kernels.  The kernels are byte-identical to the per-image reference
-pipeline in ``tests/oracles.py``: the float64 operations, and the order
-of every float64 sum, are the same.
+(image, tile, luma) keys for every tile histogram; brightness and gamma.
+The pipeline body exists once, in :func:`preprocess_batch`: it resizes
+each image and runs the stages over chunks of whole images, each chunk at
+most ``_CHUNK_PIXELS`` target pixels, so its working memory is bounded by
+a chunk, not by the batch.  :func:`to_model_tensor` is the one scaler from
+a uint8 stack to per-image, per-channel standardized model values; the
+pipeline and contrastive pretraining both call it.  The one-image calls
+of the same code are ``gamma_correct``, which pretraining views use, and
+``median_filter``, ``adaptive_hist_eq`` and ``preprocess``, kept because
+the benchmark's traced run times them by name.  The kernels are
+byte-identical to the per-image reference pipeline in ``tests/oracles.py``:
+the float64 operations, and the order of every float64 sum, are the same.
 """
 
 from __future__ import annotations
@@ -43,13 +45,10 @@ __all__ = [
     "write_image",
     "resize_bilinear",
     "median_filter",
-    "equalization_mappings",
     "adaptive_hist_eq",
-    "adjust_brightness",
     "gamma_correct",
     "to_model_tensor",
     "geometric_augment",
-    "preprocess_image",
     "preprocess",
     "preprocess_batch",
     "GEOMETRIC_OPS",
@@ -314,6 +313,9 @@ def _clahe_luts(lum: np.ndarray, by, bx, clip: float) -> np.ndarray:
     """(N, gy, gx, 256) float64 tile mappings of an (N,H,W) uint8 luma stack.
 
     One bincount over (image, tile, luma) keys gives every tile histogram.
+    Each is clipped at max(1, clip * area / 256) counts per bin, the excess
+    is spread evenly over the 256 bins, and the mapping is 255 * cdf / area,
+    monotone non-decreasing.
     """
     n = lum.shape[0]
     gy, gx = len(by) - 1, len(bx) - 1
@@ -408,7 +410,63 @@ def _gamma(arr: np.ndarray, gamma: float) -> np.ndarray:
     return lut.astype(np.uint8)[arr]
 
 
-def _standardize(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
+def _stage(arr: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    """The image-space stages after resizing, over an (N,H,W,C) stack."""
+    arr = _median_stack(arr, cfg.median_window)
+    arr = _clahe_stack(arr, cfg.clahe_tile, cfg.clahe_clip)
+    arr = _brighten(arr, cfg.beta)
+    return _gamma(arr, cfg.gamma)
+
+
+def _as_image(arr: np.ndarray) -> ImageU8:
+    h, w, c = arr.shape
+    return ImageU8(h, w, c, arr.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# One-image calls of the stack kernels
+
+
+def median_filter(img: ImageU8, window: int = 3) -> ImageU8:
+    """Per-channel windowed median with clamp-to-border edge handling."""
+    if window < 1 or window % 2 == 0:
+        raise ContractError(f"median window must be odd and >= 1, got {window}")
+    if window == 1:
+        return img
+    return _as_image(_median_stack(img.as_array()[None], window)[0])
+
+
+def adaptive_hist_eq(img: ImageU8, tile: int = 8, clip: float = 2.0) -> ImageU8:
+    """Contrast-limited adaptive histogram equalization.
+
+    Grayscale images are equalized directly.  Color images equalize the
+    quantized luma channel and rescale all three channels by the ratio of
+    equalized to original luma, preserving chroma ratios; zero-luma pixels
+    take the equalized value on every channel.  Each pixel blends the
+    mappings of its four nearest tile centers bilinearly, and the final
+    value is rounded half-up.
+    """
+    if tile < 1:
+        raise ContractError(f"tile must be >= 1, got {tile}")
+    if clip <= 0:
+        raise ContractError(f"clip must be positive, got {clip}")
+    return _as_image(_clahe_stack(img.as_array()[None], tile, clip)[0])
+
+
+def gamma_correct(img: ImageU8, gamma: float) -> ImageU8:
+    """Power-law intensity mapping: out = round(255 * (in/255) ** gamma)."""
+    if gamma <= 0:
+        raise ContractError(f"gamma must be positive, got {gamma}")
+    if gamma == 1.0:
+        return img
+    return _as_image(_gamma(img.as_array(), gamma))
+
+
+# ---------------------------------------------------------------------------
+# The batched pipeline
+
+
+def to_model_tensor(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
     """(N,H,W,C) uint8 -> (N,C,H,W) float64 model values.
 
     Each image channel is standardized on the integer scale as
@@ -434,99 +492,6 @@ def _standardize(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
         total = np.add.accumulate(sq, axis=-1, out=sq)[..., -1:]
     dev /= np.sqrt(total / (h * w)) + 255.0e-6
     return dev.reshape(n, c, h, w)
-
-
-def _stage(arr: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
-    """The image-space stages after resizing, over an (N,H,W,C) stack."""
-    arr = _median_stack(arr, cfg.median_window)
-    arr = _clahe_stack(arr, cfg.clahe_tile, cfg.clahe_clip)
-    arr = _brighten(arr, cfg.beta)
-    return _gamma(arr, cfg.gamma)
-
-
-def _as_image(arr: np.ndarray) -> ImageU8:
-    h, w, c = arr.shape
-    return ImageU8(h, w, c, arr.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# Per-image operations: one-image calls of the stack kernels
-
-
-def median_filter(img: ImageU8, window: int = 3) -> ImageU8:
-    """Per-channel windowed median with clamp-to-border edge handling."""
-    if window < 1 or window % 2 == 0:
-        raise ContractError(f"median window must be odd and >= 1, got {window}")
-    if window == 1:
-        return img
-    return _as_image(_median_stack(img.as_array()[None], window)[0])
-
-
-def _check_clahe(tile: int, clip: float) -> None:
-    if tile < 1:
-        raise ContractError(f"tile must be >= 1, got {tile}")
-    if clip <= 0:
-        raise ContractError(f"clip must be positive, got {clip}")
-
-
-def equalization_mappings(img: ImageU8, tile: int = 8, clip: float = 2.0):
-    """Per-tile clipped-equalization mappings used by :func:`adaptive_hist_eq`.
-
-    Returns ``(row_bounds, col_bounds, luts)`` where ``luts`` has shape
-    (grid_rows, grid_cols, 256) and each mapping is monotone non-decreasing.
-    The grid is ``tile`` per axis, clamped to the image extent; tile
-    boundaries are ``floor(i * extent / grid)``.  Each tile histogram is
-    clipped at ``max(1, clip * area / 256)`` counts per bin, the clipped
-    excess is redistributed uniformly, and the mapping is
-    ``255 * cdf(v) / area``.
-    """
-    _check_clahe(tile, clip)
-    arr = img.as_array()
-    lum = _luminance(arr) if img.channels == 3 else arr[:, :, 0]
-    by, bx = _tile_bounds(img.height, img.width, tile)
-    return by, bx, _clahe_luts(lum[None], by, bx, clip)[0]
-
-
-def adaptive_hist_eq(img: ImageU8, tile: int = 8, clip: float = 2.0) -> ImageU8:
-    """Contrast-limited adaptive histogram equalization.
-
-    Grayscale images are equalized directly.  Color images equalize the
-    quantized luma channel and rescale all three channels by the ratio of
-    equalized to original luma, preserving chroma ratios; zero-luma pixels
-    take the equalized value on every channel.  Each pixel blends the
-    mappings of its four nearest tile centers bilinearly, and the final
-    value is rounded half-up.
-    """
-    _check_clahe(tile, clip)
-    return _as_image(_clahe_stack(img.as_array()[None], tile, clip)[0])
-
-
-def adjust_brightness(img: ImageU8, beta: float) -> ImageU8:
-    """Additive brightness offset, clipped to [0, 255]; beta=0 is identity."""
-    if beta == 0.0:
-        return img
-    return _as_image(_brighten(img.as_array(), beta))
-
-
-def gamma_correct(img: ImageU8, gamma: float) -> ImageU8:
-    """Power-law intensity mapping: out = round(255 * (in/255) ** gamma)."""
-    if gamma <= 0:
-        raise ContractError(f"gamma must be positive, got {gamma}")
-    if gamma == 1.0:
-        return img
-    return _as_image(_gamma(img.as_array(), gamma))
-
-
-def to_model_tensor(img: ImageU8) -> tensor_ops.Tensor:
-    """Scale to [0,1] and standardize each channel: (x - mean) / (std + 1e-6).
-
-    Returns a (C,H,W) tensor; see :func:`_standardize` for the arithmetic.
-    """
-    return tensor_ops.Tensor(_standardize(img.as_array()[None])[0])
-
-
-# ---------------------------------------------------------------------------
-# The batched pipeline
 
 
 def _chunks(images, pixels: int):
@@ -565,16 +530,10 @@ def preprocess_batch(images, cfg: PreprocessConfig = PreprocessConfig(),
         if as_images:
             out.extend(_as_image(a) for a in stack)
         else:
-            out[start:stop] = _standardize(stack, cfg.normalize)
+            out[start:stop] = to_model_tensor(stack, cfg.normalize)
     return out
 
 
-def preprocess_image(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()) -> ImageU8:
-    """The image-space stages of the pipeline (everything but scaling)."""
-    return preprocess_batch([img], cfg, as_images=True)[0]
-
-
 def preprocess(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()):
-    """Run the full pipeline and return a (C,H,W) model tensor."""
-    arr = _stage(resize_bilinear(img, cfg.target_size).as_array()[None], cfg)
-    return tensor_ops.Tensor(_standardize(arr, cfg.normalize)[0])
+    """Run the full pipeline over one image -> (C,H,W) model tensor."""
+    return tensor_ops.Tensor(preprocess_batch([img], cfg)[0])

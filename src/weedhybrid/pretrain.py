@@ -173,6 +173,8 @@ def pretrain(images: list, cfg: ContrastiveConfig,
     """Contrastive pretraining loop; returns (backbone params, loss history).
 
     `images` is a sequence of ImageU8 already at the backbone's input size.
+    Each batch draws two views of each of its images, in order, and scales
+    the 2B views with one `imaging.to_model_tensor` call over their stack.
     History holds one mean NT-Xent value per epoch; the projection head is
     created internally and never returned.
     """
@@ -203,13 +205,9 @@ def pretrain(images: list, cfg: ContrastiveConfig,
         total = 0.0
         batches = 0
         for start in range(0, n, cfg.batch_pairs):
-            sel = order[start:start + cfg.batch_pairs]
-            views = []
-            for idx in sel:
-                v1, v2 = make_views(images[idx], erng, cfg)
-                views.append(im.to_model_tensor(v1).data)
-                views.append(im.to_model_tensor(v2).data)
-            batch = T.const(np.stack(views))
+            views = [v.as_array() for idx in order[start:start + cfg.batch_pairs]
+                     for v in make_views(images[idx], erng, cfg)]
+            batch = T.const(im.to_model_tensor(np.stack(views)))
             try:
                 with T.Tape() as tape:
                     z = forward_embeddings(batch, params, proj)

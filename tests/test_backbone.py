@@ -493,7 +493,7 @@ def test_backbone_end_to_end_gradcheck():
         params = bb.init_backbone(cfg, np.random.default_rng(41))
         x = T.Tensor(np.random.default_rng(42).standard_normal((2, 3, 8, 8)) * 0.5,
                      requires_grad=True)
-        tensors = [x] + bb.parameters(params)
+        tensors = [x] + [t for _, t in bb.named_parameters(params)]
 
         def build():
             feats = bb.backbone_forward(x, params)

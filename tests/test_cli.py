@@ -146,6 +146,50 @@ def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def one_grey_image_manifest(tmp_path):
+    img = tmp_path / "g.pgm"
+    im.write_image(str(img), im.ImageU8.from_array(np.arange(64, dtype=np.uint8)
+                                                   .reshape(8, 8)))
+    manifest = tmp_path / "m.tsv"
+    dio.write_manifest(str(manifest), [("g.pgm", "soil", None, None, False)])
+    return str(manifest)
+
+
+def test_preset_flag_applies_before_config_validation(tmp_path, capsys):
+    # a 33-px median window is too wide for desk's 32-px images but fits
+    # the paper preset's 224 px, whichever preset the file itself leaves
+    conf = tmp_path / "wide.conf"
+    conf.write_text("preprocess.median_window = 33\n", encoding="utf-8")
+    manifest = one_grey_image_manifest(tmp_path)
+    command = ["preprocess", "--manifest", manifest, "--config", str(conf)]
+    rc = cli.main(command + ["--out", str(tmp_path / "desk")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{conf}:1: invalid preprocess configuration" in err
+    rc = cli.main(command + ["--out", str(tmp_path / "paper"), "--preset", "paper"])
+    assert rc == 0, capsys.readouterr().err
+    out = im.read_image(str(tmp_path / "paper" / "images" / "g.pgm"))
+    assert (out.height, out.width) == (224, 224)
+
+
+def test_pretrain_rejects_grey_image(tmp_path, capsys):
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--per-class", "3"])
+    assert rc == 0
+    manifest = str(tmp_path / "d" / "manifest.tsv")
+    first = dio.read_manifest(manifest)[0]
+    path = str(tmp_path / "d" / first.image)
+    grey = im.read_image(path).as_array().mean(axis=2).astype(np.uint8)
+    im.write_image(path, im.ImageU8.from_array(grey))
+    rc = cli.main(["pretrain", "--manifest", manifest,
+                   "--out", str(tmp_path / "pre.hwdm")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert (f"{manifest}:{first.line}: expected a color image, got 1 "
+            f"channel(s): {first.image}") in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "pre.hwdm")
+
+
 def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
     blob = bytearray(dp.save_checkpoint({"w": np.ones(3, dtype=np.float32)}))
     blob[blob.index(b"w")] = 0xFF

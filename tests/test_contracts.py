@@ -1,6 +1,7 @@
 """Package-wide contracts: batch-only model entry points, resolvable public
-names, and the functions the benchmark's traced run times."""
+names with callers, and the functions the benchmark's traced run times."""
 
+import ast
 import importlib
 import json
 import os
@@ -110,3 +111,51 @@ def test_traced_benchmark_functions_exist():
         assert isinstance(fn, types.FunctionType), f"{name} is not a function"
         assert fn.__module__ == module.__name__, f"{name} is not defined there"
         assert not fn_name.startswith("_"), f"{name} is not public"
+
+
+# Public functions nothing in src/weedhybrid calls, each with why it stays.
+UNCALLED_PUBLIC = {
+    "gan.discriminate": "the discriminator's probability D(x|y), counterpart "
+                        "of gan.generate; training scores its logit directly "
+                        "for a stable loss",
+}
+
+
+def _src_references():
+    """(module, name) pairs referenced anywhere in the package source."""
+    refs = set()
+    for info in pkgutil.iter_modules(weedhybrid.__path__):
+        path = os.path.join(os.path.dirname(weedhybrid.__file__), f"{info.name}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        aliases = {}  # local name -> sibling module, from "from . import x"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        refs.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add((info.name, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def test_every_public_function_has_a_caller():
+    refs = _src_references()
+    allowed = set(_traced_functions()) | set(UNCALLED_PUBLIC)
+    orphans = []
+    for module in _modules():
+        short = module.__name__.rpartition(".")[2]
+        for name in getattr(module, "__all__", ()):
+            if (isinstance(getattr(module, name), types.FunctionType)
+                    and (short, name) not in refs
+                    and f"{short}.{name}" not in allowed):
+                orphans.append(f"{short}.{name}")
+    assert orphans == [], f"public functions with no caller in the package: {orphans}"
+    stale = [n for n in UNCALLED_PUBLIC if tuple(n.split(".", 1)) in refs]
+    assert stale == [], f"allowlisted functions that now have callers: {stale}"

@@ -151,29 +151,30 @@ def test_load_dataset_growth_fallback_from_mask(tmp_path):
     assert data.growth[0] == pytest.approx(0.5)
 
 
-def test_load_dataset_requires_masks_by_default(tmp_path):
+def test_load_dataset_requires_masks(tmp_path):
     make_files(tmp_path, ["img.ppm"])
     path = write_lines(tmp_path, ["img.ppm\tgrass\t-\t-\t0"])
     with pytest.raises(DataError, match=":1:.*mask"):
         dio.load_dataset(path, small_cfg())
-    data, _ = dio.load_dataset(path, small_cfg(), require_masks=False)
-    np.testing.assert_array_equal(data.masks[0], sd.SOIL_ID)
-    assert data.growth[0] == 0.0
 
 
 def test_load_dataset_reports_the_first_bad_row(tmp_path):
     # every row is checked in order before any image is preprocessed, so
-    # the mask-less first row fails before the grey second row is seen
+    # the mask-less first row fails before the grey second row is seen, and
+    # with a valid first row the grey second row fails
     make_files(tmp_path, ["a.ppm"])
     make_files(tmp_path, ["g.pgm", "m.pgm"], channels=1)
-    path = write_lines(tmp_path, ["a.ppm\tgrass\t-\t-\t0",
-                                  "g.pgm\tgrass\tm.pgm\t-\t0"])
+    im.write_image(str(tmp_path / "soil.pgm"),
+                   im.ImageU8.from_array(np.zeros((8, 8), dtype=np.uint8)))
+    grey = "g.pgm\tgrass\tm.pgm\t-\t0"
+    path = write_lines(tmp_path, ["a.ppm\tgrass\t-\t-\t0", grey])
     with pytest.raises(DataError) as info:
         dio.load_dataset(path, small_cfg())
     assert str(info.value) == (f"{path}:1: sample has no mask (required for "
                                f"training): a.ppm")
+    path = write_lines(tmp_path, ["a.ppm\tgrass\tsoil.pgm\t-\t0", grey])
     with pytest.raises(DataError) as info:
-        dio.load_dataset(path, small_cfg(), require_masks=False)
+        dio.load_dataset(path, small_cfg())
     assert str(info.value) == (f"{path}:2: expected a color image, got 1 "
                                f"channel(s): g.pgm")
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from weedhybrid import imaging as im
-from weedhybrid import tensor as T
 from weedhybrid.errors import ContractError, DimensionError, FormatError
 
 
@@ -159,8 +158,9 @@ def test_clahe_constant_image_single_value():
 def test_clahe_tile_mappings_monotone():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        img = _rand_img(rng, 24, 24, 1)
-        _, _, luts = im.equalization_mappings(img, tile=4, clip=2.0)
+        lum = rng.integers(0, 256, size=(1, 24, 24), dtype=np.uint8)
+        by, bx = im._tile_bounds(24, 24, 4)
+        luts = im._clahe_luts(lum, by, bx, clip=2.0)
         diffs = np.diff(luts, axis=-1)
         assert np.all(diffs >= 0)
 
@@ -263,12 +263,10 @@ def test_gamma_matches_scalar_oracle():
 
 
 def test_brightness_offset():
-    img = im.ImageU8.from_array(np.array([[0, 100, 250]], dtype=np.uint8))
-    out = im.adjust_brightness(img, 10.0)
-    assert list(out.pixels) == [10, 110, 255]
-    assert im.adjust_brightness(img, 0.0) == img
-    down = im.adjust_brightness(img, -20.0)
-    assert list(down.pixels) == [0, 80, 230]
+    arr = np.array([[[0], [100], [250]]], dtype=np.uint8)[None]
+    assert im._brighten(arr, 10.0).ravel().tolist() == [10, 110, 255]
+    assert im._brighten(arr, 0.0) is arr
+    assert im._brighten(arr, -20.0).ravel().tolist() == [0, 80, 230]
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +274,24 @@ def test_brightness_offset():
 
 
 def test_model_tensor_constant_is_zero():
-    img = im.ImageU8.from_array(np.full((5, 5, 3), 99, dtype=np.uint8))
-    t = im.to_model_tensor(img)
-    assert t.shape == (3, 5, 5)
-    np.testing.assert_array_equal(t.data, np.zeros((3, 5, 5), dtype=np.float32))
+    t = im.to_model_tensor(np.full((2, 5, 5, 3), 99, dtype=np.uint8))
+    assert t.shape == (2, 3, 5, 5) and t.dtype == np.float64
+    np.testing.assert_array_equal(t, np.zeros((2, 3, 5, 5)))
 
 
 def test_model_tensor_standardized():
     rng = np.random.default_rng(10)
-    img = _rand_img(rng, 12, 9, 3)
-    t = im.to_model_tensor(img).data.astype(np.float64)
-    for ch in range(3):
-        assert abs(t[ch].mean()) <= 1e-4
-        assert abs(t[ch].std() - 1.0) <= 1e-3
+    arr = rng.integers(0, 256, size=(2, 12, 9, 3), dtype=np.uint8)
+    t = im.to_model_tensor(arr)
+    np.testing.assert_allclose(t.mean(axis=(2, 3)), 0.0, atol=1e-4)
+    np.testing.assert_allclose(t.std(axis=(2, 3)), 1.0, atol=1e-3)
 
 
 def test_model_tensor_two_value_channel():
     arr = np.zeros((2, 2), dtype=np.uint8)
     arr[0, 0] = 255
     arr[1, 1] = 255
-    t = im.to_model_tensor(im.ImageU8.from_array(arr)).data
+    t = im.to_model_tensor(arr[None, :, :, None])[0]
     # mean 0.5, std 0.5 -> values +-1 up to the epsilon guard
     np.testing.assert_allclose(np.abs(t), np.ones((1, 2, 2)), atol=1e-5)
     assert t[0, 0, 0] > 0 and t[0, 0, 1] < 0
@@ -456,7 +452,6 @@ def test_preprocess_batch_matches_per_image_pipeline(arrs, cfg, per_chunk, slack
     for img, arr in zip(staged, arrs):
         assert img.as_array().tobytes() == oracles.stage_per_image(arr, cfg).tobytes()
     assert im.preprocess(imgs[0], cfg).data.tobytes() == want[0].tobytes()
-    assert im.preprocess_image(imgs[0], cfg) == staged[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,7 +466,10 @@ def test_median_filter_matches_window_median(arrs, window):
 @given(arrs=image_arrays(max_count=1), tile=st.integers(1, 8), clip=CLIPS)
 def test_equalization_matches_tile_loop(arrs, tile, clip):
     img = im.ImageU8.from_array(arrs[0])
-    by, bx, luts = im.equalization_mappings(img, tile, clip)
+    h, w, c = arrs[0].shape
+    by, bx = im._tile_bounds(h, w, tile)
+    lum = im._luminance(arrs[0]) if c == 3 else arrs[0][..., 0]
+    luts = im._clahe_luts(lum[None], by, bx, clip)[0]
     want_by, want_bx, want_luts = oracles.clahe_luts_per_tile(arrs[0], tile, clip)
     np.testing.assert_array_equal(by, want_by)
     np.testing.assert_array_equal(bx, want_bx)
@@ -481,13 +479,13 @@ def test_equalization_matches_tile_loop(arrs, tile, clip):
 
 
 @settings(max_examples=60, deadline=None)
-@given(arrs=image_arrays(max_count=1))
-def test_model_tensor_matches_per_image_standardization(arrs):
-    # in 64-bit storage no float32 rounding hides the order of the sums
-    with T.default_dtype(np.float64):
-        got = im.to_model_tensor(im.ImageU8.from_array(arrs[0])).data
+@given(arrs=image_arrays(), normalize=st.booleans())
+def test_model_tensor_matches_per_image_standardization(arrs, normalize):
+    # float64 output: no float32 rounding hides the order of the sums
+    got = im.to_model_tensor(np.stack(arrs), normalize)
+    want = np.stack([oracles.standardize_per_image(a, normalize) for a in arrs])
     assert got.dtype == np.float64
-    assert got.tobytes() == oracles.standardize_per_image(arrs[0]).tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_preprocess_batch_channel_counts():
@@ -496,7 +494,8 @@ def test_preprocess_batch_channel_counts():
     cfg = im.PreprocessConfig(target_size=(6, 6))
     staged = im.preprocess_batch(imgs, cfg, as_images=True)
     assert [img.channels for img in staged] == [3, 1, 3]
-    assert staged == [im.preprocess_image(img, cfg) for img in imgs]
+    assert staged == [im.preprocess_batch([img], cfg, as_images=True)[0]
+                      for img in imgs]
     with pytest.raises(ContractError, match="mix channel counts"):
         im.preprocess_batch(imgs, cfg)
     assert im.preprocess_batch([], cfg).shape == (0, 3, 6, 6)

@@ -1,11 +1,13 @@
 """Contrastive pretraining: views, NT-Xent loss, and the update loop."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import weedhybrid.backbone as bb
+import weedhybrid.deploy as dp
 import weedhybrid.imaging as im
 import weedhybrid.pretrain as pt
 import weedhybrid.tensor as T
@@ -229,6 +231,20 @@ def test_pretrain_reproducible():
         assert ta.data.tobytes() == tb.data.tobytes(), na
 
 
+def test_pretrain_bytes_are_pinned():
+    # SHA-256 of a tiny seeded run's backbone and its exact loss history:
+    # view draws, their scaling and every update are part of the artifact
+    rng = np.random.default_rng(19)
+    imgs = [random_image(rng) for _ in range(5)]
+    params, history = pt.pretrain(
+        imgs, pt.ContrastiveConfig(epochs=2, batch_pairs=2, projection_dim=6),
+        backbone_cfg=tiny_backbone(), seed=3)
+    blob = dp.save_checkpoint(dp.model_entries(params))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b74407180b9413cffe604610e8e1d1708fc3cbc6a8cc15c75a2bd1502f0beede")
+    assert history == [0.8076615730921427, 0.7620058059692383]
+
+
 def test_embeddings_unit_norm_through_pipeline():
     rng = np.random.default_rng(16)
     imgs = [random_image(rng) for _ in range(3)]
@@ -236,7 +252,7 @@ def test_embeddings_unit_norm_through_pipeline():
     proj = pt.init_projection(
         params.config.cnn_channels[-1] + params.config.embed_dim, 6,
         np.random.default_rng(18))
-    batch = T.const(np.stack([im.to_model_tensor(i).data for i in imgs]))
+    batch = T.const(im.to_model_tensor(np.stack([i.as_array() for i in imgs])))
     z = pt.forward_embeddings(batch, params, proj)
     assert z.shape == (3, 6)
     np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-5)
