@@ -294,8 +294,7 @@ def cnn_forward(x: T.Tensor, params: BackboneParams) -> tuple:
             f"{(cfg.in_channels,) + tuple(cfg.image_size)}")
     h = x
     for kernel, bias in params.cnn:
-        h = T.avg_pool2d(T.relu(T.conv2d(h, kernel, stride=1, padding=1,
-                                         bias=bias)), 2, 2)
+        h = T.conv_relu_pool2d(h, kernel, bias)
     return T.gap(h), h
 
 

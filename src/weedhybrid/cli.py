@@ -265,6 +265,9 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
+    if len(samples) < 2:
+        raise DataError(f"{args.manifest}: pretraining needs at least 2 "
+                        f"samples, got {len(samples)}")
     for s, img in zip(samples, images):
         if img.channels != 3:
             raise DataError(f"{args.manifest}:{s.line}: expected a color "
@@ -272,7 +275,7 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
     staged = im.preprocess_batch(images, pre_cfg, as_images=True)
     params, history = pt.pretrain(staged, cfg.contrastive_config(),
                                   backbone_cfg=cfg.backbone_config(),
-                                  seed=cfg.seed)
+                                  seed=cfg.seed, normalize=pre_cfg.normalize)
     dp.save_model(args.out, params, flags=dp.FLAG_PRETRAIN)
     print(f"pretrained {cfg.ssl_epochs} epochs on {len(staged)} images")
     print(f"nt-xent {history[0]:.4f} -> {history[-1]:.4f}")

@@ -155,11 +155,14 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
     through the preprocessing pipeline at pre_cfg's target size.  Masks are
     nearest-neighbor resampled to the same size; a row without a mask
     raises.  A missing growth value falls back to the mask's foreground
-    fraction (foreground = any non-soil class).
+    fraction (foreground = any non-soil class).  An empty manifest raises
+    DataError.
     """
     from .synthdata import SOIL_ID
 
     samples = read_manifest(manifest_path)
+    if not samples:
+        raise DataError(f"{manifest_path}: no samples to load")
     base = os.path.dirname(os.path.abspath(manifest_path))
     h, w = pre_cfg.target_size
     n = len(samples)

@@ -59,6 +59,10 @@ class GanConfig:
             raise ContractError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.class_count < 1:
             raise ContractError(f"class_count must be >= 1, got {self.class_count}")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch < 1:
+            raise ContractError(f"batch must be >= 1, got {self.batch}")
         h, w = self.image_size
         if h % 4 or w % 4 or h < 4 or w < 4:
             raise ContractError(

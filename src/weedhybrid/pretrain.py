@@ -56,6 +56,8 @@ class ContrastiveConfig:
                 f"projection_dim must be >= 1, got {self.projection_dim}")
         if self.batch_pairs < 1:
             raise ContractError(f"batch_pairs must be >= 1, got {self.batch_pairs}")
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         lo, hi = self.gamma_range
         if not (0 < lo <= hi):
             raise ContractError(f"gamma_range must satisfy 0 < lo <= hi, "
@@ -169,12 +171,13 @@ def _pretrained_tensors(params: bb.BackboneParams) -> list:
 
 def pretrain(images: list, cfg: ContrastiveConfig,
              backbone_cfg: bb.BackboneConfig = None, seed: int = 0,
-             params: bb.BackboneParams = None) -> tuple:
+             params: bb.BackboneParams = None, normalize: bool = True) -> tuple:
     """Contrastive pretraining loop; returns (backbone params, loss history).
 
     `images` is a sequence of ImageU8 already at the backbone's input size.
     Each batch draws two views of each of its images, in order, and scales
-    the 2B views with one `imaging.to_model_tensor` call over their stack.
+    the 2B views with one `imaging.to_model_tensor(..., normalize)` call over
+    their stack, as preprocessing scales training and evaluation inputs.
     History holds one mean NT-Xent value per epoch; the projection head is
     created internally and never returned.
     """
@@ -207,7 +210,7 @@ def pretrain(images: list, cfg: ContrastiveConfig,
         for start in range(0, n, cfg.batch_pairs):
             views = [v.as_array() for idx in order[start:start + cfg.batch_pairs]
                      for v in make_views(images[idx], erng, cfg)]
-            batch = T.const(im.to_model_tensor(np.stack(views)))
+            batch = T.const(im.to_model_tensor(np.stack(views), normalize))
             try:
                 with T.Tape() as tape:
                     z = forward_embeddings(batch, params, proj)

@@ -18,6 +18,15 @@ conv2d's forward and kernel gradient.
   _GEMM_BLOCK_BYTES, straight into the output; untaped, it builds one block
   of rows at a time. A row's 64-bit sum can depend on the block size in the
   last bit (BLAS picks its kernel by size); rounding to float32 hides that.
+- conv_relu_pool2d is the CNN block avg_pool2d(relu(conv2d(x, K, padding=1,
+  bias=b)), 2) as one op on the same row-block loop: each block, a whole
+  number of output row pairs, is rounded to the storage dtype, checked
+  finite, rectified in place and pooled straight into the (N,K,H/2,W/2)
+  output, so the full-resolution conv and ReLU maps never exist. Untaped it
+  holds one row block beyond its padded input and pooled output; taped, the
+  whole im2col matrix (storage dtype) and a bool ReLU mask (1 byte per conv
+  output element), and its backward is avg_pool2d's adjoint, the mask and
+  conv2d's backward.
 - upsample_bilinear2d is separable: Ry @ X @ Rx^T, no dense (OH*OW, H*W) matrix.
 Only conv_transpose2d's forward holds a whole 64-bit im2col-sized matrix,
 its (N*H*W, K*kh*kw) GEMM product.
@@ -721,18 +730,30 @@ def _im2col_rows(win: np.ndarray, r0: int, r1: int, dest: np.ndarray) -> None:
 
 
 def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
-               out_dtype, keep_cols: bool, bias: np.ndarray | None = None) -> tuple:
+               out_dtype, keep_cols: bool, bias: np.ndarray | None = None,
+               epilogue: Callable | None = None, align: int = 1) -> tuple:
     """Cross-correlate a padded (N,C,H,W) array with wmat (K, C*kh*kw) by a
-    64-bit GEMM over im2col row blocks of at most _GEMM_BLOCK_BYTES.
-    Returns (N,K,OH,OW) and, if keep_cols, the whole im2col matrix."""
+    64-bit GEMM over im2col row blocks of at most _GEMM_BLOCK_BYTES, each a
+    multiple of align rows but the last. Row r is output pixel r of the
+    flattened (N, OH, OW) grid. Each block's product, bias added, goes to
+    epilogue(r0, r1, block) if one is given, else into the returned
+    (N,K,OH,OW) map of out_dtype. Returns (map or None, the whole im2col
+    matrix if keep_cols else None)."""
     win = _windows(xp, kh, kw, stride).transpose(0, 2, 3, 1, 4, 5)  # (N,OH,OW,C,kh,kw)
     n, oh, ow = win.shape[:3]
     k, row_len = wmat.shape
     m = n * oh * ow
-    rows = min(m, max(1, _GEMM_BLOCK_BYTES // (8 * (row_len + k))))
+    rows = _GEMM_BLOCK_BYTES // (8 * (row_len + k)) // align * align
+    rows = min(m, max(align, rows))
     cols = np.empty((m if keep_cols else rows, row_len), dtype=xp.dtype)
     w64t = _f64(wmat).T
-    out = np.empty((m, k), dtype=out_dtype)
+    out = None
+    if epilogue is None:
+        out = np.empty((m, k), dtype=out_dtype)
+
+        def epilogue(r0, r1, block):
+            out[r0:r1] = block
+
     for r0 in range(0, m, rows):
         r1 = min(r0 + rows, m)
         dest = cols[r0:r1] if keep_cols else cols[:r1 - r0]
@@ -740,8 +761,30 @@ def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
         block = _f64(dest) @ w64t
         if bias is not None:
             block += _f64(bias)
-        out[r0:r1] = block
-    return out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2), cols if keep_cols else None
+        epilogue(r0, r1, block)
+    if out is not None:
+        out = out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
+    return out, cols if keep_cols else None
+
+
+def _conv_backward(gmat: np.ndarray, cols: np.ndarray, x: Tensor, kernels: Tensor,
+                   bias: Tensor | None, stride: int, padding: int) -> None:
+    """conv2d's backward from its 64-bit output gradient as (N*OH*OW, K)
+    pixel rows and the im2col matrix its forward kept."""
+    n, c, h, w = x.shape
+    k, _, kh, kw = kernels.shape
+    dk = (gmat.T @ _f64(cols)).reshape(k, c, kh, kw)
+    _accum(kernels, dk.astype(kernels.data.dtype))
+    if bias is not None:
+        _accum(bias, gmat.sum(axis=0).astype(bias.data.dtype))
+    if not x.requires_grad:
+        return
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    wmat = kernels.data.reshape(k, c * kh * kw)
+    dcols = (gmat @ _f64(wmat)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    dxp = _col2im(dcols, (h + 2 * padding, w + 2 * padding), stride)
+    _accum(x, dxp[:, :, padding:padding + h, padding:padding + w].astype(x.data.dtype))
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
@@ -771,18 +814,57 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
                            None if bias is None else bias.data)
 
     def back(g):
-        gmat = _pixel_rows(g)
-        dk = (gmat.T @ _f64(cols)).reshape(k, c, kh, kw)
-        _accum(kernels, dk.astype(kernels.data.dtype))
-        if bias is not None:
-            _accum(bias, gmat.sum(axis=0).astype(bias.data.dtype))
-        if not x.requires_grad:
-            return
-        dcols = (gmat @ _f64(wmat)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        dxp = _col2im(dcols, (h + 2 * padding, w + 2 * padding), stride)
-        _accum(x, dxp[:, :, padding:padding + h, padding:padding + w].astype(x.data.dtype))
+        _conv_backward(_pixel_rows(g), cols, x, kernels, bias, stride, padding)
 
     return _result(out, "conv2d", inputs, back)
+
+
+def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """One CNN block, avg_pool2d(relu(conv2d(x, kernels, padding=1, bias=bias)), 2),
+    without its full-resolution maps; same bytes, one tape record.
+
+    x: (N,C,H,W) with H and W even; kernels: (K,C,3,3); bias (K,).
+    Output (N,K,H/2,W/2). A non-finite convolution output raises
+    NumericError before the ReLU could hide it.
+    """
+    n, c, h, w = _shape4(x, "conv_relu_pool2d: input (N,C,H,W)")
+    k = _shape4(kernels, "conv_relu_pool2d: kernels (K,C,3,3)")[0]
+    if kernels.shape[1:] != (c, 3, 3):
+        raise DimensionError(f"conv_relu_pool2d: kernels {kernels.shape} are not "
+                             f"({k},{c},3,3) for {c} input channels")
+    if bias.shape != (k,):
+        raise DimensionError(f"conv_relu_pool2d: bias shape {bias.shape} != ({k},)")
+    if h % 2 or w % 2 or h < 2 or w < 2:
+        raise DimensionError(f"conv_relu_pool2d: needs even H and W, got {h}x{w}")
+    inputs = (x, kernels, bias)
+    taped = _recorded(inputs)
+    dtype = _out_dtype(x, kernels)
+    # channels-last, like avg_pool2d's output over a conv2d map, so later
+    # reductions (gap) add in the same order
+    pooled = np.empty((n * h // 2, w // 2, k), dtype=dtype)
+    mask = np.empty((n * h * w, k), dtype=bool) if taped else None
+
+    def pool(r0, r1, block):
+        act = block.astype(dtype, copy=False)
+        _finite_or_raise(act, "conv_relu_pool2d")
+        np.maximum(act, 0, out=act)
+        if taped:
+            np.greater(act, 0, out=mask[r0:r1])
+        quad = act.reshape(-1, 2, w // 2, 2, k)   # (row pair, i, pooled column, j, K)
+        acc = _tap_sum([quad[:, i, :, j] for i in range(2) for j in range(2)])
+        acc /= 4
+        pooled[r0 // (2 * w):r1 // (2 * w)] = acc
+
+    _, cols = _conv_gemm(_pad_hw(x.data, 1), kernels.data.reshape(k, c * 9), 3, 3, 1,
+                         dtype, taped, bias.data, epilogue=pool, align=2 * w)
+    out = pooled.reshape(n, h // 2, w // 2, k).transpose(0, 3, 1, 2)
+
+    def back(g):
+        act_mask = mask.reshape(n, h, w, k).transpose(0, 3, 1, 2)
+        dz = _pool_adjoint(g, 2, 2, (h, w), dtype) * act_mask
+        _conv_backward(_pixel_rows(dz), cols, x, kernels, bias, 1, 1)
+
+    return _result(out, "conv_relu_pool2d", inputs, back)
 
 
 def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
@@ -825,6 +907,21 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     return _result(out.astype(_out_dtype(x, kernels)), "conv_transpose2d", inputs, back)
 
 
+def _tap_sum(taps: list) -> np.ndarray:
+    """The 64-bit sum of equally shaped tap arrays, added in list order."""
+    acc = taps[0].astype(np.float64)   # in the tap's memory order
+    for tap in taps[1:]:
+        acc += tap
+    return acc
+
+
+def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple, dtype) -> np.ndarray:
+    """avg_pool2d's input gradient: g / window**2 scattered over each window."""
+    gd = g / (window * window)
+    cols = np.broadcast_to(gd[..., None, None], gd.shape + (window, window))
+    return _col2im(cols, hw, stride).astype(dtype)
+
+
 def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling over square windows of an (N,C,H,W) map."""
     stride = window if stride is None else stride
@@ -832,16 +929,11 @@ def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     if window > h or window > w:
         raise DimensionError(f"avg_pool2d: window {window} too large for {h}x{w}")
     win = _windows(x.data, window, window, stride)
-    taps = [win[:, :, :, :, i, j] for i in range(window) for j in range(window)]
-    acc = taps[0].astype(np.float64)   # in x's memory order; conv2d output is channels-last
-    for tap in taps[1:]:
-        acc += tap
+    acc = _tap_sum([win[:, :, :, :, i, j] for i in range(window) for j in range(window)])
     out = (acc / (window * window)).astype(x.data.dtype)
 
     def back(g):
-        gd = g / (window * window)
-        cols = np.broadcast_to(gd[..., None, None], gd.shape + (window, window))
-        _accum(x, _col2im(cols, (h, w), stride).astype(x.data.dtype))
+        _accum(x, _pool_adjoint(g, window, stride, (h, w), x.data.dtype))
 
     return _result(out, "avg_pool2d", (x,), back)
 

@@ -209,6 +209,12 @@ class TrainConfig:
     weights: hd.LossWeights = hd.LossWeights()
     backbone: bb.BackboneConfig = None
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch < 1:
+            raise ContractError(f"batch must be >= 1, got {self.batch}")
+
     def resolved_backbone(self) -> bb.BackboneConfig:
         return self.backbone if self.backbone is not None else bb.desk_config()
 

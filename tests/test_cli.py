@@ -84,6 +84,59 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert "optimizer.lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,command", [
+    ("optimizer.epochs", "train"), ("gan.epochs", "gan-train"),
+    ("ssl.epochs", "pretrain"), ("optimizer.batch", "train"),
+    ("gan.batch", "gan-train")])
+def test_zero_counts_fail_at_config_load(workspace, tmp_path, capsys, key, command):
+    # zero epochs used to train nothing and save it (train) or index an
+    # empty loss history (gan-train, pretrain); a zero batch raised from range()
+    section, _, field = key.partition(".")
+    conf = tmp_path / "zero.conf"
+    lines = [line for line in TINY_CONF.splitlines() if not line.startswith(section)]
+    conf.write_text("\n".join(lines + [f"{key} = 0"]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--manifest", workspace["manifest"], "--out", str(out),
+                   "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert (f"{conf}:{len(lines) + 1}: invalid {section} configuration: "
+            f"{field} must be >= 1, got 0") in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pretrain", "gan-train"])
+def test_empty_manifest_is_data_error(tmp_path, capsys, command):
+    manifest = tmp_path / "empty.tsv"
+    dio.write_manifest(str(manifest), [])
+    rng = np.random.default_rng(6)
+    cfg = bb.desk_config()
+    model = str(tmp_path / "model.hwdm")
+    dp.save_model(model, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    args = [command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    with pytest.warns(UserWarning, match="empty"):
+        rc = cli.main(args + (["--model", model] if command == "eval" else []))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{manifest}: " in err and "samples" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_pretrain_one_sample_is_data_error(workspace, tmp_path, capsys):
+    sample = dio.read_manifest(workspace["manifest"])[0]
+    (tmp_path / "images").mkdir()
+    shutil.copyfile(workspace["data"] / sample.image, tmp_path / sample.image)
+    manifest = tmp_path / "one.tsv"
+    dio.write_manifest(str(manifest), [dio.Sample(image=sample.image, label=sample.label)])
+    rc = cli.main(["pretrain", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "pre.hwdm")])
+    assert rc == 2
+    assert (f"{manifest}: pretraining needs at least 2 samples, got 1"
+            in capsys.readouterr().err)
+
+
 def test_missing_manifest_is_data_error(tmp_path, capsys):
     rc = cli.main(["preprocess", "--manifest", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "o")])
@@ -391,6 +444,19 @@ def trained(workspace):
     assert rc == 0
     return {"pre": pre, "run": out,
             "model": os.path.join(out, "model.hwdm")}
+
+
+def test_pretrain_honours_normalize(workspace, trained, tmp_path):
+    # pretraining scales its views as train and eval scale their inputs
+    conf = tmp_path / "raw.conf"
+    conf.write_text(TINY_CONF + "preprocess.normalize = false\n", encoding="utf-8")
+    raw = tmp_path / "raw.hwdm"
+    rc = cli.main(["pretrain", "--manifest", workspace["manifest"],
+                   "--out", str(raw), "--config", str(conf)])
+    assert rc == 0
+    with open(trained["pre"], "rb") as fh:
+        standardized = fh.read()
+    assert raw.read_bytes() != standardized
 
 
 def test_pretrain_checkpoint_flags(trained):

@@ -63,6 +63,8 @@ UNBATCHED = {
     "tensor.conv_transpose2d":
         lambda: T.conv_transpose2d(T.zeros((3, 4, 4)), T.zeros((3, 2, 2, 2))),
     "tensor.avg_pool2d": lambda: T.avg_pool2d(T.zeros((3, 8, 8))),
+    "tensor.conv_relu_pool2d": lambda: T.conv_relu_pool2d(
+        T.zeros((3, 8, 8)), T.zeros((4, 3, 3, 3)), T.zeros(4)),
     "tensor.upsample_bilinear2d":
         lambda: T.upsample_bilinear2d(T.zeros((3, 4, 4)), (8, 8)),
 }

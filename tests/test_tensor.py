@@ -274,6 +274,90 @@ def test_conv2d_constant_input_skips_input_gradient(monkeypatch):
         "7adf204a727daaf05f1b7d6613fb9033cae88b98375c50f3b62a7c6a75104fd8")
 
 
+def _chain(x, k, b):
+    return T.avg_pool2d(T.relu(T.conv2d(x, k, padding=1, bias=b)), 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("block_bytes", [None, 60 * 248 + 7],
+                         ids=["one-block", "5-row-pair-blocks"])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["dx", "no-dx"])
+def test_conv_relu_pool2d_matches_three_op_chain(monkeypatch, dtype, block_bytes,
+                                                 x_grad):
+    if block_bytes is not None:
+        # a row costs 8 * (3*3*3 + 4) = 248 bytes and a row pair is 2 * 6
+        # rows: 60-row blocks of 5 row pairs end mid-image (an image is 48
+        # rows) and the third block is 24 rows
+        monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(20)
+    x_data = rng.standard_normal((3, 3, 8, 6))
+    k_data = rng.standard_normal((4, 3, 3, 3))
+    b_data = rng.standard_normal(4)
+    g = rng.standard_normal((3, 4, 4, 3))
+    results = []
+    with T.default_dtype(dtype):
+        for op in (_chain, T.conv_relu_pool2d):
+            x = T.Tensor(x_data, requires_grad=x_grad)
+            k = T.Tensor(k_data, requires_grad=True)
+            b = T.Tensor(b_data, requires_grad=True)
+            free = op(x, k, b).data
+            with T.Tape() as tape:
+                taped = op(x, k, b)
+                tape.backward(T.sum_(T.mul(taped, T.const(g))))
+            results.append([free, taped.data, k.grad, b.grad]
+                           + ([x.grad] if x_grad else []))
+            assert x_grad or x.grad is None
+    for want, got in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        if dtype == np.float32:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_conv_relu_pool2d_records_one_op():
+    rng = np.random.default_rng(21)
+    x = T.Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+    k = T.Tensor(rng.standard_normal((5, 3, 3, 3)), requires_grad=True)
+    b = T.Tensor(rng.standard_normal(5), requires_grad=True)
+    with T.Tape() as tape:
+        out = T.conv_relu_pool2d(x, k, b)
+    assert len(tape) == 1
+    assert out.shape == (2, 5, 2, 2) and out.requires_grad
+
+
+@pytest.mark.parametrize("x_shape,k_shape,b_shape", [
+    ((1, 3, 5, 4), (2, 3, 3, 3), (2,)), ((1, 3, 4, 4), (2, 3, 5, 5), (2,)),
+    ((1, 3, 4, 4), (2, 4, 3, 3), (2,)), ((1, 3, 4, 4), (2, 3, 3, 3), (3,))],
+    ids=["odd-height", "5x5-kernel", "channel-mismatch", "bias-length"])
+def test_conv_relu_pool2d_rejects_bad_shapes(x_shape, k_shape, b_shape):
+    with pytest.raises(DimensionError):
+        T.conv_relu_pool2d(T.zeros(x_shape), T.zeros(k_shape), T.zeros(b_shape))
+
+
+def test_conv_relu_pool2d_overflow_raises_before_relu():
+    # every conv output is -2e39, beyond float32: it rounds to -inf, which
+    # the ReLU would turn into 0 and the pool into a finite map
+    x = T.Tensor(np.full((1, 1, 2, 2), 1e38, dtype=np.float32))
+    k = T.Tensor(np.full((1, 1, 3, 3), -20.0, dtype=np.float32))
+    b = T.zeros(1)
+    with pytest.raises(NumericError, match="conv_relu_pool2d"):
+        T.conv_relu_pool2d(x, k, b)
+
+
+def test_cnn_forward_holds_no_full_resolution_map(monkeypatch):
+    # 2 MB row blocks, so the padded inputs and pooled outputs, per image,
+    # decide the peak; the three-op chain held the (8,32,224,224) conv
+    # output and its ReLU copy at once, two of the maps this bound is one of
+    monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", 2 << 20)
+    params = bb.init_backbone(bb.paper_config(), np.random.default_rng(22))
+    x = T.Tensor(np.random.default_rng(23).standard_normal((8, 3, 224, 224)))
+    full_map_bytes = 8 * 32 * 224 * 224 * 4    # 51 MB
+    peak = _peak_traced_bytes(lambda: bb.cnn_forward(x, params))
+    assert peak < full_map_bytes
+
+
 def test_softmax_symmetry_cases():
     out = T.softmax(T.Tensor([0.0, 0.0]))
     np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-7)
@@ -427,6 +511,14 @@ def _case_convt(rng):
 def _case_pool(rng):
     x = rand_tensor(rng, (1, 2, 4, 4))
     return lambda: T.sum_(T.mul(T.avg_pool2d(x, 2), T.avg_pool2d(x, 2))), [x]
+
+
+@_fd_case("conv_relu_pool2d")
+def _case_conv_relu_pool(rng):
+    x = rand_tensor(rng, (2, 2, 4, 6))
+    k = rand_tensor(rng, (3, 2, 3, 3))
+    b = rand_tensor(rng, (3,))
+    return lambda: T.sum_(T.tanh(T.conv_relu_pool2d(x, k, b))), [x, k, b]
 
 
 @_fd_case("upsample")
