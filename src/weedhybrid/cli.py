@@ -10,6 +10,7 @@ or file-format error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -112,6 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _run_config(args) -> RunConfig:
     """The config file with --seed and --preset applied before validation."""
     overrides = {name: value for name, value in (("seed", args.seed),
@@ -123,9 +130,8 @@ def _run_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -9,11 +9,13 @@ One document configures every stage, using section-prefixed keys:
     gan.epochs = 50
 
 Blank lines and `#` comments are ignored.  Unknown keys, duplicate keys
-and unparseable values raise DataError naming the offending line.
+and unparseable values (a non-finite number, a learning rate that is not
+positive) raise DataError naming the offending line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import backbone as bb
@@ -34,6 +36,20 @@ def _to_bool(text: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _to_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _to_rate(text: str) -> float:
+    value = _to_float(text)
+    if value <= 0:
+        raise ValueError(f"a learning rate must be positive, got {value}")
+    return value
 
 
 def _to_preset(text: str) -> str:
@@ -123,27 +139,27 @@ _KEYS = {
     "preset": ("preset", _to_preset),
     "preprocess.median_window": ("preprocess_median_window", int),
     "preprocess.clahe_tile": ("preprocess_clahe_tile", int),
-    "preprocess.clahe_clip": ("preprocess_clahe_clip", float),
-    "preprocess.gamma": ("preprocess_gamma", float),
-    "preprocess.beta": ("preprocess_beta", float),
+    "preprocess.clahe_clip": ("preprocess_clahe_clip", _to_float),
+    "preprocess.gamma": ("preprocess_gamma", _to_float),
+    "preprocess.beta": ("preprocess_beta", _to_float),
     "preprocess.normalize": ("preprocess_normalize", _to_bool),
-    "loss.w_cls": ("loss_w_cls", float),
-    "loss.w_seg": ("loss_w_seg", float),
-    "loss.w_growth": ("loss_w_growth", float),
-    "optimizer.lr": ("optimizer_lr", float),
+    "loss.w_cls": ("loss_w_cls", _to_float),
+    "loss.w_seg": ("loss_w_seg", _to_float),
+    "loss.w_growth": ("loss_w_growth", _to_float),
+    "optimizer.lr": ("optimizer_lr", _to_rate),
     "optimizer.epochs": ("optimizer_epochs", int),
     "optimizer.batch": ("optimizer_batch", int),
     "folds.k": ("folds_k", int),
     "gan.latent_dim": ("gan_latent_dim", int),
     "gan.epochs": ("gan_epochs", int),
-    "gan.lr": ("gan_lr", float),
+    "gan.lr": ("gan_lr", _to_rate),
     "gan.batch": ("gan_batch", int),
     "gan.base_channels": ("gan_base_channels", int),
     "gan.image_size": ("gan_image_size", int),
-    "ssl.temperature": ("ssl_temperature", float),
+    "ssl.temperature": ("ssl_temperature", _to_float),
     "ssl.projection_dim": ("ssl_projection_dim", int),
     "ssl.epochs": ("ssl_epochs", int),
-    "ssl.lr": ("ssl_lr", float),
+    "ssl.lr": ("ssl_lr", _to_rate),
     "ssl.batch_pairs": ("ssl_batch_pairs", int),
 }
 
@@ -186,16 +202,26 @@ def parse_config(text: str, source: str = "<config>",
 
 
 def _validate(cfg: RunConfig, source: str, first_line: dict) -> None:
-    """Build every sub-config once so constraint violations surface at load."""
-    builders = [("preprocess", cfg.preprocess_config),
-                ("loss", cfg.loss_weights), ("optimizer", cfg.train_config),
-                ("gan", cfg.gan_config), ("ssl", cfg.contrastive_config)]
-    for section, build in builders:
+    """Build every sub-config once so constraint violations surface at load.
+
+    A violation names the line of the first key in the section that breaks
+    a constraint on its own (with the document's seed and preset), else the
+    section's first line: a contradiction between keys has no one culprit.
+    """
+    base = RunConfig(seed=cfg.seed, preset=cfg.preset)
+    for section, build in [("preprocess", RunConfig.preprocess_config),
+                           ("loss", RunConfig.loss_weights),
+                           ("optimizer", RunConfig.train_config),
+                           ("gan", RunConfig.gan_config),
+                           ("ssl", RunConfig.contrastive_config)]:
         try:
-            build()
+            build(cfg)
         except (ContractError, ValueError) as exc:
-            lines = sorted(line for key, line in first_line.items()
-                           if key.startswith(section + "."))
+            keys = sorted((line, _KEYS[key][0]) for key, line in first_line.items()
+                          if key.startswith(section + "."))
+            alone = [line for line, field in keys
+                     if _breaks(build, replace(base, **{field: getattr(cfg, field)}))]
+            lines = alone or [line for line, _ in keys]
             where = f":{lines[0]}" if lines else ""
             raise DataError(f"{source}{where}: invalid {section} "
                             f"configuration: {exc}") from exc
@@ -204,6 +230,14 @@ def _validate(cfg: RunConfig, source: str, first_line: dict) -> None:
         where = f":{line}" if line else ""
         raise DataError(f"{source}{where}: folds.k must be at least 2, "
                         f"got {cfg.folds_k}")
+
+
+def _breaks(build, cfg: RunConfig) -> bool:
+    try:
+        build(cfg)
+    except (ContractError, ValueError):
+        return True
+    return False
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:

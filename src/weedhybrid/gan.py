@@ -23,7 +23,7 @@ import numpy as np
 from . import imaging as im
 from . import tensor as T
 from .errors import ContractError, DimensionError, DivergenceError, NumericError
-from .training import OptimizerState, adam_step, init_optimizer
+from .training import OptimizerState, adam_step, check_lr, init_optimizer
 
 __all__ = [
     "GanConfig",
@@ -63,6 +63,9 @@ class GanConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
             raise ContractError(f"batch must be >= 1, got {self.batch}")
+        if self.base_channels < 1:
+            raise ContractError(f"base_channels must be >= 1, got {self.base_channels}")
+        check_lr(self.lr)
         h, w = self.image_size
         if h % 4 or w % 4 or h < 4 or w < 4:
             raise ContractError(

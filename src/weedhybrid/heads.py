@@ -75,8 +75,8 @@ class LossWeights:
     gamma: float = 0.2
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ContractError(f"loss weights must be non-negative, got {self}")
+        if not all(0 <= w < float("inf") for w in (self.alpha, self.beta, self.gamma)):
+            raise ContractError(f"loss weights must be finite and non-negative, got {self}")
         if self.alpha == self.beta == self.gamma == 0:
             raise ContractError("at least one loss weight must be positive")
 

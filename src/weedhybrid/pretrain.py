@@ -19,7 +19,7 @@ from . import backbone as bb
 from . import imaging as im
 from . import tensor as T
 from .errors import ContractError, DivergenceError, NumericError
-from .training import adam_step, init_optimizer
+from .training import adam_step, check_lr, init_optimizer
 
 __all__ = [
     "ContrastiveConfig",
@@ -58,6 +58,7 @@ class ContrastiveConfig:
             raise ContractError(f"batch_pairs must be >= 1, got {self.batch_pairs}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+        check_lr(self.lr)
         lo, hi = self.gamma_range
         if not (0 < lo <= hi):
             raise ContractError(f"gamma_range must satisfy 0 < lo <= hi, "

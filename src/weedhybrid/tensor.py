@@ -9,27 +9,41 @@ immutable once produced; there is no implicit broadcasting between tensors
 except the scalar-tensor case.
 
 The spatial primitives take only batched (N, C, H, W) maps and accumulate
-in 64-bit. _windows is their one strided window view and _col2im, its
-adjoint, their one kh x kw scatter. conv_transpose2d runs on conv2d's code:
-its forward is conv2d's input gradient (a GEMM, then _col2im), its backward
-conv2d's forward and kernel gradient.
-- conv2d keeps its im2col matrix in the storage dtype (backward reuses it)
-  and runs the 64-bit GEMM and bias add over row blocks of at most
-  _GEMM_BLOCK_BYTES, straight into the output; untaped, it builds one block
-  of rows at a time. A row's 64-bit sum can depend on the block size in the
-  last bit (BLAS picks its kernel by size); rounding to float32 hides that.
+in 64-bit. The convolutions share one engine on a tap-major im2col layout:
+_im2col builds the (C*kh*kw, pixels) matrix whose row c*kh*kw + i*kw + j is
+input channel c shifted by kernel tap (i, j), one strided copy per tap with
+a contiguous run of OW; where a tap reads the zero border it writes zeros, so
+no conv path makes a padded copy of its input. Rows are in the order of
+kernels.reshape(K, C*kh*kw), so the GEMM is W @ cols with the weights as
+stored, its (K, pixels) product gets the bias per row, and the kernel
+gradient is g @ cols.T with g the (K, pixels) output gradient. _col2im, the
+adjoint, adds W.T @ g back onto the unpadded input one tap at a time in
+(i, j) order. conv_transpose2d runs on the same code: its forward is conv2d's
+input gradient (kmat.T @ x, then _col2im), its backward conv2d's forward and
+kernel gradient.
+- Blocks (_conv_blocks) are whole images, or whole rows (row pairs for
+  conv_relu_pool2d) of one image, each at most _GEMM_BLOCK_BYTES of 64-bit
+  im2col block plus 64-bit product. Untaped, a block is built straight in
+  64-bit into one reused buffer; taped, the whole matrix is kept in the
+  storage dtype for backward and each block cast to 64-bit.
+- Outputs keep the memory order of the row-major engine they replaced:
+  conv2d's map and conv_relu_pool2d's pooled map are channels-last, because
+  NumPy's pairwise reductions downstream (gap, Dice) add in stride order,
+  and the bias gradient adds pixel rows in that engine's order (_bias_grad).
+  Float32 results are byte-equal to it (tests/oracles.py). A 64-bit sum can
+  differ in the last bit where BLAS runs the transposed product with another
+  kernel (small matrices); rounding to float32 hides that.
 - conv_relu_pool2d is the CNN block avg_pool2d(relu(conv2d(x, K, padding=1,
-  bias=b)), 2) as one op on the same row-block loop: each block, a whole
-  number of output row pairs, is rounded to the storage dtype, checked
-  finite, rectified in place and pooled straight into the (N,K,H/2,W/2)
-  output, so the full-resolution conv and ReLU maps never exist. Untaped it
-  holds one row block beyond its padded input and pooled output; taped, the
-  whole im2col matrix (storage dtype) and a bool ReLU mask (1 byte per conv
-  output element), and its backward is avg_pool2d's adjoint, the mask and
-  conv2d's backward.
+  bias=b)), 2) as one op: each block's product is rounded to the storage
+  dtype, checked finite, rectified in place and pooled (4 taps, 64-bit)
+  straight into the (N,K,H/2,W/2) output, so the full-resolution conv and
+  ReLU maps never exist. Untaped it holds one block beyond its input and
+  pooled output; taped, the whole im2col matrix (storage dtype) and a bool
+  ReLU mask (1 byte per conv output element), and its backward is
+  avg_pool2d's adjoint, the mask and conv2d's backward.
 - upsample_bilinear2d is separable: Ry @ X @ Rx^T, no dense (OH*OW, H*W) matrix.
-Only conv_transpose2d's forward holds a whole 64-bit im2col-sized matrix,
-its (N*H*W, K*kh*kw) GEMM product.
+Backward passes and conv_transpose2d's forward hold whole 64-bit im2col-sized
+matrices (the (C*kh*kw, pixels) input gradient or GEMM product).
 """
 
 from __future__ import annotations
@@ -679,112 +693,174 @@ def _shape4(t: Tensor, what: str) -> tuple[int, int, int, int]:
     return t.shape
 
 
-def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+def _tap_span(tap: int, pad: int, stride: int, hi: int, n_in: int,
+              lo: int = 0) -> tuple[int, int]:
+    """The output positions [a, b) within [lo, hi) at which kernel tap `tap`
+    reads input position o*stride + tap - pad inside [0, n_in); a <= b."""
+    a = max(lo, -((tap - pad) // stride))
+    return a, max(a, min(hi, (n_in - 1 + pad - tap) // stride + 1))
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """The (N,C,OH,OW,kh,kw) view of the kh x kw windows of xp at a stride."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _tap_slice(a: int, b: int, tap: int, pad: int, stride: int) -> slice:
+    """The input positions tap `tap` reads for output positions [a, b), a < b."""
+    start = a * stride + tap - pad
+    return slice(start, start + (b - a - 1) * stride + 1, stride)
 
 
-def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int) -> np.ndarray:
-    """Adjoint of _windows: add cols (N,C,OH,OW,kh,kw) onto a 64-bit zero map."""
-    n, c, oh, ow, kh, kw = cols.shape
-    out = np.zeros((n, c) + tuple(hw), dtype=np.float64)
+def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+            n0: int, n1: int, r0: int, r1: int) -> None:
+    """Fill dest, the tap-major im2col block of images n0:n1, output rows
+    r0:r1 of x (N,C,H,W) zero-padded by pad, with one strided copy per tap.
+
+    dest is C-ordered (C*kh*kw, (n1-n0)*(r1-r0)*OW): row c*kh*kw + i*kw + j is
+    channel c shifted by tap (i, j), column (n, r, col) output pixel
+    (n0 + n, r0 + r, col). Where a tap reads the zero border, dest gets
+    zeros, so x itself is never padded.
+    """
+    c, h, w = x.shape[1:]
+    nr = r1 - r0
+    ow = dest.shape[1] // ((n1 - n0) * nr)
+    taps = dest.reshape(c, kh, kw, n1 - n0, nr, ow)
+    src = x[n0:n1].transpose(1, 0, 2, 3)
     for i in range(kh):
+        ra, rb = _tap_span(i, pad, stride, r1, h, r0)
         for j in range(kw):
-            out[:, :, i:i + stride * (oh - 1) + 1:stride,
-                j:j + stride * (ow - 1) + 1:stride] += cols[:, :, :, :, i, j]
+            ca, cb = _tap_span(j, pad, stride, ow, w)
+            tap = taps[:, i, j]
+            if ra == rb or ca == cb:
+                tap[...] = 0
+                continue
+            if ra > r0:
+                tap[:, :, :ra - r0] = 0
+            if rb < r1:
+                tap[:, :, rb - r0:] = 0
+            if ca > 0:
+                tap[..., :ca] = 0
+            if cb < ow:
+                tap[..., cb:] = 0
+            tap[:, :, ra - r0:rb - r0, ca:cb] = src[:, :, _tap_slice(ra, rb, i, pad, stride),
+                                                    _tap_slice(ca, cb, j, pad, stride)]
+
+
+def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int) -> np.ndarray:
+    """Adjoint of _im2col: add tap-major cols (C,kh,kw,N,OH,OW) onto a 64-bit
+    (N,C,H,W) zero map one tap at a time in (i, j) order, dropping what
+    lands in the zero border."""
+    c, kh, kw, n, oh, ow = cols.shape
+    h, w = hw
+    out = np.zeros((n, c, h, w), dtype=np.float64)
+    dest = out.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        ra, rb = _tap_span(i, pad, stride, oh, h)
+        for j in range(kw):
+            ca, cb = _tap_span(j, pad, stride, ow, w)
+            if ra < rb and ca < cb:
+                dest[:, :, _tap_slice(ra, rb, i, pad, stride),
+                     _tap_slice(ca, cb, j, pad, stride)] += cols[:, i, j, :, ra:rb, ca:cb]
     return out
 
 
-def _pixel_rows(a: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> the 64-bit (N*H*W, C) matrix with one row per pixel."""
-    return _f64(a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]))
+def _chan_rows(a: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> the 64-bit (C, N*H*W) matrix with one row per channel."""
+    return a.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(a.shape[1], -1)
 
 
-def _im2col_rows(win: np.ndarray, r0: int, r1: int, dest: np.ndarray) -> None:
-    """Copy rows r0:r1 of the im2col matrix of win (N,OH,OW,C,kh,kw) into dest.
-
-    Row r is output pixel r of the flattened (N, OH, OW) grid. Runs of whole
-    output rows within one image take one copy each.
-    """
-    _, oh, ow = win.shape[:3]
-    r = r0
-    while r < r1:
-        img, pix = divmod(r, oh * ow)
-        i, j = divmod(pix, ow)
-        if j or r1 - r < ow:        # part of one output row
-            take = min(ow - j, r1 - r)
-            src = win[img, i, j:j + take]
-        else:                       # whole output rows of one image
-            lines = min(oh - i, (r1 - r) // ow)
-            take = lines * ow
-            src = win[img, i:i + lines]
-        np.copyto(dest[r - r0:r - r0 + take].reshape(src.shape), src)
-        r += take
+def _bias_grad(g: np.ndarray, n: int) -> np.ndarray:
+    """Sum g (K, N*P), the channel rows of a conv output gradient over N
+    images, in conv2d's order: NumPy sums the (N*P, K) pixel rows of one
+    image, a view with the pixel axis innermost, pairwise; those of more
+    images, a C-ordered copy, one row after another. Slabs of that copy,
+    each led by the running sum, continue the row-by-row sum."""
+    if n == 1 or g.shape[0] == 1:
+        return g.sum(axis=1)
+    step = 4096
+    slab = np.empty((step + 1, g.shape[0]), dtype=np.float64)
+    acc = g[:, 0].copy()
+    for m0 in range(1, g.shape[1], step):
+        m1 = min(m0 + step, g.shape[1])
+        slab[0] = acc
+        slab[1:1 + m1 - m0] = g[:, m0:m1].T
+        acc = slab[:1 + m1 - m0].sum(axis=0)
+    return acc
 
 
-def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
+def _conv_blocks(n: int, oh: int, ow: int, pixel_bytes: int, align: int) -> list:
+    """(n0, n1, r0, r1) blocks of images n0:n1 and output rows r0:r1, each at
+    most _GEMM_BLOCK_BYTES at pixel_bytes per output pixel: whole images, or
+    multiples of align rows of one image (at least align) if one is larger."""
+    rows = _GEMM_BLOCK_BYTES // (pixel_bytes * ow)
+    if rows >= oh:
+        step = rows // oh
+        return [(n0, min(n0 + step, n), 0, oh) for n0 in range(0, n, step)]
+    rows = max(align, rows // align * align)
+    return [(i, i + 1, r0, min(r0 + rows, oh)) for i in range(n) for r0 in range(0, oh, rows)]
+
+
+def _conv_gemm(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, pad: int,
                out_dtype, keep_cols: bool, bias: np.ndarray | None = None,
                epilogue: Callable | None = None, align: int = 1) -> tuple:
-    """Cross-correlate a padded (N,C,H,W) array with wmat (K, C*kh*kw) by a
-    64-bit GEMM over im2col row blocks of at most _GEMM_BLOCK_BYTES, each a
-    multiple of align rows but the last. Row r is output pixel r of the
-    flattened (N, OH, OW) grid. Each block's product, bias added, goes to
-    epilogue(r0, r1, block) if one is given, else into the returned
-    (N,K,OH,OW) map of out_dtype. Returns (map or None, the whole im2col
-    matrix if keep_cols else None)."""
-    win = _windows(xp, kh, kw, stride).transpose(0, 2, 3, 1, 4, 5)  # (N,OH,OW,C,kh,kw)
-    n, oh, ow = win.shape[:3]
+    """Cross-correlate x (N,C,H,W), zero-padded by pad, with wmat (K, C*kh*kw)
+    as 64-bit GEMMs W @ cols over the _conv_blocks of the tap-major im2col
+    matrix. Column m of the matrix is output pixel m of the flattened
+    (N, OH, OW) grid. Each block's (K, pixels) product, bias added per row,
+    goes to epilogue(m0, m1, block) if one is given, else into the returned
+    channels-last (N,K,OH,OW) map of out_dtype. Returns (map or None, the
+    whole im2col matrix in x's dtype if keep_cols else None)."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
     k, row_len = wmat.shape
-    m = n * oh * ow
-    rows = _GEMM_BLOCK_BYTES // (8 * (row_len + k)) // align * align
-    rows = min(m, max(align, rows))
-    cols = np.empty((m if keep_cols else rows, row_len), dtype=xp.dtype)
-    w64t = _f64(wmat).T
+    blocks = _conv_blocks(n, oh, ow, 8 * (row_len + k), align)
+    cols = buf = None
+    if keep_cols:
+        cols = np.empty((row_len, n * oh * ow), dtype=x.dtype)
+        _im2col(x, cols, kh, kw, stride, pad, 0, n, 0, oh)
+    else:   # untaped: one 64-bit block at a time, no storage-dtype copy
+        n0, n1, r0, r1 = blocks[0]
+        buf = np.empty(row_len * (n1 - n0) * (r1 - r0) * ow, dtype=np.float64)
+    w64 = _f64(wmat)
+    b64 = None if bias is None else _f64(bias)[:, None]
     out = None
     if epilogue is None:
-        out = np.empty((m, k), dtype=out_dtype)
+        out = np.empty((n, oh, ow, k), dtype=out_dtype)
+        pixels = out.reshape(-1, k)
 
-        def epilogue(r0, r1, block):
-            out[r0:r1] = block
+        def epilogue(m0, m1, block):
+            pixels[m0:m1] = block.T
 
-    for r0 in range(0, m, rows):
-        r1 = min(r0 + rows, m)
-        dest = cols[r0:r1] if keep_cols else cols[:r1 - r0]
-        _im2col_rows(win, r0, r1, dest)
-        block = _f64(dest) @ w64t
-        if bias is not None:
-            block += _f64(bias)
-        epilogue(r0, r1, block)
+    for n0, n1, r0, r1 in blocks:
+        m0, m1 = (n0 * oh + r0) * ow, ((n1 - 1) * oh + r1) * ow
+        if keep_cols:
+            block = w64 @ _f64(cols[:, m0:m1])
+        else:
+            dest = buf[:row_len * (m1 - m0)].reshape(row_len, m1 - m0)
+            _im2col(x, dest, kh, kw, stride, pad, n0, n1, r0, r1)
+            block = w64 @ dest
+        if b64 is not None:
+            block += b64
+        epilogue(m0, m1, block)
     if out is not None:
-        out = out.reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
-    return out, cols if keep_cols else None
+        out = out.transpose(0, 3, 1, 2)
+    return out, cols
 
 
-def _conv_backward(gmat: np.ndarray, cols: np.ndarray, x: Tensor, kernels: Tensor,
-                   bias: Tensor | None, stride: int, padding: int) -> None:
-    """conv2d's backward from its 64-bit output gradient as (N*OH*OW, K)
-    pixel rows and the im2col matrix its forward kept."""
+def _conv_backward(g: np.ndarray, cols: np.ndarray, x: Tensor, kernels: Tensor,
+                   bias: Tensor | None, stride: int, pad: int) -> None:
+    """conv2d's backward from its 64-bit output gradient as (K, N*OH*OW)
+    channel rows and the tap-major im2col matrix its forward kept."""
     n, c, h, w = x.shape
     k, _, kh, kw = kernels.shape
-    dk = (gmat.T @ _f64(cols)).reshape(k, c, kh, kw)
+    dk = (g @ _f64(cols).T).reshape(k, c, kh, kw)
     _accum(kernels, dk.astype(kernels.data.dtype))
     if bias is not None:
-        _accum(bias, gmat.sum(axis=0).astype(bias.data.dtype))
+        _accum(bias, _bias_grad(g, n).astype(bias.data.dtype))
     if not x.requires_grad:
         return
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    wmat = kernels.data.reshape(k, c * kh * kw)
-    dcols = (gmat @ _f64(wmat)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    dxp = _col2im(dcols, (h + 2 * padding, w + 2 * padding), stride)
-    _accum(x, dxp[:, :, padding:padding + h, padding:padding + w].astype(x.data.dtype))
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    dcols = _f64(kernels.data.reshape(k, c * kh * kw)).T @ g
+    dx = _col2im(dcols.reshape(c, kh, kw, n, oh, ow), (h, w), stride, pad)
+    _accum(x, dx.astype(x.data.dtype))
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
@@ -809,12 +885,12 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
     wmat = kernels.data.reshape(k, c * kh * kw)
     # backward needs the whole im2col matrix only if a tape records this call
-    out, cols = _conv_gemm(_pad_hw(x.data, padding), wmat, kh, kw, stride,
+    out, cols = _conv_gemm(x.data, wmat, kh, kw, stride, padding,
                            _out_dtype(x, kernels), _recorded(inputs),
                            None if bias is None else bias.data)
 
     def back(g):
-        _conv_backward(_pixel_rows(g), cols, x, kernels, bias, stride, padding)
+        _conv_backward(_chan_rows(g), cols, x, kernels, bias, stride, padding)
 
     return _result(out, "conv2d", inputs, back)
 
@@ -842,27 +918,27 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     # channels-last, like avg_pool2d's output over a conv2d map, so later
     # reductions (gap) add in the same order
     pooled = np.empty((n * h // 2, w // 2, k), dtype=dtype)
-    mask = np.empty((n * h * w, k), dtype=bool) if taped else None
+    mask = np.empty((k, n * h * w), dtype=bool) if taped else None
 
-    def pool(r0, r1, block):
+    def pool(m0, m1, block):
         act = block.astype(dtype, copy=False)
         _finite_or_raise(act, "conv_relu_pool2d")
         np.maximum(act, 0, out=act)
         if taped:
-            np.greater(act, 0, out=mask[r0:r1])
-        quad = act.reshape(-1, 2, w // 2, 2, k)   # (row pair, i, pooled column, j, K)
-        acc = _tap_sum([quad[:, i, :, j] for i in range(2) for j in range(2)])
+            np.greater(act, 0, out=mask[:, m0:m1])
+        quad = act.reshape(k, -1, 2, w // 2, 2)   # (K, row pair, i, pooled column, j)
+        acc = _tap_sum([quad[:, :, i, :, j] for i in range(2) for j in range(2)])
         acc /= 4
-        pooled[r0 // (2 * w):r1 // (2 * w)] = acc
+        pooled[m0 // (2 * w):m1 // (2 * w)] = acc.transpose(1, 2, 0)
 
-    _, cols = _conv_gemm(_pad_hw(x.data, 1), kernels.data.reshape(k, c * 9), 3, 3, 1,
-                         dtype, taped, bias.data, epilogue=pool, align=2 * w)
+    _, cols = _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1,
+                         dtype, taped, bias.data, epilogue=pool, align=2)
     out = pooled.reshape(n, h // 2, w // 2, k).transpose(0, 3, 1, 2)
 
     def back(g):
-        act_mask = mask.reshape(n, h, w, k).transpose(0, 3, 1, 2)
-        dz = _pool_adjoint(g, 2, 2, (h, w), dtype) * act_mask
-        _conv_backward(_pixel_rows(dz), cols, x, kernels, bias, 1, 1)
+        dz = _chan_rows(_pool_adjoint(g, 2, 2, (h, w), dtype))
+        dz *= mask
+        _conv_backward(dz, cols, x, kernels, bias, 1, 1)
 
     return _result(out, "conv_relu_pool2d", inputs, back)
 
@@ -873,7 +949,7 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
 
     x: (N,C,H,W); kernels: (C,K,kh,kw); output spatial extent is
     (H-1)*stride - 2p + kh. The forward pass is conv2d's input gradient,
-    dx is conv2d's forward pass over the padded gradient, and dk is conv2d's
+    dx is conv2d's forward pass over the gradient, and dk is conv2d's
     kernel gradient with x and the gradient in swapped roles.
     """
     n, c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")
@@ -887,19 +963,17 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     if oh <= 0 or ow <= 0:
         raise DimensionError("conv_transpose2d: non-positive output extent")
     kmat = kernels.data.reshape(c, k * kh * kw)
-    cols = (_pixel_rows(x.data) @ _f64(kmat)).reshape(n, h, w, k, kh, kw)
-    cols = cols.transpose(0, 3, 1, 2, 4, 5)
-    out = _col2im(cols, (oh + 2 * padding, ow + 2 * padding), stride)
-    out = out[:, :, padding:padding + oh, padding:padding + ow]
+    cols = _f64(kmat).T @ _chan_rows(x.data)
+    out = _col2im(cols.reshape(k, kh, kw, n, h, w), (oh, ow), stride, padding)
     if bias is not None:
-        out = out + _f64(bias.data)[None, :, None, None]
+        out += _f64(bias.data)[:, None, None]
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
 
     def back(g):
-        dx, gcols = _conv_gemm(_pad_hw(g, padding), kmat, kh, kw, stride,
-                               x.data.dtype, keep_cols=True)
+        dx, gcols = _conv_gemm(g, kmat, kh, kw, stride, padding, x.data.dtype,
+                               keep_cols=True)
         _accum(x, dx)
-        dk = (_pixel_rows(x.data).T @ _f64(gcols)).reshape(c, k, kh, kw)
+        dk = (_chan_rows(x.data) @ _f64(gcols).T).reshape(c, k, kh, kw)
         _accum(kernels, dk.astype(kernels.data.dtype))
         if bias is not None:
             _accum(bias, _f64(g).sum(axis=(0, 2, 3)).astype(bias.data.dtype))
@@ -918,8 +992,10 @@ def _tap_sum(taps: list) -> np.ndarray:
 def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple, dtype) -> np.ndarray:
     """avg_pool2d's input gradient: g / window**2 scattered over each window."""
     gd = g / (window * window)
-    cols = np.broadcast_to(gd[..., None, None], gd.shape + (window, window))
-    return _col2im(cols, hw, stride).astype(dtype)
+    n, c, oh, ow = gd.shape
+    taps = np.broadcast_to(gd.transpose(1, 0, 2, 3)[:, None, None],
+                           (c, window, window, n, oh, ow))
+    return _col2im(taps, hw, stride, 0).astype(dtype)
 
 
 def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
@@ -928,8 +1004,10 @@ def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     h, w = _shape4(x, "avg_pool2d: input (N,C,H,W)")[2:]
     if window > h or window > w:
         raise DimensionError(f"avg_pool2d: window {window} too large for {h}x{w}")
-    win = _windows(x.data, window, window, stride)
-    acc = _tap_sum([win[:, :, :, :, i, j] for i in range(window) for j in range(window)])
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+    acc = _tap_sum([x.data[:, :, _tap_slice(0, oh, i, 0, stride), _tap_slice(0, ow, j, 0, stride)]
+                    for i in range(window) for j in range(window)])
     out = (acc / (window * window)).astype(x.data.dtype)
 
     def back(g):

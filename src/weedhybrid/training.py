@@ -57,6 +57,13 @@ class OptimizerState:
     v: list = field(default_factory=list)
 
 
+def check_lr(lr: float) -> None:
+    """Reject a learning rate that is negative or not finite; 0 freezes
+    every parameter."""
+    if not 0 <= lr < float("inf"):
+        raise ContractError(f"lr must be finite and >= 0, got {lr}")
+
+
 def init_optimizer(params: list, lr: float) -> OptimizerState:
     state = OptimizerState(lr=lr)
     state.m = [np.zeros(p.shape, dtype=np.float64) for p in params]
@@ -214,6 +221,7 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
             raise ContractError(f"batch must be >= 1, got {self.batch}")
+        check_lr(self.lr)
 
     def resolved_backbone(self) -> bb.BackboneConfig:
         return self.backbone if self.backbone is not None else bb.desk_config()

@@ -2,9 +2,11 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations. The per-image preprocessing section
-at the end is the exception: it is the NumPy pipeline the package's stack
-kernels must match byte for byte, one image and one tile at a time.
+shared with the package implementations. Two sections at the end are the
+exception. The row-major convolution engine is the im2col code conv2d,
+conv_relu_pool2d and conv_transpose2d ran on before their tap-major layout,
+and the per-image preprocessing is the NumPy pipeline the package's stack
+kernels replace: each must be matched byte for byte.
 """
 
 import math
@@ -281,6 +283,126 @@ def quantize_scalar(values):
         code = int(math.floor(abs(q) + 0.5)) * (1 if q >= 0 else -1)
         codes.append(max(-127, min(127, code)))
     return codes, scale
+
+
+# ---------------------------------------------------------------------------
+# Row-major convolution engine: one im2col row per output pixel, gathered
+# from a sliding-window view of the zero-padded input, and the 64-bit GEMM
+# as cols @ W.T; backward scatters (N,C,OH,OW,kh,kw) columns tap by tap.
+# Each function takes NumPy arrays in one storage dtype and returns what the
+# tape-based ops produce in it: the forward map and the x, kernel and bias
+# gradients for an upstream gradient g.
+
+
+def _pad_hw(x, p):
+    return x if p == 0 else np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+
+
+def _windows(xp, kh, kw, stride):
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+def _col2im(cols, hw, stride):
+    n, c, oh, ow, kh, kw = cols.shape
+    out = np.zeros((n, c) + tuple(hw), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * (oh - 1) + 1:stride,
+                j:j + stride * (ow - 1) + 1:stride] += cols[:, :, :, :, i, j]
+    return out
+
+
+def _pixel_rows(a):
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]).astype(np.float64, copy=False)
+
+
+def _im2col_rows(win, r0, r1, dest):
+    """Copy rows r0:r1 of the im2col matrix of win (N,OH,OW,C,kh,kw) into
+    dest; runs of whole output rows within one image take one copy each."""
+    _, oh, ow = win.shape[:3]
+    r = r0
+    while r < r1:
+        img, pix = divmod(r, oh * ow)
+        i, j = divmod(pix, ow)
+        if j or r1 - r < ow:
+            take = min(ow - j, r1 - r)
+            src = win[img, i, j:j + take]
+        else:
+            lines = min(oh - i, (r1 - r) // ow)
+            take = lines * ow
+            src = win[img, i:i + lines]
+        np.copyto(dest[r - r0:r - r0 + take].reshape(src.shape), src)
+        r += take
+
+
+def _conv_rows(x, wmat, kh, kw, stride, padding, bias):
+    """(64-bit (N*OH*OW, K) product plus bias, im2col matrix, (N, OH, OW))."""
+    win = _windows(_pad_hw(x, padding), kh, kw, stride).transpose(0, 2, 3, 1, 4, 5)
+    n, oh, ow = win.shape[:3]
+    cols = np.empty((n * oh * ow, wmat.shape[1]), dtype=x.dtype)
+    _im2col_rows(win, 0, cols.shape[0], cols)
+    out = cols.astype(np.float64) @ wmat.astype(np.float64).T
+    if bias is not None:
+        out += bias.astype(np.float64)
+    return out, cols, (n, oh, ow)
+
+
+def _conv_rows_backward(gmat, cols, x, kernels, stride, padding):
+    """(dx, dk, db) from the 64-bit (N*OH*OW, K) output gradient."""
+    n, c, h, w = x.shape
+    k, _, kh, kw = kernels.shape
+    dk = (gmat.T @ cols.astype(np.float64)).reshape(k, c, kh, kw).astype(kernels.dtype)
+    db = gmat.sum(axis=0).astype(kernels.dtype)
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    dcols = gmat @ kernels.reshape(k, -1).astype(np.float64)
+    dcols = dcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    dxp = _col2im(dcols, (h + 2 * padding, w + 2 * padding), stride)
+    return dxp[:, :, padding:padding + h, padding:padding + w].astype(x.dtype), dk, db
+
+
+def conv2d_rows(x, kernels, bias, stride, padding, g):
+    k, _, kh, kw = kernels.shape
+    out, cols, (n, oh, ow) = _conv_rows(x, kernels.reshape(k, -1), kh, kw, stride,
+                                        padding, bias)
+    y = out.astype(x.dtype).reshape(n, oh, ow, k).transpose(0, 3, 1, 2)
+    return (y,) + _conv_rows_backward(_pixel_rows(g), cols, x, kernels, stride, padding)
+
+
+def conv_relu_pool2d_rows(x, kernels, bias, g):
+    """avg_pool2d(relu(conv2d(x, kernels, padding=1, bias)), 2) and its gradients."""
+    n, _, h, w = x.shape
+    k = kernels.shape[0]
+    out, cols, _ = _conv_rows(x, kernels.reshape(k, -1), 3, 3, 1, 1, bias)
+    act = np.maximum(out.astype(x.dtype), 0).reshape(n, h, w, k).transpose(0, 3, 1, 2)
+    win = _windows(act, 2, 2, 2)
+    acc = win[..., 0, 0].astype(np.float64)
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        acc += win[..., i, j]
+    y = (acc / 4).astype(x.dtype)
+    gd = g / 4
+    dz = _col2im(np.broadcast_to(gd[..., None, None], gd.shape + (2, 2)), (h, w), 2)
+    dz = dz.astype(x.dtype) * (act > 0)
+    return (y,) + _conv_rows_backward(_pixel_rows(dz), cols, x, kernels, 1, 1)
+
+
+def conv_transpose2d_rows(x, kernels, bias, stride, padding, g):
+    n, c, h, w = x.shape
+    _, k, kh, kw = kernels.shape
+    oh = (h - 1) * stride + kh - 2 * padding
+    ow = (w - 1) * stride + kw - 2 * padding
+    kmat = kernels.reshape(c, -1)
+    cols = (_pixel_rows(x) @ kmat.astype(np.float64)).reshape(n, h, w, k, kh, kw)
+    out = _col2im(cols.transpose(0, 3, 1, 2, 4, 5), (oh + 2 * padding, ow + 2 * padding),
+                  stride)[:, :, padding:padding + oh, padding:padding + ow]
+    if bias is not None:
+        out = out + bias.astype(np.float64)[None, :, None, None]
+    gout, gcols, (_, gh, gw) = _conv_rows(g, kmat, kh, kw, stride, padding, None)
+    dx = gout.astype(x.dtype).reshape(n, gh, gw, c).transpose(0, 3, 1, 2)
+    dk = (_pixel_rows(x).T @ gcols.astype(np.float64)).reshape(c, k, kh, kw)
+    db = g.astype(np.float64).sum(axis=(0, 2, 3)).astype(x.dtype)
+    return out.astype(x.dtype), dx, dk.astype(x.dtype), db
 
 
 # ---------------------------------------------------------------------------

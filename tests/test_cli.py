@@ -106,6 +106,48 @@ def test_zero_counts_fail_at_config_load(workspace, tmp_path, capsys, key, comma
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("channels", [0, -4])
+def test_gan_base_channels_below_one_fails_at_config_load(workspace, tmp_path, capsys,
+                                                          channels):
+    # 0 used to raise ZeroDivisionError in build_gan, -4 a ValueError from
+    # NumPy ("negative dimensions"), both as tracebacks out of main
+    conf = tmp_path / "gan.conf"
+    conf.write_text(TINY_CONF.replace("gan.base_channels = 6",
+                                      f"gan.base_channels = {channels}"), encoding="utf-8")
+    out = tmp_path / "gan.hwdm"
+    rc = cli.main(["gan-train", "--manifest", workspace["manifest"], "--out", str(out),
+                   "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert (f"{conf}:9: invalid gan configuration: base_channels must be >= 1, "
+            f"got {channels}") in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("line,command", [
+    ("loss.w_cls = nan", "train"), ("optimizer.lr = nan", "train"),
+    ("optimizer.lr = 0", "train"), ("gan.lr = -1", "gan-train"),
+    ("ssl.lr = inf", "pretrain"), ("preprocess.clahe_clip = -inf", "pretrain")])
+def test_non_finite_or_non_positive_numbers_fail_at_config_load(workspace, tmp_path,
+                                                                capsys, line, command):
+    # loss.w_cls = nan passed LossWeights (nan < 0 is False) and escaped
+    # train as a NumericError; gan.lr = -1 trained and exited 0;
+    # optimizer.lr = nan only diverged, with exit 3
+    key = line.partition(" ")[0]
+    lines = [kept for kept in TINY_CONF.splitlines() if not kept.startswith(key)]
+    conf = tmp_path / "bad.conf"
+    conf.write_text("\n".join(lines + [line]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main([command, "--manifest", workspace["manifest"], "--out", str(out),
+                   "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{conf}:{len(lines) + 1}: bad value for {key}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "pretrain", "gan-train"])
 def test_empty_manifest_is_data_error(tmp_path, capsys, command):
     manifest = tmp_path / "empty.tsv"

@@ -73,6 +73,34 @@ def test_constraint_violation_is_attributed():
         cf.parse_config("loss.w_cls = -0.5\n")
 
 
+def test_violation_names_the_failing_key_line():
+    # epochs = 0 breaks a constraint on its own: its line, not the
+    # section's first (the batch key on line 2)
+    with pytest.raises(DataError, match=r"^<config>:3: invalid optimizer.*epochs"):
+        cf.parse_config("seed = 1\noptimizer.batch = 4\noptimizer.epochs = 0\n")
+    with pytest.raises(DataError, match=r"^<config>:3: invalid gan.*base_channels"):
+        cf.parse_config("seed = 1\ngan.epochs = 3\ngan.base_channels = 0\n")
+    # a 33-px window is too wide for the document's desk preset (32 px)
+    with pytest.raises(DataError, match=r"^<config>:4: invalid preprocess"):
+        cf.parse_config("preset = desk\npreprocess.gamma = 2\n\n"
+                        "preprocess.median_window = 33\n")
+
+
+def test_cross_field_contradiction_names_the_section_line():
+    # each weight may be 0 alone; all three at 0 leave no loss to train
+    with pytest.raises(DataError, match=r"^<config>:2: invalid loss.*positive"):
+        cf.parse_config("seed = 1\nloss.w_cls = 0\nloss.w_seg = 0\nloss.w_growth = 0\n")
+
+
+@pytest.mark.parametrize("line", ["loss.w_cls = nan", "preprocess.gamma = inf",
+                                  "ssl.temperature = -inf", "optimizer.lr = 0",
+                                  "gan.lr = -1", "ssl.lr = nan"])
+def test_non_finite_and_non_positive_rates_name_their_line(line):
+    key = line.partition(" ")[0]
+    with pytest.raises(DataError, match=rf"^<config>:2: bad value for {key}"):
+        cf.parse_config(f"seed = 1\n{line}\n")
+
+
 def test_builders_carry_values():
     cfg = cf.parse_config("optimizer.epochs = 11\nloss.w_seg = 0.4\nseed = 2\n")
     tc = cfg.train_config()

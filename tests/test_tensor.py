@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from helpers import gradcheck, rand_tensor
@@ -128,8 +129,9 @@ def test_conv2d_row_blocks_match_one_block(monkeypatch, stride, with_bias, dtype
         k = T.Tensor(rng.standard_normal((4, 3, 3, 3)))
         b = T.Tensor(rng.standard_normal(4)) if with_bias else None
         whole = T.conv2d(x, k, stride=stride, padding=1, bias=b).data
-        # a row costs 8 * (3*3*3 + 4) = 248 bytes: 5-row blocks, so 242 rows
-        # (stride 1) and 72 rows (stride 2) both end in a 2-row block
+        # a pixel costs 8 * (3*3*3 + 4) = 248 bytes, an output row of 11
+        # (stride 1) or 6 (stride 2) pixels more than the budget: every block
+        # is one output row
         monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", 5 * 248 + 7)
         blocked = T.conv2d(x, k, stride=stride, padding=1, bias=b).data
     assert blocked.dtype == whole.dtype == dtype
@@ -216,9 +218,8 @@ def test_conv2d_tape_free_memory_has_no_im2col_matrix():
     out_bytes = 8 * 64 * 112 * 112 * 4           # 26 MB
     pad_bytes = 8 * 32 * 114 * 114 * 4           # 13 MB
     peak = _peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
-    # the padded input, the output and one row block (float32 rows, their
-    # float64 copy and the float64 product); building the whole im2col
-    # matrix, as a taped call must, peaked at 166 MB
+    # the output and one block (64-bit im2col block and product); building
+    # the whole im2col matrix, as a taped call must, peaked at 166 MB
     assert peak < pad_bytes + out_bytes + 2 * T._GEMM_BLOCK_BYTES < cols_bytes
 
 
@@ -228,8 +229,8 @@ def test_conv2d_tape_free_memory_has_no_im2col_matrix():
 def test_conv2d_tape_free_matches_taped(monkeypatch, dtype, block_bytes, stride):
     rng = np.random.default_rng(18)
     if block_bytes is not None:
-        # a row costs 8 * (3*3*3 + 4) = 248 bytes; 5-row blocks cut output
-        # rows and images at many places
+        # a pixel costs 8 * (3*3*3 + 4) = 248 bytes; the budget of 5 pixels
+        # is less than an output row, so every block is one row of one image
         monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", block_bytes)
     with T.default_dtype(dtype):
         x = T.Tensor(rng.standard_normal((3, 3, 11, 11)))
@@ -285,9 +286,9 @@ def _chain(x, k, b):
 def test_conv_relu_pool2d_matches_three_op_chain(monkeypatch, dtype, block_bytes,
                                                  x_grad):
     if block_bytes is not None:
-        # a row costs 8 * (3*3*3 + 4) = 248 bytes and a row pair is 2 * 6
-        # rows: 60-row blocks of 5 row pairs end mid-image (an image is 48
-        # rows) and the third block is 24 rows
+        # a pixel costs 8 * (3*3*3 + 4) = 248 bytes and an output row 6
+        # pixels: the budget of 60 pixels holds 10 rows, more than an
+        # 8-row image, so each block is one whole image
         monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(20)
     x_data = rng.standard_normal((3, 3, 8, 6))
@@ -347,8 +348,8 @@ def test_conv_relu_pool2d_overflow_raises_before_relu():
 
 
 def test_cnn_forward_holds_no_full_resolution_map(monkeypatch):
-    # 2 MB row blocks, so the padded inputs and pooled outputs, per image,
-    # decide the peak; the three-op chain held the (8,32,224,224) conv
+    # 2 MB blocks, so the inputs and pooled outputs decide the peak; the
+    # three-op chain held the (8,32,224,224) conv
     # output and its ReLU copy at once, two of the maps this bound is one of
     monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", 2 << 20)
     params = bb.init_backbone(bb.paper_config(), np.random.default_rng(22))
@@ -356,6 +357,106 @@ def test_cnn_forward_holds_no_full_resolution_map(monkeypatch):
     full_map_bytes = 8 * 32 * 224 * 224 * 4    # 51 MB
     peak = _peak_traced_bytes(lambda: bb.cnn_forward(x, params))
     assert peak < full_map_bytes
+
+
+def test_conv_relu_pool2d_tape_free_has_no_padded_input(monkeypatch):
+    # the second paper-preset block; 2 MB blocks leave the pooled output as
+    # the one big allocation, and a zero-padded copy of x would double it
+    monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", 2 << 20)
+    rng = np.random.default_rng(24)
+    x = T.Tensor(rng.standard_normal((8, 32, 112, 112)))
+    k = T.Tensor(rng.standard_normal((64, 32, 3, 3)) * 0.1, requires_grad=True)
+    b = T.Tensor(rng.standard_normal(64), requires_grad=True)
+    pad_bytes = 8 * 32 * 114 * 114 * 4           # 13 MB
+    out_bytes = 8 * 64 * 56 * 56 * 4             # 6.4 MB
+    peak = _peak_traced_bytes(lambda: T.conv_relu_pool2d(x, k, b))
+    assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES < out_bytes + pad_bytes
+
+
+def _row_major(op, x, k, b, stride, padding, g):
+    if op == "conv_relu_pool2d":
+        return oracles.conv_relu_pool2d_rows(x, k, b, g)
+    rows = oracles.conv2d_rows if op == "conv2d" else oracles.conv_transpose2d_rows
+    return rows(x, k, b, stride, padding, g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(op=st.sampled_from(["conv2d", "conv_relu_pool2d", "conv_transpose2d"]),
+       n=st.integers(1, 3), c=st.integers(1, 4), k=st.integers(1, 4),
+       h=st.integers(1, 9), w=st.integers(1, 9), kh=st.integers(1, 4),
+       kw=st.integers(1, 4), stride=st.integers(1, 2), padding=st.integers(0, 1),
+       with_bias=st.booleans(), block_rows=st.one_of(st.none(), st.integers(1, 5)),
+       seed=st.integers(0, 2**16))
+def test_conv_ops_match_row_major_engine_bytes(op, n, c, k, h, w, kh, kw, stride,
+                                               padding, with_bias, block_rows, seed):
+    if op == "conv_relu_pool2d":
+        h, w, kh, kw, stride, padding, with_bias = 2 * h, 2 * w, 3, 3, 1, 1, True
+    if op == "conv_transpose2d":
+        oh = (h - 1) * stride + kh - 2 * padding
+        ow = (w - 1) * stride + kw - 2 * padding
+        k_shape = (c, k, kh, kw)
+    else:
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        k_shape = (k, c, kh, kw)
+    assume(oh > 0 and ow > 0)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    kern = rng.standard_normal(k_shape).astype(np.float32)
+    bias = rng.standard_normal(k).astype(np.float32) if with_bias else None
+    out_hw = (oh // 2, ow // 2) if op == "conv_relu_pool2d" else (oh, ow)
+    g = rng.standard_normal((n, k) + out_hw).astype(np.float32)
+    fn = getattr(T, op)
+    args = () if op == "conv_relu_pool2d" else (stride, padding)
+    # 64-bit bytes of one output row of the GEMM the op blocks (for
+    # conv_transpose2d, its backward's conv2d over g)
+    row_bytes = {"conv2d": 8 * (c * kh * kw + k) * ow,
+                 "conv_relu_pool2d": 8 * (c * 9 + k) * w,
+                 "conv_transpose2d": 8 * (k * kh * kw + c) * w}[op]
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            # blocks of a few output rows cut images; one-image blocks too
+            mp.setattr(T, "_GEMM_BLOCK_BYTES", block_rows * row_bytes)
+        xt = T.Tensor(x, requires_grad=True)
+        kt = T.Tensor(kern, requires_grad=True)
+        bt = T.Tensor(bias, requires_grad=True) if with_bias else None
+        free = fn(xt, kt, *args, bias=bt).data
+        with T.Tape() as tape:
+            y = fn(xt, kt, *args, bias=bt)
+            tape.backward(T.sum_(T.mul(y, T.const(g))))
+    want = _row_major(op, x, kern, bias, stride, padding, g)
+    got = [free, y.data, xt.grad, kt.grad] + ([bt.grad] if with_bias else [])
+    for name, have, expect in zip(["tape-free", "forward", "dx", "dk", "db"], got,
+                                  (want[0],) + tuple(want)):
+        assert have.dtype == expect.dtype == np.float32, name
+        assert have.shape == expect.shape, name
+        assert have.tobytes() == np.ascontiguousarray(expect).tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 70, 70), (3, 5, 40, 50), (2, 1, 9, 9),
+                                   (4, 3, 1, 1), (1, 1, 1, 1)])
+def test_bias_gradient_adds_pixel_rows_in_row_major_order(shape):
+    # 64-bit, where a different summation order shows: the (N*OH*OW, K)
+    # pixel rows summed the way the row-major engine did (pairwise for one
+    # image, whose rows are a strided view; row after row for a batch)
+    g = np.random.default_rng(25).standard_normal(shape) * 1e3
+    want = oracles._pixel_rows(g).sum(axis=0)
+    assert T._bias_grad(T._chan_rows(g), shape[0]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kh,kw,stride,pad", [(3, 3, 1, 1), (4, 4, 2, 1), (2, 3, 2, 0),
+                                              (1, 1, 1, 0)])
+def test_col2im_adds_taps_in_row_major_order(kh, kw, stride, pad):
+    rng = np.random.default_rng(26)
+    n, c, h, w = 2, 3, 7, 6
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    shape = (c, kh, kw, n, oh, ow)
+    cols = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    old = oracles._col2im(cols.transpose(3, 0, 4, 5, 1, 2), (h + 2 * pad, w + 2 * pad),
+                          stride)[:, :, pad:pad + h, pad:pad + w]
+    got = T._col2im(cols, (h, w), stride, pad)
+    assert got.tobytes() == np.ascontiguousarray(old).tobytes()
 
 
 def test_softmax_symmetry_cases():
