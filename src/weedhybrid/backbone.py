@@ -5,7 +5,8 @@ texture, a patch-embedding transformer stage for global context, and a
 graph network over the patch grid for region relationships.  The CNN and
 ViT branch vectors are concatenated, reweighted by squeeze-excite channel
 attention, joined with the pooled graph embedding, and projected to the
-final fused feature.
+final fused feature.  Channel attention gates the fused (N, C) vector
+F = [F_CNN || F_ViT], one weight in (0, 1) per channel.
 
 Forward functions are batch-only: images are (N, C, H, W), token sets
 (N, P, d) and feature vectors (N, d); an input without the leading batch
@@ -29,7 +30,6 @@ __all__ = [
     "MsaBlockParams",
     "ViTParams",
     "PlantGraph",
-    "GcnLayerParams",
     "ChannelAttentionParams",
     "FusionParams",
     "BackboneParams",
@@ -121,18 +121,16 @@ class BackboneConfig:
         return (self.image_size[0] // down, self.image_size[1] // down)
 
 
-def desk_config(**overrides) -> BackboneConfig:
+def desk_config() -> BackboneConfig:
     """Small preset sized for CPU experiments: 32x32 input, 4x4 patch grid."""
-    return BackboneConfig(**overrides)
+    return BackboneConfig()
 
 
-def paper_config(**overrides) -> BackboneConfig:
+def paper_config() -> BackboneConfig:
     """Full-size preset: 224x224 input, 16x16 patches, 12 heads, GCN 64/128."""
-    base = dict(image_size=(224, 224), patch_size=16, embed_dim=768,
-                num_heads=12, cnn_channels=(32, 64, 128), gcn_dims=(64, 128),
-                fusion_dim=256)
-    base.update(overrides)
-    return BackboneConfig(**base)
+    return BackboneConfig(image_size=(224, 224), patch_size=16, embed_dim=768,
+                          num_heads=12, cnn_channels=(32, 64, 128), gcn_dims=(64, 128),
+                          fusion_dim=256)
 
 
 @dataclass
@@ -151,7 +149,6 @@ class ViTParams:
     w_e: T.Tensor              # (patch_dim, embed_dim)
     e_pos: T.Tensor            # (num_patches, embed_dim)
     blocks: tuple              # MsaBlockParams per stage
-    d_k: int
 
 
 @dataclass(frozen=True)
@@ -165,16 +162,9 @@ class PlantGraph:
 
 
 @dataclass
-class GcnLayerParams:
-    w: T.Tensor                # (d_in, d_out)
-    activation: str = "relu"   # "relu" or "identity"
-
-
-@dataclass
 class ChannelAttentionParams:
     w1: T.Tensor               # (C, C // r)
     w2: T.Tensor               # (C // r, C)
-    reduction: int
 
 
 @dataclass
@@ -187,7 +177,7 @@ class FusionParams:
 class BackboneParams:
     cnn: tuple                 # ((kernel, bias), ...) per block
     vit: ViTParams
-    gcn: tuple                 # GcnLayerParams per layer
+    gcn: tuple                 # (d_in, d_out) weight per layer
     attention: ChannelAttentionParams
     fusion: FusionParams
     config: BackboneConfig = field(repr=False, default=None)
@@ -232,20 +222,19 @@ def build_backbone(cfg: BackboneConfig, param) -> BackboneParams:
     vit = ViTParams(
         w_e=xavier("vit.w_e", (cfg.patch_dim, cfg.embed_dim)),
         e_pos=param("vit.e_pos", (cfg.num_patches, cfg.embed_dim), 0.02),
-        blocks=tuple(blocks), d_k=cfg.head_dim)
+        blocks=tuple(blocks))
 
     gcn = []
     d_in = cfg.embed_dim
     for i, d_out in enumerate(cfg.gcn_dims):
-        gcn.append(GcnLayerParams(w=xavier(f"gcn.{i}.w", (d_in, d_out))))
+        gcn.append(xavier(f"gcn.{i}.w", (d_in, d_out)))
         d_in = d_out
 
     c = cfg.concat_dim
     hidden = c // cfg.attention_reduction
     attention = ChannelAttentionParams(
         w1=xavier("attention.w1", (c, hidden)),
-        w2=xavier("attention.w2", (hidden, c)),
-        reduction=cfg.attention_reduction)
+        w2=xavier("attention.w2", (hidden, c)))
 
     fuse_in = c + cfg.gcn_dims[-1]
     fusion = FusionParams(w=he("fusion.w", (fuse_in, cfg.fusion_dim), fuse_in),
@@ -276,8 +265,8 @@ def named_parameters(params: BackboneParams) -> list:
         if deep:
             out.append((f"vit.{b}.ln_gain", blk.ln_gain))
             out.append((f"vit.{b}.ln_bias", blk.ln_bias))
-    for i, layer in enumerate(params.gcn):
-        out.append((f"gcn.{i}.w", layer.w))
+    for i, w in enumerate(params.gcn):
+        out.append((f"gcn.{i}.w", w))
     out.append(("attention.w1", params.attention.w1))
     out.append(("attention.w2", params.attention.w2))
     out.append(("fusion.w", params.fusion.w))
@@ -316,19 +305,19 @@ def patch_embed(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> T.Tensor:
     return T.add_bcast(T.matmul(flat, vit.w_e), vit.e_pos)
 
 
-def multi_head_self_attention(e: T.Tensor, vit: ViTParams,
-                              block: MsaBlockParams = None) -> T.Tensor:
-    """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V."""
-    blk = block if block is not None else vit.blocks[0]
+def multi_head_self_attention(e: T.Tensor, block: MsaBlockParams) -> T.Tensor:
+    """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V; d_k is the width
+    of each head's (d, d_k) projection."""
     if e.ndim != 3:
         raise DimensionError(f"expected (N,P,d) tokens, got {e.shape}")
     d = e.shape[-1]
-    if d != len(blk.w_q) * vit.d_k:
+    d_k = block.w_q[0].shape[-1]
+    if d != len(block.w_q) * d_k:
         raise ContractError(
-            f"token dim {d} != {len(blk.w_q)} heads x d_k {vit.d_k}")
-    scale = 1.0 / math.sqrt(vit.d_k)
+            f"token dim {d} != {len(block.w_q)} heads x d_k {d_k}")
+    scale = 1.0 / math.sqrt(d_k)
     heads = []
-    for wq, wk, wv in zip(blk.w_q, blk.w_k, blk.w_v):
+    for wq, wk, wv in zip(block.w_q, block.w_k, block.w_v):
         q = T.matmul(e, wq)
         k = T.matmul(e, wk)
         v = T.matmul(e, wv)
@@ -345,11 +334,11 @@ def vit_forward(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> tuple:
     """
     tokens = patch_embed(x, vit, cfg)
     if len(vit.blocks) == 1:
-        tokens = multi_head_self_attention(tokens, vit)
+        tokens = multi_head_self_attention(tokens, vit.blocks[0])
     else:
         for blk in vit.blocks:
             normed = T.layer_norm(tokens, blk.ln_gain, blk.ln_bias)
-            tokens = T.add(tokens, multi_head_self_attention(normed, vit, blk))
+            tokens = T.add(tokens, multi_head_self_attention(normed, blk))
     pooled = T.mean(tokens, axis=-2)
     return tokens, pooled
 
@@ -394,42 +383,31 @@ def build_plant_graph(f_vit: T.Tensor, grid: tuple) -> PlantGraph:
                       grid=(rows, cols))
 
 
-def gcn_layer(g: PlantGraph, params: GcnLayerParams,
-              features: T.Tensor = None) -> T.Tensor:
-    """h' = sigma(A_hat . H . W) over the graph's normalized adjacency."""
-    h = g.node_features if features is None else features
-    if h.shape[-1] != params.w.shape[0]:
-        raise DimensionError(
-            f"feature dim {h.shape[-1]} vs weight rows {params.w.shape[0]}")
-    z = T.matmul(T.matmul(g.adjacency, h), params.w)
-    if params.activation == "relu":
-        return T.relu(z)
-    if params.activation == "identity":
-        return z
-    raise ContractError(f"unknown activation {params.activation!r}")
+def gcn_layer(g: PlantGraph, h: T.Tensor, w: T.Tensor) -> T.Tensor:
+    """h' = ReLU(A_hat . H . W) over the graph's normalized adjacency."""
+    if h.shape[-1] != w.shape[0]:
+        raise DimensionError(f"feature dim {h.shape[-1]} vs weight rows {w.shape[0]}")
+    return T.relu(T.matmul(T.matmul(g.adjacency, h), w))
 
 
-def gnn_forward(g: PlantGraph, layers) -> T.Tensor:
-    """Chain gcn_layer over `layers`, then mean-pool nodes to one vector."""
+def gnn_forward(g: PlantGraph, weights) -> T.Tensor:
+    """Chain gcn_layer over the layer `weights`, then mean-pool nodes to one vector."""
     h = g.node_features
-    for layer in layers:
-        h = gcn_layer(g, layer, features=h)
+    for w in weights:
+        h = gcn_layer(g, h, w)
     return T.mean(h, axis=-2)
 
 
 def channel_attention(f: T.Tensor, params: ChannelAttentionParams) -> T.Tensor:
-    """F' = sigmoid(W2 . ReLU(W1 . GAP(F))) (.) F; each weight in (0, 1)."""
-    if f.ndim == 2:
-        squeeze = f
-    elif f.ndim == 4:
-        squeeze = T.gap(f)
-    else:
-        raise DimensionError(f"expected (N,C) or (N,C,H,W), got {f.shape}")
-    if squeeze.shape[-1] != params.w1.shape[0]:
+    """F' = sigmoid(W2 . ReLU(W1 . F)) (.) F over (N, C) features; each
+    weight in (0, 1)."""
+    if f.ndim != 2:
+        raise DimensionError(f"expected (N,C) features, got {f.shape}")
+    if f.shape[-1] != params.w1.shape[0]:
         raise DimensionError(
-            f"channel count {squeeze.shape[-1]} vs W1 rows {params.w1.shape[0]}")
-    w = T.sigmoid(T.matmul(T.relu(T.matmul(squeeze, params.w1)), params.w2))
-    return T.mul(w, f) if f.ndim == 2 else T.scale_channels(f, w)
+            f"channel count {f.shape[-1]} vs W1 rows {params.w1.shape[0]}")
+    w = T.sigmoid(T.matmul(T.relu(T.matmul(f, params.w1)), params.w2))
+    return T.mul(w, f)
 
 
 def fuse_final(f_prime: T.Tensor, f_gnn: T.Tensor, params: FusionParams) -> T.Tensor:
@@ -441,7 +419,7 @@ def fuse_final(f_prime: T.Tensor, f_gnn: T.Tensor, params: FusionParams) -> T.Te
     if cat.shape[-1] != params.w.shape[0]:
         raise DimensionError(
             f"fused input dim {cat.shape[-1]} vs phi rows {params.w.shape[0]}")
-    return T.relu(T.add_rowvec(T.matmul(cat, params.w), params.b))
+    return T.relu(T.add_bcast(T.matmul(cat, params.w), params.b))
 
 
 @dataclass

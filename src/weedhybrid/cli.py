@@ -355,6 +355,8 @@ def cmd_prune(args, cfg: RunConfig) -> int:
     masks = dp.prune_magnitude(weights, args.fraction)
     zeroed = sum(int((~m).sum()) for m in masks.values())
     total = sum(m.size for m in masks.values())
+    if not total:
+        raise ContractError(f"{args.model} has no weights to prune")
     dp.write_checkpoint(args.out, entries, flags=flags)
     print(f"pruned {zeroed}/{total} weights "
           f"({100.0 * zeroed / total:.1f}%) -> {args.out}")

@@ -23,6 +23,7 @@ tensors), zero point 0, codes rounded half away from zero and clamped to
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -112,10 +113,15 @@ def prune_magnitude(named_params: list, fraction: float) -> dict:
     """Zero the smallest-|w| fraction of each tensor in place; return keep masks.
 
     Ties are broken by flat index order (stable sort), so repeated pruning at
-    growing fractions zeroes supersets.
+    growing fractions zeroes supersets. An int8 QuantizedTensor among the
+    inputs raises ContractError before anything is zeroed.
     """
     if not 0.0 <= fraction < 1.0:
         raise ContractError(f"prune fraction must lie in [0, 1), got {fraction}")
+    for name, t in named_params:
+        if isinstance(t, QuantizedTensor):
+            raise ContractError(f"{name} is int8; prune the float checkpoint, "
+                                f"then quantize it")
     masks = {}
     for name, t in named_params:
         data = t.data if isinstance(t, T.Tensor) else t
@@ -200,7 +206,7 @@ def load_checkpoint(data: bytes) -> tuple:
         kind, rank = struct.unpack("<BB", raw)
         raw, offset = _take(data, offset, 4 * rank, f"dims of {name}")
         dims = struct.unpack(f"<{rank}I", raw) if rank else ()
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        n = math.prod(dims)  # exact: a wrapped count would pass _take
         if kind == _KIND_FLOAT32:
             raw, offset = _take(data, offset, 4 * n, f"payload of {name}")
             values = np.frombuffer(raw, dtype="<f4")

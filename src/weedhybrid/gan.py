@@ -171,7 +171,7 @@ def generate(z: T.Tensor, label, params: GanParams) -> T.Tensor:
         raise DimensionError(f"{z.shape[0]} latents but {labels.size} labels")
     cond = T.matmul(_one_hot(labels, cfg.class_count), params.g_embed)
     h = T.concat([z, cond], axis=1)
-    h = T.relu(T.add_rowvec(T.matmul(h, params.g_fc_w), params.g_fc_b))
+    h = T.relu(T.add_bcast(T.matmul(h, params.g_fc_w), params.g_fc_b))
     sh, sw = cfg.seed_hw
     h = T.reshape(h, (z.shape[0], 2 * cfg.base_channels, sh, sw))
     h = T.relu(T.conv_transpose2d(h, params.g_deconv1, stride=2, padding=1,
@@ -198,7 +198,7 @@ def _disc_logit(x: T.Tensor, label, params: GanParams) -> T.Tensor:
     f = T.leaky_relu(T.conv2d(f, params.d_conv2, stride=2, padding=1,
                               bias=params.d_conv2_b))
     flat = T.reshape(f, (n, f.size // n))
-    logit = T.add_rowvec(T.matmul(flat, params.d_fc_w), params.d_fc_b)
+    logit = T.add_bcast(T.matmul(flat, params.d_fc_w), params.d_fc_b)
     return T.reshape(logit, (n,))
 
 

@@ -100,8 +100,7 @@ class HeadParams:
     image_size: tuple
 
 
-def build_heads(cfg: BackboneConfig, param,
-                num_classes: int = NUM_CLASSES) -> HeadParams:
+def build_heads(cfg: BackboneConfig, param) -> HeadParams:
     """Walk the head parameter layout; param(name, shape, init) makes each
     tensor, as in backbone.build_backbone."""
 
@@ -110,20 +109,18 @@ def build_heads(cfg: BackboneConfig, param,
 
     c_spatial = cfg.cnn_channels[-1]
     return HeadParams(
-        cls_w=xavier("head.cls_w", (cfg.fusion_dim, num_classes)),
-        cls_b=param("head.cls_b", (num_classes,), "zeros"),
-        seg_kernel=param("head.seg_kernel", (num_classes, c_spatial, 1, 1),
+        cls_w=xavier("head.cls_w", (cfg.fusion_dim, NUM_CLASSES)),
+        cls_b=param("head.cls_b", (NUM_CLASSES,), "zeros"),
+        seg_kernel=param("head.seg_kernel", (NUM_CLASSES, c_spatial, 1, 1),
                          math.sqrt(2.0 / c_spatial)),
-        seg_bias=param("head.seg_bias", (num_classes,), "zeros"),
+        seg_bias=param("head.seg_bias", (NUM_CLASSES,), "zeros"),
         growth_w=xavier("head.growth_w", (cfg.fusion_dim, 1)),
         growth_b=param("head.growth_b", (1,), "zeros"),
         image_size=tuple(cfg.image_size))
 
 
-def init_heads(cfg: BackboneConfig, rng: np.random.Generator,
-               num_classes: int = NUM_CLASSES) -> HeadParams:
-    return build_heads(cfg, lambda name, shape, init: T.init_param(shape, init, rng),
-                       num_classes)
+def init_heads(cfg: BackboneConfig, rng: np.random.Generator) -> HeadParams:
+    return build_heads(cfg, lambda name, shape, init: T.init_param(shape, init, rng))
 
 
 def named_head_parameters(params: HeadParams) -> list:
@@ -143,8 +140,7 @@ def _check_rows(f: T.Tensor, w: T.Tensor) -> None:
 def classify_head(f_final: T.Tensor, params: HeadParams) -> T.Tensor:
     """Linear layer then softmax over the class axis: (N,d) -> (N,K)."""
     _check_rows(f_final, params.cls_w)
-    return T.softmax(T.add_rowvec(T.matmul(f_final, params.cls_w), params.cls_b),
-                     axis=-1)
+    return T.softmax(T.add_bcast(T.matmul(f_final, params.cls_w), params.cls_b), axis=-1)
 
 
 def cross_entropy(probs: T.Tensor, labels) -> T.Tensor:
@@ -194,7 +190,7 @@ def dice_loss(seg_mask: T.Tensor, truth_mask: T.Tensor) -> T.Tensor:
 def growth_head(f_final: T.Tensor, params: HeadParams) -> T.Tensor:
     """Linear scalar regressor: (N,d) -> (N,)."""
     _check_rows(f_final, params.growth_w)
-    out = T.add_rowvec(T.matmul(f_final, params.growth_w), params.growth_b)
+    out = T.add_bcast(T.matmul(f_final, params.growth_w), params.growth_b)
     return T.reshape(out, (out.shape[0],))
 
 

@@ -159,8 +159,8 @@ def forward_embeddings(x: T.Tensor, params: bb.BackboneParams,
     cnn_vec, _ = bb.cnn_forward(x, params)
     _, vit_vec = bb.vit_forward(x, params.vit, params.config)
     feats = T.concat([cnn_vec, vit_vec], axis=1)
-    hidden = T.relu(T.add_rowvec(T.matmul(feats, proj.w1), proj.b1))
-    out = T.add_rowvec(T.matmul(hidden, proj.w2), proj.b2)
+    hidden = T.relu(T.add_bcast(T.matmul(feats, proj.w1), proj.b1))
+    out = T.add_bcast(T.matmul(hidden, proj.w2), proj.b2)
     return l2_normalize_rows(out)
 
 

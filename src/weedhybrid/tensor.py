@@ -59,24 +59,19 @@ _DEFAULT_DTYPE = np.float32
 _GEMM_BLOCK_BYTES = 16 << 20   # float64 working set of one conv2d GEMM row block
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the storage dtype for newly created tensors (float32 or float64)."""
+@contextlib.contextmanager
+def default_dtype(dtype):
+    """Temporarily switch the storage dtype of new tensors to float32 or
+    float64 (the gradient checks run in float64)."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"unsupported tensor dtype {dt}")
-    _DEFAULT_DTYPE = dt.type
-
-
-@contextlib.contextmanager
-def default_dtype(dtype):
-    """Temporarily switch the default storage dtype (used by gradient checks)."""
-    old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    old, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt.type
     try:
         yield
     finally:
-        set_default_dtype(old)
+        _DEFAULT_DTYPE = old
 
 
 class Tensor:
@@ -111,34 +106,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all shape rules live in the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def const(data) -> Tensor:
@@ -381,15 +348,6 @@ def tanh(a: Tensor) -> Tensor:
     return _result(data, "tanh", (a,), back)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def back(g):
-        _accum(a, g * data)
-
-    return _result(data, "exp", (a,), back)
-
-
 def log(a: Tensor) -> Tensor:
     """Natural log; inputs must be positive (clamp first if they may not be)."""
     with np.errstate(divide="raise", invalid="raise"):
@@ -536,40 +494,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(data.astype(_out_dtype(*parts)), "concat", tuple(parts), back)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis (the inverse of concat)."""
-    axis = axis % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise DimensionError(
-            f"narrow: [{start}:{start + length}] out of range for extent {a.shape[axis]}")
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, start + length)
-    data = np.ascontiguousarray(a.data[tuple(sl)])
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[tuple(sl)] = g
-        _accum(a, full)
-
-    return _result(data, "narrow", (a,), back)
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-d vector to every row of a (..., d) tensor (bias add)."""
-    if v.ndim != 1 or v.shape[0] != a.shape[-1]:
-        raise DimensionError(f"add_rowvec: vector {v.shape} vs rows of {a.shape}")
-    data = a.data + v.data
-
-    def back(g):
-        _accum(a, g.astype(a.data.dtype, copy=False))
-        lead = tuple(range(g.ndim - 1))
-        _accum(v, _f64(g).sum(axis=lead).astype(v.data.dtype))
-
-    return _result(data.astype(_out_dtype(a, v)), "add_rowvec", (a, v), back)
-
-
 def add_bcast(a: Tensor, b: Tensor) -> Tensor:
-    """Add b to a, where b's shape equals a trailing slice of a's shape."""
+    """Add b to a, where b's shape equals a trailing slice of a's shape
+    (a bias row, a positional table)."""
     if b.ndim > a.ndim or a.shape[a.ndim - b.ndim:] != b.shape:
         raise DimensionError(f"add_bcast: {b.shape} is not a suffix of {a.shape}")
     data = a.data + b.data
@@ -594,19 +521,6 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
         _accum(s, _f64(g * a.data).sum(axis=1).astype(s.data.dtype))
 
     return _result(data.astype(_out_dtype(a, s)), "scale_rows", (a, s), back)
-
-
-def scale_channels(a: Tensor, w: Tensor) -> Tensor:
-    """Multiply channel c of a (N, C, H, W) map by w[n, c] (broadcast over space)."""
-    if a.ndim != 4 or w.ndim != 2 or w.shape != a.shape[:2]:
-        raise DimensionError(f"scale_channels: {a.shape} with {w.shape}")
-    data = a.data * w.data[:, :, None, None]
-
-    def back(g):
-        _accum(a, (g * w.data[:, :, None, None]).astype(a.data.dtype, copy=False))
-        _accum(w, _f64(g * a.data).sum(axis=(2, 3)).astype(w.data.dtype))
-
-    return _result(data.astype(_out_dtype(a, w)), "scale_channels", (a, w), back)
 
 
 # ---------------------------------------------------------------------------

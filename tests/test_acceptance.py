@@ -137,20 +137,17 @@ def _tiny_msa(rng, n_heads=2, d_k=2, n_tokens=3):
                          for _ in range(n_heads))
     blk = bb.MsaBlockParams(w_q=proj(), w_k=proj(), w_v=proj(),
                             ln_gain=T.ones((embed,)), ln_bias=T.zeros((embed,)))
-    vit = bb.ViTParams(w_e=T.zeros((1, embed)),
-                       e_pos=T.zeros((n_tokens, embed)),
-                       blocks=(blk,), d_k=d_k)
     e = rand_tensor(rng, (1, n_tokens, embed), 0.7)
-    return e, vit, blk
+    return e, blk
 
 
 def _check_attention(rng):
     worst = 0.0
     for _ in range(20):
-        e, vit, blk = _tiny_msa(rng)
+        e, blk = _tiny_msa(rng)
         params = [e] + list(blk.w_q) + list(blk.w_k) + list(blk.w_v)
         def loss():
-            return T.sum_(T.tanh(bb.multi_head_self_attention(e, vit)))
+            return T.sum_(T.tanh(bb.multi_head_self_attention(e, blk)))
         worst = max(worst, gradcheck(loss, params, eps=1e-5))
     return worst
 
@@ -160,22 +157,20 @@ def _check_gcn(rng):
     for _ in range(20):
         feats = rand_tensor(rng, (4, 3), 0.7)
         g = bb.build_plant_graph(feats, (2, 2))
-        layer = bb.GcnLayerParams(w=rand_tensor(rng, (3, 2), 0.7))
+        w = rand_tensor(rng, (3, 2), 0.7)
         def loss():
-            return T.sum_(T.tanh(bb.gcn_layer(g, layer)))
-        worst = max(worst, gradcheck(loss, [feats, layer.w], eps=1e-5))
+            return T.sum_(T.tanh(bb.gcn_layer(g, feats, w)))
+        worst = max(worst, gradcheck(loss, [feats, w], eps=1e-5))
     return worst
 
 
 def _check_channel_attention(rng):
     worst = 0.0
-    for i in range(20):
+    for _ in range(20):
         c = 6
         p = bb.ChannelAttentionParams(w1=rand_tensor(rng, (c, 2), 0.7),
-                                      w2=rand_tensor(rng, (2, c), 0.7),
-                                      reduction=3)
-        shape = (2, c) if i % 2 == 0 else (1, c, 2, 2)
-        f = rand_tensor(rng, shape, 0.7)
+                                      w2=rand_tensor(rng, (2, c), 0.7))
+        f = rand_tensor(rng, (2, c), 0.7)
         def loss():
             return T.sum_(T.tanh(bb.channel_attention(f, p)))
         worst = max(worst, gradcheck(loss, [f, p.w1, p.w2], eps=1e-5))
@@ -316,18 +311,17 @@ def test_criterion_2_invariants():
             # channel attention never grows a feature's magnitude
             p = bb.ChannelAttentionParams(
                 w1=T.const(rng.standard_normal((6, 2))),
-                w2=T.const(rng.standard_normal((2, 6))), reduction=3)
-            for shape in ((3, 6), (2, 6, 3, 3)):
-                f = rng.standard_normal(shape).astype(np.float32)
-                out = bb.channel_attention(T.const(f), p).data
-                assert np.all(np.abs(out) <= np.abs(f) + 1e-12), \
-                    "channel attention grew a feature"
+                w2=T.const(rng.standard_normal((2, 6))))
+            f = rng.standard_normal((3, 6)).astype(np.float32)
+            out = bb.channel_attention(T.const(f), p).data
+            assert np.all(np.abs(out) <= np.abs(f) + 1e-12), \
+                "channel attention grew a feature"
 
             # pooled GNN output is invariant to node relabeling
             feats = rng.standard_normal((6, 5)).astype(np.float32)
             g = bb.build_plant_graph(T.const(feats), (2, 3))
-            layers = [bb.GcnLayerParams(w=T.const(rng.standard_normal((5, 4)))),
-                      bb.GcnLayerParams(w=T.const(rng.standard_normal((4, 3))))]
+            layers = [T.const(rng.standard_normal((5, 4))),
+                      T.const(rng.standard_normal((4, 3)))]
             pooled = bb.gnn_forward(g, layers).data
             perm = rng.permutation(6)
             inv = np.argsort(perm)
@@ -342,11 +336,11 @@ def test_criterion_2_invariants():
                                        err_msg="GNN permutation invariance")
 
             # self-attention is equivariant to token permutation
-            e, vit, _ = _tiny_msa(rng, n_heads=2, d_k=2, n_tokens=5)
-            out = bb.multi_head_self_attention(e, vit).data
+            e, blk = _tiny_msa(rng, n_heads=2, d_k=2, n_tokens=5)
+            out = bb.multi_head_self_attention(e, blk).data
             tperm = rng.permutation(5)
             out_p = bb.multi_head_self_attention(
-                T.const(e.data[:, tperm]), vit).data
+                T.const(e.data[:, tperm]), blk).data
             np.testing.assert_allclose(out_p, out[:, tperm], atol=1e-6,
                                        err_msg="MSA permutation equivariance")
     except Exception as exc:

@@ -156,7 +156,7 @@ def test_msa_single_token_returns_value_row():
                             fusion_dim=8, attention_reduction=2)
     params = bb.init_backbone(cfg, np.random.default_rng(11))
     e = T.Tensor(np.random.default_rng(12).standard_normal((1, 1, 6)))
-    out = bb.multi_head_self_attention(e, params.vit)
+    out = bb.multi_head_self_attention(e, params.vit.blocks[0])
     want = np.concatenate([e.data[0] @ w.data for w in params.vit.blocks[0].w_v],
                           axis=-1)
     np.testing.assert_allclose(out.data[0], want, atol=1e-5)
@@ -169,7 +169,7 @@ def test_msa_zero_queries_give_uniform_attention():
     blk.w_q = tuple(T.zeros(w.shape, requires_grad=True) for w in blk.w_q)
     blk.w_k = tuple(T.zeros(w.shape, requires_grad=True) for w in blk.w_k)
     e = T.Tensor(np.random.default_rng(14).standard_normal((1, 4, 4)))
-    out = bb.multi_head_self_attention(e, params.vit)
+    out = bb.multi_head_self_attention(e, params.vit.blocks[0])
     v = np.concatenate([e.data[0] @ w.data for w in blk.w_v], axis=-1)
     want = np.tile(v.mean(axis=0), (4, 1))
     np.testing.assert_allclose(out.data[0], want, atol=1e-5)
@@ -185,7 +185,7 @@ def test_msa_two_tokens_scalar_recompute():
     blk.w_k = (T.Tensor([[0.0, 1.0], [1.0, 0.0]], requires_grad=True),)
     blk.w_v = (T.Tensor([[1.0, 1.0], [0.0, 2.0]], requires_grad=True),)
     e = np.array([[1.0, 2.0], [3.0, -1.0]])
-    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit)
+    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.blocks[0])
 
     q = e  # identity W_Q
     k = e[:, ::-1]  # swapped columns
@@ -207,7 +207,7 @@ def test_msa_head_dim_mismatch():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(16))
     with pytest.raises(ContractError):
-        bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit)
+        bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit.blocks[0])
 
 
 def test_msa_permutation_equivariant():
@@ -216,8 +216,8 @@ def test_msa_permutation_equivariant():
     rng = np.random.default_rng(18)
     e = rng.standard_normal((16, 32)).astype(np.float32)
     perm = rng.permutation(16)
-    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit)
-    out_p = bb.multi_head_self_attention(T.Tensor(e[perm][None]), params.vit)
+    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.blocks[0])
+    out_p = bb.multi_head_self_attention(T.Tensor(e[perm][None]), params.vit.blocks[0])
     np.testing.assert_allclose(out_p.data[0], out.data[0][perm], atol=1e-6)
 
 
@@ -274,14 +274,14 @@ def test_gcn_identity_adjacency_isolated_nodes():
                       neighbors=((), (), ()), grid=(1, 3))
     w = T.Tensor(np.random.default_rng(22).standard_normal((4, 5)),
                  requires_grad=True)
-    out = bb.gcn_layer(g, bb.GcnLayerParams(w=w))
+    out = bb.gcn_layer(g, feats, w)
     np.testing.assert_allclose(out.data, np.maximum(feats.data @ w.data, 0.0),
                                atol=1e-5)
 
 
 def test_gcn_zero_features():
     g = bb.build_plant_graph(T.zeros((4, 3)), (2, 2))
-    out = bb.gcn_layer(g, bb.GcnLayerParams(w=T.ones((3, 2), requires_grad=True)))
+    out = bb.gcn_layer(g, g.node_features, T.ones((3, 2), requires_grad=True))
     np.testing.assert_array_equal(out.data, np.zeros((4, 2), dtype=np.float32))
 
 
@@ -293,7 +293,7 @@ def test_gcn_path_graph_hand_computed():
                       [1 / 3, 1 / 3, 1 / 3],
                       [0.0, 0.5, 0.5]])
     np.testing.assert_allclose(g.adjacency.data, a_hat, atol=1e-6)
-    out = bb.gcn_layer(g, bb.GcnLayerParams(w=T.Tensor([[1.0]], requires_grad=True)))
+    out = bb.gcn_layer(g, g.node_features, T.Tensor([[1.0]], requires_grad=True))
     want = np.maximum(a_hat @ h, 0.0)
     np.testing.assert_allclose(out.data, want, atol=1e-5)
 
@@ -301,17 +301,15 @@ def test_gcn_path_graph_hand_computed():
 def test_gcn_dim_mismatch():
     g = bb.build_plant_graph(T.zeros((4, 3)), (2, 2))
     with pytest.raises(DimensionError):
-        bb.gcn_layer(g, bb.GcnLayerParams(w=T.ones((5, 2), requires_grad=True)))
+        bb.gcn_layer(g, g.node_features, T.ones((5, 2), requires_grad=True))
 
 
 def test_gnn_paper_dims():
     rng = np.random.default_rng(23)
     feats = T.Tensor(rng.standard_normal((196, 768)).astype(np.float32) * 0.1)
     g = bb.build_plant_graph(feats, (14, 14))
-    layers = [bb.GcnLayerParams(w=T.Tensor(rng.standard_normal((768, 64)) * 0.05,
-                                           requires_grad=True)),
-              bb.GcnLayerParams(w=T.Tensor(rng.standard_normal((64, 128)) * 0.1,
-                                           requires_grad=True))]
+    layers = [T.Tensor(rng.standard_normal((768, 64)) * 0.05, requires_grad=True),
+              T.Tensor(rng.standard_normal((64, 128)) * 0.1, requires_grad=True)]
     out = bb.gnn_forward(g, layers)
     assert out.shape == (128,)
 
@@ -322,7 +320,7 @@ def test_gnn_single_node_is_dense_net():
     g = bb.build_plant_graph(feats, (1, 1))
     w1 = T.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
     w2 = T.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    out = bb.gnn_forward(g, [bb.GcnLayerParams(w=w1), bb.GcnLayerParams(w=w2)])
+    out = bb.gnn_forward(g, [w1, w2])
     want = np.maximum(np.maximum(feats.data @ w1.data, 0) @ w2.data, 0)[0]
     np.testing.assert_allclose(out.data, want, atol=1e-5)
 
@@ -331,10 +329,8 @@ def test_gnn_permutation_invariant():
     rng = np.random.default_rng(25)
     feats = rng.standard_normal((16, 8)).astype(np.float32)
     g = bb.build_plant_graph(T.Tensor(feats), (4, 4))
-    layers = [bb.GcnLayerParams(w=T.Tensor(rng.standard_normal((8, 6)),
-                                           requires_grad=True)),
-              bb.GcnLayerParams(w=T.Tensor(rng.standard_normal((6, 4)),
-                                           requires_grad=True))]
+    layers = [T.Tensor(rng.standard_normal((8, 6)), requires_grad=True),
+              T.Tensor(rng.standard_normal((6, 4)), requires_grad=True)]
     pooled = bb.gnn_forward(g, layers)
 
     perm = rng.permutation(16)
@@ -354,8 +350,7 @@ def test_gnn_permutation_invariant():
 
 def test_channel_attention_zero_weights_halve():
     params = bb.ChannelAttentionParams(w1=T.zeros((6, 2), requires_grad=True),
-                                       w2=T.zeros((2, 6), requires_grad=True),
-                                       reduction=3)
+                                       w2=T.zeros((2, 6), requires_grad=True))
     f = T.Tensor(np.random.default_rng(26).standard_normal((1, 6)))
     out = bb.channel_attention(f, params)
     np.testing.assert_allclose(out.data[0], f.data[0] / 2.0, atol=1e-6)
@@ -365,8 +360,7 @@ def test_channel_attention_zero_features():
     rng = np.random.default_rng(27)
     params = bb.ChannelAttentionParams(
         w1=T.Tensor(rng.standard_normal((6, 2)), requires_grad=True),
-        w2=T.Tensor(rng.standard_normal((2, 6)), requires_grad=True),
-        reduction=3)
+        w2=T.Tensor(rng.standard_normal((2, 6)), requires_grad=True))
     out = bb.channel_attention(T.zeros((1, 6)), params)
     np.testing.assert_array_equal(out.data[0], np.zeros(6, dtype=np.float32))
 
@@ -379,8 +373,7 @@ def test_channel_attention_scalar_recompute():
         w2 = rng.standard_normal((c // r, c))
         f = rng.standard_normal(c)
         params = bb.ChannelAttentionParams(w1=T.Tensor(w1, requires_grad=True),
-                                           w2=T.Tensor(w2, requires_grad=True),
-                                           reduction=r)
+                                           w2=T.Tensor(w2, requires_grad=True))
         out = bb.channel_attention(T.Tensor(f[None]), params)
         hidden = [max(0.0, sum(f[i] * w1[i, j] for i in range(c)))
                   for j in range(c // r)]
@@ -395,8 +388,7 @@ def test_channel_attention_never_grows_magnitude():
     rng = np.random.default_rng(29)
     params = bb.ChannelAttentionParams(
         w1=T.Tensor(rng.standard_normal((8, 2)), requires_grad=True),
-        w2=T.Tensor(rng.standard_normal((2, 8)), requires_grad=True),
-        reduction=4)
+        w2=T.Tensor(rng.standard_normal((2, 8)), requires_grad=True))
     for _ in range(20):
         f = rng.standard_normal(8).astype(np.float32) * 3
         out = bb.channel_attention(T.Tensor(f[None]), params)
@@ -404,25 +396,9 @@ def test_channel_attention_never_grows_magnitude():
         assert np.all(np.sign(out.data[0]) == np.sign(f))
 
 
-def test_channel_attention_spatial_broadcast():
-    rng = np.random.default_rng(30)
-    params = bb.ChannelAttentionParams(
-        w1=T.Tensor(rng.standard_normal((4, 1)), requires_grad=True),
-        w2=T.Tensor(rng.standard_normal((1, 4)), requires_grad=True),
-        reduction=4)
-    f = T.Tensor(rng.standard_normal((2, 4, 3, 3)))
-    out = bb.channel_attention(f, params)
-    squeeze = f.data.mean(axis=(2, 3))
-    gate = 1.0 / (1.0 + np.exp(-(np.maximum(squeeze @ params.w1.data, 0)
-                                 @ params.w2.data)))
-    np.testing.assert_allclose(out.data, f.data * gate[:, :, None, None],
-                               atol=1e-5)
-
-
 def test_channel_attention_dim_mismatch():
     params = bb.ChannelAttentionParams(w1=T.zeros((6, 2), requires_grad=True),
-                                       w2=T.zeros((2, 6), requires_grad=True),
-                                       reduction=3)
+                                       w2=T.zeros((2, 6), requires_grad=True))
     with pytest.raises(DimensionError):
         bb.channel_attention(T.zeros((1, 5)), params)
 

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import struct
 import tracemalloc
 
 import numpy as np
@@ -296,12 +297,14 @@ def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-def desk_checkpoint(path, name, value):
-    """A random desk model with every element of tensor `name` set to `value`."""
+def desk_checkpoint(path, name=None, value=None):
+    """A random desk model, with every element of tensor `name` set to
+    `value` if a name is given."""
     rng = np.random.default_rng(4)
     cfg = bb.desk_config()
     entries = dp.model_entries(bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
-    entries[name][...] = value
+    if name is not None:
+        entries[name][...] = value
     dp.write_checkpoint(str(path), entries)
     return str(path)
 
@@ -335,6 +338,47 @@ def test_overflowing_weights_exit_three(workspace, tmp_path, capsys, command):
     assert rc == 3
     assert "backbone diverged" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("prune", "--fraction"),
+                                          ("quantize", "--prune-fraction")],
+                         ids=["prune", "quantize"])
+def test_pruning_int8_checkpoint_is_usage_error(tmp_path, capsys, command, flag):
+    quant = str(tmp_path / "q.hwdm")
+    rc = cli.main(["quantize", "--model", desk_checkpoint(tmp_path / "m.hwdm"),
+                   "--out", quant])
+    assert rc == 0
+    capsys.readouterr()
+    out = tmp_path / "out.hwdm"
+    rc = cli.main([command, "--model", quant, "--out", str(out), flag, "0.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: cnn.0.kernel is int8; prune the "
+                                       "float checkpoint, then quantize it\n")
+    assert not out.exists()
+
+
+def test_prune_checkpoint_without_weights_is_usage_error(tmp_path, capsys):
+    model = str(tmp_path / "meta.hwdm")
+    dp.write_checkpoint(model, {"meta.backbone": dp.encode_backbone_config(bb.desk_config())})
+    out = tmp_path / "out.hwdm"
+    rc = cli.main(["prune", "--model", model, "--out", str(out), "--fraction", "0.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {model} has no weights to prune\n"
+    assert not out.exists()
+
+
+def test_checkpoint_dims_past_64_bits_is_data_error(tmp_path, capsys):
+    # 65536**4 wraps to 0 in int64 arithmetic; the empty payload must not pass
+    model = tmp_path / "wrap.hwdm"
+    model.write_bytes(dp.MAGIC + struct.pack("<HHIH", dp.VERSION, dp.FLAG_FULL, 1, 1)
+                      + b"w" + struct.pack("<BB4I", 0, 4, *[65536] * 4))
+    out = tmp_path / "q.hwdm"
+    rc = cli.main(["quantize", "--model", str(model), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: truncated checkpoint at offset ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_divergent_training_exits_three(workspace, tmp_path, capsys):

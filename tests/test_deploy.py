@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -142,6 +143,13 @@ def test_prune_rejects_bad_fraction():
         dp.prune_magnitude(named_single([1.0]), -0.1)
 
 
+def test_prune_rejects_int8_tensor_before_zeroing():
+    params = named_single([1.0, -4.0]) + [("q", dp.quantize(np.ones(2)))]
+    with pytest.raises(ContractError, match="q is int8; prune the float checkpoint"):
+        dp.prune_magnitude(params, 0.5)
+    np.testing.assert_array_equal(params[0][1].data, [1, -4])
+
+
 # ---------------------------------------------------------------- checkpoint
 
 
@@ -221,6 +229,17 @@ def test_infinite_int8_scale_rejected_with_offset():
     blob = dp.save_checkpoint({"w": qt}, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
     at = len(blob) - 2 - 5  # scale and zero point precede the two codes
     with pytest.raises(FormatError, match=rf"scale for w at offset {at}$"):
+        dp.load_checkpoint(blob)
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["float32", "int8"])
+def test_checkpoint_dims_past_64_bits_are_truncation(kind):
+    # 65536**4 == 2**64 wraps to 0 in int64, which would let the empty
+    # payload pass the length check
+    blob = (dp.MAGIC + struct.pack("<HHIH", dp.VERSION, dp.FLAG_FULL, 1, 1) + b"w"
+            + struct.pack("<BB4I", kind, 4, *[65536] * 4)
+            + (struct.pack("<fb", 1.0, 0) if kind else b""))
+    with pytest.raises(FormatError, match=f"truncated checkpoint at offset {len(blob)}"):
         dp.load_checkpoint(blob)
 
 
