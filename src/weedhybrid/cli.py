@@ -178,9 +178,27 @@ def _load_images(manifest_path: str) -> tuple:
     return samples, images
 
 
+def _check_distinct_names(manifest: str, samples: list) -> None:
+    """Raise DataError if two different image (or mask) paths share a
+    basename, so that preprocess would write both to one output file; a
+    repeated path (which read_manifest warns about) is allowed."""
+    for field in ("image", "mask"):
+        first = {}   # basename -> (path, line) of the first row writing it
+        for s in samples:
+            path = getattr(s, field)
+            if path is None:
+                continue
+            name = os.path.basename(path)
+            other, line = first.setdefault(name, (path, s.line))
+            if os.path.normpath(other) != os.path.normpath(path):
+                raise DataError(f"{manifest}:{s.line}: {field} {path} and {other} "
+                                f"on line {line} would both be written as {name}")
+
+
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
+    _check_distinct_names(args.manifest, samples)
     os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
     records = []
     staged = im.preprocess_batch(images, pre_cfg, as_images=True)
@@ -226,6 +244,9 @@ def cmd_gan_train(args, cfg: RunConfig) -> int:
 
 def cmd_augment(args, cfg: RunConfig) -> int:
     params = dp.load_gan(args.gan)
+    if params.config.class_count != len(synthdata.CLASS_NAMES):
+        raise DataError(f"{args.gan}: GAN has {params.config.class_count} classes, "
+                        f"expected {len(synthdata.CLASS_NAMES)}")
     samples, images = _load_images(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: nothing to rebalance")

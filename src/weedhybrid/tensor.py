@@ -16,16 +16,16 @@ a contiguous run of OW; where a tap reads the zero border it writes zeros, so
 no conv path makes a padded copy of its input. Rows are in the order of
 kernels.reshape(K, C*kh*kw), so the GEMM is W @ cols with the weights as
 stored, its (K, pixels) product gets the bias per row, and the kernel
-gradient is g @ cols.T with g the (K, pixels) output gradient. _col2im, the
-adjoint, adds W.T @ g back onto the unpadded input one tap at a time in
-(i, j) order. conv_transpose2d runs on the same code: its forward is conv2d's
-input gradient (kmat.T @ x, then _col2im), its backward conv2d's forward and
-kernel gradient.
-- Blocks (_conv_blocks) are whole images, or whole rows (row pairs for
-  conv_relu_pool2d) of one image, each at most _GEMM_BLOCK_BYTES of 64-bit
-  im2col block plus 64-bit product. Untaped, a block is built straight in
-  64-bit into one reused buffer; taped, the whole matrix is kept in the
-  storage dtype for backward and each block cast to 64-bit.
+gradient is g @ cols.T (_kernel_grad) with g the (K, pixels) output
+gradient. _col2im, the adjoint, adds W.T @ g back onto the unpadded input
+one tap at a time in (i, j) order (_conv_adjoint). conv_transpose2d runs on
+the same code: its forward is conv2d's input gradient, its backward conv2d's
+forward and kernel gradient.
+- Every conv forward runs over blocks (_conv_blocks): whole images, or whole
+  rows (row pairs for conv_relu_pool2d) of one image, each at most
+  _GEMM_BLOCK_BYTES of 64-bit im2col block plus 64-bit product, built in
+  64-bit into one reused buffer. A taped conv keeps its input, not the
+  im2col matrix; backward rebuilds that (Chen et al. 2016, recompute).
 - Outputs keep the memory order of the row-major engine they replaced:
   conv2d's map and conv_relu_pool2d's pooled map are channels-last, because
   NumPy's pairwise reductions downstream (gap, Dice) add in stride order,
@@ -37,13 +37,12 @@ kernel gradient.
   bias=b)), 2) as one op: each block's product is rounded to the storage
   dtype, checked finite, rectified in place and pooled (4 taps, 64-bit)
   straight into the (N,K,H/2,W/2) output, so the full-resolution conv and
-  ReLU maps never exist. Untaped it holds one block beyond its input and
-  pooled output; taped, the whole im2col matrix (storage dtype) and a bool
-  ReLU mask (1 byte per conv output element), and its backward is
-  avg_pool2d's adjoint, the mask and conv2d's backward.
+  ReLU maps never exist. It holds one block beyond its input and pooled
+  output; taped, also a bool ReLU mask (1 byte per conv output element). Its
+  backward is avg_pool2d's adjoint, the mask and conv2d's backward.
 - upsample_bilinear2d is separable: Ry @ X @ Rx^T, no dense (OH*OW, H*W) matrix.
-Backward passes and conv_transpose2d's forward hold whole 64-bit im2col-sized
-matrices (the (C*kh*kw, pixels) input gradient or GEMM product).
+Backward passes and conv_transpose2d's forward hold whole 64-bit (C*kh*kw,
+pixels) matrices: the rebuilt im2col matrix, input gradient or GEMM product.
 """
 
 from __future__ import annotations
@@ -710,28 +709,26 @@ def _conv_blocks(n: int, oh: int, ow: int, pixel_bytes: int, align: int) -> list
     return [(i, i + 1, r0, min(r0 + rows, oh)) for i in range(n) for r0 in range(0, oh, rows)]
 
 
+def _conv_grid(hw: tuple, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
+    """The (OH, OW) output grid of a conv over an (H, W) map."""
+    return (hw[0] + 2 * pad - kh) // stride + 1, (hw[1] + 2 * pad - kw) // stride + 1
+
+
 def _conv_gemm(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-               out_dtype, keep_cols: bool, bias: np.ndarray | None = None,
-               epilogue: Callable | None = None, align: int = 1) -> tuple:
+               out_dtype, bias: np.ndarray | None = None,
+               epilogue: Callable | None = None, align: int = 1) -> np.ndarray | None:
     """Cross-correlate x (N,C,H,W), zero-padded by pad, with wmat (K, C*kh*kw)
     as 64-bit GEMMs W @ cols over the _conv_blocks of the tap-major im2col
-    matrix. Column m of the matrix is output pixel m of the flattened
-    (N, OH, OW) grid. Each block's (K, pixels) product, bias added per row,
-    goes to epilogue(m0, m1, block) if one is given, else into the returned
-    channels-last (N,K,OH,OW) map of out_dtype. Returns (map or None, the
-    whole im2col matrix in x's dtype if keep_cols else None)."""
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    matrix, each block built in one reused buffer. Column m of the matrix is
+    output pixel m of the flattened (N, OH, OW) grid. Each block's (K, pixels)
+    product, bias added per row, goes to epilogue(m0, m1, block) if one is
+    given, else into the returned channels-last (N,K,OH,OW) map of out_dtype."""
+    n = x.shape[0]
+    oh, ow = _conv_grid(x.shape[2:], kh, kw, stride, pad)
     k, row_len = wmat.shape
     blocks = _conv_blocks(n, oh, ow, 8 * (row_len + k), align)
-    cols = buf = None
-    if keep_cols:
-        cols = np.empty((row_len, n * oh * ow), dtype=x.dtype)
-        _im2col(x, cols, kh, kw, stride, pad, 0, n, 0, oh)
-    else:   # untaped: one 64-bit block at a time, no storage-dtype copy
-        n0, n1, r0, r1 = blocks[0]
-        buf = np.empty(row_len * (n1 - n0) * (r1 - r0) * ow, dtype=np.float64)
+    n0, n1, r0, r1 = blocks[0]   # the largest block
+    buf = np.empty(row_len * (n1 - n0) * (r1 - r0) * ow, dtype=np.float64)
     w64 = _f64(wmat)
     b64 = None if bias is None else _f64(bias)[:, None]
     out = None
@@ -744,37 +741,46 @@ def _conv_gemm(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, p
 
     for n0, n1, r0, r1 in blocks:
         m0, m1 = (n0 * oh + r0) * ow, ((n1 - 1) * oh + r1) * ow
-        if keep_cols:
-            block = w64 @ _f64(cols[:, m0:m1])
-        else:
-            dest = buf[:row_len * (m1 - m0)].reshape(row_len, m1 - m0)
-            _im2col(x, dest, kh, kw, stride, pad, n0, n1, r0, r1)
-            block = w64 @ dest
+        dest = buf[:row_len * (m1 - m0)].reshape(row_len, m1 - m0)
+        _im2col(x, dest, kh, kw, stride, pad, n0, n1, r0, r1)
+        block = w64 @ dest
         if b64 is not None:
             block += b64
         epilogue(m0, m1, block)
-    if out is not None:
-        out = out.transpose(0, 3, 1, 2)
-    return out, cols
+    return None if out is None else out.transpose(0, 3, 1, 2)
 
 
-def _conv_backward(g: np.ndarray, cols: np.ndarray, x: Tensor, kernels: Tensor,
-                   bias: Tensor | None, stride: int, pad: int) -> None:
+def _kernel_grad(rows: np.ndarray, a: np.ndarray, kh: int, kw: int, stride: int,
+                 pad: int) -> np.ndarray:
+    """The (K,C,kh,kw) kernel gradient rows @ cols.T of a conv over a (N,C,H,W)
+    from its 64-bit (K, N*OH*OW) output gradient rows; cols, a's whole
+    im2col matrix, is rebuilt here in 64-bit (forward keeps only a)."""
+    n, c, h, w = a.shape
+    cols = np.empty((c * kh * kw, rows.shape[1]), dtype=np.float64)
+    _im2col(a, cols, kh, kw, stride, pad, 0, n, 0, _conv_grid((h, w), kh, kw, stride, pad)[0])
+    return (rows @ cols.T).reshape(len(rows), c, kh, kw)
+
+
+def _conv_adjoint(wmat: np.ndarray, rows: np.ndarray, kh: int, kw: int, stride: int,
+                  pad: int, hw: tuple) -> np.ndarray:
+    """The adjoint of the conv of weights wmat (K, C*kh*kw) over an (H, W) map:
+    _col2im of W.T @ rows, rows its 64-bit (K, N*OH*OW) output channel rows."""
+    cols = (_f64(wmat).T @ rows).reshape(wmat.shape[1] // (kh * kw), kh, kw, -1,
+                                         *_conv_grid(hw, kh, kw, stride, pad))
+    return _col2im(cols, hw, stride, pad)
+
+
+def _conv_backward(g: np.ndarray, x: Tensor, kernels: Tensor, bias: Tensor | None,
+                   stride: int, pad: int) -> None:
     """conv2d's backward from its 64-bit output gradient as (K, N*OH*OW)
-    channel rows and the tap-major im2col matrix its forward kept."""
-    n, c, h, w = x.shape
+    channel rows and the input its forward kept."""
     k, _, kh, kw = kernels.shape
-    dk = (g @ _f64(cols).T).reshape(k, c, kh, kw)
-    _accum(kernels, dk.astype(kernels.data.dtype))
+    _accum(kernels, _kernel_grad(g, x.data, kh, kw, stride, pad).astype(kernels.data.dtype))
     if bias is not None:
-        _accum(bias, _bias_grad(g, n).astype(bias.data.dtype))
-    if not x.requires_grad:
-        return
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    dcols = _f64(kernels.data.reshape(k, c * kh * kw)).T @ g
-    dx = _col2im(dcols.reshape(c, kh, kw, n, oh, ow), (h, w), stride, pad)
-    _accum(x, dx.astype(x.data.dtype))
+        _accum(bias, _bias_grad(g, x.shape[0]).astype(bias.data.dtype))
+    if x.requires_grad:
+        dx = _conv_adjoint(kernels.data.reshape(k, -1), g, kh, kw, stride, pad, x.shape[2:])
+        _accum(x, dx.astype(x.data.dtype))
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
@@ -790,21 +796,16 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
         raise DimensionError(f"conv2d: input channels {c} != kernel channels {ck}")
     if bias is not None and bias.shape != (k,):
         raise DimensionError(f"conv2d: bias shape {bias.shape} != ({k},)")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
+    if min(_conv_grid((h, w), kh, kw, stride, padding)) <= 0:
         raise DimensionError(
             f"conv2d: kernel {kh}x{kw} stride {stride} pad {padding} "
             f"gives non-positive output for input {h}x{w}")
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    wmat = kernels.data.reshape(k, c * kh * kw)
-    # backward needs the whole im2col matrix only if a tape records this call
-    out, cols = _conv_gemm(x.data, wmat, kh, kw, stride, padding,
-                           _out_dtype(x, kernels), _recorded(inputs),
-                           None if bias is None else bias.data)
+    out = _conv_gemm(x.data, kernels.data.reshape(k, c * kh * kw), kh, kw, stride, padding,
+                     _out_dtype(x, kernels), None if bias is None else bias.data)
 
     def back(g):
-        _conv_backward(_chan_rows(g), cols, x, kernels, bias, stride, padding)
+        _conv_backward(_chan_rows(g), x, kernels, bias, stride, padding)
 
     return _result(out, "conv2d", inputs, back)
 
@@ -835,7 +836,8 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     mask = np.empty((k, n * h * w), dtype=bool) if taped else None
 
     def pool(m0, m1, block):
-        act = block.astype(dtype, copy=False)
+        with np.errstate(over="ignore"):   # an overflow is raised on the next line
+            act = block.astype(dtype, copy=False)
         _finite_or_raise(act, "conv_relu_pool2d")
         np.maximum(act, 0, out=act)
         if taped:
@@ -845,14 +847,14 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         acc /= 4
         pooled[m0 // (2 * w):m1 // (2 * w)] = acc.transpose(1, 2, 0)
 
-    _, cols = _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1,
-                         dtype, taped, bias.data, epilogue=pool, align=2)
+    _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1, dtype, bias.data,
+               epilogue=pool, align=2)
     out = pooled.reshape(n, h // 2, w // 2, k).transpose(0, 3, 1, 2)
 
     def back(g):
         dz = _chan_rows(_pool_adjoint(g, 2, 2, (h, w), dtype))
         dz *= mask
-        _conv_backward(dz, cols, x, kernels, bias, 1, 1)
+        _conv_backward(dz, x, kernels, bias, 1, 1)
 
     return _result(out, "conv_relu_pool2d", inputs, back)
 
@@ -866,7 +868,7 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     dx is conv2d's forward pass over the gradient, and dk is conv2d's
     kernel gradient with x and the gradient in swapped roles.
     """
-    n, c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")
+    c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")[1:]
     ck, k, kh, kw = _shape4(kernels, "conv_transpose2d: kernels (C,K,kh,kw)")
     if ck != c:
         raise DimensionError(f"conv_transpose2d: channels {c} != kernel channels {ck}")
@@ -877,17 +879,14 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     if oh <= 0 or ow <= 0:
         raise DimensionError("conv_transpose2d: non-positive output extent")
     kmat = kernels.data.reshape(c, k * kh * kw)
-    cols = _f64(kmat).T @ _chan_rows(x.data)
-    out = _col2im(cols.reshape(k, kh, kw, n, h, w), (oh, ow), stride, padding)
+    out = _conv_adjoint(kmat, _chan_rows(x.data), kh, kw, stride, padding, (oh, ow))
     if bias is not None:
         out += _f64(bias.data)[:, None, None]
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
 
     def back(g):
-        dx, gcols = _conv_gemm(g, kmat, kh, kw, stride, padding, x.data.dtype,
-                               keep_cols=True)
-        _accum(x, dx)
-        dk = (_chan_rows(x.data) @ _f64(gcols).T).reshape(c, k, kh, kw)
+        _accum(x, _conv_gemm(g, kmat, kh, kw, stride, padding, x.data.dtype))
+        dk = _kernel_grad(_chan_rows(x.data), g, kh, kw, stride, padding)
         _accum(kernels, dk.astype(kernels.data.dtype))
         if bias is not None:
             _accum(bias, _f64(g).sum(axis=(0, 2, 3)).astype(bias.data.dtype))

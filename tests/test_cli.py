@@ -12,6 +12,7 @@ import weedhybrid.backbone as bb
 import weedhybrid.cli as cli
 import weedhybrid.dataio as dio
 import weedhybrid.deploy as dp
+import weedhybrid.gan as gn
 import weedhybrid.heads as hd
 import weedhybrid.imaging as im
 from weedhybrid.synthdata import CLASS_NAMES
@@ -443,6 +444,45 @@ def test_preprocess_rejects_invalid_mask(workspace, tmp_path, capsys, mask, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["image", "mask"])
+def test_preprocess_rejects_two_sources_with_one_name(workspace, tmp_path, capsys, field):
+    # a/x.* and other/x.* would both be written as images/x.* (masks/x.*)
+    first, second = dio.read_manifest(workspace["manifest"])[:2]
+    rows = []
+    for sub, s in (("a", first), ("other", second)):
+        names = {"image": f"{sub}/x.ppm", "mask": f"{sub}/x_mask.pgm"}
+        if field == "mask":
+            names["image"] = f"{sub}_x.ppm"
+        for key, rel in names.items():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            shutil.copyfile(workspace["data"] / getattr(s, key), tmp_path / rel)
+        rows.append(dio.Sample(label=s.label, growth=s.growth, **names))
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), rows)
+    out = tmp_path / "out"
+    rc = cli.main(["preprocess", "--manifest", str(manifest), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    # line 1 is the header
+    assert f"manifest.tsv:3: {field} other/x" in err
+    assert "on line 2" in err
+    assert not out.exists()
+
+
+def test_preprocess_allows_a_repeated_source(workspace, tmp_path):
+    sample = dio.read_manifest(workspace["manifest"])[0]
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), [sample, sample])
+    for rel in (sample.image, sample.mask):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(workspace["data"] / rel, tmp_path / rel)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="duplicate image path"):
+        rc = cli.main(["preprocess", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 0
+        assert len(dio.read_manifest(str(out / "manifest.tsv"))) == 2
+
+
 # ---------------------------------------------------------------- gan + augment
 
 
@@ -513,6 +553,22 @@ def test_augment_rejects_empty_gan_steps(workspace, gan_checkpoint, tmp_path,
                    str(bad), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "meta.gan_steps holds 0 values, expected 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", [3, 5])
+def test_augment_rejects_gan_with_other_class_count(workspace, tmp_path, capsys, classes):
+    cfg = gn.GanConfig(latent_dim=4, class_count=classes, image_size=(16, 16),
+                       base_channels=2, label_dim=2)
+    params = gn.init_gan(cfg, np.random.default_rng(0))
+    params.trained_steps = 1   # rebalance refuses an untrained generator
+    gan = tmp_path / "gan.hwdm"
+    dp.save_gan(str(gan), params)
+    out = tmp_path / "out"
+    rc = cli.main(["augment", "--manifest", workspace["manifest"], "--gan", str(gan),
+                   "--out", str(out)])
+    assert rc == 2
+    assert f"GAN has {classes} classes, expected {len(CLASS_NAMES)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- pretrain/train

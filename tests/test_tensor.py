@@ -203,10 +203,33 @@ def test_conv2d_memory_is_cols_plus_one_block():
             T.conv2d(x, k, padding=1, bias=b)
 
     peak = _peak_traced_bytes(taped)
-    # the float32 im2col matrix (kept for backward), one float64 row block,
-    # and room for the padded input and the output; a float64 copy of the
-    # whole im2col matrix (2 * cols_bytes on top of it) does not fit
+    # the bound leaves room for the float32 im2col matrix, one float64 row
+    # block, a padded input and the output; a float64 copy of the whole
+    # im2col matrix (2 * cols_bytes on top of it) does not fit
     assert peak < cols_bytes + T._GEMM_BLOCK_BYTES + 4 * out_bytes
+
+
+@pytest.mark.parametrize("op", ["conv_relu_pool2d", "conv2d"])
+def test_taped_conv_holds_output_and_mask_only(op):
+    rng = np.random.default_rng(21)
+    x = T.Tensor(rng.standard_normal((2, 32, 56, 56)))
+    k = T.Tensor(rng.standard_normal((64, 32, 3, 3)), requires_grad=True)
+    b = T.Tensor(rng.standard_normal(64), requires_grad=True)
+    mask_bytes = 64 * 2 * 56 * 56 if op == "conv_relu_pool2d" else 0
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            if op == "conv2d":
+                out = T.conv2d(x, k, padding=1, bias=b)
+            else:
+                out = T.conv_relu_pool2d(x, k, b)
+            held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    # the tape keeps the input (allocated before tracing) and the ReLU mask,
+    # not the 7.2 MB im2col matrix, which backward rebuilds
+    assert held <= out.data.nbytes + mask_bytes + (64 << 10)
 
 
 def test_conv2d_tape_free_memory_has_no_im2col_matrix():
@@ -219,7 +242,7 @@ def test_conv2d_tape_free_memory_has_no_im2col_matrix():
     pad_bytes = 8 * 32 * 114 * 114 * 4           # 13 MB
     peak = _peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
     # the output and one block (64-bit im2col block and product); building
-    # the whole im2col matrix, as a taped call must, peaked at 166 MB
+    # the whole im2col matrix peaked at 166 MB
     assert peak < pad_bytes + out_bytes + 2 * T._GEMM_BLOCK_BYTES < cols_bytes
 
 
