@@ -1,18 +1,23 @@
 """Hybrid CNN-ViT-GNN feature extractor with channel attention fusion.
 
 Three branches share one input image: a convolutional stack for local
-texture, a patch-embedding transformer stage for global context, and a
-graph network over the patch grid for region relationships.  The CNN and
-ViT branch vectors are concatenated, reweighted by squeeze-excite channel
-attention, joined with the pooled graph embedding, and projected to the
-final fused feature.  Channel attention gates the fused (N, C) vector
-F = [F_CNN || F_ViT], one weight in (0, 1) per channel.
+texture, one patch-embedding multi-head self-attention stage for global
+context, and a graph network over the patch grid for region
+relationships.  The CNN and ViT branch vectors are concatenated,
+reweighted by squeeze-excite channel attention, joined with the pooled
+graph embedding, and projected to the final fused feature.  Channel
+attention gates the fused (N, C) vector F = [F_CNN || F_ViT], one weight
+in (0, 1) per channel.
 
 Forward functions are batch-only: images are (N, C, H, W), token sets
 (N, P, d) and feature vectors (N, d); an input without the leading batch
 axis raises DimensionError.  A caller with one sample adds the axis itself.
 The graph functions work on node features of any leading shape.  Every
 function is differentiable through :mod:`weedhybrid.tensor`.
+
+`build_backbone` is the one place that names and shapes the tensors; the
+parameter structures' field order (`tensor.leaves`) is checkpoint, optimizer
+and snapshot order.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .errors import ContractError, DimensionError
 
 __all__ = [
     "BackboneConfig",
-    "MsaBlockParams",
     "ViTParams",
     "PlantGraph",
     "ChannelAttentionParams",
@@ -38,7 +42,6 @@ __all__ = [
     "paper_config",
     "build_backbone",
     "init_backbone",
-    "named_parameters",
     "cnn_forward",
     "patch_embed",
     "multi_head_self_attention",
@@ -63,7 +66,6 @@ class BackboneConfig:
     cnn_channels: tuple = (8, 16)
     gcn_dims: tuple = (16, 32)
     fusion_dim: int = 64
-    vit_depth: int = 1
     attention_reduction: int = 4
     in_channels: int = 3
 
@@ -74,6 +76,8 @@ class BackboneConfig:
         if self.patch_size < 1 or h % self.patch_size or w % self.patch_size:
             raise ContractError(
                 f"patch size {self.patch_size} must divide image size {self.image_size}")
+        if self.num_heads < 1:
+            raise ContractError(f"num_heads must be >= 1, got {self.num_heads}")
         if self.embed_dim < 1 or self.embed_dim % self.num_heads:
             raise ContractError(
                 f"embed dim {self.embed_dim} must be divisible by "
@@ -87,8 +91,6 @@ class BackboneConfig:
             raise ContractError(
                 f"{len(self.cnn_channels)} conv blocks downsample by {down}, "
                 f"which must divide image size {self.image_size}")
-        if self.vit_depth < 1:
-            raise ContractError(f"vit_depth must be >= 1, got {self.vit_depth}")
         r = self.attention_reduction
         if r < 1 or self.concat_dim // r < 1:
             raise ContractError(f"attention reduction {r} leaves no hidden units")
@@ -134,21 +136,10 @@ def paper_config() -> BackboneConfig:
 
 
 @dataclass
-class MsaBlockParams:
-    """One self-attention stage: per-head projections plus pre-norm scale/shift."""
-
-    w_q: tuple
-    w_k: tuple
-    w_v: tuple
-    ln_gain: T.Tensor
-    ln_bias: T.Tensor
-
-
-@dataclass
 class ViTParams:
     w_e: T.Tensor              # (patch_dim, embed_dim)
     e_pos: T.Tensor            # (num_patches, embed_dim)
-    blocks: tuple              # MsaBlockParams per stage
+    heads: tuple               # (w_q, w_k, w_v) per head, each (embed_dim, head_dim)
 
 
 @dataclass(frozen=True)
@@ -180,17 +171,18 @@ class BackboneParams:
     gcn: tuple                 # (d_in, d_out) weight per layer
     attention: ChannelAttentionParams
     fusion: FusionParams
-    config: BackboneConfig = field(repr=False, default=None)
+    config: BackboneConfig = field(repr=False, default=None, metadata=T.STATIC)
 
 
 def build_backbone(cfg: BackboneConfig, param) -> BackboneParams:
     """Walk the parameter layout of cfg; param(name, shape, init) makes each tensor.
 
-    Tensors are requested in a fixed order (the order init_backbone draws
-    them). `name` is the checkpoint entry name, or None for a tensor that is
-    not stored: depth 1 has no pre-norm layers. `init` is "zeros", "ones" or
-    the standard deviation of a normal draw (see tensor.init_param): He for
-    conv/fusion weights, Xavier for projections.
+    Tensors are requested in a fixed order, the order init_backbone draws
+    them: every head's w_q, then every w_k, then every w_v, before w_e.  The
+    returned fields hold them in checkpoint order (tensor.leaves).  `name` is
+    the checkpoint entry name; `init` is "zeros" or the standard deviation of
+    a normal draw (see tensor.init_param): He for conv/fusion weights, Xavier
+    for projections.
     """
 
     def he(name, shape, fan_in):
@@ -206,23 +198,15 @@ def build_backbone(cfg: BackboneConfig, param) -> BackboneParams:
                     param(f"cnn.{i}.bias", (c_out,), "zeros")))
         c_in = c_out
 
-    def heads(b, kind):
-        return tuple(xavier(f"vit.{b}.{h}.{kind}", (cfg.embed_dim, cfg.head_dim))
-                     for h in range(cfg.num_heads))
+    def heads(kind):
+        return [xavier(f"vit.0.{h}.{kind}", (cfg.embed_dim, cfg.head_dim))
+                for h in range(cfg.num_heads)]
 
-    deep = cfg.vit_depth > 1
-    blocks = []
-    for b in range(cfg.vit_depth):
-        blocks.append(MsaBlockParams(
-            w_q=heads(b, "w_q"), w_k=heads(b, "w_k"), w_v=heads(b, "w_v"),
-            ln_gain=param(f"vit.{b}.ln_gain" if deep else None,
-                          (cfg.embed_dim,), "ones"),
-            ln_bias=param(f"vit.{b}.ln_bias" if deep else None,
-                          (cfg.embed_dim,), "zeros")))
+    w_q, w_k, w_v = heads("w_q"), heads("w_k"), heads("w_v")
     vit = ViTParams(
         w_e=xavier("vit.w_e", (cfg.patch_dim, cfg.embed_dim)),
         e_pos=param("vit.e_pos", (cfg.num_patches, cfg.embed_dim), 0.02),
-        blocks=tuple(blocks))
+        heads=tuple(zip(w_q, w_k, w_v)))
 
     gcn = []
     d_in = cfg.embed_dim
@@ -246,32 +230,6 @@ def build_backbone(cfg: BackboneConfig, param) -> BackboneParams:
 def init_backbone(cfg: BackboneConfig, rng: np.random.Generator) -> BackboneParams:
     """Fresh random parameters drawn from rng (He conv/fusion, Xavier projections)."""
     return build_backbone(cfg, lambda name, shape, init: T.init_param(shape, init, rng))
-
-
-def named_parameters(params: BackboneParams) -> list:
-    """Stable (name, tensor) list covering every learnable backbone tensor."""
-    out = []
-    for i, (kernel, bias) in enumerate(params.cnn):
-        out.append((f"cnn.{i}.kernel", kernel))
-        out.append((f"cnn.{i}.bias", bias))
-    out.append(("vit.w_e", params.vit.w_e))
-    out.append(("vit.e_pos", params.vit.e_pos))
-    deep = len(params.vit.blocks) > 1  # depth 1 skips the pre-norm layers
-    for b, blk in enumerate(params.vit.blocks):
-        for h in range(len(blk.w_q)):
-            out.append((f"vit.{b}.{h}.w_q", blk.w_q[h]))
-            out.append((f"vit.{b}.{h}.w_k", blk.w_k[h]))
-            out.append((f"vit.{b}.{h}.w_v", blk.w_v[h]))
-        if deep:
-            out.append((f"vit.{b}.ln_gain", blk.ln_gain))
-            out.append((f"vit.{b}.ln_bias", blk.ln_bias))
-    for i, w in enumerate(params.gcn):
-        out.append((f"gcn.{i}.w", w))
-    out.append(("attention.w1", params.attention.w1))
-    out.append(("attention.w2", params.attention.w2))
-    out.append(("fusion.w", params.fusion.w))
-    out.append(("fusion.b", params.fusion.b))
-    return out
 
 
 def cnn_forward(x: T.Tensor, params: BackboneParams) -> tuple:
@@ -305,42 +263,31 @@ def patch_embed(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> T.Tensor:
     return T.add_bcast(T.matmul(flat, vit.w_e), vit.e_pos)
 
 
-def multi_head_self_attention(e: T.Tensor, block: MsaBlockParams) -> T.Tensor:
-    """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V; d_k is the width
-    of each head's (d, d_k) projection."""
+def multi_head_self_attention(e: T.Tensor, heads: tuple) -> T.Tensor:
+    """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V; `heads` holds one
+    (W_Q, W_K, W_V) triple of (d, d_k) projections per head."""
     if e.ndim != 3:
         raise DimensionError(f"expected (N,P,d) tokens, got {e.shape}")
     d = e.shape[-1]
-    d_k = block.w_q[0].shape[-1]
-    if d != len(block.w_q) * d_k:
+    d_k = heads[0][0].shape[-1]
+    if d != len(heads) * d_k:
         raise ContractError(
-            f"token dim {d} != {len(block.w_q)} heads x d_k {d_k}")
+            f"token dim {d} != {len(heads)} heads x d_k {d_k}")
     scale = 1.0 / math.sqrt(d_k)
-    heads = []
-    for wq, wk, wv in zip(block.w_q, block.w_k, block.w_v):
+    out = []
+    for wq, wk, wv in heads:
         q = T.matmul(e, wq)
         k = T.matmul(e, wk)
         v = T.matmul(e, wv)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
-        heads.append(T.matmul(T.softmax(scores, axis=-1), v))
-    return T.concat(heads, axis=-1)
+        out.append(T.matmul(T.softmax(scores, axis=-1), v))
+    return T.concat(out, axis=-1)
 
 
 def vit_forward(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> tuple:
-    """Patch-embed and run the attention stage(s) -> (tokens, pooled vector).
-
-    Depth 1 applies the attention equation literally.  Deeper stacks use
-    pre-norm residual blocks: X <- X + MSA(LayerNorm(X)).
-    """
-    tokens = patch_embed(x, vit, cfg)
-    if len(vit.blocks) == 1:
-        tokens = multi_head_self_attention(tokens, vit.blocks[0])
-    else:
-        for blk in vit.blocks:
-            normed = T.layer_norm(tokens, blk.ln_gain, blk.ln_bias)
-            tokens = T.add(tokens, multi_head_self_attention(normed, blk))
-    pooled = T.mean(tokens, axis=-2)
-    return tokens, pooled
+    """Patch-embed and apply the one attention stage -> (tokens, pooled vector)."""
+    tokens = multi_head_self_attention(patch_embed(x, vit, cfg), vit.heads)
+    return tokens, T.mean(tokens, axis=-2)
 
 
 def _grid_neighbors(rows: int, cols: int) -> tuple:

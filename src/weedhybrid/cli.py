@@ -26,7 +26,7 @@ from . import pretrain as pt
 from . import synthdata
 from . import tensor as T
 from . import training as tr
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config
 from .errors import (ContractError, DataError, DimensionError,
                      DivergenceError, FormatError)
 
@@ -120,13 +120,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    """The config file with --seed and --preset applied before validation."""
+    """The config file (or the defaults) with --seed and --preset applied
+    before validation."""
     overrides = {name: value for name, value in (("seed", args.seed),
                                                  ("preset", args.preset))
                  if value is not None}
     if args.config:
         return load_config(args.config, overrides)
-    return RunConfig(**overrides)
+    return parse_config("", source="command line", overrides=overrides)
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ One document configures every stage, using section-prefixed keys:
 
 Blank lines and `#` comments are ignored.  Unknown keys, duplicate keys
 and unparseable values (a non-finite number, a learning rate that is not
-positive) raise DataError naming the offending line.
+positive, a negative seed) raise DataError naming the offending line.
 """
 
 from __future__ import annotations
@@ -171,7 +171,8 @@ def parse_config(text: str, source: str = "<config>",
     """Parse a key = value document into a validated RunConfig.
 
     ``overrides`` (RunConfig field -> value, e.g. command-line ``seed`` and
-    ``preset``) replace the document's values before validation.
+    ``preset``) replace the document's values before validation; an error in
+    an override names no line.
     """
     values = {}
     first_line = {}
@@ -196,8 +197,10 @@ def parse_config(text: str, source: str = "<config>",
         except ValueError as exc:
             raise DataError(f"{source}:{lineno}: bad value for {key}: "
                             f"{exc}") from None
-    cfg = replace(RunConfig(), **{**values, **(overrides or {})})
-    _validate(cfg, source, first_line)
+    overrides = overrides or {}
+    cfg = replace(RunConfig(), **{**values, **overrides})
+    _validate(cfg, source, {key: line for key, line in first_line.items()
+                            if _KEYS[key][0] not in overrides})
     return cfg
 
 
@@ -208,6 +211,10 @@ def _validate(cfg: RunConfig, source: str, first_line: dict) -> None:
     a constraint on its own (with the document's seed and preset), else the
     section's first line: a contradiction between keys has no one culprit.
     """
+    if cfg.seed < 0:
+        line = first_line.get("seed")
+        where = f":{line}" if line else ""
+        raise DataError(f"{source}{where}: seed must be >= 0, got {cfg.seed}")
     base = RunConfig(seed=cfg.seed, preset=cfg.preset)
     for section, build in [("preprocess", RunConfig.preprocess_config),
                            ("loss", RunConfig.loss_weights),

@@ -112,9 +112,11 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
 def prune_magnitude(named_params: list, fraction: float) -> dict:
     """Zero the smallest-|w| fraction of each tensor in place; return keep masks.
 
-    Ties are broken by flat index order (stable sort), so repeated pruning at
-    growing fractions zeroes supersets. An int8 QuantizedTensor among the
-    inputs raises ContractError before anything is zeroed.
+    The k = int(fraction * size) dropped elements are those below the k-th
+    smallest |w| (found by np.partition, O(size)), then the lowest-index ties
+    at it: the mask of a stable sort by |w|, so repeated pruning at growing
+    fractions zeroes supersets. An int8 QuantizedTensor among the inputs
+    raises ContractError before anything is zeroed.
     """
     if not 0.0 <= fraction < 1.0:
         raise ContractError(f"prune fraction must lie in [0, 1), got {fraction}")
@@ -129,8 +131,11 @@ def prune_magnitude(named_params: list, fraction: float) -> dict:
         k = int(fraction * flat.size)
         mask = np.ones(flat.size, dtype=bool)
         if k > 0:
-            order = np.argsort(np.abs(flat), kind="stable")
-            drop = order[:k]
+            mags = np.abs(flat)
+            kth = np.partition(mags, k - 1)[k - 1]
+            below = np.flatnonzero(mags < kth)
+            ties = np.flatnonzero(mags == kth)[:k - below.size]
+            drop = np.concatenate([below, ties])
             flat[drop] = 0
             mask[drop] = False
         masks[name] = mask.reshape(data.shape)
@@ -260,8 +265,9 @@ def read_checkpoint(path: str) -> tuple:
 
 
 def encode_backbone_config(cfg: bb.BackboneConfig) -> np.ndarray:
+    """Slot 5 is the ViT depth, always 1: the one attention stage."""
     vals = [cfg.image_size[0], cfg.image_size[1], cfg.patch_size,
-            cfg.embed_dim, cfg.num_heads, cfg.vit_depth,
+            cfg.embed_dim, cfg.num_heads, 1,
             cfg.attention_reduction, cfg.in_channels, cfg.fusion_dim,
             len(cfg.cnn_channels), *cfg.cnn_channels,
             len(cfg.gcn_dims), *cfg.gcn_dims]
@@ -278,24 +284,37 @@ def decode_backbone_config(arr: np.ndarray) -> bb.BackboneConfig:
         gcn = tuple(vals[11 + n_cnn:11 + n_cnn + n_gcn])
         if len(gcn) != n_gcn:
             raise IndexError
+        if depth != 1:
+            raise ValueError(f"ViT depth {depth}, expected 1")
         return bb.BackboneConfig(image_size=(h, w), patch_size=patch,
                                  embed_dim=embed, num_heads=heads,
                                  cnn_channels=cnn, gcn_dims=gcn,
-                                 fusion_dim=fusion, vit_depth=depth,
+                                 fusion_dim=fusion,
                                  attention_reduction=reduction,
                                  in_channels=in_ch)
     except (IndexError, ValueError, OverflowError, ContractError) as exc:
         raise FormatError(f"invalid backbone config entry: {exc}") from exc
 
 
+def _entry_name(name, shape, init):
+    """Builder callback that makes each tensor's checkpoint entry name."""
+    return name
+
+
+def _named_arrays(names, params) -> dict:
+    """Entry name -> float32 copy of each tensor of `params`; `names` is the
+    same builder walked with _entry_name."""
+    return {name: t.data.astype(np.float32, copy=True)
+            for name, t in zip(T.leaves(names), T.leaves(params), strict=True)}
+
+
 def model_entries(params: bb.BackboneParams,
                   head_params: hd.HeadParams = None) -> dict:
-    entries = {"meta.backbone": encode_backbone_config(params.config)}
-    named = list(bb.named_parameters(params))
+    cfg = params.config
+    entries = {"meta.backbone": encode_backbone_config(cfg)}
+    entries |= _named_arrays(bb.build_backbone(cfg, _entry_name), params)
     if head_params is not None:
-        named += hd.named_head_parameters(head_params)
-    for name, t in named:
-        entries[name] = t.data.astype(np.float32, copy=True)
+        entries |= _named_arrays(hd.build_heads(cfg, _entry_name), head_params)
     return entries
 
 
@@ -311,8 +330,6 @@ def _entry_param(entries: dict):
     """
 
     def param(name, shape, init):
-        if name is None:  # not stored: the builder's constant
-            return T.init_param(shape, init)
         if name not in entries:
             raise FormatError(f"checkpoint is missing tensor {name}")
         value = entries[name]
@@ -333,7 +350,8 @@ def model_from_entries(entries: dict) -> tuple:
     cfg = decode_backbone_config(_entry_array(entries["meta.backbone"]))
     param = _entry_param(entries)
     params = bb.build_backbone(cfg, param)
-    has_heads = any(n.startswith("head.") for n in entries)
+    has_heads = any(name in entries
+                    for name in T.leaves(hd.build_heads(cfg, _entry_name)))
     return params, (hd.build_heads(cfg, param) if has_heads else None)
 
 
@@ -359,8 +377,7 @@ def gan_entries(params: gn.GanParams) -> dict:
     entries = {"meta.gan": meta,
                "meta.gan_steps": np.asarray([params.trained_steps],
                                             dtype=np.float32)}
-    for name, t in gn.named_gan_parameters(params):
-        entries[name] = t.data.astype(np.float32, copy=True)
+    entries |= _named_arrays(gn.build_gan(cfg, _entry_name), params)
     return entries
 
 

@@ -11,6 +11,9 @@ Images enter and leave this module on the (-1, 1) scale; helpers convert
 to and from 8-bit images for the rest of the pipeline.  The networks are
 batch-only: latents are (N, latent_dim), images (N, 3, H, W) and labels
 (N,); an input without the leading batch axis raises DimensionError.
+`build_gan` names and shapes the tensors; GanParams holds them as `g`
+(generator) and `d` (discriminator), whose field order (`tensor.leaves`) is
+each network's optimizer order and, generator first, the checkpoint order.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .training import OptimizerState, adam_step, check_lr, init_optimizer
 
 __all__ = [
     "GanConfig",
+    "GeneratorParams",
+    "DiscriminatorParams",
     "GanParams",
     "build_gan",
     "init_gan",
-    "named_generator_parameters",
-    "named_discriminator_parameters",
-    "named_gan_parameters",
     "generate",
     "discriminate",
     "gan_train_step",
@@ -78,74 +80,67 @@ class GanConfig:
 
 
 @dataclass
+class GeneratorParams:
+    embed: T.Tensor          # (class_count, label_dim)
+    fc_w: T.Tensor           # (latent+label_dim, 2*base*seed_h*seed_w)
+    fc_b: T.Tensor
+    deconv1: T.Tensor        # (2*base, base, 4, 4)
+    deconv1_b: T.Tensor
+    deconv2: T.Tensor        # (base, 3, 4, 4)
+    deconv2_b: T.Tensor
+
+
+@dataclass
+class DiscriminatorParams:
+    embed: T.Tensor          # (class_count, H*W) label projection channel
+    conv1: T.Tensor          # (base, 4, 4, 4)
+    conv1_b: T.Tensor
+    conv2: T.Tensor          # (2*base, base, 4, 4)
+    conv2_b: T.Tensor
+    fc_w: T.Tensor           # (2*base*seed_h*seed_w, 1)
+    fc_b: T.Tensor
+
+
+@dataclass
 class GanParams:
     """Generator and discriminator tensors plus a trained-steps counter."""
 
-    g_embed: T.Tensor        # (class_count, label_dim)
-    g_fc_w: T.Tensor         # (latent+label_dim, 2*base*seed_h*seed_w)
-    g_fc_b: T.Tensor
-    g_deconv1: T.Tensor      # (2*base, base, 4, 4)
-    g_deconv1_b: T.Tensor
-    g_deconv2: T.Tensor      # (base, 3, 4, 4)
-    g_deconv2_b: T.Tensor
-    d_embed: T.Tensor        # (class_count, H*W) label projection channel
-    d_conv1: T.Tensor        # (base, 4, 4, 4)
-    d_conv1_b: T.Tensor
-    d_conv2: T.Tensor        # (2*base, base, 4, 4)
-    d_conv2_b: T.Tensor
-    d_fc_w: T.Tensor         # (2*base*seed_h*seed_w, 1)
-    d_fc_b: T.Tensor
-    config: GanConfig = field(repr=False, default=None)
-    trained_steps: int = 0
+    g: GeneratorParams
+    d: DiscriminatorParams
+    config: GanConfig = field(repr=False, default=None, metadata=T.STATIC)
+    trained_steps: int = field(default=0, metadata=T.STATIC)
 
 
 def build_gan(cfg: GanConfig, param) -> GanParams:
     """Walk the GAN parameter layout; param(name, shape, init) makes each
-    tensor, as in backbone.build_backbone."""
+    tensor, as in backbone.build_backbone.  Draw order, field order and
+    checkpoint order are one order: generator, then discriminator."""
     sh, sw = cfg.seed_hw
     base = cfg.base_channels
     h, w = cfg.image_size
     flat = 2 * base * sh * sw
-    return GanParams(
-        g_embed=param("gan.g_embed", (cfg.class_count, cfg.label_dim), 0.1),
-        g_fc_w=param("gan.g_fc_w", (cfg.latent_dim + cfg.label_dim, flat),
-                     math.sqrt(2.0 / (cfg.latent_dim + cfg.label_dim))),
-        g_fc_b=param("gan.g_fc_b", (flat,), "zeros"),
-        g_deconv1=param("gan.g_deconv1", (2 * base, base, 4, 4), 0.02),
-        g_deconv1_b=param("gan.g_deconv1_b", (base,), "zeros"),
-        g_deconv2=param("gan.g_deconv2", (base, 3, 4, 4), 0.02),
-        g_deconv2_b=param("gan.g_deconv2_b", (3,), "zeros"),
-        d_embed=param("gan.d_embed", (cfg.class_count, h * w), 0.1),
-        d_conv1=param("gan.d_conv1", (base, 4, 4, 4), 0.02),
-        d_conv1_b=param("gan.d_conv1_b", (base,), "zeros"),
-        d_conv2=param("gan.d_conv2", (2 * base, base, 4, 4), 0.02),
-        d_conv2_b=param("gan.d_conv2_b", (2 * base,), "zeros"),
-        d_fc_w=param("gan.d_fc_w", (flat, 1), math.sqrt(1.0 / flat)),
-        d_fc_b=param("gan.d_fc_b", (1,), "zeros"),
-        config=cfg)
+    g = GeneratorParams(
+        embed=param("gan.g_embed", (cfg.class_count, cfg.label_dim), 0.1),
+        fc_w=param("gan.g_fc_w", (cfg.latent_dim + cfg.label_dim, flat),
+                   math.sqrt(2.0 / (cfg.latent_dim + cfg.label_dim))),
+        fc_b=param("gan.g_fc_b", (flat,), "zeros"),
+        deconv1=param("gan.g_deconv1", (2 * base, base, 4, 4), 0.02),
+        deconv1_b=param("gan.g_deconv1_b", (base,), "zeros"),
+        deconv2=param("gan.g_deconv2", (base, 3, 4, 4), 0.02),
+        deconv2_b=param("gan.g_deconv2_b", (3,), "zeros"))
+    d = DiscriminatorParams(
+        embed=param("gan.d_embed", (cfg.class_count, h * w), 0.1),
+        conv1=param("gan.d_conv1", (base, 4, 4, 4), 0.02),
+        conv1_b=param("gan.d_conv1_b", (base,), "zeros"),
+        conv2=param("gan.d_conv2", (2 * base, base, 4, 4), 0.02),
+        conv2_b=param("gan.d_conv2_b", (2 * base,), "zeros"),
+        fc_w=param("gan.d_fc_w", (flat, 1), math.sqrt(1.0 / flat)),
+        fc_b=param("gan.d_fc_b", (1,), "zeros"))
+    return GanParams(g=g, d=d, config=cfg)
 
 
 def init_gan(cfg: GanConfig, rng: np.random.Generator) -> GanParams:
     return build_gan(cfg, lambda name, shape, init: T.init_param(shape, init, rng))
-
-
-def named_generator_parameters(params: GanParams) -> list:
-    return [("gan.g_embed", params.g_embed), ("gan.g_fc_w", params.g_fc_w),
-            ("gan.g_fc_b", params.g_fc_b), ("gan.g_deconv1", params.g_deconv1),
-            ("gan.g_deconv1_b", params.g_deconv1_b),
-            ("gan.g_deconv2", params.g_deconv2),
-            ("gan.g_deconv2_b", params.g_deconv2_b)]
-
-
-def named_discriminator_parameters(params: GanParams) -> list:
-    return [("gan.d_embed", params.d_embed), ("gan.d_conv1", params.d_conv1),
-            ("gan.d_conv1_b", params.d_conv1_b), ("gan.d_conv2", params.d_conv2),
-            ("gan.d_conv2_b", params.d_conv2_b), ("gan.d_fc_w", params.d_fc_w),
-            ("gan.d_fc_b", params.d_fc_b)]
-
-
-def named_gan_parameters(params: GanParams) -> list:
-    return named_generator_parameters(params) + named_discriminator_parameters(params)
 
 
 def _check_labels(labels, class_count: int) -> np.ndarray:
@@ -169,15 +164,16 @@ def generate(z: T.Tensor, label, params: GanParams) -> T.Tensor:
     labels = _check_labels(label, cfg.class_count)
     if labels.size != z.shape[0]:
         raise DimensionError(f"{z.shape[0]} latents but {labels.size} labels")
-    cond = T.matmul(_one_hot(labels, cfg.class_count), params.g_embed)
+    g = params.g
+    cond = T.matmul(_one_hot(labels, cfg.class_count), g.embed)
     h = T.concat([z, cond], axis=1)
-    h = T.relu(T.add_bcast(T.matmul(h, params.g_fc_w), params.g_fc_b))
+    h = T.relu(T.add_bcast(T.matmul(h, g.fc_w), g.fc_b))
     sh, sw = cfg.seed_hw
     h = T.reshape(h, (z.shape[0], 2 * cfg.base_channels, sh, sw))
-    h = T.relu(T.conv_transpose2d(h, params.g_deconv1, stride=2, padding=1,
-                                  bias=params.g_deconv1_b))
-    return T.tanh(T.conv_transpose2d(h, params.g_deconv2, stride=2, padding=1,
-                                     bias=params.g_deconv2_b))
+    h = T.relu(T.conv_transpose2d(h, g.deconv1, stride=2, padding=1,
+                                  bias=g.deconv1_b))
+    return T.tanh(T.conv_transpose2d(h, g.deconv2, stride=2, padding=1,
+                                     bias=g.deconv2_b))
 
 
 def _disc_logit(x: T.Tensor, label, params: GanParams) -> T.Tensor:
@@ -190,15 +186,16 @@ def _disc_logit(x: T.Tensor, label, params: GanParams) -> T.Tensor:
     labels = _check_labels(label, cfg.class_count)
     if labels.size != n:
         raise DimensionError(f"{n} images but {labels.size} labels")
-    proj = T.matmul(_one_hot(labels, cfg.class_count), params.d_embed)
+    d = params.d
+    proj = T.matmul(_one_hot(labels, cfg.class_count), d.embed)
     proj = T.reshape(proj, (n, 1, h, w))
     stacked = T.concat([x, proj], axis=1)
-    f = T.leaky_relu(T.conv2d(stacked, params.d_conv1, stride=2, padding=1,
-                              bias=params.d_conv1_b))
-    f = T.leaky_relu(T.conv2d(f, params.d_conv2, stride=2, padding=1,
-                              bias=params.d_conv2_b))
+    f = T.leaky_relu(T.conv2d(stacked, d.conv1, stride=2, padding=1,
+                              bias=d.conv1_b))
+    f = T.leaky_relu(T.conv2d(f, d.conv2, stride=2, padding=1,
+                              bias=d.conv2_b))
     flat = T.reshape(f, (n, f.size // n))
-    logit = T.add_bcast(T.matmul(flat, params.d_fc_w), params.d_fc_b)
+    logit = T.add_bcast(T.matmul(flat, d.fc_w), d.fc_b)
     return T.reshape(logit, (n,))
 
 
@@ -224,7 +221,11 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
     """One discriminator update then (optionally) one generator update.
 
     `real` is a non-empty (B, 3, H, W) batch on the (-1, 1) scale; latent
-    draws come from `rng`.  Returns (d_loss, g_loss) as floats.
+    draws come from `rng`.  Returns (d_loss, g_loss) as floats.  The
+    generator runs once, on a tape that spans the step: the discriminator
+    update scores a constant of its output on a nested tape, and the
+    generator loss reuses the taped output, which the discriminator update
+    cannot change (z and the generator weights are fixed within the step).
     """
     cfg = params.config
     if real.ndim != 4 or real.shape[0] < 1:
@@ -232,23 +233,22 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
     labels = _check_labels(labels, cfg.class_count)
     n = real.shape[0]
     z = T.const(rng.standard_normal((n, cfg.latent_dim)))
-    d_params = [t for _, t in named_discriminator_parameters(params)]
-    g_params = [t for _, t in named_generator_parameters(params)]
+    d_params, g_params = T.leaves(params.d), T.leaves(params.g)
 
     try:
-        fake = generate(z, labels, params)
-        fake_const = T.const(fake.data.copy())
-        with T.Tape() as tape:
-            d_loss = T.add(_bce_real(_disc_logit(real, labels, params)),
-                           _bce_fake(_disc_logit(fake_const, labels, params)))
-            tape.backward(d_loss)
-        adam_step(d_params, d_state)
-        T.zero_grads(d_params + g_params)
+        with T.Tape() as g_tape:
+            fake = generate(z, labels, params)
+            with T.Tape() as d_tape:
+                d_loss = T.add(_bce_real(_disc_logit(real, labels, params)),
+                               _bce_fake(_disc_logit(T.const(fake.data), labels,
+                                                     params)))
+                d_tape.backward(d_loss)
+            del d_tape   # drop the discriminator records before the generator pass
+            adam_step(d_params, d_state)
+            T.zero_grads(d_params + g_params)
 
-        with T.Tape() as tape:
-            g_loss = _bce_real(_disc_logit(generate(z, labels, params),
-                                           labels, params))
-            tape.backward(g_loss)
+            g_loss = _bce_real(_disc_logit(fake, labels, params))
+            g_tape.backward(g_loss)
         if update_generator:
             adam_step(g_params, g_state)
         T.zero_grads(d_params + g_params)
@@ -275,10 +275,8 @@ def train_gan(images: np.ndarray, labels: np.ndarray, cfg: GanConfig,
         raise ContractError(f"need a non-empty image set, got {images.shape}")
     if params is None:
         params = init_gan(cfg, np.random.default_rng([seed, 0xC0FFEE]))
-    d_state = init_optimizer([t for _, t in named_discriminator_parameters(params)],
-                             cfg.lr)
-    g_state = init_optimizer([t for _, t in named_generator_parameters(params)],
-                             cfg.lr)
+    d_state = init_optimizer(T.leaves(params.d), cfg.lr)
+    g_state = init_optimizer(T.leaves(params.g), cfg.lr)
     history = []
     n = images.shape[0]
     for epoch in range(cfg.epochs):

@@ -14,14 +14,15 @@ Heads and losses are batch-only: features are (N, d), spatial maps and
 masks (N, C, h, w), labels and growth targets (N,); an input without the
 leading batch axis raises DimensionError.  `predict` is the one model
 forward (backbone plus all three heads) behind training, evaluation,
-inference and quantized inference.
+inference and quantized inference.  `build_heads` names and shapes the head
+tensors; HeadParams' field order (`tensor.leaves`) is their checkpoint order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "HeadParams",
     "build_heads",
     "init_heads",
-    "named_head_parameters",
     "classify_head",
     "cross_entropy",
     "segment_head",
@@ -97,12 +97,13 @@ class HeadParams:
     seg_bias: T.Tensor       # (num_classes,)
     growth_w: T.Tensor       # (fusion_dim, 1)
     growth_b: T.Tensor       # (1,)
-    image_size: tuple
+    image_size: tuple = field(metadata=T.STATIC)
 
 
 def build_heads(cfg: BackboneConfig, param) -> HeadParams:
     """Walk the head parameter layout; param(name, shape, init) makes each
-    tensor, as in backbone.build_backbone."""
+    tensor, as in backbone.build_backbone.  Draw order, field order and
+    checkpoint order are one order."""
 
     def xavier(name, shape):
         return param(name, shape, math.sqrt(2.0 / (shape[0] + shape[-1])))
@@ -121,14 +122,6 @@ def build_heads(cfg: BackboneConfig, param) -> HeadParams:
 
 def init_heads(cfg: BackboneConfig, rng: np.random.Generator) -> HeadParams:
     return build_heads(cfg, lambda name, shape, init: T.init_param(shape, init, rng))
-
-
-def named_head_parameters(params: HeadParams) -> list:
-    return [("head.cls_w", params.cls_w), ("head.cls_b", params.cls_b),
-            ("head.seg_kernel", params.seg_kernel),
-            ("head.seg_bias", params.seg_bias),
-            ("head.growth_w", params.growth_w),
-            ("head.growth_b", params.growth_b)]
 
 
 def _check_rows(f: T.Tensor, w: T.Tensor) -> None:

@@ -149,10 +149,6 @@ def init_projection(in_dim: int, out_dim: int,
                             b2=T.zeros(out_dim, requires_grad=True))
 
 
-def _projection_tensors(proj: ProjectionParams) -> list:
-    return [proj.w1, proj.b1, proj.w2, proj.b2]
-
-
 def forward_embeddings(x: T.Tensor, params: bb.BackboneParams,
                        proj: ProjectionParams) -> T.Tensor:
     """Batch of images -> unit-norm rows in the contrastive space."""
@@ -162,12 +158,6 @@ def forward_embeddings(x: T.Tensor, params: bb.BackboneParams,
     hidden = T.relu(T.add_bcast(T.matmul(feats, proj.w1), proj.b1))
     out = T.add_bcast(T.matmul(hidden, proj.w2), proj.b2)
     return l2_normalize_rows(out)
-
-
-def _pretrained_tensors(params: bb.BackboneParams) -> list:
-    """Only the CNN and ViT branches take gradient steps during pretraining."""
-    return [(n, t) for n, t in bb.named_parameters(params)
-            if n.startswith(("cnn.", "vit."))]
 
 
 def pretrain(images: list, cfg: ContrastiveConfig,
@@ -197,8 +187,8 @@ def pretrain(images: list, cfg: ContrastiveConfig,
     proj = init_projection(bcfg.cnn_channels[-1] + bcfg.embed_dim,
                            cfg.projection_dim,
                            np.random.default_rng([seed, 0xA1]))
-    trainable = [t for _, t in _pretrained_tensors(params)]
-    trainable += _projection_tensors(proj)
+    # only the CNN and ViT branches (and the projection) take gradient steps
+    trainable = T.leaves((params.cnn, params.vit, proj))
     state = init_optimizer(trainable, cfg.lr)
 
     history = []

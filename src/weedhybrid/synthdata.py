@@ -124,7 +124,9 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
 
     `counts` maps class name (or index) -> sample count; the string
     "imbalance" selects the historical 48/23/21/8 percent split over 600
-    samples.  Generation is reproducible byte-for-byte from `seed`.
+    samples.  Generation is reproducible byte-for-byte from `seed`.  A
+    negative count or a zero total raises ContractError before out_dir is
+    created.
     """
     if counts == "imbalance":
         counts = IMBALANCE_COUNTS
@@ -134,6 +136,9 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
     for key, value in counts.items():
         idx = CLASS_NAMES.index(key) if isinstance(key, str) else int(key)
         per_class[idx] = int(value)
+    if min(per_class) < 0 or sum(per_class) == 0:
+        raise ContractError(f"per-class sample counts must be >= 0 with a "
+                            f"positive total, got {per_class}")
 
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)

@@ -48,6 +48,7 @@ pixels) matrices: the rebuilt im2col matrix, input gradient or GEMM product.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -116,18 +117,27 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
 def init_param(shape, init, rng: np.random.Generator = None) -> Tensor:
-    """A trainable tensor: init is "zeros", "ones", or the standard deviation
-    of a standard-normal draw from rng."""
+    """A trainable tensor: init is "zeros" or the standard deviation of a
+    standard-normal draw from rng."""
     if init == "zeros":
         return zeros(shape, requires_grad=True)
-    if init == "ones":
-        return ones(shape, requires_grad=True)
     return Tensor(rng.standard_normal(shape) * init, requires_grad=True)
+
+
+STATIC = {"static": True}   # dataclass field metadata: not a leaf (a config, a counter)
+
+
+def leaves(tree) -> list:
+    """The leaves of nested dataclasses and tuples, in field order; fields
+    whose metadata is STATIC are skipped.  Field order is checkpoint order,
+    so this is the one flattening behind optimizers, snapshots and names."""
+    if dataclasses.is_dataclass(tree):
+        return [leaf for f in dataclasses.fields(tree) if not f.metadata.get("static")
+                for leaf in leaves(getattr(tree, f.name))]
+    if isinstance(tree, tuple):
+        return [leaf for item in tree for leaf in leaves(item)]
+    return [tree]
 
 
 # ---------------------------------------------------------------------------

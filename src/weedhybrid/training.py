@@ -267,10 +267,6 @@ class TrainResult:
     best_val_loss: float
 
 
-def _named_model_parameters(params, heads):
-    return bb.named_parameters(params) + hd.named_head_parameters(heads)
-
-
 def _one_hot_masks(masks: np.ndarray, num_classes: int) -> np.ndarray:
     return np.transpose(np.eye(num_classes, dtype=np.float32)[masks],
                         (0, 3, 1, 2))
@@ -285,13 +281,13 @@ def _score(params, heads, data: TrainData, sel, weights) -> tuple:
     return total, report, int(np.sum(pred.labels == data.labels[sel]))
 
 
-def _snapshot(named):
-    return {name: t.data.copy() for name, t in named}
+def _snapshot(tensors):
+    return [t.data.copy() for t in tensors]
 
 
-def _restore(named, snap):
-    for name, t in named:
-        t.data = snap[name].copy()
+def _restore(tensors, snap):
+    for t, saved in zip(tensors, snap, strict=True):
+        t.data = saved
 
 
 def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
@@ -316,14 +312,13 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)
 
-    named = _named_model_parameters(params, heads)
-    tensors = [t for _, t in named]
+    tensors = T.leaves((params, heads))
     state = init_optimizer(tensors, cfg.lr)
 
     history = []
     best_val = float("inf")
     best_epoch = -1
-    best = _snapshot(named)
+    best = _snapshot(tensors)
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(train_idx)
         sums = np.zeros(4)
@@ -362,9 +357,9 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
         if val_total < best_val:
             best_val = val_total
             best_epoch = epoch
-            best = _snapshot(named)
+            best = _snapshot(tensors)
 
-    _restore(named, best)
+    _restore(tensors, best)
     return TrainResult(params=params, heads=heads, history=history,
                        best_epoch=best_epoch, best_val_loss=best_val)
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: central finite-difference gradient checking."""
+"""Shared test utilities: central finite-difference gradient checking and
+checkpoint-named parameter lists."""
 
 import numpy as np
 
@@ -44,6 +45,14 @@ def gradcheck(build_loss, params, eps=1e-3, rtol=1e-3):
                 f"gradient mismatch at element {i}: autodiff {ad_flat[i]:.8g} "
                 f"vs finite difference {fd:.8g} (rel err {rel:.3g})")
     return worst
+
+
+def named_leaves(build, cfg, params):
+    """(checkpoint name, tensor) pairs of `params`, named by walking its
+    builder (e.g. backbone.build_backbone) with a callback that returns
+    each tensor's name."""
+    names = T.leaves(build(cfg, lambda name, shape, init: name))
+    return list(zip(names, T.leaves(params), strict=True))
 
 
 def rand_tensor(rng, shape, scale=1.0, requires_grad=True):

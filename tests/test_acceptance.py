@@ -135,19 +135,19 @@ def _tiny_msa(rng, n_heads=2, d_k=2, n_tokens=3):
     embed = n_heads * d_k
     proj = lambda: tuple(rand_tensor(rng, (embed, d_k), 0.7)
                          for _ in range(n_heads))
-    blk = bb.MsaBlockParams(w_q=proj(), w_k=proj(), w_v=proj(),
-                            ln_gain=T.ones((embed,)), ln_bias=T.zeros((embed,)))
+    w_q, w_k, w_v = proj(), proj(), proj()
     e = rand_tensor(rng, (1, n_tokens, embed), 0.7)
-    return e, blk
+    return e, tuple(zip(w_q, w_k, w_v))
 
 
 def _check_attention(rng):
     worst = 0.0
     for _ in range(20):
-        e, blk = _tiny_msa(rng)
-        params = [e] + list(blk.w_q) + list(blk.w_k) + list(blk.w_v)
+        e, heads = _tiny_msa(rng)
+        w_q, w_k, w_v = zip(*heads)
+        params = [e] + list(w_q) + list(w_k) + list(w_v)
         def loss():
-            return T.sum_(T.tanh(bb.multi_head_self_attention(e, blk)))
+            return T.sum_(T.tanh(bb.multi_head_self_attention(e, heads)))
         worst = max(worst, gradcheck(loss, params, eps=1e-5))
     return worst
 
@@ -209,7 +209,7 @@ def _tiny_gan(rng):
     cfg = gn.GanConfig(latent_dim=3, class_count=2, image_size=(4, 4),
                        base_channels=2, label_dim=3)
     params = gn.init_gan(cfg, rng)
-    for _, t in gn.named_gan_parameters(params):
+    for t in T.leaves(params):
         t.data = rng.standard_normal(t.shape) * 0.5
     return params, cfg
 
@@ -220,7 +220,7 @@ def _check_gan_generator(rng):
         params, cfg = _tiny_gan(rng)
         z = T.const(rng.standard_normal((1, cfg.latent_dim)))
         labels = np.asarray([i % cfg.class_count])
-        tensors = [t for _, t in gn.named_generator_parameters(params)]
+        tensors = T.leaves(params.g)
         def loss():
             out = gn.generate(z, labels, params)
             return T.sum_(T.mul(out, out))
@@ -235,7 +235,7 @@ def _check_gan_discriminator(rng):
         params, cfg = _tiny_gan(rng)
         x = T.const(rng.uniform(-0.9, 0.9, (1, 3) + cfg.image_size))
         labels = np.asarray([i % cfg.class_count])
-        tensors = [t for _, t in gn.named_discriminator_parameters(params)]
+        tensors = T.leaves(params.d)
         def loss():
             return T.sum_(T.softplus(gn.discriminate(x, labels, params)))
         worst = max(worst, gradcheck(loss, tensors, eps=1e-5))
@@ -559,8 +559,7 @@ def test_criterion_6_gan(tmp_path):
         assert np.isfinite(np.asarray(history)).all(), "losses went non-finite"
         params2, history2 = gn.train_gan(stack, labels, cfg, seed=1)
         assert history == history2, "loss history not seed-reproducible"
-        for (_, a), (_, b) in zip(gn.named_gan_parameters(params),
-                                  gn.named_gan_parameters(params2)):
+        for a, b in zip(T.leaves(params), T.leaves(params2), strict=True):
             assert np.array_equal(a.data, b.data), "weights not reproducible"
 
         # rebalance the historical 48/138/126/288 split through the CLI
@@ -611,13 +610,11 @@ def test_criterion_7_deployment(dataset400, trained400, tmp_path):
         dp.save_model(path_a, result.params, result.heads)
         params2, heads2, flags = dp.load_model(path_a)
         assert flags == dp.FLAG_FULL
-        before = bb.named_parameters(result.params) + \
-            hd.named_head_parameters(result.heads)
-        after = bb.named_parameters(params2) + hd.named_head_parameters(heads2)
-        for (name_a, t_a), (name_b, t_b) in zip(before, after):
-            assert name_a == name_b
+        before = T.leaves((result.params, result.heads))
+        after = T.leaves((params2, heads2))
+        for i, (t_a, t_b) in enumerate(zip(before, after, strict=True)):
             assert t_a.data.dtype == t_b.data.dtype
-            assert np.array_equal(t_a.data, t_b.data), f"{name_a} not bit-exact"
+            assert np.array_equal(t_a.data, t_b.data), f"tensor {i} not bit-exact"
         path_b = str(tmp_path / "model2.hwdm")
         dp.save_model(path_b, params2, heads2)
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:

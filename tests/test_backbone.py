@@ -29,8 +29,9 @@ def test_config_validation():
         bb.BackboneConfig(gcn_dims=())
     with pytest.raises(ContractError):
         bb.BackboneConfig(cnn_channels=(8, 16, 8, 8, 8, 8))  # pools past 32
-    with pytest.raises(ContractError):
-        bb.BackboneConfig(vit_depth=0)
+    for heads in (0, -1):   # rejected before embed_dim % num_heads
+        with pytest.raises(ContractError, match="num_heads must be >= 1"):
+            bb.BackboneConfig(num_heads=heads)
 
 
 def test_paper_preset_patch_arithmetic():
@@ -49,6 +50,21 @@ def test_desk_preset_shapes():
     assert cfg.patch_dim == 3 * 8 * 8
     assert cfg.spatial_hw == (8, 8)
     assert cfg.concat_dim == 16 + 32
+
+
+def test_build_walk_names_every_leaf_in_checkpoint_order():
+    cfg = bb.BackboneConfig(image_size=(8, 8), patch_size=4, embed_dim=4,
+                            num_heads=2, cnn_channels=(2,), gcn_dims=(4,),
+                            fusion_dim=8)
+    names = T.leaves(bb.build_backbone(cfg, lambda name, shape, init: name))
+    assert names == ["cnn.0.kernel", "cnn.0.bias", "vit.w_e", "vit.e_pos",
+                     "vit.0.0.w_q", "vit.0.0.w_k", "vit.0.0.w_v",
+                     "vit.0.1.w_q", "vit.0.1.w_k", "vit.0.1.w_v",
+                     "gcn.0.w", "attention.w1", "attention.w2",
+                     "fusion.w", "fusion.b"]
+    zeros = T.leaves(bb.build_backbone(cfg, lambda name, shape, init: T.zeros(shape)))
+    params = bb.init_backbone(cfg, np.random.default_rng(0))
+    assert [t.shape for t in T.leaves(params)] == [t.shape for t in zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +172,8 @@ def test_msa_single_token_returns_value_row():
                             fusion_dim=8, attention_reduction=2)
     params = bb.init_backbone(cfg, np.random.default_rng(11))
     e = T.Tensor(np.random.default_rng(12).standard_normal((1, 1, 6)))
-    out = bb.multi_head_self_attention(e, params.vit.blocks[0])
-    want = np.concatenate([e.data[0] @ w.data for w in params.vit.blocks[0].w_v],
+    out = bb.multi_head_self_attention(e, params.vit.heads)
+    want = np.concatenate([e.data[0] @ wv.data for _, _, wv in params.vit.heads],
                           axis=-1)
     np.testing.assert_allclose(out.data[0], want, atol=1e-5)
 
@@ -165,12 +181,13 @@ def test_msa_single_token_returns_value_row():
 def test_msa_zero_queries_give_uniform_attention():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(13))
-    blk = params.vit.blocks[0]
-    blk.w_q = tuple(T.zeros(w.shape, requires_grad=True) for w in blk.w_q)
-    blk.w_k = tuple(T.zeros(w.shape, requires_grad=True) for w in blk.w_k)
+    params.vit.heads = tuple((T.zeros(wq.shape, requires_grad=True),
+                              T.zeros(wk.shape, requires_grad=True), wv)
+                             for wq, wk, wv in params.vit.heads)
     e = T.Tensor(np.random.default_rng(14).standard_normal((1, 4, 4)))
-    out = bb.multi_head_self_attention(e, params.vit.blocks[0])
-    v = np.concatenate([e.data[0] @ w.data for w in blk.w_v], axis=-1)
+    out = bb.multi_head_self_attention(e, params.vit.heads)
+    v = np.concatenate([e.data[0] @ wv.data for _, _, wv in params.vit.heads],
+                       axis=-1)
     want = np.tile(v.mean(axis=0), (4, 1))
     np.testing.assert_allclose(out.data[0], want, atol=1e-5)
 
@@ -180,12 +197,11 @@ def test_msa_two_tokens_scalar_recompute():
                             num_heads=1, cnn_channels=(2,), gcn_dims=(2,),
                             fusion_dim=4)
     params = bb.init_backbone(cfg, np.random.default_rng(15))
-    blk = params.vit.blocks[0]
-    blk.w_q = (T.Tensor([[1.0, 0.0], [0.0, 1.0]], requires_grad=True),)
-    blk.w_k = (T.Tensor([[0.0, 1.0], [1.0, 0.0]], requires_grad=True),)
-    blk.w_v = (T.Tensor([[1.0, 1.0], [0.0, 2.0]], requires_grad=True),)
+    params.vit.heads = ((T.Tensor([[1.0, 0.0], [0.0, 1.0]], requires_grad=True),
+                         T.Tensor([[0.0, 1.0], [1.0, 0.0]], requires_grad=True),
+                         T.Tensor([[1.0, 1.0], [0.0, 2.0]], requires_grad=True)),)
     e = np.array([[1.0, 2.0], [3.0, -1.0]])
-    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.blocks[0])
+    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.heads)
 
     q = e  # identity W_Q
     k = e[:, ::-1]  # swapped columns
@@ -207,7 +223,7 @@ def test_msa_head_dim_mismatch():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(16))
     with pytest.raises(ContractError):
-        bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit.blocks[0])
+        bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit.heads)
 
 
 def test_msa_permutation_equivariant():
@@ -216,20 +232,23 @@ def test_msa_permutation_equivariant():
     rng = np.random.default_rng(18)
     e = rng.standard_normal((16, 32)).astype(np.float32)
     perm = rng.permutation(16)
-    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.blocks[0])
-    out_p = bb.multi_head_self_attention(T.Tensor(e[perm][None]), params.vit.blocks[0])
+    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.heads)
+    out_p = bb.multi_head_self_attention(T.Tensor(e[perm][None]), params.vit.heads)
     np.testing.assert_allclose(out_p.data[0], out.data[0][perm], atol=1e-6)
 
 
-def test_vit_forward_depth_two_runs_and_pools():
+def test_vit_forward_attends_once_and_pools():
     cfg = bb.BackboneConfig(image_size=(8, 8), patch_size=4, embed_dim=4,
                             num_heads=2, cnn_channels=(2,), gcn_dims=(4,),
-                            fusion_dim=8, vit_depth=2)
+                            fusion_dim=8)
     params = bb.init_backbone(cfg, np.random.default_rng(19))
-    tokens, pooled = bb.vit_forward(T.Tensor(
-        np.random.default_rng(20).standard_normal((1, 3, 8, 8))), params.vit, cfg)
+    x = T.Tensor(np.random.default_rng(20).standard_normal((1, 3, 8, 8)))
+    tokens, pooled = bb.vit_forward(x, params.vit, cfg)
     assert tokens.shape == (1, 4, 4)
     assert pooled.shape == (1, 4)
+    want = bb.multi_head_self_attention(bb.patch_embed(x, params.vit, cfg),
+                                        params.vit.heads)
+    assert tokens.data.tobytes() == want.data.tobytes()
     np.testing.assert_allclose(pooled.data[0], tokens.data[0].mean(axis=0),
                                atol=1e-6)
 
@@ -281,7 +300,7 @@ def test_gcn_identity_adjacency_isolated_nodes():
 
 def test_gcn_zero_features():
     g = bb.build_plant_graph(T.zeros((4, 3)), (2, 2))
-    out = bb.gcn_layer(g, g.node_features, T.ones((3, 2), requires_grad=True))
+    out = bb.gcn_layer(g, g.node_features, T.Tensor(np.ones((3, 2)), requires_grad=True))
     np.testing.assert_array_equal(out.data, np.zeros((4, 2), dtype=np.float32))
 
 
@@ -301,7 +320,7 @@ def test_gcn_path_graph_hand_computed():
 def test_gcn_dim_mismatch():
     g = bb.build_plant_graph(T.zeros((4, 3)), (2, 2))
     with pytest.raises(DimensionError):
-        bb.gcn_layer(g, g.node_features, T.ones((5, 2), requires_grad=True))
+        bb.gcn_layer(g, g.node_features, T.Tensor(np.ones((5, 2)), requires_grad=True))
 
 
 def test_gnn_paper_dims():
@@ -469,7 +488,7 @@ def test_backbone_end_to_end_gradcheck():
         params = bb.init_backbone(cfg, np.random.default_rng(41))
         x = T.Tensor(np.random.default_rng(42).standard_normal((2, 3, 8, 8)) * 0.5,
                      requires_grad=True)
-        tensors = [x] + [t for _, t in bb.named_parameters(params)]
+        tensors = [x] + T.leaves(params)
 
         def build():
             feats = bb.backbone_forward(x, params)

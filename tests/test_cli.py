@@ -226,6 +226,68 @@ def test_infer_corrupt_config_fails_before_allocating(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("slot,value,message", [
+    (4, 0, "num_heads must be >= 1, got 0"),
+    (4, -1, "num_heads must be >= 1, got -1"),
+    (5, 2, "ViT depth 2, expected 1")],
+    ids=["heads-0", "heads-minus-1", "depth-2"])
+def test_infer_bad_attention_config_is_data_error(tmp_path, capsys, slot, value,
+                                                  message):
+    # num_heads 0 raised ZeroDivisionError from embed_dim % num_heads and -1
+    # from the Xavier draw of a (32, -32) projection, both as tracebacks
+    model = desk_checkpoint(tmp_path / "heads.hwdm")
+    entries, flags = dp.read_checkpoint(model)
+    entries["meta.backbone"][slot] = value
+    dp.write_checkpoint(model, entries, flags)
+    rc = cli.main(["infer", "--model", model, "--image", str(tmp_path / "img.ppm")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"invalid backbone config entry: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_negative_seed_flag_is_usage_error(workspace, tmp_path, capsys, command):
+    # np.random.default_rng raised ValueError out of main, with or without
+    # a config file
+    out = tmp_path / "out"
+    args = {"gen-data": ["gen-data", "--per-class", "1"],
+            "train": ["train", "--manifest", workspace["manifest"]]}[command]
+    for extra in ([], ["--config", workspace["conf"]]):
+        rc = cli.main(args + ["--out", str(out), "--seed", "-1"] + extra)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in err
+        assert not os.path.exists(out)
+
+
+def test_negative_seed_in_config_names_its_line(workspace, tmp_path, capsys):
+    conf = tmp_path / "seed.conf"
+    conf.write_text(TINY_CONF.replace("seed = 5", "seed = -3"), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--manifest", workspace["manifest"], "--out", str(out),
+                   "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{conf}:1: seed must be >= 0, got -3" in err
+    assert not os.path.exists(out)
+    # a valid --seed overrides the document's value
+    rc = cli.main(["gen-data", "--out", str(out), "--per-class", "1", "--size", "8",
+                   "--config", str(conf), "--seed", "2"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("count", [-1, 0])
+def test_gen_data_nonpositive_per_class_is_usage_error(tmp_path, capsys, count):
+    # -1 and 0 exited 0 with an empty manifest and a Python warning
+    out = tmp_path / "out"
+    rc = cli.main(["gen-data", "--out", str(out), "--per-class", str(count)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "per-class sample counts must be >= 0 with a positive total" in err
+    assert not os.path.exists(out)
+
+
 def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
     conf = tmp_path / "wide.conf"
     conf.write_text("preprocess.median_window = 100001\n", encoding="utf-8")

@@ -15,6 +15,7 @@ import weedhybrid.heads as hd
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, FormatError
 
+from helpers import named_leaves
 from oracles import quantize_scalar
 
 
@@ -123,6 +124,23 @@ def test_prune_ties_break_by_index():
     params = named_single([1.0, 1.0, 1.0, 1.0])
     dp.prune_magnitude(params, 0.5)
     np.testing.assert_array_equal(params[0][1].data, [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.25, 0.5, 0.9])
+def test_prune_matches_stable_argsort_with_ties_and_signed_zeros(frac):
+    rng = np.random.default_rng(5)
+    # few distinct magnitudes, both signs and both zeros: most elements tie
+    vals = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5], size=(7, 31))
+    vals = vals.astype(np.float32)
+    params = [("w", T.Tensor(vals.copy(), requires_grad=True))]
+    masks = dp.prune_magnitude(params, frac)
+    flat = vals.reshape(-1)
+    drop = np.argsort(np.abs(flat), kind="stable")[:int(frac * flat.size)]
+    want = np.ones(flat.size, dtype=bool)
+    want[drop] = False
+    np.testing.assert_array_equal(masks["w"].reshape(-1), want)
+    expect = np.where(want, flat, np.float32(0)).reshape(vals.shape)
+    assert params[0][1].data.tobytes() == expect.tobytes()
 
 
 def test_prune_growing_fraction_zeroes_superset():
@@ -261,8 +279,18 @@ def test_checkpoint_file_roundtrip_atomic(tmp_path):
 def test_backbone_config_roundtrip():
     cfg = bb.BackboneConfig(image_size=(16, 8), patch_size=4, embed_dim=6,
                             num_heads=2, cnn_channels=(3, 5), gcn_dims=(7,),
-                            fusion_dim=12, vit_depth=2, attention_reduction=3)
+                            fusion_dim=12, attention_reduction=3)
     assert dp.decode_backbone_config(dp.encode_backbone_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_backbone_config_depth_other_than_one_rejected(depth):
+    # slot 5 is the ViT depth; the model has one attention stage
+    vals = dp.encode_backbone_config(bb.desk_config())
+    assert vals[5] == 1
+    vals[5] = depth
+    with pytest.raises(FormatError, match=f"ViT depth {depth}, expected 1"):
+        dp.decode_backbone_config(vals)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -301,9 +329,10 @@ def test_model_save_load_bit_exact(tmp_path):
     loaded, loaded_heads, flags = dp.load_model(path)
     assert flags == dp.FLAG_FULL
     assert loaded.config == params.config
-    for (name, orig), (_, back) in zip(
-            bb.named_parameters(params) + hd.named_head_parameters(head_params),
-            bb.named_parameters(loaded) + hd.named_head_parameters(loaded_heads)):
+    for (name, orig), back in zip(
+            named_leaves(bb.build_backbone, params.config, params)
+            + named_leaves(hd.build_heads, params.config, head_params),
+            T.leaves((loaded, loaded_heads)), strict=True):
         assert back.data.tobytes() == orig.data.tobytes(), name
 
 
@@ -314,8 +343,8 @@ def test_pretrain_only_checkpoint_has_no_heads(tmp_path):
     loaded, loaded_heads, flags = dp.load_model(path)
     assert flags == dp.FLAG_PRETRAIN
     assert loaded_heads is None
-    for (name, orig), (_, back) in zip(bb.named_parameters(params),
-                                       bb.named_parameters(loaded)):
+    for (name, orig), back in zip(named_leaves(bb.build_backbone, params.config, params),
+                                  T.leaves(loaded), strict=True):
         assert back.data.tobytes() == orig.data.tobytes(), name
 
 
@@ -328,21 +357,18 @@ def test_model_missing_tensor_rejected():
 
 
 def _all_tensors(params, head_params=None):
-    """Every backbone and head tensor, including a depth-1 ViT's unstored
-    layer norm."""
-    out = list(bb.named_parameters(params))
-    for b, blk in enumerate(params.vit.blocks):
-        out += [(f"vit.{b}.ln_gain", blk.ln_gain), (f"vit.{b}.ln_bias", blk.ln_bias)]
+    """Every backbone and head tensor with its checkpoint name."""
+    out = named_leaves(bb.build_backbone, params.config, params)
     if head_params is not None:
-        out += hd.named_head_parameters(head_params)
+        out += named_leaves(hd.build_heads, params.config, head_params)
     return out
 
 
-@pytest.mark.parametrize("kind", ["full", "pretrain-only", "depth-1", "int8"])
+@pytest.mark.parametrize("kind", ["full", "pretrain-only", "int8"])
 def test_loaded_model_is_saved_model(kind):
     cfg = bb.BackboneConfig(image_size=(8, 8), patch_size=4, embed_dim=4,
                             num_heads=2, cnn_channels=(2,), gcn_dims=(4,),
-                            fusion_dim=8, vit_depth=1 if kind == "depth-1" else 2)
+                            fusion_dim=8)
     rng = np.random.default_rng(20)
     params = bb.init_backbone(cfg, rng)
     head_params = None if kind == "pretrain-only" else hd.init_heads(cfg, rng)
@@ -356,7 +382,7 @@ def test_loaded_model_is_saved_model(kind):
     assert [n for n, _ in saved] == [n for n, _ in back]
     for (name, orig), (_, t) in zip(saved, back):
         want = orig.data.astype(np.float32)
-        if kind == "int8" and name in entries:
+        if kind == "int8":
             want = dp.dequantize(entries[name])
         assert t.requires_grad, name
         assert t.data.dtype == np.float32, name

@@ -1,15 +1,18 @@
 """Conditional GAN: generation, discrimination, training dynamics, rebalance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import weedhybrid.deploy as dp
 import weedhybrid.gan as G
 import weedhybrid.imaging as im
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, DimensionError
 from weedhybrid.training import init_optimizer
 
-from helpers import gradcheck
+from helpers import gradcheck, named_leaves
 
 
 def tiny_config(**kw):
@@ -101,7 +104,7 @@ def test_generator_gradcheck():
     labels = np.array([0, 2])
     with T.default_dtype(np.float64):
         params64 = G.init_gan(cfg, np.random.default_rng(7))
-        plist = [t for _, t in G.named_generator_parameters(params64)]
+        plist = T.leaves(params64.g)
 
         def loss_fn():
             out = G.generate(T.const(z64), labels, params64)
@@ -124,7 +127,7 @@ def test_discriminate_outputs_probability():
 
 def test_discriminate_zero_weights_give_half():
     cfg, params = tiny_gan()
-    for _, t in G.named_discriminator_parameters(params):
+    for t in T.leaves(params.d):
         t.data = np.zeros_like(t.data)
     x = T.const(np.random.default_rng(6).uniform(-1, 1, (3, 3, 8, 8)))
     p = G.discriminate(x, np.array([0, 1, 2]), params)
@@ -144,7 +147,7 @@ def test_discriminator_gradcheck():
     labels = np.array([1, 2])
     with T.default_dtype(np.float64):
         params64 = G.init_gan(cfg, np.random.default_rng(9))
-        plist = [t for _, t in G.named_discriminator_parameters(params64)]
+        plist = T.leaves(params64.d)
 
         def loss_fn():
             logit = G._disc_logit(T.const(x64), labels, params64)
@@ -172,23 +175,23 @@ def test_discriminator_input_gradient_matches_fd():
 
 def test_train_step_with_zero_lr_keeps_parameters():
     cfg, params = tiny_gan(seed=13)
-    before = {n: t.data.copy() for n, t in G.named_gan_parameters(params)}
-    d_state = init_optimizer([t for _, t in G.named_discriminator_parameters(params)], 0.0)
-    g_state = init_optimizer([t for _, t in G.named_generator_parameters(params)], 0.0)
+    before = {n: t.data.copy() for n, t in named_leaves(G.build_gan, cfg, params)}
+    d_state = init_optimizer(T.leaves(params.d), 0.0)
+    g_state = init_optimizer(T.leaves(params.g), 0.0)
     real = T.const(np.random.default_rng(14).uniform(-1, 1, (4, 3, 8, 8)))
     d_loss, g_loss = G.gan_train_step(real, np.array([0, 1, 2, 0]), params,
                                       d_state, g_state,
                                       np.random.default_rng(15))
     assert np.isfinite(d_loss) and np.isfinite(g_loss)
     assert params.trained_steps == 1
-    for name, t in G.named_gan_parameters(params):
+    for name, t in named_leaves(G.build_gan, cfg, params):
         assert t.data.tobytes() == before[name].tobytes(), name
 
 
 def test_train_step_rejects_empty_batch():
     cfg, params = tiny_gan()
-    d_state = init_optimizer([t for _, t in G.named_discriminator_parameters(params)], 1e-3)
-    g_state = init_optimizer([t for _, t in G.named_generator_parameters(params)], 1e-3)
+    d_state = init_optimizer(T.leaves(params.d), 1e-3)
+    g_state = init_optimizer(T.leaves(params.g), 1e-3)
     with pytest.raises(ContractError):
         G.gan_train_step(T.const(np.zeros((0, 3, 8, 8))), np.array([], dtype=int),
                          params, d_state, g_state, np.random.default_rng(0))
@@ -200,8 +203,8 @@ def test_discriminator_only_steps_reduce_d_loss():
     rng = np.random.default_rng(17)
     real = T.const(rng.uniform(-1, 1, (2, 3, 8, 8)))
     labels = np.array([0, 1])
-    d_state = init_optimizer([t for _, t in G.named_discriminator_parameters(params)], 5e-3)
-    g_state = init_optimizer([t for _, t in G.named_generator_parameters(params)], 0.0)
+    d_state = init_optimizer(T.leaves(params.d), 5e-3)
+    g_state = init_optimizer(T.leaves(params.g), 0.0)
     first = last = None
     for step in range(200):
         d_loss, _ = G.gan_train_step(real, labels, params, d_state, g_state,
@@ -223,9 +226,9 @@ def test_train_gan_smoke_finite_and_reproducible():
     assert len(hist_a) == cfg.epochs
     assert all(np.isfinite(d) and np.isfinite(g) for d, g in hist_a)
     assert hist_a == hist_b
-    for (na, ta), (nb, tb) in zip(G.named_gan_parameters(params_a),
-                                  G.named_gan_parameters(params_b)):
-        assert ta.data.tobytes() == tb.data.tobytes(), na
+    for (name, ta), tb in zip(named_leaves(G.build_gan, cfg, params_a),
+                              T.leaves(params_b), strict=True):
+        assert ta.data.tobytes() == tb.data.tobytes(), name
     assert params_a.trained_steps == cfg.epochs * 2
 
 
@@ -237,6 +240,27 @@ def test_train_gan_different_seeds_differ():
     _, hist_a = G.train_gan(images, labels, cfg, seed=0)
     _, hist_b = G.train_gan(images, labels, cfg, seed=1)
     assert hist_a != hist_b
+
+
+def test_train_gan_and_rebalance_bytes_are_pinned():
+    # SHA-256 over a short seeded run: the trained checkpoint, the loss
+    # history and the images rebalance draws from the trained generator
+    cfg = G.GanConfig(latent_dim=8, class_count=2, image_size=(16, 16),
+                      epochs=3, batch=4, base_channels=4, label_dim=4)
+    rng = np.random.default_rng(31)
+    images = rng.uniform(-1, 1, (10, 3, 16, 16)).astype(np.float32)
+    labels = np.arange(10) % 2
+    params, history = G.train_gan(images, labels, cfg, seed=3)
+    samples = [(G.to_image(x), int(y)) for x, y in zip(images[:3], labels[:3])]
+    balanced = G.rebalance(samples, 4, params, seed=4)
+    digest = hashlib.sha256(dp.save_checkpoint(dp.gan_entries(params),
+                                               flags=dp.FLAG_GAN))
+    digest.update(np.asarray(history, dtype=np.float64).tobytes())
+    for img, label, synthetic in balanced:
+        digest.update(img.as_array().tobytes() + bytes([label, synthetic]))
+    assert len(balanced) == 8
+    assert digest.hexdigest() == (
+        "778880420593eca65340faff93b784b4caed110f85e5852942bf61baf751c8a6")
 
 
 # ---------------------------------------------------------------- image scale

@@ -13,7 +13,7 @@ import weedhybrid.pretrain as pt
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError
 
-from helpers import gradcheck
+from helpers import gradcheck, named_leaves
 from oracles import ntxent_scalar
 
 
@@ -178,14 +178,15 @@ def test_pretrain_zero_lr_leaves_params():
     rng = np.random.default_rng(10)
     imgs = [random_image(rng) for _ in range(4)]
     params = bb.init_backbone(tiny_backbone(), np.random.default_rng(11))
-    before = {n: t.data.copy() for n, t in bb.named_parameters(params)}
+    before = {n: t.data.copy() for n, t in named_leaves(bb.build_backbone,
+                                                         params.config, params)}
     out, history = pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=0.0,
                                                           batch_pairs=4,
                                                           projection_dim=6),
                                params=params, seed=3)
     assert out is params
     assert len(history) == 2
-    for name, t in bb.named_parameters(params):
+    for name, t in named_leaves(bb.build_backbone, params.config, params):
         assert t.data.tobytes() == before[name].tobytes(), name
 
 
@@ -193,16 +194,15 @@ def test_pretrain_updates_only_cnn_and_vit():
     rng = np.random.default_rng(12)
     imgs = [random_image(rng) for _ in range(4)]
     params = bb.init_backbone(tiny_backbone(), np.random.default_rng(13))
-    before = {n: t.data.copy() for n, t in bb.named_parameters(params)}
+    named = named_leaves(bb.build_backbone, params.config, params)
+    before = {n: t.data.copy() for n, t in named}
     pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=1e-3, batch_pairs=4,
                                            projection_dim=6),
                 params=params, seed=4)
-    moved = {n for n, t in bb.named_parameters(params)
-             if t.data.tobytes() != before[n].tobytes()}
+    moved = {n for n, t in named if t.data.tobytes() != before[n].tobytes()}
     assert moved, "pretraining moved nothing"
     assert all(n.startswith(("cnn.", "vit.")) for n in moved), moved
-    frozen = {n for n, _ in bb.named_parameters(params)
-              if not n.startswith(("cnn.", "vit."))}
+    frozen = {n for n, _ in named if not n.startswith(("cnn.", "vit."))}
     assert frozen.isdisjoint(moved)
 
 
@@ -226,9 +226,9 @@ def test_pretrain_reproducible():
     pa, ha = pt.pretrain(imgs, cfg, backbone_cfg=tiny_backbone(), seed=9)
     pb, hb = pt.pretrain(imgs, cfg, backbone_cfg=tiny_backbone(), seed=9)
     assert ha == hb
-    for (na, ta), (_, tb) in zip(bb.named_parameters(pa),
-                                 bb.named_parameters(pb)):
-        assert ta.data.tobytes() == tb.data.tobytes(), na
+    for (name, ta), tb in zip(named_leaves(bb.build_backbone, pa.config, pa),
+                              T.leaves(pb), strict=True):
+        assert ta.data.tobytes() == tb.data.tobytes(), name
 
 
 def test_pretrain_bytes_are_pinned():

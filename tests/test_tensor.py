@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -13,6 +14,25 @@ import weedhybrid.backbone as bb
 import weedhybrid.heads as hd
 from weedhybrid import tensor as T
 from weedhybrid.errors import ContractError, DimensionError, NumericError
+
+
+def test_leaves_follow_field_order_and_skip_static_fields():
+    @dataclasses.dataclass
+    class Inner:
+        b: object
+        a: object
+
+    @dataclasses.dataclass
+    class Outer:
+        first: object
+        inner: Inner
+        pairs: tuple
+        config: object = dataclasses.field(default=None, metadata=T.STATIC)
+
+    tree = Outer(first="x", inner=Inner(b="b", a="a"),
+                 pairs=(("p0", "q0"), ("p1", "q1")), config=("not", "a", "leaf"))
+    assert T.leaves(tree) == ["x", "b", "a", "p0", "q0", "p1", "q1"]
+    assert T.leaves((tree.inner, "z")) == ["b", "a", "z"]
 
 
 def test_matmul_identity():
@@ -73,8 +93,8 @@ def test_conv2d_zero_kernel():
 
 
 def test_conv2d_box_kernel():
-    x = T.ones((1, 1, 4, 4))
-    k = T.ones((1, 1, 2, 2))
+    x = T.Tensor(np.ones((1, 1, 4, 4)))
+    k = T.Tensor(np.ones((1, 1, 2, 2)))
     out = T.conv2d(x, k, stride=2)
     np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0, dtype=np.float32))
 
@@ -516,7 +536,7 @@ def test_elementwise_examples():
     assert T.sigmoid(T.Tensor([0.0])).data[0] == pytest.approx(0.5)
     rng = np.random.default_rng(7)
     x = T.Tensor(rng.standard_normal(6))
-    np.testing.assert_array_equal(T.mul(x, T.ones(6)).data, x.data)
+    np.testing.assert_array_equal(T.mul(x, T.Tensor(np.ones(6))).data, x.data)
     with pytest.raises(DimensionError):
         T.add(T.zeros(3), T.zeros(4))
 
@@ -579,7 +599,7 @@ def test_reused_tensor_accumulates_grad():
 
 def test_nan_propagation_is_error():
     with pytest.raises(NumericError):
-        T.div(T.ones(3), T.zeros(3))
+        T.div(T.Tensor(np.ones(3)), T.zeros(3))
     with pytest.raises(NumericError):
         T.log(T.Tensor([-1.0]))
     # clamp keeps the same case finite

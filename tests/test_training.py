@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import named_leaves
 from weedhybrid import backbone as bb
 from weedhybrid import tensor as T
 from weedhybrid import training as tr
@@ -235,11 +236,11 @@ def test_train_zero_lr_keeps_params_and_flat_history():
     params = bb.init_backbone(cfg.resolved_backbone(), rng)
     import weedhybrid.heads as hd
     heads = hd.init_heads(cfg.resolved_backbone(), rng)
-    before = {name: t.data.copy() for name, t in
-              bb.named_parameters(params) + hd.named_head_parameters(heads)}
+    named = (named_leaves(bb.build_backbone, params.config, params)
+             + named_leaves(hd.build_heads, params.config, heads))
+    before = {name: t.data.copy() for name, t in named}
     result = tr.train(data, cfg, params=params, heads=heads)
-    for name, t in (bb.named_parameters(params)
-                    + hd.named_head_parameters(heads)):
+    for name, t in named:
         np.testing.assert_array_equal(t.data, before[name])
     # params never move, so accuracies are constant; the mean loss only
     # wobbles through partial-batch regrouping under the per-epoch shuffle
