@@ -196,6 +196,18 @@ def _check_distinct_names(manifest: str, samples: list) -> None:
                                 f"on line {line} would both be written as {name}")
 
 
+def _check_inside(manifest: str, samples: list) -> None:
+    """Raise DataError if an image or mask path is absolute or leads out of
+    the manifest's directory, so that augment would copy it outside --out."""
+    for s in samples:
+        for field in ("image", "mask"):
+            path = getattr(s, field)
+            if path and (os.path.isabs(path)
+                         or os.path.normpath(path).split(os.sep)[0] == os.pardir):
+                raise DataError(f"{manifest}:{s.line}: {field} {path} lies "
+                                f"outside the manifest's directory")
+
+
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
@@ -251,6 +263,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     samples, images = _load_images(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: nothing to rebalance")
+    _check_inside(args.manifest, samples)
     counts = [0] * len(synthdata.CLASS_NAMES)
     for s in samples:
         counts[s.label] += 1

@@ -44,6 +44,8 @@ __all__ = [
     "rebalance",
 ]
 
+_SAMPLE_CHUNK = 16   # rows per generate call in rebalance; 288 at once peak at 109 MB
+
 
 @dataclass(frozen=True)
 class GanConfig:
@@ -216,9 +218,8 @@ def _bce_fake(logit: T.Tensor) -> T.Tensor:
 
 def gan_train_step(real: T.Tensor, labels, params: GanParams,
                    d_state: OptimizerState, g_state: OptimizerState,
-                   rng: np.random.Generator,
-                   update_generator: bool = True) -> tuple:
-    """One discriminator update then (optionally) one generator update.
+                   rng: np.random.Generator) -> tuple:
+    """One discriminator update then one generator update.
 
     `real` is a non-empty (B, 3, H, W) batch on the (-1, 1) scale; latent
     draws come from `rng`.  Returns (d_loss, g_loss) as floats.  The
@@ -249,8 +250,7 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
 
             g_loss = _bce_real(_disc_logit(fake, labels, params))
             g_tape.backward(g_loss)
-        if update_generator:
-            adam_step(g_params, g_state)
+        adam_step(g_params, g_state)
         T.zero_grads(d_params + g_params)
     except NumericError as exc:
         raise DivergenceError("adversarial", detail=str(exc)) from exc
@@ -311,41 +311,35 @@ def to_image(x: np.ndarray) -> im.ImageU8:
     return im.ImageU8.from_array(arr)
 
 
-def rebalance(samples: list, target_counts, params: GanParams,
+def rebalance(samples: list, target: int, params: GanParams,
               seed: int = 0, out_size: tuple = None) -> list:
-    """Append generated minority-class samples until each class reaches its
-    target count.
+    """Top every class up to `target` samples with generated images.
 
-    `samples` holds (ImageU8, label) pairs (or (ImageU8, label, flag)
-    triples); the result holds (ImageU8, label, synthetic) triples with the
-    originals first, bit-identical and in order.  `target_counts` maps class
-    -> minimum count (a single int applies to every class).
+    `samples` holds (ImageU8, label) pairs; the result holds (ImageU8,
+    label, synthetic) triples, the originals first, bit-identical and in
+    order.  A class's latents are one (need, latent_dim) draw, generated
+    _SAMPLE_CHUNK rows at a time and resized to `out_size` if it is given.
     """
     if params.trained_steps < 1:
         raise ContractError("rebalance requires a trained generator")
     cfg = params.config
-    normalized = []
+    out = []
     counts = [0] * cfg.class_count
-    for entry in samples:
-        img, label = entry[0], int(entry[1])
-        flag = bool(entry[2]) if len(entry) > 2 else False
+    for img, label in samples:
+        label = int(label)
         if not 0 <= label < cfg.class_count:
             raise ContractError(f"label {label} outside [0, {cfg.class_count})")
-        normalized.append((img, label, flag))
+        out.append((img, label, False))
         counts[label] += 1
-    if isinstance(target_counts, int):
-        targets = [target_counts] * cfg.class_count
-    else:
-        targets = [int(target_counts[k]) for k in range(cfg.class_count)]
 
-    out = list(normalized)
     rng = np.random.default_rng([seed, 0xFA4E])
     for cls in range(cfg.class_count):
-        need = max(0, targets[cls] - counts[cls])
-        for _ in range(need):
-            z = T.const(rng.standard_normal((1, cfg.latent_dim)))
-            img = to_image(generate(z, [cls], params).data[0])
-            if out_size is not None and (img.height, img.width) != tuple(out_size):
-                img = im.resize_bilinear(img, out_size)
-            out.append((img, cls, True))
+        z = rng.standard_normal((max(0, target - counts[cls]), cfg.latent_dim))
+        for start in range(0, len(z), _SAMPLE_CHUNK):
+            rows = z[start:start + _SAMPLE_CHUNK]
+            for x in generate(T.const(rows), [cls] * len(rows), params).data:
+                img = to_image(x)
+                if out_size is not None and (img.height, img.width) != tuple(out_size):
+                    img = im.resize_bilinear(img, out_size)
+                out.append((img, cls, True))
     return out

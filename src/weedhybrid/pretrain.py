@@ -23,9 +23,6 @@ from .training import adam_step, check_lr, init_optimizer
 
 __all__ = [
     "ContrastiveConfig",
-    "ViewParams",
-    "draw_view_params",
-    "apply_view_params",
     "make_views",
     "l2_normalize_rows",
     "nt_xent_loss",
@@ -68,33 +65,21 @@ class ContrastiveConfig:
                 raise ContractError(f"unknown view op {op!r}")
 
 
-@dataclass(frozen=True)
-class ViewParams:
-    """The exact augmentation applied to produce one view."""
+def make_views(images: list, rng: np.random.Generator,
+               cfg: ContrastiveConfig) -> np.ndarray:
+    """(2B, H, W, C) uint8 views of B images; rows 2i and 2i+1 are image i's.
 
-    op: str
-    gamma: float
-
-
-def draw_view_params(cfg: ContrastiveConfig, rng: np.random.Generator) -> ViewParams:
-    op = cfg.ops[int(rng.integers(len(cfg.ops)))]
+    Each view draws its op, then its gamma (no draw for a one-value range).
+    """
     lo, hi = cfg.gamma_range
-    gamma = lo if lo == hi else float(rng.uniform(lo, hi))
-    return ViewParams(op=op, gamma=gamma)
-
-
-def apply_view_params(img: im.ImageU8, vp: ViewParams) -> im.ImageU8:
-    out = img if vp.op == "identity" else im.geometric_augment(img, vp.op)
-    return im.gamma_correct(out, vp.gamma)
-
-
-def make_views(img: im.ImageU8, rng: np.random.Generator,
-               cfg: ContrastiveConfig = None) -> tuple:
-    """Two independently augmented versions of the same image."""
-    cfg = ContrastiveConfig() if cfg is None else cfg
-    first = draw_view_params(cfg, rng)
-    second = draw_view_params(cfg, rng)
-    return apply_view_params(img, first), apply_view_params(img, second)
+    views = []
+    for img in images:
+        for _ in range(2):
+            op = cfg.ops[int(rng.integers(len(cfg.ops)))]
+            gamma = lo if lo == hi else float(rng.uniform(lo, hi))
+            view = img if op == "identity" else im.geometric_augment(img, op)
+            views.append(im.gamma_correct(view, gamma).as_array())
+    return np.stack(views)
 
 
 def l2_normalize_rows(z: T.Tensor) -> T.Tensor:
@@ -166,9 +151,9 @@ def pretrain(images: list, cfg: ContrastiveConfig,
     """Contrastive pretraining loop; returns (backbone params, loss history).
 
     `images` is a sequence of ImageU8 already at the backbone's input size.
-    Each batch draws two views of each of its images, in order, and scales
-    the 2B views with one `imaging.to_model_tensor(..., normalize)` call over
-    their stack, as preprocessing scales training and evaluation inputs.
+    Each batch draws its 2B views with one `make_views` call and scales
+    them with one `imaging.to_model_tensor(..., normalize)` call over the
+    stack, as preprocessing scales training and evaluation inputs.
     History holds one mean NT-Xent value per epoch; the projection head is
     created internally and never returned.
     """
@@ -199,9 +184,9 @@ def pretrain(images: list, cfg: ContrastiveConfig,
         total = 0.0
         batches = 0
         for start in range(0, n, cfg.batch_pairs):
-            views = [v.as_array() for idx in order[start:start + cfg.batch_pairs]
-                     for v in make_views(images[idx], erng, cfg)]
-            batch = T.const(im.to_model_tensor(np.stack(views), normalize))
+            picked = [images[idx] for idx in order[start:start + cfg.batch_pairs]]
+            views = make_views(picked, erng, cfg)
+            batch = T.const(im.to_model_tensor(views, normalize))
             try:
                 with T.Tape() as tape:
                     z = forward_embeddings(batch, params, proj)

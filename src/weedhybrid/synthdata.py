@@ -86,13 +86,17 @@ def _foreground_mask(label: int, size, rng) -> np.ndarray:
     return np.zeros(size, dtype=bool)  # soil: pure background
 
 
+def _check_size(size) -> tuple:
+    if size[0] < 4 or size[1] < 4:
+        raise ContractError(f"image size must be at least 4x4, got {size}")
+    return size
+
+
 def generate_sample(label: int, size, rng) -> tuple:
     """One synthetic field image -> (ImageU8, mask ImageU8, growth in [0,1])."""
     if not 0 <= label < len(CLASS_NAMES):
         raise ContractError(f"label must lie in [0, {len(CLASS_NAMES)}), got {label}")
-    h, w = size
-    if h < 4 or w < 4:
-        raise ContractError(f"image size must be at least 4x4, got {size}")
+    h, w = _check_size(size)
     fg = _foreground_mask(label, (h, w), rng)
 
     tone = _smooth_noise(rng, (h, w))
@@ -125,8 +129,8 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
     `counts` maps class name (or index) -> sample count; the string
     "imbalance" selects the historical 48/23/21/8 percent split over 600
     samples.  Generation is reproducible byte-for-byte from `seed`.  A
-    negative count or a zero total raises ContractError before out_dir is
-    created.
+    negative count, a zero total or a size below 4x4 raises ContractError
+    before out_dir is created.
     """
     if counts == "imbalance":
         counts = IMBALANCE_COUNTS
@@ -139,6 +143,7 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
     if min(per_class) < 0 or sum(per_class) == 0:
         raise ContractError(f"per-class sample counts must be >= 0 with a "
                             f"positive total, got {per_class}")
+    _check_size(size)
 
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)

@@ -2,16 +2,22 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations. Two sections at the end are the
+shared with the package implementations. Three sections at the end are the
 exception. The row-major convolution engine is the im2col code conv2d,
 conv_relu_pool2d and conv_transpose2d ran on before their tap-major layout,
-and the per-image preprocessing is the NumPy pipeline the package's stack
-kernels replace: each must be matched byte for byte.
+the per-image preprocessing is the NumPy pipeline the package's stack
+kernels replace, and the per-sample class balancing and per-view
+augmentation are the loops gan.rebalance and pretrain.make_views batch:
+each must be matched byte for byte.
 """
 
 import math
 
 import numpy as np
+
+import weedhybrid.gan as G
+import weedhybrid.imaging as im
+import weedhybrid.tensor as T
 
 
 def conv2d_loops(x, kernels, stride=1, padding=0, bias=None):
@@ -541,3 +547,51 @@ def preprocess_per_image(arr, cfg):
     """The whole pipeline of one image -> (C,H,W) float32."""
     chw = standardize_per_image(stage_per_image(arr, cfg), cfg.normalize)
     return chw.astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# Per-sample class balancing and per-view augmentation: one latent row and
+# one generator call per synthetic image, and the two views of one image
+# drawn and applied at a time. These call the package's generator and image
+# ops; only the batching differs from gan.rebalance and pretrain.make_views.
+
+
+def rebalance_per_sample(samples, target, params, seed=0, out_size=None):
+    """(ImageU8, label) pairs -> originals then synthetics, as
+    (ImageU8, label, synthetic) triples, each class topped up to target."""
+    cfg = params.config
+    out = [(img, int(label), False) for img, label in samples]
+    counts = [0] * cfg.class_count
+    for _, label, _ in out:
+        counts[label] += 1
+    rng = np.random.default_rng([seed, 0xFA4E])
+    for cls in range(cfg.class_count):
+        for _ in range(max(0, target - counts[cls])):
+            z = T.const(rng.standard_normal((1, cfg.latent_dim)))
+            img = G.to_image(G.generate(z, [cls], params).data[0])
+            if out_size is not None and (img.height, img.width) != tuple(out_size):
+                img = im.resize_bilinear(img, out_size)
+            out.append((img, cls, True))
+    return out
+
+
+def draw_view_params(cfg, rng):
+    """One view's (op, gamma): the op first, then the gamma if it varies."""
+    op = cfg.ops[int(rng.integers(len(cfg.ops)))]
+    lo, hi = cfg.gamma_range
+    return op, lo if lo == hi else float(rng.uniform(lo, hi))
+
+
+def apply_view_params(img, op, gamma):
+    out = img if op == "identity" else im.geometric_augment(img, op)
+    return im.gamma_correct(out, gamma)
+
+
+def views_per_image(images, rng, cfg):
+    """Both views of each image in turn, as a list of ImageU8."""
+    views = []
+    for img in images:
+        first = draw_view_params(cfg, rng)
+        second = draw_view_params(cfg, rng)
+        views += [apply_view_params(img, *first), apply_view_params(img, *second)]
+    return views

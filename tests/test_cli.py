@@ -288,6 +288,17 @@ def test_gen_data_nonpositive_per_class_is_usage_error(tmp_path, capsys, count):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("size", [2, 0, -3])
+def test_gen_data_small_size_is_usage_error(tmp_path, capsys, size):
+    # the size check ran after images/ and masks/ were made under --out
+    out = tmp_path / "out"
+    rc = cli.main(["gen-data", "--out", str(out), "--per-class", "1",
+                   "--size", str(size)])
+    assert rc == 1
+    assert "image size must be at least 4x4" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
     conf = tmp_path / "wide.conf"
     conf.write_text("preprocess.median_window = 100001\n", encoding="utf-8")
@@ -631,6 +642,35 @@ def test_augment_rejects_gan_with_other_class_count(workspace, tmp_path, capsys,
     assert rc == 2
     assert f"GAN has {classes} classes, expected {len(CLASS_NAMES)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["image", "mask"])
+@pytest.mark.parametrize("outside", ["parent", "absolute"])
+def test_augment_rejects_paths_outside_the_manifest_directory(
+        workspace, gan_checkpoint, tmp_path, capsys, field, outside):
+    # augment copies each original to its relative path under --out: a row
+    # ../images/x.ppm exited 0 after writing beside --out, and an absolute
+    # path exited 2 (SameFileError) after creating --out
+    first, second = dio.read_manifest(workspace["manifest"])[:2]
+    lists = tmp_path / "lists"
+    names = {"image": second.image, "mask": second.mask}
+    for s, root in ((first, lists), (second, lists), (second, tmp_path / "src")):
+        for rel in (s.image, s.mask):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(workspace["data"] / rel, root / rel)
+    names[field] = (os.path.join(os.pardir, "src", names[field])
+                    if outside == "parent" else str(tmp_path / "src" / names[field]))
+    manifest = lists / "manifest.tsv"
+    dio.write_manifest(str(manifest), [
+        first, dio.Sample(label=second.label, growth=second.growth, **names)])
+    out = tmp_path / "run" / "balanced"
+    rc = cli.main(["augment", "--manifest", str(manifest), "--gan", gan_checkpoint,
+                   "--out", str(out)])
+    assert rc == 2
+    # line 1 is the header
+    assert (f"manifest.tsv:3: {field} {names[field]} lies outside the "
+            f"manifest's directory") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------- pretrain/train

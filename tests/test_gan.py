@@ -13,6 +13,7 @@ from weedhybrid.errors import ContractError, DimensionError
 from weedhybrid.training import init_optimizer
 
 from helpers import gradcheck, named_leaves
+from oracles import rebalance_per_sample
 
 
 def tiny_config(**kw):
@@ -208,8 +209,7 @@ def test_discriminator_only_steps_reduce_d_loss():
     first = last = None
     for step in range(200):
         d_loss, _ = G.gan_train_step(real, labels, params, d_state, g_state,
-                                     np.random.default_rng([18, step]),
-                                     update_generator=False)
+                                     np.random.default_rng([18, step]))
         if first is None:
             first = d_loss
         last = d_loss
@@ -348,12 +348,10 @@ def test_rebalance_balanced_input_makes_no_synthetics():
 
 def test_rebalance_respects_per_class_targets_and_out_size():
     cfg, params = trained_stub(seed=5)
-    samples = sample_set([1, 0, 2], cfg, seed=9)
-    out = G.rebalance(samples, {0: 1, 1: 3, 2: 2}, params, seed=10,
-                      out_size=(16, 16))
+    samples = sample_set([1, 0, 3], cfg, seed=9)
+    out = G.rebalance(samples, 3, params, seed=10, out_size=(16, 16))
     gen = [e for e in out if e[2]]
-    assert len(gen) == 3
-    assert {cls for _, cls, _ in gen} == {1}
+    assert [cls for _, cls, _ in gen] == [0, 0, 1, 1, 1]
     for img, _, _ in gen:
         assert (img.height, img.width) == (16, 16)
 
@@ -367,3 +365,41 @@ def test_rebalance_is_deterministic():
     for (ia, ca, fa), (ib, cb, fb) in zip(a, b):
         assert (ca, fa) == (cb, fb)
         assert ia.pixels == ib.pixels
+
+
+@pytest.fixture(scope="module")
+def six_class_gan():
+    """A briefly trained six-class generator, one class per need below."""
+    cfg = tiny_config(class_count=6, epochs=2)
+    rng = np.random.default_rng(23)
+    images = rng.uniform(-1, 1, (12, 3, 8, 8))
+    params, _ = G.train_gan(images, np.arange(12) % 6, cfg, seed=7)
+    return cfg, params
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16, 64])
+@pytest.mark.parametrize("out_size", [None, (12, 12)])
+def test_rebalance_matches_per_sample_oracle(six_class_gan, monkeypatch, chunk,
+                                             out_size):
+    # needs 0, 1, 15, 16, 17 and 40 at target 40: empty, single-row,
+    # partial, exact and multi-chunk classes
+    cfg, params = six_class_gan
+    samples = sample_set([40, 39, 25, 24, 23, 0], cfg, seed=24)
+    want = rebalance_per_sample(samples, 40, params, seed=9, out_size=out_size)
+    calls = []
+    generate = G.generate
+
+    def counted(z, label, p):
+        calls.append(sorted(set(label)))
+        return generate(z, label, p)
+
+    monkeypatch.setattr(G, "_SAMPLE_CHUNK", chunk)
+    monkeypatch.setattr(G, "generate", counted)
+    got = G.rebalance(samples, 40, params, seed=9, out_size=out_size)
+    assert len(got) == len(want) == 240
+    for (ia, ca, fa), (ib, cb, fb) in zip(got, want):
+        assert (ca, fa) == (cb, fb)
+        assert ia.pixels == ib.pixels
+    needs = [0, 1, 15, 16, 17, 40]
+    assert len(calls) == sum(-(-need // chunk) for need in needs)
+    assert all(len(labels) == 1 for labels in calls)

@@ -14,7 +14,7 @@ import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError
 
 from helpers import gradcheck, named_leaves
-from oracles import ntxent_scalar
+from oracles import ntxent_scalar, views_per_image
 
 
 def random_image(rng, size=(8, 8)):
@@ -48,31 +48,36 @@ def test_config_defaults_and_validation():
 
 def test_identity_policy_returns_original():
     cfg = pt.ContrastiveConfig(ops=("identity",), gamma_range=(1.0, 1.0))
-    img = random_image(np.random.default_rng(0))
-    v1, v2 = pt.make_views(img, np.random.default_rng(1), cfg)
-    assert v1.pixels == img.pixels
-    assert v2.pixels == img.pixels
+    rng = np.random.default_rng(0)
+    images = [random_image(rng) for _ in range(3)]
+    views = pt.make_views(images, np.random.default_rng(1), cfg)
+    assert views.shape == (6, 8, 8, 3) and views.dtype == np.uint8
+    for i, img in enumerate(images):
+        assert views[2 * i].tobytes() == img.pixels
+        assert views[2 * i + 1].tobytes() == img.pixels
 
 
 def test_views_reproducible_from_seed():
-    img = random_image(np.random.default_rng(2))
-    a1, a2 = pt.make_views(img, np.random.default_rng(77))
-    b1, b2 = pt.make_views(img, np.random.default_rng(77))
-    assert a1.pixels == b1.pixels
-    assert a2.pixels == b2.pixels
+    cfg = pt.ContrastiveConfig()
+    images = [random_image(np.random.default_rng(2))]
+    a = pt.make_views(images, np.random.default_rng(77), cfg)
+    b = pt.make_views(images, np.random.default_rng(77), cfg)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_views_match_recorded_ops():
-    """Replaying the drawn parameters reproduces each view exactly."""
-    cfg = pt.ContrastiveConfig()
-    img = random_image(np.random.default_rng(3))
-    rng = np.random.default_rng(let := 41)
-    v1, v2 = pt.make_views(img, rng, cfg)
-    replay = np.random.default_rng(let)
-    p1 = pt.draw_view_params(cfg, replay)
-    p2 = pt.draw_view_params(cfg, replay)
-    assert pt.apply_view_params(img, p1).pixels == v1.pixels
-    assert pt.apply_view_params(img, p2).pixels == v2.pixels
+    """Each view equals its op and gamma drawn and applied one at a time."""
+    rng = np.random.default_rng(3)
+    images = [random_image(rng) for _ in range(5)]
+    for cfg in (pt.ContrastiveConfig(),
+                pt.ContrastiveConfig(ops=("identity",)),
+                pt.ContrastiveConfig(gamma_range=(1.0, 1.0)),
+                pt.ContrastiveConfig(gamma_range=(0.5, 2.0))):
+        for seed in range(40):
+            got = pt.make_views(images, np.random.default_rng(seed), cfg)
+            want = views_per_image(images, np.random.default_rng(seed), cfg)
+            assert got.shape == (10, 8, 8, 3)
+            assert [v.tobytes() for v in got] == [v.pixels for v in want], (cfg, seed)
 
 
 # ---------------------------------------------------------------- normalize
