@@ -7,7 +7,9 @@ relationships.  The CNN and ViT branch vectors are concatenated,
 reweighted by squeeze-excite channel attention, joined with the pooled
 graph embedding, and projected to the final fused feature.  Channel
 attention gates the fused (N, C) vector F = [F_CNN || F_ViT], one weight
-in (0, 1) per channel.
+in (0, 1) per channel.  The attention stage is one tensor.attention op,
+one tape record however many heads it has; checkpoints still hold one
+w_q, w_k and w_v entry per head.
 
 Forward functions are batch-only: images are (N, C, H, W), token sets
 (N, P, d) and feature vectors (N, d); an input without the leading batch
@@ -265,23 +267,13 @@ def patch_embed(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> T.Tensor:
 
 def multi_head_self_attention(e: T.Tensor, heads: tuple) -> T.Tensor:
     """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V; `heads` holds one
-    (W_Q, W_K, W_V) triple of (d, d_k) projections per head."""
-    if e.ndim != 3:
-        raise DimensionError(f"expected (N,P,d) tokens, got {e.shape}")
-    d = e.shape[-1]
-    d_k = heads[0][0].shape[-1]
-    if d != len(heads) * d_k:
-        raise ContractError(
-            f"token dim {d} != {len(heads)} heads x d_k {d_k}")
-    scale = 1.0 / math.sqrt(d_k)
-    out = []
-    for wq, wk, wv in heads:
-        q = T.matmul(e, wq)
-        k = T.matmul(e, wk)
-        v = T.matmul(e, wv)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
-        out.append(T.matmul(T.softmax(scores, axis=-1), v))
-    return T.concat(out, axis=-1)
+    (W_Q, W_K, W_V) triple of (d, d_k) projections per head.
+
+    One tensor.attention op, one tape record. It checks the inputs before
+    allocating: zero heads or a token dim other than heads x d_k raise
+    ContractError, an unbatched input or any weight that is not (d, d_k)
+    DimensionError."""
+    return T.attention(e, heads)
 
 
 def vit_forward(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> tuple:

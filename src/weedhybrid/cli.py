@@ -275,6 +275,9 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     base = os.path.dirname(os.path.abspath(args.manifest))
     os.makedirs(args.out, exist_ok=True)
     records = []
+    # a row of an earlier augment's output keeps its synthetic/ name, so new
+    # images skip every name a row already holds
+    taken = {os.path.normpath(rel) for s in samples for rel in (s.image, s.mask) if rel}
     synth_index = 0
     for position, (img, label, synthetic) in enumerate(balanced):
         if not synthetic:
@@ -288,8 +291,11 @@ def cmd_augment(args, cfg: RunConfig) -> int:
             records.append(s)
         else:
             name = synthdata.CLASS_NAMES[label]
-            rel = os.path.join("synthetic", f"{name}_{synth_index:04d}.ppm")
-            synth_index += 1
+            while True:
+                rel = os.path.join("synthetic", f"{name}_{synth_index:04d}.ppm")
+                synth_index += 1
+                if rel not in taken:
+                    break
             os.makedirs(os.path.join(args.out, "synthetic"), exist_ok=True)
             im.write_image(os.path.join(args.out, rel), img)
             records.append(dataio.Sample(image=rel, label=label,

@@ -8,6 +8,27 @@ Tape.backward walks the records once in reverse. Tensors are treated as
 immutable once produced; there is no implicit broadcasting between tensors
 except the scalar-tensor case.
 
+attention is multi-head self-attention as one op and one tape record, with
+the bytes of the per-head chain it replaced (matmul, transpose, mul,
+softmax, matmul, then a concat; tests/oracles.py keeps it):
+- One head at a time, in head order: Q, K and V are three 64-bit GEMMs of
+  the 64-bit tokens with that head's weights, each rounded to the storage
+  dtype; K^T is made C-contiguous, so every GEMM sees the chain's operand
+  layouts. The scores Q K^T are a 64-bit GEMM rounded to storage, then
+  scaled by 1/sqrt(d_k) in the storage dtype. The softmax runs in 64-bit
+  and is rounded once; A V is a 64-bit GEMM rounded into the head's columns
+  of the output. No array stacks weights or heads. One (d, 3*d_k) GEMM per
+  head is not used: OpenBLAS 0.3.31 (Haswell kernels) rounds some columns
+  of a wider float64 product differently, which changes float64-storage
+  bytes.
+- NumericError naming attention is raised where the chain met a non-finite
+  value: after Q, K, V, the scaled scores and the output.
+- Taped, it keeps only q, k^T, v and the softmax of each head, in the
+  storage dtype. Backward runs from the last head to the first with the
+  chain's formulas and rounding points, and adds each head's v, k and q
+  terms to the token gradient one at a time, in that order, each rounded,
+  as the chain's records did; a 64-bit sum of the terms would change bytes.
+
 The spatial primitives take only batched (N, C, H, W) maps and accumulate
 in 64-bit. The convolutions share one engine on a tap-major im2col layout:
 _im2col builds the (C*kh*kw, pixels) matrix whose row c*kh*kw + i*kw + j is
@@ -49,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -565,20 +587,99 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, "matmul", (a, b), back)
 
 
+def _softmax64(x: np.ndarray, ax: int) -> np.ndarray:
+    """The 64-bit softmax of x along axis ax, max-shifted."""
+    x = _f64(x)
+    e = np.exp(x - x.max(axis=ax, keepdims=True))
+    return e / e.sum(axis=ax, keepdims=True)
+
+
+def _softmax_adjoint(g: np.ndarray, y: np.ndarray, ax: int) -> np.ndarray:
+    """The 64-bit input gradient of a softmax along ax with output y."""
+    gy = _f64(g) * _f64(y)
+    return gy - _f64(y) * gy.sum(axis=ax, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis; rows sum to 1."""
     ax = axis % a.ndim
-    x = _f64(a.data)
-    m = x.max(axis=ax, keepdims=True)
-    e = np.exp(x - m)
-    data = (e / e.sum(axis=ax, keepdims=True)).astype(a.data.dtype)
+    data = _softmax64(a.data, ax).astype(a.data.dtype)
 
     def back(g):
-        gy = _f64(g) * _f64(data)
-        dot = gy.sum(axis=ax, keepdims=True)
-        _accum(a, (gy - _f64(data) * dot).astype(a.data.dtype))
+        _accum(a, _softmax_adjoint(g, data, ax).astype(a.data.dtype))
 
     return _result(data, "softmax", (a,), back)
+
+
+def attention(e: Tensor, heads: Sequence) -> Tensor:
+    """Multi-head self-attention as one op: concat over heads of
+    softmax(Q K^T / sqrt(d_k)) V, with Q, K, V = e W_Q, e W_K, e W_V.
+
+    e: (N,P,d) tokens; heads: one (w_q, w_k, w_v) triple of (d, d_k)
+    weights per head, d = len(heads) * d_k. Output (N,P,d), head h in
+    columns h*d_k:(h+1)*d_k. Raises ContractError for no heads or a token
+    dim that is not heads x d_k, DimensionError for a weight that is not
+    (d, d_k), NumericError where the chain of matmul, transpose, mul,
+    softmax, matmul and concat it replaces would have met a non-finite value.
+    """
+    if e.ndim != 3:
+        raise DimensionError(f"attention: expected (N,P,d) tokens, got {e.shape}")
+    if not heads:
+        raise ContractError("attention: no heads")
+    if any(len(head) != 3 for head in heads):
+        raise ContractError("attention: each head must be one (w_q, w_k, w_v) triple")
+    if heads[0][0].ndim != 2:
+        raise DimensionError(f"attention: head 0 w_q is {heads[0][0].shape}, not 2-D")
+    d, d_k = e.shape[-1], heads[0][0].shape[1]
+    if d != len(heads) * d_k:
+        raise ContractError(f"attention: token dim {d} != {len(heads)} heads x d_k {d_k}")
+    for h, head in enumerate(heads):
+        for name, w in zip(("w_q", "w_k", "w_v"), head):
+            if w.shape != (d, d_k):
+                raise DimensionError(
+                    f"attention: head {h} {name} is {w.shape}, not ({d}, {d_k})")
+    inputs = (e,) + tuple(w for head in heads for w in head)
+    taped = _recorded(inputs)
+    dtype = _out_dtype(*inputs)
+    scale = 1.0 / math.sqrt(d_k)
+    e64 = _f64(e.data)
+    out = np.empty(e.shape, dtype=dtype)
+    saved = []   # (q, k^T, v, softmax) per head, in the storage dtype
+    # overflow, and inf - inf from non-finite tokens, are raised as NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, head in enumerate(heads):
+            q, k, v = ((e64 @ _f64(w.data)).astype(dtype) for w in head)
+            for m in (q, k, v):
+                _finite_or_raise(m, "attention")
+            kt = np.ascontiguousarray(k.transpose(0, 2, 1))
+            scores = (_f64(q) @ _f64(kt)).astype(dtype) * np.asarray(scale, dtype=dtype)
+            _finite_or_raise(scores, "attention")
+            a = _softmax64(scores, 2).astype(dtype)
+            out[..., h * d_k:(h + 1) * d_k] = (_f64(a) @ _f64(v)).astype(dtype)
+            if taped:
+                saved.append((q, kt, v, a))
+
+    def back(g):
+        e64 = _f64(e.data)
+        e64t = np.swapaxes(e64, -1, -2)
+        for h in reversed(range(len(heads))):
+            q, kt, v, a = saved[h]
+            go = _f64(np.ascontiguousarray(g[..., h * d_k:(h + 1) * d_k]))
+            ga = (go @ np.swapaxes(_f64(v), -1, -2)).astype(dtype)
+            gv = (np.swapaxes(_f64(a), -1, -2) @ go).astype(dtype)
+            gs = _f64(_softmax_adjoint(ga, a, 2).astype(dtype) * scale)
+            gq = (gs @ np.swapaxes(_f64(kt), -1, -2)).astype(dtype)
+            gkt = (np.swapaxes(_f64(q), -1, -2) @ gs).astype(dtype)
+            gk = np.ascontiguousarray(gkt.transpose(0, 2, 1))
+            # each term reaches e.grad on its own, rounded, as the chain's did
+            for w, gw in zip(reversed(heads[h]), (gv, gk, gq)):
+                gw = _f64(gw)
+                if e.requires_grad:
+                    _accum(e, (gw @ np.swapaxes(_f64(w.data), -1, -2)).astype(e.data.dtype))
+                if w.requires_grad:
+                    _accum(w, _reduce_to(e64t @ gw, w.shape).astype(w.data.dtype))
+
+    return _result(out, "attention", inputs, back)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

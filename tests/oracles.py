@@ -2,13 +2,14 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations. Three sections at the end are the
+shared with the package implementations. Four sections at the end are the
 exception. The row-major convolution engine is the im2col code conv2d,
 conv_relu_pool2d and conv_transpose2d ran on before their tap-major layout,
 the per-image preprocessing is the NumPy pipeline the package's stack
-kernels replace, and the per-sample class balancing and per-view
-augmentation are the loops gan.rebalance and pretrain.make_views batch:
-each must be matched byte for byte.
+kernels replace, the per-sample class balancing and per-view augmentation
+are the loops gan.rebalance and pretrain.make_views batch, and the per-head
+attention chain is the tensor-op sequence tensor.attention fuses: each must
+be matched byte for byte.
 """
 
 import math
@@ -595,3 +596,21 @@ def views_per_image(images, rng, cfg):
         second = draw_view_params(cfg, rng)
         views += [apply_view_params(img, *first), apply_view_params(img, *second)]
     return views
+
+
+# ---------------------------------------------------------------------------
+# Multi-head self-attention as the chain of tensor ops it ran as before
+# tensor.attention fused it: 8 tape records per head plus one concat.
+
+
+def attention_chain(e, heads):
+    """Concat over heads of softmax(Q K^T / sqrt(d_k)) V, one op at a time."""
+    scale = 1.0 / math.sqrt(heads[0][0].shape[-1])
+    out = []
+    for wq, wk, wv in heads:
+        q = T.matmul(e, wq)
+        k = T.matmul(e, wk)
+        v = T.matmul(e, wv)
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
+        out.append(T.matmul(T.softmax(scores, axis=-1), v))
+    return T.concat(out, axis=-1)

@@ -226,6 +226,31 @@ def test_msa_head_dim_mismatch():
         bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit.heads)
 
 
+def test_msa_rejects_zero_heads():
+    # heads[0] raised IndexError
+    with pytest.raises(ContractError, match="no heads"):
+        bb.multi_head_self_attention(T.zeros((1, 4, 8)), ())
+
+
+@pytest.mark.parametrize("head", [0, 1])
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad_shape", [(8, 5), (7, 4), (8, 4, 1)])
+def test_msa_rejects_any_malformed_weight(head, which, bad_shape):
+    # d = 8 over two heads of d_k = 4; only heads[0][0] was checked, so a
+    # (8, 5) w_v returned (1, 4, 9) tokens
+    rng = np.random.default_rng(25)
+    heads = [[T.Tensor(rng.standard_normal((8, 4))) for _ in range(3)] for _ in range(2)]
+    heads[head][which] = T.Tensor(rng.standard_normal(bad_shape))
+    if (head, which, bad_shape) == (0, 0, (8, 5)):
+        # heads[0][0] declares d_k, so 8 tokens no longer split into 2 heads of 5
+        expected, match = ContractError, "token dim 8 != 2 heads x d_k 5"
+    else:
+        expected, match = DimensionError, f"head {head} {('w_q', 'w_k', 'w_v')[which]}"
+    with pytest.raises(expected, match=match):
+        bb.multi_head_self_attention(T.Tensor(rng.standard_normal((1, 4, 8))),
+                                     tuple(map(tuple, heads)))
+
+
 def test_msa_permutation_equivariant():
     cfg = bb.desk_config()
     params = bb.init_backbone(cfg, np.random.default_rng(17))

@@ -644,6 +644,33 @@ def test_augment_rejects_gan_with_other_class_count(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_augment_keeps_synthetic_rows_it_copies(workspace, gan_checkpoint, tmp_path):
+    # an earlier augment's output already holds synthetic/broadleaf_0000.ppm,
+    # the name the first new broadleaf image took: it overwrote the copy,
+    # and the manifest listed the path twice
+    src = dio.read_manifest(workspace["manifest"])
+    soil = [s for s in src if s.label_name == "soil"][:2]
+    broadleaf = next(s for s in src if s.label_name == "broadleaf")
+    old = os.path.join("synthetic", "broadleaf_0000.ppm")
+    copies = [(s.image, s.image) for s in soil] + [(s.mask, s.mask) for s in soil]
+    for rel, from_rel in copies + [(old, broadleaf.image)]:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(workspace["data"] / from_rel, tmp_path / rel)
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), soil + [
+        dio.Sample(image=old, label=broadleaf.label, synthetic=True)])
+    out = tmp_path / "balanced"
+    rc = cli.main(["augment", "--manifest", str(manifest), "--gan", gan_checkpoint,
+                   "--out", str(out)])
+    assert rc == 0
+    balanced = dio.read_manifest(str(out / "manifest.tsv"))
+    images = [s.image for s in balanced]
+    assert len(balanced) == 8 and len(set(images)) == 8, images
+    assert (out / old).read_bytes() == (workspace["data"] / broadleaf.image).read_bytes()
+    assert sorted(os.listdir(out / "synthetic")) == sorted(
+        os.path.basename(s.image) for s in balanced if s.synthetic)
+
+
 @pytest.mark.parametrize("field", ["image", "mask"])
 @pytest.mark.parametrize("outside", ["parent", "absolute"])
 def test_augment_rejects_paths_outside_the_manifest_directory(

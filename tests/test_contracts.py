@@ -59,6 +59,8 @@ UNBATCHED = {
         lambda: dp.quantized_forward(QUANTIZED, np.zeros((3, 8, 8), np.float32)),
     "gan.generate": lambda: gn.generate(T.zeros(6), 0, GAN),
     "gan.discriminate": lambda: gn.discriminate(T.zeros((3, 8, 8)), 0, GAN),
+    "tensor.attention":
+        lambda: T.attention(T.zeros((4, 4)), PARAMS.vit.heads),
     "tensor.conv2d": lambda: T.conv2d(T.zeros((3, 8, 8)), T.zeros((4, 3, 3, 3))),
     "tensor.conv_transpose2d":
         lambda: T.conv_transpose2d(T.zeros((3, 4, 4)), T.zeros((3, 2, 2, 2))),

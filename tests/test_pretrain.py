@@ -261,3 +261,15 @@ def test_embeddings_unit_norm_through_pipeline():
     z = pt.forward_embeddings(batch, params, proj)
     assert z.shape == (3, 6)
     np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-5)
+
+
+def test_desk_pretrain_step_tape_records():
+    # the per-head attention chain made 33 of the step's 62 records
+    cfg = bb.desk_config()
+    rng = np.random.default_rng(27)
+    params = bb.init_backbone(cfg, rng)
+    proj = pt.init_projection(cfg.cnn_channels[-1] + cfg.embed_dim, 32, rng)
+    batch = T.const(rng.standard_normal((4, 3) + cfg.image_size).astype(np.float32))
+    with T.Tape() as tape:
+        pt.nt_xent_loss(pt.forward_embeddings(batch, params, proj), 0.5)
+    assert len(tape) == 30

@@ -252,6 +252,29 @@ def test_taped_conv_holds_output_and_mask_only(op):
     assert held <= out.data.nbytes + mask_bytes + (64 << 10)
 
 
+def test_taped_paper_attention_is_one_record_in_bounded_memory():
+    cfg = bb.paper_config()
+    rng = np.random.default_rng(24)
+    params = bb.init_backbone(cfg, rng)
+    e = T.Tensor(rng.standard_normal((2, cfg.num_patches, cfg.embed_dim)), requires_grad=True)
+    g = T.const(rng.standard_normal(e.shape))
+    tape = T.Tape()
+
+    def step():
+        with tape:
+            out = bb.multi_head_self_attention(e, params.vit.heads)
+            tape.backward(T.sum_(T.mul(out, g)))
+
+    peak = _peak_traced_bytes(step)
+    # the tape keeps q, k^T, v and the softmax of each head in float32
+    # (8 MiB) and the float32 weight gradients take 7 MiB; the per-head
+    # chain peaked at 50.5 MiB
+    assert peak <= 40 << 20
+    # attention, mul and sum; the chain was 8 records per head plus a
+    # concat, 97 at 12 heads
+    assert len(tape) == 3
+
+
 def test_conv2d_tape_free_memory_has_no_im2col_matrix():
     rng = np.random.default_rng(17)
     x = T.Tensor(rng.standard_normal((8, 32, 112, 112)))
@@ -529,6 +552,67 @@ def test_softmax_rows_sum_to_one():
     out = T.softmax(x, axis=-1)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-6)
     assert np.all(out.data > 0) and np.all(out.data < 1)
+
+
+def _attention_results(fn, e, heads, g, dtype, tokens_grad=True):
+    """fn's output, then the gradients of e and of every head's w_q, w_k,
+    w_v under the loss sum(out * g), in storage dtype `dtype`."""
+    with T.default_dtype(dtype):
+        et = T.Tensor(e, requires_grad=tokens_grad)
+        ht = tuple(tuple(T.Tensor(w, requires_grad=True) for w in head) for head in heads)
+        with T.Tape() as tape:
+            out = fn(et, ht)
+            tape.backward(T.sum_(T.mul(out, T.const(g))))
+    return [out.data, et.grad] + [w.grad for head in ht for w in head]
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for i, (have, expect) in enumerate(zip(got, want)):
+        if expect is None:
+            assert have is None, i
+            continue
+        assert have.dtype == expect.dtype and have.shape == expect.shape, i
+        assert have.tobytes() == expect.tobytes(), i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), p=st.integers(1, 9), h=st.integers(1, 4), d_k=st.integers(1, 6),
+       dtype=st.sampled_from([np.float32, np.float64]), tokens_grad=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_attention_matches_per_head_chain_bytes(n, p, h, d_k, dtype, tokens_grad, seed):
+    rng = np.random.default_rng(seed)
+    d = h * d_k
+    e = rng.standard_normal((n, p, d))
+    heads = [[rng.standard_normal((d, d_k)) * 0.7 for _ in range(3)] for _ in range(h)]
+    g = rng.standard_normal((n, p, d))
+    _assert_same_bytes(
+        _attention_results(T.attention, e, heads, g, dtype, tokens_grad),
+        _attention_results(oracles.attention_chain, e, heads, g, dtype, tokens_grad))
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_attention_matches_per_head_chain_at_preset_shapes(preset):
+    cfg = bb.desk_config() if preset == "desk" else bb.paper_config()
+    n = 32 if preset == "desk" else 1
+    rng = np.random.default_rng(22)
+    params = bb.init_backbone(cfg, rng)
+    heads = [[w.data for w in head] for head in params.vit.heads]
+    e = rng.standard_normal((n, cfg.num_patches, cfg.embed_dim))
+    g = rng.standard_normal(e.shape)
+    _assert_same_bytes(_attention_results(T.attention, e, heads, g, np.float32),
+                       _attention_results(oracles.attention_chain, e, heads, g, np.float32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+def test_attention_non_finite_raises_numeric_error(bad):
+    rng = np.random.default_rng(23)
+    e = rng.standard_normal((2, 3, 4)).astype(np.float32)
+    e[1, 2, 0] = bad   # 1e30 is finite but overflows float32 in the projections
+    heads = tuple(tuple(T.Tensor(rng.standard_normal((4, 2)) * 1e10) for _ in range(3))
+                  for _ in range(2))
+    with pytest.raises(NumericError, match="attention"):
+        T.attention(T.Tensor(e), heads)
 
 
 def test_elementwise_examples():

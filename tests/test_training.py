@@ -6,6 +6,7 @@ import pytest
 import oracles
 from helpers import named_leaves
 from weedhybrid import backbone as bb
+from weedhybrid import heads as hd
 from weedhybrid import tensor as T
 from weedhybrid import training as tr
 from weedhybrid.errors import ContractError, DivergenceError
@@ -272,6 +273,21 @@ def test_train_divergence_names_component():
         tr.train(data, tiny_cfg(epochs=4, lr=1e12))
     assert exc_info.value.component in {"backbone", "classification",
                                         "segmentation", "growth"}
+
+
+def test_desk_training_step_tape_records():
+    # the per-head attention chain made 33 of the step's 90 records
+    cfg = bb.desk_config()
+    rng = np.random.default_rng(26)
+    params = bb.init_backbone(cfg, rng)
+    heads = hd.init_heads(cfg, rng)
+    x = T.const(rng.standard_normal((2, 3) + cfg.image_size).astype(np.float32))
+    masks = np.eye(4, dtype=np.float32)[rng.integers(0, 4, (2,) + cfg.image_size)]
+    with T.Tape() as tape:
+        pred = hd.predict(params, heads, x)
+        hd.compute_losses(pred, np.array([0, 3]), T.const(masks.transpose(0, 3, 1, 2)),
+                          np.array([0.2, 0.7]))
+    assert len(tape) == 58
 
 
 def test_evaluate_report_and_empty_rejection():
