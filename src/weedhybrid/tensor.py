@@ -6,7 +6,9 @@ storage type. The graph is define-by-run: primitives applied while a Tape is
 active append (output, backward-rule) records in execution order, and
 Tape.backward walks the records once in reverse. Tensors are treated as
 immutable once produced; there is no implicit broadcasting between tensors
-except the scalar-tensor case.
+except the scalar-tensor case. A primitive whose result holds a non-finite
+value raises NumericError naming it; its forward runs with NumPy's
+floating-point warnings off, so none is printed first.
 
 attention is multi-head self-attention as one op and one tape record, with
 the bytes of the per-head chain it replaced (matmul, transpose, mul,
@@ -21,6 +23,10 @@ softmax, matmul, then a concat; tests/oracles.py keeps it):
   head is not used: OpenBLAS 0.3.31 (Haswell kernels) rounds some columns
   of a wider float64 product differently, which changes float64-storage
   bytes.
+- It runs over chunks of whole images (_batch_chunks), each at most
+  _GEMM_BLOCK_BYTES of 64-bit tokens and scores, so no 64-bit copy of the
+  whole batch exists; NumPy runs each image's products as a GEMM of its own
+  either way, so chunks do not change bytes.
 - NumericError naming attention is raised where the chain met a non-finite
   value: after Q, K, V, the scaled scores and the output.
 - Taped, it keeps only q, k^T, v and the softmax of each head, in the
@@ -37,33 +43,52 @@ a contiguous run of OW; where a tap reads the zero border it writes zeros, so
 no conv path makes a padded copy of its input. Rows are in the order of
 kernels.reshape(K, C*kh*kw), so the GEMM is W @ cols with the weights as
 stored, its (K, pixels) product gets the bias per row, and the kernel
-gradient is g @ cols.T (_kernel_grad) with g the (K, pixels) output
-gradient. _col2im, the adjoint, adds W.T @ g back onto the unpadded input
-one tap at a time in (i, j) order (_conv_adjoint). conv_transpose2d runs on
-the same code: its forward is conv2d's input gradient, its backward conv2d's
-forward and kernel gradient.
-- Every conv forward runs over blocks (_conv_blocks): whole images, or whole
-  rows (row pairs for conv_relu_pool2d) of one image, each at most
-  _GEMM_BLOCK_BYTES of 64-bit im2col block plus 64-bit product, built in
-  64-bit into one reused buffer. A taped conv keeps its input, not the
-  im2col matrix; backward rebuilds that (Chen et al. 2016, recompute).
+gradient is g @ cols.T with g the (K, pixels) output gradient. _col2im, the
+adjoint, adds W.T @ g back onto the unpadded input one tap at a time in
+(i, j) order. conv_transpose2d runs on the same code: its forward is conv2d's
+input gradient, its backward conv2d's forward and kernel gradient.
+- Every direction runs over one set of blocks (_conv_blocks): whole images,
+  or whole rows (row pairs for conv_relu_pool2d) of one image, each at most
+  _GEMM_BLOCK_BYTES of 64-bit im2col block plus 64-bit (K, pixels) product
+  or output gradient. The forward builds each im2col block into one reused
+  buffer and multiplies. The backward (_conv_adjoints) fills a block's output
+  gradient, rebuilds its im2col block into one reused buffer and adds
+  dz @ cols.T to the 64-bit kernel gradient, then forms W.T @ dz in the same
+  buffer and adds it onto the input rows the block completes;
+  conv_transpose2d's forward is that last step. So no conv holds a whole
+  (C*kh*kw, pixels) matrix: beyond its input, output and gradient maps, one
+  block. A taped conv keeps its input, not the im2col matrix; backward
+  rebuilds that block by block (Chen et al. 2016, recompute).
+- The budget, 4 MiB, is the fastest of a sweep on a 2-vCPU Xeon with 2 MiB
+  of L2 per core and one BLAS thread: the median of 15 interleaved untaped
+  runs of the three paper CNN blocks at batch 1 took 64.7 ms at 16 MiB, 61.5
+  at 8, 56.7 at 4, 59.0 at 3, 60.6 at 2 and 65.6 at 1 MiB. Larger blocks
+  leave the cache before the GEMM and the epilogue read them back (Goto & van
+  de Geijn 2008, "Anatomy of High-Performance Matrix Multiplication").
 - Outputs keep the memory order of the row-major engine they replaced:
   conv2d's map and conv_relu_pool2d's pooled map are channels-last, because
-  NumPy's pairwise reductions downstream (gap, Dice) add in stride order,
-  and the bias gradient adds pixel rows in that engine's order (_bias_grad).
-  Float32 results are byte-equal to it (tests/oracles.py). A 64-bit sum can
-  differ in the last bit where BLAS runs the transposed product with another
-  kernel (small matrices); rounding to float32 hides that.
+  NumPy's pairwise reductions downstream (gap, Dice) add in stride order.
+  Float32 results are byte-equal to it and to the whole-matrix backward
+  (tests/oracles.py):
+  - an input pixel gets its taps in (i, j) order: a block adds W.T @ dz only
+    onto the input rows from r0*stride to r1*stride, recomputing it for the
+    output rows of its neighbours that read them too (_adjoint_rows; one row
+    either side for a 3x3 kernel at stride 1);
+  - the bias gradient adds pixel rows in that engine's order (_BiasGrad);
+  - the kernel gradient is a sum of per-block products, which may differ in
+    the last 64-bit place from one product, as any 64-bit sum may where BLAS
+    runs a smaller product with another kernel; rounding to float32 hid
+    that in every case tested.
 - conv_relu_pool2d is the CNN block avg_pool2d(relu(conv2d(x, K, padding=1,
   bias=b)), 2) as one op: each block's product is rounded to the storage
   dtype, checked finite, rectified in place and pooled (4 taps, 64-bit)
   straight into the (N,K,H/2,W/2) output, so the full-resolution conv and
   ReLU maps never exist. It holds one block beyond its input and pooled
   output; taped, also a bool ReLU mask (1 byte per conv output element). Its
-  backward is avg_pool2d's adjoint, the mask and conv2d's backward.
+  backward fills each block's conv gradient straight from the pooled one:
+  g / 4 in the storage dtype (avg_pool2d's adjoint) over each 2x2 window,
+  times the mask.
 - upsample_bilinear2d is separable: Ry @ X @ Rx^T, no dense (OH*OW, H*W) matrix.
-Backward passes and conv_transpose2d's forward hold whole 64-bit (C*kh*kw,
-pixels) matrices: the rebuilt im2col matrix, input gradient or GEMM product.
 """
 
 from __future__ import annotations
@@ -78,7 +103,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 _DEFAULT_DTYPE = np.float32
-_GEMM_BLOCK_BYTES = 16 << 20   # float64 working set of one conv2d GEMM row block
+_GEMM_BLOCK_BYTES = 4 << 20   # 64-bit working set of one conv block (docstring)
 
 
 @contextlib.contextmanager
@@ -234,6 +259,12 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
+# A primitive's forward runs with NumPy's floating-point warnings off: every
+# non-finite value they would flag reaches _result (or a check of its own),
+# which raises NumericError naming the op. Backward passes keep them.
+_fp_warnings_off = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _recorded(inputs: Sequence[Tensor]) -> bool:
     """Whether _result will put an op over these inputs on the active tape."""
     return _active_tape() is not None and any(t.requires_grad for t in inputs)
@@ -269,6 +300,7 @@ def _f64(a: np.ndarray) -> np.ndarray:
 # elementwise primitives
 
 
+@_fp_warnings_off
 def add(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
@@ -291,11 +323,13 @@ def add(a: Tensor, b) -> Tensor:
 
 def sub(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
-    if s is not None:
-        return add(a, -s)
-    return add(a, neg(b))
+    try:
+        return add(a, -s) if s is not None else add(a, neg(b))
+    except NumericError:
+        raise NumericError("sub produced non-finite values") from None
 
 
+@_fp_warnings_off
 def neg(a: Tensor) -> Tensor:
     data = -a.data
 
@@ -305,6 +339,7 @@ def neg(a: Tensor) -> Tensor:
     return _result(data, "neg", (a,), back)
 
 
+@_fp_warnings_off
 def mul(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
@@ -325,14 +360,14 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(data.astype(_out_dtype(a, b)), "mul", (a, b), back)
 
 
+@_fp_warnings_off
 def div(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
         return mul(a, 1.0 / s)
     if a.shape != b.shape:
         raise DimensionError(f"div: shapes {a.shape} and {b.shape} differ")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
+    data = a.data / b.data
 
     def back(g):
         _accum(a, (g / b.data).astype(a.data.dtype, copy=False))
@@ -341,6 +376,7 @@ def div(a: Tensor, b) -> Tensor:
     return _result(data.astype(_out_dtype(a, b)), "div", (a, b), back)
 
 
+@_fp_warnings_off
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
 
@@ -350,6 +386,7 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, "relu", (a,), back)
 
 
+@_fp_warnings_off
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     data = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(alpha))
 
@@ -359,6 +396,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     return _result(data, "leaky_relu", (a,), back)
 
 
+@_fp_warnings_off
 def sigmoid(a: Tensor) -> Tensor:
     # exp(-|x|) form never overflows
     e = np.exp(-np.abs(a.data))
@@ -370,6 +408,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(data, "sigmoid", (a,), back)
 
 
+@_fp_warnings_off
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
@@ -379,6 +418,7 @@ def tanh(a: Tensor) -> Tensor:
     return _result(data, "tanh", (a,), back)
 
 
+@_fp_warnings_off
 def log(a: Tensor) -> Tensor:
     """Natural log; inputs must be positive (clamp first if they may not be)."""
     with np.errstate(divide="raise", invalid="raise"):
@@ -393,6 +433,7 @@ def log(a: Tensor) -> Tensor:
     return _result(data, "log", (a,), back)
 
 
+@_fp_warnings_off
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
@@ -402,6 +443,7 @@ def sqrt(a: Tensor) -> Tensor:
     return _result(data, "sqrt", (a,), back)
 
 
+@_fp_warnings_off
 def pow_const(a: Tensor, p: float) -> Tensor:
     data = a.data ** a.data.dtype.type(p)
 
@@ -411,6 +453,7 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     return _result(data, "pow_const", (a,), back)
 
 
+@_fp_warnings_off
 def softplus(a: Tensor) -> Tensor:
     # max(x,0) + log1p(exp(-|x|)) is overflow-free
     data = (np.maximum(a.data, 0) + np.log1p(np.exp(-np.abs(a.data)))).astype(a.data.dtype)
@@ -423,6 +466,7 @@ def softplus(a: Tensor) -> Tensor:
     return _result(data, "softplus", (a,), back)
 
 
+@_fp_warnings_off
 def clamp_min(a: Tensor, lo: float) -> Tensor:
     """max(a, lo) elementwise; gradient passes only where a > lo."""
     data = np.maximum(a.data, a.data.dtype.type(lo))
@@ -445,6 +489,7 @@ def _axis_tuple(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
+@_fp_warnings_off
 def sum_(a: Tensor, axis=None) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     data = _f64(a.data).sum(axis=axes).astype(a.data.dtype)
@@ -456,6 +501,7 @@ def sum_(a: Tensor, axis=None) -> Tensor:
     return _result(np.asarray(data), "sum", (a,), back)
 
 
+@_fp_warnings_off
 def mean(a: Tensor, axis=None) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     n = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
@@ -525,6 +571,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(data.astype(_out_dtype(*parts)), "concat", tuple(parts), back)
 
 
+@_fp_warnings_off
 def add_bcast(a: Tensor, b: Tensor) -> Tensor:
     """Add b to a, where b's shape equals a trailing slice of a's shape
     (a bias row, a positional table)."""
@@ -541,6 +588,7 @@ def add_bcast(a: Tensor, b: Tensor) -> Tensor:
     return _result(data.astype(_out_dtype(a, b)), "add_bcast", (a, b), back)
 
 
+@_fp_warnings_off
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     """Multiply row i of a (N, d) matrix by scalar s[i]."""
     if a.ndim != 2 or s.ndim != 1 or s.shape[0] != a.shape[0]:
@@ -565,17 +613,37 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _batch_chunks(n: int, item_bytes: int) -> list:
+    """Slices of a batch of n items, each at most _GEMM_BLOCK_BYTES at
+    item_bytes per item (at least one item). NumPy runs a stacked product as
+    one GEMM per item, so a product over chunks has the whole one's bytes."""
+    step = max(1, _GEMM_BLOCK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+@_fp_warnings_off
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Supports 2-D operands and stacked 3-D batches; a 2-D
-    operand paired with a 3-D one is shared across the batch."""
+    operand paired with a 3-D one is shared across the batch. A stacked
+    product runs in 64-bit over chunks of whole batch items (_batch_chunks),
+    so it holds no 64-bit copy of a whole stacked operand or product."""
     if a.ndim not in (2, 3) or b.ndim not in (2, 3):
         raise DimensionError(f"matmul: ranks {a.ndim} and {b.ndim} unsupported")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner extents {a.shape} x {b.shape}")
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise DimensionError(f"matmul: batch extents {a.shape[0]} != {b.shape[0]}")
-    with np.errstate(over="ignore"):
-        data = (_f64(a.data) @ _f64(b.data)).astype(_out_dtype(a, b))
+    dtype = _out_dtype(a, b)
+    if a.ndim == b.ndim == 2:
+        data = (_f64(a.data) @ _f64(b.data)).astype(dtype)
+    else:
+        (m, k), l = a.shape[-2:], b.shape[-1]
+        data = np.empty(((a if a.ndim == 3 else b).shape[0], m, l), dtype=dtype)
+        a64 = _f64(a.data) if a.ndim == 2 else None
+        b64 = _f64(b.data) if b.ndim == 2 else None
+        for s in _batch_chunks(len(data), 8 * (m * k + k * l + m * l)):
+            data[s] = ((_f64(a.data[s]) if a64 is None else a64)
+                       @ (_f64(b.data[s]) if b64 is None else b64))
 
     def back(g):
         g64 = _f64(g)
@@ -600,6 +668,7 @@ def _softmax_adjoint(g: np.ndarray, y: np.ndarray, ax: int) -> np.ndarray:
     return gy - _f64(y) * gy.sum(axis=ax, keepdims=True)
 
 
+@_fp_warnings_off
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis; rows sum to 1."""
     ax = axis % a.ndim
@@ -611,6 +680,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(data, "softmax", (a,), back)
 
 
+@_fp_warnings_off
 def attention(e: Tensor, heads: Sequence) -> Tensor:
     """Multi-head self-attention as one op: concat over heads of
     softmax(Q K^T / sqrt(d_k)) V, with Q, K, V = e W_Q, e W_K, e W_V.
@@ -642,11 +712,15 @@ def attention(e: Tensor, heads: Sequence) -> Tensor:
     taped = _recorded(inputs)
     dtype = _out_dtype(*inputs)
     scale = 1.0 / math.sqrt(d_k)
-    e64 = _f64(e.data)
+    n, p = e.shape[:2]
     out = np.empty(e.shape, dtype=dtype)
-    saved = []   # (q, k^T, v, softmax) per head, in the storage dtype
-    # overflow, and inf - inf from non-finite tokens, are raised as NumericError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # (q, k^T, v, softmax) per head, in the storage dtype
+    saved = [tuple(np.empty(shape, dtype=dtype) for shape in
+                   ((n, p, d_k), (n, d_k, p), (n, p, d_k), (n, p, p))) for _ in heads
+             ] if taped else None
+    # chunks of whole images, each item one GEMM per product as in the chain
+    for s in _batch_chunks(n, 8 * p * (d + p)):
+        e64 = _f64(e.data[s])
         for h, head in enumerate(heads):
             q, k, v = ((e64 @ _f64(w.data)).astype(dtype) for w in head)
             for m in (q, k, v):
@@ -655,9 +729,10 @@ def attention(e: Tensor, heads: Sequence) -> Tensor:
             scores = (_f64(q) @ _f64(kt)).astype(dtype) * np.asarray(scale, dtype=dtype)
             _finite_or_raise(scores, "attention")
             a = _softmax64(scores, 2).astype(dtype)
-            out[..., h * d_k:(h + 1) * d_k] = (_f64(a) @ _f64(v)).astype(dtype)
+            out[s, :, h * d_k:(h + 1) * d_k] = (_f64(a) @ _f64(v)).astype(dtype)
             if taped:
-                saved.append((q, kt, v, a))
+                for dest, part in zip(saved[h], (q, kt, v, a)):
+                    dest[s] = part
 
     def back(g):
         e64 = _f64(e.data)
@@ -682,6 +757,7 @@ def attention(e: Tensor, heads: Sequence) -> Tensor:
     return _result(out, "attention", inputs, back)
 
 
+@_fp_warnings_off
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     d = a.shape[-1]
@@ -766,46 +842,25 @@ def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad:
                                                     _tap_slice(ca, cb, j, pad, stride)]
 
 
-def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: add tap-major cols (C,kh,kw,N,OH,OW) onto a 64-bit
-    (N,C,H,W) zero map one tap at a time in (i, j) order, dropping what
-    lands in the zero border."""
-    c, kh, kw, n, oh, ow = cols.shape
+def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int,
+            r0: int = 0, y0: int = 0) -> np.ndarray:
+    """Adjoint of _im2col: add tap-major cols (C,kh,kw,N,R,OW) of output rows
+    r0:r0+R onto a 64-bit (N,C,H,W) zero map of input rows y0:y0+H, one tap
+    at a time in (i, j) order, dropping what lands outside it (the zero
+    border, or rows another block owns)."""
+    c, kh, kw, n, nr, ow = cols.shape
     h, w = hw
     out = np.zeros((n, c, h, w), dtype=np.float64)
     dest = out.transpose(1, 0, 2, 3)
     for i in range(kh):
-        ra, rb = _tap_span(i, pad, stride, oh, h)
+        ra, rb = _tap_span(i, pad + y0, stride, r0 + nr, h, r0)
         for j in range(kw):
             ca, cb = _tap_span(j, pad, stride, ow, w)
             if ra < rb and ca < cb:
-                dest[:, :, _tap_slice(ra, rb, i, pad, stride),
-                     _tap_slice(ca, cb, j, pad, stride)] += cols[:, i, j, :, ra:rb, ca:cb]
+                dest[:, :, _tap_slice(ra, rb, i, pad + y0, stride),
+                     _tap_slice(ca, cb, j, pad, stride)] += cols[:, i, j, :, ra - r0:rb - r0,
+                                                                ca:cb]
     return out
-
-
-def _chan_rows(a: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> the 64-bit (C, N*H*W) matrix with one row per channel."""
-    return a.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(a.shape[1], -1)
-
-
-def _bias_grad(g: np.ndarray, n: int) -> np.ndarray:
-    """Sum g (K, N*P), the channel rows of a conv output gradient over N
-    images, in conv2d's order: NumPy sums the (N*P, K) pixel rows of one
-    image, a view with the pixel axis innermost, pairwise; those of more
-    images, a C-ordered copy, one row after another. Slabs of that copy,
-    each led by the running sum, continue the row-by-row sum."""
-    if n == 1 or g.shape[0] == 1:
-        return g.sum(axis=1)
-    step = 4096
-    slab = np.empty((step + 1, g.shape[0]), dtype=np.float64)
-    acc = g[:, 0].copy()
-    for m0 in range(1, g.shape[1], step):
-        m1 = min(m0 + step, g.shape[1])
-        slab[0] = acc
-        slab[1:1 + m1 - m0] = g[:, m0:m1].T
-        acc = slab[:1 + m1 - m0].sum(axis=0)
-    return acc
 
 
 def _conv_blocks(n: int, oh: int, ow: int, pixel_bytes: int, align: int) -> list:
@@ -861,39 +916,162 @@ def _conv_gemm(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, p
     return None if out is None else out.transpose(0, 3, 1, 2)
 
 
-def _kernel_grad(rows: np.ndarray, a: np.ndarray, kh: int, kw: int, stride: int,
-                 pad: int) -> np.ndarray:
-    """The (K,C,kh,kw) kernel gradient rows @ cols.T of a conv over a (N,C,H,W)
-    from its 64-bit (K, N*OH*OW) output gradient rows; cols, a's whole
-    im2col matrix, is rebuilt here in 64-bit (forward keeps only a)."""
-    n, c, h, w = a.shape
-    cols = np.empty((c * kh * kw, rows.shape[1]), dtype=np.float64)
-    _im2col(a, cols, kh, kw, stride, pad, 0, n, 0, _conv_grid((h, w), kh, kw, stride, pad)[0])
-    return (rows @ cols.T).reshape(len(rows), c, kh, kw)
+def _pairwise_plan(size: int, cuts: Sequence[int]) -> list:
+    """NumPy's pairwise sum of `size` values (leaves of at most 128 values;
+    longer runs split in two at a multiple of 8) as a postfix plan: (a, b)
+    is one NumPy sum of values a:b, None adds the last two results. A range
+    is a node of that recursion that no cut falls inside, or a leaf."""
+    plan = []
+
+    def walk(a, m):
+        if m <= 128 or not any(a < cut < a + m for cut in cuts):
+            plan.append((a, a + m))
+            return
+        half = m // 2 - m // 2 % 8
+        walk(a, half)
+        walk(a + half, m - half)
+        plan.append(None)
+
+    walk(0, size)
+    return plan
 
 
-def _conv_adjoint(wmat: np.ndarray, rows: np.ndarray, kh: int, kw: int, stride: int,
-                  pad: int, hw: tuple) -> np.ndarray:
-    """The adjoint of the conv of weights wmat (K, C*kh*kw) over an (H, W) map:
-    _col2im of W.T @ rows, rows its 64-bit (K, N*OH*OW) output channel rows."""
-    cols = (_f64(wmat).T @ rows).reshape(wmat.shape[1] // (kh * kw), kh, kw, -1,
-                                         *_conv_grid(hw, kh, kw, stride, pad))
-    return _col2im(cols, hw, stride, pad)
+class _BiasGrad:
+    """A conv's bias gradient: its (K, N*P) output gradient rows summed in
+    the order of the row-major engine's (N*P, K) pixel rows, from blocks of
+    pixels fed in order. For one image (or one channel) NumPy summed each
+    row pairwise, which _pairwise_plan follows across blocks; for more it
+    added one pixel after another, which np.add.accumulate does, seeded with
+    the running sum. total is the gradient once every pixel is added."""
+
+    def __init__(self, k: int, n: int, size: int, cuts: Sequence[int]):
+        self.plan = _pairwise_plan(size, cuts) if n == 1 or k == 1 else None
+        self.total = np.zeros(k)   # the running sum of the pixels so far
+        self.done = 0              # plan steps taken
+        self.stack = []            # plan results not yet added
+        self.carry = []            # the values so far of a leaf that blocks cut
+
+    def add(self, m0: int, rows: np.ndarray) -> None:
+        """Add rows, the 64-bit (K, pixels) gradient of pixels m0 onwards;
+        rows may be overwritten."""
+        if self.plan is None:
+            rows[:, 0] += self.total
+            np.add.accumulate(rows, axis=1, out=rows)
+            self.total = rows[:, -1].copy()
+            return
+        m1 = m0 + rows.shape[1]
+        for step in self.plan[self.done:]:
+            if step is None:
+                right = self.stack.pop()
+                self.stack[-1] = self.stack[-1] + right
+            else:
+                part = rows[:, max(step[0], m0) - m0:min(step[1], m1) - m0]
+                if step[1] > m1:
+                    self.carry.append(part.copy())
+                    return
+                self.stack.append(np.concatenate(self.carry + [part], axis=1).sum(axis=1)
+                                  if self.carry else part.sum(axis=1))
+                self.carry = []
+            self.done += 1
+        self.total = self.total + self.stack[0]   # NumPy's sum starts from +0 too
 
 
-def _conv_backward(g: np.ndarray, x: Tensor, kernels: Tensor, bias: Tensor | None,
-                   stride: int, pad: int) -> None:
-    """conv2d's backward from its 64-bit output gradient as (K, N*OH*OW)
-    channel rows and the input its forward kept."""
+def _adjoint_rows(r0: int, r1: int, oh: int, h: int, kh: int, stride: int,
+                  pad: int) -> tuple[int, int, int, int]:
+    """For the block of output rows r0:r1 of a conv over H input rows: the
+    input rows y0:y1 whose gradient it completes, r0*stride:r1*stride within
+    0:H (from 0 for the first block, to H for the last), and the output rows
+    e0:e1 that read them, r0:r1 widened by a halo."""
+    y0 = 0 if r0 == 0 else min(h, r0 * stride)
+    y1 = h if r1 == oh else min(h, r1 * stride)
+    if y0 == y1:
+        return y0, y1, r0, r1
+    e0 = min(r0, max(0, -((kh - 1 - pad - y0) // stride)))
+    return y0, y1, e0, max(r1, min(oh, (y1 - 1 + pad) // stride + 1))
+
+
+def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int, kw: int,
+                   stride: int, pad: int, a: np.ndarray | None = None, db: bool = False,
+                   dx_dtype=None, bias: np.ndarray | None = None, align: int = 1) -> tuple:
+    """The adjoints of the conv of weights wmat (K, C*kh*kw) over N (H, W)
+    maps, run over the forward's _conv_blocks from its output gradient:
+    fill(n0, n1, r0, r1, dest) writes the 64-bit channel rows of images n0:n1,
+    output rows r0:r1 into dest, a (K, n1-n0, r1-r0, OW) view.
+
+    Returns (dk, db, dx), each None unless asked for:
+    - dk, the 64-bit (K, C*kh*kw) kernel gradient, the sum over blocks of
+      dz @ cols.T with cols the block of a's im2col matrix;
+    - db, the 64-bit (K,) bias gradient, added as _BiasGrad says;
+    - dx, the (N,C,H,W) input gradient (plus bias per channel) in dx_dtype:
+      each block adds W.T @ dz onto the input rows it completes
+      (_adjoint_rows), so every input pixel gets its taps in (i, j) order.
+    The im2col block and then W.T @ dz share one reused buffer.
+    """
+    k, row_len = wmat.shape
+    h, w = hw
+    oh, ow = _conv_grid(hw, kh, kw, stride, pad)
+    spans = [(n0, n1, r0, r1) + (_adjoint_rows(r0, r1, oh, h, kh, stride, pad)
+                                 if dx_dtype is not None else (0, 0, r0, r1))
+             for n0, n1, r0, r1 in _conv_blocks(n, oh, ow, 8 * (row_len + k), align)]
+    most = max((n1 - n0) * (e1 - e0) * ow for n0, n1, _, _, _, _, e0, e1 in spans)
+    buf = np.empty(row_len * most, dtype=np.float64)
+    dz_buf = np.empty(k * most, dtype=np.float64)
+    w64t = _f64(wmat).T
+    b64 = None if bias is None else _f64(bias)[:, None, None]
+    dk = None
+    cuts = [(n0 * oh + r0) * ow for n0, _, r0, *_ in spans[1:]]
+    bias_grad = _BiasGrad(k, n, n * oh * ow, cuts) if db else None
+    dx = None if dx_dtype is None else np.empty((n, row_len // (kh * kw), h, w), dtype=dx_dtype)
+    for n0, n1, r0, r1, y0, y1, e0, e1 in spans:
+        ni = n1 - n0
+        dz = dz_buf[:k * ni * (e1 - e0) * ow].reshape(k, -1)
+        fill(n0, n1, e0, e1, dz.reshape(k, ni, e1 - e0, ow))
+        own = dz.reshape(k, ni, e1 - e0, ow)[:, :, r0 - e0:r1 - e0].reshape(k, -1)
+        if a is not None:
+            cols = buf[:row_len * own.shape[1]].reshape(row_len, -1)
+            _im2col(a, cols, kh, kw, stride, pad, n0, n1, r0, r1)
+            part = own @ cols.T
+            dk = part if dk is None else np.add(dk, part, out=dk)
+        if dx is not None and y0 < y1:
+            dcols = np.matmul(w64t, dz, out=buf[:row_len * dz.shape[1]].reshape(row_len, -1))
+            blk = _col2im(dcols.reshape(-1, kh, kw, ni, e1 - e0, ow), (y1 - y0, w), stride,
+                          pad, e0, y0)
+            if b64 is not None:
+                blk += b64
+            dx[n0:n1, :, y0:y1] = blk
+        if bias_grad is not None:
+            bias_grad.add((n0 * oh + r0) * ow, own)   # last: it overwrites own
+    return dk, None if bias_grad is None else bias_grad.total, dx
+
+
+def _rows_of(g: np.ndarray) -> Callable:
+    """A fill for _conv_adjoints that reads the channel rows of an (N,K,OH,OW)
+    map g."""
+    def fill(n0, n1, r0, r1, dest):
+        dest[...] = g[n0:n1, :, r0:r1].transpose(1, 0, 2, 3)
+    return fill
+
+
+def _conv_backward(fill: Callable, x: Tensor, kernels: Tensor, bias: Tensor | None,
+                   stride: int, pad: int, align: int = 1) -> None:
+    """conv2d's backward over the forward's blocks, from a fill of its output
+    gradient (see _conv_adjoints) and the input its forward kept; a gradient
+    no tensor needs is not built."""
     k, _, kh, kw = kernels.shape
-    _accum(kernels, _kernel_grad(g, x.data, kh, kw, stride, pad).astype(kernels.data.dtype))
-    if bias is not None:
-        _accum(bias, _bias_grad(g, x.shape[0]).astype(bias.data.dtype))
-    if x.requires_grad:
-        dx = _conv_adjoint(kernels.data.reshape(k, -1), g, kh, kw, stride, pad, x.shape[2:])
-        _accum(x, dx.astype(x.data.dtype))
+    dk, db, dx = _conv_adjoints(
+        fill, x.shape[0], x.shape[2:], kernels.data.reshape(k, -1), kh, kw, stride, pad,
+        a=x.data if kernels.requires_grad else None,
+        db=bias is not None and bias.requires_grad,
+        dx_dtype=x.data.dtype if x.requires_grad else None, align=align)
+    if dk is not None:
+        _accum(kernels, dk.reshape(kernels.shape).astype(kernels.data.dtype))
+    if db is not None:
+        _accum(bias, db.astype(bias.data.dtype))
+    if dx is not None:
+        _accum(x, dx)
 
 
+@_fp_warnings_off
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation with zero padding.
@@ -916,11 +1094,12 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
                      _out_dtype(x, kernels), None if bias is None else bias.data)
 
     def back(g):
-        _conv_backward(_chan_rows(g), x, kernels, bias, stride, padding)
+        _conv_backward(_rows_of(g), x, kernels, bias, stride, padding)
 
     return _result(out, "conv2d", inputs, back)
 
 
+@_fp_warnings_off
 def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """One CNN block, avg_pool2d(relu(conv2d(x, kernels, padding=1, bias=bias)), 2),
     without its full-resolution maps; same bytes, one tape record.
@@ -947,9 +1126,8 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     mask = np.empty((k, n * h * w), dtype=bool) if taped else None
 
     def pool(m0, m1, block):
-        with np.errstate(over="ignore"):   # an overflow is raised on the next line
-            act = block.astype(dtype, copy=False)
-        _finite_or_raise(act, "conv_relu_pool2d")
+        act = block.astype(dtype, copy=False)
+        _finite_or_raise(act, "conv_relu_pool2d")   # before the ReLU can hide it
         np.maximum(act, 0, out=act)
         if taped:
             np.greater(act, 0, out=mask[:, m0:m1])
@@ -963,13 +1141,20 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out = pooled.reshape(n, h // 2, w // 2, k).transpose(0, 3, 1, 2)
 
     def back(g):
-        dz = _chan_rows(_pool_adjoint(g, 2, 2, (h, w), dtype))
-        dz *= mask
-        _conv_backward(dz, x, kernels, bias, 1, 1)
+        gd = g / 4   # avg_pool2d's adjoint, in the storage dtype
+
+        def fill(n0, n1, r0, r1, dest):
+            # each conv output pixel gets its pool window's share, times the mask
+            taps = gd[n0:n1][:, :, np.arange(r0, r1) // 2].transpose(1, 0, 2, 3)
+            dest.reshape(k, n1 - n0, r1 - r0, w // 2, 2)[...] = taps[..., None]
+            dest *= mask[:, (n0 * h + r0) * w:((n1 - 1) * h + r1) * w].reshape(dest.shape)
+
+        _conv_backward(fill, x, kernels, bias, 1, 1, align=2)
 
     return _result(out, "conv_relu_pool2d", inputs, back)
 
 
+@_fp_warnings_off
 def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
                      bias: Tensor | None = None) -> Tensor:
     """Transposed 2-D convolution, the adjoint of conv2d's input map.
@@ -979,7 +1164,7 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     dx is conv2d's forward pass over the gradient, and dk is conv2d's
     kernel gradient with x and the gradient in swapped roles.
     """
-    c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")[1:]
+    n, c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")
     ck, k, kh, kw = _shape4(kernels, "conv_transpose2d: kernels (C,K,kh,kw)")
     if ck != c:
         raise DimensionError(f"conv_transpose2d: channels {c} != kernel channels {ck}")
@@ -990,19 +1175,22 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     if oh <= 0 or ow <= 0:
         raise DimensionError("conv_transpose2d: non-positive output extent")
     kmat = kernels.data.reshape(c, k * kh * kw)
-    out = _conv_adjoint(kmat, _chan_rows(x.data), kh, kw, stride, padding, (oh, ow))
-    if bias is not None:
-        out += _f64(bias.data)[:, None, None]
+    out = _conv_adjoints(_rows_of(x.data), n, (oh, ow), kmat, kh, kw, stride, padding,
+                         dx_dtype=_out_dtype(x, kernels),
+                         bias=None if bias is None else bias.data)[2]
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
 
     def back(g):
-        _accum(x, _conv_gemm(g, kmat, kh, kw, stride, padding, x.data.dtype))
-        dk = _kernel_grad(_chan_rows(x.data), g, kh, kw, stride, padding)
-        _accum(kernels, dk.astype(kernels.data.dtype))
+        if x.requires_grad:
+            _accum(x, _conv_gemm(g, kmat, kh, kw, stride, padding, x.data.dtype))
+        if kernels.requires_grad:
+            dk = _conv_adjoints(_rows_of(x.data), n, (oh, ow), kmat, kh, kw, stride, padding,
+                                a=g)[0]
+            _accum(kernels, dk.reshape(kernels.shape).astype(kernels.data.dtype))
         if bias is not None:
             _accum(bias, _f64(g).sum(axis=(0, 2, 3)).astype(bias.data.dtype))
 
-    return _result(out.astype(_out_dtype(x, kernels)), "conv_transpose2d", inputs, back)
+    return _result(out, "conv_transpose2d", inputs, back)
 
 
 def _tap_sum(taps: list) -> np.ndarray:
@@ -1022,6 +1210,7 @@ def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple, dtype) -> 
     return _col2im(taps, hw, stride, 0).astype(dtype)
 
 
+@_fp_warnings_off
 def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling over square windows of an (N,C,H,W) map."""
     stride = window if stride is None else stride
@@ -1053,6 +1242,7 @@ def _interp_matrix(out_n: int, in_n: int) -> np.ndarray:
     return m
 
 
+@_fp_warnings_off
 def upsample_bilinear2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     """Bilinear resize of an (N,C,H,W) map (half-pixel convention)."""
     h, w = _shape4(x, "upsample_bilinear2d: input (N,C,H,W)")[2:]

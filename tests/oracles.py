@@ -2,10 +2,12 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations. Four sections at the end are the
+shared with the package implementations. Five sections at the end are the
 exception. The row-major convolution engine is the im2col code conv2d,
 conv_relu_pool2d and conv_transpose2d ran on before their tap-major layout,
-the per-image preprocessing is the NumPy pipeline the package's stack
+the whole-matrix conv adjoints are the tap-major backward passes (and
+conv_transpose2d's forward) before they ran in blocks, the per-image
+preprocessing is the NumPy pipeline the package's stack
 kernels replace, the per-sample class balancing and per-view augmentation
 are the loops gan.rebalance and pretrain.make_views batch, and the per-head
 attention chain is the tensor-op sequence tensor.attention fuses: each must
@@ -410,6 +412,89 @@ def conv_transpose2d_rows(x, kernels, bias, stride, padding, g):
     dk = (_pixel_rows(x).T @ gcols.astype(np.float64)).reshape(c, k, kh, kw)
     db = g.astype(np.float64).sum(axis=(0, 2, 3)).astype(x.dtype)
     return out.astype(x.dtype), dx, dk.astype(x.dtype), db
+
+
+# ---------------------------------------------------------------------------
+# Whole-matrix conv adjoints: the tap-major engine's backward passes and
+# conv_transpose2d's forward as they were before they ran over the engine's
+# blocks. Each holds a whole 64-bit (C*kh*kw, N*OH*OW) matrix: the rebuilt
+# im2col matrix for the kernel gradient, or W.T @ g before it is scattered
+# onto the input. The fused block reaches its conv gradient through
+# avg_pool2d's adjoint and the ReLU mask. Each takes and returns NumPy arrays
+# in one storage dtype.
+
+
+def _chan_rows(a):
+    """(N,C,H,W) -> the 64-bit (C, N*H*W) matrix with one row per channel."""
+    return a.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(a.shape[1], -1)
+
+
+def _bias_grad(g, n):
+    """Sum g (K, N*P), the channel rows of a conv output gradient over N
+    images, in the row-major engine's order: pairwise for one image (or one
+    channel), else one pixel row after another, in slabs led by the running
+    sum."""
+    if n == 1 or g.shape[0] == 1:
+        return g.sum(axis=1)
+    step = 4096
+    slab = np.empty((step + 1, g.shape[0]), dtype=np.float64)
+    acc = g[:, 0].copy()
+    for m0 in range(1, g.shape[1], step):
+        m1 = min(m0 + step, g.shape[1])
+        slab[0] = acc
+        slab[1:1 + m1 - m0] = g[:, m0:m1].T
+        acc = slab[:1 + m1 - m0].sum(axis=0)
+    return acc
+
+
+def _kernel_grad(rows, a, kh, kw, stride, pad):
+    """rows @ cols.T with cols the whole 64-bit im2col matrix of a (N,C,H,W)."""
+    n, c, h, w = a.shape
+    cols = np.empty((c * kh * kw, rows.shape[1]), dtype=np.float64)
+    T._im2col(a, cols, kh, kw, stride, pad, 0, n, 0, T._conv_grid((h, w), kh, kw, stride, pad)[0])
+    return (rows @ cols.T).reshape(len(rows), c, kh, kw)
+
+
+def _conv_adjoint(wmat, rows, kh, kw, stride, pad, hw):
+    """_col2im of the whole W.T @ rows onto an (H, W) map."""
+    cols = (wmat.astype(np.float64).T @ rows).reshape(
+        wmat.shape[1] // (kh * kw), kh, kw, -1, *T._conv_grid(hw, kh, kw, stride, pad))
+    return T._col2im(cols, hw, stride, pad)
+
+
+def _conv_backward_whole(rows, x, kernels, with_bias, stride, pad):
+    k, _, kh, kw = kernels.shape
+    dx = _conv_adjoint(kernels.reshape(k, -1), rows, kh, kw, stride, pad, x.shape[2:])
+    dk = _kernel_grad(rows, x, kh, kw, stride, pad)
+    db = _bias_grad(rows, x.shape[0]).astype(x.dtype) if with_bias else None
+    return dx.astype(x.dtype), dk.astype(x.dtype), db
+
+
+def conv2d_backward_whole(x, kernels, with_bias, stride, padding, g):
+    """conv2d's (dx, dk, db) for output gradient g; db is None without a bias."""
+    return _conv_backward_whole(_chan_rows(g), x, kernels, with_bias, stride, padding)
+
+
+def conv_relu_pool2d_backward_whole(x, kernels, bias, g):
+    """conv_relu_pool2d's (dx, dk, db) for pooled-output gradient g."""
+    conv = T.conv2d(T.Tensor(x, dtype=x.dtype), T.Tensor(kernels, dtype=x.dtype),
+                    padding=1, bias=T.Tensor(bias, dtype=x.dtype)).data
+    dz = _chan_rows(T._pool_adjoint(g, 2, 2, x.shape[2:], x.dtype))
+    dz *= _chan_rows(conv) > 0
+    return _conv_backward_whole(dz, x, kernels, True, 1, 1)
+
+
+def conv_transpose2d_whole(x, kernels, bias, stride, padding, g):
+    """conv_transpose2d's output and kernel gradient for output gradient g."""
+    c, k, kh, kw = kernels.shape
+    h, w = x.shape[2:]
+    out_hw = ((h - 1) * stride + kh - 2 * padding, (w - 1) * stride + kw - 2 * padding)
+    rows = _chan_rows(x)
+    out = _conv_adjoint(kernels.reshape(c, -1), rows, kh, kw, stride, padding, out_hw)
+    if bias is not None:
+        out += bias.astype(np.float64)[:, None, None]
+    dk = _kernel_grad(rows, g, kh, kw, stride, padding)
+    return out.astype(x.dtype), dk.astype(x.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -501,13 +501,26 @@ def test_conv_ops_match_row_major_engine_bytes(op, n, c, k, h, w, kh, kw, stride
 
 @pytest.mark.parametrize("shape", [(1, 5, 70, 70), (3, 5, 40, 50), (2, 1, 9, 9),
                                    (4, 3, 1, 1), (1, 1, 1, 1)])
-def test_bias_gradient_adds_pixel_rows_in_row_major_order(shape):
+def test_bias_gradient_adds_pixel_rows_in_row_major_order(monkeypatch, shape):
     # 64-bit, where a different summation order shows: the (N*OH*OW, K)
     # pixel rows summed the way the row-major engine did (pairwise for one
-    # image, whose rows are a strided view; row after row for a batch)
+    # image, whose rows are a strided view; row after row for a batch),
+    # whether conv2d's backward runs in one block, one block per image or
+    # one per output row (cutting the pairwise leaves of one image)
+    n, k, oh, ow = shape
     g = np.random.default_rng(25).standard_normal(shape) * 1e3
     want = oracles._pixel_rows(g).sum(axis=0)
-    assert T._bias_grad(T._chan_rows(g), shape[0]).tobytes() == want.tobytes()
+    row_bytes = 8 * (1 + k) * ow    # a 1x1 conv from one channel
+    for budget in (None, oh * row_bytes, 3 * row_bytes, row_bytes):
+        if budget is not None:
+            monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", budget)
+        with T.default_dtype(np.float64):
+            x = T.zeros((n, 1, oh, ow))
+            b = T.zeros(k, requires_grad=True)
+            with T.Tape() as tape:
+                y = T.conv2d(x, T.zeros((k, 1, 1, 1)), bias=b)
+                tape.backward(T.sum_(T.mul(y, T.const(g))))
+        assert b.grad.tobytes() == want.tobytes(), budget
 
 
 @pytest.mark.parametrize("kh,kw,stride,pad", [(3, 3, 1, 1), (4, 4, 2, 1), (2, 3, 2, 0),
@@ -523,6 +536,180 @@ def test_col2im_adds_taps_in_row_major_order(kh, kw, stride, pad):
                           stride)[:, :, pad:pad + h, pad:pad + w]
     got = T._col2im(cols, (h, w), stride, pad)
     assert got.tobytes() == np.ascontiguousarray(old).tobytes()
+
+
+def _taped_conv(op, x, kern, bias, stride, padding, g, x_grad):
+    """op's output and (dx, dk, db) for the loss sum(op(...) * g); dx is None
+    without x_grad, db without a bias."""
+    xt = T.Tensor(x, requires_grad=x_grad, dtype=x.dtype)
+    kt = T.Tensor(kern, requires_grad=True, dtype=x.dtype)
+    bt = None if bias is None else T.Tensor(bias, requires_grad=True, dtype=x.dtype)
+    args = () if op == "conv_relu_pool2d" else (stride, padding)
+    with T.Tape() as tape:
+        y = getattr(T, op)(xt, kt, *args, bias=bt)
+        tape.backward(T.sum_(T.mul(y, T.Tensor(g, dtype=g.dtype))))
+    return y.data, xt.grad, kt.grad, None if bt is None else bt.grad
+
+
+def _assert_same(got, want, dtype, name):
+    assert got.dtype == want.dtype == dtype, name
+    assert got.shape == want.shape, name
+    if dtype == np.float32:
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(op=st.sampled_from(["conv2d", "conv_relu_pool2d", "conv_transpose2d"]),
+       n=st.integers(1, 3), c=st.integers(1, 3), k=st.integers(1, 3),
+       h=st.integers(1, 9), w=st.integers(1, 9), kh=st.integers(2, 4), kw=st.integers(2, 4),
+       stride=st.integers(1, 2), padding=st.integers(0, 1), with_bias=st.booleans(),
+       blocks=st.sampled_from(["whole-image", "one-row", "row-pair"]),
+       x_grad=st.booleans(), seed=st.integers(0, 2**16))
+def test_blocked_conv_adjoints_match_whole_matrix(dtype, op, n, c, k, h, w, kh, kw, stride,
+                                                  padding, with_bias, blocks, x_grad, seed):
+    # the backward passes and conv_transpose2d's forward, run over blocks,
+    # against the whole-matrix adjoints they replaced; float32 results are
+    # byte-equal, float64 ones may differ in the last bit where a 64-bit sum
+    # is split over blocks
+    if op == "conv_relu_pool2d":
+        h, w, kh, kw, stride, padding, with_bias = 2 * h, 2 * w, 3, 3, 1, 1, True
+    if op == "conv_transpose2d":
+        oh = (h - 1) * stride + kh - 2 * padding
+        ow = (w - 1) * stride + kw - 2 * padding
+        k_shape = (c, k, kh, kw)
+    else:
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        k_shape = (k, c, kh, kw)
+    assume(oh > 0 and ow > 0)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    kern = rng.standard_normal(k_shape).astype(dtype)
+    bias = rng.standard_normal(k).astype(dtype) if with_bias else None
+    out_hw = (oh // 2, ow // 2) if op == "conv_relu_pool2d" else (oh, ow)
+    g = rng.standard_normal((n, k) + out_hw).astype(dtype)
+    # the grid and 64-bit bytes per output pixel of the conv whose blocks the
+    # op runs over: for conv_transpose2d, the conv its forward is the adjoint
+    # of, whose output grid is x's
+    if op == "conv_transpose2d":
+        grid, pixel_bytes = (h, w), 8 * (k * kh * kw + c)
+    else:
+        grid, pixel_bytes = (oh, ow), 8 * (c * kh * kw + k)
+    rows = {"whole-image": grid[0], "one-row": 1, "row-pair": 2}[blocks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_GEMM_BLOCK_BYTES", rows * grid[1] * pixel_bytes)
+        y, dx, dk, db = _taped_conv(op, x, kern, bias, stride, padding, g, x_grad)
+    assert x_grad == (dx is not None)
+    if op == "conv_transpose2d":
+        want = dict(zip(["forward", "dk"],
+                        oracles.conv_transpose2d_whole(x, kern, bias, stride, padding, g)))
+        got = {"forward": y, "dk": dk}
+    else:
+        if op == "conv2d":
+            wdx, wdk, wdb = oracles.conv2d_backward_whole(x, kern, with_bias, stride,
+                                                          padding, g)
+        else:
+            wdx, wdk, wdb = oracles.conv_relu_pool2d_backward_whole(x, kern, bias, g)
+        want = {"dk": wdk, "db": wdb, "dx": wdx}
+        got = {"dk": dk, "db": db, "dx": dx}
+    if not x_grad:
+        want.pop("dx", None)
+    if not with_bias:
+        want.pop("db", None)
+    for name, expect in want.items():
+        _assert_same(got[name], expect, dtype, name)
+
+
+@pytest.mark.parametrize("preset,batch", [("desk", 32), ("paper", 2)])
+def test_cnn_block_gradients_match_whole_matrix_at_preset_shapes(preset, batch):
+    # every CNN block of the preset at the default budget (several images per
+    # block at desk, row blocks of one image at paper): float32 dx, dk and db
+    # byte-equal to the whole-matrix backward
+    cfg = bb.desk_config() if preset == "desk" else bb.paper_config()
+    rng = np.random.default_rng(27)
+    c, (h, w) = cfg.in_channels, cfg.image_size
+    for k in cfg.cnn_channels:
+        x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
+        kern = (rng.standard_normal((k, c, 3, 3)) / np.sqrt(9 * c)).astype(np.float32)
+        bias = (rng.standard_normal(k) * 0.1).astype(np.float32)
+        g = rng.standard_normal((batch, k, h // 2, w // 2)).astype(np.float32)
+        _, dx, dk, db = _taped_conv("conv_relu_pool2d", x, kern, bias, 1, 1, g, True)
+        for name, got, want in zip(["dx", "dk", "db"], (dx, dk, db),
+                                   oracles.conv_relu_pool2d_backward_whole(x, kern, bias, g)):
+            _assert_same(got, want, np.float32, f"{preset} {c}->{k} {name}")
+        c, h, w = k, h // 2, w // 2
+
+
+@pytest.mark.parametrize("batch", [2, 4])
+def test_taped_paper_block_backward_memory_is_bounded(batch):
+    # the second paper CNN block; the whole-matrix backward held a 64-bit
+    # im2col matrix and input gradient of the batch (75.3 MiB at batch 2,
+    # 150.3 MiB at batch 4)
+    rng = np.random.default_rng(28)
+    x = T.Tensor(rng.standard_normal((batch, 32, 112, 112)), requires_grad=True)
+    k = T.Tensor(rng.standard_normal((64, 32, 3, 3)) * 0.06, requires_grad=True)
+    b = T.Tensor(rng.standard_normal(64) * 0.1, requires_grad=True)
+    g = T.const(rng.standard_normal((batch, 64, 56, 56)))
+    tape = T.Tape()
+    with tape:
+        loss = T.sum_(T.mul(T.conv_relu_pool2d(x, k, b), g))
+    peak = _peak_traced_bytes(lambda: tape.backward(loss))
+    in_bytes, out_bytes = x.data.nbytes, g.data.nbytes
+    # held: dx and x.grad, the pooled output's gradient and g / 4; then the
+    # reused block buffers and one block's input-gradient rows
+    assert peak < 2 * in_bytes + 2 * out_bytes + 2 * T._GEMM_BLOCK_BYTES
+
+
+def test_conv_transpose2d_forward_memory_is_bounded():
+    # a GAN-shaped upsampling layer at 4x the GAN's size; the whole-matrix
+    # forward held W.T @ x (51 MB) and a 64-bit output map (13 MB)
+    rng = np.random.default_rng(29)
+    x = T.Tensor(rng.standard_normal((4, 64, 56, 56)))
+    k = T.Tensor(rng.standard_normal((64, 32, 4, 4)) * 0.03, requires_grad=True)
+    b = T.Tensor(rng.standard_normal(32), requires_grad=True)
+    out_bytes = 4 * 32 * 112 * 112 * 4
+    peak = _peak_traced_bytes(lambda: T.conv_transpose2d(x, k, stride=2, padding=1, bias=b))
+    assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES
+
+
+_INF = float("inf")
+_NON_FINITE_CASES = {
+    "add": lambda: T.add(T.Tensor([_INF]), T.Tensor([-_INF])),
+    "sub": lambda: T.sub(T.Tensor([_INF]), T.Tensor([_INF])),
+    "mul": lambda: T.mul(T.Tensor([_INF]), T.Tensor([0.0])),
+    "sqrt": lambda: T.sqrt(T.Tensor([-1.0])),
+    "sum": lambda: T.sum_(T.Tensor([_INF, -_INF])),
+    "mean": lambda: T.mean(T.Tensor([_INF, -_INF])),
+    "matmul": lambda: T.matmul(T.Tensor([[_INF, _INF]]), T.Tensor([[1.0], [-1.0]])),
+    "softmax": lambda: T.softmax(T.Tensor([[_INF, 1.0]])),
+    "layer_norm": lambda: T.layer_norm(T.Tensor([[_INF, 1.0]]), T.Tensor([1.0, 1.0]),
+                                       T.zeros(2)),
+    "upsample_bilinear2d": lambda: T.upsample_bilinear2d(
+        T.Tensor(np.full((1, 1, 2, 2), _INF)), (3, 3)),
+    "conv2d": lambda: T.conv2d(T.Tensor(np.full((1, 1, 3, 3), _INF)),
+                               T.Tensor([[[[1.0, -1.0]]]])),
+    "conv_relu_pool2d": lambda: T.conv_relu_pool2d(
+        T.Tensor(np.full((1, 1, 2, 2), _INF)), T.Tensor(np.ones((1, 1, 3, 3)) * [1, -1, 1]),
+        T.zeros(1)),
+    "conv_transpose2d": lambda: T.conv_transpose2d(T.Tensor(np.full((1, 1, 2, 2), _INF)),
+                                                   T.Tensor([[[[1.0, -1.0]]]])),
+    "pow_const": lambda: T.pow_const(T.Tensor([-1.0]), 0.5),
+    "add_bcast": lambda: T.add_bcast(T.Tensor([[_INF]]), T.Tensor([-_INF])),
+    "scale_rows": lambda: T.scale_rows(T.Tensor([[_INF]]), T.Tensor([0.0])),
+    "avg_pool2d": lambda: T.avg_pool2d(
+        T.Tensor(np.array([_INF, -_INF, 1, 1]).reshape(1, 1, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_NON_FINITE_CASES))
+def test_non_finite_result_raises_numeric_error_without_warning(op):
+    # NumPy's "invalid value" warnings are errors under the test config, so
+    # an op that let one through would raise RuntimeWarning here instead
+    with pytest.raises(NumericError, match=f"^{op} produced non-finite values"):
+        _NON_FINITE_CASES[op]()
 
 
 def test_softmax_symmetry_cases():
@@ -579,16 +766,52 @@ def _assert_same_bytes(got, want):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 3), p=st.integers(1, 9), h=st.integers(1, 4), d_k=st.integers(1, 6),
        dtype=st.sampled_from([np.float32, np.float64]), tokens_grad=st.booleans(),
-       seed=st.integers(0, 2**16))
-def test_attention_matches_per_head_chain_bytes(n, p, h, d_k, dtype, tokens_grad, seed):
+       chunk=st.one_of(st.none(), st.integers(1, 2)), seed=st.integers(0, 2**16))
+def test_attention_matches_per_head_chain_bytes(n, p, h, d_k, dtype, tokens_grad, chunk,
+                                                seed):
     rng = np.random.default_rng(seed)
     d = h * d_k
     e = rng.standard_normal((n, p, d))
     heads = [[rng.standard_normal((d, d_k)) * 0.7 for _ in range(3)] for _ in range(h)]
     g = rng.standard_normal((n, p, d))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            # attention's 64-bit tokens and scores of `chunk` images at a time
+            mp.setattr(T, "_GEMM_BLOCK_BYTES", chunk * 8 * p * (d + p))
+        got = _attention_results(T.attention, e, heads, g, dtype, tokens_grad)
     _assert_same_bytes(
-        _attention_results(T.attention, e, heads, g, dtype, tokens_grad),
-        _attention_results(oracles.attention_chain, e, heads, g, dtype, tokens_grad))
+        got, _attention_results(oracles.attention_chain, e, heads, g, dtype, tokens_grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("a_shape,b_shape", [((5, 3, 4), (4, 6)), ((3, 4), (5, 4, 6)),
+                                             ((5, 3, 4), (5, 4, 6))],
+                         ids=["3d-2d", "2d-3d", "3d-3d"])
+def test_stacked_matmul_runs_in_chunks_with_whole_bytes(monkeypatch, dtype, a_shape,
+                                                        b_shape):
+    # a budget below one image's 64-bit operands and product: one image per
+    # chunk, each its own GEMM, as NumPy runs a stacked product
+    monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", 8)
+    rng = np.random.default_rng(32)
+    a, b = rng.standard_normal(a_shape) * 1e3, rng.standard_normal(b_shape) * 1e-3
+    with T.default_dtype(dtype):
+        at, bt = T.Tensor(a), T.Tensor(b)
+        got = T.matmul(at, bt).data
+    want = (at.data.astype(np.float64) @ bt.data.astype(np.float64)).astype(dtype)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_paper_vit_forward_memory_is_bounded():
+    # paper eval runs its 12 images as one batch; matmul and attention make
+    # 64-bit copies of a few images' tokens at a time, where they held 64-bit
+    # copies of the whole batch, two token maps each (44.0 MiB peak before).
+    # The float32 maps of the patch embedding and one chunk fit in five
+    cfg = bb.paper_config()
+    params = bb.init_backbone(cfg, np.random.default_rng(30))
+    x = T.Tensor(np.random.default_rng(31).standard_normal((12, 3, 224, 224)))
+    tokens_bytes = 12 * cfg.num_patches * cfg.embed_dim * 4      # 6.9 MiB
+    peak = _peak_traced_bytes(lambda: bb.vit_forward(x, params.vit, cfg))
+    assert peak < 5 * tokens_bytes
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])
