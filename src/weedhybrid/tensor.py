@@ -4,11 +4,14 @@ Values are stored as row-major 32-bit float arrays (a 64-bit mode exists for
 verification); reductions accumulate in 64-bit before rounding back to the
 storage type. The graph is define-by-run: primitives applied while a Tape is
 active append (output, backward-rule) records in execution order, and
-Tape.backward walks the records once in reverse. Tensors are treated as
-immutable once produced; there is no implicit broadcasting between tensors
-except the scalar-tensor case. A primitive whose result holds a non-finite
-value raises NumericError naming it; its forward runs with NumPy's
-floating-point warnings off, so none is printed first.
+Tape.backward walks the records once in reverse. _accum is the one place a
+gradient is rounded to its tensor's storage dtype: once, as it is added to
+.grad (a rule rounds inside an expression only where its bytes need it).
+Tensors are treated as immutable once produced; there is no implicit
+broadcasting between tensors except the scalar-tensor case. A primitive
+whose result holds a non-finite value raises NumericError naming it; its
+forward runs with NumPy's floating-point warnings off, so none is printed
+first.
 
 attention is multi-head self-attention as one op and one tape record, with
 the bytes of the per-head chain it replaced (matmul, transpose, mul,
@@ -74,11 +77,12 @@ input gradient, its backward conv2d's forward and kernel gradient.
     onto the input rows from r0*stride to r1*stride, recomputing it for the
     output rows of its neighbours that read them too (_adjoint_rows; one row
     either side for a 3x3 kernel at stride 1);
-  - the bias gradient adds pixel rows in that engine's order (_BiasGrad);
-  - the kernel gradient is a sum of per-block products, which may differ in
-    the last 64-bit place from one product, as any 64-bit sum may where BLAS
-    runs a smaller product with another kernel; rounding to float32 hid
-    that in every case tested.
+  - the kernel gradient is a 64-bit sum of per-block products dz @ cols.T,
+    and the bias gradient, like it, a 64-bit sum of per-block row sums of dz
+    (each summed pairwise by NumPy). Either may differ in the last 64-bit
+    places from one whole sum, within the usual bound gamma_n * sum|g|
+    (Higham 1993, "The accuracy of floating point summation"); rounding to
+    float32 hid that in every case tested.
 - conv_relu_pool2d is the CNN block avg_pool2d(relu(conv2d(x, K, padding=1,
   bias=b)), 2) as one op: each block's product is rounded to the storage
   dtype, checked finite, rectified in place and pooled (4 taps, 64-bit)
@@ -243,15 +247,16 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t.grad, rounded once to t's storage dtype; a new grad is a
+    C-ordered copy."""
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=t.data.dtype)
-    if g.shape != t.data.shape:
-        raise AssertionError(f"gradient shape {g.shape} != value shape {t.data.shape}")
+    if np.shape(g) != t.data.shape:
+        raise AssertionError(f"gradient shape {np.shape(g)} != value shape {t.data.shape}")
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
     else:
-        t.grad += g
+        t.grad += np.asarray(g, dtype=t.data.dtype)
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
@@ -315,10 +320,10 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def back(g):
-        _accum(a, g.astype(a.data.dtype, copy=False))
-        _accum(b, g.astype(b.data.dtype, copy=False))
+        _accum(a, g)
+        _accum(b, g)
 
-    return _result(data.astype(_out_dtype(a, b)), "add", (a, b), back)
+    return _result(data.astype(_out_dtype(a, b), copy=False), "add", (a, b), back)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -354,26 +359,28 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * b.data
 
     def back(g):
-        _accum(a, (g * b.data).astype(a.data.dtype, copy=False))
-        _accum(b, (g * a.data).astype(b.data.dtype, copy=False))
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    return _result(data.astype(_out_dtype(a, b)), "mul", (a, b), back)
+    return _result(data.astype(_out_dtype(a, b), copy=False), "mul", (a, b), back)
 
 
 @_fp_warnings_off
 def div(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
+        if s == 0:
+            raise NumericError("div produced non-finite values")
         return mul(a, 1.0 / s)
     if a.shape != b.shape:
         raise DimensionError(f"div: shapes {a.shape} and {b.shape} differ")
     data = a.data / b.data
 
     def back(g):
-        _accum(a, (g / b.data).astype(a.data.dtype, copy=False))
-        _accum(b, (-g * a.data / (b.data * b.data)).astype(b.data.dtype, copy=False))
+        _accum(a, g / b.data)
+        _accum(b, -g * a.data / (b.data * b.data))
 
-    return _result(data.astype(_out_dtype(a, b)), "div", (a, b), back)
+    return _result(data.astype(_out_dtype(a, b), copy=False), "div", (a, b), back)
 
 
 @_fp_warnings_off
@@ -461,7 +468,7 @@ def softplus(a: Tensor) -> Tensor:
     def back(g):
         e = np.exp(-np.abs(a.data))
         sig = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        _accum(a, (g * sig).astype(a.data.dtype, copy=False))
+        _accum(a, g * sig)
 
     return _result(data, "softplus", (a,), back)
 
@@ -496,7 +503,7 @@ def sum_(a: Tensor, axis=None) -> Tensor:
 
     def back(g):
         ge = np.expand_dims(g, axes) if axes else g
-        _accum(a, np.broadcast_to(ge, a.shape).astype(a.data.dtype, copy=False))
+        _accum(a, np.broadcast_to(ge, a.shape))
 
     return _result(np.asarray(data), "sum", (a,), back)
 
@@ -509,7 +516,7 @@ def mean(a: Tensor, axis=None) -> Tensor:
 
     def back(g):
         ge = np.expand_dims(g, axes) if axes else g
-        _accum(a, (np.broadcast_to(ge, a.shape) / n).astype(a.data.dtype, copy=False))
+        _accum(a, np.broadcast_to(ge, a.shape) / n)
 
     return _result(np.asarray(data), "mean", (a,), back)
 
@@ -541,7 +548,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     data = np.ascontiguousarray(a.data.transpose(axes))
 
     def back(g):
-        _accum(a, np.ascontiguousarray(g.transpose(inv)))
+        _accum(a, g.transpose(inv))
 
     return _result(data, "transpose", (a,), back)
 
@@ -566,9 +573,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * nd
             sl[axis] = slice(lo, hi)
-            _accum(p, np.ascontiguousarray(g[tuple(sl)]).astype(p.data.dtype, copy=False))
+            _accum(p, g[tuple(sl)])
 
-    return _result(data.astype(_out_dtype(*parts)), "concat", tuple(parts), back)
+    return _result(data.astype(_out_dtype(*parts), copy=False), "concat", tuple(parts), back)
 
 
 @_fp_warnings_off
@@ -580,12 +587,12 @@ def add_bcast(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def back(g):
-        _accum(a, g.astype(a.data.dtype, copy=False))
+        _accum(a, g)
         lead = tuple(range(g.ndim - b.ndim))
         db = _f64(g).sum(axis=lead) if lead else _f64(g)
-        _accum(b, db.astype(b.data.dtype))
+        _accum(b, db)
 
-    return _result(data.astype(_out_dtype(a, b)), "add_bcast", (a, b), back)
+    return _result(data.astype(_out_dtype(a, b), copy=False), "add_bcast", (a, b), back)
 
 
 @_fp_warnings_off
@@ -596,10 +603,10 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     data = a.data * s.data[:, None]
 
     def back(g):
-        _accum(a, (g * s.data[:, None]).astype(a.data.dtype, copy=False))
-        _accum(s, _f64(g * a.data).sum(axis=1).astype(s.data.dtype))
+        _accum(a, g * s.data[:, None])
+        _accum(s, _f64(g * a.data).sum(axis=1))
 
-    return _result(data.astype(_out_dtype(a, s)), "scale_rows", (a, s), back)
+    return _result(data.astype(_out_dtype(a, s), copy=False), "scale_rows", (a, s), back)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +656,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g64 = _f64(g)
         da = g64 @ np.swapaxes(_f64(b.data), -1, -2)
         db = np.swapaxes(_f64(a.data), -1, -2) @ g64
-        _accum(a, _reduce_to(da, a.shape).astype(a.data.dtype))
-        _accum(b, _reduce_to(db, b.shape).astype(b.data.dtype))
+        _accum(a, _reduce_to(da, a.shape))
+        _accum(b, _reduce_to(db, b.shape))
 
     return _result(data, "matmul", (a, b), back)
 
@@ -675,7 +682,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = _softmax64(a.data, ax).astype(a.data.dtype)
 
     def back(g):
-        _accum(a, _softmax_adjoint(g, data, ax).astype(a.data.dtype))
+        _accum(a, _softmax_adjoint(g, data, ax))
 
     return _result(data, "softmax", (a,), back)
 
@@ -750,9 +757,9 @@ def attention(e: Tensor, heads: Sequence) -> Tensor:
             for w, gw in zip(reversed(heads[h]), (gv, gk, gq)):
                 gw = _f64(gw)
                 if e.requires_grad:
-                    _accum(e, (gw @ np.swapaxes(_f64(w.data), -1, -2)).astype(e.data.dtype))
+                    _accum(e, gw @ np.swapaxes(_f64(w.data), -1, -2))
                 if w.requires_grad:
-                    _accum(w, _reduce_to(e64t @ gw, w.shape).astype(w.data.dtype))
+                    _accum(w, _reduce_to(e64t @ gw, w.shape))
 
     return _result(out, "attention", inputs, back)
 
@@ -773,12 +780,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def back(g):
         g64 = _f64(g)
         lead = tuple(range(g64.ndim - 1))
-        _accum(bias, g64.sum(axis=lead).astype(bias.data.dtype))
-        _accum(gain, (g64 * xhat).sum(axis=lead).astype(gain.data.dtype))
+        _accum(bias, g64.sum(axis=lead))
+        _accum(gain, (g64 * xhat).sum(axis=lead))
         gh = g64 * _f64(gain.data)
         m1 = gh.mean(axis=-1, keepdims=True)
         m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, ((gh - m1 - xhat * m2) * inv).astype(a.data.dtype))
+        _accum(a, (gh - m1 - xhat * m2) * inv)
 
     return _result(data, "layer_norm", (a, gain, bias), back)
 
@@ -916,66 +923,6 @@ def _conv_gemm(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, p
     return None if out is None else out.transpose(0, 3, 1, 2)
 
 
-def _pairwise_plan(size: int, cuts: Sequence[int]) -> list:
-    """NumPy's pairwise sum of `size` values (leaves of at most 128 values;
-    longer runs split in two at a multiple of 8) as a postfix plan: (a, b)
-    is one NumPy sum of values a:b, None adds the last two results. A range
-    is a node of that recursion that no cut falls inside, or a leaf."""
-    plan = []
-
-    def walk(a, m):
-        if m <= 128 or not any(a < cut < a + m for cut in cuts):
-            plan.append((a, a + m))
-            return
-        half = m // 2 - m // 2 % 8
-        walk(a, half)
-        walk(a + half, m - half)
-        plan.append(None)
-
-    walk(0, size)
-    return plan
-
-
-class _BiasGrad:
-    """A conv's bias gradient: its (K, N*P) output gradient rows summed in
-    the order of the row-major engine's (N*P, K) pixel rows, from blocks of
-    pixels fed in order. For one image (or one channel) NumPy summed each
-    row pairwise, which _pairwise_plan follows across blocks; for more it
-    added one pixel after another, which np.add.accumulate does, seeded with
-    the running sum. total is the gradient once every pixel is added."""
-
-    def __init__(self, k: int, n: int, size: int, cuts: Sequence[int]):
-        self.plan = _pairwise_plan(size, cuts) if n == 1 or k == 1 else None
-        self.total = np.zeros(k)   # the running sum of the pixels so far
-        self.done = 0              # plan steps taken
-        self.stack = []            # plan results not yet added
-        self.carry = []            # the values so far of a leaf that blocks cut
-
-    def add(self, m0: int, rows: np.ndarray) -> None:
-        """Add rows, the 64-bit (K, pixels) gradient of pixels m0 onwards;
-        rows may be overwritten."""
-        if self.plan is None:
-            rows[:, 0] += self.total
-            np.add.accumulate(rows, axis=1, out=rows)
-            self.total = rows[:, -1].copy()
-            return
-        m1 = m0 + rows.shape[1]
-        for step in self.plan[self.done:]:
-            if step is None:
-                right = self.stack.pop()
-                self.stack[-1] = self.stack[-1] + right
-            else:
-                part = rows[:, max(step[0], m0) - m0:min(step[1], m1) - m0]
-                if step[1] > m1:
-                    self.carry.append(part.copy())
-                    return
-                self.stack.append(np.concatenate(self.carry + [part], axis=1).sum(axis=1)
-                                  if self.carry else part.sum(axis=1))
-                self.carry = []
-            self.done += 1
-        self.total = self.total + self.stack[0]   # NumPy's sum starts from +0 too
-
-
 def _adjoint_rows(r0: int, r1: int, oh: int, h: int, kh: int, stride: int,
                   pad: int) -> tuple[int, int, int, int]:
     """For the block of output rows r0:r1 of a conv over H input rows: the
@@ -1001,7 +948,8 @@ def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int,
     Returns (dk, db, dx), each None unless asked for:
     - dk, the 64-bit (K, C*kh*kw) kernel gradient, the sum over blocks of
       dz @ cols.T with cols the block of a's im2col matrix;
-    - db, the 64-bit (K,) bias gradient, added as _BiasGrad says;
+    - db, the 64-bit (K,) bias gradient, the sum over blocks of dz's row
+      sums;
     - dx, the (N,C,H,W) input gradient (plus bias per channel) in dx_dtype:
       each block adds W.T @ dz onto the input rows it completes
       (_adjoint_rows), so every input pixel gets its taps in (i, j) order.
@@ -1018,9 +966,7 @@ def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int,
     dz_buf = np.empty(k * most, dtype=np.float64)
     w64t = _f64(wmat).T
     b64 = None if bias is None else _f64(bias)[:, None, None]
-    dk = None
-    cuts = [(n0 * oh + r0) * ow for n0, _, r0, *_ in spans[1:]]
-    bias_grad = _BiasGrad(k, n, n * oh * ow, cuts) if db else None
+    dk = bsum = None
     dx = None if dx_dtype is None else np.empty((n, row_len // (kh * kw), h, w), dtype=dx_dtype)
     for n0, n1, r0, r1, y0, y1, e0, e1 in spans:
         ni = n1 - n0
@@ -1039,9 +985,10 @@ def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int,
             if b64 is not None:
                 blk += b64
             dx[n0:n1, :, y0:y1] = blk
-        if bias_grad is not None:
-            bias_grad.add((n0 * oh + r0) * ow, own)   # last: it overwrites own
-    return dk, None if bias_grad is None else bias_grad.total, dx
+        if db:
+            part = own.sum(axis=1)
+            bsum = part if bsum is None else np.add(bsum, part, out=bsum)
+    return dk, bsum, dx
 
 
 def _rows_of(g: np.ndarray) -> Callable:
@@ -1064,9 +1011,9 @@ def _conv_backward(fill: Callable, x: Tensor, kernels: Tensor, bias: Tensor | No
         db=bias is not None and bias.requires_grad,
         dx_dtype=x.data.dtype if x.requires_grad else None, align=align)
     if dk is not None:
-        _accum(kernels, dk.reshape(kernels.shape).astype(kernels.data.dtype))
+        _accum(kernels, dk.reshape(kernels.shape))
     if db is not None:
-        _accum(bias, db.astype(bias.data.dtype))
+        _accum(bias, db)
     if dx is not None:
         _accum(x, dx)
 
@@ -1186,9 +1133,9 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
         if kernels.requires_grad:
             dk = _conv_adjoints(_rows_of(x.data), n, (oh, ow), kmat, kh, kw, stride, padding,
                                 a=g)[0]
-            _accum(kernels, dk.reshape(kernels.shape).astype(kernels.data.dtype))
+            _accum(kernels, dk.reshape(kernels.shape))
         if bias is not None:
-            _accum(bias, _f64(g).sum(axis=(0, 2, 3)).astype(bias.data.dtype))
+            _accum(bias, _f64(g).sum(axis=(0, 2, 3)))
 
     return _result(out, "conv_transpose2d", inputs, back)
 
@@ -1254,6 +1201,6 @@ def upsample_bilinear2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     out = (ry @ _f64(x.data) @ rx.T).astype(x.data.dtype)
 
     def back(g):
-        _accum(x, (ry.T @ _f64(g) @ rx).astype(x.data.dtype))
+        _accum(x, ry.T @ _f64(g) @ rx)
 
     return _result(out, "upsample_bilinear2d", (x,), back)

@@ -149,13 +149,24 @@ class MetricsReport:
     zero_division: bool = False
 
 
+def _confusion(truth, pred, k: int, what: str) -> np.ndarray:
+    """The (k, k) int64 count of (truth, pred) pairs, truth by row. Raises
+    ContractError for arrays of different shapes or a value outside [0, k),
+    which would land in another pair's cell."""
+    truth = np.asarray(truth, dtype=np.int64)
+    pred = np.asarray(pred, dtype=np.int64)
+    if truth.shape != pred.shape:
+        raise ContractError(f"{what} shapes differ: {truth.shape} vs {pred.shape}")
+    if truth.size and (min(truth.min(), pred.min()) < 0 or max(truth.max(), pred.max()) >= k):
+        raise ContractError(f"{what} values outside [0, {k})")
+    return np.bincount((truth * k + pred).ravel(), minlength=k * k).reshape(k, k)
+
+
 def classification_metrics(labels, preds, num_classes: int) -> MetricsReport:
     labels = np.asarray(labels, dtype=np.int64)
-    preds = np.asarray(preds, dtype=np.int64)
     if labels.size == 0:
         raise ContractError("cannot compute metrics over an empty sample set")
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (labels, preds), 1)
+    confusion = _confusion(labels, preds, num_classes, "label")
     tp = np.diag(confusion).astype(np.float64)
     col = confusion.sum(axis=0).astype(np.float64)
     row = confusion.sum(axis=1).astype(np.float64)
@@ -185,18 +196,11 @@ def mean_iou(pred_masks, true_masks, num_classes: int) -> tuple:
     Returns (mean, per-class tuple, zero_division flag); classes absent from
     both prediction and truth contribute 0 and raise the flag.
     """
-    inter = np.zeros(num_classes, dtype=np.int64)
-    union = np.zeros(num_classes, dtype=np.int64)
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     for pm, tm in zip(pred_masks, true_masks):
-        pm = np.asarray(pm, dtype=np.int64)
-        tm = np.asarray(tm, dtype=np.int64)
-        if pm.shape != tm.shape:
-            raise ContractError(f"mask shapes differ: {pm.shape} vs {tm.shape}")
-        for k in range(num_classes):
-            p = pm == k
-            t = tm == k
-            inter[k] += np.count_nonzero(p & t)
-            union[k] += np.count_nonzero(p | t)
+        confusion += _confusion(tm, pm, num_classes, "mask")
+    inter = np.diag(confusion)
+    union = confusion.sum(axis=0) + confusion.sum(axis=1) - inter
     flagged = bool(np.any(union == 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.where(union > 0, inter / np.where(union > 0, union, 1), 0.0)

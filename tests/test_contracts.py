@@ -127,13 +127,18 @@ UNCALLED_PUBLIC = {
 }
 
 
-def _src_references():
-    """(module, name) pairs referenced anywhere in the package source."""
-    refs = set()
+def _src_trees():
+    """(module, AST) for each module of the package source."""
     for info in pkgutil.iter_modules(weedhybrid.__path__):
         path = os.path.join(os.path.dirname(weedhybrid.__file__), f"{info.name}.py")
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+            yield info.name, ast.parse(fh.read())
+
+
+def _src_references():
+    """(module, name) pairs referenced anywhere in the package source."""
+    refs = set()
+    for module, tree in _src_trees():
         aliases = {}  # local name -> sibling module, from "from . import x"
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -144,7 +149,7 @@ def _src_references():
                         refs.add((node.module, alias.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.add((info.name, node.id))
+                refs.add((module, node.id))
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases):
                 refs.add((aliases[node.value.id], node.attr))
@@ -168,3 +173,14 @@ def test_every_public_function_has_a_caller():
     assert orphans == [], f"public functions with no caller in the package: {orphans}"
     stale = [n for n in UNCALLED_PUBLIC if tuple(n.split(".", 1)) in refs]
     assert stale == [], f"allowlisted functions that now have callers: {stale}"
+
+
+def test_every_private_definition_has_a_reference():
+    # a module-level private function or class nothing in the package names
+    # is dead code (a helper left behind when its caller went)
+    refs = _src_references()
+    orphans = [f"{module}.{node.name}" for module, tree in _src_trees() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and (module, node.name) not in refs]
+    assert orphans == [], f"private definitions nothing in the package references: {orphans}"

@@ -500,27 +500,33 @@ def test_conv_ops_match_row_major_engine_bytes(op, n, c, k, h, w, kh, kw, stride
 
 
 @pytest.mark.parametrize("shape", [(1, 5, 70, 70), (3, 5, 40, 50), (2, 1, 9, 9),
-                                   (4, 3, 1, 1), (1, 1, 1, 1)])
+                                   (4, 3, 1, 1), (1, 1, 1, 1), (1, 64, 112, 112)])
 def test_bias_gradient_adds_pixel_rows_in_row_major_order(monkeypatch, shape):
-    # 64-bit, where a different summation order shows: the (N*OH*OW, K)
-    # pixel rows summed the way the row-major engine did (pairwise for one
-    # image, whose rows are a strided view; row after row for a batch),
-    # whether conv2d's backward runs in one block, one block per image or
-    # one per output row (cutting the pairwise leaves of one image)
+    # the bias gradient is a 64-bit sum of per-block sums, whether conv2d's
+    # backward runs in one block, one block per image or one per output row:
+    # in float32 byte-equal to the (N*OH*OW, K) pixel rows summed whole, in
+    # float64 within the summation bound of that sum
     n, k, oh, ow = shape
     g = np.random.default_rng(25).standard_normal(shape) * 1e3
-    want = oracles._pixel_rows(g).sum(axis=0)
+    rows = oracles._pixel_rows(g)
+    want, bound = rows.sum(axis=0), 1e-14 * np.abs(rows).sum(axis=0)
+    want32 = oracles._pixel_rows(g.astype(np.float32)).sum(axis=0).astype(np.float32)
     row_bytes = 8 * (1 + k) * ow    # a 1x1 conv from one channel
     for budget in (None, oh * row_bytes, 3 * row_bytes, row_bytes):
         if budget is not None:
             monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", budget)
-        with T.default_dtype(np.float64):
-            x = T.zeros((n, 1, oh, ow))
-            b = T.zeros(k, requires_grad=True)
-            with T.Tape() as tape:
-                y = T.conv2d(x, T.zeros((k, 1, 1, 1)), bias=b)
-                tape.backward(T.sum_(T.mul(y, T.const(g))))
-        assert b.grad.tobytes() == want.tobytes(), budget
+        for dtype in (np.float32, np.float64):
+            with T.default_dtype(dtype):
+                x = T.zeros((n, 1, oh, ow))
+                b = T.zeros(k, requires_grad=True)
+                with T.Tape() as tape:
+                    y = T.conv2d(x, T.zeros((k, 1, 1, 1)), bias=b)
+                    tape.backward(T.sum_(T.mul(y, T.const(g))))
+            if dtype is np.float32:
+                assert b.grad.tobytes() == want32.tobytes(), budget
+            else:
+                assert b.grad.dtype == np.float64
+                assert np.all(np.abs(b.grad - want) <= bound), budget
 
 
 @pytest.mark.parametrize("kh,kw,stride,pad", [(3, 3, 1, 1), (4, 4, 2, 1), (2, 3, 2, 0),
@@ -623,7 +629,7 @@ def test_blocked_conv_adjoints_match_whole_matrix(dtype, op, n, c, k, h, w, kh, 
         _assert_same(got[name], expect, dtype, name)
 
 
-@pytest.mark.parametrize("preset,batch", [("desk", 32), ("paper", 2)])
+@pytest.mark.parametrize("preset,batch", [("desk", 32), ("paper", 2), ("paper", 1)])
 def test_cnn_block_gradients_match_whole_matrix_at_preset_shapes(preset, batch):
     # every CNN block of the preset at the default budget (several images per
     # block at desk, row blocks of one image at paper): float32 dx, dk and db
@@ -912,6 +918,43 @@ def test_nan_propagation_is_error():
     # clamp keeps the same case finite
     out = T.log(T.clamp_min(T.Tensor([-1.0]), 1e-12))
     assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0, 0, np.float32(0.0)])
+def test_div_by_scalar_zero_raises_numeric_error(zero):
+    # as a zero tensor divisor does, not Python's ZeroDivisionError
+    with pytest.raises(NumericError, match="^div produced non-finite values"):
+        T.div(T.Tensor([1.0, 0.0]), zero)
+
+
+def test_div_by_scalar_is_mul_by_reciprocal():
+    x = T.Tensor(np.random.default_rng(29).standard_normal(64))
+    for s in (3.0, -0.7, 1e-30, 7):
+        assert T.div(x, s).data.tobytes() == T.mul(x, 1.0 / s).data.tobytes()
+
+
+_ROWS, _COLS = 1024, 2048   # 8 MiB float32 operands
+_BINARY_OPS = {
+    "add": T.add,
+    "mul": T.mul,
+    "div": T.div,
+    "add_bcast": lambda a, b: T.add_bcast(a, T.Tensor(b.data[0])),
+    "scale_rows": lambda a, b: T.scale_rows(a, T.Tensor(b.data[:, 0])),
+    "concat": lambda a, b: T.concat([T.Tensor(a.data[:_ROWS // 2]),
+                                     T.Tensor(b.data[_ROWS // 2:])]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_BINARY_OPS))
+def test_binary_op_output_is_not_copied(op):
+    # the output plus the finite check's bool map (a quarter of it); a
+    # second output-sized copy in astype would reach 2.25x
+    rng = np.random.default_rng(30)
+    a = T.Tensor(rng.standard_normal((_ROWS, _COLS)))
+    b = T.Tensor(rng.uniform(1.0, 2.0, (_ROWS, _COLS)))
+    want = _ROWS * _COLS * 4
+    assert _BINARY_OPS[op](a, b).data.nbytes == want
+    assert _peak_traced_bytes(lambda: _BINARY_OPS[op](a, b)) < 1.5 * want
 
 
 def test_determinism_bitwise():

@@ -226,6 +226,25 @@ def test_mean_iou_perfect_and_empty_class():
     assert miou == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_metrics_reject_class_outside_range(bad):
+    # a value outside [0, k) would count in another class's cell
+    good = np.array([0, 1, 2, 1])
+    wrong = np.array([0, 1, bad, 1])
+    for truth, pred in ((good, wrong), (wrong, good)):
+        with pytest.raises(ContractError, match="outside"):
+            tr.classification_metrics(truth, pred, 3)
+        with pytest.raises(ContractError, match="outside"):
+            tr.mean_iou([pred.reshape(2, 2)], [truth.reshape(2, 2)], 3)
+
+
+def test_metrics_reject_mismatched_shapes():
+    with pytest.raises(ContractError, match="shapes differ"):
+        tr.classification_metrics(np.zeros(4, int), np.zeros(3, int), 2)
+    with pytest.raises(ContractError, match="shapes differ"):
+        tr.mean_iou([np.zeros((2, 2), int)], [np.zeros((2, 3), int)], 2)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
