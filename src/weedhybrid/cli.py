@@ -405,8 +405,7 @@ def cmd_prune(args, cfg: RunConfig) -> int:
 
 
 def cmd_infer(args, cfg: RunConfig) -> int:
-    entries, _ = dp.read_checkpoint(args.model)
-    params, heads = dp.model_from_entries(entries)  # int8 entries dequantize
+    params, heads, _ = dp.load_model(args.model)  # int8 entries dequantize
     if heads is None:
         raise ContractError(f"{args.model} has no heads; train it first")
     img = im.read_image(args.image)

@@ -14,7 +14,9 @@ Checkpoint layout (all integers little-endian; see docs/checkpoint-format.md):
         payload             float32[n] or int8[n], n = product of dims
 
 The reader rejects NaN/inf float32 payloads and int8 scales that are not
-finite and positive, naming the tensor and the byte offset.
+finite and positive, naming the tensor and the byte offset. Its entries are
+views into the one buffer it decodes, and building a model from them makes
+the one aligned float32 copy.
 
 Quantization is symmetric per-tensor: scale = max|x|/127 (1.0 for all-zero
 tensors), zero point 0, codes rounded half away from zero and clamped to
@@ -95,18 +97,29 @@ class QuantizedTensor:
 
 
 def quantize(values: np.ndarray) -> QuantizedTensor:
-    """code = clamp(round_half_away(x / scale), -127, 127), scale = max|x|/127."""
-    arr = np.asarray(values, dtype=np.float64)
-    amax = float(np.abs(arr).max()) if arr.size else 0.0
+    """code = clamp(round_half_away(x / scale), -127, 127), scale = max|x|/127.
+
+    One float64 work array takes |x|, then |x| / scale + 0.5, floored and
+    signed in place: |x| / scale is |x / scale| exactly, so the codes are
+    those of rounding x / scale half away from zero.
+    """
+    work = np.array(values, dtype=np.float64)
+    negative = work < 0
+    np.abs(work, out=work)
+    amax = float(work.max()) if work.size else 0.0
     scale = amax / 127.0 if amax > 0 else 1.0
-    q = arr / scale
-    codes = np.where(q >= 0, np.floor(np.abs(q) + 0.5), -np.floor(np.abs(q) + 0.5))
-    codes = np.clip(codes, -127, 127).astype(np.int8)
-    return QuantizedTensor(codes=codes, scale=scale)
+    work /= scale
+    work += 0.5
+    np.floor(work, out=work)
+    np.negative(work, out=work, where=negative)
+    np.clip(work, -127, 127, out=work)
+    return QuantizedTensor(codes=work.astype(np.int8), scale=scale)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    return (qt.codes.astype(np.float64) * qt.scale).astype(np.float32)
+    values = qt.codes.astype(np.float64)
+    values *= qt.scale
+    return values.astype(np.float32)
 
 
 def prune_magnitude(named_params: list, fraction: float) -> dict:
@@ -147,7 +160,11 @@ def prune_magnitude(named_params: list, fraction: float) -> dict:
 
 
 def save_checkpoint(entries: dict, flags: int = FLAG_FULL) -> bytes:
-    """Serialize named tensors (float32 arrays or QuantizedTensor) to bytes."""
+    """Serialize named tensors (float32 arrays or QuantizedTensor) to bytes.
+
+    Each payload joins the result as a view of its array, so the bytes are
+    the one copy of the tensors made here.
+    """
     out = [MAGIC, struct.pack("<HH", VERSION, flags),
            struct.pack("<I", len(entries))]
     seen = set()
@@ -161,33 +178,39 @@ def save_checkpoint(entries: dict, flags: int = FLAG_FULL) -> bytes:
         out.append(struct.pack("<H", len(encoded)))
         out.append(encoded)
         if isinstance(value, QuantizedTensor):
-            arr = value.codes
+            arr = np.ascontiguousarray(value.codes)
             if arr.dtype != np.int8:
                 raise ContractError(f"{name}: quantized codes must be int8")
             out.append(struct.pack("<BB", _KIND_INT8, arr.ndim))
             out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
             out.append(struct.pack("<fb", float(value.scale), 0))
-            out.append(arr.tobytes())
+            out.append(memoryview(arr))
         else:
             arr = np.ascontiguousarray(value, dtype="<f4")
             out.append(struct.pack("<BB", _KIND_FLOAT32, arr.ndim))
             out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            out.append(arr.tobytes())
+            out.append(memoryview(arr))
     return b"".join(out)
 
 
-def _take(data: bytes, offset: int, count: int, what: str) -> tuple:
+def _take(data: memoryview, offset: int, count: int, what: str) -> tuple:
     if offset + count > len(data):
         raise FormatError(f"truncated checkpoint at offset {offset}: "
                           f"needed {count} bytes for {what}")
     return data[offset:offset + count], offset + count
 
 
-def load_checkpoint(data: bytes) -> tuple:
-    """Decode bytes -> (entries dict, flags); inverse of save_checkpoint."""
+def load_checkpoint(data) -> tuple:
+    """Decode a bytes-like checkpoint -> (entries dict, flags); inverse of
+    save_checkpoint.
+
+    Float32 arrays and int8 codes are views into `data`, not copies: they
+    are writable when `data` is (a bytearray), and may be unaligned.
+    """
+    data = memoryview(data)
     raw, offset = _take(data, 0, 4, "magic")
     if raw != MAGIC:
-        raise FormatError(f"bad magic {raw!r} at offset 0 (expected {MAGIC!r})")
+        raise FormatError(f"bad magic {bytes(raw)!r} at offset 0 (expected {MAGIC!r})")
     raw, offset = _take(data, offset, 4, "version and flags")
     version, flags = struct.unpack("<HH", raw)
     if version != VERSION:
@@ -200,7 +223,7 @@ def load_checkpoint(data: bytes) -> tuple:
         (name_len,) = struct.unpack("<H", raw)
         raw, offset = _take(data, offset, name_len, f"name of tensor {index}")
         try:
-            name = raw.decode("utf-8")
+            name = str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"name of tensor {index} at offset "
                               f"{offset - name_len} is not UTF-8: {exc}") from exc
@@ -215,11 +238,12 @@ def load_checkpoint(data: bytes) -> tuple:
         if kind == _KIND_FLOAT32:
             raw, offset = _take(data, offset, 4 * n, f"payload of {name}")
             values = np.frombuffer(raw, dtype="<f4")
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = int(np.argmin(finite))
                 raise FormatError(f"non-finite value in {name} at offset "
-                                  f"{offset - 4 * n + 4 * int(bad[0])}")
-            entries[name] = values.reshape(dims).copy()
+                                  f"{offset - 4 * n + 4 * bad}")
+            entries[name] = values.reshape(dims)
         elif kind == _KIND_INT8:
             raw, offset = _take(data, offset, 5, f"scale of {name}")
             scale, zero_point = struct.unpack("<fb", raw)
@@ -230,7 +254,7 @@ def load_checkpoint(data: bytes) -> tuple:
                 raise FormatError(f"non-positive or non-finite scale for {name} "
                                   f"at offset {offset - 5}")
             raw, offset = _take(data, offset, n, f"codes of {name}")
-            codes = np.frombuffer(raw, dtype=np.int8).reshape(dims).copy()
+            codes = np.frombuffer(raw, dtype=np.int8).reshape(dims)
             entries[name] = QuantizedTensor(codes=codes, scale=float(scale))
         else:
             raise FormatError(f"unknown tensor kind {kind} for {name} at "
@@ -256,8 +280,12 @@ def write_checkpoint(path: str, entries: dict, flags: int = FLAG_FULL) -> None:
 
 
 def read_checkpoint(path: str) -> tuple:
+    """Read a checkpoint file into one writable buffer and decode it; the
+    entries are views into that buffer."""
     with open(path, "rb") as fh:
-        return load_checkpoint(fh.read())
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
+    return load_checkpoint(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +330,10 @@ def _entry_name(name, shape, init):
 
 
 def _named_arrays(names, params) -> dict:
-    """Entry name -> float32 copy of each tensor of `params`; `names` is the
-    same builder walked with _entry_name."""
-    return {name: t.data.astype(np.float32, copy=True)
+    """Entry name -> float32 values of each tensor of `params` (the tensor's
+    own array when it is float32 already); `names` is the same builder
+    walked with _entry_name."""
+    return {name: t.data.astype(np.float32, copy=False)
             for name, t in zip(T.leaves(names), T.leaves(params), strict=True)}
 
 

@@ -1148,13 +1148,13 @@ def _tap_sum(taps: list) -> np.ndarray:
     return acc
 
 
-def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple, dtype) -> np.ndarray:
+def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple) -> np.ndarray:
     """avg_pool2d's input gradient: g / window**2 scattered over each window."""
     gd = g / (window * window)
     n, c, oh, ow = gd.shape
     taps = np.broadcast_to(gd.transpose(1, 0, 2, 3)[:, None, None],
                            (c, window, window, n, oh, ow))
-    return _col2im(taps, hw, stride, 0).astype(dtype)
+    return _col2im(taps, hw, stride, 0)
 
 
 @_fp_warnings_off
@@ -1171,7 +1171,7 @@ def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     out = (acc / (window * window)).astype(x.data.dtype)
 
     def back(g):
-        _accum(x, _pool_adjoint(g, window, stride, (h, w), x.data.dtype))
+        _accum(x, _pool_adjoint(g, window, stride, (h, w)))
 
     return _result(out, "avg_pool2d", (x,), back)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import heads as hd
+from . import imaging as im
 from . import tensor as T
 from .errors import ContractError
 
@@ -192,6 +193,9 @@ def classification_metrics(labels, preds, num_classes: int) -> MetricsReport:
 
 def mean_iou(pred_masks, true_masks, num_classes: int) -> tuple:
     """Pooled IoU per class over all pixels of all pairs; mean over classes.
+
+    A pair is one mask each, or two equally shaped stacks of masks; the
+    pairs may come from iterators, and each is counted as it arrives.
 
     Returns (mean, per-class tuple, zero_division flag); classes absent from
     both prediction and truth contribute 0 and raise the flag.
@@ -369,21 +373,37 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
 
 
 def evaluate(params: bb.BackboneParams, heads: hd.HeadParams,
-             data: TrainData, indices=None, batch: int = 32) -> MetricsReport:
-    """Classification report plus pooled mean IoU over the given samples."""
+             data: TrainData, indices=None) -> MetricsReport:
+    """Classification report plus pooled mean IoU over the given samples.
+
+    The model runs over chunks of whole images of at most
+    imaging._CHUNK_PIXELS pixels: 32 images at the desk preset, one at the
+    paper preset. Each chunk's predicted masks are counted into the (k, k)
+    mask confusion as the chunk ends, so memory is bounded by a chunk, not
+    by the set. The IoU is pooled over every pixel of the set, as
+    mean_iou over the per-image masks gives it.
+    """
     idx = np.arange(len(data)) if indices is None else np.asarray(indices)
     if idx.size == 0:
         raise ContractError("cannot evaluate an empty sample set")
     num_classes = heads.cls_w.shape[-1]
+    per = max(1, im._CHUNK_PIXELS // (data.images.shape[2] * data.images.shape[3]))
+    starts = range(0, idx.size, per)
     preds = np.empty(idx.size, dtype=np.int64)
-    pred_masks = []
-    for start in range(0, idx.size, batch):
-        sel = idx[start:start + batch]
-        pred = hd.predict(params, heads, T.const(data.images[sel]))
-        preds[start:start + sel.size] = pred.labels
-        pred_masks.extend(np.argmax(pred.seg_mask.data, axis=1))
+
+    def pred_masks():
+        for start in starts:
+            sel = idx[start:start + per]
+            pred = hd.predict(params, heads, T.const(data.images[sel]))
+            preds[start:start + sel.size] = pred.labels
+            masks = np.argmax(pred.seg_mask.data, axis=1)
+            del pred  # the next chunk's forward runs without this one's maps
+            yield masks
+
+    miou, per_class, flagged = mean_iou(
+        pred_masks(), (data.masks[idx[start:start + per]] for start in starts),
+        num_classes)
     report = classification_metrics(data.labels[idx], preds, num_classes)
-    miou, per_class, flagged = mean_iou(pred_masks, data.masks[idx], num_classes)
     report.mean_iou = miou
     report.iou_per_class = per_class
     report.zero_division = report.zero_division or flagged

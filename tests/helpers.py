@@ -1,5 +1,7 @@
-"""Shared test utilities: central finite-difference gradient checking and
-checkpoint-named parameter lists."""
+"""Shared test utilities: central finite-difference gradient checking,
+checkpoint-named parameter lists and traced memory peaks."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -57,3 +59,16 @@ def named_leaves(build, cfg, params):
 
 def rand_tensor(rng, shape, scale=1.0, requires_grad=True):
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def peak_traced_bytes(fn, held=False):
+    """The peak bytes tracemalloc counts while fn() runs; with held, the
+    bytes still allocated when it has returned, its result alive. Memory
+    allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        result = fn()  # alive while the memory is read
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current if held else peak

@@ -9,8 +9,9 @@ the whole-matrix conv adjoints are the tap-major backward passes (and
 conv_transpose2d's forward) before they ran in blocks, the per-image
 preprocessing is the NumPy pipeline the package's stack
 kernels replace, the per-sample class balancing and per-view augmentation
-are the loops gan.rebalance and pretrain.make_views batch, and the per-head
-attention chain is the tensor-op sequence tensor.attention fuses: each must
+are the loops gan.rebalance and pretrain.make_views batch, the per-head
+attention chain is the tensor-op sequence tensor.attention fuses, and the
+per-image evaluation is training.evaluate with one image a call: each must
 be matched byte for byte.
 """
 
@@ -19,8 +20,10 @@ import math
 import numpy as np
 
 import weedhybrid.gan as G
+import weedhybrid.heads as H
 import weedhybrid.imaging as im
 import weedhybrid.tensor as T
+import weedhybrid.training as TR
 
 
 def conv2d_loops(x, kernels, stride=1, padding=0, bias=None):
@@ -479,7 +482,7 @@ def conv_relu_pool2d_backward_whole(x, kernels, bias, g):
     """conv_relu_pool2d's (dx, dk, db) for pooled-output gradient g."""
     conv = T.conv2d(T.Tensor(x, dtype=x.dtype), T.Tensor(kernels, dtype=x.dtype),
                     padding=1, bias=T.Tensor(bias, dtype=x.dtype)).data
-    dz = _chan_rows(T._pool_adjoint(g, 2, 2, x.shape[2:], x.dtype))
+    dz = _chan_rows(T._pool_adjoint(g, 2, 2, x.shape[2:]).astype(x.dtype))
     dz *= _chan_rows(conv) > 0
     return _conv_backward_whole(dz, x, kernels, True, 1, 1)
 
@@ -699,3 +702,22 @@ def attention_chain(e, heads):
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
         out.append(T.matmul(T.softmax(scores, axis=-1), v))
     return T.concat(out, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation one image at a time: a predict call per image, every label and
+# mask kept, and the report computed once over the whole set.
+
+
+def evaluate_per_image(params, heads, data):
+    """training.evaluate's MetricsReport over every sample of `data`."""
+    k = heads.cls_w.shape[-1]
+    labels, masks = [], []
+    for i in range(len(data)):
+        pred = H.predict(params, heads, T.const(data.images[i:i + 1]))
+        labels.append(int(pred.labels[0]))
+        masks.append(np.argmax(pred.seg_mask.data[0], axis=0))
+    report = TR.classification_metrics(data.labels, labels, k)
+    report.mean_iou, report.iou_per_class, flagged = TR.mean_iou(masks, data.masks, k)
+    report.zero_division = report.zero_division or flagged
+    return report

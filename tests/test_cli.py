@@ -17,6 +17,8 @@ import weedhybrid.heads as hd
 import weedhybrid.imaging as im
 from weedhybrid.synthdata import CLASS_NAMES
 
+from helpers import peak_traced_bytes
+
 TINY_CONF = """\
 seed = 5
 folds.k = 2
@@ -214,14 +216,10 @@ def test_infer_corrupt_config_fails_before_allocating(tmp_path, capsys):
     entries["meta.backbone"][3] = 2**30  # embed_dim: a valid config, wrong entries
     model = tmp_path / "huge.hwdm"
     dp.write_checkpoint(str(model), entries)
-    tracemalloc.start()
-    try:
-        rc = cli.main(["infer", "--model", str(model),
-                       "--image", str(tmp_path / "img.ppm")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
+    rcs = []
+    peak = peak_traced_bytes(lambda: rcs.append(cli.main(
+        ["infer", "--model", str(model), "--image", str(tmp_path / "img.ppm")])))
+    assert rcs == [2]
     assert "tensor vit.0.0.w_q has shape (32, 8), expected" in capsys.readouterr().err
     assert peak < 1 << 20
 
@@ -302,15 +300,12 @@ def test_gen_data_small_size_is_usage_error(tmp_path, capsys, size):
 def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
     conf = tmp_path / "wide.conf"
     conf.write_text("preprocess.median_window = 100001\n", encoding="utf-8")
-    tracemalloc.start()
-    try:
-        rc = cli.main(["preprocess", "--manifest", str(tmp_path / "m.tsv"),
-                       "--out", str(tmp_path / "out"), "--config", str(conf)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rcs = []
+    peak = peak_traced_bytes(lambda: rcs.append(cli.main(
+        ["preprocess", "--manifest", str(tmp_path / "m.tsv"),
+         "--out", str(tmp_path / "out"), "--config", str(conf)])))
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rcs == [1]
     assert "median window 100001 exceeds the target size" in err
     assert "Traceback" not in err
     assert peak < 1 << 20
@@ -817,6 +812,31 @@ def test_infer_reads_float_checkpoint_once(workspace, trained, monkeypatch, caps
                    "--config", workspace["conf"]])
     assert rc == 0
     assert reads == [trained["model"]]
+
+
+def test_paper_infer_holds_one_model_while_it_runs(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(34)
+    cfg = bb.paper_config()
+    model = str(tmp_path / "paper.hwdm")
+    dp.save_model(model, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    image = str(tmp_path / "img.ppm")
+    im.write_image(image, im.ImageU8.from_array(
+        rng.integers(0, 256, (32, 32, 3), dtype=np.uint8)))
+    held = []
+    predict = hd.predict
+
+    def measured(params, heads, x):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return predict(params, heads, x)
+
+    monkeypatch.setattr(hd, "predict", measured)
+    rcs = []
+    peak_traced_bytes(lambda: rcs.append(cli.main(["infer", "--model", model,
+                                                   "--image", image])))
+    assert rcs == [0] and len(held) == 1
+    # the float32 parameters, one file's worth, and the 224x224 input; the
+    # entries read from the file were a second copy of the model
+    assert held[0] < 1.2 * os.path.getsize(model)
 
 
 def test_prune_bad_fraction_is_usage_error(trained, tmp_path, capsys):

@@ -3,7 +3,6 @@
 import hashlib
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import weedhybrid.heads as hd
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, FormatError
 
-from helpers import named_leaves
+from helpers import named_leaves, peak_traced_bytes
 from oracles import quantize_scalar
 
 
@@ -80,6 +79,19 @@ def test_quantize_preserves_shape():
     qt = dp.quantize(np.ones((2, 3, 4), dtype=np.float32))
     assert qt.shape == (2, 3, 4)
     assert dp.dequantize(qt).shape == (2, 3, 4)
+
+
+def test_quantize_paper_weight_in_one_work_array():
+    # the paper preset's vit.w_e: 768x768 float32, 2.25 MiB
+    w = bb.init_backbone(bb.paper_config(), np.random.default_rng(0)).vit.w_e.data
+    out = []
+    peak = peak_traced_bytes(lambda: out.append(dp.quantize(w)))
+    # one 4.5 MiB float64 work array, a sign mask and the codes; five
+    # full-size float64 temporaries took 23.1 MiB
+    assert peak < 8 << 20
+    assert out[0].scale == 0.0013855086771521982
+    assert hashlib.sha256(out[0].codes.tobytes()).hexdigest() == (
+        "7d993ecb9d2f53c6265bd519b3d6fb27ccac183365fc86dfa7e387999d8e327e")
 
 
 # ---------------------------------------------------------------- prune
@@ -273,6 +285,26 @@ def test_checkpoint_file_roundtrip_atomic(tmp_path):
     assert leftovers == []
 
 
+def test_read_paper_checkpoint_holds_one_copy_that_prune_can_zero(tmp_path):
+    rng = np.random.default_rng(33)
+    cfg = bb.paper_config()
+    path = str(tmp_path / "paper.hwdm")
+    dp.save_model(path, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    read = []
+    peak = peak_traced_bytes(lambda: read.append(dp.read_checkpoint(path)))
+    # the file's bytes and one tensor's finiteness mask; keeping the bytes,
+    # a sliced copy of each payload and a copy of each entry took 2.08x
+    assert peak < 1.2 * os.path.getsize(path)
+    entries, _ = read[0]
+    w = entries["vit.w_e"]
+    assert w.flags.writeable
+    masks = dp.prune_magnitude([("vit.w_e", w)], 0.5)
+    assert (w[~masks["vit.w_e"]] == 0).all() and (~masks["vit.w_e"]).sum() == w.size // 2
+    # views into an immutable bytes object stay read-only
+    blob = dp.save_checkpoint({"w": np.ones(3, np.float32)})
+    assert not dp.load_checkpoint(blob)[0]["w"].flags.writeable
+
+
 # ---------------------------------------------------------------- model bridge
 
 
@@ -421,16 +453,6 @@ def test_init_backbone_bytes_are_pinned():
         "21c231e13061d6d5afcc92e355c4cc85053f66b4edd85ea46471ecb7d8efbd50")
 
 
-def _peak_traced_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 @pytest.mark.parametrize("index,value,first_bad", [
     (3, 2**30, "vit.0.0.w_q"),            # embed_dim
     (8, 2**30, "fusion.w"),               # fusion_dim
@@ -448,7 +470,7 @@ def test_corrupt_backbone_config_fails_before_allocating(index, value, first_bad
         with pytest.raises(FormatError, match=rf"tensor {first_bad} has shape .*, expected"):
             dp.model_from_entries(entries)
 
-    assert _peak_traced_bytes(load) < 1 << 20
+    assert peak_traced_bytes(load) < 1 << 20
 
 
 def test_corrupt_gan_config_fails_before_allocating():
@@ -461,7 +483,7 @@ def test_corrupt_gan_config_fails_before_allocating():
         with pytest.raises(FormatError, match=r"tensor gan.g_fc_w has shape .*, expected"):
             dp.gan_from_entries(entries)
 
-    assert _peak_traced_bytes(load) < 1 << 20
+    assert peak_traced_bytes(load) < 1 << 20
 
 
 def test_quantize_entries_skips_meta():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from helpers import peak_traced_bytes
 from weedhybrid import imaging as im
 from weedhybrid.errors import ContractError, DimensionError, FormatError
 
@@ -508,12 +508,9 @@ def test_preprocess_batch_memory_stays_within_a_chunk(monkeypatch):
     cfg = im.PreprocessConfig(target_size=(16, 16))
 
     def peak_beyond_output(batch):
-        tracemalloc.start()
-        try:
-            out = im.preprocess_batch(batch, cfg)
-            return tracemalloc.get_traced_memory()[1] - out.nbytes
-        finally:
-            tracemalloc.stop()
+        outs = []
+        peak = peak_traced_bytes(lambda: outs.append(im.preprocess_batch(batch, cfg)))
+        return peak - outs[0].nbytes
 
     one_chunk = peak_beyond_output(imgs[:4])
     # sixteen chunks cost what one does: 64 images at once would need

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from helpers import gradcheck, rand_tensor
+from helpers import gradcheck, peak_traced_bytes, rand_tensor
 import weedhybrid.backbone as bb
 import weedhybrid.heads as hd
 from weedhybrid import tensor as T
@@ -192,20 +191,11 @@ def test_upsample_matches_loop_oracle(in_shape, out_hw):
         rtol=0, atol=1e-12)
 
 
-def _peak_traced_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_segment_head_paper_shape_memory():
     rng = np.random.default_rng(15)
     params = hd.init_heads(bb.paper_config(), rng)
     spatial = T.Tensor(rng.standard_normal((1, 128, 28, 28)))
-    peak = _peak_traced_bytes(lambda: hd.segment_head(spatial, params))
+    peak = peak_traced_bytes(lambda: hd.segment_head(spatial, params))
     # a dense 28->224 interpolation matrix alone is 50176 x 784 float64, 315 MB
     assert peak < 16 << 20
 
@@ -222,7 +212,7 @@ def test_conv2d_memory_is_cols_plus_one_block():
         with T.Tape():
             T.conv2d(x, k, padding=1, bias=b)
 
-    peak = _peak_traced_bytes(taped)
+    peak = peak_traced_bytes(taped)
     # the bound leaves room for the float32 im2col matrix, one float64 row
     # block, a padded input and the output; a float64 copy of the whole
     # im2col matrix (2 * cols_bytes on top of it) does not fit
@@ -236,20 +226,18 @@ def test_taped_conv_holds_output_and_mask_only(op):
     k = T.Tensor(rng.standard_normal((64, 32, 3, 3)), requires_grad=True)
     b = T.Tensor(rng.standard_normal(64), requires_grad=True)
     mask_bytes = 64 * 2 * 56 * 56 if op == "conv_relu_pool2d" else 0
-    tracemalloc.start()
-    try:
-        with T.Tape() as tape:
-            if op == "conv2d":
-                out = T.conv2d(x, k, padding=1, bias=b)
-            else:
-                out = T.conv_relu_pool2d(x, k, b)
-            held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    tape, outs = T.Tape(), []
+
+    def forward():
+        with tape:
+            outs.append(T.conv2d(x, k, padding=1, bias=b) if op == "conv2d"
+                        else T.conv_relu_pool2d(x, k, b))
+
+    held = peak_traced_bytes(forward, held=True)
     assert len(tape) == 1
     # the tape keeps the input (allocated before tracing) and the ReLU mask,
     # not the 7.2 MB im2col matrix, which backward rebuilds
-    assert held <= out.data.nbytes + mask_bytes + (64 << 10)
+    assert held <= outs[0].data.nbytes + mask_bytes + (64 << 10)
 
 
 def test_taped_paper_attention_is_one_record_in_bounded_memory():
@@ -265,7 +253,7 @@ def test_taped_paper_attention_is_one_record_in_bounded_memory():
             out = bb.multi_head_self_attention(e, params.vit.heads)
             tape.backward(T.sum_(T.mul(out, g)))
 
-    peak = _peak_traced_bytes(step)
+    peak = peak_traced_bytes(step)
     # the tape keeps q, k^T, v and the softmax of each head in float32
     # (8 MiB) and the float32 weight gradients take 7 MiB; the per-head
     # chain peaked at 50.5 MiB
@@ -283,7 +271,7 @@ def test_conv2d_tape_free_memory_has_no_im2col_matrix():
     cols_bytes = 8 * 112 * 112 * 32 * 9 * 4      # 116 MB
     out_bytes = 8 * 64 * 112 * 112 * 4           # 26 MB
     pad_bytes = 8 * 32 * 114 * 114 * 4           # 13 MB
-    peak = _peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
+    peak = peak_traced_bytes(lambda: T.conv2d(x, k, padding=1, bias=b))
     # the output and one block (64-bit im2col block and product); building
     # the whole im2col matrix peaked at 166 MB
     assert peak < pad_bytes + out_bytes + 2 * T._GEMM_BLOCK_BYTES < cols_bytes
@@ -421,7 +409,7 @@ def test_cnn_forward_holds_no_full_resolution_map(monkeypatch):
     params = bb.init_backbone(bb.paper_config(), np.random.default_rng(22))
     x = T.Tensor(np.random.default_rng(23).standard_normal((8, 3, 224, 224)))
     full_map_bytes = 8 * 32 * 224 * 224 * 4    # 51 MB
-    peak = _peak_traced_bytes(lambda: bb.cnn_forward(x, params))
+    peak = peak_traced_bytes(lambda: bb.cnn_forward(x, params))
     assert peak < full_map_bytes
 
 
@@ -435,7 +423,7 @@ def test_conv_relu_pool2d_tape_free_has_no_padded_input(monkeypatch):
     b = T.Tensor(rng.standard_normal(64), requires_grad=True)
     pad_bytes = 8 * 32 * 114 * 114 * 4           # 13 MB
     out_bytes = 8 * 64 * 56 * 56 * 4             # 6.4 MB
-    peak = _peak_traced_bytes(lambda: T.conv_relu_pool2d(x, k, b))
+    peak = peak_traced_bytes(lambda: T.conv_relu_pool2d(x, k, b))
     assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES < out_bytes + pad_bytes
 
 
@@ -662,7 +650,7 @@ def test_taped_paper_block_backward_memory_is_bounded(batch):
     tape = T.Tape()
     with tape:
         loss = T.sum_(T.mul(T.conv_relu_pool2d(x, k, b), g))
-    peak = _peak_traced_bytes(lambda: tape.backward(loss))
+    peak = peak_traced_bytes(lambda: tape.backward(loss))
     in_bytes, out_bytes = x.data.nbytes, g.data.nbytes
     # held: dx and x.grad, the pooled output's gradient and g / 4; then the
     # reused block buffers and one block's input-gradient rows
@@ -677,7 +665,7 @@ def test_conv_transpose2d_forward_memory_is_bounded():
     k = T.Tensor(rng.standard_normal((64, 32, 4, 4)) * 0.03, requires_grad=True)
     b = T.Tensor(rng.standard_normal(32), requires_grad=True)
     out_bytes = 4 * 32 * 112 * 112 * 4
-    peak = _peak_traced_bytes(lambda: T.conv_transpose2d(x, k, stride=2, padding=1, bias=b))
+    peak = peak_traced_bytes(lambda: T.conv_transpose2d(x, k, stride=2, padding=1, bias=b))
     assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES
 
 
@@ -816,7 +804,7 @@ def test_paper_vit_forward_memory_is_bounded():
     params = bb.init_backbone(cfg, np.random.default_rng(30))
     x = T.Tensor(np.random.default_rng(31).standard_normal((12, 3, 224, 224)))
     tokens_bytes = 12 * cfg.num_patches * cfg.embed_dim * 4      # 6.9 MiB
-    peak = _peak_traced_bytes(lambda: bb.vit_forward(x, params.vit, cfg))
+    peak = peak_traced_bytes(lambda: bb.vit_forward(x, params.vit, cfg))
     assert peak < 5 * tokens_bytes
 
 
@@ -954,7 +942,7 @@ def test_binary_op_output_is_not_copied(op):
     b = T.Tensor(rng.uniform(1.0, 2.0, (_ROWS, _COLS)))
     want = _ROWS * _COLS * 4
     assert _BINARY_OPS[op](a, b).data.nbytes == want
-    assert _peak_traced_bytes(lambda: _BINARY_OPS[op](a, b)) < 1.5 * want
+    assert peak_traced_bytes(lambda: _BINARY_OPS[op](a, b)) < 1.5 * want
 
 
 def test_determinism_bitwise():

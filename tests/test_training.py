@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 import oracles
-from helpers import named_leaves
+from helpers import named_leaves, peak_traced_bytes
 from weedhybrid import backbone as bb
 from weedhybrid import heads as hd
 from weedhybrid import tensor as T
@@ -319,6 +320,47 @@ def test_evaluate_report_and_empty_rejection():
     assert 0.0 <= report.mean_iou <= 1.0
     with pytest.raises(ContractError):
         tr.evaluate(result.params, result.heads, data, indices=np.array([], int))
+
+
+def random_eval_set(cfg, n, seed):
+    """A random-init model and n random samples at cfg's image size."""
+    rng = np.random.default_rng(seed)
+    params = bb.init_backbone(cfg, rng)
+    heads = hd.init_heads(cfg, rng)
+    h, w = cfg.image_size
+    data = tr.TrainData(images=rng.standard_normal((n, 3, h, w)).astype(np.float32),
+                        labels=np.arange(n) % 4, masks=rng.integers(0, 4, (n, h, w)),
+                        growth=np.zeros(n))
+    return params, heads, data
+
+
+@pytest.mark.parametrize("preset,n,chunks", [
+    ("desk", 40, [32, 8]),         # 32x32 images: 32 fit the pixel budget
+    ("paper", 4, [1, 1, 1, 1])],   # 224x224 images: one at a time
+    ids=["desk", "paper"])
+def test_evaluate_equals_per_image_oracle(monkeypatch, preset, n, chunks):
+    cfg = bb.desk_config() if preset == "desk" else bb.paper_config()
+    params, heads, data = random_eval_set(cfg, n, seed=31)
+    want = oracles.evaluate_per_image(params, heads, data)
+    seen = []
+    predict = hd.predict
+
+    def counting(params, heads, x):
+        seen.append(x.shape[0])
+        return predict(params, heads, x)
+
+    monkeypatch.setattr(hd, "predict", counting)
+    got = tr.evaluate(params, heads, data)
+    assert seen == chunks
+    np.testing.assert_equal(dataclasses.asdict(got), dataclasses.asdict(want))
+
+
+def test_paper_evaluate_memory_is_one_image():
+    params, heads, data = random_eval_set(bb.paper_config(), 4, seed=32)
+    peak = peak_traced_bytes(lambda: tr.evaluate(params, heads, data))
+    # one 224x224 image at a time peaks near 9.7 MiB; the four as one batch
+    # took 15.9 MiB, and every predicted mask was kept as int64 to the end
+    assert peak < 13 << 20
 
 
 # ---------------------------------------------------------------------------
