@@ -46,7 +46,6 @@ __all__ = [
     "init_backbone",
     "cnn_forward",
     "patch_embed",
-    "multi_head_self_attention",
     "vit_forward",
     "build_plant_graph",
     "gcn_layer",
@@ -265,20 +264,9 @@ def patch_embed(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> T.Tensor:
     return T.add_bcast(T.matmul(flat, vit.w_e), vit.e_pos)
 
 
-def multi_head_self_attention(e: T.Tensor, heads: tuple) -> T.Tensor:
-    """Concat over heads of Softmax(Q K^T / sqrt(d_k)) V; `heads` holds one
-    (W_Q, W_K, W_V) triple of (d, d_k) projections per head.
-
-    One tensor.attention op, one tape record. It checks the inputs before
-    allocating: zero heads or a token dim other than heads x d_k raise
-    ContractError, an unbatched input or any weight that is not (d, d_k)
-    DimensionError."""
-    return T.attention(e, heads)
-
-
 def vit_forward(x: T.Tensor, vit: ViTParams, cfg: BackboneConfig) -> tuple:
     """Patch-embed and apply the one attention stage -> (tokens, pooled vector)."""
-    tokens = multi_head_self_attention(patch_embed(x, vit, cfg), vit.heads)
+    tokens = T.attention(patch_embed(x, vit, cfg), vit.heads)
     return tokens, T.mean(tokens, axis=-2)
 
 

@@ -179,11 +179,16 @@ def _load_images(manifest_path: str) -> tuple:
     return samples, images
 
 
-def _check_distinct_names(manifest: str, samples: list) -> None:
-    """Raise DataError if two different image (or mask) paths share a
-    basename, so that preprocess would write both to one output file; a
+def _check_outputs(manifest: str, samples: list, out: str) -> None:
+    """Raise DataError if preprocess would write one file twice or over an
+    input: two different image (or mask) paths that share a basename, or an
+    output that resolves to the manifest or to an image or mask it reads. A
     repeated path (which read_manifest warns about) is allowed."""
-    for field in ("image", "mask"):
+    base = os.path.dirname(os.path.abspath(manifest))
+    inputs = {os.path.realpath(manifest)} | {
+        os.path.realpath(os.path.join(base, path)) for s in samples
+        for path in (s.image, s.mask) if path}
+    for field, folder in (("image", "images"), ("mask", "masks")):
         first = {}   # basename -> (path, line) of the first row writing it
         for s in samples:
             path = getattr(s, field)
@@ -194,6 +199,14 @@ def _check_distinct_names(manifest: str, samples: list) -> None:
             if os.path.normpath(other) != os.path.normpath(path):
                 raise DataError(f"{manifest}:{s.line}: {field} {path} and {other} "
                                 f"on line {line} would both be written as {name}")
+            dst = os.path.join(out, folder, name)
+            if os.path.realpath(dst) in inputs:
+                raise DataError(f"{manifest}:{s.line}: writing {field} {path} "
+                                f"to {dst} would overwrite an input")
+    dst = os.path.join(out, "manifest.tsv")
+    if os.path.realpath(dst) in inputs:
+        raise DataError(f"{manifest}: writing the manifest to {dst} would "
+                        f"overwrite an input")
 
 
 def _check_inside(manifest: str, samples: list) -> None:
@@ -211,7 +224,7 @@ def _check_inside(manifest: str, samples: list) -> None:
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     samples, images = _load_images(args.manifest)
-    _check_distinct_names(args.manifest, samples)
+    _check_outputs(args.manifest, samples, args.out)
     os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
     records = []
     staged = im.preprocess_batch(images, pre_cfg, as_images=True)
@@ -320,11 +333,12 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
             raise DataError(f"{args.manifest}:{s.line}: expected a color "
                             f"image, got {img.channels} channel(s): {s.image}")
     staged = im.preprocess_batch(images, pre_cfg, as_images=True)
-    params, history = pt.pretrain(staged, cfg.contrastive_config(),
+    ssl_cfg = cfg.contrastive_config()
+    params, history = pt.pretrain(staged, ssl_cfg,
                                   backbone_cfg=cfg.backbone_config(),
                                   seed=cfg.seed, normalize=pre_cfg.normalize)
-    dp.save_model(args.out, params, flags=dp.FLAG_PRETRAIN)
-    print(f"pretrained {cfg.ssl_epochs} epochs on {len(staged)} images")
+    dp.save_model(args.out, params)
+    print(f"pretrained {ssl_cfg.epochs} epochs on {len(staged)} images")
     print(f"nt-xent {history[0]:.4f} -> {history[-1]:.4f}")
     print(f"checkpoint: {args.out}")
     return EXIT_OK
@@ -339,7 +353,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         if init_heads is not None:
             raise ContractError(f"{args.init} is a full model, not a "
                                 f"pretraining checkpoint")
-        if params.config != train_cfg.resolved_backbone():
+        if params.config != train_cfg.backbone:
             raise ContractError("pretrained checkpoint architecture does not "
                                 "match the configured preset")
     plan = tr.stratified_folds(data.labels, k=cfg.folds_k, seed=cfg.seed)

@@ -16,7 +16,7 @@ positive, a negative seed) raise DataError naming the offending line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 from . import backbone as bb
 from . import gan as gn
@@ -52,6 +52,11 @@ def _to_rate(text: str) -> float:
     return value
 
 
+def _to_square(text: str) -> tuple:
+    side = int(text)
+    return (side, side)
+
+
 def _to_preset(text: str) -> str:
     if text not in ("desk", "paper"):
         raise ValueError(f"preset must be desk or paper, got {text!r}")
@@ -60,34 +65,20 @@ def _to_preset(text: str) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable across the pipeline, with desk-scale defaults."""
+    """The run's seed, preset and fold count, plus the stage settings a
+    document set, as section -> {config field: value}.
+
+    Each builder passes its section's settings to the stage's config class,
+    so a key the document leaves out takes that class's own default.
+    """
 
     seed: int = 0
     preset: str = "desk"
-    preprocess_median_window: int = 3
-    preprocess_clahe_tile: int = 8
-    preprocess_clahe_clip: float = 2.0
-    preprocess_gamma: float = 1.0
-    preprocess_beta: float = 0.0
-    preprocess_normalize: bool = True
-    loss_w_cls: float = 0.5
-    loss_w_seg: float = 0.3
-    loss_w_growth: float = 0.2
-    optimizer_lr: float = 2e-3
-    optimizer_epochs: int = 60
-    optimizer_batch: int = 32
     folds_k: int = 5
-    gan_latent_dim: int = 128
-    gan_epochs: int = 50
-    gan_lr: float = 2e-4
-    gan_batch: int = 16
-    gan_base_channels: int = 32
-    gan_image_size: int = 32
-    ssl_temperature: float = 0.5
-    ssl_projection_dim: int = 32
-    ssl_epochs: int = 20
-    ssl_lr: float = 1e-3
-    ssl_batch_pairs: int = 8
+    sections: dict = field(default_factory=dict)
+
+    def _settings(self, section: str) -> dict:
+        return self.sections.get(section, {})
 
     def backbone_config(self) -> bb.BackboneConfig:
         return bb.paper_config() if self.preset == "paper" else bb.desk_config()
@@ -97,73 +88,61 @@ class RunConfig:
         the preset's."""
         if image_size is None:
             image_size = self.backbone_config().image_size
-        return im.PreprocessConfig(
-            target_size=tuple(image_size),
-            median_window=self.preprocess_median_window,
-            clahe_tile=self.preprocess_clahe_tile,
-            clahe_clip=self.preprocess_clahe_clip,
-            gamma=self.preprocess_gamma,
-            beta=self.preprocess_beta,
-            normalize=self.preprocess_normalize)
+        return im.PreprocessConfig(target_size=tuple(image_size),
+                                   **self._settings("preprocess"))
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(alpha=self.loss_w_cls, beta=self.loss_w_seg,
-                           gamma=self.loss_w_growth)
+        return LossWeights(**self._settings("loss"))
 
-    def train_config(self, seed: int = None) -> tr.TrainConfig:
-        return tr.TrainConfig(epochs=self.optimizer_epochs,
-                              lr=self.optimizer_lr,
-                              batch=self.optimizer_batch,
-                              seed=self.seed if seed is None else seed,
-                              weights=self.loss_weights(),
-                              backbone=self.backbone_config())
+    def train_config(self) -> tr.TrainConfig:
+        return tr.TrainConfig(seed=self.seed, weights=self.loss_weights(),
+                              backbone=self.backbone_config(),
+                              **self._settings("optimizer"))
 
     def gan_config(self) -> gn.GanConfig:
-        return gn.GanConfig(latent_dim=self.gan_latent_dim,
-                            image_size=(self.gan_image_size,
-                                        self.gan_image_size),
-                            epochs=self.gan_epochs, lr=self.gan_lr,
-                            batch=self.gan_batch,
-                            base_channels=self.gan_base_channels)
+        return gn.GanConfig(**self._settings("gan"))
 
     def contrastive_config(self) -> pt.ContrastiveConfig:
-        return pt.ContrastiveConfig(temperature=self.ssl_temperature,
-                                    projection_dim=self.ssl_projection_dim,
-                                    epochs=self.ssl_epochs, lr=self.ssl_lr,
-                                    batch_pairs=self.ssl_batch_pairs)
+        return pt.ContrastiveConfig(**self._settings("ssl"))
 
 
-# document key -> (dataclass field, converter)
+# document key -> (section, field, converter); a key without a section sets
+# a RunConfig field, the others a field of their section's config class
 _KEYS = {
-    "seed": ("seed", int),
-    "preset": ("preset", _to_preset),
-    "preprocess.median_window": ("preprocess_median_window", int),
-    "preprocess.clahe_tile": ("preprocess_clahe_tile", int),
-    "preprocess.clahe_clip": ("preprocess_clahe_clip", _to_float),
-    "preprocess.gamma": ("preprocess_gamma", _to_float),
-    "preprocess.beta": ("preprocess_beta", _to_float),
-    "preprocess.normalize": ("preprocess_normalize", _to_bool),
-    "loss.w_cls": ("loss_w_cls", _to_float),
-    "loss.w_seg": ("loss_w_seg", _to_float),
-    "loss.w_growth": ("loss_w_growth", _to_float),
-    "optimizer.lr": ("optimizer_lr", _to_rate),
-    "optimizer.epochs": ("optimizer_epochs", int),
-    "optimizer.batch": ("optimizer_batch", int),
-    "folds.k": ("folds_k", int),
-    "gan.latent_dim": ("gan_latent_dim", int),
-    "gan.epochs": ("gan_epochs", int),
-    "gan.lr": ("gan_lr", _to_rate),
-    "gan.batch": ("gan_batch", int),
-    "gan.base_channels": ("gan_base_channels", int),
-    "gan.image_size": ("gan_image_size", int),
-    "ssl.temperature": ("ssl_temperature", _to_float),
-    "ssl.projection_dim": ("ssl_projection_dim", int),
-    "ssl.epochs": ("ssl_epochs", int),
-    "ssl.lr": ("ssl_lr", _to_rate),
-    "ssl.batch_pairs": ("ssl_batch_pairs", int),
+    "seed": (None, "seed", int),
+    "preset": (None, "preset", _to_preset),
+    "preprocess.median_window": ("preprocess", "median_window", int),
+    "preprocess.clahe_tile": ("preprocess", "clahe_tile", int),
+    "preprocess.clahe_clip": ("preprocess", "clahe_clip", _to_float),
+    "preprocess.gamma": ("preprocess", "gamma", _to_float),
+    "preprocess.beta": ("preprocess", "beta", _to_float),
+    "preprocess.normalize": ("preprocess", "normalize", _to_bool),
+    "loss.w_cls": ("loss", "alpha", _to_float),
+    "loss.w_seg": ("loss", "beta", _to_float),
+    "loss.w_growth": ("loss", "gamma", _to_float),
+    "optimizer.lr": ("optimizer", "lr", _to_rate),
+    "optimizer.epochs": ("optimizer", "epochs", int),
+    "optimizer.batch": ("optimizer", "batch", int),
+    "folds.k": (None, "folds_k", int),
+    "gan.latent_dim": ("gan", "latent_dim", int),
+    "gan.epochs": ("gan", "epochs", int),
+    "gan.lr": ("gan", "lr", _to_rate),
+    "gan.batch": ("gan", "batch", int),
+    "gan.base_channels": ("gan", "base_channels", int),
+    "gan.image_size": ("gan", "image_size", _to_square),
+    "ssl.temperature": ("ssl", "temperature", _to_float),
+    "ssl.projection_dim": ("ssl", "projection_dim", int),
+    "ssl.epochs": ("ssl", "epochs", int),
+    "ssl.lr": ("ssl", "lr", _to_rate),
+    "ssl.batch_pairs": ("ssl", "batch_pairs", int),
 }
 
-assert {f.name for f in fields(RunConfig)} == {f for f, _ in _KEYS.values()}
+# section -> the builder of its stage config, in validation order
+_BUILDERS = {"preprocess": RunConfig.preprocess_config,
+             "loss": RunConfig.loss_weights,
+             "optimizer": RunConfig.train_config,
+             "gan": RunConfig.gan_config,
+             "ssl": RunConfig.contrastive_config}
 
 
 def parse_config(text: str, source: str = "<config>",
@@ -175,6 +154,7 @@ def parse_config(text: str, source: str = "<config>",
     an override names no line.
     """
     values = {}
+    sections = {}
     first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -191,16 +171,17 @@ def parse_config(text: str, source: str = "<config>",
             raise DataError(f"{source}:{lineno}: duplicate key {key!r} "
                             f"(first set on line {first_line[key]})")
         first_line[key] = lineno
-        field_name, convert = _KEYS[key]
+        section, name, convert = _KEYS[key]
+        target = sections.setdefault(section, {}) if section else values
         try:
-            values[field_name] = convert(value)
+            target[name] = convert(value)
         except ValueError as exc:
             raise DataError(f"{source}:{lineno}: bad value for {key}: "
                             f"{exc}") from None
     overrides = overrides or {}
-    cfg = replace(RunConfig(), **{**values, **overrides})
+    cfg = RunConfig(**{**values, **overrides}, sections=sections)
     _validate(cfg, source, {key: line for key, line in first_line.items()
-                            if _KEYS[key][0] not in overrides})
+                            if _KEYS[key][0] or _KEYS[key][1] not in overrides})
     return cfg
 
 
@@ -216,18 +197,15 @@ def _validate(cfg: RunConfig, source: str, first_line: dict) -> None:
         where = f":{line}" if line else ""
         raise DataError(f"{source}{where}: seed must be >= 0, got {cfg.seed}")
     base = RunConfig(seed=cfg.seed, preset=cfg.preset)
-    for section, build in [("preprocess", RunConfig.preprocess_config),
-                           ("loss", RunConfig.loss_weights),
-                           ("optimizer", RunConfig.train_config),
-                           ("gan", RunConfig.gan_config),
-                           ("ssl", RunConfig.contrastive_config)]:
+    for section, build in _BUILDERS.items():
         try:
             build(cfg)
         except (ContractError, ValueError) as exc:
-            keys = sorted((line, _KEYS[key][0]) for key, line in first_line.items()
-                          if key.startswith(section + "."))
-            alone = [line for line, field in keys
-                     if _breaks(build, replace(base, **{field: getattr(cfg, field)}))]
+            keys = sorted((line, _KEYS[key][1]) for key, line in first_line.items()
+                          if _KEYS[key][0] == section)
+            alone = [line for line, name in keys
+                     if _breaks(build, replace(base, sections={
+                         section: {name: cfg.sections[section][name]}}))]
             lines = alone or [line for line, _ in keys]
             where = f":{lines[0]}" if lines else ""
             raise DataError(f"{source}{where}: invalid {section} "

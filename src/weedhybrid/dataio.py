@@ -134,13 +134,13 @@ def _resize_mask_nearest(mask: np.ndarray, size) -> np.ndarray:
 
 
 def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
-    """A sample's checked single-channel mask, nearest-resampled to (H, W)."""
+    """A sample's checked single-channel uint8 mask, nearest-resampled to (H, W)."""
     mask_img = im.read_image(os.path.join(
         os.path.dirname(os.path.abspath(manifest_path)), sample.mask))
     if mask_img.channels != 1:
         raise DataError(f"{manifest_path}:{sample.line}: mask must be "
                         f"single-channel: {sample.mask}")
-    arr = mask_img.as_array()[:, :, 0].astype(np.int64)
+    arr = mask_img.as_array()[:, :, 0]
     if arr.max() >= len(CLASS_NAMES):
         raise DataError(f"{manifest_path}:{sample.line}: mask value "
                         f"{arr.max()} outside the class vocabulary")
@@ -168,7 +168,7 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
     n = len(samples)
     raw = []
     labels = np.zeros(n, dtype=np.int64)
-    masks = np.zeros((n, h, w), dtype=np.int64)
+    masks = np.zeros((n, h, w), dtype=np.uint8)
     growth = np.zeros(n, dtype=np.float64)
     for i, s in enumerate(samples):
         img = im.read_image(os.path.join(base, s.image))

@@ -385,10 +385,9 @@ def model_from_entries(entries: dict) -> tuple:
 
 
 def save_model(path: str, params: bb.BackboneParams,
-               head_params: hd.HeadParams = None,
-               flags: int = None) -> None:
-    if flags is None:
-        flags = FLAG_FULL if head_params is not None else FLAG_PRETRAIN
+               head_params: hd.HeadParams = None) -> None:
+    """Write a full model, or a pretraining checkpoint without heads."""
+    flags = FLAG_FULL if head_params is not None else FLAG_PRETRAIN
     write_checkpoint(path, model_entries(params, head_params), flags)
 
 

@@ -319,6 +319,7 @@ def rebalance(samples: list, target: int, params: GanParams,
     label, synthetic) triples, the originals first, bit-identical and in
     order.  A class's latents are one (need, latent_dim) draw, generated
     _SAMPLE_CHUNK rows at a time and resized to `out_size` if it is given.
+    A NumericError in the generator becomes DivergenceError("generator").
     """
     if params.trained_steps < 1:
         raise ContractError("rebalance requires a trained generator")
@@ -337,7 +338,11 @@ def rebalance(samples: list, target: int, params: GanParams,
         z = rng.standard_normal((max(0, target - counts[cls]), cfg.latent_dim))
         for start in range(0, len(z), _SAMPLE_CHUNK):
             rows = z[start:start + _SAMPLE_CHUNK]
-            for x in generate(T.const(rows), [cls] * len(rows), params).data:
+            try:
+                fake = generate(T.const(rows), [cls] * len(rows), params)
+            except NumericError as exc:
+                raise DivergenceError("generator", detail=str(exc)) from exc
+            for x in fake.data:
                 img = to_image(x)
                 if out_size is not None and (img.height, img.width) != tuple(out_size):
                     img = im.resize_bilinear(img, out_size)

@@ -222,7 +222,7 @@ class TrainConfig:
     batch: int = 32
     seed: int = 0
     weights: hd.LossWeights = hd.LossWeights()
-    backbone: bb.BackboneConfig = None
+    backbone: bb.BackboneConfig = field(default_factory=bb.desk_config)
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -230,9 +230,6 @@ class TrainConfig:
         if self.batch < 1:
             raise ContractError(f"batch must be >= 1, got {self.batch}")
         check_lr(self.lr)
-
-    def resolved_backbone(self) -> bb.BackboneConfig:
-        return self.backbone if self.backbone is not None else bb.desk_config()
 
 
 @dataclass
@@ -308,14 +305,14 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
     restored before returning.  Pretrained parameter collections may be
     passed in to continue from them.
     """
-    bcfg = cfg.resolved_backbone()
+    bcfg = cfg.backbone
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = bb.init_backbone(bcfg, rng)
     if heads is None:
         heads = hd.init_heads(bcfg, rng)
     if train_idx is None or val_idx is None:
-        plan = stratified_folds(data.labels, k=5, seed=cfg.seed)
+        plan = stratified_folds(data.labels, seed=cfg.seed)
         train_idx, val_idx = plan.split(0)
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)

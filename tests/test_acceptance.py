@@ -147,7 +147,7 @@ def _check_attention(rng):
         w_q, w_k, w_v = zip(*heads)
         params = [e] + list(w_q) + list(w_k) + list(w_v)
         def loss():
-            return T.sum_(T.tanh(bb.multi_head_self_attention(e, heads)))
+            return T.sum_(T.tanh(T.attention(e, heads)))
         worst = max(worst, gradcheck(loss, params, eps=1e-5))
     return worst
 
@@ -337,9 +337,9 @@ def test_criterion_2_invariants():
 
             # self-attention is equivariant to token permutation
             e, blk = _tiny_msa(rng, n_heads=2, d_k=2, n_tokens=5)
-            out = bb.multi_head_self_attention(e, blk).data
+            out = T.attention(e, blk).data
             tperm = rng.permutation(5)
-            out_p = bb.multi_head_self_attention(
+            out_p = T.attention(
                 T.const(e.data[:, tperm]), blk).data
             np.testing.assert_allclose(out_p, out[:, tperm], atol=1e-6,
                                        err_msg="MSA permutation equivariance")

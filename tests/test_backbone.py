@@ -172,7 +172,7 @@ def test_msa_single_token_returns_value_row():
                             fusion_dim=8, attention_reduction=2)
     params = bb.init_backbone(cfg, np.random.default_rng(11))
     e = T.Tensor(np.random.default_rng(12).standard_normal((1, 1, 6)))
-    out = bb.multi_head_self_attention(e, params.vit.heads)
+    out = T.attention(e, params.vit.heads)
     want = np.concatenate([e.data[0] @ wv.data for _, _, wv in params.vit.heads],
                           axis=-1)
     np.testing.assert_allclose(out.data[0], want, atol=1e-5)
@@ -185,7 +185,7 @@ def test_msa_zero_queries_give_uniform_attention():
                               T.zeros(wk.shape, requires_grad=True), wv)
                              for wq, wk, wv in params.vit.heads)
     e = T.Tensor(np.random.default_rng(14).standard_normal((1, 4, 4)))
-    out = bb.multi_head_self_attention(e, params.vit.heads)
+    out = T.attention(e, params.vit.heads)
     v = np.concatenate([e.data[0] @ wv.data for _, _, wv in params.vit.heads],
                        axis=-1)
     want = np.tile(v.mean(axis=0), (4, 1))
@@ -201,7 +201,7 @@ def test_msa_two_tokens_scalar_recompute():
                          T.Tensor([[0.0, 1.0], [1.0, 0.0]], requires_grad=True),
                          T.Tensor([[1.0, 1.0], [0.0, 2.0]], requires_grad=True)),)
     e = np.array([[1.0, 2.0], [3.0, -1.0]])
-    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.heads)
+    out = T.attention(T.Tensor(e[None]), params.vit.heads)
 
     q = e  # identity W_Q
     k = e[:, ::-1]  # swapped columns
@@ -223,13 +223,13 @@ def test_msa_head_dim_mismatch():
     cfg = tiny_config()
     params = bb.init_backbone(cfg, np.random.default_rng(16))
     with pytest.raises(ContractError):
-        bb.multi_head_self_attention(T.zeros((1, 4, 6)), params.vit.heads)
+        T.attention(T.zeros((1, 4, 6)), params.vit.heads)
 
 
 def test_msa_rejects_zero_heads():
     # heads[0] raised IndexError
     with pytest.raises(ContractError, match="no heads"):
-        bb.multi_head_self_attention(T.zeros((1, 4, 8)), ())
+        T.attention(T.zeros((1, 4, 8)), ())
 
 
 @pytest.mark.parametrize("head", [0, 1])
@@ -247,7 +247,7 @@ def test_msa_rejects_any_malformed_weight(head, which, bad_shape):
     else:
         expected, match = DimensionError, f"head {head} {('w_q', 'w_k', 'w_v')[which]}"
     with pytest.raises(expected, match=match):
-        bb.multi_head_self_attention(T.Tensor(rng.standard_normal((1, 4, 8))),
+        T.attention(T.Tensor(rng.standard_normal((1, 4, 8))),
                                      tuple(map(tuple, heads)))
 
 
@@ -257,8 +257,8 @@ def test_msa_permutation_equivariant():
     rng = np.random.default_rng(18)
     e = rng.standard_normal((16, 32)).astype(np.float32)
     perm = rng.permutation(16)
-    out = bb.multi_head_self_attention(T.Tensor(e[None]), params.vit.heads)
-    out_p = bb.multi_head_self_attention(T.Tensor(e[perm][None]), params.vit.heads)
+    out = T.attention(T.Tensor(e[None]), params.vit.heads)
+    out_p = T.attention(T.Tensor(e[perm][None]), params.vit.heads)
     np.testing.assert_allclose(out_p.data[0], out.data[0][perm], atol=1e-6)
 
 
@@ -271,7 +271,7 @@ def test_vit_forward_attends_once_and_pools():
     tokens, pooled = bb.vit_forward(x, params.vit, cfg)
     assert tokens.shape == (1, 4, 4)
     assert pooled.shape == (1, 4)
-    want = bb.multi_head_self_attention(bb.patch_embed(x, params.vit, cfg),
+    want = T.attention(bb.patch_embed(x, params.vit, cfg),
                                         params.vit.heads)
     assert tokens.data.tobytes() == want.data.tobytes()
     np.testing.assert_allclose(pooled.data[0], tokens.data[0].mean(axis=0),

@@ -551,6 +551,44 @@ def test_preprocess_allows_a_repeated_source(workspace, tmp_path):
         assert len(dio.read_manifest(str(out / "manifest.tsv"))) == 2
 
 
+def test_preprocess_refuses_to_overwrite_its_inputs(tmp_path, capsys):
+    # --out the manifest's own directory exited 0 after replacing every
+    # source image with its processed copy and rewriting the manifest
+    data = tmp_path / "data"
+    rc = cli.main(["gen-data", "--out", str(data), "--per-class", "1", "--size", "16"])
+    assert rc == 0
+    before = dir_bytes(data)
+    capsys.readouterr()
+    rc = cli.main(["preprocess", "--manifest", str(data / "manifest.tsv"),
+                   "--out", str(data)])
+    assert rc == 2
+    # line 1 is the header
+    first = dio.read_manifest(str(data / "manifest.tsv"))[0]
+    assert capsys.readouterr().err == (
+        f"error: {data / 'manifest.tsv'}:2: writing image {first.image} to "
+        f"{data / 'images' / os.path.basename(first.image)} would overwrite an input\n")
+    assert dir_bytes(data) == before
+
+    # with the sources moved under raw/, only the manifest collides
+    (data / "raw").mkdir()
+    raw = []
+    for s in dio.read_manifest(str(data / "manifest.tsv")):
+        moved = {field: os.path.join("raw", os.path.basename(getattr(s, field)))
+                 for field in ("image", "mask")}
+        for field, rel in moved.items():
+            os.rename(data / getattr(s, field), data / rel)
+        raw.append(dio.Sample(label=s.label, growth=s.growth, **moved))
+    dio.write_manifest(str(data / "manifest.tsv"), raw)
+    before = dir_bytes(data)
+    rc = cli.main(["preprocess", "--manifest", str(data / "manifest.tsv"),
+                   "--out", str(data)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / 'manifest.tsv'}: writing the manifest to "
+        f"{data / 'manifest.tsv'} would overwrite an input\n")
+    assert dir_bytes(data) == before
+
+
 # ---------------------------------------------------------------- gan + augment
 
 
@@ -637,6 +675,32 @@ def test_augment_rejects_gan_with_other_class_count(workspace, tmp_path, capsys,
     assert rc == 2
     assert f"GAN has {classes} classes, expected {len(CLASS_NAMES)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_augment_with_an_overflowing_generator_exits_three(workspace, tmp_path, capsys):
+    # rebalance ran generate outside any divergence wrapper, so the
+    # generator's NumericError escaped cli.main as a traceback
+    cfg = gn.GanConfig(latent_dim=4, image_size=(16, 16), base_channels=2, label_dim=2)
+    params = gn.init_gan(cfg, np.random.default_rng(0))
+    params.trained_steps = 3
+    params.g.fc_w.data[...] = 3e38
+    gan = tmp_path / "gan.hwdm"
+    dp.save_gan(str(gan), params)
+    src = dio.read_manifest(workspace["manifest"])
+    keep = [s for s in src if s.label_name in ("soil", "soybean")]
+    assert len(keep) == 8
+    for s in keep:
+        for rel in (s.image, s.mask):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(workspace["data"] / rel, tmp_path / rel)
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), keep)
+    rc = cli.main(["augment", "--manifest", str(manifest), "--gan", str(gan),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: generator diverged: non-finite values")
+    assert "Traceback" not in err
 
 
 def test_augment_keeps_synthetic_rows_it_copies(workspace, gan_checkpoint, tmp_path):

@@ -1,22 +1,44 @@
 """Key = value run configuration: parsing, validation, sub-config builders."""
 
+import dataclasses
+import os
+import re
+
 import pytest
 
 import weedhybrid.backbone as bb
 import weedhybrid.config as cf
 from weedhybrid.errors import DataError
 
+DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "data-formats.md")
+
+# every key at a valid value other than its default -> the field's value
+NON_DEFAULT = {
+    "seed": ("5", 5), "preset": ("paper", "paper"), "folds.k": ("3", 3),
+    "preprocess.median_window": ("5", 5), "preprocess.clahe_tile": ("4", 4),
+    "preprocess.clahe_clip": ("3.0", 3.0), "preprocess.gamma": ("1.5", 1.5),
+    "preprocess.beta": ("0.1", 0.1), "preprocess.normalize": ("false", False),
+    "loss.w_cls": ("0.6", 0.6), "loss.w_seg": ("0.4", 0.4),
+    "loss.w_growth": ("0.1", 0.1), "optimizer.lr": ("0.01", 0.01),
+    "optimizer.epochs": ("3", 3), "optimizer.batch": ("4", 4),
+    "gan.latent_dim": ("8", 8), "gan.epochs": ("2", 2), "gan.lr": ("0.001", 0.001),
+    "gan.batch": ("4", 4), "gan.base_channels": ("8", 8),
+    "gan.image_size": ("16", (16, 16)), "ssl.temperature": ("0.2", 0.2),
+    "ssl.projection_dim": ("8", 8), "ssl.epochs": ("2", 2), "ssl.lr": ("0.01", 0.01),
+    "ssl.batch_pairs": ("4", 4),
+}
+
 
 def test_defaults():
     cfg = cf.RunConfig()
     assert cfg.seed == 0
     assert cfg.preset == "desk"
-    assert cfg.optimizer_lr == pytest.approx(2e-3)
-    assert cfg.loss_w_cls == pytest.approx(0.5)
-    assert cfg.loss_w_seg == pytest.approx(0.3)
-    assert cfg.loss_w_growth == pytest.approx(0.2)
-    assert cfg.gan_epochs == 50
-    assert cfg.ssl_temperature == pytest.approx(0.5)
+    assert cfg.train_config().lr == pytest.approx(2e-3)
+    assert cfg.loss_weights().alpha == pytest.approx(0.5)
+    assert cfg.loss_weights().beta == pytest.approx(0.3)
+    assert cfg.loss_weights().gamma == pytest.approx(0.2)
+    assert cfg.gan_config().epochs == 50
+    assert cfg.contrastive_config().temperature == pytest.approx(0.5)
     assert cfg.folds_k == 5
 
 
@@ -33,10 +55,10 @@ preprocess.normalize = false
 """)
     assert cfg.seed == 9
     assert cfg.preset == "paper"
-    assert cfg.optimizer_lr == pytest.approx(1e-4)
-    assert cfg.gan_epochs == 7
-    assert cfg.ssl_batch_pairs == 3
-    assert cfg.preprocess_normalize is False
+    assert cfg.train_config().lr == pytest.approx(1e-4)
+    assert cfg.gan_config().epochs == 7
+    assert cfg.contrastive_config().batch_pairs == 3
+    assert cfg.preprocess_config().normalize is False
 
 
 def test_unknown_key_names_line():
@@ -107,7 +129,7 @@ def test_builders_carry_values():
     assert tc.epochs == 11
     assert tc.seed == 2
     assert tc.weights.beta == pytest.approx(0.4)
-    assert tc.resolved_backbone() == bb.desk_config()
+    assert tc.backbone == bb.desk_config()
     gc = cfg.gan_config()
     assert gc.image_size == (32, 32)
     cc = cfg.contrastive_config()
@@ -130,3 +152,42 @@ def test_load_config_names_file(tmp_path):
         cf.load_config(str(path))
     path.write_text("seed = 3\n", encoding="utf-8")
     assert cf.load_config(str(path)).seed == 3
+
+
+def test_every_key_names_a_field_of_its_section_config():
+    assert set(NON_DEFAULT) == set(cf._KEYS)
+    default = cf.RunConfig()
+    for key, (section, name, _) in cf._KEYS.items():
+        built = default if section is None else cf._BUILDERS[section](default)
+        assert name in {f.name for f in dataclasses.fields(built)}, key
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_each_key_changes_exactly_its_field(key):
+    section, name, _ = cf._KEYS[key]
+    text, value = NON_DEFAULT[key]
+    build = (lambda cfg: cfg) if section is None else cf._BUILDERS[section]
+    before = dataclasses.asdict(build(cf.RunConfig()))
+    after = dataclasses.asdict(build(cf.parse_config(f"{key} = {text}\n")))
+    assert after[name] == value
+    assert {f for f in before if before[f] != after[f]} == {name}
+
+
+def test_a_document_setting_every_key_reaches_every_field():
+    cfg = cf.parse_config("".join(f"{key} = {text}\n"
+                                  for key, (text, _) in NON_DEFAULT.items()))
+    for key, (section, name, _) in cf._KEYS.items():
+        built = cfg if section is None else cf._BUILDERS[section](cfg)
+        assert getattr(built, name) == NON_DEFAULT[key][1], key
+
+
+def test_documented_keys_match_the_table():
+    with open(DOC, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    listing = text.split("`weedhybrid/config.py`:")[1].split("Model geometry")[0]
+    documented = set()
+    for item in re.findall(r"`([^`]+)`", listing):
+        grouped = re.fullmatch(r"(\w+)\.\{(.*)\}", item)
+        documented |= ({f"{grouped[1]}.{name.strip()}" for name in grouped[2].split(",")}
+                       if grouped else {item})
+    assert documented == set(cf._KEYS)

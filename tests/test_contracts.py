@@ -38,8 +38,6 @@ UNBATCHED = {
     "backbone.cnn_forward": lambda: bb.cnn_forward(T.zeros((3, 8, 8)), PARAMS),
     "backbone.patch_embed": lambda: bb.patch_embed(T.zeros((3, 8, 8)),
                                                    PARAMS.vit, CFG),
-    "backbone.multi_head_self_attention":
-        lambda: bb.multi_head_self_attention(T.zeros((4, 4)), PARAMS.vit.heads),
     "backbone.vit_forward": lambda: bb.vit_forward(T.zeros((3, 8, 8)),
                                                    PARAMS.vit, CFG),
     "backbone.channel_attention":

@@ -6,6 +6,7 @@ import pytest
 import weedhybrid.dataio as dio
 import weedhybrid.imaging as im
 import weedhybrid.synthdata as sd
+from helpers import peak_traced_bytes
 from weedhybrid.errors import DataError
 
 
@@ -139,6 +140,21 @@ def test_load_dataset_from_generated(tmp_path):
     assert data.masks.shape == (4, 8, 8)
     assert np.all((0 <= data.growth) & (data.growth <= 1))
     assert len(samples) == 4
+
+
+def test_load_dataset_holds_masks_as_uint8(tmp_path):
+    # int64 masks held eight bytes per pixel where a class id needs one:
+    # 131 KB of the 341 KB that 16 rows at 32 px held
+    manifest = sd.generate_dataset(str(tmp_path), {"soil": 8, "grass": 8},
+                                   size=(32, 32), seed=3)
+    loaded = []
+    held = peak_traced_bytes(
+        lambda: loaded.append(dio.load_dataset(manifest, im.PreprocessConfig(
+            target_size=(32, 32)))), held=True)
+    data, samples = loaded[0]
+    assert data.masks.dtype == np.uint8
+    assert dio.read_mask(manifest, samples[0], (32, 32)).dtype == np.uint8
+    assert held < data.images.nbytes + 4 * data.masks.size
 
 
 def test_load_dataset_growth_fallback_from_mask(tmp_path):

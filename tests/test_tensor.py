@@ -250,7 +250,7 @@ def test_taped_paper_attention_is_one_record_in_bounded_memory():
 
     def step():
         with tape:
-            out = bb.multi_head_self_attention(e, params.vit.heads)
+            out = T.attention(e, params.vit.heads)
             tape.backward(T.sum_(T.mul(out, g)))
 
     peak = peak_traced_bytes(step)

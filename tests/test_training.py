@@ -254,9 +254,9 @@ def test_train_zero_lr_keeps_params_and_flat_history():
     data = tiny_data()
     cfg = tiny_cfg(lr=0.0, epochs=3)
     rng = np.random.default_rng(cfg.seed)
-    params = bb.init_backbone(cfg.resolved_backbone(), rng)
+    params = bb.init_backbone(cfg.backbone, rng)
     import weedhybrid.heads as hd
-    heads = hd.init_heads(cfg.resolved_backbone(), rng)
+    heads = hd.init_heads(cfg.backbone, rng)
     named = (named_leaves(bb.build_backbone, params.config, params)
              + named_leaves(hd.build_heads, params.config, heads))
     before = {name: t.data.copy() for name, t in named}
