@@ -244,7 +244,6 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
                                _bce_fake(_disc_logit(T.const(fake.data), labels,
                                                      params)))
                 d_tape.backward(d_loss)
-            del d_tape   # drop the discriminator records before the generator pass
             adam_step(d_params, d_state)
             T.zero_grads(d_params + g_params)
 

@@ -48,7 +48,6 @@ __all__ = [
     "adaptive_hist_eq",
     "gamma_correct",
     "to_model_tensor",
-    "geometric_augment",
     "preprocess",
     "preprocess_batch",
     "GEOMETRIC_OPS",
@@ -238,26 +237,6 @@ def resize_bilinear(img: ImageU8, target) -> ImageU8:
     return ImageU8(th, tw, img.channels, out.tobytes())
 
 
-def geometric_augment(img: ImageU8, op: str) -> ImageU8:
-    """Apply an exact pixel permutation: flip or quarter-turn rotation."""
-    arr = img.as_array()
-    if op == "hflip":
-        out = arr[:, ::-1]
-    elif op == "vflip":
-        out = arr[::-1, :]
-    elif op == "rot90":
-        out = np.rot90(arr, 1)
-    elif op == "rot180":
-        out = np.rot90(arr, 2)
-    elif op == "rot270":
-        out = np.rot90(arr, 3)
-    else:
-        raise ContractError(f"unknown geometric op {op!r}; expected one of "
-                            f"{', '.join(GEOMETRIC_OPS)}")
-    out = np.ascontiguousarray(out)
-    return ImageU8(out.shape[0], out.shape[1], img.channels, out.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # Stack kernels: (N, H, W, C) uint8 in, uint8 out
 
@@ -402,12 +381,33 @@ def _brighten(arr: np.ndarray, beta: float) -> np.ndarray:
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
+def _geometric_stack(arr: np.ndarray, op: str) -> np.ndarray:
+    """A flip or quarter-turn of every image of an (N,H,W,C) stack (a view)."""
+    if op == "hflip":
+        return arr[:, :, ::-1]
+    if op == "vflip":
+        return arr[:, ::-1]
+    turns = {"rot90": 1, "rot180": 2, "rot270": 3}.get(op)
+    if turns is None:
+        raise ContractError(f"unknown geometric op {op!r}; expected one of "
+                            f"{', '.join(GEOMETRIC_OPS)}")
+    return np.rot90(arr, turns, axes=(1, 2))
+
+
+def _gamma_luts(gammas) -> np.ndarray:
+    """(n, 256) uint8 tables round(255 * (level/255) ** gamma), one row per
+    gamma, from one np.power call. NumPy computes a scalar exponent of 0.5
+    or 2.0 as sqrt or square, which can differ from pow in the last place,
+    but every such level still rounds to the same byte (tests compare them)."""
+    levels = np.arange(256, dtype=np.float64) / 255.0
+    powers = np.power(levels, np.asarray(gammas, dtype=np.float64)[:, None])
+    return np.clip(np.floor(255.0 * powers + 0.5), 0, 255).astype(np.uint8)
+
+
 def _gamma(arr: np.ndarray, gamma: float) -> np.ndarray:
     if gamma == 1.0:
         return arr
-    levels = np.arange(256, dtype=np.float64) / 255.0
-    lut = np.clip(np.floor(255.0 * np.power(levels, gamma) + 0.5), 0, 255)
-    return lut.astype(np.uint8)[arr]
+    return _gamma_luts([gamma])[0][arr]
 
 
 def _stage(arr: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:

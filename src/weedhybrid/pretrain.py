@@ -70,16 +70,21 @@ def make_views(images: list, rng: np.random.Generator,
     """(2B, H, W, C) uint8 views of B images; rows 2i and 2i+1 are image i's.
 
     Each view draws its op, then its gamma (no draw for a one-value range).
+    Each op then runs once over the views that drew it, and one (2B, 256)
+    gamma table maps every view.
     """
     lo, hi = cfg.gamma_range
-    views = []
-    for img in images:
-        for _ in range(2):
-            op = cfg.ops[int(rng.integers(len(cfg.ops)))]
-            gamma = lo if lo == hi else float(rng.uniform(lo, hi))
-            view = img if op == "identity" else im.geometric_augment(img, op)
-            views.append(im.gamma_correct(view, gamma).as_array())
-    return np.stack(views)
+    ops, gammas = [], []
+    for _ in range(2 * len(images)):
+        ops.append(cfg.ops[int(rng.integers(len(cfg.ops)))])
+        gammas.append(lo if lo == hi else float(rng.uniform(lo, hi)))
+    views = np.repeat(np.stack([img.as_array() for img in images]), 2, axis=0)
+    for op in set(ops) - {"identity"}:
+        picked = [i for i, drawn in enumerate(ops) if drawn == op]
+        views[picked] = im._geometric_stack(views[picked], op)
+    for view, lut in zip(views, im._gamma_luts(gammas)):
+        view[...] = lut[view]
+    return views
 
 
 def l2_normalize_rows(z: T.Tensor) -> T.Tensor:

@@ -4,14 +4,17 @@ Values are stored as row-major 32-bit float arrays (a 64-bit mode exists for
 verification); reductions accumulate in 64-bit before rounding back to the
 storage type. The graph is define-by-run: primitives applied while a Tape is
 active append (output, backward-rule) records in execution order, and
-Tape.backward walks the records once in reverse. _accum is the one place a
-gradient is rounded to its tensor's storage dtype: once, as it is added to
-.grad (a rule rounds inside an expression only where its bytes need it).
-Tensors are treated as immutable once produced; there is no implicit
-broadcasting between tensors except the scalar-tensor case. A primitive
-whose result holds a non-finite value raises NumericError naming it; its
-forward runs with NumPy's floating-point warnings off, so none is printed
-first.
+Tape.backward walks the records once in reverse. It pops each record and
+clears its output's .grad as it passes, so a step's closures, saved arrays
+and intermediate gradients go as soon as they are used and a tape is walked
+once (PyTorch's retain_graph=False, Paszke et al. 2019). _accum is the one
+place a gradient is rounded to its tensor's storage dtype: once, as it is
+added to .grad (a rule rounds inside an expression only where its bytes
+need it). Tensors are treated as immutable once produced; there is no
+implicit broadcasting between tensors except the scalar-tensor case. A
+primitive whose result holds a non-finite value raises NumericError naming
+it; its forward runs with NumPy's floating-point warnings off, so none is
+printed first.
 
 attention is multi-head self-attention as one op and one tape record, with
 the bytes of the per-head chain it replaced (matmul, transpose, mul,
@@ -198,12 +201,15 @@ def leaves(tree) -> list:
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Records are appended in execution order, so every node's inputs precede it;
-    backward() visits each record exactly once in reverse.
+    Records are appended in execution order, so every node's inputs precede
+    it. backward() walks them once in reverse and drops each record as it
+    passes, so a tape is walked once; len() counts the records it was given.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._recorded = 0
+        self._walked = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -215,19 +221,32 @@ class Tape:
 
     def _record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
         self._records.append((out, backward_fn))
+        self._recorded += 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._recorded
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad on every requires_grad tensor reachable from loss."""
+        """Populate .grad on every requires_grad tensor reachable from loss.
+
+        Each record is popped and its rule run; then its output's .grad is
+        cleared, so the rule's closure, its saved arrays and that gradient
+        are freed as the walk passes them. The loss keeps its .grad and
+        leaves keep theirs. A second call raises ContractError.
+        """
         if loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
+        if self._walked:
+            raise ContractError("backward() has already walked this tape")
+        self._walked = True
         loss.grad = np.ones_like(loss.data)
-        for out, backward_fn in reversed(self._records):
-            if out.grad is None:
-                continue
-            backward_fn(out.grad)
+        records = self._records
+        while records:
+            out, backward_fn = records.pop()
+            if out.grad is not None:
+                backward_fn(out.grad)
+                if out is not loss:
+                    out.grad = None
 
 
 _TAPE_STACK: list[Tape] = []

@@ -44,6 +44,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Adam
 
+# Elements per adam_step block: 256 KiB per float64 buffer. In an interleaved
+# sweep on a 2-vCPU Xeon with 2 MiB of L2 per core and one BLAS thread, the
+# GAN generator's step (628k elements) took a median of 10.7 ms at 4k
+# elements, 9.5 at 8k, 8.9 at 16k, 8.7 at 32k, 9.6 at 64k, 11.4 at 256k and
+# 23.8 ms over whole arrays; the paper model's (3.3M) 48.2 ms at 16k, 48.9 at
+# 32k and 77.1 whole. Larger blocks leave the cache between the passes.
+_ADAM_BLOCK = 1 << 15
+
 
 @dataclass
 class OptimizerState:
@@ -73,21 +81,57 @@ def init_optimizer(params: list, lr: float) -> OptimizerState:
 
 
 def adam_step(params: list, state: OptimizerState) -> None:
-    """One in-place update; every parameter must carry a gradient."""
+    """One Adam update (Kingma & Ba 2014); every parameter must carry a
+    gradient, which the step leaves as it is.
+
+    Each parameter is updated over blocks of _ADAM_BLOCK elements. The
+    float64 moments m and v (the C-contiguous arrays init_optimizer made)
+    are updated in place, and the new values are rounded once into a new
+    storage-dtype array that replaces p.data. Per element the float64
+    operations are the whole-array update's, in its order
+    (tests/oracles.py keeps it), so parameters and moments keep their
+    bytes; the step holds two block-sized float64 buffers, not about ten
+    full-size temporaries per parameter.
+    """
     for i, p in enumerate(params):
         if p.grad is None:
             raise ContractError(f"parameter {i} has no gradient")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for i, p in enumerate(params):
-        g = np.asarray(p.grad, dtype=np.float64)
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        update = state.lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2)
-                                                 + state.eps)
-        p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    width = min(_ADAM_BLOCK, max((p.size for p in params), default=0))
+    g_buf, u_buf = np.empty(width), np.empty(width)
+    for p, m, v in zip(params, state.m, state.v):
+        grad, old = p.grad.reshape(-1), p.data.reshape(-1)
+        m, v = m.reshape(-1), v.reshape(-1)
+        new = np.empty(p.shape, dtype=p.data.dtype)
+        out = new.reshape(-1)
+        for lo in range(0, grad.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, grad.size)
+            g, u = g_buf[:hi - lo], u_buf[:hi - lo]
+            mb, vb = m[lo:hi], v[lo:hi]
+            g[...] = grad[lo:hi]          # a float64 copy, never a view of p.grad
+            # m = beta1 * m + (1 - beta1) * g
+            mb *= b1
+            np.multiply(g, 1.0 - b1, out=u)
+            mb += u
+            # v = beta2 * v + (1 - beta2) * g * g
+            vb *= b2
+            np.multiply(g, 1.0 - b2, out=u)
+            u *= g
+            vb += u
+            # update = lr * (m / c1) / (sqrt(v / c2) + eps), into g
+            np.divide(vb, c2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            np.divide(mb, c1, out=g)
+            g *= lr
+            g /= u
+            np.subtract(old[lo:hi], g, out=g)
+            out[lo:hi] = g
+        p.data = new
 
 
 # ---------------------------------------------------------------------------

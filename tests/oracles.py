@@ -2,7 +2,7 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations. Five sections at the end are the
+shared with the package implementations. Seven sections at the end are the
 exception. The row-major convolution engine is the im2col code conv2d,
 conv_relu_pool2d and conv_transpose2d ran on before their tap-major layout,
 the whole-matrix conv adjoints are the tap-major backward passes (and
@@ -10,9 +10,10 @@ conv_transpose2d's forward) before they ran in blocks, the per-image
 preprocessing is the NumPy pipeline the package's stack
 kernels replace, the per-sample class balancing and per-view augmentation
 are the loops gan.rebalance and pretrain.make_views batch, the per-head
-attention chain is the tensor-op sequence tensor.attention fuses, and the
-per-image evaluation is training.evaluate with one image a call: each must
-be matched byte for byte.
+attention chain is the tensor-op sequence tensor.attention fuses, the
+per-image evaluation is training.evaluate with one image a call, and the
+whole-array Adam step is training.adam_step before it ran in place over
+blocks: each must be matched byte for byte.
 """
 
 import math
@@ -641,8 +642,9 @@ def preprocess_per_image(arr, cfg):
 # ---------------------------------------------------------------------------
 # Per-sample class balancing and per-view augmentation: one latent row and
 # one generator call per synthetic image, and the two views of one image
-# drawn and applied at a time. These call the package's generator and image
-# ops; only the batching differs from gan.rebalance and pretrain.make_views.
+# drawn and applied at a time. These call the package's generator and
+# gamma_correct; only the batching differs from gan.rebalance and
+# pretrain.make_views.
 
 
 def rebalance_per_sample(samples, target, params, seed=0, out_size=None):
@@ -671,9 +673,18 @@ def draw_view_params(cfg, rng):
     return op, lo if lo == hi else float(rng.uniform(lo, hi))
 
 
+_TURNS = {"identity": 0, "rot90": 1, "rot180": 2, "rot270": 3}
+
+
 def apply_view_params(img, op, gamma):
-    out = img if op == "identity" else im.geometric_augment(img, op)
-    return im.gamma_correct(out, gamma)
+    arr = img.as_array()
+    if op == "hflip":
+        arr = arr[:, ::-1]
+    elif op == "vflip":
+        arr = arr[::-1]
+    else:
+        arr = np.rot90(arr, _TURNS[op])
+    return im.gamma_correct(im.ImageU8.from_array(arr), gamma)
 
 
 def views_per_image(images, rng, cfg):
@@ -721,3 +732,23 @@ def evaluate_per_image(params, heads, data):
     report.mean_iou, report.iou_per_class, flagged = TR.mean_iou(masks, data.masks, k)
     report.zero_division = report.zero_division or flagged
     return report
+
+
+# ---------------------------------------------------------------------------
+# Adam over whole arrays: new float64 moments and about ten full-size
+# temporaries per parameter, in the order training.adam_step keeps per element.
+
+
+def adam_step_whole(params, state):
+    """One bias-corrected Adam update of every parameter, whole arrays at a time."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for i, p in enumerate(params):
+        g = np.asarray(p.grad, dtype=np.float64)
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        update = state.lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2)
+                                                 + state.eps)
+        p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)

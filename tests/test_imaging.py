@@ -262,6 +262,17 @@ def test_gamma_matches_scalar_oracle():
                 assert got[y, x, 0] == want
 
 
+def test_gamma_tables_match_scalar_power():
+    # one np.power call builds every row; NumPy takes sqrt or square for a
+    # scalar exponent of 0.5 or 2.0, so those rows are the ones that could
+    # round differently from the one-gamma table
+    gammas = [0.5, 2.0, 1.0] + list(np.random.default_rng(10).uniform(0.2, 4.0, 20))
+    levels = np.arange(256, dtype=np.float64) / 255.0
+    for gamma, row in zip(gammas, im._gamma_luts(gammas), strict=True):
+        want = np.clip(np.floor(255.0 * np.power(levels, gamma) + 0.5), 0, 255)
+        assert row.tobytes() == want.astype(np.uint8).tobytes(), gamma
+
+
 def test_brightness_offset():
     arr = np.array([[[0], [100], [250]]], dtype=np.uint8)[None]
     assert im._brighten(arr, 10.0).ravel().tolist() == [10, 110, 255]
@@ -301,11 +312,16 @@ def test_model_tensor_two_value_channel():
 # geometric augmentation
 
 
+def _augment(img, op):
+    """One image through the stack kernel pretrain.make_views applies."""
+    return im.ImageU8.from_array(im._geometric_stack(img.as_array()[None], op)[0])
+
+
 def test_hflip_involution():
     rng = np.random.default_rng(11)
     img = _rand_img(rng, 6, 8, 3)
-    assert im.geometric_augment(im.geometric_augment(img, "hflip"), "hflip") == img
-    assert im.geometric_augment(im.geometric_augment(img, "vflip"), "vflip") == img
+    assert _augment(_augment(img, "hflip"), "hflip") == img
+    assert _augment(_augment(img, "vflip"), "vflip") == img
 
 
 def test_rot90_four_times_identity():
@@ -313,36 +329,36 @@ def test_rot90_four_times_identity():
     img = _rand_img(rng, 5, 7, 1)
     out = img
     for _ in range(4):
-        out = im.geometric_augment(out, "rot90")
+        out = _augment(out, "rot90")
     assert out == img
 
 
 def test_rot180_equals_hflip_vflip():
     rng = np.random.default_rng(13)
     img = _rand_img(rng, 6, 6, 3)
-    a = im.geometric_augment(img, "rot180")
-    b = im.geometric_augment(im.geometric_augment(img, "hflip"), "vflip")
+    a = _augment(img, "rot180")
+    b = _augment(_augment(img, "hflip"), "vflip")
     assert a == b
 
 
 def test_rot270_is_inverse_of_rot90():
     rng = np.random.default_rng(14)
     img = _rand_img(rng, 4, 9, 3)
-    assert im.geometric_augment(im.geometric_augment(img, "rot90"), "rot270") == img
+    assert _augment(_augment(img, "rot90"), "rot270") == img
 
 
 def test_augment_is_permutation_of_values():
     rng = np.random.default_rng(15)
     img = _rand_img(rng, 5, 6, 3)
     for op in im.GEOMETRIC_OPS:
-        out = im.geometric_augment(img, op)
+        out = _augment(img, op)
         assert sorted(out.pixels) == sorted(img.pixels)
 
 
 def test_unknown_augment_rejected():
     img = im.ImageU8.from_array(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ContractError):
-        im.geometric_augment(img, "shear")
+        _augment(img, "shear")
 
 
 # ---------------------------------------------------------------------------

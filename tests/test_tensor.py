@@ -890,6 +890,18 @@ def test_backward_rejects_nonscalar():
             tape.backward(y)
 
 
+def test_backward_walks_a_tape_once():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_(T.mul(x, x))
+        tape.backward(loss)
+    # the records are gone, so a second walk would return no gradients
+    with pytest.raises(ContractError):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert len(tape) == 2
+
+
 def test_reused_tensor_accumulates_grad():
     x = T.Tensor([3.0], requires_grad=True)
     with T.Tape() as tape:
