@@ -265,7 +265,7 @@ def test_gamma_matches_scalar_oracle():
 def test_gamma_tables_match_scalar_power():
     # one np.power call builds every row; NumPy takes sqrt or square for a
     # scalar exponent of 0.5 or 2.0, so those rows are the ones that could
-    # round differently from the one-gamma table
+    # round differently from a table built with a scalar exponent
     gammas = [0.5, 2.0, 1.0] + list(np.random.default_rng(10).uniform(0.2, 4.0, 20))
     levels = np.arange(256, dtype=np.float64) / 255.0
     for gamma, row in zip(gammas, im._gamma_luts(gammas), strict=True):
