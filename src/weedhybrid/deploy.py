@@ -13,10 +13,11 @@ Checkpoint layout (all integers little-endian; see docs/checkpoint-format.md):
         kind 1 only: scale float32, zero_point int8 (always 0)
         payload             float32[n] or int8[n], n = product of dims
 
-The reader rejects NaN/inf float32 payloads and int8 scales that are not
-finite and positive, naming the tensor and the byte offset. Its entries are
-views into the one buffer it decodes, and building a model from them makes
-the one aligned float32 copy.
+The codec streams over a binary file object. The writer sends each payload
+straight from its array; the reader rejects NaN/inf float32 payloads and
+int8 scales that are not finite and positive, naming the tensor and the
+byte offset, and reads each payload into an aligned array of its own,
+which a model built from the entries adopts.
 
 Quantization is symmetric per-tensor: scale = max|x|/127 (1.0 for all-zero
 tensors), zero point 0, codes rounded half away from zero and clamped to
@@ -159,69 +160,66 @@ def prune_magnitude(named_params: list, fraction: float) -> dict:
 # Binary checkpoint encoding
 
 
-def save_checkpoint(entries: dict, flags: int = FLAG_FULL) -> bytes:
-    """Serialize named tensors (float32 arrays or QuantizedTensor) to bytes.
-
-    Each payload joins the result as a view of its array, so the bytes are
-    the one copy of the tensors made here.
-    """
-    out = [MAGIC, struct.pack("<HH", VERSION, flags),
-           struct.pack("<I", len(entries))]
-    seen = set()
+def save_checkpoint(fh, entries: dict, flags: int = FLAG_FULL) -> None:
+    """Write named tensors (float32 arrays or QuantizedTensor) to a binary
+    file object: each header, then its payload straight from the array."""
+    fh.write(MAGIC + struct.pack("<HHI", VERSION, flags, len(entries)))
     for name, value in entries.items():
-        if name in seen:
-            raise ContractError(f"duplicate tensor name {name!r}")
-        seen.add(name)
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ContractError(f"tensor name too long: {name!r}")
-        out.append(struct.pack("<H", len(encoded)))
-        out.append(encoded)
         if isinstance(value, QuantizedTensor):
             arr = np.ascontiguousarray(value.codes)
             if arr.dtype != np.int8:
                 raise ContractError(f"{name}: quantized codes must be int8")
-            out.append(struct.pack("<BB", _KIND_INT8, arr.ndim))
-            out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            out.append(struct.pack("<fb", float(value.scale), 0))
-            out.append(memoryview(arr))
+            kind, scale = _KIND_INT8, struct.pack("<fb", float(value.scale), 0)
         else:
             arr = np.ascontiguousarray(value, dtype="<f4")
-            out.append(struct.pack("<BB", _KIND_FLOAT32, arr.ndim))
-            out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            out.append(memoryview(arr))
-    return b"".join(out)
+            kind, scale = _KIND_FLOAT32, b""
+        fh.write(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded),
+                             encoded, kind, arr.ndim, *arr.shape) + scale)
+        fh.write(arr)
 
 
-def _take(data: memoryview, offset: int, count: int, what: str) -> tuple:
-    if offset + count > len(data):
-        raise FormatError(f"truncated checkpoint at offset {offset}: "
-                          f"needed {count} bytes for {what}")
-    return data[offset:offset + count], offset + count
+def load_checkpoint(fh) -> tuple:
+    """Decode a checkpoint from a binary file object -> (entries dict,
+    flags); inverse of save_checkpoint.
 
-
-def load_checkpoint(data) -> tuple:
-    """Decode a bytes-like checkpoint -> (entries dict, flags); inverse of
-    save_checkpoint.
-
-    Float32 arrays and int8 codes are views into `data`, not copies: they
-    are writable when `data` is (a bytearray), and may be unaligned.
+    Every payload is read into a new aligned array of its own. Before each
+    read the bytes that remain in the file are checked, so a header that
+    claims more than the file holds fails before anything is allocated.
     """
-    data = memoryview(data)
-    raw, offset = _take(data, 0, 4, "magic")
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    offset = 0
+
+    def read(count, what, dtype=None):
+        """The next `count` bytes, as bytes or as a new array of `dtype`."""
+        nonlocal offset
+        whole = count <= size - offset
+        if whole and dtype is None:
+            out = fh.read(count)
+            whole = len(out) == count
+        elif whole:
+            out = np.empty(count // np.dtype(dtype).itemsize, dtype)
+            whole = fh.readinto(out) == count
+        if not whole:
+            raise FormatError(f"truncated checkpoint at offset {offset}: "
+                              f"needed {count} bytes for {what}")
+        offset += count
+        return out
+
+    raw = read(4, "magic")
     if raw != MAGIC:
-        raise FormatError(f"bad magic {bytes(raw)!r} at offset 0 (expected {MAGIC!r})")
-    raw, offset = _take(data, offset, 4, "version and flags")
-    version, flags = struct.unpack("<HH", raw)
+        raise FormatError(f"bad magic {raw!r} at offset 0 (expected {MAGIC!r})")
+    version, flags = struct.unpack("<HH", read(4, "version and flags"))
     if version != VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
-    raw, offset = _take(data, offset, 4, "tensor count")
-    (count,) = struct.unpack("<I", raw)
+    (count,) = struct.unpack("<I", read(4, "tensor count"))
     entries = {}
     for index in range(count):
-        raw, offset = _take(data, offset, 2, f"name length of tensor {index}")
-        (name_len,) = struct.unpack("<H", raw)
-        raw, offset = _take(data, offset, name_len, f"name of tensor {index}")
+        (name_len,) = struct.unpack("<H", read(2, f"name length of tensor {index}"))
+        raw = read(name_len, f"name of tensor {index}")
         try:
             name = str(raw, "utf-8")
         except UnicodeDecodeError as exc:
@@ -230,14 +228,11 @@ def load_checkpoint(data) -> tuple:
         if name in entries:
             raise FormatError(f"duplicate tensor name {name!r} at offset "
                               f"{offset - name_len}")
-        raw, offset = _take(data, offset, 2, f"kind/rank of {name}")
-        kind, rank = struct.unpack("<BB", raw)
-        raw, offset = _take(data, offset, 4 * rank, f"dims of {name}")
-        dims = struct.unpack(f"<{rank}I", raw) if rank else ()
-        n = math.prod(dims)  # exact: a wrapped count would pass _take
+        kind, rank = struct.unpack("<BB", read(2, f"kind/rank of {name}"))
+        dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name}"))
+        n = math.prod(dims)  # exact: a wrapped count would pass the size check
         if kind == _KIND_FLOAT32:
-            raw, offset = _take(data, offset, 4 * n, f"payload of {name}")
-            values = np.frombuffer(raw, dtype="<f4")
+            values = read(4 * n, f"payload of {name}", "<f4")
             finite = np.isfinite(values)
             if not finite.all():
                 bad = int(np.argmin(finite))
@@ -245,33 +240,30 @@ def load_checkpoint(data) -> tuple:
                                   f"{offset - 4 * n + 4 * bad}")
             entries[name] = values.reshape(dims)
         elif kind == _KIND_INT8:
-            raw, offset = _take(data, offset, 5, f"scale of {name}")
-            scale, zero_point = struct.unpack("<fb", raw)
+            scale, zero_point = struct.unpack("<fb", read(5, f"scale of {name}"))
             if zero_point != 0:
                 raise FormatError(f"nonzero zero point for {name} at offset "
                                   f"{offset - 1}")
             if not 0 < scale < np.inf:
                 raise FormatError(f"non-positive or non-finite scale for {name} "
                                   f"at offset {offset - 5}")
-            raw, offset = _take(data, offset, n, f"codes of {name}")
-            codes = np.frombuffer(raw, dtype=np.int8).reshape(dims)
+            codes = read(n, f"codes of {name}", np.int8).reshape(dims)
             entries[name] = QuantizedTensor(codes=codes, scale=float(scale))
         else:
             raise FormatError(f"unknown tensor kind {kind} for {name} at "
                               f"offset {offset - 2}")
-    if offset != len(data):
-        raise FormatError(f"{len(data) - offset} trailing bytes at offset {offset}")
+    if offset != size:
+        raise FormatError(f"{size - offset} trailing bytes at offset {offset}")
     return entries, flags
 
 
 def write_checkpoint(path: str, entries: dict, flags: int = FLAG_FULL) -> None:
-    """Atomic file write: serialize to a temp file, then rename into place."""
-    payload = save_checkpoint(entries, flags)
+    """Atomic file write: stream into a temp file, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".hwdm.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            save_checkpoint(fh, entries, flags)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -280,12 +272,8 @@ def write_checkpoint(path: str, entries: dict, flags: int = FLAG_FULL) -> None:
 
 
 def read_checkpoint(path: str) -> tuple:
-    """Read a checkpoint file into one writable buffer and decode it; the
-    entries are views into that buffer."""
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf):]
-    return load_checkpoint(buf)
+        return load_checkpoint(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +342,9 @@ def _entry_array(value) -> np.ndarray:
 def _entry_param(entries: dict):
     """Builder callback that takes each tensor from its checkpoint entry.
 
-    The entry's shape is checked before anything is copied, so a corrupt
+    The entry's shape is checked before anything is allocated, so a corrupt
     config fails on the first mismatched entry without allocating for it.
+    A float32 entry is adopted as the tensor's array; int8 is dequantized.
     """
 
     def param(name, shape, init):
@@ -365,9 +354,7 @@ def _entry_param(entries: dict):
         if tuple(value.shape) != shape:
             raise FormatError(f"tensor {name} has shape {tuple(value.shape)}, "
                               f"expected {shape}")
-        data = (dequantize(value) if isinstance(value, QuantizedTensor)
-                else np.array(value, dtype=np.float32))
-        return T.Tensor(data, requires_grad=True, dtype=np.float32)
+        return T.Tensor(_entry_array(value), requires_grad=True, dtype=np.float32)
 
     return param
 

@@ -254,12 +254,8 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
     except NumericError as exc:
         raise DivergenceError("adversarial", detail=str(exc)) from exc
 
-    d_val, g_val = float(d_loss.data), float(g_loss.data)
-    if not (math.isfinite(d_val) and math.isfinite(g_val)):
-        raise DivergenceError("adversarial",
-                              detail=f"d={d_val}, g={g_val}")
     params.trained_steps += 1
-    return d_val, g_val
+    return float(d_loss.data), float(g_loss.data)
 
 
 def train_gan(images: np.ndarray, labels: np.ndarray, cfg: GanConfig,

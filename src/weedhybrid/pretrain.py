@@ -71,14 +71,19 @@ def make_views(images: list, rng: np.random.Generator,
 
     Each view draws its op, then its gamma (no draw for a one-value range).
     Each op then runs once over the views that drew it, and one (2B, 256)
-    gamma table maps every view.
+    gamma table maps every view. Quarter turns among the configured ops
+    need square images, whatever the draws.
     """
+    views = np.repeat(np.stack([img.as_array() for img in images]), 2, axis=0)
+    turns = [op for op in cfg.ops if op in ("rot90", "rot270")]
+    if turns and views.shape[1] != views.shape[2]:
+        raise ContractError(f"view ops {', '.join(turns)} need square images, "
+                            f"got {views.shape[1]}x{views.shape[2]}")
     lo, hi = cfg.gamma_range
     ops, gammas = [], []
     for _ in range(2 * len(images)):
         ops.append(cfg.ops[int(rng.integers(len(cfg.ops)))])
         gammas.append(lo if lo == hi else float(rng.uniform(lo, hi)))
-    views = np.repeat(np.stack([img.as_array() for img in images]), 2, axis=0)
     for op in set(ops) - {"identity"}:
         picked = [i for i, drawn in enumerate(ops) if drawn == op]
         views[picked] = im._geometric_stack(views[picked], op)
@@ -201,10 +206,7 @@ def pretrain(images: list, cfg: ContrastiveConfig,
             except NumericError as exc:
                 raise DivergenceError("contrastive", detail=str(exc)) from exc
             T.zero_grads(trainable)
-            val = float(loss.data)
-            if not math.isfinite(val):
-                raise DivergenceError("contrastive")
-            total += val
+            total += float(loss.data)
             batches += 1
         history.append(total / batches)
     return params, history

@@ -1,10 +1,13 @@
 """Shared test utilities: central finite-difference gradient checking,
-checkpoint-named parameter lists and traced memory peaks."""
+checkpoint-named parameter lists, in-memory checkpoints and traced memory
+peaks."""
 
+import io
 import tracemalloc
 
 import numpy as np
 
+from weedhybrid import deploy as dp
 from weedhybrid import tensor as T
 
 
@@ -59,6 +62,18 @@ def named_leaves(build, cfg, params):
 
 def rand_tensor(rng, shape, scale=1.0, requires_grad=True):
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def checkpoint_bytes(entries, flags=dp.FLAG_FULL):
+    """The bytes deploy.save_checkpoint writes for `entries`."""
+    fh = io.BytesIO()
+    dp.save_checkpoint(fh, entries, flags)
+    return fh.getvalue()
+
+
+def decode_bytes(blob):
+    """deploy.load_checkpoint over an in-memory checkpoint."""
+    return dp.load_checkpoint(io.BytesIO(blob))
 
 
 def peak_traced_bytes(fn, held=False):

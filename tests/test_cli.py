@@ -17,7 +17,7 @@ import weedhybrid.heads as hd
 import weedhybrid.imaging as im
 from weedhybrid.synthdata import CLASS_NAMES
 
-from helpers import peak_traced_bytes
+from helpers import checkpoint_bytes, peak_traced_bytes
 
 TINY_CONF = """\
 seed = 5
@@ -356,7 +356,7 @@ def test_pretrain_rejects_grey_image(tmp_path, capsys):
 
 
 def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
-    blob = bytearray(dp.save_checkpoint({"w": np.ones(3, dtype=np.float32)}))
+    blob = bytearray(checkpoint_bytes({"w": np.ones(3, dtype=np.float32)}))
     blob[blob.index(b"w")] = 0xFF
     model = tmp_path / "badname.hwdm"
     model.write_bytes(bytes(blob))

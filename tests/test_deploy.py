@@ -14,7 +14,7 @@ import weedhybrid.heads as hd
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, FormatError
 
-from helpers import named_leaves, peak_traced_bytes
+from helpers import checkpoint_bytes, decode_bytes, named_leaves, peak_traced_bytes
 from oracles import quantize_scalar
 
 
@@ -191,8 +191,8 @@ def test_checkpoint_roundtrip_bit_exact():
         "scalar": np.float32(3.5).reshape(()),
         "quant": dp.quantize(rng.standard_normal(9).astype(np.float32)),
     }
-    blob = dp.save_checkpoint(entries, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
-    loaded, flags = dp.load_checkpoint(blob)
+    blob = checkpoint_bytes(entries, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
+    loaded, flags = decode_bytes(blob)
     assert flags == dp.FLAG_FULL | dp.FLAG_QUANTIZED
     assert list(loaded) == list(entries)
     np.testing.assert_array_equal(loaded["a"], entries["a"])
@@ -204,62 +204,62 @@ def test_checkpoint_roundtrip_bit_exact():
 
 
 def test_checkpoint_empty_is_valid():
-    blob = dp.save_checkpoint({}, flags=dp.FLAG_PRETRAIN)
-    loaded, flags = dp.load_checkpoint(blob)
+    blob = checkpoint_bytes({}, flags=dp.FLAG_PRETRAIN)
+    loaded, flags = decode_bytes(blob)
     assert loaded == {}
     assert flags == dp.FLAG_PRETRAIN
 
 
 def test_checkpoint_bad_magic():
-    blob = bytearray(dp.save_checkpoint({"a": np.zeros(2, dtype=np.float32)}))
+    blob = bytearray(checkpoint_bytes({"a": np.zeros(2, dtype=np.float32)}))
     blob[0:4] = b"XXXX"
     with pytest.raises(FormatError, match="magic"):
-        dp.load_checkpoint(bytes(blob))
+        decode_bytes(bytes(blob))
 
 
 def test_checkpoint_bad_version():
-    blob = bytearray(dp.save_checkpoint({}))
+    blob = bytearray(checkpoint_bytes({}))
     blob[4] = 99
     with pytest.raises(FormatError, match="version"):
-        dp.load_checkpoint(bytes(blob))
+        decode_bytes(bytes(blob))
 
 
 def test_checkpoint_truncation_names_offset():
-    blob = dp.save_checkpoint({"a": np.zeros((2, 2), dtype=np.float32)})
+    blob = checkpoint_bytes({"a": np.zeros((2, 2), dtype=np.float32)})
     for cut in (2, 6, 10, 14, len(blob) - 3):
         with pytest.raises(FormatError, match="offset"):
-            dp.load_checkpoint(blob[:cut])
+            decode_bytes(blob[:cut])
 
 
 def test_checkpoint_trailing_bytes_rejected():
-    blob = dp.save_checkpoint({})
+    blob = checkpoint_bytes({})
     with pytest.raises(FormatError, match="trailing"):
-        dp.load_checkpoint(blob + b"\x00")
+        decode_bytes(blob + b"\x00")
 
 
 def test_checkpoint_invalid_utf8_name_names_offset():
-    blob = bytearray(dp.save_checkpoint({"ab": np.zeros(2, dtype=np.float32)}))
+    blob = bytearray(checkpoint_bytes({"ab": np.zeros(2, dtype=np.float32)}))
     name_at = blob.index(b"ab")
     blob[name_at] = 0xFF
     with pytest.raises(FormatError, match=f"offset {name_at}"):
-        dp.load_checkpoint(bytes(blob))
+        decode_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_payload_rejected_with_offset(bad):
-    blob = dp.save_checkpoint({"fusion.w": np.array([1.0, 2.0, bad, 4.0],
-                                                    dtype=np.float32)})
+    blob = checkpoint_bytes({"fusion.w": np.array([1.0, 2.0, bad, 4.0],
+                                                  dtype=np.float32)})
     at = len(blob) - 16 + 2 * 4  # third value of the last payload
     with pytest.raises(FormatError, match=rf"fusion\.w at offset {at}$"):
-        dp.load_checkpoint(blob)
+        decode_bytes(blob)
 
 
 def test_infinite_int8_scale_rejected_with_offset():
     qt = dp.QuantizedTensor(codes=np.array([1, -2], dtype=np.int8), scale=np.inf)
-    blob = dp.save_checkpoint({"w": qt}, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
+    blob = checkpoint_bytes({"w": qt}, flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
     at = len(blob) - 2 - 5  # scale and zero point precede the two codes
     with pytest.raises(FormatError, match=rf"scale for w at offset {at}$"):
-        dp.load_checkpoint(blob)
+        decode_bytes(blob)
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["float32", "int8"])
@@ -270,7 +270,7 @@ def test_checkpoint_dims_past_64_bits_are_truncation(kind):
             + struct.pack("<BB4I", kind, 4, *[65536] * 4)
             + (struct.pack("<fb", 1.0, 0) if kind else b""))
     with pytest.raises(FormatError, match=f"truncated checkpoint at offset {len(blob)}"):
-        dp.load_checkpoint(blob)
+        decode_bytes(blob)
 
 
 def test_checkpoint_file_roundtrip_atomic(tmp_path):
@@ -292,17 +292,54 @@ def test_read_paper_checkpoint_holds_one_copy_that_prune_can_zero(tmp_path):
     dp.save_model(path, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
     read = []
     peak = peak_traced_bytes(lambda: read.append(dp.read_checkpoint(path)))
-    # the file's bytes and one tensor's finiteness mask; keeping the bytes,
-    # a sliced copy of each payload and a copy of each entry took 2.08x
+    # each payload's array and one tensor's finiteness mask; keeping the
+    # bytes, a sliced copy of each payload and a copy of each entry took 2.08x
     assert peak < 1.2 * os.path.getsize(path)
     entries, _ = read[0]
     w = entries["vit.w_e"]
     assert w.flags.writeable
     masks = dp.prune_magnitude([("vit.w_e", w)], 0.5)
     assert (w[~masks["vit.w_e"]] == 0).all() and (~masks["vit.w_e"]).sum() == w.size // 2
-    # views into an immutable bytes object stay read-only
-    blob = dp.save_checkpoint({"w": np.ones(3, np.float32)})
-    assert not dp.load_checkpoint(blob)[0]["w"].flags.writeable
+    # entries from a file or from memory own writable, aligned arrays
+    blob = checkpoint_bytes({"w": np.ones(3, np.float32),
+                             "q": dp.quantize(np.ones(3, np.float32))})
+    for loaded in (entries, decode_bytes(blob)[0]):
+        for name, value in loaded.items():
+            arr = value.codes if isinstance(value, dp.QuantizedTensor) else value
+            assert arr.flags.writeable and arr.flags.aligned, name
+            assert arr.base is None or arr.base.base is None, name
+
+
+def test_load_paper_model_holds_one_copy(tmp_path):
+    rng = np.random.default_rng(34)
+    cfg = bb.paper_config()
+    path = str(tmp_path / "paper.hwdm")
+    dp.save_model(path, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    loaded = []
+    peak = peak_traced_bytes(lambda: loaded.append(dp.load_model(path)))
+    # the model adopts the arrays it reads; a whole-file buffer alive beside
+    # an aligned copy of each tensor took 2.0x
+    assert peak < 1.2 * os.path.getsize(path)
+    assert loaded[0][2] == dp.FLAG_FULL
+
+
+def test_save_paper_model_streams_from_the_parameters(tmp_path):
+    rng = np.random.default_rng(35)
+    cfg = bb.paper_config()
+    params, head_params = bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng)
+    path = str(tmp_path / "paper.hwdm")
+    # the parameters exist before tracing starts; joining a serialized copy
+    # of them took 12.8 MiB
+    assert peak_traced_bytes(lambda: dp.save_model(path, params, head_params)) < 1 << 20
+    assert os.path.getsize(path) > sum(t.data.nbytes for t in T.leaves((params, head_params)))
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "model.hwdm"
+    entries = {"w": np.ones(3, np.float32), "x" * 65536: np.ones(2, np.float32)}
+    with pytest.raises(ContractError, match="tensor name too long"):
+        dp.write_checkpoint(str(path), entries)
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------- model bridge
@@ -443,12 +480,28 @@ def test_init_backbone_bytes_are_pinned():
     # their order are part of every seeded artifact
     rng = np.random.default_rng(0)
     cfg = bb.desk_config()
-    blob = dp.save_checkpoint(dp.model_entries(bb.init_backbone(cfg, rng),
-                                               hd.init_heads(cfg, rng)))
+    blob = checkpoint_bytes(dp.model_entries(bb.init_backbone(cfg, rng),
+                                             hd.init_heads(cfg, rng)))
     assert hashlib.sha256(blob).hexdigest() == (
         "166568b6f21c1a42344afa6f24d2734613e1ca682d8648774723b0f74cc4443d")
-    blob = dp.save_checkpoint(dp.gan_entries(
+    blob = checkpoint_bytes(dp.gan_entries(
         gn.init_gan(gn.GanConfig(), np.random.default_rng(0))))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "21c231e13061d6d5afcc92e355c4cc85053f66b4edd85ea46471ecb7d8efbd50")
+
+
+def test_saved_files_are_pinned(tmp_path):
+    # the streamed files carry the bytes test_init_backbone_bytes_are_pinned pins
+    rng = np.random.default_rng(0)
+    cfg = bb.desk_config()
+    model, gan = tmp_path / "desk.hwdm", tmp_path / "gan.hwdm"
+    dp.save_model(str(model), bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+        "166568b6f21c1a42344afa6f24d2734613e1ca682d8648774723b0f74cc4443d")
+    dp.save_gan(str(gan), gn.init_gan(gn.GanConfig(), np.random.default_rng(0)))
+    blob = bytearray(gan.read_bytes())
+    assert blob[6:8] == struct.pack("<H", dp.FLAG_GAN)
+    blob[6:8] = struct.pack("<H", dp.FLAG_FULL)  # the flags the pinned bytes carry
     assert hashlib.sha256(blob).hexdigest() == (
         "21c231e13061d6d5afcc92e355c4cc85053f66b4edd85ea46471ecb7d8efbd50")
 

@@ -12,7 +12,7 @@ import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, DimensionError
 from weedhybrid.training import init_optimizer
 
-from helpers import gradcheck, named_leaves, peak_traced_bytes
+from helpers import checkpoint_bytes, gradcheck, named_leaves, peak_traced_bytes
 from oracles import rebalance_per_sample
 
 
@@ -269,8 +269,8 @@ def test_train_gan_and_rebalance_bytes_are_pinned():
     params, history = G.train_gan(images, labels, cfg, seed=3)
     samples = [(G.to_image(x), int(y)) for x, y in zip(images[:3], labels[:3])]
     balanced = G.rebalance(samples, 4, params, seed=4)
-    digest = hashlib.sha256(dp.save_checkpoint(dp.gan_entries(params),
-                                               flags=dp.FLAG_GAN))
+    digest = hashlib.sha256(checkpoint_bytes(dp.gan_entries(params),
+                                             flags=dp.FLAG_GAN))
     digest.update(np.asarray(history, dtype=np.float64).tobytes())
     for img, label, synthetic in balanced:
         digest.update(img.as_array().tobytes() + bytes([label, synthetic]))

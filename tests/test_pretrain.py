@@ -13,7 +13,7 @@ import weedhybrid.pretrain as pt
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError
 
-from helpers import gradcheck, named_leaves
+from helpers import checkpoint_bytes, gradcheck, named_leaves
 from oracles import ntxent_scalar, views_per_image
 
 
@@ -78,6 +78,24 @@ def test_views_match_recorded_ops():
             want = views_per_image(images, np.random.default_rng(seed), cfg)
             assert got.shape == (10, 8, 8, 3)
             assert [v.tobytes() for v in got] == [v.pixels for v in want], (cfg, seed)
+
+
+def test_quarter_turns_refuse_non_square_images():
+    rng = np.random.default_rng(5)
+    images = [random_image(rng, (8, 16)) for _ in range(4)]
+    # decided from the configured ops, not the draws: seed 3 draws no
+    # quarter turn for one image's two views
+    for seed in range(5):
+        with pytest.raises(ContractError, match="rot90, rot270 need square images, got 8x16"):
+            pt.make_views(images[:1], np.random.default_rng(seed), pt.ContrastiveConfig())
+    cfg = pt.ContrastiveConfig(ops=("identity", "rot270"), epochs=1, batch_pairs=2)
+    backbone = bb.BackboneConfig(image_size=(8, 16), patch_size=4, embed_dim=4,
+                                 num_heads=1, cnn_channels=(2,), gcn_dims=(4,),
+                                 fusion_dim=8)
+    with pytest.raises(ContractError, match="rot270 need square images, got 8x16"):
+        pt.pretrain(images, cfg, backbone_cfg=backbone)
+    flips = pt.ContrastiveConfig(ops=("identity", "hflip", "vflip", "rot180"))
+    assert pt.make_views(images, np.random.default_rng(0), flips).shape == (8, 8, 16, 3)
 
 
 # ---------------------------------------------------------------- normalize
@@ -244,7 +262,7 @@ def test_pretrain_bytes_are_pinned():
     params, history = pt.pretrain(
         imgs, pt.ContrastiveConfig(epochs=2, batch_pairs=2, projection_dim=6),
         backbone_cfg=tiny_backbone(), seed=3)
-    blob = dp.save_checkpoint(dp.model_entries(params))
+    blob = checkpoint_bytes(dp.model_entries(params))
     assert hashlib.sha256(blob).hexdigest() == (
         "b74407180b9413cffe604610e8e1d1708fc3cbc6a8cc15c75a2bd1502f0beede")
     assert history == [0.8076615730921427, 0.7620058059692383]
