@@ -229,6 +229,9 @@ def load_checkpoint(fh) -> tuple:
             raise FormatError(f"duplicate tensor name {name!r} at offset "
                               f"{offset - name_len}")
         kind, rank = struct.unpack("<BB", read(2, f"kind/rank of {name}"))
+        if kind not in (_KIND_FLOAT32, _KIND_INT8):
+            raise FormatError(f"unknown tensor kind {kind} for {name} at "
+                              f"offset {offset - 2}")
         dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name}"))
         n = math.prod(dims)  # exact: a wrapped count would pass the size check
         if kind == _KIND_FLOAT32:
@@ -239,7 +242,7 @@ def load_checkpoint(fh) -> tuple:
                 raise FormatError(f"non-finite value in {name} at offset "
                                   f"{offset - 4 * n + 4 * bad}")
             entries[name] = values.reshape(dims)
-        elif kind == _KIND_INT8:
+        else:
             scale, zero_point = struct.unpack("<fb", read(5, f"scale of {name}"))
             if zero_point != 0:
                 raise FormatError(f"nonzero zero point for {name} at offset "
@@ -249,9 +252,6 @@ def load_checkpoint(fh) -> tuple:
                                   f"at offset {offset - 5}")
             codes = read(n, f"codes of {name}", np.int8).reshape(dims)
             entries[name] = QuantizedTensor(codes=codes, scale=float(scale))
-        else:
-            raise FormatError(f"unknown tensor kind {kind} for {name} at "
-                              f"offset {offset - 2}")
     if offset != size:
         raise FormatError(f"{size - offset} trailing bytes at offset {offset}")
     return entries, flags

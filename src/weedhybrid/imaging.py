@@ -12,20 +12,29 @@ distort tile histograms.  Disk I/O is binary PPM (P6) for color and PGM
 (P5) for grayscale; no other container is parsed.
 
 Every stage after resizing runs on private kernels over an (N, H, W, C)
-uint8 stack: an exact bitwise radix median for any odd window, read as
-shifted views of one edge-padded array; CLAHE with one ``bincount`` over
-(image, tile, luma) keys for every tile histogram; brightness and gamma.
+uint8 stack, reading a window as shifted views of one edge-padded array.
+The median is exact: for the 3x3 window both presets use it is Paeth's
+median-of-9 network (18 min/max passes); any other odd window takes a
+bitwise radix (8 * window**2 compare-and-add passes with four working
+planes, where a selection network's live planes grow with the window).  CLAHE
+takes every tile histogram of a sub-stack of images from one ``bincount``
+over (image, tile, luma) keys, with sub-stacks sized so their float64 tile
+maps fit in ``_BLOCK_BYTES`` (a share of a core's L2 cache), and blends in
+bands of at most ``_BAND_PIXELS`` pixels.  Brightness and gamma follow.
 The pipeline body exists once, in :func:`preprocess_batch`: it resizes
 each image and runs the stages over chunks of whole images, each chunk at
 most ``_CHUNK_PIXELS`` target pixels, so its working memory is bounded by
-a chunk, not by the batch.  :func:`to_model_tensor` is the one scaler from
+a chunk, not by the batch; it scales each chunk in groups of images of at
+most ``_BLOCK_BYTES`` of float64 pixels.  ``BENCH_preprocess.json`` has
+the per-stage timings.  :func:`to_model_tensor` is the one scaler from
 a uint8 stack to per-image, per-channel standardized model values; the
 pipeline and contrastive pretraining both call it.  The one-image calls
 of the same code are ``gamma_correct``, which pretraining views use, and
 ``median_filter``, ``adaptive_hist_eq`` and ``preprocess``, kept because
 the benchmark's traced run times them by name.  The kernels are
 byte-identical to the per-image reference pipeline in ``tests/oracles.py``:
-the float64 operations, and the order of every float64 sum, are the same.
+the float64 operations, and the order of every float64 sum, are the same,
+whatever the chunk, sub-stack, band and group boundaries.
 """
 
 from __future__ import annotations
@@ -59,6 +68,10 @@ GEOMETRIC_OPS = ("hflip", "vflip", "rot90", "rot180", "rot270")
 _LUMA = (0.299, 0.587, 0.114)
 
 _CHUNK_PIXELS = 1 << 15   # target pixels (N*H*W) of one preprocessing chunk
+# float64 bytes of one cache-sized block: the tile maps of a CLAHE sub-stack,
+# or the pixels of a group of images being scaled
+_BLOCK_BYTES = 1 << 19
+_BAND_PIXELS = 1 << 13    # pixels of one CLAHE blend band
 
 
 @dataclass(frozen=True)
@@ -241,18 +254,39 @@ def resize_bilinear(img: ImageU8, target) -> ImageU8:
 # Stack kernels: (N, H, W, C) uint8 in, uint8 out
 
 
+def _pad_edge(arr: np.ndarray, r: int) -> np.ndarray:
+    """An (N,H,W,C) stack with r clamped-edge rows and columns on each side
+    (what np.pad's "edge" mode gives, at a fraction of its call cost)."""
+    n, h, w, c = arr.shape
+    p = np.empty((n, h + 2 * r, w + 2 * r, c), dtype=arr.dtype)
+    p[:, r:r + h, r:r + w] = arr
+    p[:, :r, r:r + w] = arr[:, :1]
+    p[:, r + h:, r:r + w] = arr[:, -1:]
+    p[:, :, :r] = p[:, :, r:r + 1]
+    p[:, :, r + w:] = p[:, :, r + w - 1:r + w]
+    return p
+
+
 def _median_stack(arr: np.ndarray, window: int) -> np.ndarray:
     """Exact per-channel window median of an (N,H,W,C) uint8 stack.
 
-    Edges are clamped. The median's bits are set from high to low: a bit
+    Edges are clamped. The 3x3 window, the one both presets use, runs a
+    median-of-9 network (:func:`_median9`): 18 min/max passes over the
+    stack. Any other window sets the median's bits from high to low: a bit
     stays set when at most window**2 // 2 of the window's values lie below
-    the trial value. The window is read as shifted views of one padded array.
+    the trial value, counted over shifted views of one padded array. That
+    is 8 * window**2 compares and adds with four working planes for any
+    window, where a selection network for a wider window keeps
+    (window**2 + 3) / 2 planes alive, without bound over the windows the
+    config allows.
     """
     if window == 1:
         return arr
+    if window == 3:
+        return _median9(arr)
     n, h, w, c = arr.shape
     r = window // 2
-    padded = np.pad(arr, ((0, 0), (r, r), (r, r), (0, 0)), mode="edge")
+    padded = _pad_edge(arr, r)
     rank = window * window // 2
     out = np.zeros(arr.shape, dtype=np.uint8)
     trial = np.empty(arr.shape, dtype=np.uint8)
@@ -270,13 +304,53 @@ def _median_stack(arr: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def _med3(a, b, c):
+    """Elementwise median of three arrays: min(max(a, min(b, c)), max(b, c))."""
+    lo = np.minimum(b, c)
+    hi = np.maximum(b, c)
+    np.maximum(a, lo, out=lo)
+    return np.minimum(lo, hi, out=lo)
+
+
+def _median9(arr: np.ndarray) -> np.ndarray:
+    """Exact 3x3 median of an (N,H,W,C) uint8 stack, edges clamped.
+
+    Paeth's median-of-9 network ("Median finding on a 3x3 grid", Graphics
+    Gems, 1990) opens with nine exchanges that sort three triples. Here the
+    triples are columns, so each column of the edge-padded stack is sorted
+    once and shared by the three windows that read it. Its other ten
+    exchanges, less the outputs the median never reads, take the median of
+    the largest column minimum, the median of the column medians and the
+    smallest column maximum. A median is exact, so any correct network
+    gives the radix's bytes.
+    """
+    w = arr.shape[2]
+    p = _pad_edge(arr, 1)
+    # sort each column triple: lo <= mid <= hi
+    lo = np.minimum(p[:, :-2], p[:, 1:-1])
+    hi = np.maximum(p[:, :-2], p[:, 1:-1])
+    mid = np.minimum(hi, p[:, 2:])
+    np.maximum(hi, p[:, 2:], out=hi)
+    # spent planes (p, then the unsorted middles, then lo) take the later
+    # results, so the network holds about as many planes as the radix
+    spare = mid
+    mid = np.maximum(lo, spare, out=p[:, 2:])
+    np.minimum(lo, spare, out=lo)
+    low = np.maximum(lo[:, :, :w], lo[:, :, 1:w + 1], out=spare[:, :, :w])
+    np.maximum(low, lo[:, :, 2:], out=low)
+    high = np.minimum(hi[:, :, :w], hi[:, :, 1:w + 1], out=lo[:, :, :w])
+    np.minimum(high, hi[:, :, 2:], out=high)
+    return _med3(low, _med3(mid[:, :, :w], mid[:, :, 1:w + 1], mid[:, :, 2:]), high)
+
+
 def _luminance(arr: np.ndarray) -> np.ndarray:
     """Quantized ITU-R 601 luma of a (..., 3) uint8 array, as uint8."""
-    r = arr[..., 0].astype(np.float64)
-    g = arr[..., 1].astype(np.float64)
-    b = arr[..., 2].astype(np.float64)
-    y = _LUMA[0] * r + _LUMA[1] * g + _LUMA[2] * b
-    return np.floor(y + 0.5).astype(np.uint8)
+    y = np.multiply(arr[..., 0], _LUMA[0], dtype=np.float64)
+    term = np.multiply(arr[..., 1], _LUMA[1], dtype=np.float64)
+    y += term
+    y += np.multiply(arr[..., 2], _LUMA[2], dtype=np.float64, out=term)
+    y += 0.5
+    return np.floor(y, out=y).astype(np.uint8)
 
 
 def _tile_bounds(h: int, w: int, tile: int) -> tuple:
@@ -288,25 +362,34 @@ def _tile_bounds(h: int, w: int, tile: int) -> tuple:
     return by, bx
 
 
-def _clahe_luts(lum: np.ndarray, by, bx, clip: float) -> np.ndarray:
-    """(N, gy, gx, 256) float64 tile mappings of an (N,H,W) uint8 luma stack.
+def _clahe_luts(lum: np.ndarray, by, bx, clip: float, out=None) -> np.ndarray:
+    """(N, gy, gx, 256) float64 tile mappings of an (N,H,W) uint8 luma stack,
+    written to ``out`` if given.
 
     One bincount over (image, tile, luma) keys gives every tile histogram.
     Each is clipped at max(1, clip * area / 256) counts per bin, the excess
     is spread evenly over the 256 bins, and the mapping is 255 * cdf / area,
-    monotone non-decreasing.
+    monotone non-decreasing. :func:`_clahe_stack` calls it on sub-stacks
+    whose maps fit in a core's L2 cache, with one ``out`` for all of them,
+    so the passes over the maps stay in cache and allocate little.
     """
     n = lum.shape[0]
     gy, gx = len(by) - 1, len(bx) - 1
     rows, cols = np.diff(by), np.diff(bx)
     tile = (np.repeat(np.arange(gy) * gx, rows)[:, None]
             + np.repeat(np.arange(gx), cols)[None, :])
-    keys = ((np.arange(n)[:, None, None] * (gy * gx) + tile) << 8) + lum
-    hist = np.bincount(keys.ravel(), minlength=n * gy * gx * 256)
-    hist = hist.reshape(n, gy, gx, 256).astype(np.float64)
-    area = (rows[:, None] * cols[None, :])[:, :, None]
+    keys = np.add(tile << 8, lum)
+    keys += (np.arange(n) * (gy * gx << 8))[:, None, None]
+    counts = np.bincount(keys.ravel(), minlength=n * gy * gx * 256)
+    counts = counts.reshape(n, gy, gx, 256)
+    hist = np.empty(counts.shape) if out is None else out
+    hist[...] = counts
+    area = (rows[:, None] * cols[None, :])[:, :, None].astype(np.float64)
     climit = np.maximum(1.0, clip * area / 256.0)
-    share = np.sum(np.maximum(hist - climit, 0.0), axis=-1, keepdims=True) / 256.0
+    # the counts are copied, so their memory can hold the excess
+    excess = np.subtract(hist, climit, out=counts.view(np.float64))
+    np.maximum(excess, 0.0, out=excess)
+    share = np.sum(excess, axis=-1, keepdims=True) / 256.0
     np.minimum(hist, climit, out=hist)
     hist += share
     np.cumsum(hist, axis=-1, out=hist)
@@ -328,50 +411,78 @@ def _blend_axis(extent: int, bounds) -> tuple:
 
 
 def _clahe_stack(arr: np.ndarray, tile: int, clip: float) -> np.ndarray:
-    """Contrast-limited adaptive histogram equalization of an (N,H,W,C) stack."""
-    n, h, w, c = arr.shape
-    lum = _luminance(arr) if c == 3 else arr[..., 0]
-    by, bx = _tile_bounds(h, w, tile)
-    luts = _clahe_luts(lum, by, bx, clip)
-    gy, gx = luts.shape[1], luts.shape[2]
+    """Contrast-limited adaptive histogram equalization of an (N,H,W,C) stack.
 
+    The stack is equalized in sub-stacks of whole images whose float64
+    tile maps take at most _BLOCK_BYTES (at least one image), and each
+    sub-stack is blended in bands of whole rows of at most _BAND_PIXELS
+    pixels (at least one row), so the maps and every per-pixel temporary
+    stay in cache. Each image's maps and pixels see the same float64
+    operations in the same order whatever the split.
+    """
+    n, h, w, c = arr.shape
+    by, bx = _tile_bounds(h, w, tile)
+    gy, gx = len(by) - 1, len(bx) - 1
     ty, uy = _blend_axis(h, by)
     tx, ux = _blend_axis(w, bx)
-    ty2 = np.minimum(ty + 1, gy - 1)
-    tx2 = np.minimum(tx + 1, gx - 1)
-
-    flat = luts.reshape(-1)
-    # flat index of (image, luma); each corner adds its tile's offset
-    lv = np.arange(n, dtype=np.int64)[:, None, None] * (gy * gx << 8) + lum
-
-    def at(rows, cols):
-        return flat.take(lv + ((rows[:, None] * gx + cols[None, :]) << 8))
-
-    w00 = (1.0 - uy)[:, None] * (1.0 - ux)[None, :]
-    w01 = (1.0 - uy)[:, None] * ux[None, :]
-    w10 = uy[:, None] * (1.0 - ux)[None, :]
-    w11 = uy[:, None] * ux[None, :]
-    m = w00 * at(ty, tx)
-    m += w01 * at(ty, tx2)
-    m += w10 * at(ty2, tx)
-    m += w11 * at(ty2, tx2)
-
-    fallback = np.clip(np.floor(m + 0.5), 0, 255)
-    if c == 1:
-        return fallback.astype(np.uint8)[..., None]
-    # A zero-luma pixel takes the equalized value on every channel: its
-    # ratio is 0, so its scaled channels are 0 and fill adds the value.
-    zero = lum == 0
-    ratio = np.where(zero, 0.0, m / np.maximum(lum, 1))
-    fill = np.where(zero, fallback, 0.0)
+    # per axis, each pixel's two nearest tiles as offsets into an image's
+    # maps, with their weights
+    rows = (((ty * gx) << 8, 1.0 - uy), ((np.minimum(ty + 1, gy - 1) * gx) << 8, uy))
+    cols = ((tx << 8, 1.0 - ux), (np.minimum(tx + 1, gx - 1) << 8, ux))
+    per = max(1, _BLOCK_BYTES // (gy * gx * 256 * 8))
+    maps = np.empty((min(per, n), gy, gx, 256))
     out = np.empty(arr.shape, dtype=np.uint8)
-    for ch in range(c):
-        scaled = arr[..., ch] * ratio
+    for start in range(0, n, per):
+        part = arr[start:start + per]
+        lum = _luminance(part) if c == 3 else part[..., 0]
+        flat = _clahe_luts(lum, by, bx, clip, maps[:len(part)]).reshape(-1)
+        # offset of each image's maps in flat
+        base = (np.arange(len(part)) * (gy * gx << 8))[:, None, None]
+        band = max(1, _BAND_PIXELS // (len(part) * w))
+        for r0 in range(0, h, band):
+            rs = slice(r0, r0 + band)
+            _blend(part[:, rs], lum[:, rs], flat, base,
+                   [(off[rs, None], weight[rs, None]) for off, weight in rows],
+                   cols, out[start:start + per, rs])
+    return out
+
+
+def _blend(part, lum, flat, base, rows, cols, out):
+    """Equalize a band of rows of a sub-stack into out.
+
+    Each pixel blends the mappings of its four nearest tiles bilinearly,
+    (((w00 * a) + w01 * b) + w10 * c) + w11 * d, and rounds half up. A
+    colour pixel's channels are scaled by the ratio of equalized to
+    original luma; a zero-luma pixel takes the equalized value on every
+    channel.
+    """
+    lv = np.add(base, lum)
+    row_idx = np.empty_like(lv)
+    idx = np.empty_like(lv)
+    m = None
+    for row_off, wy in rows:
+        np.add(lv, row_off, out=row_idx)
+        for col_off, wx in cols:
+            term = flat.take(np.add(row_idx, col_off, out=idx))
+            term *= wy * wx
+            if m is None:
+                m = term
+            else:
+                m += term
+    if part.shape[-1] == 1:
+        m += 0.5
+        out[..., 0] = np.clip(np.floor(m, out=m), 0, 255, out=m)
+        return
+    zero = lum == 0
+    fallback = np.clip(np.floor(m[zero] + 0.5), 0, 255)
+    ratio = np.divide(m, np.maximum(lum, 1), out=m)
+    scaled = np.empty(lv.shape)
+    for ch in range(part.shape[-1]):
+        np.multiply(part[..., ch], ratio, out=scaled)
         scaled += 0.5
         np.clip(np.floor(scaled, out=scaled), 0, 255, out=scaled)
-        scaled += fill
         out[..., ch] = scaled
-    return out
+    out[zero] = fallback[:, None]
 
 
 def _brighten(arr: np.ndarray, beta: float) -> np.ndarray:
@@ -530,7 +641,11 @@ def preprocess_batch(images, cfg: PreprocessConfig = PreprocessConfig(),
         if as_images:
             out.extend(_as_image(a) for a in stack)
         else:
-            out[start:stop] = to_model_tensor(stack, cfg.normalize)
+            # scaled in cache-sized groups of whole images
+            per = max(1, _BLOCK_BYTES // (stack[0].size * 8))
+            for at in range(start, stop, per):
+                group = stack[at - start:at - start + per]
+                out[at:at + len(group)] = to_model_tensor(group, cfg.normalize)
     return out
 
 

@@ -262,6 +262,14 @@ def test_infinite_int8_scale_rejected_with_offset():
         decode_bytes(blob)
 
 
+def test_unknown_tensor_kind_names_the_kind_byte():
+    blob = bytearray(checkpoint_bytes({"w": np.zeros((2, 3), dtype=np.float32)}))
+    at = 12 + 2 + 1  # header, name length, name "w"
+    blob[at] = 7
+    with pytest.raises(FormatError, match=rf"unknown tensor kind 7 for w at offset {at}$"):
+        decode_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("kind", [0, 1], ids=["float32", "int8"])
 def test_checkpoint_dims_past_64_bits_are_truncation(kind):
     # 65536**4 == 2**64 wraps to 0 in int64, which would let the empty

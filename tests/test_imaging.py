@@ -470,8 +470,13 @@ def test_preprocess_batch_matches_per_image_pipeline(arrs, cfg, per_chunk, slack
     assert im.preprocess(imgs[0], cfg).data.tobytes() == want[0].tobytes()
 
 
+SATURATED = np.where(np.indices((6, 5, 3)).sum(axis=0) % 3 == 0, 255, 0).astype(np.uint8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(arrs=image_arrays(max_count=1), window=st.sampled_from([1, 3, 5, 7]))
+@example(arrs=[SATURATED], window=3)
+@example(arrs=[np.full((4, 7, 1), 255, np.uint8)], window=3)
 def test_median_filter_matches_window_median(arrs, window):
     # windows wider than the image clamp to its edge like any other
     got = im.median_filter(im.ImageU8.from_array(arrs[0]), window).as_array()
@@ -532,3 +537,49 @@ def test_preprocess_batch_memory_stays_within_a_chunk(monkeypatch):
     # sixteen chunks cost what one does: 64 images at once would need
     # sixteen times the tile histograms and pixel buffers
     assert peak_beyond_output(imgs) < 2 * one_chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrs=image_arrays(), tile=st.integers(1, 8), clip=CLIPS,
+       per_sub=st.integers(1, 3), band_rows=st.integers(1, 4))
+def test_clahe_sub_stacks_and_bands_are_invisible(arrs, tile, clip, per_sub, band_rows):
+    # sub-stacks of per_sub images and bands of band_rows rows, so most
+    # stacks straddle both kinds of boundary
+    h, w, _ = arrs[0].shape
+    gy, gx = min(tile, h), min(tile, w)
+    with mock.patch.object(im, "_BLOCK_BYTES", per_sub * gy * gx * 256 * 8 + 7), \
+            mock.patch.object(im, "_BAND_PIXELS", band_rows * min(per_sub, len(arrs)) * w):
+        got = im._clahe_stack(np.stack(arrs), tile, clip)
+    want = np.stack([oracles.clahe_per_image(a, tile, clip) for a in arrs])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_preprocess_chunk_memory_holds_no_whole_chunk_tile_map():
+    rng = np.random.default_rng(21)
+
+    def peak_beyond_output(batch, size):
+        cfg = im.PreprocessConfig(target_size=(size, size))
+        outs = []
+        peak = peak_traced_bytes(lambda: outs.append(im.preprocess_batch(batch, cfg)))
+        return peak - outs[0].nbytes
+
+    # one desk chunk: the float64 tile maps of all 32 images would be 4 MiB
+    chunk = [_rand_img(rng, 32, 32, 3) for _ in range(32)]
+    assert len(list(im._chunks(chunk, 32 * 32))) == 1
+    assert peak_beyond_output(chunk, 32) < 32 * 8 * 8 * 256 * 8
+    # one 224-px image: scaling holds two float64 copies of it, and nothing
+    # else may come near that
+    image_f64 = 224 * 224 * 3 * 8
+    assert peak_beyond_output([_rand_img(rng, 224, 224, 3)], 224) < 2.5 * image_f64
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrs=image_arrays(), per_group=st.integers(1, 3), slack=st.integers(0, 1))
+def test_preprocess_batch_scaling_groups_are_invisible(arrs, per_group, slack):
+    # groups of per_group images (CLAHE sub-stacks shrink with them)
+    h, w, c = arrs[0].shape
+    cfg = im.PreprocessConfig(target_size=(h, w), median_window=1)
+    with mock.patch.object(im, "_BLOCK_BYTES", per_group * h * w * c * 8 + slack):
+        got = im.preprocess_batch([im.ImageU8.from_array(a) for a in arrs], cfg)
+    want = np.stack([oracles.preprocess_per_image(a, cfg) for a in arrs])
+    assert got.tobytes() == want.tobytes()
