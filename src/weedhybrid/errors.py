@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one divergence rule."""
+
+import contextlib
 
 
 class DimensionError(ValueError):
@@ -22,6 +24,15 @@ class DivergenceError(RuntimeError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+@contextlib.contextmanager
+def diverges_as(component: str):
+    """Turn a NumericError inside the block into DivergenceError(component)."""
+    try:
+        yield
+    except NumericError as exc:
+        raise DivergenceError(component, detail=str(exc)) from exc
 
 
 class FormatError(ValueError):

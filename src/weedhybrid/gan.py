@@ -25,8 +25,8 @@ import numpy as np
 
 from . import imaging as im
 from . import tensor as T
-from .errors import ContractError, DimensionError, DivergenceError, NumericError
-from .training import OptimizerState, adam_step, check_lr, init_optimizer
+from .errors import ContractError, DimensionError, diverges_as
+from .training import OptimizerState, check_lr, init_optimizer, optimizer_step
 
 __all__ = [
     "GanConfig",
@@ -222,11 +222,12 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
     """One discriminator update then one generator update.
 
     `real` is a non-empty (B, 3, H, W) batch on the (-1, 1) scale; latent
-    draws come from `rng`.  Returns (d_loss, g_loss) as floats.  The
-    generator runs once, on a tape that spans the step: the discriminator
-    update scores a constant of its output on a nested tape, and the
-    generator loss reuses the taped output, which the discriminator update
-    cannot change (z and the generator weights are fixed within the step).
+    draws come from `rng`.  Returns (d_loss, g_loss) as floats.  Each
+    update is an optimizer_step named "adversarial".  The generator runs
+    once, on its step's tape: the discriminator's step nests inside it and
+    scores a constant of its output, and the generator loss reuses the
+    taped output, which the discriminator update cannot change (z and the
+    generator weights are fixed within the step).
     """
     cfg = params.config
     if real.ndim != 4 or real.shape[0] < 1:
@@ -236,23 +237,17 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
     z = T.const(rng.standard_normal((n, cfg.latent_dim)))
     d_params, g_params = T.leaves(params.d), T.leaves(params.g)
 
-    try:
-        with T.Tape() as g_tape:
-            fake = generate(z, labels, params)
-            with T.Tape() as d_tape:
-                d_loss = T.add(_bce_real(_disc_logit(real, labels, params)),
-                               _bce_fake(_disc_logit(T.const(fake.data), labels,
-                                                     params)))
-                d_tape.backward(d_loss)
-            adam_step(d_params, d_state)
-            T.zero_grads(d_params + g_params)
+    with optimizer_step(g_params, g_state, "adversarial") as g_tape:
+        fake = generate(z, labels, params)
+        with optimizer_step(d_params, d_state, "adversarial") as d_tape:
+            d_loss = T.add(_bce_real(_disc_logit(real, labels, params)),
+                           _bce_fake(_disc_logit(T.const(fake.data), labels,
+                                                 params)))
+            d_tape.backward(d_loss)
 
-            g_loss = _bce_real(_disc_logit(fake, labels, params))
-            g_tape.backward(g_loss)
-        adam_step(g_params, g_state)
-        T.zero_grads(d_params + g_params)
-    except NumericError as exc:
-        raise DivergenceError("adversarial", detail=str(exc)) from exc
+        g_loss = _bce_real(_disc_logit(fake, labels, params))
+        g_tape.backward(g_loss)
+    T.zero_grads(d_params)  # the generator's backward reaches the discriminator
 
     params.trained_steps += 1
     return float(d_loss.data), float(g_loss.data)
@@ -333,10 +328,8 @@ def rebalance(samples: list, target: int, params: GanParams,
         z = rng.standard_normal((max(0, target - counts[cls]), cfg.latent_dim))
         for start in range(0, len(z), _SAMPLE_CHUNK):
             rows = z[start:start + _SAMPLE_CHUNK]
-            try:
+            with diverges_as("generator"):
                 fake = generate(T.const(rows), [cls] * len(rows), params)
-            except NumericError as exc:
-                raise DivergenceError("generator", detail=str(exc)) from exc
             for x in fake.data:
                 img = to_image(x)
                 if out_size is not None and (img.height, img.width) != tuple(out_size):

@@ -20,7 +20,6 @@ tensors; HeadParams' field order (`tensor.leaves`) is their checkpoint order.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, backbone_forward
-from .errors import ContractError, DimensionError, DivergenceError, NumericError
+from .errors import ContractError, DimensionError, diverges_as
 
 __all__ = [
     "NUM_CLASSES",
@@ -204,29 +203,20 @@ def total_loss(l_cls: T.Tensor, l_seg: T.Tensor, l_growth: T.Tensor,
                  T.mul(l_growth, weights.gamma))
 
 
-@contextlib.contextmanager
-def _diverges_as(component: str):
-    """Turn a NumericError inside the block into DivergenceError(component)."""
-    try:
-        yield
-    except NumericError as exc:
-        raise DivergenceError(component, detail=str(exc)) from exc
-
-
 def predict(params: BackboneParams, head_params: HeadParams,
             x: T.Tensor) -> Prediction:
     """Backbone plus all three heads over an (N,3,H,W) batch.
 
-    A NumericError becomes DivergenceError naming the component that
-    produced it: backbone, classification, segmentation or growth.
+    A NumericError becomes errors.diverges_as's DivergenceError naming
+    the component: backbone, classification, segmentation or growth.
     """
-    with _diverges_as("backbone"):
+    with diverges_as("backbone"):
         feats = backbone_forward(x, params)
-    with _diverges_as("classification"):
+    with diverges_as("classification"):
         probs = classify_head(feats.f_final, head_params)
-    with _diverges_as("segmentation"):
+    with diverges_as("segmentation"):
         mask = segment_head(feats.spatial, head_params)
-    with _diverges_as("growth"):
+    with diverges_as("growth"):
         growth = growth_head(feats.f_final, head_params)
     return Prediction(class_probs=probs, seg_mask=mask, growth=growth)
 
@@ -236,15 +226,17 @@ def compute_losses(prediction: Prediction, labels, truth_masks: T.Tensor,
     """The three losses of a batched prediction plus the weighted total;
     returns (loss, LossReport).  `truth_masks` is one-hot (N,K,H,W).
 
-    A NumericError becomes DivergenceError naming the loss component.
+    A NumericError becomes errors.diverges_as's DivergenceError naming
+    the loss component, or "total" for the weighted sum.
     """
-    with _diverges_as("classification"):
+    with diverges_as("classification"):
         l_cls = cross_entropy(prediction.class_probs, labels)
-    with _diverges_as("segmentation"):
+    with diverges_as("segmentation"):
         l_seg = dice_loss(prediction.seg_mask, truth_masks)
-    with _diverges_as("growth"):
+    with diverges_as("growth"):
         l_growth = mse_loss(prediction.growth, growth_truth)
-    ltot = total_loss(l_cls, l_seg, l_growth, weights)
+    with diverges_as("total"):
+        ltot = total_loss(l_cls, l_seg, l_growth, weights)
     report = LossReport(l_cls=float(l_cls.data), l_seg=float(l_seg.data),
                         l_growth=float(l_growth.data),
                         l_total=float(ltot.data))

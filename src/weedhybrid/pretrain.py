@@ -18,8 +18,8 @@ import numpy as np
 from . import backbone as bb
 from . import imaging as im
 from . import tensor as T
-from .errors import ContractError, DivergenceError, NumericError
-from .training import adam_step, check_lr, init_optimizer
+from .errors import ContractError
+from .training import check_lr, init_optimizer, optimizer_step
 
 __all__ = [
     "ContrastiveConfig",
@@ -197,15 +197,10 @@ def pretrain(images: list, cfg: ContrastiveConfig,
             picked = [images[idx] for idx in order[start:start + cfg.batch_pairs]]
             views = make_views(picked, erng, cfg)
             batch = T.const(im.to_model_tensor(views, normalize))
-            try:
-                with T.Tape() as tape:
-                    z = forward_embeddings(batch, params, proj)
-                    loss = nt_xent_loss(z, cfg.temperature)
-                    tape.backward(loss)
-                adam_step(trainable, state)
-            except NumericError as exc:
-                raise DivergenceError("contrastive", detail=str(exc)) from exc
-            T.zero_grads(trainable)
+            with optimizer_step(trainable, state, "contrastive") as tape:
+                z = forward_embeddings(batch, params, proj)
+                loss = nt_xent_loss(z, cfg.temperature)
+                tape.backward(loss)
             total += float(loss.data)
             batches += 1
         history.append(total / batches)

@@ -325,7 +325,7 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 
 @_fp_warnings_off
-def add(a: Tensor, b) -> Tensor:
+def _add(a: Tensor, b, op: str) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
         data = a.data + np.asarray(s, dtype=a.data.dtype)
@@ -333,7 +333,7 @@ def add(a: Tensor, b) -> Tensor:
         def back(g):
             _accum(a, g)
 
-        return _result(data, "add", (a,), back)
+        return _result(data, op, (a,), back)
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
     data = a.data + b.data
@@ -342,25 +342,30 @@ def add(a: Tensor, b) -> Tensor:
         _accum(a, g)
         _accum(b, g)
 
-    return _result(data.astype(_out_dtype(a, b), copy=False), "add", (a, b), back)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    try:
-        return add(a, -s) if s is not None else add(a, neg(b))
-    except NumericError:
-        raise NumericError("sub produced non-finite values") from None
+    return _result(data.astype(_out_dtype(a, b), copy=False), op, (a, b), back)
 
 
 @_fp_warnings_off
-def neg(a: Tensor) -> Tensor:
+def _neg(a: Tensor, op: str) -> Tensor:
     data = -a.data
 
     def back(g):
         _accum(a, -g)
 
-    return _result(data, "neg", (a,), back)
+    return _result(data, op, (a,), back)
+
+
+def add(a: Tensor, b) -> Tensor:
+    return _add(a, b, "add")
+
+
+def sub(a: Tensor, b) -> Tensor:
+    s = _as_scalar(b)
+    return _add(a, -s, "sub") if s is not None else _add(a, _neg(b, "sub"), "sub")
+
+
+def neg(a: Tensor) -> Tensor:
+    return _neg(a, "neg")
 
 
 @_fp_warnings_off

@@ -10,6 +10,7 @@ segmentation masks, and can emit the curves and tables as CSV files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import astuple, dataclass, field
@@ -20,12 +21,13 @@ from . import backbone as bb
 from . import heads as hd
 from . import imaging as im
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, NumericError, diverges_as
 
 __all__ = [
     "OptimizerState",
     "init_optimizer",
     "adam_step",
+    "optimizer_step",
     "FoldPlan",
     "stratified_folds",
     "MetricsReport",
@@ -80,6 +82,11 @@ def init_optimizer(params: list, lr: float) -> OptimizerState:
     return state
 
 
+def _adam_non_finite(kind, flag):
+    raise NumericError("adam_step produced non-finite values")
+
+
+@np.errstate(over="call", invalid="call", call=_adam_non_finite)
 def adam_step(params: list, state: OptimizerState) -> None:
     """One Adam update (Kingma & Ba 2014); every parameter must carry a
     gradient, which the step leaves as it is.
@@ -92,6 +99,8 @@ def adam_step(params: list, state: OptimizerState) -> None:
     (tests/oracles.py keeps it), so parameters and moments keep their
     bytes; the step holds two block-sized float64 buffers, not about ten
     full-size temporaries per parameter.
+    An overflowing or NaN update, its float32 rounding included, raises
+    NumericError; the parameters before it keep their new values.
     """
     for i, p in enumerate(params):
         if p.grad is None:
@@ -132,6 +141,18 @@ def adam_step(params: list, state: OptimizerState) -> None:
             np.subtract(old[lo:hi], g, out=g)
             out[lo:hi] = g
         p.data = new
+
+
+@contextlib.contextmanager
+def optimizer_step(params: list, state: OptimizerState, component: str):
+    """One training step: the block runs its forward and backward on the
+    yielded fresh Tape, then adam_step updates `params` and their gradients
+    are cleared, all under errors.diverges_as(component)."""
+    with diverges_as(component):
+        with T.Tape() as tape:
+            yield tape
+        adam_step(params, state)
+        T.zero_grads(params)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +396,9 @@ def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
         correct = 0
         for start in range(0, order.size, cfg.batch):
             sel = order[start:start + cfg.batch]
-            with T.Tape() as tape:
+            with optimizer_step(tensors, state, "total") as tape:
                 total, report, hits = _score(params, heads, data, sel, cfg.weights)
                 tape.backward(total)
-            adam_step(tensors, state)
-            T.zero_grads(tensors)
             sums += astuple(report)
             batches += 1
             correct += hits

@@ -460,6 +460,40 @@ def test_divergent_training_exits_three(workspace, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_overflowing_loss_weights_exit_three(workspace, tmp_path, capsys):
+    # both weights are valid; their weighted sum overflowed outside every
+    # divergence wrapper and escaped cli.main as a traceback
+    conf = tmp_path / "weights.conf"
+    conf.write_text(TINY_CONF + "loss.w_cls = 1e300\nloss.w_seg = 1e308\n",
+                    encoding="utf-8")
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--manifest", workspace["manifest"], "--out", str(out),
+                   "--config", str(conf)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: total diverged: non-finite values "
+                                       "(mul produced non-finite values)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,detail", [
+    ("ssl.lr = 1e39", "adam_step produced non-finite values"),
+    ("ssl.temperature = 1e-300", "mul produced non-finite values")])
+def test_divergent_pretrain_exits_three_without_a_checkpoint(workspace, tmp_path,
+                                                             capsys, line, detail):
+    # ssl.lr = 1e39 is a finite rate, so the config takes it; Adam's first
+    # update overflowed float32, pretrain exited 0, and train --init refused
+    # the inf weights it had written
+    conf = tmp_path / "diverge.conf"
+    conf.write_text(TINY_CONF + line + "\n", encoding="utf-8")
+    out = tmp_path / "pre.hwdm"
+    rc = cli.main(["pretrain", "--manifest", workspace["manifest"], "--out", str(out),
+                   "--config", str(conf)])
+    assert rc == 3
+    assert capsys.readouterr().err == (f"error: contrastive diverged: non-finite "
+                                       f"values ({detail})\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- gen-data
 
 

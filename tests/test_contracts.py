@@ -182,3 +182,37 @@ def test_every_private_definition_has_a_reference():
                and node.name.startswith("_") and not node.name.startswith("__")
                and (module, node.name) not in refs]
     assert orphans == [], f"private definitions nothing in the package references: {orphans}"
+
+
+def _owned_nodes():
+    """(module, top-level definition owning it or None, node) for every node
+    of the package source."""
+    for module, tree in _src_trees():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                yield module, owner, node
+
+
+def _short_name(node) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_one_step_and_one_divergence_rule():
+    # train, pretrain and gan_train_step step only through
+    # training.optimizer_step, and a NumericError becomes a DivergenceError
+    # only in errors.diverges_as: a hand-written step or handler would be a
+    # second copy of the rule to keep in line
+    sites = {"Tape()": [], "adam_step()": [], "DivergenceError()": [],
+             "except NumericError": []}
+    for module, owner, node in _owned_nodes():
+        if isinstance(node, ast.Call) and f"{_short_name(node.func)}()" in sites:
+            sites[f"{_short_name(node.func)}()"].append(f"{module}.{owner}")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if {"NumericError", "ArithmeticError"} & {_short_name(c) for c in caught}:
+                sites["except NumericError"].append(f"{module}.{owner}")
+    assert sites == {"Tape()": ["training.optimizer_step"],
+                     "adam_step()": ["training.optimizer_step"],
+                     "DivergenceError()": ["errors.diverges_as"],
+                     "except NumericError": ["errors.diverges_as"]}

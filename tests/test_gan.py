@@ -9,7 +9,7 @@ import weedhybrid.deploy as dp
 import weedhybrid.gan as G
 import weedhybrid.imaging as im
 import weedhybrid.tensor as T
-from weedhybrid.errors import ContractError, DimensionError
+from weedhybrid.errors import ContractError, DimensionError, DivergenceError
 from weedhybrid.training import init_optimizer
 
 from helpers import checkpoint_bytes, gradcheck, named_leaves, peak_traced_bytes
@@ -203,6 +203,38 @@ def test_train_step_memory_is_bounded():
     peak = peak_traced_bytes(lambda: G.gan_train_step(real, labels, params, d_state,
                                                       g_state, rng))
     assert peak <= 30 << 20
+
+
+def test_train_step_divergence_names_the_adversarial_step():
+    cfg, params = tiny_gan(seed=21)
+    params.d.conv1.data[...] = 3e38
+    d_state = init_optimizer(T.leaves(params.d), 1e-3)
+    g_state = init_optimizer(T.leaves(params.g), 1e-3)
+    real = T.const(np.random.default_rng(22).uniform(-1, 1, (4, 3, 8, 8)))
+    with pytest.raises(DivergenceError) as exc_info:
+        G.gan_train_step(real, np.array([0, 1, 2, 0]), params, d_state, g_state,
+                         np.random.default_rng(23))
+    assert exc_info.value.component == "adversarial"
+    assert params.trained_steps == 0
+
+
+def test_train_step_runs_the_generator_once(monkeypatch):
+    # the discriminator step nests inside the generator step, so one taped
+    # generator output serves both losses
+    calls = []
+    generate = G.generate
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return generate(*args)
+
+    monkeypatch.setattr(G, "generate", counted)
+    cfg = tiny_config(epochs=2, batch=4)
+    rng = np.random.default_rng(24)
+    params, _ = G.train_gan(rng.uniform(-1, 1, (6, 3, 8, 8)), rng.integers(0, 3, 6),
+                            cfg, seed=5)
+    assert params.trained_steps == 4
+    assert calls == [4, 2, 4, 2]
 
 
 def test_train_step_rejects_empty_batch():

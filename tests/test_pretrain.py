@@ -11,7 +11,7 @@ import weedhybrid.deploy as dp
 import weedhybrid.imaging as im
 import weedhybrid.pretrain as pt
 import weedhybrid.tensor as T
-from weedhybrid.errors import ContractError
+from weedhybrid.errors import ContractError, DivergenceError
 
 from helpers import checkpoint_bytes, gradcheck, named_leaves
 from oracles import ntxent_scalar, views_per_image
@@ -211,6 +211,17 @@ def test_pretrain_zero_lr_leaves_params():
     assert len(history) == 2
     for name, t in named_leaves(bb.build_backbone, params.config, params):
         assert t.data.tobytes() == before[name].tobytes(), name
+
+
+def test_pretrain_divergence_names_the_contrastive_step():
+    # 1 / temperature overflows float32 in the scaled similarities
+    rng = np.random.default_rng(25)
+    imgs = [random_image(rng) for _ in range(4)]
+    cfg = pt.ContrastiveConfig(temperature=1e-300, epochs=1, batch_pairs=4,
+                               projection_dim=6)
+    with pytest.raises(DivergenceError) as exc_info:
+        pt.pretrain(imgs, cfg, backbone_cfg=tiny_backbone())
+    assert exc_info.value.component == "contrastive"
 
 
 def test_pretrain_updates_only_cnn_and_vit():

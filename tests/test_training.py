@@ -11,7 +11,7 @@ from weedhybrid import backbone as bb
 from weedhybrid import heads as hd
 from weedhybrid import tensor as T
 from weedhybrid import training as tr
-from weedhybrid.errors import ContractError, DivergenceError
+from weedhybrid.errors import ContractError, DivergenceError, NumericError
 
 
 def tiny_cfg(**kw):
@@ -110,6 +110,30 @@ def test_adam_missing_grad_rejected():
     state = tr.init_optimizer([p], lr=0.1)
     with pytest.raises(ContractError):
         tr.adam_step([p], state)
+
+
+@pytest.mark.parametrize("lr,grad", [(1e39, 1.0), (1e-3, np.inf)],
+                         ids=["overflowing-update", "infinite-gradient"])
+def test_adam_non_finite_update_raises_numeric_error(lr, grad):
+    # lr = 1e39 is a finite rate, but the update overflows float32: the step
+    # wrote inf weights, and pretrain saved a checkpoint nothing could read
+    p = T.Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    p.grad = np.array([grad, 1.0], dtype=np.float32)
+    with pytest.raises(NumericError, match="^adam_step produced non-finite values$"):
+        tr.adam_step([p], tr.init_optimizer([p], lr))
+
+
+def test_optimizer_step_skips_the_update_when_its_block_diverges():
+    p = T.Tensor(np.array([1.0]), requires_grad=True)
+    state = tr.init_optimizer([p], 0.1)
+    with pytest.raises(DivergenceError, match=r"^total diverged: non-finite values "
+                                              r"\(mul produced non-finite values\)$"):
+        with tr.optimizer_step([p], state, "total") as tape:
+            tape.backward(T.sum_(T.mul(p, 1e39)))
+    assert p.data.tolist() == [1.0] and p.grad is None and state.step == 0
+    with tr.optimizer_step([p], state, "total") as tape:
+        tape.backward(T.sum_(T.mul(p, 2.0)))
+    assert p.data[0] < 1.0 and p.grad is None and state.step == 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +354,15 @@ def test_train_divergence_names_component():
                                         "segmentation", "growth"}
 
 
+def test_weighted_loss_overflow_diverges_as_total():
+    # each weight is finite and each component loss finite, but their
+    # weighted sum overflowed outside every divergence wrapper
+    weights = hd.LossWeights(alpha=1e300, beta=1e308)
+    with pytest.raises(DivergenceError) as exc_info:
+        tr.train(tiny_data(), tiny_cfg(epochs=1, weights=weights))
+    assert exc_info.value.component == "total"
+
+
 def test_desk_training_step_tape_records():
     # the per-head attention chain made 33 of the step's 90 records
     cfg = bb.desk_config()
@@ -362,7 +395,7 @@ def test_backward_drops_records_and_intermediate_grads():
 
 
 def test_taped_paper_step_with_adam_memory_is_bounded():
-    # the tape is alive through adam_step, as in train; with the records
+    # train's own step: the tape is alive through adam_step; with the records
     # held until the tape died and whole-array Adam temporaries, this step
     # peaked at 172.4 MiB
     cfg = bb.paper_config()
@@ -374,10 +407,9 @@ def test_taped_paper_step_with_adam_memory_is_bounded():
     data = tiny_data(seed=29, n=4, size=cfg.image_size[0])
 
     def step():
-        with T.Tape() as tape:
+        with tr.optimizer_step(tensors, state, "total") as tape:
             total, _, _ = tr._score(params, heads, data, np.arange(4), hd.LossWeights())
             tape.backward(total)
-        tr.adam_step(tensors, state)
 
     assert peak_traced_bytes(step) <= 100 << 20
 
