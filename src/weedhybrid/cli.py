@@ -394,9 +394,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_quantize(args, cfg: RunConfig) -> int:
     entries, flags = dp.read_checkpoint(args.model)
     if args.prune_fraction:
-        weights = [(n, v) for n, v in entries.items()
-                   if not n.startswith("meta.")]
-        dp.prune_magnitude(weights, args.prune_fraction)
+        dp.prune_magnitude(entries, args.prune_fraction)
     q = dp.quantize_entries(entries)
     dp.write_checkpoint(args.out, q, flags=flags | dp.FLAG_QUANTIZED)
     n = sum(1 for k in q if not k.startswith("meta."))
@@ -406,8 +404,7 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 
 def cmd_prune(args, cfg: RunConfig) -> int:
     entries, flags = dp.read_checkpoint(args.model)
-    weights = [(n, v) for n, v in entries.items() if not n.startswith("meta.")]
-    masks = dp.prune_magnitude(weights, args.fraction)
+    masks = dp.prune_magnitude(entries, args.fraction)
     zeroed = sum(int((~m).sum()) for m in masks.values())
     total = sum(m.size for m in masks.values())
     if not total:

@@ -41,22 +41,10 @@ class Sample:
         return CLASS_NAMES[self.label]
 
 
-def _normalize_record(entry) -> Sample:
-    if isinstance(entry, Sample):
-        return entry
-    image, label, mask, growth, synthetic = entry
-    if isinstance(label, str):
-        label = CLASS_NAMES.index(label)
-    return Sample(image=image, label=int(label), mask=mask,
-                  growth=None if growth is None else float(growth),
-                  synthetic=bool(synthetic))
-
-
-def write_manifest(path: str, records) -> None:
-    """Write records ((image, label, mask, growth, synthetic) or Sample)."""
+def write_manifest(path: str, samples) -> None:
+    """Write Samples as manifest records, replacing the file atomically."""
     lines = ["# image\tlabel\tmask\tgrowth\tsynthetic"]
-    for entry in records:
-        s = _normalize_record(entry)
+    for s in samples:
         growth = _MISSING if s.growth is None else f"{s.growth:.6f}"
         lines.append("\t".join([
             s.image, CLASS_NAMES[s.label], s.mask or _MISSING, growth,

@@ -123,24 +123,26 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     return values.astype(np.float32)
 
 
-def prune_magnitude(named_params: list, fraction: float) -> dict:
-    """Zero the smallest-|w| fraction of each tensor in place; return keep masks.
+def prune_magnitude(entries: dict, fraction: float) -> dict:
+    """Zero the smallest-|w| fraction of each weight array in place; return
+    keep masks by name.
 
-    The k = int(fraction * size) dropped elements are those below the k-th
+    Every checkpoint entry but the meta. ones is a weight. The k =
+    int(fraction * size) dropped elements are those below the k-th
     smallest |w| (found by np.partition, O(size)), then the lowest-index ties
     at it: the mask of a stable sort by |w|, so repeated pruning at growing
-    fractions zeroes supersets. An int8 QuantizedTensor among the inputs
+    fractions zeroes supersets. An int8 QuantizedTensor among the weights
     raises ContractError before anything is zeroed.
     """
     if not 0.0 <= fraction < 1.0:
         raise ContractError(f"prune fraction must lie in [0, 1), got {fraction}")
-    for name, t in named_params:
-        if isinstance(t, QuantizedTensor):
+    weights = {n: v for n, v in entries.items() if not n.startswith("meta.")}
+    for name, value in weights.items():
+        if isinstance(value, QuantizedTensor):
             raise ContractError(f"{name} is int8; prune the float checkpoint, "
                                 f"then quantize it")
     masks = {}
-    for name, t in named_params:
-        data = t.data if isinstance(t, T.Tensor) else t
+    for name, data in weights.items():
         flat = data.reshape(-1)
         k = int(fraction * flat.size)
         mask = np.ones(flat.size, dtype=bool)

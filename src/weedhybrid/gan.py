@@ -26,7 +26,8 @@ import numpy as np
 from . import imaging as im
 from . import tensor as T
 from .errors import ContractError, DimensionError, diverges_as
-from .training import OptimizerState, check_lr, init_optimizer, optimizer_step
+from .training import (OptimizerState, batch_sums, check_lr, epoch_order,
+                       init_optimizer, optimizer_step)
 
 __all__ = [
     "GanConfig",
@@ -254,35 +255,26 @@ def gan_train_step(real: T.Tensor, labels, params: GanParams,
 
 
 def train_gan(images: np.ndarray, labels: np.ndarray, cfg: GanConfig,
-              seed: int = 0, params: GanParams = None) -> tuple:
+              seed: int = 0) -> tuple:
     """Full conditional-GAN training run; returns (params, loss history).
 
-    `images` is (N, 3, H, W) on the (-1, 1) scale.  History holds one
-    (epoch mean d_loss, epoch mean g_loss) pair per epoch; the whole run is
-    reproducible from `seed`.
+    `images` is (N, 3, H, W) on the (-1, 1) scale.  The networks start from
+    init_gan(cfg, rng([seed, 0xC0FFEE])); epochs follow the epoch rule of
+    the `training` module, each step drawing its latents from the epoch's
+    generator.  History holds one (epoch mean d_loss, epoch mean g_loss)
+    pair per epoch; the whole run is reproducible from `seed`.
     """
     if images.ndim != 4 or images.shape[0] < 1:
         raise ContractError(f"need a non-empty image set, got {images.shape}")
-    if params is None:
-        params = init_gan(cfg, np.random.default_rng([seed, 0xC0FFEE]))
+    params = init_gan(cfg, np.random.default_rng([seed, 0xC0FFEE]))
     d_state = init_optimizer(T.leaves(params.d), cfg.lr)
     g_state = init_optimizer(T.leaves(params.g), cfg.lr)
     history = []
-    n = images.shape[0]
     for epoch in range(cfg.epochs):
-        erng = np.random.default_rng([seed, epoch])
-        order = erng.permutation(n)
-        d_sum = g_sum = 0.0
-        batches = 0
-        for start in range(0, n, cfg.batch):
-            sel = order[start:start + cfg.batch]
-            d_loss, g_loss = gan_train_step(
-                T.const(images[sel]), labels[sel], params, d_state, g_state,
-                erng)
-            d_sum += d_loss
-            g_sum += g_loss
-            batches += 1
-        history.append((d_sum / batches, g_sum / batches))
+        order, rng = epoch_order(images.shape[0], seed, epoch)
+        sums, batches = batch_sums(order, cfg.batch, lambda sel: gan_train_step(
+            T.const(images[sel]), labels[sel], params, d_state, g_state, rng))
+        history.append(tuple(float(x) for x in sums / batches))
     return params, history
 
 

@@ -19,7 +19,8 @@ from . import backbone as bb
 from . import imaging as im
 from . import tensor as T
 from .errors import ContractError
-from .training import check_lr, init_optimizer, optimizer_step
+from .training import (batch_sums, check_lr, epoch_order, init_optimizer,
+                       optimizer_step)
 
 __all__ = [
     "ContrastiveConfig",
@@ -156,30 +157,29 @@ def forward_embeddings(x: T.Tensor, params: bb.BackboneParams,
 
 
 def pretrain(images: list, cfg: ContrastiveConfig,
-             backbone_cfg: bb.BackboneConfig = None, seed: int = 0,
-             params: bb.BackboneParams = None, normalize: bool = True) -> tuple:
+             backbone_cfg: bb.BackboneConfig, seed: int = 0,
+             normalize: bool = True) -> tuple:
     """Contrastive pretraining loop; returns (backbone params, loss history).
 
     `images` is a sequence of ImageU8 already at the backbone's input size.
-    Each batch draws its 2B views with one `make_views` call and scales
-    them with one `imaging.to_model_tensor(..., normalize)` call over the
-    stack, as preprocessing scales training and evaluation inputs.
+    The backbone starts from init_backbone(backbone_cfg, rng([seed, 0xB0])).
+    Epochs follow the epoch rule of the `training` module over the image
+    indices, batch_pairs images a batch; each batch draws its 2B views from
+    the epoch's generator with one `make_views` call and scales them with
+    one `imaging.to_model_tensor(..., normalize)` call over the stack, as
+    preprocessing scales training and evaluation inputs.
     History holds one mean NT-Xent value per epoch; the projection head is
     created internally and never returned.
     """
     if len(images) < 2:
         raise ContractError(f"pretraining needs >= 2 images, got {len(images)}")
-    if params is None:
-        backbone_cfg = backbone_cfg or bb.desk_config()
-        params = bb.init_backbone(backbone_cfg,
-                                  np.random.default_rng([seed, 0xB0]))
-    bcfg = params.config
     for img in images:
-        if (img.height, img.width) != tuple(bcfg.image_size):
+        if (img.height, img.width) != tuple(backbone_cfg.image_size):
             raise ContractError(
                 f"image {(img.height, img.width)} does not match backbone "
-                f"input {tuple(bcfg.image_size)}")
-    proj = init_projection(bcfg.cnn_channels[-1] + bcfg.embed_dim,
+                f"input {tuple(backbone_cfg.image_size)}")
+    params = bb.init_backbone(backbone_cfg, np.random.default_rng([seed, 0xB0]))
+    proj = init_projection(backbone_cfg.cnn_channels[-1] + backbone_cfg.embed_dim,
                            cfg.projection_dim,
                            np.random.default_rng([seed, 0xA1]))
     # only the CNN and ViT branches (and the projection) take gradient steps
@@ -187,21 +187,18 @@ def pretrain(images: list, cfg: ContrastiveConfig,
     state = init_optimizer(trainable, cfg.lr)
 
     history = []
-    n = len(images)
     for epoch in range(cfg.epochs):
-        erng = np.random.default_rng([seed, epoch])
-        order = erng.permutation(n)
-        total = 0.0
-        batches = 0
-        for start in range(0, n, cfg.batch_pairs):
-            picked = [images[idx] for idx in order[start:start + cfg.batch_pairs]]
-            views = make_views(picked, erng, cfg)
+        order, rng = epoch_order(len(images), seed, epoch)
+
+        def step(picked):
+            views = make_views([images[i] for i in picked], rng, cfg)
             batch = T.const(im.to_model_tensor(views, normalize))
             with optimizer_step(trainable, state, "contrastive") as tape:
-                z = forward_embeddings(batch, params, proj)
-                loss = nt_xent_loss(z, cfg.temperature)
+                loss = nt_xent_loss(forward_embeddings(batch, params, proj),
+                                    cfg.temperature)
                 tape.backward(loss)
-            total += float(loss.data)
-            batches += 1
-        history.append(total / batches)
+            return (loss.data,)
+
+        sums, batches = batch_sums(order, cfg.batch_pairs, step)
+        history.append(float(sums[0] / batches))
     return params, history

@@ -145,6 +145,8 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
                             f"positive total, got {per_class}")
     _check_size(size)
 
+    from .dataio import Sample, write_manifest
+
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)
     records = []
@@ -157,9 +159,9 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
             mask_rel = os.path.join("masks", f"{name}_{i:04d}.pgm")
             im.write_image(os.path.join(out_dir, img_rel), img)
             im.write_image(os.path.join(out_dir, mask_rel), mask)
-            records.append((img_rel, name, mask_rel, growth, False))
+            records.append(Sample(image=img_rel, label=label, mask=mask_rel,
+                                  growth=growth))
 
     manifest = os.path.join(out_dir, "manifest.tsv")
-    from .dataio import write_manifest
     write_manifest(manifest, records)
     return manifest

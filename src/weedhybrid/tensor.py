@@ -232,7 +232,9 @@ class Tape:
         Each record is popped and its rule run; then its output's .grad is
         cleared, so the rule's closure, its saved arrays and that gradient
         are freed as the walk passes them. The loss keeps its .grad and
-        leaves keep theirs. A second call raises ContractError.
+        leaves keep theirs. A second call raises ContractError. A rule whose
+        arithmetic overflows or makes a NaN, the rounding of a gradient into
+        its storage dtype included, raises NumericError.
         """
         if loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -241,12 +243,17 @@ class Tape:
         self._walked = True
         loss.grad = np.ones_like(loss.data)
         records = self._records
-        while records:
-            out, backward_fn = records.pop()
-            if out.grad is not None:
-                backward_fn(out.grad)
-                if out is not loss:
-                    out.grad = None
+        with np.errstate(over="call", invalid="call", call=_backward_non_finite):
+            while records:
+                out, backward_fn = records.pop()
+                if out.grad is not None:
+                    backward_fn(out.grad)
+                    if out is not loss:
+                        out.grad = None
+
+
+def _backward_non_finite(kind, flag):
+    raise NumericError("backward produced non-finite values")
 
 
 _TAPE_STACK: list[Tape] = []
@@ -285,7 +292,8 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
 
 # A primitive's forward runs with NumPy's floating-point warnings off: every
 # non-finite value they would flag reaches _result (or a check of its own),
-# which raises NumericError naming the op. Backward passes keep them.
+# which raises NumericError naming the op. Tape.backward turns an overflow
+# or NaN in a backward rule into NumericError instead.
 _fp_warnings_off = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 

@@ -1,8 +1,13 @@
 """Optimization loop, stratified folds, and the metric suite.
 
 Training minimizes the weighted multi-task loss with bias-corrected Adam.
-Every epoch reshuffles with a generator seeded from (run seed, epoch), so
-runs are reproducible bit for bit.  Evaluation produces a full
+The epoch rule, shared by train, pretrain.pretrain and gan.train_gan:
+epoch_order seeds a generator from (run seed, epoch) and permutes the
+index set with it, and the caller keeps drawing from that generator for
+the epoch's views or latents; batch_sums runs one step per consecutive
+`batch`-sized run of the order and sums the steps' values in float64 from
+0 in batch order, and an epoch's mean is that sum over the batch count.
+Runs are reproducible bit for bit.  Evaluation produces a full
 classification report (confusion matrix, per-class precision/recall/F1,
 accuracy, macro and weighted averages) plus pooled mean IoU over
 segmentation masks, and can emit the curves and tables as CSV files.
@@ -28,6 +33,8 @@ __all__ = [
     "init_optimizer",
     "adam_step",
     "optimizer_step",
+    "epoch_order",
+    "batch_sums",
     "FoldPlan",
     "stratified_folds",
     "MetricsReport",
@@ -153,6 +160,25 @@ def optimizer_step(params: list, state: OptimizerState, component: str):
             yield tape
         adam_step(params, state)
         T.zero_grads(params)
+
+
+def epoch_order(indices, seed: int, epoch: int) -> tuple:
+    """(order, rng): `indices` (an array, or n for 0..n-1) permuted by a
+    generator seeded from (seed, epoch), and that generator, from which
+    the caller draws the epoch's views or latents."""
+    rng = np.random.default_rng([seed, epoch])
+    return rng.permutation(indices), rng
+
+
+def batch_sums(order, batch: int, step) -> tuple:
+    """(sums, count): `step` runs on each consecutive `batch`-sized run of
+    `order` and returns a tuple of values; sums adds them in float64 from 0
+    in batch order, and count is the number of runs."""
+    sums, count = 0.0, 0
+    for start in range(0, len(order), batch):
+        sums += np.asarray(step(order[start:start + batch]), dtype=np.float64)
+        count += 1
+    return sums, count
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +369,13 @@ def _one_hot_masks(masks: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _score(params, heads, data: TrainData, sel, weights) -> tuple:
-    """Predict one batch of samples; returns (loss, LossReport, correct count)."""
+    """Predict one batch of samples; returns (loss, values), values being
+    the LossReport's four components and the correct count."""
     pred = hd.predict(params, heads, T.const(data.images[sel]))
     masks_1h = T.const(_one_hot_masks(data.masks[sel], heads.cls_w.shape[-1]))
     total, report = hd.compute_losses(pred, data.labels[sel], masks_1h,
                                       data.growth[sel].astype(np.float64), weights)
-    return total, report, int(np.sum(pred.labels == data.labels[sel]))
+    return total, (*astuple(report), np.sum(pred.labels == data.labels[sel]))
 
 
 def _snapshot(tensors):
@@ -360,68 +387,49 @@ def _restore(tensors, snap):
         t.data = saved
 
 
-def train(data: TrainData, cfg: TrainConfig, train_idx=None, val_idx=None,
-          params: bb.BackboneParams = None,
-          heads: hd.HeadParams = None) -> TrainResult:
+def train(data: TrainData, cfg: TrainConfig, train_idx, val_idx,
+          params: bb.BackboneParams = None) -> TrainResult:
     """Adam training of backbone + heads on the weighted multi-task loss.
 
-    Without an explicit split, one stratified fifth is held out for
-    validation.  The best-validation-loss parameters (by l_total) are
-    restored before returning.  Pretrained parameter collections may be
-    passed in to continue from them.
+    Each epoch steps over train_idx in epoch_order, then scores val_idx in
+    its given order; an empty index set raises ContractError. The
+    best-validation-loss parameters (by l_total) are restored before
+    returning. Pretrained backbone parameters may be passed in to continue
+    from them; the heads always start fresh.
     """
+    train_idx = np.asarray(train_idx)
+    val_idx = np.asarray(val_idx)
+    if train_idx.size == 0 or val_idx.size == 0:
+        raise ContractError(f"train needs non-empty train and validation index "
+                            f"sets, got {train_idx.size} and {val_idx.size}")
     bcfg = cfg.backbone
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = bb.init_backbone(bcfg, rng)
-    if heads is None:
-        heads = hd.init_heads(bcfg, rng)
-    if train_idx is None or val_idx is None:
-        plan = stratified_folds(data.labels, seed=cfg.seed)
-        train_idx, val_idx = plan.split(0)
-    train_idx = np.asarray(train_idx)
-    val_idx = np.asarray(val_idx)
+    heads = hd.init_heads(bcfg, rng)
 
     tensors = T.leaves((params, heads))
     state = init_optimizer(tensors, cfg.lr)
+
+    def fit(sel):
+        with optimizer_step(tensors, state, "total") as tape:
+            total, values = _score(params, heads, data, sel, cfg.weights)
+            tape.backward(total)
+        return values
 
     history = []
     best_val = float("inf")
     best_epoch = -1
     best = _snapshot(tensors)
     for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(train_idx)
-        sums = np.zeros(4)
-        batches = 0
-        correct = 0
-        for start in range(0, order.size, cfg.batch):
-            sel = order[start:start + cfg.batch]
-            with optimizer_step(tensors, state, "total") as tape:
-                total, report, hits = _score(params, heads, data, sel, cfg.weights)
-                tape.backward(total)
-            sums += astuple(report)
-            batches += 1
-            correct += hits
-
-        val_parts = np.zeros(4)
-        val_batches = 0
-        val_correct = 0
-        for start in range(0, val_idx.size, cfg.batch):
-            _, report, hits = _score(params, heads, data,
-                                     val_idx[start:start + cfg.batch], cfg.weights)
-            val_parts += astuple(report)
-            val_batches += 1
-            val_correct += hits
-
-        val_total = val_parts[3] / max(val_batches, 1)
-        history.append(EpochStats(
-            epoch=epoch,
-            train_acc=correct / max(order.size, 1),
-            val_acc=val_correct / max(val_idx.size, 1),
-            l_cls=sums[0] / max(batches, 1),
-            l_seg=sums[1] / max(batches, 1),
-            l_growth=sums[2] / max(batches, 1),
-            l_total=sums[3] / max(batches, 1)))
+        order, _ = epoch_order(train_idx, cfg.seed, epoch)
+        sums, batches = batch_sums(order, cfg.batch, fit)
+        val_sums, val_batches = batch_sums(
+            val_idx, cfg.batch, lambda sel: _score(params, heads, data, sel, cfg.weights)[1])
+        val_total = val_sums[3] / val_batches
+        history.append(EpochStats(epoch, float(sums[4] / order.size),
+                                  float(val_sums[4] / val_idx.size),
+                                  *(sums[:4] / batches)))
         if val_total < best_val:
             best_val = val_total
             best_epoch = epoch

@@ -316,7 +316,8 @@ def one_grey_image_manifest(tmp_path):
     im.write_image(str(img), im.ImageU8.from_array(np.arange(64, dtype=np.uint8)
                                                    .reshape(8, 8)))
     manifest = tmp_path / "m.tsv"
-    dio.write_manifest(str(manifest), [("g.pgm", "soil", None, None, False)])
+    dio.write_manifest(str(manifest),
+                       [dio.Sample(image="g.pgm", label=CLASS_NAMES.index("soil"))])
     return str(manifest)
 
 

@@ -216,3 +216,14 @@ def test_one_step_and_one_divergence_rule():
                      "adam_step()": ["training.optimizer_step"],
                      "DivergenceError()": ["errors.diverges_as"],
                      "except NumericError": ["errors.diverges_as"]}
+
+
+def test_one_epoch_order():
+    # train, pretrain and train_gan order their epochs only through
+    # training.epoch_order; a trainer shuffling for itself would be another
+    # copy of the epoch rule
+    sites = sorted(f"{module}.{owner}" for module, owner, node in _owned_nodes()
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "permutation")
+    assert sites == ["training.epoch_order", "training.stratified_folds"]

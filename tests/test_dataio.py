@@ -45,10 +45,11 @@ def test_roundtrip_preserves_records(tmp_path):
     assert back[1].synthetic
 
 
-def test_tuple_records_and_label_names(tmp_path):
+def test_labels_are_written_by_name(tmp_path):
     make_files(tmp_path, ["x.ppm"])
     path = str(tmp_path / "manifest.tsv")
-    dio.write_manifest(path, [("x.ppm", "soil", None, 0.5, False)])
+    dio.write_manifest(path, [dio.Sample(image="x.ppm", label=sd.SOIL_ID, growth=0.5)])
+    assert open(path).read().splitlines()[1] == "x.ppm\tsoil\t-\t0.500000\t0"
     back = dio.read_manifest(path)
     assert back[0].label == sd.SOIL_ID
     assert back[0].label_name == "soil"

@@ -98,21 +98,29 @@ def test_quantize_paper_weight_in_one_work_array():
 
 
 def named_single(values):
-    return [("w", T.Tensor(np.array(values, dtype=np.float32), requires_grad=True))]
+    return {"w": np.array(values, dtype=np.float32)}
 
 
 def test_prune_zero_fraction_is_identity():
     params = named_single([1.0, -4.0, 2.0, -3.0])
     masks = dp.prune_magnitude(params, 0.0)
-    np.testing.assert_array_equal(params[0][1].data, [1, -4, 2, -3])
+    np.testing.assert_array_equal(params["w"], [1, -4, 2, -3])
     assert masks["w"].all()
 
 
 def test_prune_half_reference():
     params = named_single([1.0, -4.0, 2.0, -3.0])
     masks = dp.prune_magnitude(params, 0.5)
-    np.testing.assert_array_equal(params[0][1].data, [0, -4, 0, -3])
+    np.testing.assert_array_equal(params["w"], [0, -4, 0, -3])
     np.testing.assert_array_equal(masks["w"], [False, True, False, True])
+
+
+def test_prune_skips_meta_entries():
+    meta = np.array([1.0, 0.5, 2.0], dtype=np.float32)
+    params = named_single([1.0, -4.0]) | {"meta.backbone": meta.copy()}
+    masks = dp.prune_magnitude(params, 0.5)
+    assert list(masks) == ["w"]
+    assert params["meta.backbone"].tobytes() == meta.tobytes()
 
 
 def test_prune_survivors_are_top_magnitudes():
@@ -129,13 +137,13 @@ def test_prune_survivors_are_top_magnitudes():
         for i, kept in enumerate(masks["w"]):
             assert kept == (i not in dropped), (trial, i)
             expect = 0.0 if i in dropped else vals[i]
-            assert params[0][1].data[i] == np.float32(expect), (trial, i)
+            assert params["w"][i] == np.float32(expect), (trial, i)
 
 
 def test_prune_ties_break_by_index():
     params = named_single([1.0, 1.0, 1.0, 1.0])
     dp.prune_magnitude(params, 0.5)
-    np.testing.assert_array_equal(params[0][1].data, [0, 0, 1, 1])
+    np.testing.assert_array_equal(params["w"], [0, 0, 1, 1])
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.25, 0.5, 0.9])
@@ -144,7 +152,7 @@ def test_prune_matches_stable_argsort_with_ties_and_signed_zeros(frac):
     # few distinct magnitudes, both signs and both zeros: most elements tie
     vals = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5], size=(7, 31))
     vals = vals.astype(np.float32)
-    params = [("w", T.Tensor(vals.copy(), requires_grad=True))]
+    params = {"w": vals.copy()}
     masks = dp.prune_magnitude(params, frac)
     flat = vals.reshape(-1)
     drop = np.argsort(np.abs(flat), kind="stable")[:int(frac * flat.size)]
@@ -152,7 +160,7 @@ def test_prune_matches_stable_argsort_with_ties_and_signed_zeros(frac):
     want[drop] = False
     np.testing.assert_array_equal(masks["w"].reshape(-1), want)
     expect = np.where(want, flat, np.float32(0)).reshape(vals.shape)
-    assert params[0][1].data.tobytes() == expect.tobytes()
+    assert params["w"].tobytes() == expect.tobytes()
 
 
 def test_prune_growing_fraction_zeroes_superset():
@@ -160,9 +168,9 @@ def test_prune_growing_fraction_zeroes_superset():
     vals = rng.standard_normal(30)
     a = named_single(vals.copy())
     dp.prune_magnitude(a, 0.2)
-    zeros_first = set(np.flatnonzero(a[0][1].data == 0))
+    zeros_first = set(np.flatnonzero(a["w"] == 0))
     dp.prune_magnitude(a, 0.6)
-    zeros_second = set(np.flatnonzero(a[0][1].data == 0))
+    zeros_second = set(np.flatnonzero(a["w"] == 0))
     assert zeros_first <= zeros_second
 
 
@@ -174,10 +182,10 @@ def test_prune_rejects_bad_fraction():
 
 
 def test_prune_rejects_int8_tensor_before_zeroing():
-    params = named_single([1.0, -4.0]) + [("q", dp.quantize(np.ones(2)))]
+    params = named_single([1.0, -4.0]) | {"q": dp.quantize(np.ones(2))}
     with pytest.raises(ContractError, match="q is int8; prune the float checkpoint"):
         dp.prune_magnitude(params, 0.5)
-    np.testing.assert_array_equal(params[0][1].data, [1, -4])
+    np.testing.assert_array_equal(params["w"], [1, -4])
 
 
 # ---------------------------------------------------------------- checkpoint
@@ -306,7 +314,7 @@ def test_read_paper_checkpoint_holds_one_copy_that_prune_can_zero(tmp_path):
     entries, _ = read[0]
     w = entries["vit.w_e"]
     assert w.flags.writeable
-    masks = dp.prune_magnitude([("vit.w_e", w)], 0.5)
+    masks = dp.prune_magnitude({"vit.w_e": w}, 0.5)
     assert (w[~masks["vit.w_e"]] == 0).all() and (~masks["vit.w_e"]).sum() == w.size // 2
     # entries from a file or from memory own writable, aligned arrays
     blob = checkpoint_bytes({"w": np.ones(3, np.float32),

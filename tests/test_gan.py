@@ -218,6 +218,21 @@ def test_train_step_divergence_names_the_adversarial_step():
     assert params.trained_steps == 0
 
 
+def test_train_step_names_the_backward_that_overflows():
+    # the forward stays finite, but the discriminator's backward overflows
+    # float32: its cast warned, and Adam was named for the inf it then read
+    cfg, params = tiny_gan(seed=21)
+    params.d.fc_w.data[...] = 3e38
+    d_state = init_optimizer(T.leaves(params.d), 1e-3)
+    g_state = init_optimizer(T.leaves(params.g), 1e-3)
+    real = T.const(np.random.default_rng(22).uniform(-1, 1, (4, 3, 8, 8)))
+    with pytest.raises(DivergenceError, match=r"^adversarial diverged: non-finite "
+                       r"values \(backward produced non-finite values\)$"):
+        G.gan_train_step(real, np.array([0, 1, 2, 0]), params, d_state, g_state,
+                         np.random.default_rng(23))
+    assert params.trained_steps == 0
+
+
 def test_train_step_runs_the_generator_once(monkeypatch):
     # the discriminator step nests inside the generator step, so one taped
     # generator output serves both losses

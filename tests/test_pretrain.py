@@ -186,7 +186,7 @@ def test_nt_xent_gradcheck():
 def test_pretrain_requires_two_images():
     with pytest.raises(ContractError):
         pt.pretrain([random_image(np.random.default_rng(0))],
-                    pt.ContrastiveConfig(epochs=1))
+                    pt.ContrastiveConfig(epochs=1), tiny_backbone())
 
 
 def test_pretrain_rejects_wrong_image_size():
@@ -200,17 +200,16 @@ def test_pretrain_rejects_wrong_image_size():
 def test_pretrain_zero_lr_leaves_params():
     rng = np.random.default_rng(10)
     imgs = [random_image(rng) for _ in range(4)]
-    params = bb.init_backbone(tiny_backbone(), np.random.default_rng(11))
-    before = {n: t.data.copy() for n, t in named_leaves(bb.build_backbone,
-                                                         params.config, params)}
+    # pretrain's own starting point for seed 3
+    start = bb.init_backbone(tiny_backbone(), np.random.default_rng([3, 0xB0]))
     out, history = pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=0.0,
                                                           batch_pairs=4,
                                                           projection_dim=6),
-                               params=params, seed=3)
-    assert out is params
+                               tiny_backbone(), seed=3)
     assert len(history) == 2
-    for name, t in named_leaves(bb.build_backbone, params.config, params):
-        assert t.data.tobytes() == before[name].tobytes(), name
+    for (name, t), s in zip(named_leaves(bb.build_backbone, out.config, out),
+                            T.leaves(start), strict=True):
+        assert t.data.tobytes() == s.data.tobytes(), name
 
 
 def test_pretrain_divergence_names_the_contrastive_step():
@@ -227,12 +226,14 @@ def test_pretrain_divergence_names_the_contrastive_step():
 def test_pretrain_updates_only_cnn_and_vit():
     rng = np.random.default_rng(12)
     imgs = [random_image(rng) for _ in range(4)]
-    params = bb.init_backbone(tiny_backbone(), np.random.default_rng(13))
+    # pretrain's own starting point for seed 4
+    start = bb.init_backbone(tiny_backbone(), np.random.default_rng([4, 0xB0]))
+    params, _ = pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=1e-3,
+                                                       batch_pairs=4,
+                                                       projection_dim=6),
+                            tiny_backbone(), seed=4)
     named = named_leaves(bb.build_backbone, params.config, params)
-    before = {n: t.data.copy() for n, t in named}
-    pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=1e-3, batch_pairs=4,
-                                           projection_dim=6),
-                params=params, seed=4)
+    before = {n: s.data for (n, _), s in zip(named, T.leaves(start), strict=True)}
     moved = {n for n, t in named if t.data.tobytes() != before[n].tobytes()}
     assert moved, "pretraining moved nothing"
     assert all(n.startswith(("cnn.", "vit.")) for n in moved), moved

@@ -1,13 +1,15 @@
 import csv
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import named_leaves, peak_traced_bytes
+from helpers import checkpoint_bytes, named_leaves, peak_traced_bytes
 from weedhybrid import backbone as bb
+from weedhybrid import deploy as dp
 from weedhybrid import heads as hd
 from weedhybrid import tensor as T
 from weedhybrid import training as tr
@@ -35,6 +37,11 @@ def tiny_data(seed=0, n=24, size=8):
     growth = rng.random(n)
     return tr.TrainData(images=images, labels=labels, masks=masks,
                         growth=growth)
+
+
+def fold0(data, cfg):
+    """(train, validation) indices: fold 0 of 5 stratified folds."""
+    return tr.stratified_folds(data.labels, seed=cfg.seed).split(0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +319,16 @@ def test_metrics_reject_mismatched_shapes():
 def test_train_zero_lr_keeps_params_and_flat_history():
     data = tiny_data()
     cfg = tiny_cfg(lr=0.0, epochs=3)
+    # train's own starting point: backbone, then heads, from one seeded rng
     rng = np.random.default_rng(cfg.seed)
     params = bb.init_backbone(cfg.backbone, rng)
-    import weedhybrid.heads as hd
     heads = hd.init_heads(cfg.backbone, rng)
-    named = (named_leaves(bb.build_backbone, params.config, params)
-             + named_leaves(hd.build_heads, params.config, heads))
-    before = {name: t.data.copy() for name, t in named}
-    result = tr.train(data, cfg, params=params, heads=heads)
-    for name, t in named:
-        np.testing.assert_array_equal(t.data, before[name])
+    before = (named_leaves(bb.build_backbone, params.config, params)
+              + named_leaves(hd.build_heads, params.config, heads))
+    result = tr.train(data, cfg, *fold0(data, cfg))
+    after = T.leaves((result.params, result.heads))
+    for (name, t), moved in zip(before, after, strict=True):
+        np.testing.assert_array_equal(moved.data, t.data, err_msg=name)
     # params never move, so accuracies are constant; the mean loss only
     # wobbles through partial-batch regrouping under the per-epoch shuffle
     assert len({h.train_acc for h in result.history}) == 1
@@ -333,23 +340,47 @@ def test_train_zero_lr_keeps_params_and_flat_history():
 def test_train_reproducible_history():
     def run():
         data = tiny_data()
-        result = tr.train(data, tiny_cfg(epochs=2))
+        cfg = tiny_cfg(epochs=2)
+        result = tr.train(data, cfg, *fold0(data, cfg))
         return [(h.train_acc, h.val_acc, h.l_total) for h in result.history]
 
     assert run() == run()
 
 
+def test_train_bytes_are_pinned():
+    # SHA-256 of a tiny seeded run's model and its exact history: the epoch
+    # order, every update and the float64 epoch means are part of the artifact
+    data, cfg = tiny_data(), tiny_cfg(epochs=2)
+    result = tr.train(data, cfg, *fold0(data, cfg))
+    rows = np.array([dataclasses.astuple(h) for h in result.history], dtype=np.float64)
+    blob = checkpoint_bytes(dp.model_entries(result.params, result.heads))
+    assert hashlib.sha256(blob + rows.tobytes()).hexdigest() == (
+        "1836de6021ad644b598ff0a010254a67cd38c9e10b3c4c6659efa8a4d88f576b")
+
+
+@pytest.mark.parametrize("empty", ["train", "validation"])
+def test_train_rejects_an_empty_index_set(empty):
+    # with no validation samples the best loss read 0.0 and the epoch-0
+    # weights were quietly restored
+    data, cfg = tiny_data(), tiny_cfg(epochs=1)
+    split = list(fold0(data, cfg))
+    split[empty == "validation"] = np.array([], dtype=np.int64)
+    with pytest.raises(ContractError, match="non-empty train and validation"):
+        tr.train(data, cfg, *split)
+
+
 def test_train_reduces_loss_on_learnable_data():
     data = tiny_data()
-    result = tr.train(data, tiny_cfg(epochs=8, lr=3e-3))
+    cfg = tiny_cfg(epochs=8, lr=3e-3)
+    result = tr.train(data, cfg, *fold0(data, cfg))
     assert result.history[-1].l_total < result.history[0].l_total
     assert 0 <= result.best_epoch < 8
 
 
 def test_train_divergence_names_component():
-    data = tiny_data()
+    data, cfg = tiny_data(), tiny_cfg(epochs=4, lr=1e12)
     with pytest.raises(DivergenceError) as exc_info:
-        tr.train(data, tiny_cfg(epochs=4, lr=1e12))
+        tr.train(data, cfg, *fold0(data, cfg))
     assert exc_info.value.component in {"backbone", "classification",
                                         "segmentation", "growth"}
 
@@ -358,8 +389,9 @@ def test_weighted_loss_overflow_diverges_as_total():
     # each weight is finite and each component loss finite, but their
     # weighted sum overflowed outside every divergence wrapper
     weights = hd.LossWeights(alpha=1e300, beta=1e308)
+    data, cfg = tiny_data(), tiny_cfg(epochs=1, weights=weights)
     with pytest.raises(DivergenceError) as exc_info:
-        tr.train(tiny_data(), tiny_cfg(epochs=1, weights=weights))
+        tr.train(data, cfg, *fold0(data, cfg))
     assert exc_info.value.component == "total"
 
 
@@ -385,7 +417,7 @@ def test_backward_drops_records_and_intermediate_grads():
     heads = hd.init_heads(cfg, rng)
     data = tiny_data(seed=27, n=4, size=cfg.image_size[0])
     with T.Tape() as tape:
-        total, _, _ = tr._score(params, heads, data, np.arange(4), hd.LossWeights())
+        total, _ = tr._score(params, heads, data, np.arange(4), hd.LossWeights())
         outs = [out for out, _ in tape._records]
         tape.backward(total)
     assert len(tape) == len(outs) and tape._records == []
@@ -408,7 +440,7 @@ def test_taped_paper_step_with_adam_memory_is_bounded():
 
     def step():
         with tr.optimizer_step(tensors, state, "total") as tape:
-            total, _, _ = tr._score(params, heads, data, np.arange(4), hd.LossWeights())
+            total, _ = tr._score(params, heads, data, np.arange(4), hd.LossWeights())
             tape.backward(total)
 
     assert peak_traced_bytes(step) <= 100 << 20
@@ -417,7 +449,7 @@ def test_taped_paper_step_with_adam_memory_is_bounded():
 def test_evaluate_report_and_empty_rejection():
     data = tiny_data()
     cfg = tiny_cfg(epochs=1)
-    result = tr.train(data, cfg)
+    result = tr.train(data, cfg, *fold0(data, cfg))
     report = tr.evaluate(result.params, result.heads, data)
     assert report.confusion.sum() == len(data)
     assert 0.0 <= report.accuracy <= 1.0
