@@ -209,6 +209,15 @@ def _check_outputs(manifest: str, samples: list, out: str) -> None:
                         f"overwrite an input")
 
 
+def _check_raw(manifest: str) -> None:
+    """Raise DataError if a manifest holds a stage record: its images went
+    through the pipeline already, and running it again, or mixing synthetic
+    rows with them, would feed the model images no raw manifest gives."""
+    if dataio.read_stages(manifest) is not None:
+        raise DataError(f"{manifest}: already preprocessed (it holds a stage "
+                        f"record); give the raw manifest instead")
+
+
 def _check_inside(manifest: str, samples: list) -> None:
     """Raise DataError if an image or mask path is absolute or leads out of
     the manifest's directory, so that augment would copy it outside --out."""
@@ -223,11 +232,12 @@ def _check_inside(manifest: str, samples: list) -> None:
 
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
+    _check_raw(args.manifest)
     samples, images = _load_images(args.manifest)
     _check_outputs(args.manifest, samples, args.out)
     os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
     records = []
-    staged = im.preprocess_batch(images, pre_cfg, as_images=True)
+    staged = im.preprocess_batch(images, pre_cfg)
     for s, processed in zip(samples, staged):
         rel = os.path.join("images", os.path.basename(s.image))
         im.write_image(os.path.join(args.out, rel), processed)
@@ -241,7 +251,7 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
         records.append(dataio.Sample(image=rel, label=s.label, mask=mask_rel,
                                      growth=s.growth, synthetic=s.synthetic))
     manifest = os.path.join(args.out, "manifest.tsv")
-    dataio.write_manifest(manifest, records)
+    dataio.write_staged_manifest(manifest, records, pre_cfg)
     print(f"preprocessed {len(records)} images into {args.out}")
     return EXIT_OK
 
@@ -273,6 +283,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     if params.config.class_count != len(synthdata.CLASS_NAMES):
         raise DataError(f"{args.gan}: GAN has {params.config.class_count} classes, "
                         f"expected {len(synthdata.CLASS_NAMES)}")
+    _check_raw(args.manifest)
     samples, images = _load_images(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: nothing to rebalance")
@@ -332,13 +343,14 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
         if img.channels != 3:
             raise DataError(f"{args.manifest}:{s.line}: expected a color "
                             f"image, got {img.channels} channel(s): {s.image}")
-    staged = im.preprocess_batch(images, pre_cfg, as_images=True)
+    if not dataio.check_stages(args.manifest, pre_cfg):
+        images = im.preprocess_batch(images, pre_cfg)
     ssl_cfg = cfg.contrastive_config()
-    params, history = pt.pretrain(staged, ssl_cfg,
+    params, history = pt.pretrain(images, ssl_cfg,
                                   backbone_cfg=cfg.backbone_config(),
                                   seed=cfg.seed, normalize=pre_cfg.normalize)
     dp.save_model(args.out, params)
-    print(f"pretrained {ssl_cfg.epochs} epochs on {len(staged)} images")
+    print(f"pretrained {ssl_cfg.epochs} epochs on {len(images)} images")
     print(f"nt-xent {history[0]:.4f} -> {history[-1]:.4f}")
     print(f"checkpoint: {args.out}")
     return EXIT_OK
@@ -423,7 +435,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     if img.channels != 3:
         raise DataError(f"{args.image}: expected a color image")
     pre_cfg = cfg.preprocess_config(params.config.image_size)
-    x = im.preprocess_batch([img], pre_cfg)
+    x = im.StagedImages(im.preprocess_batch([img], pre_cfg), pre_cfg.normalize)[:]
     pred = hd.predict(params, heads, T.const(x))
     probs = pred.class_probs.data[0]
 

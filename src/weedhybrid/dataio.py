@@ -5,10 +5,19 @@ fields — image path, class label, mask path, growth scalar, synthetic flag
 — with "-" marking an absent mask or growth value.  Lines starting with
 "#" and blank lines are ignored.  Paths are relative to the manifest's
 directory.  All validation errors carry 1-based line numbers.
+
+A manifest that ``preprocess`` wrote holds its stage record: one comment
+line naming the stage settings its images went through, e.g.::
+
+    # preprocessed target_size=32x32 median_window=3 clahe_tile=8 clahe_clip=2.0 gamma=1.0 beta=0.0
+
+Its images are model-ready but for scaling, so loaders stack them as read
+after checking that the run's settings agree with the record.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -20,9 +29,37 @@ from .errors import DataError
 from .synthdata import CLASS_NAMES
 from .training import TrainData
 
-__all__ = ["Sample", "write_manifest", "read_manifest", "read_mask", "load_dataset"]
+__all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_manifest",
+           "read_stages", "check_stages", "read_mask", "load_dataset"]
 
 _MISSING = "-"
+_HEADER = "# image\tlabel\tmask\tgrowth\tsynthetic"
+_STAGES = "preprocessed"   # the first word of a stage record's comment
+
+
+def _to_size(text: str) -> tuple:
+    h, w = (int(side) for side in text.split("x"))
+    if h < 1 or w < 1:
+        raise ValueError(text)
+    return (h, w)
+
+
+def _to_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# PreprocessConfig field -> parser of each stage a record names
+_STAGE_KEYS = {
+    "target_size": _to_size,
+    "median_window": int,
+    "clahe_tile": int,
+    "clahe_clip": _to_finite,
+    "gamma": _to_finite,
+    "beta": _to_finite,
+}
 
 
 @dataclass(frozen=True)
@@ -43,7 +80,27 @@ class Sample:
 
 def write_manifest(path: str, samples) -> None:
     """Write Samples as manifest records, replacing the file atomically."""
-    lines = ["# image\tlabel\tmask\tgrowth\tsynthetic"]
+    _write(path, [_HEADER], samples)
+
+
+def write_staged_manifest(path: str, samples, cfg: im.PreprocessConfig) -> None:
+    """write_manifest, headed by the record of the stages cfg runs."""
+    stages = " ".join(f"{key}={_stage_text(key, getattr(cfg, key))}"
+                      for key in _STAGE_KEYS)
+    _write(path, [f"# {_STAGES} {stages}", _HEADER], samples)
+
+
+def _stage_text(key: str, value) -> str:
+    """A stage value as a record writes it: HxW for the size, the shortest
+    repr for a float, which float() reads back exactly."""
+    if key == "target_size":
+        return "x".join(str(int(side)) for side in value)
+    if _STAGE_KEYS[key] is int:
+        return str(int(value))
+    return repr(float(value))
+
+
+def _write(path: str, lines: list, samples) -> None:
     for s in samples:
         growth = _MISSING if s.growth is None else f"{s.growth:.6f}"
         lines.append("\t".join([
@@ -110,6 +167,64 @@ def read_manifest(path: str) -> list:
     return samples
 
 
+def read_stages(path: str):
+    """The stage record of a manifest, as {PreprocessConfig field: value},
+    or None if it has none.
+
+    Raises DataError naming the line on a malformed record: a field that is
+    not key=value, an unknown, repeated or missing key, a value that is not
+    an integer, a finite number or a HxW size of positive integers as its
+    key needs, or a second record.
+    """
+    record, first = None, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            words = text[1:].split()
+            if not text.startswith("#") or words[:1] != [_STAGES]:
+                continue
+            if record is not None:
+                raise DataError(f"{path}:{lineno}: a second stage record "
+                                f"(the first is on line {first})")
+            record, first = {}, lineno
+            for field in words[1:]:
+                key, eq, text = field.partition("=")
+                if not eq or key not in _STAGE_KEYS:
+                    raise DataError(f"{path}:{lineno}: unknown stage record "
+                                    f"field {field!r}")
+                if key in record:
+                    raise DataError(f"{path}:{lineno}: stage {key} is recorded twice")
+                try:
+                    record[key] = _STAGE_KEYS[key](text)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad value for stage "
+                                    f"{key}: {text!r}") from None
+            missing = [key for key in _STAGE_KEYS if key not in record]
+            if missing:
+                raise DataError(f"{path}:{lineno}: stage record is missing "
+                                f"{', '.join(missing)}")
+    return record
+
+
+def check_stages(path: str, cfg: im.PreprocessConfig) -> bool:
+    """Whether a manifest's images went through cfg's stages already.
+
+    False for a manifest without a stage record. With one, a stage on which
+    cfg disagrees with the record raises DataError naming the key and both
+    values.
+    """
+    record = read_stages(path)
+    if record is None:
+        return False
+    for key, recorded in record.items():
+        value = getattr(cfg, key)
+        if (tuple(value) if key == "target_size" else value) != recorded:
+            raise DataError(f"{path}: the run's {key} {_stage_text(key, value)} "
+                            f"disagrees with the recorded {key} "
+                            f"{_stage_text(key, recorded)}")
+    return True
+
+
 def _resize_mask_nearest(mask: np.ndarray, size) -> np.ndarray:
     """Nearest-neighbor resample preserving integer class ids."""
     h_in, w_in = mask.shape
@@ -140,14 +255,18 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
 
     Every row is read and checked (image channels, then mask) in manifest
     order, so the first bad row raises; then all images run as one batch
-    through the preprocessing pipeline at pre_cfg's target size.  Masks are
-    nearest-neighbor resampled to the same size; a row without a mask
-    raises.  A missing growth value falls back to the mask's foreground
-    fraction (foreground = any non-soil class).  An empty manifest raises
-    DataError.
+    through the preprocessing pipeline at pre_cfg's target size, unless the
+    manifest's stage record (see check_stages) says they already have, in
+    which case each must be at the target size and is stacked as read.  The
+    images are held as one uint8 stack that scales each batch on use
+    (imaging.StagedImages).  Masks are nearest-neighbor resampled to the
+    same size; a row without a mask raises.  A missing growth value falls
+    back to the mask's foreground fraction (foreground = any non-soil
+    class).  An empty manifest raises DataError.
     """
     from .synthdata import SOIL_ID
 
+    recorded = check_stages(manifest_path, pre_cfg)
     samples = read_manifest(manifest_path)
     if not samples:
         raise DataError(f"{manifest_path}: no samples to load")
@@ -163,6 +282,10 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
         if img.channels != 3:
             raise DataError(f"{manifest_path}:{s.line}: expected a color "
                             f"image, got {img.channels} channel(s): {s.image}")
+        if recorded and (img.height, img.width) != (h, w):
+            raise DataError(f"{manifest_path}:{s.line}: image {s.image} is "
+                            f"{img.height}x{img.width}, not the recorded "
+                            f"target size {h}x{w}")
         raw.append(img)
         labels[i] = s.label
         if s.mask is None:
@@ -171,6 +294,7 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
         masks[i] = read_mask(manifest_path, s, (h, w))
         growth[i] = (float((masks[i] != SOIL_ID).mean()) if s.growth is None
                      else s.growth)
-    images = im.preprocess_batch(raw, pre_cfg)
+    images = im.StagedImages(raw if recorded else im.preprocess_batch(raw, pre_cfg),
+                             pre_cfg.normalize)
     return TrainData(images=images, labels=labels, masks=masks,
                      growth=growth), samples

@@ -118,9 +118,11 @@ def quantize(values: np.ndarray) -> QuantizedTensor:
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    values = qt.codes.astype(np.float64)
-    values *= qt.scale
-    return values.astype(np.float32)
+    """float32(code * scale): the float64 product, rounded once to float32
+    as it is stored, with no float64 copy of the tensor."""
+    return np.multiply(qt.codes, qt.scale, dtype=np.float64,
+                       out=np.empty(qt.codes.shape, dtype=np.float32),
+                       casting="same_kind")
 
 
 def prune_magnitude(entries: dict, fraction: float) -> dict:

@@ -258,14 +258,17 @@ def train_gan(images: np.ndarray, labels: np.ndarray, cfg: GanConfig,
               seed: int = 0) -> tuple:
     """Full conditional-GAN training run; returns (params, loss history).
 
-    `images` is (N, 3, H, W) on the (-1, 1) scale.  The networks start from
-    init_gan(cfg, rng([seed, 0xC0FFEE])); epochs follow the epoch rule of
-    the `training` module, each step drawing its latents from the epoch's
-    generator.  History holds one (epoch mean d_loss, epoch mean g_loss)
-    pair per epoch; the whole run is reproducible from `seed`.
+    `images` is (N, 3, H, W) on the (-1, 1) scale, with N labels.  The
+    networks start from init_gan(cfg, rng([seed, 0xC0FFEE])); epochs follow
+    the epoch rule of the `training` module, each step drawing its latents
+    from the epoch's generator.  History holds one (epoch mean d_loss,
+    epoch mean g_loss) pair per epoch; the whole run is reproducible from
+    `seed`.
     """
     if images.ndim != 4 or images.shape[0] < 1:
         raise ContractError(f"need a non-empty image set, got {images.shape}")
+    if len(labels) != images.shape[0]:
+        raise ContractError(f"{len(labels)} labels for {images.shape[0]} images")
     params = init_gan(cfg, np.random.default_rng([seed, 0xC0FFEE]))
     d_state = init_optimizer(T.leaves(params.d), cfg.lr)
     g_state = init_optimizer(T.leaves(params.g), cfg.lr)

@@ -21,20 +21,22 @@ takes every tile histogram of a sub-stack of images from one ``bincount``
 over (image, tile, luma) keys, with sub-stacks sized so their float64 tile
 maps fit in ``_BLOCK_BYTES`` (a share of a core's L2 cache), and blends in
 bands of at most ``_BAND_PIXELS`` pixels.  Brightness and gamma follow.
-The pipeline body exists once, in :func:`preprocess_batch`: it resizes
+The image-space body exists once, in :func:`preprocess_batch`: it resizes
 each image and runs the stages over chunks of whole images, each chunk at
 most ``_CHUNK_PIXELS`` target pixels, so its working memory is bounded by
-a chunk, not by the batch; it scales each chunk in groups of images of at
-most ``_BLOCK_BYTES`` of float64 pixels.  ``BENCH_preprocess.json`` has
-the per-stage timings.  :func:`to_model_tensor` is the one scaler from
-a uint8 stack to per-image, per-channel standardized model values; the
-pipeline and contrastive pretraining both call it.  The one-image calls
-of the same code are ``gamma_correct``, which pretraining views use, and
-``median_filter``, ``adaptive_hist_eq`` and ``preprocess``, kept because
-the benchmark's traced run times them by name.  The kernels are
-byte-identical to the per-image reference pipeline in ``tests/oracles.py``:
-the float64 operations, and the order of every float64 sum, are the same,
-whatever the chunk, sub-stack, band and group boundaries.
+a chunk, not by the batch.  ``BENCH_preprocess.json`` has the per-stage
+timings.  Scaling is the pipeline's cheap tail and runs on use:
+:class:`StagedImages` holds the staged images as one uint8 stack and
+scales each selection, in groups of images of at most ``_BLOCK_BYTES`` of
+float64 pixels, with :func:`to_model_tensor`, the one scaler from a uint8
+stack to per-image, per-channel standardized model values (contrastive
+pretraining calls it on its views).  The one-image calls of the same code
+are ``gamma_correct``, which pretraining views use, and ``median_filter``,
+``adaptive_hist_eq`` and ``preprocess``, kept because the benchmark's
+traced run times them by name.  The kernels are byte-identical to the
+per-image reference pipeline in ``tests/oracles.py``: the float64
+operations, and the order of every float64 sum, are the same, whatever the
+chunk, sub-stack, band and group boundaries.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "to_model_tensor",
     "preprocess",
     "preprocess_batch",
+    "StagedImages",
     "GEOMETRIC_OPS",
 ]
 
@@ -619,36 +622,65 @@ def _chunks(images, pixels: int):
         start = stop
 
 
-def preprocess_batch(images, cfg: PreprocessConfig = PreprocessConfig(),
-                     as_images: bool = False):
-    """Run the pipeline over a sequence of images, chunk by chunk.
+def preprocess_batch(images, cfg: PreprocessConfig = PreprocessConfig()) -> list:
+    """Run the image-space pipeline over a sequence of images, chunk by chunk.
 
     Each image is resized to ``cfg.target_size``; the resized images are
     stacked in chunks of whole images and the remaining stages run over each
-    chunk at once. Returns an (N,C,H,W) float32 array of model values, or,
-    with ``as_images``, the list of image-space results (everything but
-    scaling). The tensor form needs one channel count across the images.
+    chunk at once. Returns the list of staged images: everything but
+    scaling, which :class:`StagedImages` applies on use.
     """
     th, tw = cfg.target_size
-    channels = {img.channels for img in images}
-    if not as_images and len(channels) > 1:
-        raise ContractError(f"images mix channel counts {sorted(channels)}")
-    out = [] if as_images else np.empty(
-        (len(images), channels.pop() if channels else 3, th, tw), dtype=np.float32)
+    out = []
     for start, stop in _chunks(images, th * tw):
         stack = _stage(np.stack([resize_bilinear(img, cfg.target_size).as_array()
                                  for img in images[start:stop]]), cfg)
-        if as_images:
-            out.extend(_as_image(a) for a in stack)
-        else:
-            # scaled in cache-sized groups of whole images
-            per = max(1, _BLOCK_BYTES // (stack[0].size * 8))
-            for at in range(start, stop, per):
-                group = stack[at - start:at - start + per]
-                out[at:at + len(group)] = to_model_tensor(group, cfg.normalize)
+        out.extend(_as_image(a) for a in stack)
     return out
+
+
+class StagedImages:
+    """Staged images as model inputs, held as one (N,H,W,C) uint8 stack.
+
+    A read-only view that reports the model batch's ``shape``, (N,C,H,W),
+    and ``len``. ``view[sel]`` is the float32 (len(sel),C,H,W) batch of the
+    selected images (an integer gives one (C,H,W) image), scaled by
+    :func:`to_model_tensor` in groups of whole images of at most
+    _BLOCK_BYTES of float64 pixels, so no float copy of the whole set ever
+    exists. Scaling is per image, so an image's values do not depend on the
+    selection or group it is scaled in.
+    """
+
+    def __init__(self, images, normalize: bool = True):
+        channels = {img.channels for img in images}
+        if len(channels) > 1:
+            raise ContractError(f"images mix channel counts {sorted(channels)}")
+        self._stack = np.stack([img.as_array() for img in images])
+        self._stack.flags.writeable = False
+        self._normalize = normalize
+
+    @property
+    def shape(self) -> tuple:
+        n, h, w, c = self._stack.shape
+        return (n, c, h, w)
+
+    def __len__(self):
+        return self._stack.shape[0]
+
+    def __getitem__(self, sel) -> np.ndarray:
+        idx = np.arange(len(self))[sel]
+        if idx.ndim == 0:
+            return self[idx[None]][0]
+        _, c, h, w = self.shape
+        out = np.empty((idx.size, c, h, w), dtype=np.float32)
+        per = max(1, _BLOCK_BYTES // (h * w * c * 8))
+        for at in range(0, idx.size, per):
+            out[at:at + per] = to_model_tensor(self._stack[idx[at:at + per]],
+                                               self._normalize)
+        return out
 
 
 def preprocess(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()):
     """Run the full pipeline over one image -> (C,H,W) model tensor."""
-    return tensor_ops.Tensor(preprocess_batch([img], cfg)[0])
+    return tensor_ops.Tensor(StagedImages(preprocess_batch([img], cfg),
+                                          cfg.normalize)[0])

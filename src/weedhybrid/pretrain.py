@@ -167,7 +167,7 @@ def pretrain(images: list, cfg: ContrastiveConfig,
     indices, batch_pairs images a batch; each batch draws its 2B views from
     the epoch's generator with one `make_views` call and scales them with
     one `imaging.to_model_tensor(..., normalize)` call over the stack, as
-    preprocessing scales training and evaluation inputs.
+    `imaging.StagedImages` scales training and evaluation inputs.
     History holds one mean NT-Xent value per epoch; the projection head is
     created internally and never returned.
     """

@@ -325,8 +325,14 @@ class TrainConfig:
 
 @dataclass
 class TrainData:
-    """Preprocessed tensors ready for the model: float32 images (N,3,H,W),
-    integer labels (N,), integer masks (N,H,W), growth targets (N,)."""
+    """A dataset ready for the model: images (N,3,H,W), integer labels (N,),
+    integer masks (N,H,W), growth targets (N,).
+
+    ``images`` is anything that reports that shape and whose ``[sel]`` gives
+    the float32 model batch of the selected rows: dataio.load_dataset holds
+    an imaging.StagedImages, one uint8 stack scaled per batch; a float32
+    array of model values serves as well.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -392,7 +398,8 @@ def train(data: TrainData, cfg: TrainConfig, train_idx, val_idx,
     """Adam training of backbone + heads on the weighted multi-task loss.
 
     Each epoch steps over train_idx in epoch_order, then scores val_idx in
-    its given order; an empty index set raises ContractError. The
+    its given order; an empty index set, or an index outside
+    [0, len(data)), raises ContractError. The
     best-validation-loss parameters (by l_total) are restored before
     returning. Pretrained backbone parameters may be passed in to continue
     from them; the heads always start fresh.
@@ -402,6 +409,11 @@ def train(data: TrainData, cfg: TrainConfig, train_idx, val_idx,
     if train_idx.size == 0 or val_idx.size == 0:
         raise ContractError(f"train needs non-empty train and validation index "
                             f"sets, got {train_idx.size} and {val_idx.size}")
+    for name, idx in (("train", train_idx), ("validation", val_idx)):
+        outside = idx[(idx < 0) | (idx >= len(data))]
+        if outside.size:
+            raise ContractError(f"{name} index {outside[0]} lies outside the "
+                                f"{len(data)} samples")
     bcfg = cfg.backbone
     rng = np.random.default_rng(cfg.seed)
     if params is None:

@@ -286,6 +286,13 @@ def ntxent_scalar(z, tau):
     return total / n
 
 
+def dequantize_whole(qt):
+    """float32(code * scale) through a whole-tensor float64 copy."""
+    values = qt.codes.astype(np.float64)
+    values *= qt.scale
+    return values.astype(np.float32)
+
+
 def quantize_scalar(values):
     """Symmetric int8 quantization: scale = max|x|/127, round half away from zero."""
     amax = max(abs(float(v)) for v in values) if len(values) else 0.0

@@ -624,6 +624,91 @@ def test_preprocess_refuses_to_overwrite_its_inputs(tmp_path, capsys):
     assert dir_bytes(data) == before
 
 
+# ---------------------------------------------------------------- preprocessed manifests
+
+
+@pytest.fixture(scope="module")
+def preprocessed(workspace):
+    """preprocess's output manifest over the workspace, at the tiny config."""
+    out = workspace["root"] / "preprocessed"
+    rc = cli.main(["preprocess", "--manifest", workspace["manifest"],
+                   "--out", str(out), "--config", workspace["conf"]])
+    assert rc == 0
+    return str(out / "manifest.tsv")
+
+
+def test_preprocessed_output_trains_as_the_raw_manifest(
+        workspace, preprocessed, tmp_path, capsys, monkeypatch):
+    # every consumer ran the pipeline again on preprocess's output, so its
+    # model inputs differed from the raw manifest's and so did the model
+    def runs(manifest, sub):
+        out = tmp_path / sub
+        commands = {
+            "train": ["--manifest", manifest, "--out", str(out / "run")],
+            "eval": ["--manifest", manifest, "--model", str(out / "run" / "model.hwdm"),
+                     "--out", str(out / "eval")],
+            "pretrain": ["--manifest", manifest, "--out", str(out / "pre.hwdm")]}
+        stdout = {}
+        for command, args in commands.items():
+            assert cli.main([command, *args, "--config", workspace["conf"]]) == 0
+            stdout[command] = capsys.readouterr().out.replace(str(out), "OUT")
+        return stdout, dir_bytes(out)
+
+    raw = runs(workspace["manifest"], "raw")
+
+    def no_second_pass(*args):
+        raise AssertionError("a recorded manifest ran through the pipeline again")
+
+    monkeypatch.setattr(im, "preprocess_batch", no_second_pass)
+    assert runs(preprocessed, "staged") == raw
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pretrain"])
+@pytest.mark.parametrize("setting,message", [
+    ("preprocess.gamma = 1.5", "the run's gamma 1.5 disagrees with the recorded gamma 1.0"),
+    ("preprocess.clahe_tile = 4",
+     "the run's clahe_tile 4 disagrees with the recorded clahe_tile 8")])
+def test_a_config_disagreeing_with_the_stage_record_exits_two(
+        workspace, preprocessed, trained, tmp_path, capsys, command, setting, message):
+    conf = tmp_path / "other.conf"
+    conf.write_text(TINY_CONF + setting + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    model = ["--model", trained["model"]] if command == "eval" else []
+    rc = cli.main([command, "--manifest", preprocessed, "--out", str(out), *model,
+                   "--config", str(conf)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {preprocessed}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_preset_disagreeing_with_the_stage_record_exits_two(
+        workspace, preprocessed, tmp_path, capsys):
+    rc = cli.main(["train", "--manifest", preprocessed, "--out", str(tmp_path / "out"),
+                   "--config", workspace["conf"], "--preset", "paper"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {preprocessed}: the run's target_size 224x224 disagrees with "
+        f"the recorded target_size 32x32\n")
+
+
+@pytest.mark.parametrize("command", ["preprocess", "augment"])
+def test_a_recorded_manifest_is_not_staged_again(
+        workspace, preprocessed, gan_checkpoint, tmp_path, capsys, command):
+    # a second pipeline pass, or synthetic rows beside processed originals,
+    # would give images no raw manifest gives
+    source = os.path.dirname(preprocessed)
+    before = dir_bytes(source)
+    out = tmp_path / "out"
+    gan = ["--gan", gan_checkpoint] if command == "augment" else []
+    rc = cli.main([command, "--manifest", preprocessed, "--out", str(out), *gan])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {preprocessed}: already preprocessed (it holds a stage "
+        f"record); give the raw manifest instead\n")
+    assert not out.exists()
+    assert dir_bytes(source) == before
+
+
 # ---------------------------------------------------------------- gan + augment
 
 

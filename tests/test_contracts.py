@@ -227,3 +227,13 @@ def test_one_epoch_order():
                    and isinstance(node.func, ast.Attribute)
                    and node.func.attr == "permutation")
     assert sites == ["training.epoch_order", "training.stratified_folds"]
+
+
+def test_one_scaling_site():
+    # model values are scaled on use: by the staged-image view for train,
+    # eval and infer, and by pretraining for its views; a float copy of a
+    # whole set made anywhere else would be a second, unbounded path
+    sites = sorted(f"{module}.{owner}" for module, owner, node in _owned_nodes()
+                   if isinstance(node, ast.Call)
+                   and _short_name(node.func) == "to_model_tensor")
+    assert sites == ["imaging.StagedImages", "pretrain.pretrain"]

@@ -1,7 +1,12 @@
 """Manifest parsing, validation errors, and dataset loading."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weedhybrid.dataio as dio
 import weedhybrid.imaging as im
@@ -123,6 +128,87 @@ def test_empty_manifest_warns(tmp_path):
         assert dio.read_manifest(path) == []
 
 
+# ---------------------------------------------------------------- stage records
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.tuples(st.integers(1, 4096), st.integers(1, 4096)),
+       window=st.integers(0, 40), tile=st.integers(1, 64), clip=POSITIVE,
+       gamma=POSITIVE, beta=st.floats(allow_nan=False, allow_infinity=False))
+def test_stage_record_round_trips_exactly(size, window, tile, clip, gamma, beta):
+    window = min(2 * window + 1, min(size) - 1 + min(size) % 2)  # odd, fits
+    cfg = im.PreprocessConfig(target_size=size, median_window=window,
+                              clahe_tile=tile, clahe_clip=clip, gamma=gamma,
+                              beta=beta)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "manifest.tsv")
+        dio.write_staged_manifest(path, [], cfg)
+        record = dio.read_stages(path)
+        assert dio.check_stages(path, cfg)
+    assert list(record) == ["target_size", "median_window", "clahe_tile",
+                            "clahe_clip", "gamma", "beta"]
+    assert record["target_size"] == size
+    assert (record["median_window"], record["clahe_tile"]) == (window, tile)
+    for key, value in (("clahe_clip", clip), ("gamma", gamma), ("beta", beta)):
+        assert record[key].hex() == value.hex(), key
+
+
+RECORD = ("# preprocessed target_size=8x8 median_window=1 clahe_tile=4 "
+          "clahe_clip=2.0 gamma=1.0 beta=0.0")
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([RECORD + " sharpen=2"], ":1: unknown stage record field 'sharpen=2'"),
+    ([RECORD + " gamma"], ":1: unknown stage record field 'gamma'"),
+    ([RECORD.replace(" beta=0.0", "")], ":1: stage record is missing beta"),
+    ([RECORD.replace("gamma=1.0", "gamma=abc")],
+     ":1: bad value for stage gamma: 'abc'"),
+    ([RECORD.replace("gamma=1.0", "gamma=nan")],
+     ":1: bad value for stage gamma: 'nan'"),
+    ([RECORD.replace("median_window=1", "median_window=1.0")],
+     ":1: bad value for stage median_window: '1.0'"),
+    ([RECORD.replace("8x8", "8")], ":1: bad value for stage target_size: '8'"),
+    ([RECORD.replace("8x8", "0x8")], ":1: bad value for stage target_size: '0x8'"),
+    ([RECORD.replace("8x8", "8x8x3")], ":1: bad value for stage target_size: '8x8x3'"),
+    ([RECORD + " beta=1.0"], ":1: stage beta is recorded twice"),
+    ([RECORD, "# image\tlabel", RECORD],
+     ":3: a second stage record (the first is on line 1)"),
+], ids=["unknown-key", "no-value", "missing-key", "non-numeric", "nan",
+        "float-for-int", "one-side", "zero-side", "three-sides", "repeated-key",
+        "second-record"])
+def test_malformed_stage_record_names_the_line(tmp_path, lines, message):
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(DataError) as info:
+        dio.read_stages(path)
+    assert str(info.value) == path + message
+
+
+def test_comments_are_records_only_under_their_marker(tmp_path):
+    path = write_lines(tmp_path, ["# not preprocessed", "# image\tlabel",
+                                  "#preprocessed-ish files"])
+    assert dio.read_stages(path) is None
+    assert not dio.check_stages(path, small_cfg())
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(gamma=1.5), "the run's gamma 1.5 disagrees with the recorded gamma 1.0"),
+    (dict(target_size=(16, 8)),
+     "the run's target_size 16x8 disagrees with the recorded target_size 8x8"),
+    (dict(median_window=3), "the run's median_window 3 disagrees with the "
+                            "recorded median_window 1")])
+def test_check_stages_names_the_disagreeing_key(tmp_path, change, message):
+    path = write_lines(tmp_path, [RECORD])
+    assert dio.check_stages(path, small_cfg())
+    # normalize is applied on use, so it is not a recorded stage
+    assert dio.check_stages(path, dataclasses.replace(small_cfg(), normalize=False))
+    with pytest.raises(DataError) as info:
+        dio.check_stages(path, dataclasses.replace(small_cfg(), **change))
+    assert str(info.value) == f"{path}: {message}"
+
+
 # ---------------------------------------------------------------- loading
 
 
@@ -135,8 +221,9 @@ def test_load_dataset_from_generated(tmp_path):
     manifest = sd.generate_dataset(str(tmp_path), {"soil": 2, "grass": 2},
                                    size=(8, 8), seed=3)
     data, samples = dio.load_dataset(manifest, small_cfg())
-    assert data.images.shape == (4, 3, 8, 8)
-    assert data.images.dtype == np.float32
+    assert data.images.shape == (4, 3, 8, 8) and len(data.images) == 4
+    assert data.images[[0, 2]].dtype == np.float32
+    assert data.images[[0, 2]].shape == (2, 3, 8, 8)
     assert sorted(data.labels.tolist()) == [1, 1, 2, 2]
     assert data.masks.shape == (4, 8, 8)
     assert np.all((0 <= data.growth) & (data.growth <= 1))
@@ -155,7 +242,33 @@ def test_load_dataset_holds_masks_as_uint8(tmp_path):
     data, samples = loaded[0]
     assert data.masks.dtype == np.uint8
     assert dio.read_mask(manifest, samples[0], (32, 32)).dtype == np.uint8
-    assert held < data.images.nbytes + 4 * data.masks.size
+    assert held < 4 * np.prod(data.images.shape) + 4 * data.masks.size
+
+
+def test_load_dataset_holds_paper_rows_as_uint8(tmp_path):
+    # float32 model values held 652 KB per 224-px row; one uint8 stack,
+    # scaled per batch, holds the image and mask bytes, about 200 KB
+    manifest = sd.generate_dataset(str(tmp_path), {"soil": 2, "grass": 2},
+                                   size=(224, 224), seed=3)
+    loaded = []
+    held = peak_traced_bytes(
+        lambda: loaded.append(dio.load_dataset(manifest, im.PreprocessConfig())),
+        held=True)
+    data, _ = loaded[0]
+    assert held <= 1.25 * (np.prod(data.images.shape) + data.masks.nbytes)
+
+
+def test_load_dataset_checks_recorded_image_sizes(tmp_path):
+    make_files(tmp_path, ["a.ppm"])
+    make_files(tmp_path, ["b.ppm"], size=(16, 16))
+    im.write_image(str(tmp_path / "m.pgm"),
+                   im.ImageU8.from_array(np.zeros((8, 8), dtype=np.uint8)))
+    path = write_lines(tmp_path, [RECORD, "a.ppm\tsoil\tm.pgm\t-\t0",
+                                  "b.ppm\tsoil\tm.pgm\t-\t0"])
+    with pytest.raises(DataError) as info:
+        dio.load_dataset(path, small_cfg())
+    assert str(info.value) == (f"{path}:3: image b.ppm is 16x16, not the "
+                               f"recorded target size 8x8")
 
 
 def test_load_dataset_growth_fallback_from_mask(tmp_path):

@@ -15,7 +15,7 @@ import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, FormatError
 
 from helpers import checkpoint_bytes, decode_bytes, named_leaves, peak_traced_bytes
-from oracles import quantize_scalar
+from oracles import dequantize_whole, quantize_scalar
 
 
 def tiny_model(seed=0):
@@ -79,6 +79,25 @@ def test_quantize_preserves_shape():
     qt = dp.quantize(np.ones((2, 3, 4), dtype=np.float32))
     assert qt.shape == (2, 3, 4)
     assert dp.dequantize(qt).shape == (2, 3, 4)
+
+
+@pytest.mark.parametrize("scale", [0.0123, 1e-30, 3.3e-3, 7 / 127, 1.0, 3e38 / 127])
+def test_dequantize_matches_the_whole_array_oracle(scale):
+    codes = np.random.default_rng(8).integers(-127, 128, (37, 53)).astype(np.int8)
+    codes[0, :3] = (-127, 0, 127)
+    qt = dp.QuantizedTensor(codes=codes, scale=scale)
+    got = dp.dequantize(qt)
+    assert got.dtype == np.float32 and got.shape == codes.shape
+    assert got.tobytes() == dequantize_whole(qt).tobytes()
+
+
+def test_dequantize_holds_no_float64_copy():
+    # the whole-array form held a float64 copy beside its float32 result:
+    # 6.75 MiB for a 768x768 tensor, three times the result
+    codes = np.random.default_rng(9).integers(-127, 128, (768, 768)).astype(np.int8)
+    qt = dp.QuantizedTensor(codes=codes, scale=0.01)
+    peak = peak_traced_bytes(lambda: dp.dequantize(qt))
+    assert peak < 1.25 * codes.size * 4
 
 
 def test_quantize_paper_weight_in_one_work_array():

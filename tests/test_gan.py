@@ -295,6 +295,15 @@ def test_train_gan_smoke_finite_and_reproducible():
     assert params_a.trained_steps == cfg.epochs * 2
 
 
+def test_train_gan_rejects_a_label_count_unlike_the_image_count():
+    # three labels for eight images ended in "index 3 is out of bounds for
+    # axis 0 with size 3" from the first batch
+    cfg = tiny_config(epochs=1, batch=4)
+    images = np.zeros((8, 3, 8, 8))
+    with pytest.raises(ContractError, match="3 labels for 8 images"):
+        G.train_gan(images, np.zeros(3, dtype=np.int64), cfg)
+
+
 def test_train_gan_different_seeds_differ():
     cfg = tiny_config(epochs=2, batch=4)
     rng = np.random.default_rng(20)

@@ -460,8 +460,8 @@ def test_preprocess_batch_matches_per_image_pipeline(arrs, cfg, per_chunk, slack
     imgs = [im.ImageU8.from_array(a) for a in arrs]
     # chunks of per_chunk images, so most batches straddle a chunk boundary
     with mock.patch.object(im, "_CHUNK_PIXELS", per_chunk * th * tw + slack):
-        got = im.preprocess_batch(imgs, cfg)
-        staged = im.preprocess_batch(imgs, cfg, as_images=True)
+        staged = im.preprocess_batch(imgs, cfg)
+    got = im.StagedImages(staged, cfg.normalize)[:]
     want = np.stack([oracles.preprocess_per_image(a, cfg) for a in arrs])
     assert got.dtype == np.float32 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -513,13 +513,17 @@ def test_preprocess_batch_channel_counts():
     rng = np.random.default_rng(18)
     imgs = [_rand_img(rng, 6, 6, 3), _rand_img(rng, 6, 6, 1), _rand_img(rng, 6, 6, 3)]
     cfg = im.PreprocessConfig(target_size=(6, 6))
-    staged = im.preprocess_batch(imgs, cfg, as_images=True)
+    staged = im.preprocess_batch(imgs, cfg)
     assert [img.channels for img in staged] == [3, 1, 3]
-    assert staged == [im.preprocess_batch([img], cfg, as_images=True)[0]
-                      for img in imgs]
+    assert staged == [im.preprocess_batch([img], cfg)[0] for img in imgs]
     with pytest.raises(ContractError, match="mix channel counts"):
-        im.preprocess_batch(imgs, cfg)
-    assert im.preprocess_batch([], cfg).shape == (0, 3, 6, 6)
+        im.StagedImages(staged)
+    assert im.preprocess_batch([], cfg) == []
+
+
+def _model_inputs(images, cfg):
+    """The float32 model batch of images, staged and scaled."""
+    return im.StagedImages(im.preprocess_batch(images, cfg), cfg.normalize)[:]
 
 
 def test_preprocess_batch_memory_stays_within_a_chunk(monkeypatch):
@@ -530,7 +534,7 @@ def test_preprocess_batch_memory_stays_within_a_chunk(monkeypatch):
 
     def peak_beyond_output(batch):
         outs = []
-        peak = peak_traced_bytes(lambda: outs.append(im.preprocess_batch(batch, cfg)))
+        peak = peak_traced_bytes(lambda: outs.append(_model_inputs(batch, cfg)))
         return peak - outs[0].nbytes
 
     one_chunk = peak_beyond_output(imgs[:4])
@@ -560,7 +564,7 @@ def test_preprocess_chunk_memory_holds_no_whole_chunk_tile_map():
     def peak_beyond_output(batch, size):
         cfg = im.PreprocessConfig(target_size=(size, size))
         outs = []
-        peak = peak_traced_bytes(lambda: outs.append(im.preprocess_batch(batch, cfg)))
+        peak = peak_traced_bytes(lambda: outs.append(_model_inputs(batch, cfg)))
         return peak - outs[0].nbytes
 
     # one desk chunk: the float64 tile maps of all 32 images would be 4 MiB
@@ -580,6 +584,10 @@ def test_preprocess_batch_scaling_groups_are_invisible(arrs, per_group, slack):
     h, w, c = arrs[0].shape
     cfg = im.PreprocessConfig(target_size=(h, w), median_window=1)
     with mock.patch.object(im, "_BLOCK_BYTES", per_group * h * w * c * 8 + slack):
-        got = im.preprocess_batch([im.ImageU8.from_array(a) for a in arrs], cfg)
+        view = im.StagedImages(im.preprocess_batch(
+            [im.ImageU8.from_array(a) for a in arrs], cfg), cfg.normalize)
+        got, backwards = view[:], view[::-1]
     want = np.stack([oracles.preprocess_per_image(a, cfg) for a in arrs])
     assert got.tobytes() == want.tobytes()
+    # an image's values do not depend on the selection it is scaled in
+    assert backwards.tobytes() == want[::-1].tobytes()

@@ -369,6 +369,19 @@ def test_train_rejects_an_empty_index_set(empty):
         tr.train(data, cfg, *split)
 
 
+@pytest.mark.parametrize("which", ["train", "validation"])
+@pytest.mark.parametrize("bad", [24, 99, -1])
+def test_train_rejects_an_index_outside_the_data(which, bad):
+    # index 99 ended in "index 99 is out of bounds for axis 0 with size 24"
+    # from the first batch; -1 silently read the last row
+    data, cfg = tiny_data(), tiny_cfg(epochs=1)
+    split = list(fold0(data, cfg))
+    split[which == "validation"] = np.append(split[which == "validation"], bad)
+    with pytest.raises(ContractError, match=f"{which} index {bad} lies outside "
+                                            f"the 24 samples"):
+        tr.train(data, cfg, *split)
+
+
 def test_train_reduces_loss_on_learnable_data():
     data = tiny_data()
     cfg = tiny_cfg(epochs=8, lr=3e-3)
