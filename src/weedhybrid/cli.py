@@ -258,6 +258,7 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
 
 def cmd_gan_train(args, cfg: RunConfig) -> int:
     gan_cfg = cfg.gan_config()
+    _check_raw(args.manifest)
     samples, images = _load_images(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: no samples to train on")

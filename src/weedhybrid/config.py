@@ -10,7 +10,9 @@ One document configures every stage, using section-prefixed keys:
 
 Blank lines and `#` comments are ignored.  Unknown keys, duplicate keys
 and unparseable values (a non-finite number, a learning rate that is not
-positive, a negative seed) raise DataError naming the offending line.
+positive, a negative seed) raise DataError naming the offending line, and
+a file that is not UTF-8 raises DataError naming the offset of its first
+bad byte.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import gan as gn
 from . import imaging as im
 from . import pretrain as pt
 from . import training as tr
+from .dataio import read_text
 from .errors import ContractError, DataError
 from .heads import LossWeights
 
@@ -226,5 +229,5 @@ def _breaks(build, cfg: RunConfig) -> bool:
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=path, overrides=overrides)
+    """parse_config over a file's text, read by dataio.read_text."""
+    return parse_config(read_text(path), source=path, overrides=overrides)

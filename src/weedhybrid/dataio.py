@@ -29,8 +29,9 @@ from .errors import DataError
 from .synthdata import CLASS_NAMES
 from .training import TrainData
 
-__all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_manifest",
-           "read_stages", "check_stages", "read_mask", "load_dataset"]
+__all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_text",
+           "read_manifest", "read_stages", "check_stages", "read_mask",
+           "load_dataset"]
 
 _MISSING = "-"
 _HEADER = "# image\tlabel\tmask\tgrowth\tsynthetic"
@@ -112,56 +113,72 @@ def _write(path: str, lines: list, samples) -> None:
     os.replace(tmp, path)
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents with "\\r\\n" and "\\r" read as "\\n", as
+    a text-mode open reads them.
+
+    Raises DataError naming the file and the offset of the first byte that
+    is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} "
+                        f"at offset {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_manifest(path: str) -> list:
     """Parse and validate a manifest; returns Samples in file order.
 
     Raises DataError with the offending line number on malformed fields,
-    unknown labels, or missing files.  Warns (and keeps both) on duplicate
+    unknown labels, or missing files, and as read_text does on bytes that
+    are not UTF-8.  Warns (and keeps both) on duplicate
     image paths; warns on an empty manifest.
     """
     base = os.path.dirname(os.path.abspath(path))
     samples = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.rstrip("\n")
-            if not text.strip() or text.lstrip().startswith("#"):
-                continue
-            fields = text.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 tab-separated "
-                                f"fields, got {len(fields)}")
-            image, label_name, mask, growth_s, synth_s = fields
-            if label_name not in CLASS_NAMES:
-                raise DataError(f"{path}:{lineno}: unknown label "
-                                f"{label_name!r} (expected one of "
-                                f"{', '.join(CLASS_NAMES)})")
-            if not os.path.exists(os.path.join(base, image)):
-                raise DataError(f"{path}:{lineno}: image file not found: {image}")
-            mask_rel = None if mask == _MISSING else mask
-            if mask_rel is not None and not os.path.exists(
-                    os.path.join(base, mask_rel)):
-                raise DataError(f"{path}:{lineno}: mask file not found: {mask_rel}")
-            growth = None
-            if growth_s != _MISSING:
-                try:
-                    growth = float(growth_s)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: growth must be a real "
-                                    f"number, got {growth_s!r}") from None
-                if not 0.0 <= growth <= 1.0:
-                    raise DataError(f"{path}:{lineno}: growth must lie in "
-                                    f"[0, 1], got {growth}")
-            if synth_s not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: synthetic flag must be 0 "
-                                f"or 1, got {synth_s!r}")
-            if image in seen:
-                warnings.warn(f"{path}:{lineno}: duplicate image path {image}; "
-                              f"keeping both records")
-            seen.add(image)
-            samples.append(Sample(image=image, label=CLASS_NAMES.index(label_name),
-                                  mask=mask_rel, growth=growth,
-                                  synthetic=synth_s == "1", line=lineno))
+    for lineno, text in enumerate(read_text(path).split("\n"), start=1):
+        if not text.strip() or text.lstrip().startswith("#"):
+            continue
+        fields = text.split("\t")
+        if len(fields) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 tab-separated "
+                            f"fields, got {len(fields)}")
+        image, label_name, mask, growth_s, synth_s = fields
+        if label_name not in CLASS_NAMES:
+            raise DataError(f"{path}:{lineno}: unknown label "
+                            f"{label_name!r} (expected one of "
+                            f"{', '.join(CLASS_NAMES)})")
+        if not os.path.exists(os.path.join(base, image)):
+            raise DataError(f"{path}:{lineno}: image file not found: {image}")
+        mask_rel = None if mask == _MISSING else mask
+        if mask_rel is not None and not os.path.exists(
+                os.path.join(base, mask_rel)):
+            raise DataError(f"{path}:{lineno}: mask file not found: {mask_rel}")
+        growth = None
+        if growth_s != _MISSING:
+            try:
+                growth = float(growth_s)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: growth must be a real "
+                                f"number, got {growth_s!r}") from None
+            if not 0.0 <= growth <= 1.0:
+                raise DataError(f"{path}:{lineno}: growth must lie in "
+                                f"[0, 1], got {growth}")
+        if synth_s not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: synthetic flag must be 0 "
+                            f"or 1, got {synth_s!r}")
+        if image in seen:
+            warnings.warn(f"{path}:{lineno}: duplicate image path {image}; "
+                          f"keeping both records")
+        seen.add(image)
+        samples.append(Sample(image=image, label=CLASS_NAMES.index(label_name),
+                              mask=mask_rel, growth=growth,
+                              synthetic=synth_s == "1", line=lineno))
     if not samples:
         warnings.warn(f"{path}: manifest is empty")
     return samples
@@ -174,35 +191,35 @@ def read_stages(path: str):
     Raises DataError naming the line on a malformed record: a field that is
     not key=value, an unknown, repeated or missing key, a value that is not
     an integer, a finite number or a HxW size of positive integers as its
-    key needs, or a second record.
+    key needs, or a second record; and as read_text does on bytes that are
+    not UTF-8.
     """
     record, first = None, 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            words = text[1:].split()
-            if not text.startswith("#") or words[:1] != [_STAGES]:
-                continue
-            if record is not None:
-                raise DataError(f"{path}:{lineno}: a second stage record "
-                                f"(the first is on line {first})")
-            record, first = {}, lineno
-            for field in words[1:]:
-                key, eq, text = field.partition("=")
-                if not eq or key not in _STAGE_KEYS:
-                    raise DataError(f"{path}:{lineno}: unknown stage record "
-                                    f"field {field!r}")
-                if key in record:
-                    raise DataError(f"{path}:{lineno}: stage {key} is recorded twice")
-                try:
-                    record[key] = _STAGE_KEYS[key](text)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad value for stage "
-                                    f"{key}: {text!r}") from None
-            missing = [key for key in _STAGE_KEYS if key not in record]
-            if missing:
-                raise DataError(f"{path}:{lineno}: stage record is missing "
-                                f"{', '.join(missing)}")
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        text = raw.strip()
+        words = text[1:].split()
+        if not text.startswith("#") or words[:1] != [_STAGES]:
+            continue
+        if record is not None:
+            raise DataError(f"{path}:{lineno}: a second stage record "
+                            f"(the first is on line {first})")
+        record, first = {}, lineno
+        for field in words[1:]:
+            key, eq, text = field.partition("=")
+            if not eq or key not in _STAGE_KEYS:
+                raise DataError(f"{path}:{lineno}: unknown stage record "
+                                f"field {field!r}")
+            if key in record:
+                raise DataError(f"{path}:{lineno}: stage {key} is recorded twice")
+            try:
+                record[key] = _STAGE_KEYS[key](text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad value for stage "
+                                f"{key}: {text!r}") from None
+        missing = [key for key in _STAGE_KEYS if key not in record]
+        if missing:
+            raise DataError(f"{path}:{lineno}: stage record is missing "
+                            f"{', '.join(missing)}")
     return record
 
 

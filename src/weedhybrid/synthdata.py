@@ -16,7 +16,9 @@ regardless of generation order.
 
 from __future__ import annotations
 
+import numbers
 import os
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,13 +42,29 @@ IMBALANCE_COUNTS = {"broadleaf": 48, "grass": 138, "soil": 126, "soybean": 288}
 
 
 def _smooth_noise(rng, size, passes=2):
-    """Box-filtered uniform noise in [0, 1] (wrap-around neighborhood)."""
+    """Box-filtered uniform noise in [0, 1] (wrap-around neighborhood).
+
+    Each pass copies the field into an (h+2, w+2) array whose border rows
+    and columns wrap around from the opposite edge, then adds that array's
+    nine (h, w) windows into a zero array, shifts (dy, dx) in row-major
+    order over {-1, 0, 1}^2, and divides by 9.  The window for (dy, dx)
+    holds np.roll(np.roll(field, dy, axis=0), dx, axis=1), so every sum
+    takes the same addends in the same order as the rolled form and the
+    field is byte-identical to it.
+    """
     field = rng.uniform(0.0, 1.0, size)
+    h, w = size
+    padded = np.empty((h + 2, w + 2))
     for _ in range(passes):
-        acc = np.zeros_like(field)
+        padded[1:-1, 1:-1] = field
+        padded[0, 1:-1] = field[-1]
+        padded[-1, 1:-1] = field[0]
+        padded[:, 0] = padded[:, -2]
+        padded[:, -1] = padded[:, 1]
+        acc = np.zeros(size)
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
-                acc += np.roll(np.roll(field, dy, axis=0), dx, axis=1)
+                acc += padded[1 - dy:1 - dy + h, 1 - dx:1 - dx + w]
         field = acc / 9.0
     return field
 
@@ -122,23 +140,39 @@ def generate_sample(label: int, size, rng) -> tuple:
             growth)
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
     """Write images/, masks/ and manifest.tsv under out_dir; returns the
     manifest path.
 
-    `counts` maps class name (or index) -> sample count; the string
-    "imbalance" selects the historical 48/23/21/8 percent split over 600
-    samples.  Generation is reproducible byte-for-byte from `seed`.  A
-    negative count, a zero total or a size below 4x4 raises ContractError
-    before out_dir is created.
+    `counts` maps class name (or index 0-3) -> sample count, or is one
+    count for every class; the string "imbalance" selects the historical
+    48/23/21/8 percent split over 600 samples.  Generation is reproducible
+    byte-for-byte from `seed`.  A key that names no class, a count that is
+    not a non-negative integer, a zero total or a size below 4x4 raises
+    ContractError before out_dir is created.
     """
     if counts == "imbalance":
         counts = IMBALANCE_COUNTS
-    if isinstance(counts, int):
+    if not isinstance(counts, Mapping):
         counts = {name: counts for name in CLASS_NAMES}
     per_class = [0] * len(CLASS_NAMES)
     for key, value in counts.items():
-        idx = CLASS_NAMES.index(key) if isinstance(key, str) else int(key)
+        if key in CLASS_NAMES:
+            idx = CLASS_NAMES.index(key)
+        elif _is_integer(key) and 0 <= key < len(CLASS_NAMES):
+            idx = int(key)
+        else:
+            raise ContractError(f"unknown class {key!r}: expected one of "
+                                f"{', '.join(CLASS_NAMES)} or an index 0-"
+                                f"{len(CLASS_NAMES) - 1}")
+        if not _is_integer(value):
+            raise ContractError(f"the count of {CLASS_NAMES[idx]} must be an "
+                                f"integer, got {value!r}")
         per_class[idx] = int(value)
     if min(per_class) < 0 or sum(per_class) == 0:
         raise ContractError(f"per-class sample counts must be >= 0 with a "

@@ -2,7 +2,7 @@
 
 Everything here is deliberately slow: plain Python loops and float64
 arithmetic, written from the operation definitions and kept free of any code
-shared with the package implementations. Seven sections at the end are the
+shared with the package implementations. Eight sections at the end are the
 exception. The row-major convolution engine is the im2col code conv2d,
 conv_relu_pool2d and conv_transpose2d ran on before their tap-major layout,
 the whole-matrix conv adjoints are the tap-major backward passes (and
@@ -11,9 +11,10 @@ preprocessing is the NumPy pipeline the package's stack
 kernels replace, the per-sample class balancing and per-view augmentation
 are the loops gan.rebalance and pretrain.make_views batch, the per-head
 attention chain is the tensor-op sequence tensor.attention fuses, the
-per-image evaluation is training.evaluate with one image a call, and the
+per-image evaluation is training.evaluate with one image a call, the
 whole-array Adam step is training.adam_step before it ran in place over
-blocks: each must be matched byte for byte.
+blocks, and the rolled box filter is synthdata._smooth_noise before it read
+one wrapped copy of the field: each must be matched byte for byte.
 """
 
 import math
@@ -759,3 +760,19 @@ def adam_step_whole(params, state):
         update = state.lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2)
                                                  + state.eps)
         p.data = (p.data.astype(np.float64) - update).astype(p.data.dtype)
+
+
+# ---------------------------------------------------------------------------
+# Smoothed noise as two np.roll copies per shift: nine shifted fields summed
+# in (dy, dx) row-major order per pass, then divided by 9.
+
+
+def smooth_noise_rolled(rng, size, passes=2):
+    field = rng.uniform(0.0, 1.0, size)
+    for _ in range(passes):
+        acc = np.zeros_like(field)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                acc += np.roll(np.roll(field, dy, axis=0), dx, axis=1)
+        field = acc / 9.0
+    return field

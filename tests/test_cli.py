@@ -88,6 +88,31 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert "optimizer.lr" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"seed = 1\n# \xff\n")
+    out = tmp_path / "d"
+    rc = cli.main(["gen-data", "--out", str(out), "--config", str(conf)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {conf}: not UTF-8 text: byte 0xff at offset 11\n")
+    assert not out.exists()
+
+
+def test_manifest_that_is_not_utf8_is_data_error(workspace, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    text = open(workspace["manifest"], "rb").read()
+    offset = text.index(b"soil")
+    manifest.write_bytes(text[:offset] + b"\xff" + text[offset + 1:])
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--manifest", str(manifest), "--out", str(out),
+                   "--config", workspace["conf"]])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: not UTF-8 text: byte 0xff at offset {offset}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,command", [
     ("optimizer.epochs", "train"), ("gan.epochs", "gan-train"),
     ("ssl.epochs", "pretrain"), ("optimizer.batch", "train"),
@@ -691,16 +716,18 @@ def test_a_preset_disagreeing_with_the_stage_record_exits_two(
         f"the recorded target_size 32x32\n")
 
 
-@pytest.mark.parametrize("command", ["preprocess", "augment"])
+@pytest.mark.parametrize("command", ["preprocess", "augment", "gan-train"])
 def test_a_recorded_manifest_is_not_staged_again(
         workspace, preprocessed, gan_checkpoint, tmp_path, capsys, command):
-    # a second pipeline pass, or synthetic rows beside processed originals,
-    # would give images no raw manifest gives
+    # a second pipeline pass, a GAN that learned from processed images, or
+    # synthetic rows beside processed originals would give images no raw
+    # manifest gives
     source = os.path.dirname(preprocessed)
     before = dir_bytes(source)
     out = tmp_path / "out"
     gan = ["--gan", gan_checkpoint] if command == "augment" else []
-    rc = cli.main([command, "--manifest", preprocessed, "--out", str(out), *gan])
+    rc = cli.main([command, "--manifest", preprocessed, "--out", str(out), *gan,
+                   "--config", workspace["conf"]])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: {preprocessed}: already preprocessed (it holds a stage "

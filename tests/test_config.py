@@ -154,6 +154,14 @@ def test_load_config_names_file(tmp_path):
     assert cf.load_config(str(path)).seed == 3
 
 
+def test_load_config_names_the_first_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_bytes("seed = 3\n# caf\u00e9 \n".encode() + b"\xc3(\n")
+    with pytest.raises(DataError) as info:
+        cf.load_config(str(path))
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0xc3 at offset 18"
+
+
 def test_every_key_names_a_field_of_its_section_config():
     assert set(NON_DEFAULT) == set(cf._KEYS)
     default = cf.RunConfig()

@@ -237,3 +237,18 @@ def test_one_scaling_site():
                    if isinstance(node, ast.Call)
                    and _short_name(node.func) == "to_model_tensor")
     assert sites == ["imaging.StagedImages", "pretrain.pretrain"]
+
+
+def test_text_is_read_only_through_read_text():
+    # a text-mode open decodes as it reads, so a byte that is not UTF-8
+    # raises UnicodeDecodeError, which no command turns into an exit code;
+    # dataio.read_text reads bytes and raises DataError instead
+    sites = []
+    for module, owner, node in _owned_nodes():
+        if isinstance(node, ast.Call) and _short_name(node.func) in ("open", "fdopen"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            text = mode.value if isinstance(mode, ast.Constant) else "unknown r"
+            if "b" not in text and ("r" in text or "+" in text):
+                sites.append(f"{module}.{owner}")
+    assert sites == []

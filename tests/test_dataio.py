@@ -69,6 +69,25 @@ def test_comments_and_blank_lines_skipped(tmp_path):
     assert len(dio.read_manifest(path)) == 1
 
 
+@pytest.mark.parametrize("read", [dio.read_manifest, dio.read_stages])
+def test_bytes_that_are_not_utf8_name_file_and_offset(tmp_path, read):
+    make_files(tmp_path, ["x.ppm"])
+    path = tmp_path / "manifest.tsv"
+    path.write_bytes(b"# image\tlabel\nx.ppm\tso\xffil\t-\t-\t0\n")
+    with pytest.raises(DataError) as info:
+        read(str(path))
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 0xff at offset 22"
+
+
+def test_crlf_and_cr_line_endings_read_as_newlines(tmp_path):
+    make_files(tmp_path, ["x.ppm", "y.ppm"])
+    path = tmp_path / "manifest.tsv"
+    path.write_bytes(b"# h\r\nx.ppm\tsoil\t-\t-\t0\r\ry.ppm\tgrass\t-\t-\t1\r")
+    samples = dio.read_manifest(str(path))
+    assert [(s.image, s.label_name, s.synthetic, s.line) for s in samples] == [
+        ("x.ppm", "soil", False, 2), ("y.ppm", "grass", True, 4)]
+
+
 def test_wrong_field_count_names_line(tmp_path):
     path = write_lines(tmp_path, ["# header", "only\ttwo"])
     with pytest.raises(DataError, match=":2:"):

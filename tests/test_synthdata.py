@@ -1,5 +1,6 @@
 """Synthetic dataset generator: textures, masks, growth, manifests."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import weedhybrid.dataio as dio
 import weedhybrid.imaging as im
 import weedhybrid.synthdata as sd
+from oracles import smooth_noise_rolled
 from weedhybrid.errors import ContractError
 
 
@@ -72,6 +74,17 @@ def test_sample_rejects_bad_label_and_size():
         sd.generate_sample(0, (2, 2), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("size", [(4, 4), (4, 7), (7, 4), (17, 23), (32, 32),
+                                  (224, 224)])
+def test_smooth_noise_matches_the_rolled_filter(size, passes):
+    for seed in (0, 1, 29):
+        got = sd._smooth_noise(np.random.default_rng(seed), size, passes)
+        want = smooth_noise_rolled(np.random.default_rng(seed), size, passes)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), seed
+
+
 def dir_bytes(root):
     out = {}
     for base, _, files in os.walk(root):
@@ -89,6 +102,52 @@ def test_dataset_reproducible_byte_for_byte(tmp_path):
     a, b = dir_bytes(tmp_path / "a"), dir_bytes(tmp_path / "b")
     assert a == b
     assert len(a) == 8 * 2 + 1  # images + masks + manifest
+
+
+def tree_sha256(root):
+    digest = hashlib.sha256()
+    for rel, data in sorted(dir_bytes(root).items()):
+        digest.update(rel.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("size,seed,expected", [
+    ((32, 32), 3, "2dd2f60a6b94ffe67e0e616b2c99020eebc3bed841863e63a5cc414e8cb548e4"),
+    ((17, 23), 5, "2ca8073eb284abab846fa6f7654b33901374b2e0fa417783ad9b3fbd217c53c8"),
+], ids=["32x32", "17x23"])
+def test_dataset_bytes_are_pinned(tmp_path, size, seed, expected):
+    # two samples of every class; any changed byte of an image, a mask or
+    # the manifest changes the digest
+    sd.generate_dataset(str(tmp_path), 2, size=size, seed=seed)
+    assert tree_sha256(tmp_path) == expected
+
+
+@pytest.mark.parametrize("counts,message", [
+    ({"weed": 2}, "unknown class 'weed'"),
+    ({7: 2}, "unknown class 7"),
+    ({-1: 2}, "unknown class -1"),
+    ({True: 2}, "unknown class True"),
+    ({"soil": 2.5}, "the count of soil must be an integer, got 2.5"),
+    ({"soil": True}, "the count of soil must be an integer, got True"),
+    ({"soil": "2"}, "the count of soil must be an integer, got '2'"),
+    ({"grass": -1}, r"must be >= 0 with a positive total, got \[0, -1, 0, 0\]"),
+    (-2, r"must be >= 0 with a positive total, got \[-2, -2, -2, -2\]"),
+    ({"soil": 0}, r"must be >= 0 with a positive total, got \[0, 0, 0, 0\]"),
+], ids=["unknown-name", "index-past-end", "negative-index", "bool-key",
+        "float-count", "bool-count", "text-count", "negative-count",
+        "negative-for-all", "zero-total"])
+def test_bad_counts_raise_before_out_dir_exists(tmp_path, counts, message):
+    out = tmp_path / "out"
+    with pytest.raises(ContractError, match=message):
+        sd.generate_dataset(str(out), counts, size=(8, 8))
+    assert not out.exists()
+
+
+def test_dataset_accepts_integer_indices_and_numpy_counts(tmp_path):
+    manifest = sd.generate_dataset(str(tmp_path), {np.int64(1): np.int64(2), 3: 1},
+                                   size=(8, 8))
+    labels = [s.label_name for s in dio.read_manifest(manifest)]
+    assert labels == ["grass", "grass", "soybean"]
 
 
 def test_dataset_seed_changes_content(tmp_path):
