@@ -135,8 +135,8 @@ def read_manifest(path: str) -> list:
 
     Raises DataError with the offending line number on malformed fields,
     unknown labels, or missing files, and as read_text does on bytes that
-    are not UTF-8.  Warns (and keeps both) on duplicate
-    image paths; warns on an empty manifest.
+    are not UTF-8.  Warns (and keeps both) on duplicate image paths; warns
+    on an empty manifest.
     """
     base = os.path.dirname(os.path.abspath(path))
     samples = []

@@ -101,7 +101,7 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
 
 def test_manifest_that_is_not_utf8_is_data_error(workspace, tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
-    text = open(workspace["manifest"], "rb").read()
+    text = (workspace["data"] / "manifest.tsv").read_bytes()
     offset = text.index(b"soil")
     manifest.write_bytes(text[:offset] + b"\xff" + text[offset + 1:])
     out = tmp_path / "run"
