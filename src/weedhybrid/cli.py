@@ -171,14 +171,6 @@ def cmd_gen_data(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_images(manifest_path: str) -> tuple:
-    """Manifest -> (samples, list of ImageU8) without preprocessing."""
-    samples = dataio.read_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    images = [im.read_image(os.path.join(base, s.image)) for s in samples]
-    return samples, images
-
-
 def _check_outputs(manifest: str, samples: list, out: str) -> None:
     """Raise DataError if preprocess would write one file twice or over an
     input: two different image (or mask) paths that share a basename, or an
@@ -233,14 +225,15 @@ def _check_inside(manifest: str, samples: list) -> None:
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     _check_raw(args.manifest)
-    samples, images = _load_images(args.manifest)
+    samples = dataio.read_manifest(args.manifest)
     _check_outputs(args.manifest, samples, args.out)
+    staged = im.preprocess_batch(dataio.read_images(
+        args.manifest, samples, pre_cfg.target_size), pre_cfg)
     os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
     records = []
-    staged = im.preprocess_batch(images, pre_cfg)
     for s, processed in zip(samples, staged):
         rel = os.path.join("images", os.path.basename(s.image))
-        im.write_image(os.path.join(args.out, rel), processed)
+        im.write_image(os.path.join(args.out, rel), im.ImageU8.from_array(processed))
         mask_rel = None
         if s.mask is not None:
             mask = dataio.read_mask(args.manifest, s, pre_cfg.target_size)
@@ -259,17 +252,13 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
 def cmd_gan_train(args, cfg: RunConfig) -> int:
     gan_cfg = cfg.gan_config()
     _check_raw(args.manifest)
-    samples, images = _load_images(args.manifest)
+    samples = dataio.read_manifest(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: no samples to train on")
-    arrays = []
-    for img in images:
-        if (img.height, img.width) != gan_cfg.image_size:
-            img = im.resize_bilinear(img, gan_cfg.image_size)
-        arrays.append(gn.to_unit_range(img))
-    stack = np.stack(arrays)
+    stack = dataio.read_images(args.manifest, samples, gan_cfg.image_size)
     labels = np.asarray([s.label for s in samples])
-    params, history = gn.train_gan(stack, labels, gan_cfg, seed=cfg.seed)
+    params, history = gn.train_gan(gn.to_unit_range(stack), labels, gan_cfg,
+                                   seed=cfg.seed)
     dp.save_gan(args.out, params)
     d0, g0 = history[0]
     d1, g1 = history[-1]
@@ -285,66 +274,59 @@ def cmd_augment(args, cfg: RunConfig) -> int:
         raise DataError(f"{args.gan}: GAN has {params.config.class_count} classes, "
                         f"expected {len(synthdata.CLASS_NAMES)}")
     _check_raw(args.manifest)
-    samples, images = _load_images(args.manifest)
+    samples = dataio.read_manifest(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: nothing to rebalance")
     _check_inside(args.manifest, samples)
-    counts = [0] * len(synthdata.CLASS_NAMES)
-    for s in samples:
-        counts[s.label] += 1
-    target = max(counts)
-    out_size = (images[0].height, images[0].width)
-    balanced = gn.rebalance(list(zip(images, [s.label for s in samples])),
-                            target, params, seed=cfg.seed, out_size=out_size)
+    # every row is checked, one image at a time; synthetic images take the
+    # first one's size
+    out_size = [pixels.shape[:2] for pixels in
+                dataio.image_rows(args.manifest, samples)][0]
+    counts = np.bincount([s.label for s in samples],
+                         minlength=len(synthdata.CLASS_NAMES))
+    target = int(counts.max())
+    synthetic, labels = gn.rebalance(counts, target, params, seed=cfg.seed,
+                                     out_size=out_size)
 
     base = os.path.dirname(os.path.abspath(args.manifest))
     os.makedirs(args.out, exist_ok=True)
-    records = []
+    for s in samples:  # originals stay first and in order
+        for rel in filter(None, (s.image, s.mask)):
+            dst = os.path.join(args.out, rel)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copyfile(os.path.join(base, rel), dst)
+    records = list(samples)
     # a row of an earlier augment's output keeps its synthetic/ name, so new
     # images skip every name a row already holds
     taken = {os.path.normpath(rel) for s in samples for rel in (s.image, s.mask) if rel}
     synth_index = 0
-    for position, (img, label, synthetic) in enumerate(balanced):
-        if not synthetic:
-            s = samples[position]  # originals stay first and in order
-            for rel in (s.image, s.mask):
-                if rel is None:
-                    continue
-                dst = os.path.join(args.out, rel)
-                os.makedirs(os.path.dirname(dst), exist_ok=True)
-                shutil.copyfile(os.path.join(base, rel), dst)
-            records.append(s)
-        else:
-            name = synthdata.CLASS_NAMES[label]
-            while True:
-                rel = os.path.join("synthetic", f"{name}_{synth_index:04d}.ppm")
-                synth_index += 1
-                if rel not in taken:
-                    break
-            os.makedirs(os.path.join(args.out, "synthetic"), exist_ok=True)
-            im.write_image(os.path.join(args.out, rel), img)
-            records.append(dataio.Sample(image=rel, label=label,
-                                         synthetic=True))
+    for pixels, label in zip(synthetic, labels.tolist()):
+        name = synthdata.CLASS_NAMES[label]
+        while True:
+            rel = os.path.join("synthetic", f"{name}_{synth_index:04d}.ppm")
+            synth_index += 1
+            if rel not in taken:
+                break
+        os.makedirs(os.path.join(args.out, "synthetic"), exist_ok=True)
+        im.write_image(os.path.join(args.out, rel), im.ImageU8.from_array(pixels))
+        records.append(dataio.Sample(image=rel, label=label, synthetic=True))
     manifest = os.path.join(args.out, "manifest.tsv")
     dataio.write_manifest(manifest, records)
-    made = len(balanced) - len(samples)
-    print(f"balanced {len(samples)} samples to {len(balanced)} "
-          f"({made} synthetic) at {target} per class")
+    print(f"balanced {len(samples)} samples to {len(records)} "
+          f"({len(labels)} synthetic) at {target} per class")
     print(f"manifest: {manifest}")
     return EXIT_OK
 
 
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
-    samples, images = _load_images(args.manifest)
+    samples = dataio.read_manifest(args.manifest)
     if len(samples) < 2:
         raise DataError(f"{args.manifest}: pretraining needs at least 2 "
                         f"samples, got {len(samples)}")
-    for s, img in zip(samples, images):
-        if img.channels != 3:
-            raise DataError(f"{args.manifest}:{s.line}: expected a color "
-                            f"image, got {img.channels} channel(s): {s.image}")
-    if not dataio.check_stages(args.manifest, pre_cfg):
+    staged = dataio.check_stages(args.manifest, pre_cfg)
+    images = dataio.read_images(args.manifest, samples, pre_cfg.target_size, staged)
+    if not staged:
         images = im.preprocess_batch(images, pre_cfg)
     ssl_cfg = cfg.contrastive_config()
     params, history = pt.pretrain(images, ssl_cfg,
@@ -436,7 +418,8 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     if img.channels != 3:
         raise DataError(f"{args.image}: expected a color image")
     pre_cfg = cfg.preprocess_config(params.config.image_size)
-    x = im.StagedImages(im.preprocess_batch([img], pre_cfg), pre_cfg.normalize)[:]
+    stack = im.resize_bilinear(img, pre_cfg.target_size).as_array()[None]
+    x = im.StagedImages(im.preprocess_batch(stack, pre_cfg), pre_cfg.normalize)[:]
     pred = hd.predict(params, heads, T.const(x))
     probs = pred.class_probs.data[0]
 

@@ -13,6 +13,10 @@ line naming the stage settings its images went through, e.g.::
 
 Its images are model-ready but for scaling, so loaders stack them as read
 after checking that the run's settings agree with the record.
+
+Every command reads a manifest's images through image_rows, which decides
+which images are refused and how a row becomes pixels at the size the
+command needs; read_images and load_dataset stack the rows as uint8.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .training import TrainData
 
 __all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_text",
            "read_manifest", "read_stages", "check_stages", "read_mask",
-           "load_dataset"]
+           "image_rows", "read_images", "load_dataset"]
 
 _MISSING = "-"
 _HEADER = "# image\tlabel\tmask\tgrowth\tsynthetic"
@@ -267,19 +271,49 @@ def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
     return _resize_mask_nearest(arr, size)
 
 
+def image_rows(manifest_path: str, samples, size=None, staged: bool = False):
+    """Yield each sample's image as an (H, W, 3) uint8 array, in manifest
+    order, reading one file at a time.
+
+    A grey image raises DataError naming the row.  With a size, a staged
+    manifest's image must have it (DataError otherwise), and a raw
+    manifest's is bilinear-resized to it.
+    """
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    for s in samples:
+        img = im.read_image(os.path.join(base, s.image))
+        if img.channels != 3:
+            raise DataError(f"{manifest_path}:{s.line}: expected a color "
+                            f"image, got {img.channels} channel(s): {s.image}")
+        if size is not None and (img.height, img.width) != tuple(size):
+            if staged:
+                raise DataError(f"{manifest_path}:{s.line}: image {s.image} is "
+                                f"{img.height}x{img.width}, not the recorded "
+                                f"target size {size[0]}x{size[1]}")
+            img = im.resize_bilinear(img, size)
+        yield img.as_array()
+
+
+def read_images(manifest_path: str, samples, size, staged: bool = False) -> np.ndarray:
+    """The samples' images, read and checked as image_rows does, written
+    into one preallocated (N, H, W, 3) uint8 stack at size."""
+    row = np.dtype((np.uint8, tuple(size) + (3,)))
+    return np.fromiter(image_rows(manifest_path, samples, size, staged), row,
+                       count=len(samples))
+
+
 def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
     """Load, preprocess and batch every manifest sample -> (TrainData, samples).
 
-    Every row is read and checked (image channels, then mask) in manifest
-    order, so the first bad row raises; then all images run as one batch
-    through the preprocessing pipeline at pre_cfg's target size, unless the
-    manifest's stage record (see check_stages) says they already have, in
-    which case each must be at the target size and is stacked as read.  The
-    images are held as one uint8 stack that scales each batch on use
-    (imaging.StagedImages).  Masks are nearest-neighbor resampled to the
-    same size; a row without a mask raises.  A missing growth value falls
-    back to the mask's foreground fraction (foreground = any non-soil
-    class).  An empty manifest raises DataError.
+    Every row is read and checked (image, as image_rows does, then mask) in
+    manifest order, so the first bad row raises.  The images fill one uint8
+    stack at pre_cfg's target size, which runs through the preprocessing
+    pipeline unless the manifest's stage record (see check_stages) says it
+    has already; imaging.StagedImages holds it and scales each batch on
+    use.  Masks are nearest-neighbor resampled to the same size; a row
+    without a mask raises.  A missing growth value falls back to the mask's
+    foreground fraction (foreground = any non-soil class).  An empty
+    manifest raises DataError.
     """
     from .synthdata import SOIL_ID
 
@@ -287,23 +321,15 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
     samples = read_manifest(manifest_path)
     if not samples:
         raise DataError(f"{manifest_path}: no samples to load")
-    base = os.path.dirname(os.path.abspath(manifest_path))
     h, w = pre_cfg.target_size
     n = len(samples)
-    raw = []
+    images = np.empty((n, h, w, 3), dtype=np.uint8)
     labels = np.zeros(n, dtype=np.int64)
     masks = np.zeros((n, h, w), dtype=np.uint8)
     growth = np.zeros(n, dtype=np.float64)
-    for i, s in enumerate(samples):
-        img = im.read_image(os.path.join(base, s.image))
-        if img.channels != 3:
-            raise DataError(f"{manifest_path}:{s.line}: expected a color "
-                            f"image, got {img.channels} channel(s): {s.image}")
-        if recorded and (img.height, img.width) != (h, w):
-            raise DataError(f"{manifest_path}:{s.line}: image {s.image} is "
-                            f"{img.height}x{img.width}, not the recorded "
-                            f"target size {h}x{w}")
-        raw.append(img)
+    rows = image_rows(manifest_path, samples, (h, w), recorded)
+    for i, (s, pixels) in enumerate(zip(samples, rows)):
+        images[i] = pixels
         labels[i] = s.label
         if s.mask is None:
             raise DataError(f"{manifest_path}:{s.line}: sample has no mask "
@@ -311,7 +337,7 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
         masks[i] = read_mask(manifest_path, s, (h, w))
         growth[i] = (float((masks[i] != SOIL_ID).mean()) if s.growth is None
                      else s.growth)
-    images = im.StagedImages(raw if recorded else im.preprocess_batch(raw, pre_cfg),
-                             pre_cfg.normalize)
-    return TrainData(images=images, labels=labels, masks=masks,
-                     growth=growth), samples
+    if not recorded:
+        images = im.preprocess_batch(images, pre_cfg)
+    return TrainData(images=im.StagedImages(images, pre_cfg.normalize),
+                     labels=labels, masks=masks, growth=growth), samples

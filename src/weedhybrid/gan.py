@@ -8,9 +8,10 @@ Losses are the stable softplus forms of binary cross-entropy on logits,
 with the non-saturating generator objective.
 
 Images enter and leave this module on the (-1, 1) scale; helpers convert
-to and from 8-bit images for the rest of the pipeline.  The networks are
-batch-only: latents are (N, latent_dim), images (N, 3, H, W) and labels
-(N,); an input without the leading batch axis raises DimensionError.
+to and from the (N, H, W, 3) uint8 stacks the rest of the pipeline holds.
+The networks are batch-only: latents are (N, latent_dim), images
+(N, 3, H, W) and labels (N,); an input without the leading batch axis
+raises DimensionError.
 `build_gan` names and shapes the tensors; GanParams holds them as `g`
 (generator) and `d` (discriminator), whose field order (`tensor.leaves`) is
 each network's optimizer order and, generator first, the checkpoint order.
@@ -41,7 +42,7 @@ __all__ = [
     "gan_train_step",
     "train_gan",
     "to_unit_range",
-    "to_image",
+    "to_uint8",
     "rebalance",
 ]
 
@@ -281,53 +282,47 @@ def train_gan(images: np.ndarray, labels: np.ndarray, cfg: GanConfig,
     return params, history
 
 
-def to_unit_range(img: im.ImageU8) -> np.ndarray:
-    """8-bit image -> float32 (3, H, W) array scaled to (-1, 1)."""
-    arr = img.as_array().astype(np.float32) / 127.5 - 1.0
-    if img.channels == 1:
-        arr = np.repeat(arr, 3, axis=2)
-    return np.transpose(arr, (2, 0, 1))
+def to_unit_range(stack: np.ndarray) -> np.ndarray:
+    """(N, H, W, 3) uint8 stack -> float32 (N, 3, H, W) array in (-1, 1)."""
+    return np.transpose(stack, (0, 3, 1, 2)).astype(np.float32) / 127.5 - 1.0
 
 
-def to_image(x: np.ndarray) -> im.ImageU8:
-    """Float (3, H, W) array in (-1, 1) -> 8-bit image."""
-    arr = np.clip(np.floor((np.transpose(x, (1, 2, 0)) + 1.0) * 127.5 + 0.5),
-                  0, 255).astype(np.uint8)
-    return im.ImageU8.from_array(arr)
+def to_uint8(x: np.ndarray) -> np.ndarray:
+    """Float (N, 3, H, W) array in (-1, 1) -> (N, H, W, 3) uint8 stack."""
+    return np.clip(np.floor((np.transpose(x, (0, 2, 3, 1)) + 1.0) * 127.5 + 0.5),
+                   0, 255).astype(np.uint8)
 
 
-def rebalance(samples: list, target: int, params: GanParams,
-              seed: int = 0, out_size: tuple = None) -> list:
-    """Top every class up to `target` samples with generated images.
+def rebalance(counts, target: int, params: GanParams, seed: int = 0,
+              out_size: tuple = None) -> tuple:
+    """The generated images that top every class up from `counts[class]`
+    samples to `target`.
 
-    `samples` holds (ImageU8, label) pairs; the result holds (ImageU8,
-    label, synthetic) triples, the originals first, bit-identical and in
-    order.  A class's latents are one (need, latent_dim) draw, generated
-    _SAMPLE_CHUNK rows at a time and resized to `out_size` if it is given.
-    A NumericError in the generator becomes DivergenceError("generator").
+    Returns (images, labels): the synthetic images as one (M, H, W, 3) uint8
+    stack, class by class, at `out_size` if it is given and the generator's
+    size otherwise, and their (M,) labels.  A class's latents are one
+    (need, latent_dim) draw, generated _SAMPLE_CHUNK rows at a time.  A
+    NumericError in the generator becomes DivergenceError("generator").
     """
     if params.trained_steps < 1:
         raise ContractError("rebalance requires a trained generator")
     cfg = params.config
-    out = []
-    counts = [0] * cfg.class_count
-    for img, label in samples:
-        label = int(label)
-        if not 0 <= label < cfg.class_count:
-            raise ContractError(f"label {label} outside [0, {cfg.class_count})")
-        out.append((img, label, False))
-        counts[label] += 1
-
+    if len(counts) != cfg.class_count:
+        raise ContractError(f"{len(counts)} class counts for a generator of "
+                            f"{cfg.class_count} classes")
+    needs = [max(0, target - int(count)) for count in counts]
+    native = tuple(cfg.image_size)
+    size = native if out_size is None else tuple(out_size)
+    images = np.empty((sum(needs),) + size + (3,), dtype=np.uint8)
+    at = 0
     rng = np.random.default_rng([seed, 0xFA4E])
-    for cls in range(cfg.class_count):
-        z = rng.standard_normal((max(0, target - counts[cls]), cfg.latent_dim))
-        for start in range(0, len(z), _SAMPLE_CHUNK):
+    for cls, need in enumerate(needs):
+        z = rng.standard_normal((need, cfg.latent_dim))
+        for start in range(0, need, _SAMPLE_CHUNK):
             rows = z[start:start + _SAMPLE_CHUNK]
             with diverges_as("generator"):
                 fake = generate(T.const(rows), [cls] * len(rows), params)
-            for x in fake.data:
-                img = to_image(x)
-                if out_size is not None and (img.height, img.width) != tuple(out_size):
-                    img = im.resize_bilinear(img, out_size)
-                out.append((img, cls, True))
-    return out
+            for pixels in to_uint8(fake.data):
+                images[at] = pixels if size == native else im._resize(pixels, size)
+                at += 1
+    return images, np.repeat(np.arange(cfg.class_count), needs)

@@ -21,20 +21,20 @@ takes every tile histogram of a sub-stack of images from one ``bincount``
 over (image, tile, luma) keys, with sub-stacks sized so their float64 tile
 maps fit in ``_BLOCK_BYTES`` (a share of a core's L2 cache), and blends in
 bands of at most ``_BAND_PIXELS`` pixels.  Brightness and gamma follow.
-The image-space body exists once, in :func:`preprocess_batch`: it resizes
-each image and runs the stages over chunks of whole images, each chunk at
-most ``_CHUNK_PIXELS`` target pixels, so its working memory is bounded by
+The image-space body exists once, in :func:`preprocess_batch`: it takes a
+stack already resized to the target size (``dataio`` resizes each manifest
+row as it reads it) and runs the stages over chunks of whole images, each
+chunk at most ``_CHUNK_PIXELS`` pixels, so its working memory is bounded by
 a chunk, not by the batch.  ``BENCH_preprocess.json`` has the per-stage
 timings.  Scaling is the pipeline's cheap tail and runs on use:
-:class:`StagedImages` holds the staged images as one uint8 stack and
-scales each selection, in groups of images of at most ``_BLOCK_BYTES`` of
-float64 pixels, with :func:`to_model_tensor`, the one scaler from a uint8
-stack to per-image, per-channel standardized model values (contrastive
-pretraining calls it on its views).  The one-image calls of the same code
-are ``gamma_correct``, which pretraining views use, and ``median_filter``,
-``adaptive_hist_eq`` and ``preprocess``, kept because the benchmark's
-traced run times them by name.  The kernels are byte-identical to the
-per-image reference pipeline in ``tests/oracles.py``: the float64
+:class:`StagedImages` holds the staged stack and scales each selection, in
+groups of images of at most ``_BLOCK_BYTES`` of float64 pixels, with
+:func:`to_model_tensor`, the one scaler from a uint8 stack to per-image,
+per-channel standardized model values (contrastive pretraining calls it on
+its views).  ``median_filter``, ``adaptive_hist_eq``, ``gamma_correct`` and
+``preprocess`` are one-image calls of the same code, kept because the
+benchmark's traced run times them by name.  The kernels are byte-identical
+to the per-image reference pipeline in ``tests/oracles.py``: the float64
 operations, and the order of every float64 sum, are the same, whatever the
 chunk, sub-stack, band and group boundaries.
 """
@@ -70,7 +70,7 @@ GEOMETRIC_OPS = ("hflip", "vflip", "rot90", "rot180", "rot270")
 # ITU-R 601 luma weights used when equalizing color images.
 _LUMA = (0.299, 0.587, 0.114)
 
-_CHUNK_PIXELS = 1 << 15   # target pixels (N*H*W) of one preprocessing chunk
+_CHUNK_PIXELS = 1 << 15   # pixels (N*H*W) of one preprocessing chunk
 # float64 bytes of one cache-sized block: the tile maps of a CLAHE sub-stack,
 # or the pixels of a group of images being scaled
 _BLOCK_BYTES = 1 << 19
@@ -232,8 +232,14 @@ def resize_bilinear(img: ImageU8, target) -> ImageU8:
         raise DimensionError(f"target size must be positive, got {target}")
     if (th, tw) == (img.height, img.width):
         return img
-    arr = img.as_array().astype(np.float64)
-    h, w = img.height, img.width
+    return _as_image(_resize(img.as_array(), (th, tw)))
+
+
+def _resize(arr: np.ndarray, target) -> np.ndarray:
+    """resize_bilinear of an (H,W,C) uint8 array to a positive (th, tw)."""
+    th, tw = target
+    h, w, _ = arr.shape
+    arr = arr.astype(np.float64)
 
     def axis_weights(n_out, n_in):
         src = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
@@ -249,8 +255,7 @@ def resize_bilinear(img: ImageU8, target) -> ImageU8:
     top = arr[y0][:, x0] * (1.0 - wx) + arr[y0][:, x1] * wx
     bot = arr[y1][:, x0] * (1.0 - wx) + arr[y1][:, x1] * wx
     out = top * (1.0 - wy) + bot * wy
-    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return ImageU8(th, tw, img.channels, out.tobytes())
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -608,39 +613,23 @@ def to_model_tensor(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
     return dev.reshape(n, c, h, w)
 
 
-def _chunks(images, pixels: int):
-    """(start, stop) runs of whole images with one channel count, each at
-    most _CHUNK_PIXELS target pixels (and at least one image)."""
-    per = max(1, _CHUNK_PIXELS // pixels)
-    start = 0
-    while start < len(images):
-        stop = start + 1
-        while (stop < min(len(images), start + per)
-               and images[stop].channels == images[start].channels):
-            stop += 1
-        yield start, stop
-        start = stop
-
-
-def preprocess_batch(images, cfg: PreprocessConfig = PreprocessConfig()) -> list:
-    """Run the image-space pipeline over a sequence of images, chunk by chunk.
-
-    Each image is resized to ``cfg.target_size``; the resized images are
-    stacked in chunks of whole images and the remaining stages run over each
-    chunk at once. Returns the list of staged images: everything but
-    scaling, which :class:`StagedImages` applies on use.
+def preprocess_batch(stack: np.ndarray,
+                     cfg: PreprocessConfig = PreprocessConfig()) -> np.ndarray:
+    """Run the image-space stages over an (N,H,W,C) uint8 stack already at
+    ``cfg.target_size``, in chunks of whole images of at most _CHUNK_PIXELS
+    pixels (at least one image). Returns the staged (N,H,W,C) uint8 stack:
+    everything but scaling, which :class:`StagedImages` applies on use.
     """
-    th, tw = cfg.target_size
-    out = []
-    for start, stop in _chunks(images, th * tw):
-        stack = _stage(np.stack([resize_bilinear(img, cfg.target_size).as_array()
-                                 for img in images[start:stop]]), cfg)
-        out.extend(_as_image(a) for a in stack)
+    n, h, w, _ = stack.shape
+    out = np.empty_like(stack)
+    per = max(1, _CHUNK_PIXELS // (h * w))
+    for start in range(0, n, per):
+        out[start:start + per] = _stage(stack[start:start + per], cfg)
     return out
 
 
 class StagedImages:
-    """Staged images as model inputs, held as one (N,H,W,C) uint8 stack.
+    """A staged (N,H,W,C) uint8 stack as model inputs.
 
     A read-only view that reports the model batch's ``shape``, (N,C,H,W),
     and ``len``. ``view[sel]`` is the float32 (len(sel),C,H,W) batch of the
@@ -651,11 +640,8 @@ class StagedImages:
     selection or group it is scaled in.
     """
 
-    def __init__(self, images, normalize: bool = True):
-        channels = {img.channels for img in images}
-        if len(channels) > 1:
-            raise ContractError(f"images mix channel counts {sorted(channels)}")
-        self._stack = np.stack([img.as_array() for img in images])
+    def __init__(self, stack: np.ndarray, normalize: bool = True):
+        self._stack = stack.view()
         self._stack.flags.writeable = False
         self._normalize = normalize
 
@@ -682,5 +668,6 @@ class StagedImages:
 
 def preprocess(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()):
     """Run the full pipeline over one image -> (C,H,W) model tensor."""
-    return tensor_ops.Tensor(StagedImages(preprocess_batch([img], cfg),
+    stack = resize_bilinear(img, cfg.target_size).as_array()[None]
+    return tensor_ops.Tensor(StagedImages(preprocess_batch(stack, cfg),
                                           cfg.normalize)[0])

@@ -66,16 +66,16 @@ class ContrastiveConfig:
                 raise ContractError(f"unknown view op {op!r}")
 
 
-def make_views(images: list, rng: np.random.Generator,
+def make_views(images: np.ndarray, rng: np.random.Generator,
                cfg: ContrastiveConfig) -> np.ndarray:
-    """(2B, H, W, C) uint8 views of B images; rows 2i and 2i+1 are image i's.
+    """(2B, H, W, C) uint8 views of a (B, H, W, C) stack; rows 2i, 2i+1 are image i's.
 
     Each view draws its op, then its gamma (no draw for a one-value range).
     Each op then runs once over the views that drew it, and one (2B, 256)
     gamma table maps every view. Quarter turns among the configured ops
     need square images, whatever the draws.
     """
-    views = np.repeat(np.stack([img.as_array() for img in images]), 2, axis=0)
+    views = np.repeat(images, 2, axis=0)
     turns = [op for op in cfg.ops if op in ("rot90", "rot270")]
     if turns and views.shape[1] != views.shape[2]:
         raise ContractError(f"view ops {', '.join(turns)} need square images, "
@@ -156,12 +156,12 @@ def forward_embeddings(x: T.Tensor, params: bb.BackboneParams,
     return l2_normalize_rows(out)
 
 
-def pretrain(images: list, cfg: ContrastiveConfig,
+def pretrain(images: np.ndarray, cfg: ContrastiveConfig,
              backbone_cfg: bb.BackboneConfig, seed: int = 0,
              normalize: bool = True) -> tuple:
     """Contrastive pretraining loop; returns (backbone params, loss history).
 
-    `images` is a sequence of ImageU8 already at the backbone's input size.
+    `images` is an (N, H, W, 3) uint8 stack at the backbone's input size.
     The backbone starts from init_backbone(backbone_cfg, rng([seed, 0xB0])).
     Epochs follow the epoch rule of the `training` module over the image
     indices, batch_pairs images a batch; each batch draws its 2B views from
@@ -173,11 +173,9 @@ def pretrain(images: list, cfg: ContrastiveConfig,
     """
     if len(images) < 2:
         raise ContractError(f"pretraining needs >= 2 images, got {len(images)}")
-    for img in images:
-        if (img.height, img.width) != tuple(backbone_cfg.image_size):
-            raise ContractError(
-                f"image {(img.height, img.width)} does not match backbone "
-                f"input {tuple(backbone_cfg.image_size)}")
+    if images.shape[1:3] != tuple(backbone_cfg.image_size):
+        raise ContractError(f"image {images.shape[1:3]} does not match backbone "
+                            f"input {tuple(backbone_cfg.image_size)}")
     params = bb.init_backbone(backbone_cfg, np.random.default_rng([seed, 0xB0]))
     proj = init_projection(backbone_cfg.cnn_channels[-1] + backbone_cfg.embed_dim,
                            cfg.projection_dim,
@@ -191,7 +189,7 @@ def pretrain(images: list, cfg: ContrastiveConfig,
         order, rng = epoch_order(len(images), seed, epoch)
 
         def step(picked):
-            views = make_views([images[i] for i in picked], rng, cfg)
+            views = make_views(images[picked], rng, cfg)
             batch = T.const(im.to_model_tensor(views, normalize))
             with optimizer_step(trainable, state, "contrastive") as tape:
                 loss = nt_xent_loss(forward_embeddings(batch, params, proj),

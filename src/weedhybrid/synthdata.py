@@ -152,15 +152,16 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
     `counts` maps class name (or index 0-3) -> sample count, or is one
     count for every class; the string "imbalance" selects the historical
     48/23/21/8 percent split over 600 samples.  Generation is reproducible
-    byte-for-byte from `seed`.  A key that names no class, a count that is
-    not a non-negative integer, a zero total or a size below 4x4 raises
-    ContractError before out_dir is created.
+    byte-for-byte from `seed`.  A key that names no class, two keys that
+    name one class, a count that is not a non-negative integer, a zero total
+    or a size below 4x4 raises ContractError before out_dir is created.
     """
     if counts == "imbalance":
         counts = IMBALANCE_COUNTS
     if not isinstance(counts, Mapping):
         counts = {name: counts for name in CLASS_NAMES}
     per_class = [0] * len(CLASS_NAMES)
+    named = set()
     for key, value in counts.items():
         if key in CLASS_NAMES:
             idx = CLASS_NAMES.index(key)
@@ -170,6 +171,9 @@ def generate_dataset(out_dir: str, counts, size=(32, 32), seed: int = 0) -> str:
             raise ContractError(f"unknown class {key!r}: expected one of "
                                 f"{', '.join(CLASS_NAMES)} or an index 0-"
                                 f"{len(CLASS_NAMES) - 1}")
+        if idx in named:
+            raise ContractError(f"class {CLASS_NAMES[idx]} is counted twice")
+        named.add(idx)
         if not _is_integer(value):
             raise ContractError(f"the count of {CLASS_NAMES[idx]} must be an "
                                 f"integer, got {value!r}")

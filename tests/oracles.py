@@ -655,22 +655,19 @@ def preprocess_per_image(arr, cfg):
 # pretrain.make_views.
 
 
-def rebalance_per_sample(samples, target, params, seed=0, out_size=None):
-    """(ImageU8, label) pairs -> originals then synthetics, as
-    (ImageU8, label, synthetic) triples, each class topped up to target."""
+def rebalance_per_sample(counts, target, params, seed=0, out_size=None):
+    """Class counts -> the (ImageU8, label) synthetic images that top each
+    class up to target, class by class."""
     cfg = params.config
-    out = [(img, int(label), False) for img, label in samples]
-    counts = [0] * cfg.class_count
-    for _, label, _ in out:
-        counts[label] += 1
+    out = []
     rng = np.random.default_rng([seed, 0xFA4E])
     for cls in range(cfg.class_count):
         for _ in range(max(0, target - counts[cls])):
             z = T.const(rng.standard_normal((1, cfg.latent_dim)))
-            img = G.to_image(G.generate(z, [cls], params).data[0])
+            img = im.ImageU8.from_array(G.to_uint8(G.generate(z, [cls], params).data)[0])
             if out_size is not None and (img.height, img.width) != tuple(out_size):
                 img = im.resize_bilinear(img, out_size)
-            out.append((img, cls, True))
+            out.append((img, cls))
     return out
 
 

@@ -538,9 +538,9 @@ def _gan_smoke_inputs():
         label = i % len(sd.CLASS_NAMES)
         img, _, _ = sd.generate_sample(label, (8, 8),
                                        np.random.default_rng([1, label, i]))
-        images.append(gn.to_unit_range(img))
+        images.append(img.as_array())
         labels.append(label)
-    return np.stack(images), np.asarray(labels)
+    return gn.to_unit_range(np.stack(images)), np.asarray(labels)
 
 
 def test_criterion_6_gan(tmp_path):

@@ -336,13 +336,13 @@ def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
     assert peak < 1 << 20
 
 
-def one_grey_image_manifest(tmp_path):
-    img = tmp_path / "g.pgm"
-    im.write_image(str(img), im.ImageU8.from_array(np.arange(64, dtype=np.uint8)
-                                                   .reshape(8, 8)))
+def one_image_manifest(tmp_path):
+    img = tmp_path / "c.ppm"
+    im.write_image(str(img), im.ImageU8.from_array(np.arange(192, dtype=np.uint8)
+                                                   .reshape(8, 8, 3)))
     manifest = tmp_path / "m.tsv"
     dio.write_manifest(str(manifest),
-                       [dio.Sample(image="g.pgm", label=CLASS_NAMES.index("soil"))])
+                       [dio.Sample(image="c.ppm", label=CLASS_NAMES.index("soil"))])
     return str(manifest)
 
 
@@ -351,7 +351,7 @@ def test_preset_flag_applies_before_config_validation(tmp_path, capsys):
     # the paper preset's 224 px, whichever preset the file itself leaves
     conf = tmp_path / "wide.conf"
     conf.write_text("preprocess.median_window = 33\n", encoding="utf-8")
-    manifest = one_grey_image_manifest(tmp_path)
+    manifest = one_image_manifest(tmp_path)
     command = ["preprocess", "--manifest", manifest, "--config", str(conf)]
     rc = cli.main(command + ["--out", str(tmp_path / "desk")])
     err = capsys.readouterr().err
@@ -359,26 +359,43 @@ def test_preset_flag_applies_before_config_validation(tmp_path, capsys):
     assert f"{conf}:1: invalid preprocess configuration" in err
     rc = cli.main(command + ["--out", str(tmp_path / "paper"), "--preset", "paper"])
     assert rc == 0, capsys.readouterr().err
-    out = im.read_image(str(tmp_path / "paper" / "images" / "g.pgm"))
+    out = im.read_image(str(tmp_path / "paper" / "images" / "c.ppm"))
     assert (out.height, out.width) == (224, 224)
 
 
-def test_pretrain_rejects_grey_image(tmp_path, capsys):
+def untrained_gan(path):
+    """A 16-px four-class GAN checkpoint marked trained, so augment runs it."""
+    gan = gn.init_gan(gn.GanConfig(latent_dim=4, image_size=(16, 16),
+                                   base_channels=2, label_dim=2),
+                      np.random.default_rng(0))
+    gan.trained_steps = 1
+    dp.save_gan(str(path), gan)
+
+
+@pytest.mark.parametrize("command", ["preprocess", "gan-train", "augment",
+                                     "pretrain", "train", "eval"])
+def test_every_manifest_command_rejects_grey_image(tmp_path, capsys, command):
+    # every command reads a manifest's images through dataio's row reader,
+    # so one channel rule holds for all of them
     rc = cli.main(["gen-data", "--out", str(tmp_path / "d"), "--per-class", "3"])
     assert rc == 0
     manifest = str(tmp_path / "d" / "manifest.tsv")
-    first = dio.read_manifest(manifest)[0]
-    path = str(tmp_path / "d" / first.image)
+    second = dio.read_manifest(manifest)[1]
+    path = str(tmp_path / "d" / second.image)
     grey = im.read_image(path).as_array().mean(axis=2).astype(np.uint8)
     im.write_image(path, im.ImageU8.from_array(grey))
-    rc = cli.main(["pretrain", "--manifest", manifest,
-                   "--out", str(tmp_path / "pre.hwdm")])
+    untrained_gan(tmp_path / "gan.hwdm")
+    out = str(tmp_path / "out")
+    extra = {"augment": ["--gan", str(tmp_path / "gan.hwdm")],
+             "eval": ["--model", desk_checkpoint(tmp_path / "model.hwdm")]}
+    rc = cli.main([command, "--manifest", manifest, "--out", out,
+                   *extra.get(command, [])])
     err = capsys.readouterr().err
     assert rc == 2
-    assert (f"{manifest}:{first.line}: expected a color image, got 1 "
-            f"channel(s): {first.image}") in err
+    assert (f"{manifest}:{second.line}: expected a color image, got 1 "
+            f"channel(s): {second.image}") in err
     assert "Traceback" not in err
-    assert not os.path.exists(tmp_path / "pre.hwdm")
+    assert not os.path.exists(out)
 
 
 def test_invalid_utf8_tensor_name_is_data_error(tmp_path, capsys):
@@ -848,6 +865,36 @@ def test_augment_with_an_overflowing_generator_exits_three(workspace, tmp_path, 
     assert rc == 3
     assert err.startswith("error: generator diverged: non-finite values")
     assert "Traceback" not in err
+
+
+def test_augment_holds_one_original_at_a_time(tmp_path):
+    # 39 random 224-px originals and one synthetic image: augment decodes
+    # each original to check it, keeps only the first one's size, and
+    # copies the files, so its peak is one original, the synthetic stack
+    # and the resize of a generated 16-px image. Holding every decoded
+    # original costs 39 of them (about 6 MB) on top.
+    size, one = 224, 224 * 224 * 3
+    rng = np.random.default_rng(0)
+    samples = []
+    for label, count in enumerate([10, 10, 10, 9]):
+        for i in range(count):
+            name = f"{CLASS_NAMES[label]}_{i}.ppm"
+            im.write_image(str(tmp_path / name), im.ImageU8.from_array(
+                rng.integers(0, 256, (size, size, 3), dtype=np.uint8)))
+            samples.append(dio.Sample(image=name, label=label))
+    dio.write_manifest(str(tmp_path / "m.tsv"), samples)
+    untrained_gan(tmp_path / "gan.hwdm")
+    small = im.ImageU8.from_array(np.zeros((16, 16, 3), dtype=np.uint8))
+    resize = peak_traced_bytes(lambda: im.resize_bilinear(small, (size, size)))
+    rcs = []
+    peak = peak_traced_bytes(lambda: rcs.append(cli.main([
+        "augment", "--manifest", str(tmp_path / "m.tsv"), "--gan",
+        str(tmp_path / "gan.hwdm"), "--out", str(tmp_path / "out")])))
+    assert rcs == [0]
+    assert len(dio.read_manifest(str(tmp_path / "out" / "manifest.tsv"))) == 40
+    # an original is read as its file's bytes, then as its pixels
+    original, synthetic = 2 * one, 1 * one
+    assert peak < original + synthetic + resize + (1 << 19)
 
 
 def test_augment_keeps_synthetic_rows_it_copies(workspace, gan_checkpoint, tmp_path):

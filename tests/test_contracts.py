@@ -252,3 +252,13 @@ def test_text_is_read_only_through_read_text():
             if "b" not in text and ("r" in text or "+" in text):
                 sites.append(f"{module}.{owner}")
     assert sites == []
+
+
+def test_images_are_read_only_through_the_row_reader():
+    # every command that reads a manifest's images reads them through
+    # dataio.image_rows, so which images are refused and how a row becomes
+    # pixels is decided once; masks and infer's one image are the others
+    sites = sorted(f"{module}.{owner}" for module, owner, node in _owned_nodes()
+                   if isinstance(node, ast.Call)
+                   and _short_name(node.func) == "read_image")
+    assert sites == ["cli.cmd_infer", "dataio.image_rows", "dataio.read_mask"]

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ def test_labels_are_written_by_name(tmp_path):
     make_files(tmp_path, ["x.ppm"])
     path = str(tmp_path / "manifest.tsv")
     dio.write_manifest(path, [dio.Sample(image="x.ppm", label=sd.SOIL_ID, growth=0.5)])
-    assert open(path).read().splitlines()[1] == "x.ppm\tsoil\t-\t0.500000\t0"
+    assert Path(path).read_text(encoding="utf-8").splitlines()[1] == \
+        "x.ppm\tsoil\t-\t0.500000\t0"
     back = dio.read_manifest(path)
     assert back[0].label == sd.SOIL_ID
     assert back[0].label_name == "soil"

@@ -7,7 +7,6 @@ import pytest
 
 import weedhybrid.deploy as dp
 import weedhybrid.gan as G
-import weedhybrid.imaging as im
 import weedhybrid.tensor as T
 from weedhybrid.errors import ContractError, DimensionError, DivergenceError
 from weedhybrid.training import init_optimizer
@@ -323,14 +322,18 @@ def test_train_gan_and_rebalance_bytes_are_pinned():
     images = rng.uniform(-1, 1, (10, 3, 16, 16)).astype(np.float32)
     labels = np.arange(10) % 2
     params, history = G.train_gan(images, labels, cfg, seed=3)
-    samples = [(G.to_image(x), int(y)) for x, y in zip(images[:3], labels[:3])]
-    balanced = G.rebalance(samples, 4, params, seed=4)
+    # three originals, then the synthetic images that top them up to 4 a class
+    originals = G.to_uint8(images[:3])
+    synthetic, synthetic_labels = G.rebalance(np.bincount(labels[:3]), 4, params,
+                                              seed=4)
     digest = hashlib.sha256(checkpoint_bytes(dp.gan_entries(params),
                                              flags=dp.FLAG_GAN))
     digest.update(np.asarray(history, dtype=np.float64).tobytes())
-    for img, label, synthetic in balanced:
-        digest.update(img.as_array().tobytes() + bytes([label, synthetic]))
-    assert len(balanced) == 8
+    for pixels, label in zip(originals, labels[:3]):
+        digest.update(pixels.tobytes() + bytes([label, False]))
+    for pixels, label in zip(synthetic, synthetic_labels):
+        digest.update(pixels.tobytes() + bytes([label, True]))
+    assert len(originals) + len(synthetic) == 8
     assert digest.hexdigest() == (
         "778880420593eca65340faff93b784b4caed110f85e5852942bf61baf751c8a6")
 
@@ -340,20 +343,19 @@ def test_train_gan_and_rebalance_bytes_are_pinned():
 
 def test_unit_range_roundtrip():
     rng = np.random.default_rng(21)
-    arr = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
-    img = im.ImageU8.from_array(arr)
-    unit = G.to_unit_range(img)
-    assert unit.shape == (3, 8, 8)
+    stack = rng.integers(0, 256, (2, 8, 8, 3), dtype=np.uint8)
+    unit = G.to_unit_range(stack)
+    assert unit.shape == (2, 3, 8, 8) and unit.dtype == np.float32
     assert unit.min() >= -1.0 and unit.max() <= 1.0
-    back = G.to_image(unit)
-    np.testing.assert_array_equal(back.as_array(), arr)
+    np.testing.assert_array_equal(G.to_uint8(unit), stack)
 
 
-def test_to_image_clips_out_of_range():
-    x = np.zeros((3, 2, 2), dtype=np.float32)
-    x[0] = -1.5
-    x[1] = 1.5
-    out = G.to_image(x).as_array()
+def test_to_uint8_clips_out_of_range():
+    x = np.zeros((1, 3, 2, 2), dtype=np.float32)
+    x[0, 0] = -1.5
+    x[0, 1] = 1.5
+    out = G.to_uint8(x)
+    assert out.shape == (1, 2, 2, 3) and out.dtype == np.uint8
     assert out[..., 0].max() == 0
     assert out[..., 1].min() == 255
 
@@ -368,75 +370,45 @@ def trained_stub(seed=0):
     return cfg, params
 
 
-def sample_set(counts, cfg, seed=0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for cls, n in enumerate(counts):
-        for _ in range(n):
-            arr = rng.integers(0, 256, cfg.image_size + (3,), dtype=np.uint8)
-            out.append((im.ImageU8.from_array(arr), cls))
-    return out
-
-
 def test_rebalance_requires_training():
     cfg, params = tiny_gan()
-    samples = sample_set([1, 1, 1], cfg)
-    with pytest.raises(ContractError):
-        G.rebalance(samples, 2, params)
+    with pytest.raises(ContractError, match="requires a trained generator"):
+        G.rebalance([1, 1, 1], 2, params)
+
+
+def test_rebalance_needs_one_count_per_class():
+    cfg, params = trained_stub()
+    with pytest.raises(ContractError, match="2 class counts for a generator of 3 classes"):
+        G.rebalance([1, 1], 2, params)
 
 
 def test_rebalance_tops_up_minority_classes():
     cfg, params = trained_stub()
-    samples = sample_set([6, 2, 4], cfg, seed=1)
-    out = G.rebalance(samples, 6, params, seed=5)
-    counts = [0] * cfg.class_count
-    synth = [0] * cfg.class_count
-    for img, cls, flag in out:
-        counts[cls] += 1
-        synth[cls] += int(flag)
-        assert (img.height, img.width) == cfg.image_size
-    assert counts == [6, 6, 6]
-    assert synth == [0, 4, 2]
-
-
-def test_rebalance_keeps_originals_bitwise_and_in_order():
-    cfg, params = trained_stub(seed=2)
-    samples = sample_set([3, 1, 2], cfg, seed=3)
-    out = G.rebalance(samples, 3, params, seed=6)
-    assert len(out) == 9
-    for (orig_img, orig_cls), (img, cls, flag) in zip(samples, out):
-        assert flag is False
-        assert cls == orig_cls
-        assert img.pixels == orig_img.pixels
+    images, labels = G.rebalance([6, 2, 4], 6, params, seed=5)
+    assert images.shape == (6,) + cfg.image_size + (3,) and images.dtype == np.uint8
+    assert labels.tolist() == [1, 1, 1, 1, 2, 2]
 
 
 def test_rebalance_balanced_input_makes_no_synthetics():
     cfg, params = trained_stub(seed=4)
-    samples = sample_set([2, 2, 2], cfg, seed=7)
-    out = G.rebalance(samples, 2, params, seed=8)
-    assert len(out) == len(samples)
-    assert all(flag is False for _, _, flag in out)
+    images, labels = G.rebalance([2, 2, 2], 2, params, seed=8)
+    assert images.shape == (0,) + cfg.image_size + (3,)
+    assert labels.size == 0
 
 
 def test_rebalance_respects_per_class_targets_and_out_size():
     cfg, params = trained_stub(seed=5)
-    samples = sample_set([1, 0, 3], cfg, seed=9)
-    out = G.rebalance(samples, 3, params, seed=10, out_size=(16, 16))
-    gen = [e for e in out if e[2]]
-    assert [cls for _, cls, _ in gen] == [0, 0, 1, 1, 1]
-    for img, _, _ in gen:
-        assert (img.height, img.width) == (16, 16)
+    images, labels = G.rebalance([1, 0, 3], 3, params, seed=10, out_size=(16, 16))
+    assert labels.tolist() == [0, 0, 1, 1, 1]
+    assert images.shape == (5, 16, 16, 3)
 
 
 def test_rebalance_is_deterministic():
     cfg, params = trained_stub(seed=6)
-    samples = sample_set([2, 0, 1], cfg, seed=11)
-    a = G.rebalance(samples, 2, params, seed=12)
-    b = G.rebalance(samples, 2, params, seed=12)
-    assert len(a) == len(b)
-    for (ia, ca, fa), (ib, cb, fb) in zip(a, b):
-        assert (ca, fa) == (cb, fb)
-        assert ia.pixels == ib.pixels
+    a, labels_a = G.rebalance([2, 0, 1], 2, params, seed=12)
+    b, labels_b = G.rebalance([2, 0, 1], 2, params, seed=12)
+    assert labels_a.tolist() == labels_b.tolist() == [1, 1, 2]
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -456,8 +428,8 @@ def test_rebalance_matches_per_sample_oracle(six_class_gan, monkeypatch, chunk,
     # needs 0, 1, 15, 16, 17 and 40 at target 40: empty, single-row,
     # partial, exact and multi-chunk classes
     cfg, params = six_class_gan
-    samples = sample_set([40, 39, 25, 24, 23, 0], cfg, seed=24)
-    want = rebalance_per_sample(samples, 40, params, seed=9, out_size=out_size)
+    counts = [40, 39, 25, 24, 23, 0]
+    want = rebalance_per_sample(counts, 40, params, seed=9, out_size=out_size)
     calls = []
     generate = G.generate
 
@@ -467,11 +439,11 @@ def test_rebalance_matches_per_sample_oracle(six_class_gan, monkeypatch, chunk,
 
     monkeypatch.setattr(G, "_SAMPLE_CHUNK", chunk)
     monkeypatch.setattr(G, "generate", counted)
-    got = G.rebalance(samples, 40, params, seed=9, out_size=out_size)
-    assert len(got) == len(want) == 240
-    for (ia, ca, fa), (ib, cb, fb) in zip(got, want):
-        assert (ca, fa) == (cb, fb)
-        assert ia.pixels == ib.pixels
+    images, labels = G.rebalance(counts, 40, params, seed=9, out_size=out_size)
+    assert len(images) == len(labels) == len(want) == 89
+    for pixels, label, (img, cls) in zip(images, labels, want):
+        assert label == cls
+        assert pixels.tobytes() == img.pixels
     needs = [0, 1, 15, 16, 17, 40]
     assert len(calls) == sum(-(-need // chunk) for need in needs)
     assert all(len(labels) == 1 for labels in calls)

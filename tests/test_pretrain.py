@@ -22,6 +22,11 @@ def random_image(rng, size=(8, 8)):
     return im.ImageU8.from_array(arr)
 
 
+def stack(images):
+    """ImageU8s as the (N, H, W, 3) uint8 stack pretraining takes."""
+    return np.stack([img.as_array() for img in images])
+
+
 def tiny_backbone():
     return bb.BackboneConfig(image_size=(8, 8), patch_size=4, embed_dim=4,
                              num_heads=1, cnn_channels=(2,), gcn_dims=(4,),
@@ -50,7 +55,7 @@ def test_identity_policy_returns_original():
     cfg = pt.ContrastiveConfig(ops=("identity",), gamma_range=(1.0, 1.0))
     rng = np.random.default_rng(0)
     images = [random_image(rng) for _ in range(3)]
-    views = pt.make_views(images, np.random.default_rng(1), cfg)
+    views = pt.make_views(stack(images), np.random.default_rng(1), cfg)
     assert views.shape == (6, 8, 8, 3) and views.dtype == np.uint8
     for i, img in enumerate(images):
         assert views[2 * i].tobytes() == img.pixels
@@ -60,8 +65,8 @@ def test_identity_policy_returns_original():
 def test_views_reproducible_from_seed():
     cfg = pt.ContrastiveConfig()
     images = [random_image(np.random.default_rng(2))]
-    a = pt.make_views(images, np.random.default_rng(77), cfg)
-    b = pt.make_views(images, np.random.default_rng(77), cfg)
+    a = pt.make_views(stack(images), np.random.default_rng(77), cfg)
+    b = pt.make_views(stack(images), np.random.default_rng(77), cfg)
     assert a.tobytes() == b.tobytes()
 
 
@@ -74,7 +79,7 @@ def test_views_match_recorded_ops():
                 pt.ContrastiveConfig(gamma_range=(1.0, 1.0)),
                 pt.ContrastiveConfig(gamma_range=(0.5, 2.0))):
         for seed in range(40):
-            got = pt.make_views(images, np.random.default_rng(seed), cfg)
+            got = pt.make_views(stack(images), np.random.default_rng(seed), cfg)
             want = views_per_image(images, np.random.default_rng(seed), cfg)
             assert got.shape == (10, 8, 8, 3)
             assert [v.tobytes() for v in got] == [v.pixels for v in want], (cfg, seed)
@@ -87,15 +92,16 @@ def test_quarter_turns_refuse_non_square_images():
     # quarter turn for one image's two views
     for seed in range(5):
         with pytest.raises(ContractError, match="rot90, rot270 need square images, got 8x16"):
-            pt.make_views(images[:1], np.random.default_rng(seed), pt.ContrastiveConfig())
+            pt.make_views(stack(images[:1]), np.random.default_rng(seed),
+                          pt.ContrastiveConfig())
     cfg = pt.ContrastiveConfig(ops=("identity", "rot270"), epochs=1, batch_pairs=2)
     backbone = bb.BackboneConfig(image_size=(8, 16), patch_size=4, embed_dim=4,
                                  num_heads=1, cnn_channels=(2,), gcn_dims=(4,),
                                  fusion_dim=8)
     with pytest.raises(ContractError, match="rot270 need square images, got 8x16"):
-        pt.pretrain(images, cfg, backbone_cfg=backbone)
+        pt.pretrain(stack(images), cfg, backbone_cfg=backbone)
     flips = pt.ContrastiveConfig(ops=("identity", "hflip", "vflip", "rot180"))
-    assert pt.make_views(images, np.random.default_rng(0), flips).shape == (8, 8, 16, 3)
+    assert pt.make_views(stack(images), np.random.default_rng(0), flips).shape == (8, 8, 16, 3)
 
 
 # ---------------------------------------------------------------- normalize
@@ -185,7 +191,7 @@ def test_nt_xent_gradcheck():
 
 def test_pretrain_requires_two_images():
     with pytest.raises(ContractError):
-        pt.pretrain([random_image(np.random.default_rng(0))],
+        pt.pretrain(stack([random_image(np.random.default_rng(0))]),
                     pt.ContrastiveConfig(epochs=1), tiny_backbone())
 
 
@@ -193,7 +199,7 @@ def test_pretrain_rejects_wrong_image_size():
     imgs = [random_image(np.random.default_rng(i), size=(16, 16))
             for i in range(4)]
     with pytest.raises(ContractError):
-        pt.pretrain(imgs, pt.ContrastiveConfig(epochs=1),
+        pt.pretrain(stack(imgs), pt.ContrastiveConfig(epochs=1),
                     backbone_cfg=tiny_backbone())
 
 
@@ -202,10 +208,8 @@ def test_pretrain_zero_lr_leaves_params():
     imgs = [random_image(rng) for _ in range(4)]
     # pretrain's own starting point for seed 3
     start = bb.init_backbone(tiny_backbone(), np.random.default_rng([3, 0xB0]))
-    out, history = pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=0.0,
-                                                          batch_pairs=4,
-                                                          projection_dim=6),
-                               tiny_backbone(), seed=3)
+    cfg = pt.ContrastiveConfig(epochs=2, lr=0.0, batch_pairs=4, projection_dim=6)
+    out, history = pt.pretrain(stack(imgs), cfg, tiny_backbone(), seed=3)
     assert len(history) == 2
     for (name, t), s in zip(named_leaves(bb.build_backbone, out.config, out),
                             T.leaves(start), strict=True):
@@ -219,7 +223,7 @@ def test_pretrain_divergence_names_the_contrastive_step():
     cfg = pt.ContrastiveConfig(temperature=1e-300, epochs=1, batch_pairs=4,
                                projection_dim=6)
     with pytest.raises(DivergenceError) as exc_info:
-        pt.pretrain(imgs, cfg, backbone_cfg=tiny_backbone())
+        pt.pretrain(stack(imgs), cfg, backbone_cfg=tiny_backbone())
     assert exc_info.value.component == "contrastive"
 
 
@@ -228,10 +232,8 @@ def test_pretrain_updates_only_cnn_and_vit():
     imgs = [random_image(rng) for _ in range(4)]
     # pretrain's own starting point for seed 4
     start = bb.init_backbone(tiny_backbone(), np.random.default_rng([4, 0xB0]))
-    params, _ = pt.pretrain(imgs, pt.ContrastiveConfig(epochs=2, lr=1e-3,
-                                                       batch_pairs=4,
-                                                       projection_dim=6),
-                            tiny_backbone(), seed=4)
+    cfg = pt.ContrastiveConfig(epochs=2, lr=1e-3, batch_pairs=4, projection_dim=6)
+    params, _ = pt.pretrain(stack(imgs), cfg, tiny_backbone(), seed=4)
     named = named_leaves(bb.build_backbone, params.config, params)
     before = {n: s.data for (n, _), s in zip(named, T.leaves(start), strict=True)}
     moved = {n for n, t in named if t.data.tobytes() != before[n].tobytes()}
@@ -245,8 +247,8 @@ def test_pretrain_smoke_loss_improves():
     rng = np.random.default_rng(14)
     imgs = [random_image(rng) for _ in range(16)]
     params, history = pt.pretrain(
-        imgs, pt.ContrastiveConfig(epochs=20, lr=2e-3, batch_pairs=8,
-                                   projection_dim=8),
+        stack(imgs), pt.ContrastiveConfig(epochs=20, lr=2e-3, batch_pairs=8,
+                                          projection_dim=8),
         backbone_cfg=tiny_backbone(), seed=5)
     assert len(history) == 20
     assert all(math.isfinite(v) for v in history)
@@ -258,8 +260,8 @@ def test_pretrain_reproducible():
     imgs = [random_image(rng) for _ in range(6)]
     cfg = pt.ContrastiveConfig(epochs=3, lr=1e-3, batch_pairs=3,
                                projection_dim=6)
-    pa, ha = pt.pretrain(imgs, cfg, backbone_cfg=tiny_backbone(), seed=9)
-    pb, hb = pt.pretrain(imgs, cfg, backbone_cfg=tiny_backbone(), seed=9)
+    pa, ha = pt.pretrain(stack(imgs), cfg, backbone_cfg=tiny_backbone(), seed=9)
+    pb, hb = pt.pretrain(stack(imgs), cfg, backbone_cfg=tiny_backbone(), seed=9)
     assert ha == hb
     for (name, ta), tb in zip(named_leaves(bb.build_backbone, pa.config, pa),
                               T.leaves(pb), strict=True):
@@ -272,7 +274,7 @@ def test_pretrain_bytes_are_pinned():
     rng = np.random.default_rng(19)
     imgs = [random_image(rng) for _ in range(5)]
     params, history = pt.pretrain(
-        imgs, pt.ContrastiveConfig(epochs=2, batch_pairs=2, projection_dim=6),
+        stack(imgs), pt.ContrastiveConfig(epochs=2, batch_pairs=2, projection_dim=6),
         backbone_cfg=tiny_backbone(), seed=3)
     blob = checkpoint_bytes(dp.model_entries(params))
     assert hashlib.sha256(blob).hexdigest() == (

@@ -131,8 +131,11 @@ def test_dataset_bytes_are_pinned(tmp_path, size, seed, expected):
     ({"soil": True}, "the count of soil must be an integer, got True"),
     ({"soil": "2"}, "the count of soil must be an integer, got '2'"),
     ({"grass": -1}, r"must be >= 0 with a positive total, got \[0, -1, 0, 0\]"),
+    ({"soil": 0}, r"must be >= 0 with a positive total, got \[0, 0, 0, 0\]"),
+    ({"soil": 2, 2: 3}, "class soil is counted twice"),
 ], ids=["unknown-name", "index-past-end", "negative-index", "bool-key",
-        "float-count", "bool-count", "text-count", "negative-count"])
+        "float-count", "bool-count", "text-count", "negative-count", "zero-total",
+        "repeated-class"])
 def test_bad_counts_raise_before_out_dir_exists(tmp_path, counts, message):
     out = tmp_path / "out"
     with pytest.raises(ContractError, match=message):
