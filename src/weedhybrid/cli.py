@@ -226,6 +226,8 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     _check_raw(args.manifest)
     samples = dataio.read_manifest(args.manifest)
+    if not samples:
+        raise DataError(f"{args.manifest}: no samples to preprocess")
     _check_outputs(args.manifest, samples, args.out)
     staged = im.preprocess_batch(dataio.read_images(
         args.manifest, samples, pre_cfg.target_size), pre_cfg)
@@ -233,14 +235,13 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     records = []
     for s, processed in zip(samples, staged):
         rel = os.path.join("images", os.path.basename(s.image))
-        im.write_image(os.path.join(args.out, rel), im.ImageU8.from_array(processed))
+        im.write_image(os.path.join(args.out, rel), processed)
         mask_rel = None
         if s.mask is not None:
             mask = dataio.read_mask(args.manifest, s, pre_cfg.target_size)
             mask_rel = os.path.join("masks", os.path.basename(s.mask))
             os.makedirs(os.path.join(args.out, "masks"), exist_ok=True)
-            im.write_image(os.path.join(args.out, mask_rel),
-                           im.ImageU8.from_array(mask))
+            im.write_image(os.path.join(args.out, mask_rel), mask)
         records.append(dataio.Sample(image=rel, label=s.label, mask=mask_rel,
                                      growth=s.growth, synthetic=s.synthetic))
     manifest = os.path.join(args.out, "manifest.tsv")
@@ -308,7 +309,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
             if rel not in taken:
                 break
         os.makedirs(os.path.join(args.out, "synthetic"), exist_ok=True)
-        im.write_image(os.path.join(args.out, rel), im.ImageU8.from_array(pixels))
+        im.write_image(os.path.join(args.out, rel), pixels)
         records.append(dataio.Sample(image=rel, label=label, synthetic=True))
     manifest = os.path.join(args.out, "manifest.tsv")
     dataio.write_manifest(manifest, records)
@@ -415,12 +416,10 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     if heads is None:
         raise ContractError(f"{args.model} has no heads; train it first")
     img = im.read_image(args.image)
-    if img.channels != 3:
+    if img.shape[2] != 3:
         raise DataError(f"{args.image}: expected a color image")
-    pre_cfg = cfg.preprocess_config(params.config.image_size)
-    stack = im.resize_bilinear(img, pre_cfg.target_size).as_array()[None]
-    x = im.StagedImages(im.preprocess_batch(stack, pre_cfg), pre_cfg.normalize)[:]
-    pred = hd.predict(params, heads, T.const(x))
+    x = im.preprocess(img, cfg.preprocess_config(params.config.image_size))
+    pred = hd.predict(params, heads, T.const(x[None]))
     probs = pred.class_probs.data[0]
 
     names = synthdata.CLASS_NAMES

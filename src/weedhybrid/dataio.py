@@ -259,12 +259,12 @@ def _resize_mask_nearest(mask: np.ndarray, size) -> np.ndarray:
 
 def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
     """A sample's checked single-channel uint8 mask, nearest-resampled to (H, W)."""
-    mask_img = im.read_image(os.path.join(
+    arr = im.read_image(os.path.join(
         os.path.dirname(os.path.abspath(manifest_path)), sample.mask))
-    if mask_img.channels != 1:
+    if arr.shape[2] != 1:
         raise DataError(f"{manifest_path}:{sample.line}: mask must be "
                         f"single-channel: {sample.mask}")
-    arr = mask_img.as_array()[:, :, 0]
+    arr = arr[:, :, 0]
     if arr.max() >= len(CLASS_NAMES):
         raise DataError(f"{manifest_path}:{sample.line}: mask value "
                         f"{arr.max()} outside the class vocabulary")
@@ -281,17 +281,18 @@ def image_rows(manifest_path: str, samples, size=None, staged: bool = False):
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     for s in samples:
-        img = im.read_image(os.path.join(base, s.image))
-        if img.channels != 3:
+        pixels = im.read_image(os.path.join(base, s.image))
+        h, w, channels = pixels.shape
+        if channels != 3:
             raise DataError(f"{manifest_path}:{s.line}: expected a color "
-                            f"image, got {img.channels} channel(s): {s.image}")
-        if size is not None and (img.height, img.width) != tuple(size):
+                            f"image, got {channels} channel(s): {s.image}")
+        if size is not None and (h, w) != tuple(size):
             if staged:
                 raise DataError(f"{manifest_path}:{s.line}: image {s.image} is "
-                                f"{img.height}x{img.width}, not the recorded "
-                                f"target size {size[0]}x{size[1]}")
-            img = im.resize_bilinear(img, size)
-        yield img.as_array()
+                                f"{h}x{w}, not the recorded target size "
+                                f"{size[0]}x{size[1]}")
+            pixels = im.resize_bilinear(pixels, size)
+        yield pixels
 
 
 def read_images(manifest_path: str, samples, size, staged: bool = False) -> np.ndarray:

@@ -311,8 +311,7 @@ def rebalance(counts, target: int, params: GanParams, seed: int = 0,
         raise ContractError(f"{len(counts)} class counts for a generator of "
                             f"{cfg.class_count} classes")
     needs = [max(0, target - int(count)) for count in counts]
-    native = tuple(cfg.image_size)
-    size = native if out_size is None else tuple(out_size)
+    size = tuple(cfg.image_size if out_size is None else out_size)
     images = np.empty((sum(needs),) + size + (3,), dtype=np.uint8)
     at = 0
     rng = np.random.default_rng([seed, 0xFA4E])
@@ -323,6 +322,6 @@ def rebalance(counts, target: int, params: GanParams, seed: int = 0,
             with diverges_as("generator"):
                 fake = generate(T.const(rows), [cls] * len(rows), params)
             for pixels in to_uint8(fake.data):
-                images[at] = pixels if size == native else im._resize(pixels, size)
+                images[at] = im.resize_bilinear(pixels, size)
                 at += 1
     return images, np.repeat(np.arange(cfg.class_count), needs)

@@ -1,8 +1,8 @@
 """Image preprocessing and classical augmentation.
 
-All operations work on :class:`ImageU8`, an 8-bit row-major, channel-
-interleaved image container (grayscale or RGB), and are deterministic pure
-functions.  The canonical preprocessing pipeline is::
+An image is a plain (H, W, C) uint8 NumPy array, C 1 (grayscale) or 3
+(RGB), and every operation is a deterministic pure function.  The canonical
+preprocessing pipeline is::
 
     resize -> median denoise -> adaptive histogram equalization -> gamma
            -> standardize to a float32 model tensor
@@ -31,8 +31,9 @@ timings.  Scaling is the pipeline's cheap tail and runs on use:
 groups of images of at most ``_BLOCK_BYTES`` of float64 pixels, with
 :func:`to_model_tensor`, the one scaler from a uint8 stack to per-image,
 per-channel standardized model values (contrastive pretraining calls it on
-its views).  ``median_filter``, ``adaptive_hist_eq``, ``gamma_correct`` and
-``preprocess`` are one-image calls of the same code, kept because the
+its views).  :func:`preprocess` runs the whole pipeline over one image
+and is ``infer``'s path.  ``median_filter``, ``adaptive_hist_eq`` and
+``gamma_correct`` are one-image calls of the same code, kept because the
 benchmark's traced run times them by name.  The kernels are byte-identical
 to the per-image reference pipeline in ``tests/oracles.py``: the float64
 operations, and the order of every float64 sum, are the same, whatever the
@@ -46,11 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tensor_ops
 from .errors import ContractError, DimensionError, FormatError
 
 __all__ = [
-    "ImageU8",
     "PreprocessConfig",
     "read_image",
     "write_image",
@@ -75,44 +74,6 @@ _CHUNK_PIXELS = 1 << 15   # pixels (N*H*W) of one preprocessing chunk
 # or the pixels of a group of images being scaled
 _BLOCK_BYTES = 1 << 19
 _BAND_PIXELS = 1 << 13    # pixels of one CLAHE blend band
-
-
-@dataclass(frozen=True)
-class ImageU8:
-    """8-bit image: ``pixels`` holds H*W*C bytes, row-major, interleaved."""
-
-    height: int
-    width: int
-    channels: int
-    pixels: bytes
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise DimensionError(
-                f"image extents must be positive, got {self.height}x{self.width}")
-        if self.channels not in (1, 3):
-            raise ContractError(f"channels must be 1 or 3, got {self.channels}")
-        want = self.height * self.width * self.channels
-        if len(self.pixels) != want:
-            raise ContractError(
-                f"pixel buffer holds {len(self.pixels)} bytes, expected {want}")
-
-    @classmethod
-    def from_array(cls, arr) -> "ImageU8":
-        """Build from an (H,W) or (H,W,C) array; values are cast to uint8."""
-        a = np.asarray(arr)
-        if a.ndim == 2:
-            a = a[:, :, None]
-        if a.ndim != 3:
-            raise DimensionError(f"expected 2-D or 3-D array, got shape {a.shape}")
-        a = np.ascontiguousarray(a.astype(np.uint8))
-        h, w, c = a.shape
-        return cls(h, w, c, a.tobytes())
-
-    def as_array(self):
-        """Return the pixels as an (H, W, C) uint8 array."""
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(
-            self.height, self.width, self.channels)
 
 
 @dataclass(frozen=True)
@@ -176,8 +137,13 @@ def _next_token(buf: bytes, pos: int) -> tuple:
     return buf[start:pos], pos
 
 
-def read_image(path) -> ImageU8:
-    """Read a binary PGM (P5) or PPM (P6) file."""
+def read_image(path) -> np.ndarray:
+    """Read a binary PGM (P5) or PPM (P6) file as a read-only (H, W, C)
+    uint8 array over the file's bytes.
+
+    Width, height and maxval must be ASCII decimal digits, maxval 255, and
+    the payload exactly H*W*C bytes; anything else raises FormatError.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     magic, pos = _next_token(buf, 0)
@@ -190,10 +156,9 @@ def read_image(path) -> ImageU8:
     fields = []
     for name in ("width", "height", "maxval"):
         tok, pos = _next_token(buf, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise FormatError(f"non-numeric {name} field {tok!r}") from None
+        if not tok.isdigit():   # ASCII digits only: no sign, "_" or spaces
+            raise FormatError(f"non-numeric {name} field {tok!r}")
+        fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"non-positive image extents {width}x{height}")
@@ -203,21 +168,36 @@ def read_image(path) -> ImageU8:
         raise FormatError(f"expected whitespace after maxval at byte {pos}")
     pos += 1
     want = height * width * channels
-    data = buf[pos:pos + want]
-    if len(data) != want:
-        raise FormatError(
-            f"pixel payload holds {len(data)} bytes, expected {want}")
-    return ImageU8(height, width, channels, data)
+    have = len(buf) - pos
+    if have < want:
+        raise FormatError(f"pixel payload holds {have} bytes, expected {want}")
+    if have > want:
+        raise FormatError(f"{have - want} trailing bytes at offset {pos + want}")
+    return np.frombuffer(buf, dtype=np.uint8, count=want, offset=pos).reshape(
+        height, width, channels)
 
 
-def write_image(path, img: ImageU8) -> None:
-    """Write a binary PGM (1 channel) or PPM (3 channels) file atomically."""
-    magic = b"P5" if img.channels == 1 else b"P6"
-    header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
+def write_image(path, arr: np.ndarray) -> None:
+    """Write an (H, W) or (H, W, 1) uint8 array as binary PGM, or an
+    (H, W, 3) one as PPM, atomically.
+
+    Any other dtype, rank or channel count, or a zero extent, raises
+    ContractError before a file is created.
+    """
+    arr = np.asarray(arr)
+    if arr.dtype != np.uint8:
+        raise ContractError(f"image must be uint8, got {arr.dtype}")
+    if arr.ndim not in (2, 3) or (arr.ndim == 3 and arr.shape[2] not in (1, 3)):
+        raise ContractError(f"image must be (H, W) or (H, W, 1|3), got shape "
+                            f"{arr.shape}")
+    if 0 in arr.shape[:2]:
+        raise ContractError(f"image extents must be positive, got shape {arr.shape}")
+    magic = b"P6" if arr.ndim == 3 and arr.shape[2] == 3 else b"P5"
+    header = magic + b"\n%d %d\n255\n" % (arr.shape[1], arr.shape[0])
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(header)
-        fh.write(img.pixels)
+        fh.write(np.ascontiguousarray(arr))
     os.replace(tmp, path)
 
 
@@ -225,20 +205,15 @@ def write_image(path, img: ImageU8) -> None:
 # Geometry
 
 
-def resize_bilinear(img: ImageU8, target) -> ImageU8:
-    """Resize with bilinear interpolation, half-pixel-center convention."""
+def resize_bilinear(arr: np.ndarray, target) -> np.ndarray:
+    """Resize an (H, W, C) uint8 array with bilinear interpolation,
+    half-pixel-center convention; an array already at target is returned."""
     th, tw = int(target[0]), int(target[1])
     if th < 1 or tw < 1:
         raise DimensionError(f"target size must be positive, got {target}")
-    if (th, tw) == (img.height, img.width):
-        return img
-    return _as_image(_resize(img.as_array(), (th, tw)))
-
-
-def _resize(arr: np.ndarray, target) -> np.ndarray:
-    """resize_bilinear of an (H,W,C) uint8 array to a positive (th, tw)."""
-    th, tw = target
     h, w, _ = arr.shape
+    if (th, tw) == (h, w):
+        return arr
     arr = arr.astype(np.float64)
 
     def axis_weights(n_out, n_in):
@@ -537,25 +512,18 @@ def _stage(arr: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     return _gamma(arr, cfg.gamma)
 
 
-def _as_image(arr: np.ndarray) -> ImageU8:
-    h, w, c = arr.shape
-    return ImageU8(h, w, c, arr.tobytes())
-
-
 # ---------------------------------------------------------------------------
-# One-image calls of the stack kernels
+# One-image calls of the stack kernels: (H, W, C) uint8 in, uint8 out
 
 
-def median_filter(img: ImageU8, window: int = 3) -> ImageU8:
+def median_filter(arr: np.ndarray, window: int = 3) -> np.ndarray:
     """Per-channel windowed median with clamp-to-border edge handling."""
     if window < 1 or window % 2 == 0:
         raise ContractError(f"median window must be odd and >= 1, got {window}")
-    if window == 1:
-        return img
-    return _as_image(_median_stack(img.as_array()[None], window)[0])
+    return _median_stack(arr[None], window)[0]
 
 
-def adaptive_hist_eq(img: ImageU8, tile: int = 8, clip: float = 2.0) -> ImageU8:
+def adaptive_hist_eq(arr: np.ndarray, tile: int = 8, clip: float = 2.0) -> np.ndarray:
     """Contrast-limited adaptive histogram equalization.
 
     Grayscale images are equalized directly.  Color images equalize the
@@ -569,16 +537,14 @@ def adaptive_hist_eq(img: ImageU8, tile: int = 8, clip: float = 2.0) -> ImageU8:
         raise ContractError(f"tile must be >= 1, got {tile}")
     if clip <= 0:
         raise ContractError(f"clip must be positive, got {clip}")
-    return _as_image(_clahe_stack(img.as_array()[None], tile, clip)[0])
+    return _clahe_stack(arr[None], tile, clip)[0]
 
 
-def gamma_correct(img: ImageU8, gamma: float) -> ImageU8:
+def gamma_correct(arr: np.ndarray, gamma: float) -> np.ndarray:
     """Power-law intensity mapping: out = round(255 * (in/255) ** gamma)."""
     if gamma <= 0:
         raise ContractError(f"gamma must be positive, got {gamma}")
-    if gamma == 1.0:
-        return img
-    return _as_image(_gamma(img.as_array(), gamma))
+    return _gamma(arr, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +632,8 @@ class StagedImages:
         return out
 
 
-def preprocess(img: ImageU8, cfg: PreprocessConfig = PreprocessConfig()):
-    """Run the full pipeline over one image -> (C,H,W) model tensor."""
-    stack = resize_bilinear(img, cfg.target_size).as_array()[None]
-    return tensor_ops.Tensor(StagedImages(preprocess_batch(stack, cfg),
-                                          cfg.normalize)[0])
+def preprocess(arr: np.ndarray, cfg: PreprocessConfig = PreprocessConfig()) -> np.ndarray:
+    """Run the full pipeline over one (H, W, C) uint8 image -> the float32
+    (C, H, W) model input at cfg.target_size."""
+    stack = resize_bilinear(arr, cfg.target_size)[None]
+    return StagedImages(preprocess_batch(stack, cfg), cfg.normalize)[0]

@@ -111,7 +111,8 @@ def _check_size(size) -> tuple:
 
 
 def generate_sample(label: int, size, rng) -> tuple:
-    """One synthetic field image -> (ImageU8, mask ImageU8, growth in [0,1])."""
+    """One synthetic field image -> ((H, W, 3) uint8 image, (H, W, 1) uint8
+    mask, growth in [0,1])."""
     if not 0 <= label < len(CLASS_NAMES):
         raise ContractError(f"label must lie in [0, {len(CLASS_NAMES)}), got {label}")
     h, w = _check_size(size)
@@ -136,8 +137,7 @@ def generate_sample(label: int, size, rng) -> tuple:
     mask_arr = np.full((h, w, 1), SOIL_ID, dtype=np.uint8)
     mask_arr[fg, 0] = label
     growth = float(fg.sum()) / float(h * w)
-    return (im.ImageU8.from_array(pixels), im.ImageU8.from_array(mask_arr),
-            growth)
+    return pixels, mask_arr, growth
 
 
 def _is_integer(value) -> bool:

@@ -656,7 +656,7 @@ def preprocess_per_image(arr, cfg):
 
 
 def rebalance_per_sample(counts, target, params, seed=0, out_size=None):
-    """Class counts -> the (ImageU8, label) synthetic images that top each
+    """Class counts -> the ((H, W, 3) uint8, label) synthetic images that top each
     class up to target, class by class."""
     cfg = params.config
     out = []
@@ -664,8 +664,8 @@ def rebalance_per_sample(counts, target, params, seed=0, out_size=None):
     for cls in range(cfg.class_count):
         for _ in range(max(0, target - counts[cls])):
             z = T.const(rng.standard_normal((1, cfg.latent_dim)))
-            img = im.ImageU8.from_array(G.to_uint8(G.generate(z, [cls], params).data)[0])
-            if out_size is not None and (img.height, img.width) != tuple(out_size):
+            img = G.to_uint8(G.generate(z, [cls], params).data)[0]
+            if out_size is not None and img.shape[:2] != tuple(out_size):
                 img = im.resize_bilinear(img, out_size)
             out.append((img, cls))
     return out
@@ -681,19 +681,18 @@ def draw_view_params(cfg, rng):
 _TURNS = {"identity": 0, "rot90": 1, "rot180": 2, "rot270": 3}
 
 
-def apply_view_params(img, op, gamma):
-    arr = img.as_array()
+def apply_view_params(arr, op, gamma):
     if op == "hflip":
         arr = arr[:, ::-1]
     elif op == "vflip":
         arr = arr[::-1]
     else:
         arr = np.rot90(arr, _TURNS[op])
-    return im.gamma_correct(im.ImageU8.from_array(arr), gamma)
+    return im.gamma_correct(arr, gamma)
 
 
 def views_per_image(images, rng, cfg):
-    """Both views of each image in turn, as a list of ImageU8."""
+    """Both views of each image in turn, as a list of (H, W, C) uint8 arrays."""
     views = []
     for img in images:
         first = draw_view_params(cfg, rng)

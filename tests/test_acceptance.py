@@ -375,7 +375,7 @@ def _oracle_median(rng):
         h, w = int(rng.integers(4, 13)), int(rng.integers(4, 13))
         window = 3 if rng.integers(0, 2) == 0 else 5
         arr = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        fast = ig.median_filter(ig.ImageU8.from_array(arr), window).as_array()
+        fast = ig.median_filter(arr, window)
         slow = oracles.median_filter_loops(arr, window)
         assert np.array_equal(fast, slow), "median filter vs loops"
 
@@ -386,8 +386,7 @@ def _oracle_clahe(rng):
         tile = int(rng.integers(2, 5))
         clip = float(rng.uniform(1.5, 4.0))
         arr = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-        fast = ig.adaptive_hist_eq(ig.ImageU8.from_array(arr), tile=tile,
-                                   clip=clip).as_array()
+        fast = ig.adaptive_hist_eq(arr, tile=tile, clip=clip)
         slow = oracles.clahe_loops(arr, grid=tile, clip=clip)
         assert np.array_equal(fast, slow), "CLAHE vs loops"
 
@@ -538,7 +537,7 @@ def _gan_smoke_inputs():
         label = i % len(sd.CLASS_NAMES)
         img, _, _ = sd.generate_sample(label, (8, 8),
                                        np.random.default_rng([1, label, i]))
-        images.append(img.as_array())
+        images.append(img)
         labels.append(label)
     return gn.to_unit_range(np.stack(images)), np.asarray(labels)
 

@@ -195,6 +195,20 @@ def test_empty_manifest_is_data_error(tmp_path, capsys, command):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_preprocess_empty_manifest_is_data_error(tmp_path, capsys):
+    # it exited 0 with an empty images/ and a staged manifest train refuses
+    manifest = tmp_path / "empty.tsv"
+    dio.write_manifest(str(manifest), [])
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="empty"):
+        rc = cli.main(["preprocess", "--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {manifest}: no samples to preprocess" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_pretrain_one_sample_is_data_error(workspace, tmp_path, capsys):
     sample = dio.read_manifest(workspace["manifest"])[0]
     (tmp_path / "images").mkdir()
@@ -338,8 +352,7 @@ def test_oversized_median_window_fails_at_config_load(tmp_path, capsys):
 
 def one_image_manifest(tmp_path):
     img = tmp_path / "c.ppm"
-    im.write_image(str(img), im.ImageU8.from_array(np.arange(192, dtype=np.uint8)
-                                                   .reshape(8, 8, 3)))
+    im.write_image(str(img), np.arange(192, dtype=np.uint8).reshape(8, 8, 3))
     manifest = tmp_path / "m.tsv"
     dio.write_manifest(str(manifest),
                        [dio.Sample(image="c.ppm", label=CLASS_NAMES.index("soil"))])
@@ -360,7 +373,7 @@ def test_preset_flag_applies_before_config_validation(tmp_path, capsys):
     rc = cli.main(command + ["--out", str(tmp_path / "paper"), "--preset", "paper"])
     assert rc == 0, capsys.readouterr().err
     out = im.read_image(str(tmp_path / "paper" / "images" / "c.ppm"))
-    assert (out.height, out.width) == (224, 224)
+    assert out.shape[:2] == (224, 224)
 
 
 def untrained_gan(path):
@@ -382,8 +395,8 @@ def test_every_manifest_command_rejects_grey_image(tmp_path, capsys, command):
     manifest = str(tmp_path / "d" / "manifest.tsv")
     second = dio.read_manifest(manifest)[1]
     path = str(tmp_path / "d" / second.image)
-    grey = im.read_image(path).as_array().mean(axis=2).astype(np.uint8)
-    im.write_image(path, im.ImageU8.from_array(grey))
+    grey = im.read_image(path).mean(axis=2).astype(np.uint8)
+    im.write_image(path, grey)
     untrained_gan(tmp_path / "gan.hwdm")
     out = str(tmp_path / "out")
     extra = {"augment": ["--gan", str(tmp_path / "gan.hwdm")],
@@ -579,7 +592,7 @@ def test_preprocess_rejects_invalid_mask(workspace, tmp_path, capsys, mask, mess
     sample = dio.read_manifest(workspace["manifest"])[0]
     (tmp_path / "images").mkdir()
     shutil.copyfile(workspace["data"] / sample.image, tmp_path / "images" / "a.ppm")
-    im.write_image(str(tmp_path / "bad_mask.pnm"), im.ImageU8.from_array(mask))
+    im.write_image(str(tmp_path / "bad_mask.pnm"), mask)
     manifest = tmp_path / "manifest.tsv"
     dio.write_manifest(str(manifest), [dio.Sample(
         image="images/a.ppm", label=sample.label, mask="bad_mask.pnm")])
@@ -879,12 +892,12 @@ def test_augment_holds_one_original_at_a_time(tmp_path):
     for label, count in enumerate([10, 10, 10, 9]):
         for i in range(count):
             name = f"{CLASS_NAMES[label]}_{i}.ppm"
-            im.write_image(str(tmp_path / name), im.ImageU8.from_array(
-                rng.integers(0, 256, (size, size, 3), dtype=np.uint8)))
+            im.write_image(str(tmp_path / name),
+                           rng.integers(0, 256, (size, size, 3), dtype=np.uint8))
             samples.append(dio.Sample(image=name, label=label))
     dio.write_manifest(str(tmp_path / "m.tsv"), samples)
     untrained_gan(tmp_path / "gan.hwdm")
-    small = im.ImageU8.from_array(np.zeros((16, 16, 3), dtype=np.uint8))
+    small = np.zeros((16, 16, 3), dtype=np.uint8)
     resize = peak_traced_bytes(lambda: im.resize_bilinear(small, (size, size)))
     rcs = []
     peak = peak_traced_bytes(lambda: rcs.append(cli.main([
@@ -1078,8 +1091,7 @@ def test_paper_infer_holds_one_model_while_it_runs(tmp_path, monkeypatch, capsys
     model = str(tmp_path / "paper.hwdm")
     dp.save_model(model, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
     image = str(tmp_path / "img.ppm")
-    im.write_image(image, im.ImageU8.from_array(
-        rng.integers(0, 256, (32, 32, 3), dtype=np.uint8)))
+    im.write_image(image, rng.integers(0, 256, (32, 32, 3), dtype=np.uint8))
     held = []
     predict = hd.predict
 

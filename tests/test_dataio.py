@@ -23,7 +23,7 @@ def make_files(tmp_path, names, size=(8, 8), channels=3):
         arr = rng.integers(0, 256, shape, dtype=np.uint8)
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        im.write_image(str(path), im.ImageU8.from_array(arr))
+        im.write_image(str(path), arr)
 
 
 def write_lines(tmp_path, lines):
@@ -282,8 +282,7 @@ def test_load_dataset_holds_paper_rows_as_uint8(tmp_path):
 def test_load_dataset_checks_recorded_image_sizes(tmp_path):
     make_files(tmp_path, ["a.ppm"])
     make_files(tmp_path, ["b.ppm"], size=(16, 16))
-    im.write_image(str(tmp_path / "m.pgm"),
-                   im.ImageU8.from_array(np.zeros((8, 8), dtype=np.uint8)))
+    im.write_image(str(tmp_path / "m.pgm"), np.zeros((8, 8), dtype=np.uint8))
     path = write_lines(tmp_path, [RECORD, "a.ppm\tsoil\tm.pgm\t-\t0",
                                   "b.ppm\tsoil\tm.pgm\t-\t0"])
     with pytest.raises(DataError) as info:
@@ -296,7 +295,7 @@ def test_load_dataset_growth_fallback_from_mask(tmp_path):
     make_files(tmp_path, ["img.ppm"])
     mask = np.full((8, 8), sd.SOIL_ID, dtype=np.uint8)
     mask[:4, :] = 1  # top half grass
-    im.write_image(str(tmp_path / "m.pgm"), im.ImageU8.from_array(mask))
+    im.write_image(str(tmp_path / "m.pgm"), mask)
     path = write_lines(tmp_path, ["img.ppm\tgrass\tm.pgm\t-\t0"])
     data, _ = dio.load_dataset(path, small_cfg())
     assert data.growth[0] == pytest.approx(0.5)
@@ -315,8 +314,7 @@ def test_load_dataset_reports_the_first_bad_row(tmp_path):
     # with a valid first row the grey second row fails
     make_files(tmp_path, ["a.ppm"])
     make_files(tmp_path, ["g.pgm", "m.pgm"], channels=1)
-    im.write_image(str(tmp_path / "soil.pgm"),
-                   im.ImageU8.from_array(np.zeros((8, 8), dtype=np.uint8)))
+    im.write_image(str(tmp_path / "soil.pgm"), np.zeros((8, 8), dtype=np.uint8))
     grey = "g.pgm\tgrass\tm.pgm\t-\t0"
     path = write_lines(tmp_path, ["a.ppm\tgrass\t-\t-\t0", grey])
     with pytest.raises(DataError) as info:
@@ -333,7 +331,7 @@ def test_load_dataset_reports_the_first_bad_row(tmp_path):
 def test_load_dataset_rejects_out_of_vocab_mask(tmp_path):
     make_files(tmp_path, ["img.ppm"])
     mask = np.full((8, 8), 9, dtype=np.uint8)
-    im.write_image(str(tmp_path / "m.pgm"), im.ImageU8.from_array(mask))
+    im.write_image(str(tmp_path / "m.pgm"), mask)
     path = write_lines(tmp_path, ["img.ppm\tgrass\tm.pgm\t-\t0"])
     with pytest.raises(DataError, match=":1:.*mask value"):
         dio.load_dataset(path, small_cfg())
@@ -343,7 +341,7 @@ def test_mask_nearest_resize_preserves_ids(tmp_path):
     make_files(tmp_path, ["img.ppm"], size=(16, 16))
     mask = np.zeros((16, 16), dtype=np.uint8)
     mask[:, 8:] = 3
-    im.write_image(str(tmp_path / "m.pgm"), im.ImageU8.from_array(mask))
+    im.write_image(str(tmp_path / "m.pgm"), mask)
     path = write_lines(tmp_path, ["img.ppm\tbroadleaf\tm.pgm\t-\t0"])
     data, _ = dio.load_dataset(path, small_cfg())
     assert set(np.unique(data.masks[0])) == {0, 3}

@@ -443,7 +443,7 @@ def test_rebalance_matches_per_sample_oracle(six_class_gan, monkeypatch, chunk,
     assert len(images) == len(labels) == len(want) == 89
     for pixels, label, (img, cls) in zip(images, labels, want):
         assert label == cls
-        assert pixels.tobytes() == img.pixels
+        assert pixels.tobytes() == img.tobytes()
     needs = [0, 1, 15, 16, 17, 40]
     assert len(calls) == sum(-(-need // chunk) for need in needs)
     assert all(len(labels) == 1 for labels in calls)

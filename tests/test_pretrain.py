@@ -18,13 +18,12 @@ from oracles import ntxent_scalar, views_per_image
 
 
 def random_image(rng, size=(8, 8)):
-    arr = rng.integers(0, 256, size + (3,), dtype=np.uint8)
-    return im.ImageU8.from_array(arr)
+    return rng.integers(0, 256, size + (3,), dtype=np.uint8)
 
 
 def stack(images):
-    """ImageU8s as the (N, H, W, 3) uint8 stack pretraining takes."""
-    return np.stack([img.as_array() for img in images])
+    """(H, W, 3) images as the (N, H, W, 3) uint8 stack pretraining takes."""
+    return np.stack(images)
 
 
 def tiny_backbone():
@@ -58,8 +57,8 @@ def test_identity_policy_returns_original():
     views = pt.make_views(stack(images), np.random.default_rng(1), cfg)
     assert views.shape == (6, 8, 8, 3) and views.dtype == np.uint8
     for i, img in enumerate(images):
-        assert views[2 * i].tobytes() == img.pixels
-        assert views[2 * i + 1].tobytes() == img.pixels
+        assert views[2 * i].tobytes() == img.tobytes()
+        assert views[2 * i + 1].tobytes() == img.tobytes()
 
 
 def test_views_reproducible_from_seed():
@@ -82,7 +81,7 @@ def test_views_match_recorded_ops():
             got = pt.make_views(stack(images), np.random.default_rng(seed), cfg)
             want = views_per_image(images, np.random.default_rng(seed), cfg)
             assert got.shape == (10, 8, 8, 3)
-            assert [v.tobytes() for v in got] == [v.pixels for v in want], (cfg, seed)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (cfg, seed)
 
 
 def test_quarter_turns_refuse_non_square_images():
@@ -289,7 +288,7 @@ def test_embeddings_unit_norm_through_pipeline():
     proj = pt.init_projection(
         params.config.cnn_channels[-1] + params.config.embed_dim, 6,
         np.random.default_rng(18))
-    batch = T.const(im.to_model_tensor(np.stack([i.as_array() for i in imgs])))
+    batch = T.const(im.to_model_tensor(np.stack(imgs)))
     z = pt.forward_embeddings(batch, params, proj)
     assert z.shape == (3, 6)
     np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-5)

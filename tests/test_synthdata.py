@@ -33,9 +33,9 @@ def test_imbalance_counts_match_600_split():
 def test_sample_shapes_and_mask_consistency(label):
     img, mask, growth = sd.generate_sample(label, (32, 32),
                                            np.random.default_rng([7, label]))
-    assert (img.height, img.width, img.channels) == (32, 32, 3)
-    assert (mask.height, mask.width, mask.channels) == (32, 32, 1)
-    arr = mask.as_array()[:, :, 0]
+    assert img.shape == (32, 32, 3)
+    assert mask.shape == (32, 32, 1)
+    arr = mask[:, :, 0]
     foreground = arr != sd.SOIL_ID
     # every foreground pixel carries the sample's own class id
     assert set(np.unique(arr[foreground])) <= {label}
@@ -47,7 +47,7 @@ def test_soil_sample_is_pure_background():
     img, mask, growth = sd.generate_sample(sd.SOIL_ID, (24, 24),
                                            np.random.default_rng(8))
     assert growth == 0.0
-    np.testing.assert_array_equal(mask.as_array(), sd.SOIL_ID)
+    np.testing.assert_array_equal(mask, sd.SOIL_ID)
 
 
 @pytest.mark.parametrize("label", [0, 1, 3])
@@ -62,8 +62,8 @@ def test_vegetation_classes_have_foreground(label):
 def test_sample_deterministic():
     a = sd.generate_sample(1, (16, 16), np.random.default_rng(10))
     b = sd.generate_sample(1, (16, 16), np.random.default_rng(10))
-    assert a[0].pixels == b[0].pixels
-    assert a[1].pixels == b[1].pixels
+    assert a[0].tobytes() == b[0].tobytes()
+    assert a[1].tobytes() == b[1].tobytes()
     assert a[2] == b[2]
 
 
@@ -169,7 +169,7 @@ def test_dataset_manifest_loads(tmp_path):
         assert not s.synthetic
         assert s.mask is not None
         img = im.read_image(str(tmp_path / s.image))
-        assert (img.height, img.width) == (16, 16)
+        assert img.shape[:2] == (16, 16)
 
 
 def test_dataset_integer_count_applies_to_all_classes(tmp_path):
