@@ -551,13 +551,36 @@ def gamma_correct(arr: np.ndarray, gamma: float) -> np.ndarray:
 # The batched pipeline
 
 
-def to_model_tensor(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
+def _planes(arr: np.ndarray) -> np.ndarray:
+    """(N,H,W,C) uint8 -> the 64-bit (N, C, H*W) channel planes."""
+    n, h, w, c = arr.shape
+    return np.ascontiguousarray(np.transpose(arr, (0, 3, 1, 2))).reshape(
+        n, c, h * w).astype(np.float64)
+
+
+def _scale_stats(x: np.ndarray) -> tuple:
+    """The (N, C, 1) mean and divisor of each channel plane of x (N, C, P)
+    for to_model_tensor; x is left as it is."""
+    p, c = x.shape[2], x.shape[1]
+    mu = x.sum(axis=-1, keepdims=True) / p
+    sq = x - mu
+    np.multiply(sq, sq, out=sq)
+    if c == 1:
+        total = sq.sum(axis=-1, keepdims=True)
+    else:
+        total = np.add.accumulate(sq, axis=-1, out=sq)[..., -1:]
+    return mu, np.sqrt(total / p) + 255.0e-6
+
+
+def to_model_tensor(arr: np.ndarray, normalize: bool = True, stats=None) -> np.ndarray:
     """(N,H,W,C) uint8 -> (N,C,H,W) float64 model values.
 
     Each image channel is standardized on the integer scale as
     (x - mu) / (sigma + 255e-6), the [0,1]-scale formula with every term
     multiplied by 255; integer-valued means are exact, so constant channels
     come out exactly zero. Without normalize the values are x / 255.
+    stats, the (mu, divisor) pair of (N, C, 1) arrays this computes for
+    arr, skips the sums when the caller has them already.
 
     The channel sums are integers, exact in any order. The squared
     deviations are summed as NumPy's mean and std sum one (H,W,C) image:
@@ -565,18 +588,13 @@ def to_model_tensor(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
     order, one running sum per channel, for a colour image.
     """
     n, h, w, c = arr.shape
-    x = np.ascontiguousarray(np.transpose(arr, (0, 3, 1, 2))).reshape(
-        n, c, h * w).astype(np.float64)
+    x = _planes(arr)
     if not normalize:
         return (x / 255.0).reshape(n, c, h, w)
-    dev = x - x.sum(axis=-1, keepdims=True) / (h * w)
-    sq = np.multiply(dev, dev, out=x)
-    if c == 1:
-        total = sq.sum(axis=-1, keepdims=True)
-    else:
-        total = np.add.accumulate(sq, axis=-1, out=sq)[..., -1:]
-    dev /= np.sqrt(total / (h * w)) + 255.0e-6
-    return dev.reshape(n, c, h, w)
+    mu, div = _scale_stats(x) if stats is None else stats
+    x -= mu
+    x /= div
+    return x.reshape(n, c, h, w)
 
 
 def preprocess_batch(stack: np.ndarray,
@@ -602,14 +620,23 @@ class StagedImages:
     selected images (an integer gives one (C,H,W) image), scaled by
     :func:`to_model_tensor` in groups of whole images of at most
     _BLOCK_BYTES of float64 pixels, so no float copy of the whole set ever
-    exists. Scaling is per image, so an image's values do not depend on the
-    selection or group it is scaled in.
+    exists. Each image's channel means and divisors are computed once, at
+    construction, in groups of the same size, so ``view[sel]`` only
+    subtracts and divides. Scaling is per image, so an image's values do not
+    depend on the selection or group it is scaled in.
     """
 
     def __init__(self, stack: np.ndarray, normalize: bool = True):
         self._stack = stack.view()
         self._stack.flags.writeable = False
         self._normalize = normalize
+        self._stats = None   # (mean, divisor) of each image channel
+        if normalize:
+            n, h, w, c = stack.shape
+            self._stats = np.empty((2, n, c, 1))
+            per = max(1, _BLOCK_BYTES // (h * w * c * 8))
+            for at in range(0, n, per):
+                self._stats[:, at:at + per] = _scale_stats(_planes(stack[at:at + per]))
 
     @property
     def shape(self) -> tuple:
@@ -627,8 +654,10 @@ class StagedImages:
         out = np.empty((idx.size, c, h, w), dtype=np.float32)
         per = max(1, _BLOCK_BYTES // (h * w * c * 8))
         for at in range(0, idx.size, per):
-            out[at:at + per] = to_model_tensor(self._stack[idx[at:at + per]],
-                                               self._normalize)
+            part = idx[at:at + per]
+            out[at:at + per] = to_model_tensor(
+                self._stack[part], self._normalize,
+                None if self._stats is None else self._stats[:, part])
         return out
 
 

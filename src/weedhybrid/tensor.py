@@ -44,27 +44,54 @@ softmax, matmul, then a concat; tests/oracles.py keeps it):
 The spatial primitives take only batched (N, C, H, W) maps and accumulate
 in 64-bit. The convolutions share one engine on a tap-major im2col layout:
 _im2col builds the (C*kh*kw, pixels) matrix whose row c*kh*kw + i*kw + j is
-input channel c shifted by kernel tap (i, j), one strided copy per tap with
-a contiguous run of OW; where a tap reads the zero border it writes zeros, so
-no conv path makes a padded copy of its input. Rows are in the order of
+input channel c shifted by kernel tap (i, j). Rows are in the order of
 kernels.reshape(K, C*kh*kw), so the GEMM is W @ cols with the weights as
 stored, its (K, pixels) product gets the bias per row, and the kernel
 gradient is g @ cols.T with g the (K, pixels) output gradient. _col2im, the
 adjoint, adds W.T @ g back onto the unpadded input one tap at a time in
 (i, j) order. conv_transpose2d runs on the same code: its forward is conv2d's
 input gradient, its backward conv2d's forward and kernel gradient.
+- Data moves in whole planes where the output grid is the grid of the
+  input's stride x stride phase planes (rows y % stride, columns
+  x % stride; one plane at stride 1): (OH, OW) * stride == (H, W), as for
+  every conv the models run (3x3 with padding 1 at stride 1, 4x4 with
+  padding 1 at stride 2). Tap (i, j) then reads one phase plane shifted by
+  whole rows and columns, so over the flat (images * rows * OW) planes of
+  one channel it is one shifted run:
+  - _im2col casts the input rows a block reads to 64-bit phase planes once
+    (its only copy of the input, and no padded one), copies each tap as one
+    run per channel, then zeroes the entries that came from a neighbouring
+    image, fell off the planes or wrapped round a row (the zero border);
+  - _col2im zeroes, in the scratch W.T @ g, the entries that would land in a
+    neighbouring image or wrap round a row, adds each tap as one run per
+    channel into C-ordered 64-bit (C, N * H * W / stride**2) phase planes,
+    skips what falls off them, and transposes back to (N, C, H, W) once, as
+    it writes the input gradient. The zeroed entries add +0.0 to some
+    pixel. Every plane starts at +0.0, and a round-to-nearest sum is -0.0
+    only when both addends are, so no partial sum is ever -0.0, and adding
+    +0.0 returns any other value (NaN and infinities included) unchanged:
+    every pixel still gets its taps, and only its taps, in (i, j) order, so
+    no byte changes. NumPy adds rows that are not one contiguous run at a
+    third of the speed: 9 adds of 3 channels of 14 32x32 float64 images
+    took 0.19 ms as flat runs and 0.53-0.75 ms with each image row shifted
+    by one or more elements (the Xeon below), hence the flat runs.
+  Elsewhere each tap is one strided copy, or add, with a contiguous run of
+  OW, and zeros where it reads the border. tests/test_tensor.py pins both
+  ways to tests/oracles.py byte for byte over random geometry.
 - Every direction runs over one set of blocks (_conv_blocks): whole images,
   or whole rows (row pairs for conv_relu_pool2d) of one image, each at most
   _GEMM_BLOCK_BYTES of 64-bit im2col block plus 64-bit (K, pixels) product
-  or output gradient. The forward builds each im2col block into one reused
-  buffer and multiplies. The backward (_conv_adjoints) fills a block's output
-  gradient, rebuilds its im2col block into one reused buffer and adds
-  dz @ cols.T to the 64-bit kernel gradient, then forms W.T @ dz in the same
-  buffer and adds it onto the input rows the block completes;
-  conv_transpose2d's forward is that last step. So no conv holds a whole
-  (C*kh*kw, pixels) matrix: beyond its input, output and gradient maps, one
-  block. A taped conv keeps its input, not the im2col matrix; backward
-  rebuilds that block by block (Chen et al. 2016, recompute).
+  or output gradient (a block's phase planes add a (kh*kw/stride**2)-th of
+  its im2col block, plus halo rows). The forward builds each im2col block
+  into one reused buffer and multiplies. The backward (_conv_adjoints)
+  fills a block's output gradient, rebuilds its im2col block into one
+  reused buffer and adds dz @ cols.T to the 64-bit kernel gradient, then
+  forms W.T @ dz in the same buffer and adds it onto the input rows the
+  block completes; conv_transpose2d's forward is that last step. So no
+  conv holds a whole (C*kh*kw, pixels) matrix: beyond its input, output
+  and gradient maps, one block. A taped conv keeps its input, not the
+  im2col matrix; backward rebuilds that block by block (Chen et al. 2016,
+  recompute).
 - The budget, 4 MiB, is the fastest of a sweep on a 2-vCPU Xeon with 2 MiB
   of L2 per core and one BLAS thread: the median of 15 interleaved untaped
   runs of the three paper CNN blocks at batch 1 took 64.7 ms at 16 MiB, 61.5
@@ -87,14 +114,17 @@ input gradient, its backward conv2d's forward and kernel gradient.
     (Higham 1993, "The accuracy of floating point summation"); rounding to
     float32 hid that in every case tested.
 - conv_relu_pool2d is the CNN block avg_pool2d(relu(conv2d(x, K, padding=1,
-  bias=b)), 2) as one op: each block's product is rounded to the storage
-  dtype, checked finite, rectified in place and pooled (4 taps, 64-bit)
-  straight into the (N,K,H/2,W/2) output, so the full-resolution conv and
-  ReLU maps never exist. It holds one block beyond its input and pooled
-  output; taped, also a bool ReLU mask (1 byte per conv output element). Its
-  backward fills each block's conv gradient straight from the pooled one:
-  g / 4 in the storage dtype (avg_pool2d's adjoint) over each 2x2 window,
-  times the mask.
+  bias=b)), 2) as one op: each block's product gets its bias in 64-bit as
+  it is rounded to the storage dtype (one pass), is checked for -inf (the
+  one non-finite value the ReLU hides; NaN and +inf reach the output,
+  which is checked like every op's), rectified in place and pooled (4 taps
+  in (0,0), (0,1), (1,0), (1,1) order, 64-bit) straight into the
+  (N,K,H/2,W/2) output, so the full-resolution conv and ReLU maps never
+  exist. It holds one block beyond its input and pooled output; taped, also
+  a bool ReLU mask (1 byte per conv output element). Its backward fills
+  each block's conv gradient straight from the pooled one: g / 4 in the
+  storage dtype (avg_pool2d's adjoint), copied onto the even and odd columns
+  of the conv rows of each parity (four strided copies), times the mask.
 - upsample_bilinear2d is separable: Ry @ X @ Rx^T, no dense (OH*OW, H*W) matrix.
 """
 
@@ -832,6 +862,12 @@ def _shape4(t: Tensor, what: str) -> tuple[int, int, int, int]:
     return t.shape
 
 
+def _check_stride_padding(op: str, stride: int, padding: int) -> None:
+    if stride < 1 or padding < 0:
+        raise ContractError(f"{op}: stride must be >= 1 and padding >= 0, "
+                            f"got stride {stride} padding {padding}")
+
+
 def _tap_span(tap: int, pad: int, stride: int, hi: int, n_in: int,
               lo: int = 0) -> tuple[int, int]:
     """The output positions [a, b) within [lo, hi) at which kernel tap `tap`
@@ -846,19 +882,78 @@ def _tap_slice(a: int, b: int, tap: int, pad: int, stride: int) -> slice:
     return slice(start, start + (b - a - 1) * stride + 1, stride)
 
 
+def _tap_shifts(k: int, pad: int, stride: int) -> list:
+    """(phase, shift) of each kernel tap t < k along one axis: output
+    position o reads position o + shift of phase plane `phase`, which is
+    input position (o + shift) * stride + phase."""
+    return [((t - pad) % stride, (t - pad) // stride) for t in range(k)]
+
+
+def _flat_run(off: int, run: int, size: int) -> tuple[int, int]:
+    """The part [a, b) of a run of `run` entries that lands inside a plane
+    of `size` entries when shifted by off; a <= b."""
+    a = min(run, max(0, -off))
+    return a, max(a, min(run, size - off))
+
+
+def _wrapped(dx: int, ow: int) -> slice:
+    """The columns of an OW-wide row that a flat shift by dx columns carries
+    round onto the next row (dx > 0) or the previous one (dx < 0)."""
+    return slice(max(0, ow - dx), ow) if dx > 0 else slice(0, min(ow, -dx))
+
+
 def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad: int,
             n0: int, n1: int, r0: int, r1: int) -> None:
     """Fill dest, the tap-major im2col block of images n0:n1, output rows
-    r0:r1 of x (N,C,H,W) zero-padded by pad, with one strided copy per tap.
+    r0:r1 of x (N,C,H,W) zero-padded by pad.
 
     dest is C-ordered (C*kh*kw, (n1-n0)*(r1-r0)*OW): row c*kh*kw + i*kw + j is
     channel c shifted by tap (i, j), column (n, r, col) output pixel
     (n0 + n, r0 + r, col). Where a tap reads the zero border, dest gets
     zeros, so x itself is never padded.
+
+    Where the output grid is the grid of x's stride x stride phase planes,
+    (OH, OW) * stride == (H, W), the input rows the block reads are cast
+    once into flat 64-bit phase planes (C, images * rows * OW), and each
+    tap is one copy of a shifted run of them; the entries that came from
+    another image or wrapped round a row are zeroed after. Elsewhere each
+    tap is one strided copy with a run of OW.
     """
     c, h, w = x.shape[1:]
     nr = r1 - r0
-    ow = dest.shape[1] // ((n1 - n0) * nr)
+    oh, ow = _conv_grid((h, w), kh, kw, stride, pad)
+    if (stride * oh, stride * ow) == (h, w) and (n1 - n0 == 1 or nr == oh):
+        ni = n1 - n0
+        rows, cols = _tap_shifts(kh, pad, stride), _tap_shifts(kw, pad, stride)
+        # the phase rows the block reads; a whole-image block reads all oh
+        q0, q1 = max(0, r0 + rows[0][1]), min(oh, r1 + rows[-1][1])
+        run, size = nr * ow, (q1 - q0) * ow
+        planes = np.empty((stride, stride, c, ni * size))
+        src = x[n0:n1, :, q0 * stride:q1 * stride].transpose(1, 0, 2, 3)
+        for py in range(stride):
+            for px in range(stride):
+                planes[py, px].reshape(c, ni, q1 - q0, ow)[...] = src[:, :, py::stride,
+                                                                      px::stride]
+        taps = dest.reshape(c, kh, kw, ni * run)
+        for i, (py, dy) in enumerate(rows):
+            for j, (px, dx) in enumerate(cols):
+                tap = taps[:, i, j]
+                off = (r0 + dy - q0) * ow + dx
+                a, b = _flat_run(off, run, size)
+                if a == b:
+                    tap[...] = 0
+                    continue
+                end = (ni - 1) * run + b
+                tap[:, a:end] = planes[py, px, :, a + off:end + off]
+                if a or b < run:
+                    per_image = tap.reshape(c, ni, run)
+                    per_image[..., :a] = 0
+                    per_image[..., b:] = 0
+        grid = dest.reshape(c, kh, kw, ni, nr, ow)
+        for j, (_, dx) in enumerate(cols):
+            if dx:
+                grid[:, :, j, ..., _wrapped(dx, ow)] = 0
+        return
     taps = dest.reshape(c, kh, kw, n1 - n0, nr, ow)
     src = x[n0:n1].transpose(1, 0, 2, 3)
     for i in range(kh):
@@ -882,15 +977,59 @@ def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad:
 
 
 def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int,
-            r0: int = 0, y0: int = 0) -> np.ndarray:
+            r0: int = 0, y0: int = 0, bias: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of _im2col: add tap-major cols (C,kh,kw,N,R,OW) of output rows
-    r0:r0+R onto a 64-bit (N,C,H,W) zero map of input rows y0:y0+H, one tap
-    at a time in (i, j) order, dropping what lands outside it (the zero
-    border, or rows another block owns)."""
+    r0:r0+R onto a 64-bit zero map of input rows y0:y0+H, one tap at a time
+    in (i, j) order, dropping what lands outside it (the zero border, or
+    rows another block owns); then add the (C,) bias, if given, and write
+    the (N,C,H,W) map into out (of any dtype; a new 64-bit map if None).
+
+    Where the map's rows and columns are the phase planes' (W = stride * OW,
+    y0 and H multiples of stride) and, for more than one image, R output
+    rows cover the H / stride phase rows, each tap is one add of a shifted
+    flat run into flat 64-bit (C, N * H * W / stride**2) phase planes. The
+    entries of cols that would land in another image or wrap round a row
+    are zeroed first (a read-only cols is copied for that); those that fall
+    off the planes are not added. Elsewhere each tap is one strided add.
+    """
     c, kh, kw, n, nr, ow = cols.shape
     h, w = hw
-    out = np.zeros((n, c, h, w), dtype=np.float64)
-    dest = out.transpose(1, 0, 2, 3)
+    run, size = nr * ow, h // stride * ow
+    if out is None:
+        out = np.empty((n, c, h, w))
+    if w == stride * ow and h % stride == 0 == y0 % stride and (n == 1 or run == size):
+        rows, shifts = _tap_shifts(kh, pad, stride), _tap_shifts(kw, pad, stride)
+        planes = np.zeros((stride, stride, c, n * size))
+        taps = cols.reshape(c, kh, kw, n * run)
+        if not taps.flags.writeable and any(d for _, d in rows + shifts):
+            taps = taps.copy()
+        grid = taps.reshape(c, kh, kw, n, nr, ow)
+        for j, (_, dx) in enumerate(shifts):
+            if dx:
+                grid[:, :, j, ..., _wrapped(dx, ow)] = 0
+        for i, (py, dy) in enumerate(rows):
+            for j, (px, dx) in enumerate(shifts):
+                off = (r0 + dy - y0 // stride) * ow + dx
+                a, b = _flat_run(off, run, size)
+                if a == b:
+                    continue
+                end = (n - 1) * run + b
+                tap = taps[:, i, j]
+                if n > 1 and (a or b < run):
+                    per_image = tap.reshape(c, n, run)
+                    per_image[..., :a] = 0
+                    per_image[..., b:] = 0
+                planes[py, px, :, a + off:end + off] += tap[:, a:end]
+        if bias is not None:
+            planes += bias[:, None]
+        for py in range(stride):
+            for px in range(stride):
+                out[:, :, py::stride, px::stride] = planes[py, px].reshape(
+                    c, n, h // stride, ow).transpose(1, 0, 2, 3)
+        return out
+    acc = np.zeros((n, c, h, w), dtype=np.float64)
+    dest = acc.transpose(1, 0, 2, 3)
     for i in range(kh):
         ra, rb = _tap_span(i, pad + y0, stride, r0 + nr, h, r0)
         for j in range(kw):
@@ -899,6 +1038,9 @@ def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int,
                 dest[:, :, _tap_slice(ra, rb, i, pad + y0, stride),
                      _tap_slice(ca, cb, j, pad, stride)] += cols[:, i, j, :, ra - r0:rb - r0,
                                                                 ca:cb]
+    if bias is not None:
+        acc += bias[:, None, None]
+    out[...] = acc
     return out
 
 
@@ -997,7 +1139,7 @@ def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int,
     buf = np.empty(row_len * most, dtype=np.float64)
     dz_buf = np.empty(k * most, dtype=np.float64)
     w64t = _f64(wmat).T
-    b64 = None if bias is None else _f64(bias)[:, None, None]
+    b64 = None if bias is None else _f64(bias)
     dk = bsum = None
     dx = None if dx_dtype is None else np.empty((n, row_len // (kh * kw), h, w), dtype=dx_dtype)
     for n0, n1, r0, r1, y0, y1, e0, e1 in spans:
@@ -1012,11 +1154,8 @@ def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int,
             dk = part if dk is None else np.add(dk, part, out=dk)
         if dx is not None and y0 < y1:
             dcols = np.matmul(w64t, dz, out=buf[:row_len * dz.shape[1]].reshape(row_len, -1))
-            blk = _col2im(dcols.reshape(-1, kh, kw, ni, e1 - e0, ow), (y1 - y0, w), stride,
-                          pad, e0, y0)
-            if b64 is not None:
-                blk += b64
-            dx[n0:n1, :, y0:y1] = blk
+            _col2im(dcols.reshape(-1, kh, kw, ni, e1 - e0, ow), (y1 - y0, w), stride, pad,
+                    e0, y0, bias=b64, out=dx[n0:n1, :, y0:y1])
         if db:
             part = own.sum(axis=1)
             bsum = part if bsum is None else np.add(bsum, part, out=bsum)
@@ -1056,8 +1195,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0,
     """2-D cross-correlation with zero padding.
 
     x: (N,C,H,W); kernels: (K,C,kh,kw); optional bias (K,).
-    Output spatial extents are floor((H + 2p - kh)/stride) + 1.
+    Output spatial extents are floor((H + 2p - kh)/stride) + 1. Raises
+    ContractError for stride < 1 or padding < 0.
     """
+    _check_stride_padding("conv2d", stride, padding)
     n, c, h, w = _shape4(x, "conv2d: input (N,C,H,W)")
     k, ck, kh, kw = _shape4(kernels, "conv2d: kernels (K,C,kh,kw)")
     if ck != c:
@@ -1104,9 +1245,16 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pooled = np.empty((n * h // 2, w // 2, k), dtype=dtype)
     mask = np.empty((k, n * h * w), dtype=bool) if taped else None
 
+    b64 = _f64(bias.data)[:, None]
+
     def pool(m0, m1, block):
-        act = block.astype(dtype, copy=False)
-        _finite_or_raise(act, "conv_relu_pool2d")   # before the ReLU can hide it
+        # the 64-bit bias add and the rounding to storage in one pass
+        act = block if dtype == np.float64 else np.empty(block.shape, dtype=dtype)
+        np.add(block, b64, out=act)
+        # the ReLU hides only -inf: a NaN or +inf reaches the pooled map,
+        # which _result checks, so one reduction checks the block
+        if act.min() == -np.inf:
+            raise NumericError("conv_relu_pool2d produced non-finite values")
         np.maximum(act, 0, out=act)
         if taped:
             np.greater(act, 0, out=mask[:, m0:m1])
@@ -1115,17 +1263,22 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         acc /= 4
         pooled[m0 // (2 * w):m1 // (2 * w)] = acc.transpose(1, 2, 0)
 
-    _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1, dtype, bias.data,
-               epilogue=pool, align=2)
+    _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1, dtype, epilogue=pool,
+               align=2)
     out = pooled.reshape(n, h // 2, w // 2, k).transpose(0, 3, 1, 2)
 
     def back(g):
         gd = g / 4   # avg_pool2d's adjoint, in the storage dtype
 
         def fill(n0, n1, r0, r1, dest):
-            # each conv output pixel gets its pool window's share, times the mask
-            taps = gd[n0:n1][:, :, np.arange(r0, r1) // 2].transpose(1, 0, 2, 3)
-            dest.reshape(k, n1 - n0, r1 - r0, w // 2, 2)[...] = taps[..., None]
+            # each conv output pixel gets its pool window's share, times the
+            # mask: the conv rows of each parity read consecutive pooled rows,
+            # copied onto their even and then their odd columns
+            src = gd[n0:n1].transpose(1, 0, 2, 3)
+            for parity in range(2):
+                rows = dest[:, :, parity::2]
+                p0 = (r0 + parity) // 2
+                rows[..., 0::2] = rows[..., 1::2] = src[:, :, p0:p0 + rows.shape[2]]
             dest *= mask[:, (n0 * h + r0) * w:((n1 - 1) * h + r1) * w].reshape(dest.shape)
 
         _conv_backward(fill, x, kernels, bias, 1, 1, align=2)
@@ -1141,8 +1294,10 @@ def conv_transpose2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     x: (N,C,H,W); kernels: (C,K,kh,kw); output spatial extent is
     (H-1)*stride - 2p + kh. The forward pass is conv2d's input gradient,
     dx is conv2d's forward pass over the gradient, and dk is conv2d's
-    kernel gradient with x and the gradient in swapped roles.
+    kernel gradient with x and the gradient in swapped roles. Raises
+    ContractError for stride < 1 or padding < 0.
     """
+    _check_stride_padding("conv_transpose2d", stride, padding)
     n, c, h, w = _shape4(x, "conv_transpose2d: input (N,C,H,W)")
     ck, k, kh, kw = _shape4(kernels, "conv_transpose2d: kernels (C,K,kh,kw)")
     if ck != c:

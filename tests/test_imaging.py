@@ -645,6 +645,24 @@ def test_preprocess_chunk_memory_holds_no_whole_chunk_tile_map():
     assert peak_beyond_output([_rand_img(rng, 224, 224, 3)], 224) < 2.5 * image_f64
 
 
+
+@pytest.mark.parametrize("shape", [(400, 32, 32, 3), (3, 224, 224, 3), (20, 9, 7, 1)],
+                         ids=["desk-400", "paper-224", "one-channel"])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalize", "raw"])
+def test_staged_view_is_to_model_tensor_bytes(shape, normalize):
+    # the means and divisors the view computes once per image give the
+    # bytes of scaling the selected images from scratch, for any selection
+    rng = np.random.default_rng(32)
+    stack = rng.integers(0, 256, shape, dtype=np.uint8)
+    stack[0] = 9   # a constant image scales to exact zeros
+    view = im.StagedImages(stack, normalize)
+    for sel in (np.arange(shape[0]), rng.permutation(shape[0])[:max(1, shape[0] // 3)],
+                np.array([1, 0, 1]) % shape[0]):
+        want = im.to_model_tensor(stack[sel], normalize).astype(np.float32)
+        assert view[sel].tobytes() == want.tobytes()
+    assert view[1].tobytes() == im.to_model_tensor(stack[1:2], normalize)[0].astype(
+        np.float32).tobytes()
+
 @settings(max_examples=40, deadline=None)
 @given(arrs=image_arrays(), per_group=st.integers(1, 3), slack=st.integers(0, 1))
 def test_preprocess_batch_scaling_groups_are_invisible(arrs, per_group, slack):

@@ -532,6 +532,116 @@ def test_col2im_adds_taps_in_row_major_order(kh, kw, stride, pad):
     assert got.tobytes() == np.ascontiguousarray(old).tobytes()
 
 
+def _signed_values(rng, shape):
+    """Values of either sign with magnitudes from 1e-8 to 1e8, a fifth of
+    them signed zeros."""
+    v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    zeros = rng.random(shape)
+    v[zeros < 0.1] = 0.0
+    v[(zeros >= 0.1) & (zeros < 0.2)] = -0.0
+    return v
+
+
+@st.composite
+def _conv_geometries(draw):
+    """(stride, pad, kh, kw, h, w) with a positive output grid; half of them
+    have the output grid of the stride x stride phase planes, where the
+    engine moves flat runs."""
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        kh, kw = (draw(st.integers(2 * pad + 1, 2 * pad + stride)) for _ in range(2))
+        h, w = (stride * draw(st.integers(1, 5)) for _ in range(2))
+    else:
+        kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    assume(min(T._conv_grid((h, w), kh, kw, stride, pad)) > 0)
+    return stride, pad, kh, kw, h, w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(geometry=_conv_geometries(), n=st.integers(1, 3), c=st.integers(1, 3),
+       dtype=st.sampled_from([np.float32, np.float64]), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_im2col_matches_window_oracle_bytes(geometry, n, c, dtype, data, seed):
+    # any block of images n0:n1 and output rows r0:r1 against the rows of
+    # the sliding-window view of the zero-padded input, signed zeros included
+    stride, pad, kh, kw, h, w = geometry
+    oh, ow = T._conv_grid((h, w), kh, kw, stride, pad)
+    n0 = data.draw(st.integers(0, n - 1))
+    n1 = data.draw(st.integers(n0 + 1, n))
+    r0 = data.draw(st.integers(0, oh - 1))
+    r1 = data.draw(st.integers(r0 + 1, oh))
+    x = _signed_values(np.random.default_rng(seed), (n, c, h, w)).astype(dtype)
+    win = oracles._windows(oracles._pad_hw(x, pad), kh, kw, stride)[n0:n1, :, r0:r1]
+    want = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1).astype(np.float64)
+    dest = np.full(want.shape, np.nan)
+    T._im2col(x, dest, kh, kw, stride, pad, n0, n1, r0, r1)
+    assert dest.tobytes() == want.tobytes()
+
+
+def _col2im_block_oracle(cols, hw, stride, pad, r0, y0):
+    """oracles._col2im over the block's own output rows, read back at input
+    rows y0:y0+H: what lands elsewhere is dropped."""
+    c, kh, kw, n, nr, ow = cols.shape
+    h, w = hw
+    hp, wp = (nr - 1) * stride + kh, (ow - 1) * stride + kw
+    # local padded row lr is input row r0*stride - pad + lr, column lc is lc - pad
+    full = oracles._col2im(cols.transpose(3, 0, 4, 5, 1, 2), (hp, wp), stride)
+    out = np.zeros((n, c, h, w))
+    width = max(0, min(w, wp - pad))
+    for y in range(h):
+        lr = y0 + y - r0 * stride + pad
+        if 0 <= lr < hp:
+            out[:, :, y, :width] = full[:, :, lr, pad:pad + width]
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(geometry=_conv_geometries(), c=st.integers(1, 3),
+       block=st.sampled_from(["images", "halo rows", "any rows"]),
+       cols_kind=st.sampled_from(["scratch", "read-only", "broadcast"]),
+       with_bias=st.booleans(), out_dtype=st.sampled_from([None, np.float32]),
+       data=st.data(), seed=st.integers(0, 2**16))
+def test_col2im_matches_scatter_oracle_bytes(geometry, c, block, cols_kind, with_bias,
+                                             out_dtype, data, seed):
+    # _col2im's blocks as _conv_adjoints makes them (whole images, or the
+    # rows of one image a row block completes with its halo), and any rows
+    # of any map, against the row-major scatter; the entries it zeroes in a
+    # scratch cols add +0.0 to a sum that is never -0.0, so no byte moves
+    stride, pad, kh, kw, h, w = geometry
+    oh, ow = T._conv_grid((h, w), kh, kw, stride, pad)
+    rng = np.random.default_rng(seed)
+    if block == "images":
+        n, r0, nr, y0, hb = data.draw(st.integers(1, 3)), 0, oh, 0, h
+    elif block == "halo rows":
+        a = data.draw(st.integers(0, oh - 1))
+        b = data.draw(st.integers(a + 1, oh))
+        y0, y1, r0, e1 = T._adjoint_rows(a, b, oh, h, kh, stride, pad)
+        assume(y0 < y1)
+        n, nr, hb = 1, e1 - r0, y1 - y0
+    else:
+        n = data.draw(st.integers(1, 3))
+        r0 = data.draw(st.integers(0, oh - 1))
+        nr = data.draw(st.integers(1, oh - r0))
+        y0 = data.draw(st.integers(0, h - 1))
+        hb = data.draw(st.integers(1, h - y0))
+    shape = (c, kh, kw, n, nr, ow)
+    if cols_kind == "broadcast":
+        # every tap the same array, read-only, as _pool_adjoint passes it
+        cols = np.broadcast_to(_signed_values(rng, (c, 1, 1, n, nr, ow)), shape)
+    else:
+        cols = _signed_values(rng, shape)
+        cols.flags.writeable = cols_kind == "scratch"
+    bias = _signed_values(rng, (c,)) if with_bias else None
+    want = _col2im_block_oracle(cols, (hb, w), stride, pad, r0, y0)
+    if with_bias:
+        want += bias[:, None, None]
+    out = None if out_dtype is None else np.empty((n, c, hb, w), dtype=out_dtype)
+    got = T._col2im(cols, (hb, w), stride, pad, r0, y0, bias=bias, out=out)
+    assert out is None or got is out
+    assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+
 def _taped_conv(op, x, kern, bias, stride, padding, g, x_grad):
     """op's output and (dx, dk, db) for the loss sum(op(...) * g); dx is None
     without x_grad, db without a bias."""
@@ -667,6 +777,41 @@ def test_conv_transpose2d_forward_memory_is_bounded():
     out_bytes = 4 * 32 * 112 * 112 * 4
     peak = peak_traced_bytes(lambda: T.conv_transpose2d(x, k, stride=2, padding=1, bias=b))
     assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES
+
+
+def test_stride2_conv2d_tape_free_memory_is_bounded():
+    # a GAN-shaped stride-2 discriminator layer at 4x the GAN's size: the
+    # output and one block; no phase plane of the whole batch exists
+    rng = np.random.default_rng(30)
+    x = T.Tensor(rng.standard_normal((8, 32, 112, 112)))
+    k = T.Tensor(rng.standard_normal((64, 32, 4, 4)) * 0.05, requires_grad=True)
+    b = T.Tensor(rng.standard_normal(64), requires_grad=True)
+    out_bytes = 8 * 64 * 56 * 56 * 4
+    peak = peak_traced_bytes(lambda: T.conv2d(x, k, stride=2, padding=1, bias=b))
+    assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES
+
+
+def test_stride2_conv_transpose2d_tape_free_memory_is_bounded():
+    rng = np.random.default_rng(31)
+    x = T.Tensor(rng.standard_normal((8, 64, 56, 56)))
+    k = T.Tensor(rng.standard_normal((64, 32, 4, 4)) * 0.03, requires_grad=True)
+    b = T.Tensor(rng.standard_normal(32), requires_grad=True)
+    out_bytes = 8 * 32 * 112 * 112 * 4
+    peak = peak_traced_bytes(lambda: T.conv_transpose2d(x, k, stride=2, padding=1, bias=b))
+    assert peak < out_bytes + 2 * T._GEMM_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+@pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 1), (1, -1), (2, -2)],
+                         ids=["stride-0", "stride-negative", "padding-negative",
+                              "stride-2-padding-negative"])
+def test_conv_rejects_bad_stride_or_padding(op, stride, padding):
+    # stride 0 ended in ZeroDivisionError; a negative padding cropped
+    # conv2d's output and grew conv_transpose2d's
+    x = T.zeros((1, 2, 5, 5))
+    k = T.zeros((2, 2, 3, 3))
+    with pytest.raises(ContractError, match=op):
+        getattr(T, op)(x, k, stride=stride, padding=padding)
 
 
 _INF = float("inf")
