@@ -1336,12 +1336,14 @@ def _tap_sum(taps: list) -> np.ndarray:
 
 
 def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple) -> np.ndarray:
-    """avg_pool2d's input gradient: g / window**2 scattered over each window."""
+    """avg_pool2d's input gradient, in g's dtype: g / window**2 scattered
+    over each window."""
     gd = g / (window * window)
     n, c, oh, ow = gd.shape
-    taps = np.broadcast_to(gd.transpose(1, 0, 2, 3)[:, None, None],
+    # channel-major, so each channel's taps are one flat run for _col2im
+    taps = np.broadcast_to(np.ascontiguousarray(gd.transpose(1, 0, 2, 3))[:, None, None],
                            (c, window, window, n, oh, ow))
-    return _col2im(taps, hw, stride, 0)
+    return _col2im(taps, hw, stride, 0, out=np.empty((n, c) + tuple(hw), dtype=gd.dtype))
 
 
 @_fp_warnings_off
