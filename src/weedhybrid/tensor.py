@@ -949,10 +949,8 @@ def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad:
                     per_image = tap.reshape(c, ni, run)
                     per_image[..., :a] = 0
                     per_image[..., b:] = 0
-        grid = dest.reshape(c, kh, kw, ni, nr, ow)
-        for j, (_, dx) in enumerate(cols):
-            if dx:
-                grid[:, :, j, ..., _wrapped(dx, ow)] = 0
+                if dx:   # while the tap is still in cache
+                    tap.reshape(c, ni, nr, ow)[..., _wrapped(dx, ow)] = 0
         return
     taps = dest.reshape(c, kh, kw, n1 - n0, nr, ow)
     src = x[n0:n1].transpose(1, 0, 2, 3)
@@ -1004,10 +1002,6 @@ def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int,
         taps = cols.reshape(c, kh, kw, n * run)
         if not taps.flags.writeable and any(d for _, d in rows + shifts):
             taps = taps.copy()
-        grid = taps.reshape(c, kh, kw, n, nr, ow)
-        for j, (_, dx) in enumerate(shifts):
-            if dx:
-                grid[:, :, j, ..., _wrapped(dx, ow)] = 0
         for i, (py, dy) in enumerate(rows):
             for j, (px, dx) in enumerate(shifts):
                 off = (r0 + dy - y0 // stride) * ow + dx
@@ -1020,6 +1014,8 @@ def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int,
                     per_image = tap.reshape(c, n, run)
                     per_image[..., :a] = 0
                     per_image[..., b:] = 0
+                if dx:
+                    tap.reshape(c, n, nr, ow)[..., _wrapped(dx, ow)] = 0
                 planes[py, px, :, a + off:end + off] += tap[:, a:end]
         if bias is not None:
             planes += bias[:, None]
