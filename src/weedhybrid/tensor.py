@@ -114,13 +114,12 @@ input gradient, its backward conv2d's forward and kernel gradient.
     (Higham 1993, "The accuracy of floating point summation"); rounding to
     float32 hid that in every case tested.
 - conv_relu_pool2d is the CNN block avg_pool2d(relu(conv2d(x, K, padding=1,
-  bias=b)), 2) as one op: each block's product gets its bias in 64-bit as
-  it is rounded to the storage dtype (one pass), is checked for -inf (the
-  one non-finite value the ReLU hides; NaN and +inf reach the output,
-  which is checked like every op's), rectified in place and pooled (4 taps
-  in (0,0), (0,1), (1,0), (1,1) order, 64-bit) straight into the
-  (N,K,H/2,W/2) output, so the full-resolution conv and ReLU maps never
-  exist. It holds one block beyond its input and pooled output; taped, also
+  bias=b)), 2) as one op: each block's product is rounded to the storage
+  dtype, checked for -inf (the one non-finite value the ReLU hides; NaN
+  and +inf reach the output, which is checked like every op's), rectified
+  in place and pooled (4 taps in (0,0), (0,1), (1,0), (1,1) order, 64-bit)
+  straight into the (N,K,H/2,W/2) output, so the full-resolution conv and
+  ReLU maps never exist. It holds one block beyond its input and pooled output; taped, also
   a bool ReLU mask (1 byte per conv output element). Its backward fills
   each block's conv gradient straight from the pooled one: g / 4 in the
   storage dtype (avg_pool2d's adjoint), copied onto the even and odd columns
@@ -1241,12 +1240,8 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pooled = np.empty((n * h // 2, w // 2, k), dtype=dtype)
     mask = np.empty((k, n * h * w), dtype=bool) if taped else None
 
-    b64 = _f64(bias.data)[:, None]
-
     def pool(m0, m1, block):
-        # the 64-bit bias add and the rounding to storage in one pass
-        act = block if dtype == np.float64 else np.empty(block.shape, dtype=dtype)
-        np.add(block, b64, out=act)
+        act = block.astype(dtype, copy=False)
         # the ReLU hides only -inf: a NaN or +inf reaches the pooled map,
         # which _result checks, so one reduction checks the block
         if act.min() == -np.inf:
@@ -1259,8 +1254,8 @@ def conv_relu_pool2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         acc /= 4
         pooled[m0 // (2 * w):m1 // (2 * w)] = acc.transpose(1, 2, 0)
 
-    _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1, dtype, epilogue=pool,
-               align=2)
+    _conv_gemm(x.data, kernels.data.reshape(k, c * 9), 3, 3, 1, 1, dtype, bias.data,
+               epilogue=pool, align=2)
     out = pooled.reshape(n, h // 2, w // 2, k).transpose(0, 3, 1, 2)
 
     def back(g):
