@@ -912,9 +912,10 @@ def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad:
     zeros, so x itself is never padded.
 
     Where the output grid is the grid of x's stride x stride phase planes,
-    (OH, OW) * stride == (H, W), the input rows the block reads are cast
-    once into flat 64-bit phase planes (C, images * rows * OW), and each
-    tap is one copy of a shifted run of them; the entries that came from
+    (OH, OW) * stride == (H, W), and the block is whole images or rows of
+    one image (as _conv_blocks makes them), the input rows the block reads
+    are cast once into flat 64-bit phase planes (C, images * rows * OW),
+    and each tap is one copy of a shifted run of them; the entries that came from
     another image or wrapped round a row are zeroed after. Elsewhere each
     tap is one strided copy with a run of OW.
     """
