@@ -171,36 +171,6 @@ def cmd_gen_data(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_outputs(manifest: str, samples: list, out: str) -> None:
-    """Raise DataError if preprocess would write one file twice or over an
-    input: two different image (or mask) paths that share a basename, or an
-    output that resolves to the manifest or to an image or mask it reads. A
-    repeated path (which read_manifest warns about) is allowed."""
-    base = os.path.dirname(os.path.abspath(manifest))
-    inputs = {os.path.realpath(manifest)} | {
-        os.path.realpath(os.path.join(base, path)) for s in samples
-        for path in (s.image, s.mask) if path}
-    for field, folder in (("image", "images"), ("mask", "masks")):
-        first = {}   # basename -> (path, line) of the first row writing it
-        for s in samples:
-            path = getattr(s, field)
-            if path is None:
-                continue
-            name = os.path.basename(path)
-            other, line = first.setdefault(name, (path, s.line))
-            if os.path.normpath(other) != os.path.normpath(path):
-                raise DataError(f"{manifest}:{s.line}: {field} {path} and {other} "
-                                f"on line {line} would both be written as {name}")
-            dst = os.path.join(out, folder, name)
-            if os.path.realpath(dst) in inputs:
-                raise DataError(f"{manifest}:{s.line}: writing {field} {path} "
-                                f"to {dst} would overwrite an input")
-    dst = os.path.join(out, "manifest.tsv")
-    if os.path.realpath(dst) in inputs:
-        raise DataError(f"{manifest}: writing the manifest to {dst} would "
-                        f"overwrite an input")
-
-
 def _check_raw(manifest: str) -> None:
     """Raise DataError if a manifest holds a stage record: its images went
     through the pipeline already, and running it again, or mixing synthetic
@@ -210,16 +180,44 @@ def _check_raw(manifest: str) -> None:
                         f"record); give the raw manifest instead")
 
 
-def _check_inside(manifest: str, samples: list) -> None:
-    """Raise DataError if an image or mask path is absolute or leads out of
-    the manifest's directory, so that augment would copy it outside --out."""
-    for s in samples:
-        for field in ("image", "mask"):
-            path = getattr(s, field)
-            if path and (os.path.isabs(path)
-                         or os.path.normpath(path).split(os.sep)[0] == os.pardir):
-                raise DataError(f"{manifest}:{s.line}: {field} {path} lies "
-                                f"outside the manifest's directory")
+def _check_outputs(manifest: str, samples: list, out: str) -> None:
+    """Raise DataError naming the first bad row if preprocess or augment,
+    which write each row's image and mask at its manifest-relative path
+    under out and the manifest as out/manifest.tsv, would write outside out
+    or over an input: a row path that is absolute or leads out of the
+    manifest's directory, an output that resolves to the manifest or to a
+    file a row reads, or a row written where the new manifest goes. A
+    repeated path is allowed. Each directory is resolved once, and a row's
+    file is its resolved directory plus its name: a link at the file's own
+    path is not followed."""
+    base = os.path.dirname(os.path.abspath(manifest))
+    real = functools.cache(lambda root, folder: os.path.realpath(os.path.join(root, folder)))
+    rows = [(s, field, path, os.path.split(path)) for s in samples
+            for field in ("image", "mask") if (path := getattr(s, field))]
+    inputs = {os.path.split(os.path.realpath(manifest))} | {
+        (real(base, folder), name) for *_, (folder, name) in rows}
+    dst = os.path.join(out, "manifest.tsv")
+    for s, field, path, (folder, name) in rows:
+        if os.path.isabs(path) or os.path.normpath(path).split(os.sep)[0] == os.pardir:
+            raise DataError(f"{manifest}:{s.line}: {field} {path} lies "
+                            f"outside the manifest's directory")
+        written = (real(out, folder), name)
+        if written in inputs:
+            raise DataError(f"{manifest}:{s.line}: writing {field} {path} to "
+                            f"{os.path.join(out, path)} would overwrite an input")
+        if written == (real(out, ""), "manifest.tsv"):
+            raise DataError(f"{manifest}:{s.line}: {field} {path} would be "
+                            f"written to {dst}, where the manifest goes")
+    if os.path.split(os.path.realpath(dst)) in inputs:
+        raise DataError(f"{manifest}: writing the manifest to {dst} would "
+                        f"overwrite an input")
+
+
+def _output(out: str, path: str) -> str:
+    """out/path, with its directory made."""
+    dst = os.path.join(out, path)
+    os.makedirs(os.path.dirname(dst), exist_ok=True)
+    return dst
 
 
 def cmd_preprocess(args, cfg: RunConfig) -> int:
@@ -231,22 +229,14 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     _check_outputs(args.manifest, samples, args.out)
     staged = im.preprocess_batch(dataio.read_images(
         args.manifest, samples, pre_cfg.target_size), pre_cfg)
-    os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
-    records = []
     for s, processed in zip(samples, staged):
-        rel = os.path.join("images", os.path.basename(s.image))
-        im.write_image(os.path.join(args.out, rel), processed)
-        mask_rel = None
+        im.write_image(_output(args.out, s.image), processed)
         if s.mask is not None:
-            mask = dataio.read_mask(args.manifest, s, pre_cfg.target_size)
-            mask_rel = os.path.join("masks", os.path.basename(s.mask))
-            os.makedirs(os.path.join(args.out, "masks"), exist_ok=True)
-            im.write_image(os.path.join(args.out, mask_rel), mask)
-        records.append(dataio.Sample(image=rel, label=s.label, mask=mask_rel,
-                                     growth=s.growth, synthetic=s.synthetic))
-    manifest = os.path.join(args.out, "manifest.tsv")
-    dataio.write_staged_manifest(manifest, records, pre_cfg)
-    print(f"preprocessed {len(records)} images into {args.out}")
+            im.write_image(_output(args.out, s.mask), dataio.read_mask(
+                args.manifest, s, pre_cfg.target_size))
+    dataio.write_staged_manifest(os.path.join(args.out, "manifest.tsv"), samples,
+                                 pre_cfg)
+    print(f"preprocessed {len(samples)} images into {args.out}")
     return EXIT_OK
 
 
@@ -278,7 +268,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     samples = dataio.read_manifest(args.manifest)
     if not samples:
         raise DataError(f"{args.manifest}: nothing to rebalance")
-    _check_inside(args.manifest, samples)
+    _check_outputs(args.manifest, samples, args.out)
     # every row is checked, one image at a time; synthetic images take the
     # first one's size
     out_size = [pixels.shape[:2] for pixels in
@@ -290,12 +280,9 @@ def cmd_augment(args, cfg: RunConfig) -> int:
                                      out_size=out_size)
 
     base = os.path.dirname(os.path.abspath(args.manifest))
-    os.makedirs(args.out, exist_ok=True)
     for s in samples:  # originals stay first and in order
         for rel in filter(None, (s.image, s.mask)):
-            dst = os.path.join(args.out, rel)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            shutil.copyfile(os.path.join(base, rel), dst)
+            shutil.copyfile(os.path.join(base, rel), _output(args.out, rel))
     records = list(samples)
     # a row of an earlier augment's output keeps its synthetic/ name, so new
     # images skip every name a row already holds
@@ -308,8 +295,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
             synth_index += 1
             if rel not in taken:
                 break
-        os.makedirs(os.path.join(args.out, "synthetic"), exist_ok=True)
-        im.write_image(os.path.join(args.out, rel), pixels)
+        im.write_image(_output(args.out, rel), pixels)
         records.append(dataio.Sample(image=rel, label=label, synthetic=True))
     manifest = os.path.join(args.out, "manifest.tsv")
     dataio.write_manifest(manifest, records)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import imaging as im
 from .errors import DataError
-from .synthdata import CLASS_NAMES
+from .synthdata import CLASS_NAMES, SOIL_ID
 from .training import TrainData
 
 __all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_text",
@@ -111,10 +111,8 @@ def _write(path: str, lines: list, samples) -> None:
         lines.append("\t".join([
             s.image, CLASS_NAMES[s.label], s.mask or _MISSING, growth,
             "1" if s.synthetic else "0"]))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    with im.atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_text(path: str) -> str:
@@ -316,8 +314,6 @@ def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
     foreground fraction (foreground = any non-soil class).  An empty
     manifest raises DataError.
     """
-    from .synthdata import SOIL_ID
-
     recorded = check_stages(manifest_path, pre_cfg)
     samples = read_manifest(manifest_path)
     if not samples:

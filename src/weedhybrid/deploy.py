@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from . import gan as gn
 from . import heads as hd
 from . import tensor as T
 from .errors import ContractError, FormatError
+from .imaging import atomic_write
 
 __all__ = [
     "MAGIC",
@@ -262,17 +262,9 @@ def load_checkpoint(fh) -> tuple:
 
 
 def write_checkpoint(path: str, entries: dict, flags: int = FLAG_FULL) -> None:
-    """Atomic file write: stream into a temp file, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".hwdm.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            save_checkpoint(fh, entries, flags)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Stream a checkpoint into path through imaging.atomic_write."""
+    with atomic_write(path) as fh:
+        save_checkpoint(fh, entries, flags)
 
 
 def read_checkpoint(path: str) -> tuple:

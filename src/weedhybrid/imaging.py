@@ -9,7 +9,8 @@ preprocessing pipeline is::
 
 Denoising runs before the contrast operations so impulse noise cannot
 distort tile histograms.  Disk I/O is binary PPM (P6) for color and PGM
-(P5) for grayscale; no other container is parsed.
+(P5) for grayscale; no other container is parsed.  Images, manifests and
+checkpoints are all written through :func:`atomic_write`.
 
 Every stage after resizing runs on private kernels over an (N, H, W, C)
 uint8 stack, reading a window as shifted views of one edge-padded array.
@@ -42,6 +43,7 @@ chunk, sub-stack, band and group boundaries.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -52,6 +54,7 @@ from .errors import ContractError, DimensionError, FormatError
 __all__ = [
     "PreprocessConfig",
     "read_image",
+    "atomic_write",
     "write_image",
     "resize_bilinear",
     "median_filter",
@@ -177,6 +180,24 @@ def read_image(path) -> np.ndarray:
         height, width, channels)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a temp file beside path for binary writing and, once the block
+    ends, rename it over path, so a reader sees the old file or the whole
+    new one.  If the write or the rename fails, the temp file is deleted.
+    The file gets open()'s permissions (0666 less the umask)."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed clean-up must not hide the error that caused it
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_image(path, arr: np.ndarray) -> None:
     """Write an (H, W) or (H, W, 1) uint8 array as binary PGM, or an
     (H, W, 3) one as PPM, atomically.
@@ -194,11 +215,9 @@ def write_image(path, arr: np.ndarray) -> None:
         raise ContractError(f"image extents must be positive, got shape {arr.shape}")
     magic = b"P6" if arr.ndim == 3 and arr.shape[2] == 3 else b"P5"
     header = magic + b"\n%d %d\n255\n" % (arr.shape[1], arr.shape[0])
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(arr))
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def test_preset_flag_applies_before_config_validation(tmp_path, capsys):
     assert f"{conf}:1: invalid preprocess configuration" in err
     rc = cli.main(command + ["--out", str(tmp_path / "paper"), "--preset", "paper"])
     assert rc == 0, capsys.readouterr().err
-    out = im.read_image(str(tmp_path / "paper" / "images" / "c.ppm"))
+    out = im.read_image(str(tmp_path / "paper" / "c.ppm"))
     assert out.shape[:2] == (224, 224)
 
 
@@ -602,29 +602,33 @@ def test_preprocess_rejects_invalid_mask(workspace, tmp_path, capsys, mask, mess
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["image", "mask"])
-def test_preprocess_rejects_two_sources_with_one_name(workspace, tmp_path, capsys, field):
-    # a/x.* and other/x.* would both be written as images/x.* (masks/x.*)
+def test_preprocess_keeps_two_sources_with_one_name(workspace, tmp_path):
+    # a/x.* and other/x.* were both to be written as images/x.* (masks/x.*),
+    # so preprocess refused them; each row now keeps its own path
     first, second = dio.read_manifest(workspace["manifest"])[:2]
     rows = []
     for sub, s in (("a", first), ("other", second)):
+        (tmp_path / sub).mkdir()
         names = {"image": f"{sub}/x.ppm", "mask": f"{sub}/x_mask.pgm"}
-        if field == "mask":
-            names["image"] = f"{sub}_x.ppm"
         for key, rel in names.items():
-            (tmp_path / rel).parent.mkdir(exist_ok=True)
             shutil.copyfile(workspace["data"] / getattr(s, key), tmp_path / rel)
-        rows.append(dio.Sample(label=s.label, growth=s.growth, **names))
-    manifest = tmp_path / "manifest.tsv"
-    dio.write_manifest(str(manifest), rows)
-    out = tmp_path / "out"
-    rc = cli.main(["preprocess", "--manifest", str(manifest), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    # line 1 is the header
-    assert f"manifest.tsv:3: {field} other/x" in err
-    assert "on line 2" in err
-    assert not out.exists()
+        row = dio.Sample(label=s.label, growth=s.growth, **names)
+        dio.write_manifest(str(tmp_path / f"{sub}.tsv"), [row])
+        rows.append(row)
+    dio.write_manifest(str(tmp_path / "manifest.tsv"), rows)
+    for name in ("manifest", "a", "other"):
+        rc = cli.main(["preprocess", "--manifest", str(tmp_path / f"{name}.tsv"),
+                       "--out", str(tmp_path / f"{name}_out")])
+        assert rc == 0
+    out = tmp_path / "manifest_out"
+    staged = dio.read_manifest(str(out / "manifest.tsv"))
+    assert [(s.image, s.mask) for s in staged] == [(s.image, s.mask) for s in rows]
+    # each row's outputs are what preprocessing that row alone writes
+    for s in rows:
+        alone = tmp_path / f"{os.path.dirname(s.image)}_out"
+        for rel in (s.image, s.mask):
+            assert (out / rel).read_bytes() == (alone / rel).read_bytes(), rel
+    assert (out / "a" / "x.ppm").read_bytes() != (out / "other" / "x.ppm").read_bytes()
 
 
 def test_preprocess_allows_a_repeated_source(workspace, tmp_path):
@@ -659,24 +663,19 @@ def test_preprocess_refuses_to_overwrite_its_inputs(tmp_path, capsys):
         f"{data / 'images' / os.path.basename(first.image)} would overwrite an input\n")
     assert dir_bytes(data) == before
 
-    # with the sources moved under raw/, only the manifest collides
-    (data / "raw").mkdir()
-    raw = []
-    for s in dio.read_manifest(str(data / "manifest.tsv")):
-        moved = {field: os.path.join("raw", os.path.basename(getattr(s, field)))
-                 for field in ("image", "mask")}
-        for field, rel in moved.items():
-            os.rename(data / getattr(s, field), data / rel)
-        raw.append(dio.Sample(label=s.label, growth=s.growth, **moved))
-    dio.write_manifest(str(data / "manifest.tsv"), raw)
-    before = dir_bytes(data)
+    # an --out whose manifest.tsv links to the input manifest: only the
+    # output manifest collides
+    out = tmp_path / "out"
+    out.mkdir()
+    os.symlink(data / "manifest.tsv", out / "manifest.tsv")
     rc = cli.main(["preprocess", "--manifest", str(data / "manifest.tsv"),
-                   "--out", str(data)])
+                   "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: {data / 'manifest.tsv'}: writing the manifest to "
-        f"{data / 'manifest.tsv'} would overwrite an input\n")
+        f"{out / 'manifest.tsv'} would overwrite an input\n")
     assert dir_bytes(data) == before
+    assert os.listdir(out) == ["manifest.tsv"]
 
 
 # ---------------------------------------------------------------- preprocessed manifests
@@ -785,24 +784,25 @@ def test_gan_checkpoint_flags(gan_checkpoint):
     assert params.trained_steps > 0
 
 
-def test_augment_balances_and_keeps_originals(workspace, gan_checkpoint,
-                                              tmp_path):
-    # an imbalanced source: drop most samples of two classes
+def skewed_copy(workspace, root):
+    """An imbalanced copy of the workspace under root: most samples of two
+    classes dropped. Returns its manifest and its rows."""
     src = dio.read_manifest(workspace["manifest"])
     keep = [s for s in src if s.label_name in ("soil", "soybean")]
     keep += [s for s in src if s.label_name == "grass"][:2]
     keep += [s for s in src if s.label_name == "broadleaf"][:1]
-    skewed = tmp_path / "skewed.tsv"
     for s in keep:
-        dst = tmp_path / s.image
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(workspace["data"] / s.image, dst)
-        if s.mask:
-            dst = tmp_path / s.mask
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(workspace["data"] / s.mask, dst)
+        for rel in (s.image, s.mask):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(workspace["data"] / rel, root / rel)
+    skewed = root / "skewed.tsv"
     dio.write_manifest(str(skewed), keep)
+    return skewed, keep
 
+
+def test_augment_balances_and_keeps_originals(workspace, gan_checkpoint,
+                                              tmp_path):
+    skewed, keep = skewed_copy(workspace, tmp_path)
     out = tmp_path / "balanced"
     rc = cli.main(["augment", "--manifest", str(skewed), "--gan",
                    gan_checkpoint, "--out", str(out), "--seed", "3"])
@@ -938,12 +938,16 @@ def test_augment_keeps_synthetic_rows_it_copies(workspace, gan_checkpoint, tmp_p
 
 
 @pytest.mark.parametrize("field", ["image", "mask"])
-@pytest.mark.parametrize("outside", ["parent", "absolute"])
+@pytest.mark.parametrize("command,outside", [
+    ("augment", "parent"), ("augment", "absolute"),
+    ("preprocess", "parent"), ("preprocess", "absolute")],
+    ids=["parent", "absolute", "preprocess-parent", "preprocess-absolute"])
 def test_augment_rejects_paths_outside_the_manifest_directory(
-        workspace, gan_checkpoint, tmp_path, capsys, field, outside):
-    # augment copies each original to its relative path under --out: a row
-    # ../images/x.ppm exited 0 after writing beside --out, and an absolute
-    # path exited 2 (SameFileError) after creating --out
+        workspace, gan_checkpoint, tmp_path, capsys, command, field, outside):
+    # augment and preprocess write each row at its relative path under
+    # --out: a row ../images/x.ppm exited 0 after augment wrote beside
+    # --out, and an absolute path exited 2 (SameFileError) after creating
+    # --out; preprocess wrote both inside --out, under their basenames
     first, second = dio.read_manifest(workspace["manifest"])[:2]
     lists = tmp_path / "lists"
     names = {"image": second.image, "mask": second.mask}
@@ -957,13 +961,96 @@ def test_augment_rejects_paths_outside_the_manifest_directory(
     dio.write_manifest(str(manifest), [
         first, dio.Sample(label=second.label, growth=second.growth, **names)])
     out = tmp_path / "run" / "balanced"
-    rc = cli.main(["augment", "--manifest", str(manifest), "--gan", gan_checkpoint,
-                   "--out", str(out)])
+    gan = ["--gan", gan_checkpoint] if command == "augment" else []
+    rc = cli.main([command, "--manifest", str(manifest), *gan, "--out", str(out)])
     assert rc == 2
     # line 1 is the header
     assert (f"manifest.tsv:3: {field} {names[field]} lies outside the "
             f"manifest's directory") in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["augment", "preprocess"])
+def test_a_row_written_where_the_manifest_goes_exits_two(tmp_path, capsys, command):
+    # augment copied a row manifest.tsv (a PPM beside a manifest named
+    # m.tsv) to --out/manifest.tsv, and the new manifest then replaced it:
+    # exit 0 with a row whose image is the manifest's text. preprocess,
+    # writing each row at its own path, would do the same
+    rng = np.random.default_rng(0)
+    for name in ("manifest.tsv", "b.ppm"):
+        im.write_image(str(tmp_path / name), rng.integers(0, 256, (8, 8, 3), np.uint8))
+    manifest = tmp_path / "m.tsv"
+    dio.write_manifest(str(manifest), [dio.Sample(image="b.ppm", label=0),
+                                       dio.Sample(image="manifest.tsv", label=1)])
+    untrained_gan(tmp_path / "gan.hwdm")
+    gan = ["--gan", str(tmp_path / "gan.hwdm")] if command == "augment" else []
+    out = tmp_path / "out"
+    rc = cli.main([command, "--manifest", str(manifest), *gan, "--out", str(out)])
+    assert rc == 2
+    # line 1 is the header
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:3: image manifest.tsv would be written to "
+        f"{out / 'manifest.tsv'}, where the manifest goes\n")
+    assert not out.exists()
+
+
+def test_augment_into_the_manifest_directory_exits_before_generating(
+        workspace, gan_checkpoint, tmp_path, capsys, monkeypatch):
+    # augment generated every synthetic image, then exited 2 on shutil's
+    # "are the same file" copying the first original onto itself
+    manifest, _ = skewed_copy(workspace, tmp_path / "data")
+    before = {base: (sorted(dirs), dir_bytes(base)) for base, dirs, _ in os.walk(tmp_path)}
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(gn, "generate", no_generator)
+    rc = cli.main(["augment", "--manifest", str(manifest), "--gan", gan_checkpoint,
+                   "--out", str(tmp_path / "data")])
+    assert rc == 2
+    # line 1 is the header
+    first = dio.read_manifest(str(manifest))[0]
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:2: writing image {first.image} to "
+        f"{tmp_path / 'data' / first.image} would overwrite an input\n")
+    assert {base: (sorted(dirs), dir_bytes(base))
+            for base, dirs, _ in os.walk(tmp_path)} == before
+
+
+def test_preprocess_stages_an_augmented_manifest(
+        workspace, gan_checkpoint, tmp_path, capsys, monkeypatch):
+    # augment's synthetic/<class>_<n>.ppm shares its basename with the
+    # original images/<class>_<n>.ppm, and preprocess wrote both to
+    # images/<basename>, so it refused every augment output (exit 2)
+    skewed, _ = skewed_copy(workspace, tmp_path)
+    balanced = tmp_path / "balanced" / "manifest.tsv"
+    rc = cli.main(["augment", "--manifest", str(skewed), "--gan", gan_checkpoint,
+                   "--out", str(balanced.parent), "--seed", "3"])
+    assert rc == 0
+    rows = dio.read_manifest(str(balanced))
+    assert os.path.join("synthetic", "broadleaf_0000.ppm") in {s.image for s in rows}
+    staged = tmp_path / "staged" / "manifest.tsv"
+    rc = cli.main(["preprocess", "--manifest", str(balanced), "--out",
+                   str(staged.parent), "--config", workspace["conf"]])
+    assert rc == 0
+    fields = ("image", "label", "mask", "growth", "synthetic")
+    assert ([[getattr(s, f) for f in fields] for s in dio.read_manifest(str(staged))]
+            == [[getattr(s, f) for f in fields] for s in rows])
+    capsys.readouterr()
+
+    def pretrain(manifest, out):
+        rc = cli.main(["pretrain", "--manifest", str(manifest), "--out", str(out),
+                       "--config", workspace["conf"]])
+        assert rc == 0
+        return capsys.readouterr().out.replace(str(out), "OUT"), out.read_bytes()
+
+    raw = pretrain(balanced, tmp_path / "raw.hwdm")
+
+    def no_second_pass(*args):
+        raise AssertionError("a recorded manifest ran through the pipeline again")
+
+    monkeypatch.setattr(im, "preprocess_batch", no_second_pass)
+    assert pretrain(staged, tmp_path / "staged.hwdm") == raw
 
 
 # ---------------------------------------------------------------- pretrain/train

@@ -13,9 +13,11 @@ import pytest
 
 import weedhybrid
 import weedhybrid.backbone as bb
+import weedhybrid.dataio as dio
 import weedhybrid.deploy as dp
 import weedhybrid.gan as gn
 import weedhybrid.heads as hd
+import weedhybrid.imaging as im
 import weedhybrid.tensor as T
 from weedhybrid.errors import DimensionError
 
@@ -76,6 +78,27 @@ def test_unbatched_input_raises_dimension_error(name):
     # IndexError from unpacking a shape escapes this check and fails it.
     with pytest.raises(DimensionError):
         UNBATCHED[name]()
+
+
+# Each writes one small artifact at the path it is given.
+WRITERS = {
+    "imaging.write_image": lambda path: im.write_image(path, np.zeros((2, 2, 3), np.uint8)),
+    "dataio.write_manifest": lambda path: dio.write_manifest(
+        path, [dio.Sample(image="x.ppm", label=0)]),
+    "deploy.write_checkpoint": lambda path: dp.write_checkpoint(path, *QUANTIZED),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_failed_rename_leaves_no_file(tmp_path, monkeypatch, writer):
+    # write_image left <path>.tmp.<pid> behind and write_manifest <path>.tmp
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="cannot rename"):
+        WRITERS[writer](str(tmp_path / "artifact"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def _modules():
