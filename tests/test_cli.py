@@ -602,33 +602,36 @@ def test_preprocess_rejects_invalid_mask(workspace, tmp_path, capsys, mask, mess
     assert message in capsys.readouterr().err
 
 
-def test_preprocess_keeps_two_sources_with_one_name(workspace, tmp_path):
+@pytest.mark.parametrize("field", ["image", "mask"])
+def test_preprocess_keeps_two_sources_with_one_name(workspace, tmp_path, field):
     # a/x.* and other/x.* were both to be written as images/x.* (masks/x.*),
     # so preprocess refused them; each row now keeps its own path
     first, second = dio.read_manifest(workspace["manifest"])[:2]
-    rows = []
+    rows = {}
     for sub, s in (("a", first), ("other", second)):
-        (tmp_path / sub).mkdir()
         names = {"image": f"{sub}/x.ppm", "mask": f"{sub}/x_mask.pgm"}
+        if field == "mask":
+            names["image"] = f"{sub}_x.ppm"
         for key, rel in names.items():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
             shutil.copyfile(workspace["data"] / getattr(s, key), tmp_path / rel)
-        row = dio.Sample(label=s.label, growth=s.growth, **names)
-        dio.write_manifest(str(tmp_path / f"{sub}.tsv"), [row])
-        rows.append(row)
-    dio.write_manifest(str(tmp_path / "manifest.tsv"), rows)
-    for name in ("manifest", "a", "other"):
+        rows[sub] = dio.Sample(label=s.label, growth=s.growth, **names)
+        dio.write_manifest(str(tmp_path / f"{sub}.tsv"), [rows[sub]])
+    dio.write_manifest(str(tmp_path / "manifest.tsv"), list(rows.values()))
+    for name in ("manifest", *rows):
         rc = cli.main(["preprocess", "--manifest", str(tmp_path / f"{name}.tsv"),
                        "--out", str(tmp_path / f"{name}_out")])
         assert rc == 0
     out = tmp_path / "manifest_out"
     staged = dio.read_manifest(str(out / "manifest.tsv"))
-    assert [(s.image, s.mask) for s in staged] == [(s.image, s.mask) for s in rows]
+    assert [(s.image, s.mask) for s in staged] == [(s.image, s.mask)
+                                                   for s in rows.values()]
     # each row's outputs are what preprocessing that row alone writes
-    for s in rows:
-        alone = tmp_path / f"{os.path.dirname(s.image)}_out"
+    for sub, s in rows.items():
         for rel in (s.image, s.mask):
-            assert (out / rel).read_bytes() == (alone / rel).read_bytes(), rel
-    assert (out / "a" / "x.ppm").read_bytes() != (out / "other" / "x.ppm").read_bytes()
+            assert (out / rel).read_bytes() == (tmp_path / f"{sub}_out" / rel).read_bytes(), rel
+    a, other = (getattr(s, field) for s in rows.values())
+    assert (out / a).read_bytes() != (out / other).read_bytes()
 
 
 def test_preprocess_allows_a_repeated_source(workspace, tmp_path):
