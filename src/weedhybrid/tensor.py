@@ -51,13 +51,17 @@ gradient is g @ cols.T with g the (K, pixels) output gradient. _col2im, the
 adjoint, adds W.T @ g back onto the unpadded input one tap at a time in
 (i, j) order. conv_transpose2d runs on the same code: its forward is conv2d's
 input gradient, its backward conv2d's forward and kernel gradient.
-- Data moves in whole planes where the output grid is the grid of the
-  input's stride x stride phase planes (rows y % stride, columns
-  x % stride; one plane at stride 1): (OH, OW) * stride == (H, W), as for
-  every conv the models run (3x3 with padding 1 at stride 1, 4x4 with
-  padding 1 at stride 2). Tap (i, j) then reads one phase plane shifted by
-  whole rows and columns, so over the flat (images * rows * OW) planes of
-  one channel it is one shifted run:
+- Data moves in whole planes: every conv runs on the grid of its input's
+  stride x stride phase planes (rows y % stride, columns x % stride; one
+  plane at stride 1), (H, W) / stride. A conv whose output grid (OH, OW) is
+  not that grid runs on a grid widened to cover both (_phase_grid): its
+  input is zero-extended below and to the right to the grid times stride
+  (_extend), and its output and input gradient are cropped back. Every conv
+  the models run (3x3 with padding 1 at stride 1, 1x1, 4x4 with padding 1
+  at stride 2 in both directions) is on its grid already, so none copies.
+  Tap (i, j) reads one phase plane shifted by whole rows and columns, so
+  over the flat (images * rows * OW) planes of one channel it is one
+  shifted run:
   - _im2col casts the input rows a block reads to 64-bit phase planes once
     (its only copy of the input, and no padded one), copies each tap as one
     run per channel, then zeroes the entries that came from a neighbouring
@@ -75,9 +79,8 @@ input gradient, its backward conv2d's forward and kernel gradient.
     third of the speed: 9 adds of 3 channels of 14 32x32 float64 images
     took 0.19 ms as flat runs and 0.53-0.75 ms with each image row shifted
     by one or more elements (the Xeon below), hence the flat runs.
-  Elsewhere each tap is one strided copy, or add, with a contiguous run of
-  OW, and zeros where it reads the border. tests/test_tensor.py pins both
-  ways to tests/oracles.py byte for byte over random geometry.
+  tests/test_tensor.py pins both to tests/oracles.py byte for byte over
+  random geometry, and the public ops to it over any geometry.
 - Every direction runs over one set of blocks (_conv_blocks): whole images,
   or whole rows (row pairs for conv_relu_pool2d) of one image, each at most
   _GEMM_BLOCK_BYTES of 64-bit im2col block plus 64-bit (K, pixels) product
@@ -867,20 +870,6 @@ def _check_stride_padding(op: str, stride: int, padding: int) -> None:
                             f"got stride {stride} padding {padding}")
 
 
-def _tap_span(tap: int, pad: int, stride: int, hi: int, n_in: int,
-              lo: int = 0) -> tuple[int, int]:
-    """The output positions [a, b) within [lo, hi) at which kernel tap `tap`
-    reads input position o*stride + tap - pad inside [0, n_in); a <= b."""
-    a = max(lo, -((tap - pad) // stride))
-    return a, max(a, min(hi, (n_in - 1 + pad - tap) // stride + 1))
-
-
-def _tap_slice(a: int, b: int, tap: int, pad: int, stride: int) -> slice:
-    """The input positions tap `tap` reads for output positions [a, b), a < b."""
-    start = a * stride + tap - pad
-    return slice(start, start + (b - a - 1) * stride + 1, stride)
-
-
 def _tap_shifts(k: int, pad: int, stride: int) -> list:
     """(phase, shift) of each kernel tap t < k along one axis: output
     position o reads position o + shift of phase plane `phase`, which is
@@ -904,139 +893,100 @@ def _wrapped(dx: int, ow: int) -> slice:
 def _im2col(x: np.ndarray, dest: np.ndarray, kh: int, kw: int, stride: int, pad: int,
             n0: int, n1: int, r0: int, r1: int) -> None:
     """Fill dest, the tap-major im2col block of images n0:n1, output rows
-    r0:r1 of x (N,C,H,W) zero-padded by pad.
+    r0:r1 of x (N,C,H,W) zero-padded by pad, on the (H, W) / stride grid of
+    x's phase planes (_phase_grid: H and W are multiples of stride). The
+    block is whole images or rows of one image, as _conv_blocks makes them.
 
     dest is C-ordered (C*kh*kw, (n1-n0)*(r1-r0)*OW): row c*kh*kw + i*kw + j is
     channel c shifted by tap (i, j), column (n, r, col) output pixel
-    (n0 + n, r0 + r, col). Where a tap reads the zero border, dest gets
-    zeros, so x itself is never padded.
-
-    Where the output grid is the grid of x's stride x stride phase planes,
-    (OH, OW) * stride == (H, W), and the block is whole images or rows of
-    one image (as _conv_blocks makes them), the input rows the block reads
-    are cast once into flat 64-bit phase planes (C, images * rows * OW),
-    and each tap is one copy of a shifted run of them; the entries that came from
-    another image or wrapped round a row are zeroed after. Elsewhere each
-    tap is one strided copy with a run of OW.
+    (n0 + n, r0 + r, col). The input rows the block reads are cast once into
+    flat 64-bit phase planes (C, images * rows * OW), and each tap is one
+    copy of a shifted run of them; the entries that came from another image,
+    fell off the planes (the zero border) or wrapped round a row are zeroed
+    after, so x itself is never padded.
     """
     c, h, w = x.shape[1:]
-    nr = r1 - r0
-    oh, ow = _conv_grid((h, w), kh, kw, stride, pad)
-    if (stride * oh, stride * ow) == (h, w) and (n1 - n0 == 1 or nr == oh):
-        ni = n1 - n0
-        rows, cols = _tap_shifts(kh, pad, stride), _tap_shifts(kw, pad, stride)
-        # the phase rows the block reads; a whole-image block reads all oh
-        q0, q1 = max(0, r0 + rows[0][1]), min(oh, r1 + rows[-1][1])
-        run, size = nr * ow, (q1 - q0) * ow
-        planes = np.empty((stride, stride, c, ni * size))
-        src = x[n0:n1, :, q0 * stride:q1 * stride].transpose(1, 0, 2, 3)
-        for py in range(stride):
-            for px in range(stride):
-                planes[py, px].reshape(c, ni, q1 - q0, ow)[...] = src[:, :, py::stride,
-                                                                      px::stride]
-        taps = dest.reshape(c, kh, kw, ni * run)
-        for i, (py, dy) in enumerate(rows):
-            for j, (px, dx) in enumerate(cols):
-                tap = taps[:, i, j]
-                off = (r0 + dy - q0) * ow + dx
-                a, b = _flat_run(off, run, size)
-                if a == b:
-                    tap[...] = 0
-                    continue
-                end = (ni - 1) * run + b
-                tap[:, a:end] = planes[py, px, :, a + off:end + off]
-                if a or b < run:
-                    per_image = tap.reshape(c, ni, run)
-                    per_image[..., :a] = 0
-                    per_image[..., b:] = 0
-                if dx:   # while the tap is still in cache
-                    tap.reshape(c, ni, nr, ow)[..., _wrapped(dx, ow)] = 0
-        return
-    taps = dest.reshape(c, kh, kw, n1 - n0, nr, ow)
-    src = x[n0:n1].transpose(1, 0, 2, 3)
-    for i in range(kh):
-        ra, rb = _tap_span(i, pad, stride, r1, h, r0)
-        for j in range(kw):
-            ca, cb = _tap_span(j, pad, stride, ow, w)
+    oh, ow = h // stride, w // stride
+    ni, nr = n1 - n0, r1 - r0
+    rows, cols = _tap_shifts(kh, pad, stride), _tap_shifts(kw, pad, stride)
+    # the phase rows the block reads: all oh for whole images, so that the
+    # images stay one flat run apart, and none for some row blocks
+    q0 = max(0, r0 + rows[0][1])
+    q1 = oh if nr == oh else max(q0, min(oh, r1 + rows[-1][1]))
+    run, size = nr * ow, (q1 - q0) * ow
+    planes = np.empty((stride, stride, c, ni * size))
+    src = x[n0:n1, :, q0 * stride:q1 * stride].transpose(1, 0, 2, 3)
+    for py in range(stride):
+        for px in range(stride):
+            planes[py, px].reshape(c, ni, q1 - q0, ow)[...] = src[:, :, py::stride, px::stride]
+    taps = dest.reshape(c, kh, kw, ni * run)
+    for i, (py, dy) in enumerate(rows):
+        for j, (px, dx) in enumerate(cols):
             tap = taps[:, i, j]
-            if ra == rb or ca == cb:
+            off = (r0 + dy - q0) * ow + dx
+            a, b = _flat_run(off, run, size)
+            if a == b:
                 tap[...] = 0
                 continue
-            if ra > r0:
-                tap[:, :, :ra - r0] = 0
-            if rb < r1:
-                tap[:, :, rb - r0:] = 0
-            if ca > 0:
-                tap[..., :ca] = 0
-            if cb < ow:
-                tap[..., cb:] = 0
-            tap[:, :, ra - r0:rb - r0, ca:cb] = src[:, :, _tap_slice(ra, rb, i, pad, stride),
-                                                    _tap_slice(ca, cb, j, pad, stride)]
+            end = (ni - 1) * run + b
+            tap[:, a:end] = planes[py, px, :, a + off:end + off]
+            if a or b < run:
+                per_image = tap.reshape(c, ni, run)
+                per_image[..., :a] = 0
+                per_image[..., b:] = 0
+            if dx:   # while the tap is still in cache
+                tap.reshape(c, ni, nr, ow)[..., _wrapped(dx, ow)] = 0
 
 
 def _col2im(cols: np.ndarray, hw: tuple[int, int], stride: int, pad: int,
             r0: int = 0, y0: int = 0, bias: np.ndarray | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of _im2col: add tap-major cols (C,kh,kw,N,R,OW) of output rows
-    r0:r0+R onto a 64-bit zero map of input rows y0:y0+H, one tap at a time
-    in (i, j) order, dropping what lands outside it (the zero border, or
-    rows another block owns); then add the (C,) bias, if given, and write
-    the (N,C,H,W) map into out (of any dtype; a new 64-bit map if None).
+    r0:r0+R onto 64-bit zero phase planes of input rows y0:y0+H, one tap at
+    a time in (i, j) order, dropping what lands outside them (the zero
+    border, or rows another block owns); then add the (C,) bias, if given,
+    and write the (N,C,H,W) map into out (of any dtype; a new 64-bit map if
+    None).
 
-    Where the map's rows and columns are the phase planes' (W = stride * OW,
-    y0 and H multiples of stride) and, for more than one image, R output
-    rows cover the H / stride phase rows, each tap is one add of a shifted
-    flat run into flat 64-bit (C, N * H * W / stride**2) phase planes. The
-    entries of cols that would land in another image or wrap round a row
-    are zeroed first (a read-only cols is copied for that); those that fall
-    off the planes are not added. Elsewhere each tap is one strided add.
+    The map's rows and columns are the phase planes' (W = stride * OW, y0
+    and H multiples of stride) and, for more than one image, R output rows
+    cover the H / stride phase rows, as _conv_adjoints makes its blocks.
+    Each tap is one add of a shifted flat run into flat 64-bit
+    (C, N * H * W / stride**2) phase planes. The entries of cols that would
+    land in another image or wrap round a row are zeroed first (a read-only
+    cols is copied for that); those that fall off the planes are not added.
     """
     c, kh, kw, n, nr, ow = cols.shape
     h, w = hw
     run, size = nr * ow, h // stride * ow
     if out is None:
         out = np.empty((n, c, h, w))
-    if w == stride * ow and h % stride == 0 == y0 % stride and (n == 1 or run == size):
-        rows, shifts = _tap_shifts(kh, pad, stride), _tap_shifts(kw, pad, stride)
-        planes = np.zeros((stride, stride, c, n * size))
-        taps = cols.reshape(c, kh, kw, n * run)
-        if not taps.flags.writeable and any(d for _, d in rows + shifts):
-            taps = taps.copy()
-        for i, (py, dy) in enumerate(rows):
-            for j, (px, dx) in enumerate(shifts):
-                off = (r0 + dy - y0 // stride) * ow + dx
-                a, b = _flat_run(off, run, size)
-                if a == b:
-                    continue
-                end = (n - 1) * run + b
-                tap = taps[:, i, j]
-                if n > 1 and (a or b < run):
-                    per_image = tap.reshape(c, n, run)
-                    per_image[..., :a] = 0
-                    per_image[..., b:] = 0
-                if dx:
-                    tap.reshape(c, n, nr, ow)[..., _wrapped(dx, ow)] = 0
-                planes[py, px, :, a + off:end + off] += tap[:, a:end]
-        if bias is not None:
-            planes += bias[:, None]
-        for py in range(stride):
-            for px in range(stride):
-                out[:, :, py::stride, px::stride] = planes[py, px].reshape(
-                    c, n, h // stride, ow).transpose(1, 0, 2, 3)
-        return out
-    acc = np.zeros((n, c, h, w), dtype=np.float64)
-    dest = acc.transpose(1, 0, 2, 3)
-    for i in range(kh):
-        ra, rb = _tap_span(i, pad + y0, stride, r0 + nr, h, r0)
-        for j in range(kw):
-            ca, cb = _tap_span(j, pad, stride, ow, w)
-            if ra < rb and ca < cb:
-                dest[:, :, _tap_slice(ra, rb, i, pad + y0, stride),
-                     _tap_slice(ca, cb, j, pad, stride)] += cols[:, i, j, :, ra - r0:rb - r0,
-                                                                ca:cb]
+    rows, shifts = _tap_shifts(kh, pad, stride), _tap_shifts(kw, pad, stride)
+    planes = np.zeros((stride, stride, c, n * size))
+    taps = cols.reshape(c, kh, kw, n * run)
+    if not taps.flags.writeable and any(d for _, d in rows + shifts):
+        taps = taps.copy()
+    for i, (py, dy) in enumerate(rows):
+        for j, (px, dx) in enumerate(shifts):
+            off = (r0 + dy - y0 // stride) * ow + dx
+            a, b = _flat_run(off, run, size)
+            if a == b:
+                continue
+            end = (n - 1) * run + b
+            tap = taps[:, i, j]
+            if n > 1 and (a or b < run):
+                per_image = tap.reshape(c, n, run)
+                per_image[..., :a] = 0
+                per_image[..., b:] = 0
+            if dx:
+                tap.reshape(c, n, nr, ow)[..., _wrapped(dx, ow)] = 0
+            planes[py, px, :, a + off:end + off] += tap[:, a:end]
     if bias is not None:
-        acc += bias[:, None, None]
-    out[...] = acc
+        planes += bias[:, None]
+    for py in range(stride):
+        for px in range(stride):
+            out[:, :, py::stride, px::stride] = planes[py, px].reshape(
+                c, n, h // stride, ow).transpose(1, 0, 2, 3)
     return out
 
 
@@ -1057,105 +1007,137 @@ def _conv_grid(hw: tuple, kh: int, kw: int, stride: int, pad: int) -> tuple[int,
     return (hw[0] + 2 * pad - kh) // stride + 1, (hw[1] + 2 * pad - kw) // stride + 1
 
 
+def _phase_grid(hw: tuple, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
+    """The grid a conv over an (H, W) map runs on (module docstring): its
+    output grid, widened below and to the right to cover the map's stride x
+    stride phase planes."""
+    oh, ow = _conv_grid(hw, kh, kw, stride, pad)
+    return max(oh, -(-hw[0] // stride)), max(ow, -(-hw[1] // stride))
+
+
+def _extend(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """a (N,C,H,W) zero-extended below and to the right to (rows, cols): a
+    itself if it has that size, else a new map."""
+    if a.shape[2:] == (rows, cols):
+        return a
+    out = np.zeros(a.shape[:2] + (rows, cols), dtype=a.dtype)
+    out[:, :, :a.shape[2], :a.shape[3]] = a
+    return out
+
+
 def _conv_gemm(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, pad: int,
                out_dtype, bias: np.ndarray | None = None,
                epilogue: Callable | None = None, align: int = 1) -> np.ndarray | None:
     """Cross-correlate x (N,C,H,W), zero-padded by pad, with wmat (K, C*kh*kw)
     as 64-bit GEMMs W @ cols over the _conv_blocks of the tap-major im2col
-    matrix, each block built in one reused buffer. Column m of the matrix is
-    output pixel m of the flattened (N, OH, OW) grid. Each block's (K, pixels)
-    product, bias added per row, goes to epilogue(m0, m1, block) if one is
-    given, else into the returned channels-last (N,K,OH,OW) map of out_dtype."""
+    matrix on x's _phase_grid (Q, QW), each block built in one reused buffer.
+    Column m of the matrix is pixel m of the flattened (N, Q, QW) grid. Each
+    block's (K, pixels) product, bias added per row, goes to
+    epilogue(m0, m1, block) if one is given, else into the returned
+    channels-last (N,K,OH,OW) map of out_dtype, cropped from the grid."""
     n = x.shape[0]
     oh, ow = _conv_grid(x.shape[2:], kh, kw, stride, pad)
+    q, qw = _phase_grid(x.shape[2:], kh, kw, stride, pad)
+    x = _extend(x, stride * q, stride * qw)
     k, row_len = wmat.shape
-    blocks = _conv_blocks(n, oh, ow, 8 * (row_len + k), align)
+    blocks = _conv_blocks(n, q, qw, 8 * (row_len + k), align)
     n0, n1, r0, r1 = blocks[0]   # the largest block
-    buf = np.empty(row_len * (n1 - n0) * (r1 - r0) * ow, dtype=np.float64)
+    buf = np.empty(row_len * (n1 - n0) * (r1 - r0) * qw, dtype=np.float64)
     w64 = _f64(wmat)
     b64 = None if bias is None else _f64(bias)[:, None]
     out = None
     if epilogue is None:
-        out = np.empty((n, oh, ow, k), dtype=out_dtype)
+        out = np.empty((n, q, qw, k), dtype=out_dtype)
         pixels = out.reshape(-1, k)
 
         def epilogue(m0, m1, block):
             pixels[m0:m1] = block.T
 
     for n0, n1, r0, r1 in blocks:
-        m0, m1 = (n0 * oh + r0) * ow, ((n1 - 1) * oh + r1) * ow
+        m0, m1 = (n0 * q + r0) * qw, ((n1 - 1) * q + r1) * qw
         dest = buf[:row_len * (m1 - m0)].reshape(row_len, m1 - m0)
         _im2col(x, dest, kh, kw, stride, pad, n0, n1, r0, r1)
         block = w64 @ dest
         if b64 is not None:
             block += b64
         epilogue(m0, m1, block)
-    return None if out is None else out.transpose(0, 3, 1, 2)
+    return None if out is None else out[:, :oh, :ow].transpose(0, 3, 1, 2)
 
 
-def _adjoint_rows(r0: int, r1: int, oh: int, h: int, kh: int, stride: int,
-                  pad: int) -> tuple[int, int, int, int]:
-    """For the block of output rows r0:r1 of a conv over H input rows: the
-    input rows y0:y1 whose gradient it completes, r0*stride:r1*stride within
-    0:H (from 0 for the first block, to H for the last), and the output rows
-    e0:e1 that read them, r0:r1 widened by a halo."""
-    y0 = 0 if r0 == 0 else min(h, r0 * stride)
-    y1 = h if r1 == oh else min(h, r1 * stride)
-    if y0 == y1:
-        return y0, y1, r0, r1
-    e0 = min(r0, max(0, -((kh - 1 - pad - y0) // stride)))
-    return y0, y1, e0, max(r1, min(oh, (y1 - 1 + pad) // stride + 1))
+def _adjoint_rows(r0: int, r1: int, q: int, kh: int, stride: int,
+                  pad: int) -> tuple[int, int]:
+    """The output rows e0:e1, r0:r1 widened by a halo, that read the input
+    rows r0*stride:r1*stride whose gradient the block of output rows r0:r1
+    of a conv on a phase grid of Q rows completes."""
+    e0 = min(r0, max(0, -((kh - 1 - pad - r0 * stride) // stride)))
+    return e0, max(r1, min(q, (r1 * stride - 1 + pad) // stride + 1))
 
 
 def _conv_adjoints(fill: Callable, n: int, hw: tuple, wmat: np.ndarray, kh: int, kw: int,
                    stride: int, pad: int, a: np.ndarray | None = None, db: bool = False,
                    dx_dtype=None, bias: np.ndarray | None = None, align: int = 1) -> tuple:
     """The adjoints of the conv of weights wmat (K, C*kh*kw) over N (H, W)
-    maps, run over the forward's _conv_blocks from its output gradient:
-    fill(n0, n1, r0, r1, dest) writes the 64-bit channel rows of images n0:n1,
-    output rows r0:r1 into dest, a (K, n1-n0, r1-r0, OW) view.
+    maps, run over the forward's _conv_blocks of its _phase_grid (Q, QW) from
+    its output gradient: fill(n0, n1, r0, r1, dest) writes the 64-bit
+    channel rows of images n0:n1, output rows r0:r1 into dest, a
+    (K, n1-n0, r1-r0, OW) view; the grid's other pixels are zero.
 
     Returns (dk, db, dx), each None unless asked for:
     - dk, the 64-bit (K, C*kh*kw) kernel gradient, the sum over blocks of
       dz @ cols.T with cols the block of a's im2col matrix;
     - db, the 64-bit (K,) bias gradient, the sum over blocks of dz's row
       sums;
-    - dx, the (N,C,H,W) input gradient (plus bias per channel) in dx_dtype:
-      each block adds W.T @ dz onto the input rows it completes
-      (_adjoint_rows), so every input pixel gets its taps in (i, j) order.
+    - dx, the (N,C,H,W) input gradient (plus bias per channel) in dx_dtype,
+      cropped from the grid: each block adds W.T @ dz onto the input rows it
+      completes (_adjoint_rows), so every input pixel gets its taps in
+      (i, j) order.
     The im2col block and then W.T @ dz share one reused buffer.
     """
     k, row_len = wmat.shape
     h, w = hw
     oh, ow = _conv_grid(hw, kh, kw, stride, pad)
-    spans = [(n0, n1, r0, r1) + (_adjoint_rows(r0, r1, oh, h, kh, stride, pad)
-                                 if dx_dtype is not None else (0, 0, r0, r1))
-             for n0, n1, r0, r1 in _conv_blocks(n, oh, ow, 8 * (row_len + k), align)]
-    most = max((n1 - n0) * (e1 - e0) * ow for n0, n1, _, _, _, _, e0, e1 in spans)
+    q, qw = _phase_grid(hw, kh, kw, stride, pad)
+    spans = [(n0, n1, r0, r1) + (_adjoint_rows(r0, r1, q, kh, stride, pad)
+                                 if dx_dtype is not None else (r0, r1))
+             for n0, n1, r0, r1 in _conv_blocks(n, q, qw, 8 * (row_len + k), align)]
+    most = max((n1 - n0) * (e1 - e0) * qw for n0, n1, _, _, e0, e1 in spans)
     buf = np.empty(row_len * most, dtype=np.float64)
     dz_buf = np.empty(k * most, dtype=np.float64)
     w64t = _f64(wmat).T
     b64 = None if bias is None else _f64(bias)
+    if a is not None:
+        if (q, qw) != (oh, ow):
+            # the grid's extra pixels (zero gradient) read zeros, not the
+            # pixels the conv skips, which may be non-finite
+            a = a[:, :, :max(0, (oh - 1) * stride + kh - pad),
+                  :max(0, (ow - 1) * stride + kw - pad)]
+        a = _extend(a, stride * q, stride * qw)
     dk = bsum = None
-    dx = None if dx_dtype is None else np.empty((n, row_len // (kh * kw), h, w), dtype=dx_dtype)
-    for n0, n1, r0, r1, y0, y1, e0, e1 in spans:
+    dx = None if dx_dtype is None else np.empty(
+        (n, row_len // (kh * kw), stride * q, stride * qw), dtype=dx_dtype)
+    for n0, n1, r0, r1, e0, e1 in spans:
         ni = n1 - n0
-        dz = dz_buf[:k * ni * (e1 - e0) * ow].reshape(k, -1)
-        fill(n0, n1, e0, e1, dz.reshape(k, ni, e1 - e0, ow))
-        own = dz.reshape(k, ni, e1 - e0, ow)[:, :, r0 - e0:r1 - e0].reshape(k, -1)
+        dz = dz_buf[:k * ni * (e1 - e0) * qw].reshape(k, ni, e1 - e0, qw)
+        if (q, qw) != (oh, ow):
+            dz[...] = 0
+        e = max(e0, min(e1, oh))   # the block's rows of the output grid
+        fill(n0, n1, e0, e, dz[:, :, :e - e0, :ow])
+        own = dz[:, :, r0 - e0:r1 - e0].reshape(k, -1)
         if a is not None:
             cols = buf[:row_len * own.shape[1]].reshape(row_len, -1)
             _im2col(a, cols, kh, kw, stride, pad, n0, n1, r0, r1)
             part = own @ cols.T
             dk = part if dk is None else np.add(dk, part, out=dk)
-        if dx is not None and y0 < y1:
-            dcols = np.matmul(w64t, dz, out=buf[:row_len * dz.shape[1]].reshape(row_len, -1))
-            _col2im(dcols.reshape(-1, kh, kw, ni, e1 - e0, ow), (y1 - y0, w), stride, pad,
-                    e0, y0, bias=b64, out=dx[n0:n1, :, y0:y1])
+        if dx is not None:
+            dcols = np.matmul(w64t, dz.reshape(k, -1),
+                              out=buf[:row_len * dz[0].size].reshape(row_len, -1))
+            _col2im(dcols.reshape(-1, kh, kw, ni, e1 - e0, qw),
+                    ((r1 - r0) * stride, stride * qw), stride, pad, e0, r0 * stride, bias=b64,
+                    out=dx[n0:n1, :, r0 * stride:r1 * stride])
         if db:
             part = own.sum(axis=1)
             bsum = part if bsum is None else np.add(bsum, part, out=bsum)
-    return dk, bsum, dx
+    return dk, bsum, None if dx is None else dx[:, :, :h, :w]
 
 
 def _rows_of(g: np.ndarray) -> Callable:
@@ -1329,13 +1311,15 @@ def _tap_sum(taps: list) -> np.ndarray:
 
 def _pool_adjoint(g: np.ndarray, window: int, stride: int, hw: tuple) -> np.ndarray:
     """avg_pool2d's input gradient, in g's dtype: g / window**2 scattered
-    over each window."""
-    gd = g / (window * window)
-    n, c, oh, ow = gd.shape
+    over each window of the (H, W) map's _phase_grid, then cropped."""
+    q, qw = _phase_grid(hw, window, window, stride, 0)
+    gd = _extend(g / (window * window), q, qw)
+    n, c = gd.shape[:2]
     # channel-major, so each channel's taps are one flat run for _col2im
     taps = np.broadcast_to(np.ascontiguousarray(gd.transpose(1, 0, 2, 3))[:, None, None],
-                           (c, window, window, n, oh, ow))
-    return _col2im(taps, hw, stride, 0, out=np.empty((n, c) + tuple(hw), dtype=gd.dtype))
+                           (c, window, window, n, q, qw))
+    out = np.empty((n, c, stride * q, stride * qw), dtype=gd.dtype)
+    return _col2im(taps, out.shape[2:], stride, 0, out=out)[:, :, :hw[0], :hw[1]]
 
 
 @_fp_warnings_off
@@ -1345,10 +1329,9 @@ def avg_pool2d(x: Tensor, window: int = 2, stride: int | None = None) -> Tensor:
     h, w = _shape4(x, "avg_pool2d: input (N,C,H,W)")[2:]
     if window > h or window > w:
         raise DimensionError(f"avg_pool2d: window {window} too large for {h}x{w}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    acc = _tap_sum([x.data[:, :, _tap_slice(0, oh, i, 0, stride), _tap_slice(0, ow, j, 0, stride)]
-                    for i in range(window) for j in range(window)])
+    win = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    acc = _tap_sum([win[..., i, j] for i in range(window) for j in range(window)])
     out = (acc / (window * window)).astype(x.data.dtype)
 
     def back(g):

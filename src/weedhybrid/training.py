@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
 from dataclasses import astuple, dataclass, field
 
@@ -495,40 +496,35 @@ def evaluate(params: bb.BackboneParams, heads: hd.HeadParams,
 
 
 def emit_plot_data(history: list, report: MetricsReport, outdir) -> dict:
-    """Write history.csv, confusion.csv and report.csv; returns the paths."""
-    os.makedirs(outdir, exist_ok=True)
-    paths = {name: os.path.join(outdir, f"{name}.csv")
-             for name in ("history", "confusion", "report")}
-
-    with open(paths["history"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_acc", "val_acc", "l_cls", "l_seg",
-                    "l_growth", "l_total"])
-        for row in history:
-            w.writerow([row.epoch, f"{row.train_acc:.6f}", f"{row.val_acc:.6f}",
-                        f"{row.l_cls:.6f}", f"{row.l_seg:.6f}",
-                        f"{row.l_growth:.6f}", f"{row.l_total:.6f}"])
-
+    """Write history.csv, confusion.csv and report.csv; returns the paths.
+    All three texts are built before any file is touched, and each file is
+    replaced whole (imaging.atomic_write), so a report that cannot be
+    written leaves the old files as they were."""
     k = report.confusion.shape[0]
-    with open(paths["confusion"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["truth\\pred"] + [f"pred_{j}" for j in range(k)])
-        for i in range(k):
-            w.writerow([f"true_{i}"] + [int(v) for v in report.confusion[i]])
-
-    with open(paths["report"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "precision", "recall", "f1", "support"])
-        for i in range(k):
-            w.writerow([i, f"{report.precision[i]:.6f}",
-                        f"{report.recall[i]:.6f}", f"{report.f1[i]:.6f}",
-                        int(report.support[i])])
-        w.writerow(["accuracy", f"{report.accuracy:.6f}", "", "",
-                    int(report.support.sum())])
-        w.writerow(["macro", f"{report.macro[0]:.6f}", f"{report.macro[1]:.6f}",
-                    f"{report.macro[2]:.6f}", int(report.support.sum())])
-        w.writerow(["weighted", f"{report.weighted[0]:.6f}",
-                    f"{report.weighted[1]:.6f}", f"{report.weighted[2]:.6f}",
-                    int(report.support.sum())])
-        w.writerow(["mean_iou", f"{report.mean_iou:.6f}", "", "", ""])
+    total = int(report.support.sum())
+    tables = {
+        "history": [["epoch", "train_acc", "val_acc", "l_cls", "l_seg", "l_growth", "l_total"]]
+        + [[row.epoch, f"{row.train_acc:.6f}", f"{row.val_acc:.6f}", f"{row.l_cls:.6f}",
+            f"{row.l_seg:.6f}", f"{row.l_growth:.6f}", f"{row.l_total:.6f}"]
+           for row in history],
+        "confusion": [["truth\\pred"] + [f"pred_{j}" for j in range(k)]]
+        + [[f"true_{i}"] + [int(v) for v in report.confusion[i]] for i in range(k)],
+        "report": [["class", "precision", "recall", "f1", "support"]]
+        + [[i, f"{report.precision[i]:.6f}", f"{report.recall[i]:.6f}",
+            f"{report.f1[i]:.6f}", int(report.support[i])] for i in range(k)]
+        + [["accuracy", f"{report.accuracy:.6f}", "", "", total],
+           ["macro"] + [f"{v:.6f}" for v in report.macro] + [total],
+           ["weighted"] + [f"{v:.6f}" for v in report.weighted] + [total],
+           ["mean_iou", f"{report.mean_iou:.6f}", "", "", ""]],
+    }
+    texts = {}
+    for name, rows in tables.items():
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        texts[name] = text.getvalue().encode()
+    os.makedirs(outdir, exist_ok=True)
+    paths = {name: os.path.join(outdir, f"{name}.csv") for name in texts}
+    for name, data in texts.items():
+        with im.atomic_write(paths[name]) as fh:
+            fh.write(data)
     return paths

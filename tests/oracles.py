@@ -461,17 +461,20 @@ def _bias_grad(g, n):
 
 def _kernel_grad(rows, a, kh, kw, stride, pad):
     """rows @ cols.T with cols the whole 64-bit im2col matrix of a (N,C,H,W)."""
-    n, c, h, w = a.shape
-    cols = np.empty((c * kh * kw, rows.shape[1]), dtype=np.float64)
-    T._im2col(a, cols, kh, kw, stride, pad, 0, n, 0, T._conv_grid((h, w), kh, kw, stride, pad)[0])
+    c = a.shape[1]
+    win = _windows(_pad_hw(a, pad), kh, kw, stride)
+    cols = win.transpose(1, 4, 5, 0, 2, 3).astype(np.float64, order="C").reshape(c * kh * kw, -1)
     return (rows @ cols.T).reshape(len(rows), c, kh, kw)
 
 
 def _conv_adjoint(wmat, rows, kh, kw, stride, pad, hw):
-    """_col2im of the whole W.T @ rows onto an (H, W) map."""
+    """The scatter of the whole W.T @ rows onto an (H, W) map, tap by tap."""
+    h, w = hw
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
     cols = (wmat.astype(np.float64).T @ rows).reshape(
-        wmat.shape[1] // (kh * kw), kh, kw, -1, *T._conv_grid(hw, kh, kw, stride, pad))
-    return T._col2im(cols, hw, stride, pad)
+        wmat.shape[1] // (kh * kw), kh, kw, -1, oh, ow)
+    full = _col2im(cols.transpose(3, 0, 4, 5, 1, 2), (h + 2 * pad, w + 2 * pad), stride)
+    return full[:, :, pad:pad + h, pad:pad + w]
 
 
 def _conv_backward_whole(rows, x, kernels, with_bias, stride, pad):

@@ -10,9 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from helpers import gradcheck, peak_traced_bytes, rand_tensor
 import weedhybrid.backbone as bb
+import weedhybrid.gan as G
 import weedhybrid.heads as hd
 from weedhybrid import tensor as T
 from weedhybrid.errors import ContractError, DimensionError, NumericError
+from weedhybrid.training import init_optimizer
 
 
 def test_leaves_follow_field_order_and_skip_static_fields():
@@ -171,6 +173,25 @@ def test_avg_pool2d_matches_window_mean_bytes(window):
     assert got.tobytes() == want.astype(np.float32).tobytes()
 
 
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("hw", [(7, 5), (5, 11), (13, 7)])
+def test_avg_pool2d_input_gradient_matches_scatter_bytes(window, stride, hw):
+    # windows and strides whose pooled grid is not the map's phase grid, on
+    # sides that are not multiples of the window: the float32 input gradient
+    # is g / window**2 added tap by tap onto a 64-bit zero map
+    rng = np.random.default_rng(29)
+    x = T.Tensor(rng.standard_normal((2, 3) + hw), requires_grad=True, dtype=np.float32)
+    with T.Tape() as tape:
+        y = T.avg_pool2d(x, window, stride)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tape.backward(T.sum_(T.mul(y, T.const(g))))
+    gd = g / (window * window)
+    want = oracles._col2im(np.broadcast_to(gd[..., None, None], gd.shape + (window, window)),
+                           hw, stride)
+    assert x.grad.tobytes() == want.astype(np.float32).tobytes()
+
+
 @pytest.mark.parametrize("in_shape,out_hw", [
     ((2, 3, 4), (7, 9)), ((2, 9, 6), (4, 5)), ((3, 1, 1), (4, 6)),
     ((2, 5, 7), (1, 1)), ((2, 28, 28), (224, 224))],
@@ -299,6 +320,24 @@ def test_conv2d_tape_free_matches_taped(monkeypatch, dtype, block_bytes, stride)
         assert free.tobytes() == taped.data.tobytes()
     else:
         np.testing.assert_allclose(free, taped.data, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("pixel", [(6, 1), (1, 6)], ids=["skipped-row", "skipped-column"])
+def test_conv2d_gradients_ignore_pixels_the_conv_skips(pixel):
+    # a 2x2 kernel at stride 3 never reads row or column 6 of a 7x7 map, so
+    # an infinity there changes neither the output nor any gradient
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((2, 3, 7, 7))
+    k = rng.standard_normal((4, 3, 2, 2))
+    got = []
+    for value in (0.0, np.inf):
+        x[:, :, pixel[0], pixel[1]] = value
+        xt, kt = T.Tensor(x, requires_grad=True), T.Tensor(k, requires_grad=True)
+        with T.Tape() as tape:
+            y = T.conv2d(xt, kt, stride=3)
+            tape.backward(T.sum_(T.mul(y, y)))
+        got.append((y.data.tobytes(), kt.grad.tobytes(), xt.grad.tobytes()))
+    assert got[0] == got[1]
 
 
 def test_conv2d_constant_input_skips_input_gradient(monkeypatch):
@@ -517,19 +556,29 @@ def test_bias_gradient_adds_pixel_rows_in_row_major_order(monkeypatch, shape):
                 assert np.all(np.abs(b.grad - want) <= bound), budget
 
 
+def _scatter_oracle(cols, hw, stride, pad, r0=0, y0=0):
+    """oracles._col2im of tap-major cols (C,kh,kw,N,R,OW), output rows
+    r0:r0+R, onto the zero-padded map extended below and to the right, read
+    back at input rows y0:y0+H (y0 >= r0*stride) and columns 0:W."""
+    c, kh, kw, n, nr, ow = cols.shape
+    h, w = hw
+    top = y0 - r0 * stride + pad   # the scatter row of input row y0
+    full = oracles._col2im(cols.transpose(3, 0, 4, 5, 1, 2),
+                           (top + h + nr * stride + kh, pad + w + ow * stride + kw), stride)
+    return full[:, :, top:top + h, pad:pad + w]
+
+
 @pytest.mark.parametrize("kh,kw,stride,pad", [(3, 3, 1, 1), (4, 4, 2, 1), (2, 3, 2, 0),
                                               (1, 1, 1, 0)])
 def test_col2im_adds_taps_in_row_major_order(kh, kw, stride, pad):
+    # whole images on the phase grid, (H, W) / stride
     rng = np.random.default_rng(26)
-    n, c, h, w = 2, 3, 7, 6
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    shape = (c, kh, kw, n, oh, ow)
+    n, c, h, w = 2, 3, 8, 6
+    shape = (c, kh, kw, n, h // stride, w // stride)
     cols = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-    old = oracles._col2im(cols.transpose(3, 0, 4, 5, 1, 2), (h + 2 * pad, w + 2 * pad),
-                          stride)[:, :, pad:pad + h, pad:pad + w]
     got = T._col2im(cols, (h, w), stride, pad)
-    assert got.tobytes() == np.ascontiguousarray(old).tobytes()
+    assert got.tobytes() == np.ascontiguousarray(
+        _scatter_oracle(cols, (h, w), stride, pad)).tobytes()
 
 
 def _signed_values(rng, shape):
@@ -543,88 +592,64 @@ def _signed_values(rng, shape):
 
 
 @st.composite
-def _conv_geometries(draw):
-    """(stride, pad, kh, kw, h, w) with a positive output grid; half of them
-    have the output grid of the stride x stride phase planes, where the
-    engine moves flat runs."""
+def _phase_geometries(draw):
+    """(stride, pad, kh, kw, h, w) of a map the engine runs on: H and W
+    multiples of the stride, any kernel that fits the padded map."""
     stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    if draw(st.booleans()):
-        kh, kw = (draw(st.integers(2 * pad + 1, 2 * pad + stride)) for _ in range(2))
-        h, w = (stride * draw(st.integers(1, 5)) for _ in range(2))
-    else:
-        kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = (stride * draw(st.integers(1, 5)) for _ in range(2))
     assume(min(T._conv_grid((h, w), kh, kw, stride, pad)) > 0)
     return stride, pad, kh, kw, h, w
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(geometry=_conv_geometries(), n=st.integers(1, 3), c=st.integers(1, 3),
+@given(geometry=_phase_geometries(), n=st.integers(1, 3), c=st.integers(1, 3),
        dtype=st.sampled_from([np.float32, np.float64]), data=st.data(),
        seed=st.integers(0, 2**16))
 def test_im2col_matches_window_oracle_bytes(geometry, n, c, dtype, data, seed):
-    # any block of images n0:n1 and output rows r0:r1 against the rows of
-    # the sliding-window view of the zero-padded input, signed zeros included
+    # a block as _conv_blocks makes them, whole images n0:n1 or output rows
+    # r0:r1 of one image, against the rows of the sliding-window view of the
+    # zero-padded input extended below and to the right, signed zeros
+    # included
     stride, pad, kh, kw, h, w = geometry
-    oh, ow = T._conv_grid((h, w), kh, kw, stride, pad)
+    oh, ow = h // stride, w // stride
     n0 = data.draw(st.integers(0, n - 1))
-    n1 = data.draw(st.integers(n0 + 1, n))
-    r0 = data.draw(st.integers(0, oh - 1))
-    r1 = data.draw(st.integers(r0 + 1, oh))
+    if data.draw(st.booleans()):
+        n1, r0, r1 = data.draw(st.integers(n0 + 1, n)), 0, oh
+    else:
+        n1, r0 = n0 + 1, data.draw(st.integers(0, oh - 1))
+        r1 = data.draw(st.integers(r0 + 1, oh))
     x = _signed_values(np.random.default_rng(seed), (n, c, h, w)).astype(dtype)
-    win = oracles._windows(oracles._pad_hw(x, pad), kh, kw, stride)[n0:n1, :, r0:r1]
+    xe = np.pad(x, ((0, 0), (0, 0), (0, kh), (0, kw)))
+    win = oracles._windows(oracles._pad_hw(xe, pad), kh, kw, stride)[n0:n1, :, r0:r1, :ow]
     want = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1).astype(np.float64)
     dest = np.full(want.shape, np.nan)
     T._im2col(x, dest, kh, kw, stride, pad, n0, n1, r0, r1)
     assert dest.tobytes() == want.tobytes()
 
 
-def _col2im_block_oracle(cols, hw, stride, pad, r0, y0):
-    """oracles._col2im over the block's own output rows, read back at input
-    rows y0:y0+H: what lands elsewhere is dropped."""
-    c, kh, kw, n, nr, ow = cols.shape
-    h, w = hw
-    hp, wp = (nr - 1) * stride + kh, (ow - 1) * stride + kw
-    # local padded row lr is input row r0*stride - pad + lr, column lc is lc - pad
-    full = oracles._col2im(cols.transpose(3, 0, 4, 5, 1, 2), (hp, wp), stride)
-    out = np.zeros((n, c, h, w))
-    width = max(0, min(w, wp - pad))
-    for y in range(h):
-        lr = y0 + y - r0 * stride + pad
-        if 0 <= lr < hp:
-            out[:, :, y, :width] = full[:, :, lr, pad:pad + width]
-    return out
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(geometry=_conv_geometries(), c=st.integers(1, 3),
-       block=st.sampled_from(["images", "halo rows", "any rows"]),
+@given(geometry=_phase_geometries(), c=st.integers(1, 3),
+       block=st.sampled_from(["images", "halo rows"]),
        cols_kind=st.sampled_from(["scratch", "read-only", "broadcast"]),
        with_bias=st.booleans(), out_dtype=st.sampled_from([None, np.float32]),
        data=st.data(), seed=st.integers(0, 2**16))
 def test_col2im_matches_scatter_oracle_bytes(geometry, c, block, cols_kind, with_bias,
                                              out_dtype, data, seed):
     # _col2im's blocks as _conv_adjoints makes them (whole images, or the
-    # rows of one image a row block completes with its halo), and any rows
-    # of any map, against the row-major scatter; the entries it zeroes in a
-    # scratch cols add +0.0 to a sum that is never -0.0, so no byte moves
+    # rows of one image a row block completes with its halo) against the
+    # row-major scatter; the entries it zeroes in a scratch cols add +0.0 to
+    # a sum that is never -0.0, so no byte moves
     stride, pad, kh, kw, h, w = geometry
-    oh, ow = T._conv_grid((h, w), kh, kw, stride, pad)
+    oh, ow = h // stride, w // stride
     rng = np.random.default_rng(seed)
     if block == "images":
         n, r0, nr, y0, hb = data.draw(st.integers(1, 3)), 0, oh, 0, h
-    elif block == "halo rows":
+    else:
         a = data.draw(st.integers(0, oh - 1))
         b = data.draw(st.integers(a + 1, oh))
-        y0, y1, r0, e1 = T._adjoint_rows(a, b, oh, h, kh, stride, pad)
-        assume(y0 < y1)
-        n, nr, hb = 1, e1 - r0, y1 - y0
-    else:
-        n = data.draw(st.integers(1, 3))
-        r0 = data.draw(st.integers(0, oh - 1))
-        nr = data.draw(st.integers(1, oh - r0))
-        y0 = data.draw(st.integers(0, h - 1))
-        hb = data.draw(st.integers(1, h - y0))
+        r0, e1 = T._adjoint_rows(a, b, oh, kh, stride, pad)
+        n, nr, y0, hb = 1, e1 - r0, a * stride, (b - a) * stride
     shape = (c, kh, kw, n, nr, ow)
     if cols_kind == "broadcast":
         # every tap the same array, read-only, as _pool_adjoint passes it
@@ -633,7 +658,7 @@ def test_col2im_matches_scatter_oracle_bytes(geometry, c, block, cols_kind, with
         cols = _signed_values(rng, shape)
         cols.flags.writeable = cols_kind == "scratch"
     bias = _signed_values(rng, (c,)) if with_bias else None
-    want = _col2im_block_oracle(cols, (hb, w), stride, pad, r0, y0)
+    want = _scatter_oracle(cols, (hb, w), stride, pad, r0, y0)
     if with_bias:
         want += bias[:, None, None]
     out = None if out_dtype is None else np.empty((n, c, hb, w), dtype=out_dtype)
@@ -745,6 +770,35 @@ def test_cnn_block_gradients_match_whole_matrix_at_preset_shapes(preset, batch):
                                    oracles.conv_relu_pool2d_backward_whole(x, kern, bias, g)):
             _assert_same(got, want, np.float32, f"{preset} {c}->{k} {name}")
         c, h, w = k, h // 2, w // 2
+
+
+def test_model_convs_run_without_zero_extension(monkeypatch):
+    # every conv the models run is on its input's phase grid, so none pays
+    # for a zero-extended copy of its input or gradient
+    extend = T._extend
+
+    def no_copy(a, rows, cols):
+        if a.shape[2:] != (rows, cols):
+            raise AssertionError(f"a model conv zero-extended {a.shape} to {(rows, cols)}")
+        return extend(a, rows, cols)
+
+    monkeypatch.setattr(T, "_extend", no_copy)
+    rng = np.random.default_rng(31)
+    for cfg, batch in ((bb.desk_config(), 4), (bb.paper_config(), 1)):
+        params, heads = bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng)
+        x = T.Tensor(rng.standard_normal((batch, cfg.in_channels) + tuple(cfg.image_size)),
+                     requires_grad=True)
+        with T.Tape() as tape:
+            _, spatial = bb.cnn_forward(x, params)
+            tape.backward(T.sum_(hd.segment_head(spatial, heads)))
+        assert x.grad is not None and params.cnn[0][0].grad is not None
+    gan_cfg = G.GanConfig()
+    gan = G.init_gan(gan_cfg, rng)
+    real = T.const(rng.uniform(-1, 1, (2, 3) + tuple(gan_cfg.image_size)))
+    G.gan_train_step(real, [0, 1], gan, init_optimizer(T.leaves(gan.d), gan_cfg.lr),
+                     init_optimizer(T.leaves(gan.g), gan_cfg.lr), rng)
+    images, _ = G.rebalance([0] * gan_cfg.class_count, 1, gan)
+    assert len(images) == gan_cfg.class_count
 
 
 @pytest.mark.parametrize("batch", [2, 4])

@@ -556,3 +556,16 @@ def test_emit_roundtrip_values(tmp_path):
     for i in range(4):
         assert float(report_rows[1 + i][1]) == pytest.approx(report.precision[i],
                                                              abs=1e-6)
+
+
+@pytest.mark.parametrize("field", ["confusion", "mean_iou"])
+def test_emit_leaves_old_files_when_the_report_cannot_be_written(tmp_path, field):
+    # the texts are built before any file is touched: a report field that
+    # cannot be formatted, read first or last, writes nothing
+    labels = np.repeat(np.arange(4), 3)
+    report = dataclasses.replace(tr.classification_metrics(labels, labels, 4), **{field: None})
+    (tmp_path / "history.csv").write_bytes(b"older run\r\n")
+    with pytest.raises((AttributeError, TypeError)):
+        tr.emit_plot_data([tr.EpochStats(0, 0.5, 0.4, 1.0, 0.5, 0.1, 0.67)], report, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
+    assert (tmp_path / "history.csv").read_bytes() == b"older run\r\n"
