@@ -10,10 +10,12 @@ or file-format error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -220,6 +222,34 @@ def _output(out: str, path: str) -> str:
     return dst
 
 
+@contextlib.contextmanager
+def _staging(out: str):
+    """Yield a new directory beside out (its resolved path, so on out's
+    file system) for a command to write its files into as it goes. When
+    the block ends, each file moves to the same path under out
+    (os.replace); if the block raises, the staging directory, and every
+    directory made for it, is removed, so a failed run leaves out, and
+    what lies around it, as it was."""
+    parent, name = os.path.split(os.path.realpath(out))
+    made = parent  # the outermost missing directory above the staging, if any
+    while not os.path.exists(os.path.dirname(made)):
+        made = os.path.dirname(made)
+    made = None if os.path.exists(made) else made
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f"{name}.tmp.", dir=parent)
+    try:
+        yield tmp
+        for folder, _, files in os.walk(tmp):
+            dst = os.path.join(out, os.path.relpath(folder, tmp))
+            os.makedirs(dst, exist_ok=True)
+            for file in files:
+                os.replace(os.path.join(folder, file), os.path.join(dst, file))
+    except BaseException:
+        shutil.rmtree(made or tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(tmp)
+
+
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
     _check_raw(args.manifest)
@@ -227,13 +257,13 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
     if not samples:
         raise DataError(f"{args.manifest}: no samples to preprocess")
     _check_outputs(args.manifest, samples, args.out)
-    staged = im.preprocess_batch(dataio.read_images(
-        args.manifest, samples, pre_cfg.target_size), pre_cfg)
-    for s, processed in zip(samples, staged):
-        im.write_image(_output(args.out, s.image), processed)
-        if s.mask is not None:
-            im.write_image(_output(args.out, s.mask), dataio.read_mask(
-                args.manifest, s, pre_cfg.target_size))
+    with _staging(args.out) as tmp:
+        for chunk in dataio.read_chunks(args.manifest, samples, pre_cfg,
+                                        masks_required=False):
+            for s, processed, mask in zip(chunk.samples, chunk.images, chunk.masks):
+                im.write_image(_output(tmp, s.image), processed)
+                if s.mask is not None:
+                    im.write_image(_output(tmp, s.mask), mask)
     dataio.write_staged_manifest(os.path.join(args.out, "manifest.tsv"), samples,
                                  pre_cfg)
     print(f"preprocessed {len(samples)} images into {args.out}")
@@ -276,31 +306,35 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     counts = np.bincount([s.label for s in samples],
                          minlength=len(synthdata.CLASS_NAMES))
     target = int(counts.max())
-    synthetic, labels = gn.rebalance(counts, target, params, seed=cfg.seed,
-                                     out_size=out_size)
+    chunks = gn.rebalance(counts, target, params, seed=cfg.seed, out_size=out_size)
 
     base = os.path.dirname(os.path.abspath(args.manifest))
-    for s in samples:  # originals stay first and in order
-        for rel in filter(None, (s.image, s.mask)):
-            shutil.copyfile(os.path.join(base, rel), _output(args.out, rel))
     records = list(samples)
     # a row of an earlier augment's output keeps its synthetic/ name, so new
     # images skip every name a row already holds
     taken = {os.path.normpath(rel) for s in samples for rel in (s.image, s.mask) if rel}
     synth_index = 0
-    for pixels, label in zip(synthetic, labels.tolist()):
-        name = synthdata.CLASS_NAMES[label]
-        while True:
-            rel = os.path.join("synthetic", f"{name}_{synth_index:04d}.ppm")
-            synth_index += 1
-            if rel not in taken:
-                break
-        im.write_image(_output(args.out, rel), pixels)
-        records.append(dataio.Sample(image=rel, label=label, synthetic=True))
+    with _staging(args.out) as tmp:
+        for label, images in chunks:
+            name = synthdata.CLASS_NAMES[label]
+            for pixels in images:
+                while True:
+                    rel = os.path.join("synthetic", f"{name}_{synth_index:04d}.ppm")
+                    synth_index += 1
+                    if rel not in taken:
+                        break
+                im.write_image(_output(tmp, rel), pixels)
+                records.append(dataio.Sample(image=rel, label=label, synthetic=True))
+            del images, pixels  # the next chunk is made without this one
+    # the generator has run to the end, so the originals, which stay first
+    # and in order in the manifest, are copied straight to out
+    for s in samples:
+        for rel in filter(None, (s.image, s.mask)):
+            shutil.copyfile(os.path.join(base, rel), _output(args.out, rel))
     manifest = os.path.join(args.out, "manifest.tsv")
     dataio.write_manifest(manifest, records)
     print(f"balanced {len(samples)} samples to {len(records)} "
-          f"({len(labels)} synthetic) at {target} per class")
+          f"({len(records) - len(samples)} synthetic) at {target} per class")
     print(f"manifest: {manifest}")
     return EXIT_OK
 
@@ -361,11 +395,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     params, heads, flags = dp.load_model(args.model)
     if heads is None:
         raise ContractError(f"{args.model} has no heads; train it first")
-    data, _ = dataio.load_dataset(
-        args.manifest, cfg.preprocess_config(params.config.image_size))
-    report = tr.evaluate(params, heads, data)
+    pre_cfg = cfg.preprocess_config(params.config.image_size)
+    samples, chunks = dataio.open_dataset(args.manifest, pre_cfg)
+    report = tr.evaluate(params, heads, (chunk.train_data(pre_cfg.normalize)
+                                         for chunk in chunks))
     paths = tr.emit_plot_data([], report, args.out)
-    print(f"evaluated {len(data)} samples")
+    print(f"evaluated {len(samples)} samples")
     print(f"accuracy {report.accuracy:.4f}, mean IoU {report.mean_iou:.4f}")
     print(f"macro F1 {report.macro[2]:.4f}, weighted F1 {report.weighted[2]:.4f}")
     for path in paths.values():

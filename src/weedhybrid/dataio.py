@@ -16,7 +16,11 @@ after checking that the run's settings agree with the record.
 
 Every command reads a manifest's images through image_rows, which decides
 which images are refused and how a row becomes pixels at the size the
-command needs; read_images and load_dataset stack the rows as uint8.
+command needs. read_chunks adds each row's mask and growth and runs the
+stages over chunks of whole images, so a command that takes one row at a
+time (preprocess, eval) holds one chunk; load_dataset stacks the chunks
+for the commands that need every row at once, and read_images stacks the
+bare images as uint8.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .training import TrainData
 
 __all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_text",
            "read_manifest", "read_stages", "check_stages", "read_mask",
-           "image_rows", "read_images", "load_dataset"]
+           "image_rows", "read_images", "Chunk", "read_chunks", "open_dataset",
+           "load_dataset"]
 
 _MISSING = "-"
 _HEADER = "# image\tlabel\tmask\tgrowth\tsynthetic"
@@ -301,40 +306,103 @@ def read_images(manifest_path: str, samples, size, staged: bool = False) -> np.n
                        count=len(samples))
 
 
-def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
-    """Load, preprocess and batch every manifest sample -> (TrainData, samples).
+@dataclass(frozen=True)
+class Chunk:
+    """Consecutive manifest rows as read_chunks yields them."""
 
-    Every row is read and checked (image, as image_rows does, then mask) in
-    manifest order, so the first bad row raises.  The images fill one uint8
-    stack at pre_cfg's target size, which runs through the preprocessing
-    pipeline unless the manifest's stage record (see check_stages) says it
-    has already; imaging.StagedImages holds it and scales each batch on
-    use.  Masks are nearest-neighbor resampled to the same size; a row
-    without a mask raises.  A missing growth value falls back to the mask's
-    foreground fraction (foreground = any non-soil class).  An empty
-    manifest raises DataError.
+    samples: list          # the rows' Samples, in manifest order
+    images: np.ndarray     # (n, H, W, 3) uint8, through the stages
+    labels: np.ndarray     # (n,) int64
+    masks: np.ndarray      # (n, H, W) uint8; zeros for a row without a mask
+    growth: np.ndarray     # (n,) float64; NaN for a row without either
+
+    def train_data(self, normalize: bool = True) -> TrainData:
+        """The chunk as model inputs, scaled on use (imaging.StagedImages)."""
+        return TrainData(images=im.StagedImages(self.images, normalize),
+                         labels=self.labels, masks=self.masks, growth=self.growth)
+
+
+def read_chunks(manifest_path: str, samples, pre_cfg: im.PreprocessConfig,
+                staged: bool = False, masks_required: bool = True):
+    """Yield the samples as Chunks in manifest order: whole images of at
+    most imaging._CHUNK_PIXELS pixels at pre_cfg's target size (at least
+    one image), the chunks preprocess_batch runs, so a chunk's bytes are
+    those of the whole stack's rows.
+
+    When masks_required, the first row without a mask raises DataError
+    before any image is read; otherwise such a row's mask is zeros. Each
+    row is then read and checked in order, its image as image_rows does
+    and then its mask, so the first bad row raises. Masks are
+    nearest-neighbor resampled to the target size, and a missing growth
+    value falls back to the mask's foreground fraction (foreground = any
+    non-soil class). Unless staged (the manifest's stage record says its
+    images went through pre_cfg's stages, see check_stages), each chunk's
+    images run through imaging.preprocess_batch.
+    """
+    if masks_required:
+        for s in samples:
+            if s.mask is None:
+                raise DataError(f"{manifest_path}:{s.line}: sample has no mask "
+                                f"(required by train and eval): {s.image}")
+    h, w = pre_cfg.target_size
+    per = max(1, im._CHUNK_PIXELS // (h * w))
+    rows = image_rows(manifest_path, samples, (h, w), staged)
+    for start in range(0, len(samples), per):
+        part = samples[start:start + per]
+        images = np.empty((len(part), h, w, 3), dtype=np.uint8)
+        masks = np.zeros((len(part), h, w), dtype=np.uint8)
+        growth = np.full(len(part), np.nan)
+        for i, (s, pixels) in enumerate(zip(part, rows)):
+            images[i] = pixels
+            if s.mask is not None:
+                masks[i] = read_mask(manifest_path, s, (h, w))
+            if s.growth is not None:
+                growth[i] = s.growth
+            elif s.mask is not None:
+                growth[i] = float((masks[i] != SOIL_ID).mean())
+        if not staged:
+            images = im.preprocess_batch(images, pre_cfg)
+        yield Chunk(samples=part, images=images,
+                    labels=np.array([s.label for s in part], dtype=np.int64),
+                    masks=masks, growth=growth)
+
+
+def open_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
+    """(samples, chunks): a manifest's rows, and read_chunks over them with
+    every mask required.
+
+    The stage record is compared with pre_cfg first (check_stages), then
+    the manifest is read; an empty manifest raises DataError. No image is
+    read before the first chunk is asked for.
     """
     recorded = check_stages(manifest_path, pre_cfg)
     samples = read_manifest(manifest_path)
     if not samples:
         raise DataError(f"{manifest_path}: no samples to load")
+    return samples, read_chunks(manifest_path, samples, pre_cfg, recorded)
+
+
+def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
+    """Every row of open_dataset's chunks in one dataset -> (TrainData,
+    samples), for the commands that need random access to every row.
+
+    The chunks fill one preallocated uint8 image stack, which
+    imaging.StagedImages holds and scales per batch on use, and one array
+    each of labels, masks and growth; so the first bad row raises, as
+    read_chunks checks it.
+    """
+    samples, chunks = open_dataset(manifest_path, pre_cfg)
     h, w = pre_cfg.target_size
     n = len(samples)
     images = np.empty((n, h, w, 3), dtype=np.uint8)
-    labels = np.zeros(n, dtype=np.int64)
-    masks = np.zeros((n, h, w), dtype=np.uint8)
-    growth = np.zeros(n, dtype=np.float64)
-    rows = image_rows(manifest_path, samples, (h, w), recorded)
-    for i, (s, pixels) in enumerate(zip(samples, rows)):
-        images[i] = pixels
-        labels[i] = s.label
-        if s.mask is None:
-            raise DataError(f"{manifest_path}:{s.line}: sample has no mask "
-                            f"(required for training): {s.image}")
-        masks[i] = read_mask(manifest_path, s, (h, w))
-        growth[i] = (float((masks[i] != SOIL_ID).mean()) if s.growth is None
-                     else s.growth)
-    if not recorded:
-        images = im.preprocess_batch(images, pre_cfg)
+    labels = np.empty(n, dtype=np.int64)
+    masks = np.empty((n, h, w), dtype=np.uint8)
+    growth = np.empty(n, dtype=np.float64)
+    at = 0
+    for chunk in chunks:
+        rows = slice(at, at + len(chunk.samples))
+        images[rows], labels[rows] = chunk.images, chunk.labels
+        masks[rows], growth[rows] = chunk.masks, chunk.growth
+        at = rows.stop
     return TrainData(images=im.StagedImages(images, pre_cfg.normalize),
                      labels=labels, masks=masks, growth=growth), samples

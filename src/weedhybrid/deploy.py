@@ -240,9 +240,10 @@ def load_checkpoint(fh) -> tuple:
         n = math.prod(dims)  # exact: a wrapped count would pass the size check
         if kind == _KIND_FLOAT32:
             values = read(4 * n, f"payload of {name}", "<f4")
-            finite = np.isfinite(values)
-            if not finite.all():
-                bad = int(np.argmin(finite))
+            # a NaN or an inf reaches the payload's min or max, and neither
+            # needs a payload-sized temporary
+            if n and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+                bad = int(np.argmin(np.isfinite(values)))
                 raise FormatError(f"non-finite value in {name} at offset "
                                   f"{offset - 4 * n + 4 * bad}")
             entries[name] = values.reshape(dims)

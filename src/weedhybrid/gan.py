@@ -294,15 +294,17 @@ def to_uint8(x: np.ndarray) -> np.ndarray:
 
 
 def rebalance(counts, target: int, params: GanParams, seed: int = 0,
-              out_size: tuple = None) -> tuple:
+              out_size: tuple = None):
     """The generated images that top every class up from `counts[class]`
-    samples to `target`.
+    samples to `target`, as an iterator of (label, images) chunks.
 
-    Returns (images, labels): the synthetic images as one (M, H, W, 3) uint8
-    stack, class by class, at `out_size` if it is given and the generator's
-    size otherwise, and their (M,) labels.  A class's latents are one
-    (need, latent_dim) draw, generated _SAMPLE_CHUNK rows at a time.  A
-    NumericError in the generator becomes DivergenceError("generator").
+    Chunks come class by class; each holds at most _SAMPLE_CHUNK images of
+    one class as an (n, H, W, 3) uint8 stack, at `out_size` if it is given
+    and the generator's size otherwise. A class's latents are one
+    (need, latent_dim) draw, generated a chunk at a time as the chunks are
+    asked for, so a caller that writes each chunk holds one. The arguments
+    are checked when rebalance is called. A NumericError in the generator
+    becomes DivergenceError("generator") when its chunk is asked for.
     """
     if params.trained_steps < 1:
         raise ContractError("rebalance requires a trained generator")
@@ -312,16 +314,19 @@ def rebalance(counts, target: int, params: GanParams, seed: int = 0,
                             f"{cfg.class_count} classes")
     needs = [max(0, target - int(count)) for count in counts]
     size = tuple(cfg.image_size if out_size is None else out_size)
-    images = np.empty((sum(needs),) + size + (3,), dtype=np.uint8)
-    at = 0
-    rng = np.random.default_rng([seed, 0xFA4E])
-    for cls, need in enumerate(needs):
-        z = rng.standard_normal((need, cfg.latent_dim))
-        for start in range(0, need, _SAMPLE_CHUNK):
-            rows = z[start:start + _SAMPLE_CHUNK]
-            with diverges_as("generator"):
-                fake = generate(T.const(rows), [cls] * len(rows), params)
-            for pixels in to_uint8(fake.data):
-                images[at] = im.resize_bilinear(pixels, size)
-                at += 1
-    return images, np.repeat(np.arange(cfg.class_count), needs)
+
+    def chunks():
+        rng = np.random.default_rng([seed, 0xFA4E])
+        for cls, need in enumerate(needs):
+            z = rng.standard_normal((need, cfg.latent_dim))
+            for start in range(0, need, _SAMPLE_CHUNK):
+                rows = z[start:start + _SAMPLE_CHUNK]
+                with diverges_as("generator"):
+                    fake = generate(T.const(rows), [cls] * len(rows), params)
+                images = np.empty((len(rows),) + size + (3,), dtype=np.uint8)
+                for i, pixels in enumerate(to_uint8(fake.data)):
+                    images[i] = im.resize_bilinear(pixels, size)
+                yield cls, images
+                del images  # the next chunk is made without this one
+
+    return chunks()

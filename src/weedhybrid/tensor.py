@@ -462,7 +462,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     data = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(alpha))
 
     def back(g):
-        _accum(a, g * np.where(a.data > 0, 1.0, alpha).astype(a.data.dtype))
+        _accum(a, np.where(a.data > 0, g, g * alpha))
 
     return _result(data, "leaky_relu", (a,), back)
 

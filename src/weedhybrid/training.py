@@ -295,6 +295,11 @@ def mean_iou(pred_masks, true_masks, num_classes: int) -> tuple:
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     for pm, tm in zip(pred_masks, true_masks):
         confusion += _confusion(tm, pm, num_classes, "mask")
+    return _pooled_iou(confusion)
+
+
+def _pooled_iou(confusion: np.ndarray) -> tuple:
+    """mean_iou's result from its pooled (k, k) mask confusion."""
     inter = np.diag(confusion)
     union = confusion.sum(axis=0) + confusion.sum(axis=1) - inter
     flagged = bool(np.any(union == 0))
@@ -453,40 +458,48 @@ def train(data: TrainData, cfg: TrainConfig, train_idx, val_idx,
                        best_epoch=best_epoch, best_val_loss=best_val)
 
 
-def evaluate(params: bb.BackboneParams, heads: hd.HeadParams,
-             data: TrainData, indices=None) -> MetricsReport:
-    """Classification report plus pooled mean IoU over the given samples.
-
-    The model runs over chunks of whole images of at most
+def _chunks(data: TrainData, indices=None):
+    """Yield the samples of data at `indices` (every sample by default), in
+    that order, as TrainData chunks of whole images of at most
     imaging._CHUNK_PIXELS pixels: 32 images at the desk preset, one at the
-    paper preset. Each chunk's predicted masks are counted into the (k, k)
-    mask confusion as the chunk ends, so memory is bounded by a chunk, not
-    by the set. The IoU is pooled over every pixel of the set, as
-    mean_iou over the per-image masks gives it.
-    """
+    paper preset. A chunk's images are its float32 model batch."""
     idx = np.arange(len(data)) if indices is None else np.asarray(indices)
-    if idx.size == 0:
-        raise ContractError("cannot evaluate an empty sample set")
-    num_classes = heads.cls_w.shape[-1]
     per = max(1, im._CHUNK_PIXELS // (data.images.shape[2] * data.images.shape[3]))
-    starts = range(0, idx.size, per)
-    preds = np.empty(idx.size, dtype=np.int64)
+    for start in range(0, idx.size, per):
+        sel = idx[start:start + per]
+        yield TrainData(images=data.images[sel], labels=data.labels[sel],
+                        masks=data.masks[sel], growth=data.growth[sel])
 
-    def pred_masks():
-        for start in starts:
-            sel = idx[start:start + per]
-            pred = hd.predict(params, heads, T.const(data.images[sel]))
-            preds[start:start + sel.size] = pred.labels
-            masks = np.argmax(pred.seg_mask.data, axis=1)
-            del pred  # the next chunk's forward runs without this one's maps
-            yield masks
 
-    miou, per_class, flagged = mean_iou(
-        pred_masks(), (data.masks[idx[start:start + per]] for start in starts),
-        num_classes)
-    report = classification_metrics(data.labels[idx], preds, num_classes)
-    report.mean_iou = miou
-    report.iou_per_class = per_class
+def evaluate(params: bb.BackboneParams, heads: hd.HeadParams,
+             data, indices=None) -> MetricsReport:
+    """Classification report plus pooled mean IoU over a sample set.
+
+    `data` is an iterable of TrainData chunks (eval gives the train_data
+    of each dataio.read_chunks chunk), or one TrainData, whose samples at
+    `indices` (all by default) run in _chunks(data, indices). The model
+    runs once per chunk, and each chunk's predicted masks are counted into
+    the (k, k) mask confusion before the next chunk is read, so memory is
+    bounded by a chunk, not by the set. The IoU is pooled over every pixel
+    of the set, as mean_iou over the per-image masks gives it.
+    """
+    if isinstance(data, TrainData):
+        data = _chunks(data, indices)
+    num_classes = heads.cls_w.shape[-1]
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    labels, preds = [], []
+    for chunk in data:
+        pred = hd.predict(params, heads, T.const(chunk.images[:]))
+        labels.append(chunk.labels)
+        preds.append(pred.labels)
+        confusion += _confusion(chunk.masks, np.argmax(pred.seg_mask.data, axis=1),
+                                num_classes, "mask")
+        del pred  # the next chunk's forward runs without this one's maps
+    if not labels:
+        raise ContractError("cannot evaluate an empty sample set")
+    report = classification_metrics(np.concatenate(labels), np.concatenate(preds),
+                                    num_classes)
+    report.mean_iou, report.iou_per_class, flagged = _pooled_iou(confusion)
     report.zero_division = report.zero_division or flagged
     return report
 

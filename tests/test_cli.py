@@ -15,6 +15,7 @@ import weedhybrid.deploy as dp
 import weedhybrid.gan as gn
 import weedhybrid.heads as hd
 import weedhybrid.imaging as im
+from weedhybrid.errors import NumericError
 from weedhybrid.synthdata import CLASS_NAMES
 
 from helpers import checkpoint_bytes, peak_traced_bytes
@@ -1214,3 +1215,148 @@ def test_infer_deterministic(workspace, trained, tmp_path, capsys):
         assert rc == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
+
+
+# ---------------------------------------------------------------- streamed rows
+
+
+def leftovers(out):
+    """Whatever a run left at out or beside it: out itself and any staging
+    directory named after it."""
+    parent, name = os.path.split(str(out))
+    return sorted(entry for entry in os.listdir(parent) if entry.startswith(name))
+
+
+@pytest.fixture(scope="module")
+def rows224(tmp_path_factory):
+    """64 generated 224-px rows, a manifest of the first 16, and a
+    narrow model that evaluates them at 224 px."""
+    root = tmp_path_factory.mktemp("rows224")
+    rc = cli.main(["gen-data", "--out", str(root / "d"), "--per-class", "16",
+                   "--size", "224", "--seed", "9"])
+    assert rc == 0
+    manifests = {64: str(root / "d" / "manifest.tsv"), 16: str(root / "d" / "m16.tsv")}
+    dio.write_manifest(manifests[16], [s for s in dio.read_manifest(manifests[64])
+                                       if int(s.image[-8:-4]) < 4])
+    cfg = bb.BackboneConfig(image_size=(224, 224), patch_size=32, embed_dim=8,
+                            num_heads=2, cnn_channels=(2, 2), gcn_dims=(4, 4),
+                            fusion_dim=8)
+    rng = np.random.default_rng(9)
+    model = str(root / "narrow.hwdm")
+    dp.save_model(model, bb.init_backbone(cfg, rng), hd.init_heads(cfg, rng))
+    return {"root": root, "manifests": manifests, "model": model}
+
+
+def streamed_command(command, manifest, rows224, out):
+    extra = {"eval": ["--model", rows224["model"]], "preprocess": ["--preset", "paper"]}
+    return [command, "--manifest", manifest, "--out", str(out), *extra[command]]
+
+
+@pytest.mark.parametrize("command", ["eval", "preprocess"])
+def test_per_row_commands_hold_one_chunk_of_rows(rows224, tmp_path, command):
+    # both held every row, so 64 rows peaked 14-15 MB above 16 rows; a
+    # chunk is one 224-px image
+    peaks = {}
+    for n, manifest in rows224["manifests"].items():
+        rcs = []
+        argv = streamed_command(command, manifest, rows224, tmp_path / f"out{n}")
+        peaks[n] = peak_traced_bytes(lambda: rcs.append(cli.main(argv)))
+        assert rcs == [0]
+    per = max(1, im._CHUNK_PIXELS // (224 * 224))
+    assert abs(peaks[64] - peaks[16]) < per * 224 * 224 * 3
+
+
+def test_augment_peak_does_not_grow_with_synthetic_images(tmp_path):
+    # 64 originals topped up with 16, then with 64, 224-px synthetic images:
+    # rebalance returned every synthetic image as one stack, 2.4 MB per 16
+    rng = np.random.default_rng(1)
+    im.write_image(str(tmp_path / "big.ppm"),
+                   rng.integers(0, 256, (224, 224, 3), dtype=np.uint8))
+    im.write_image(str(tmp_path / "small.ppm"),
+                   rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
+    untrained_gan(tmp_path / "gan.hwdm")
+    peaks = {}
+    for synthetic, counts in ((16, [20, 20, 20, 4]), (64, [32, 16, 8, 8])):
+        rows = [dio.Sample(image="small.ppm", label=label)
+                for label, count in enumerate(counts) for _ in range(count)]
+        rows[0] = dio.Sample(image="big.ppm", label=0)  # the synthetic size
+        dio.write_manifest(str(tmp_path / "m.tsv"), rows)
+        rcs = []
+        out = tmp_path / f"out{synthetic}"
+        with pytest.warns(UserWarning, match="duplicate image path"):
+            peaks[synthetic] = peak_traced_bytes(lambda: rcs.append(cli.main([
+                "augment", "--manifest", str(tmp_path / "m.tsv"), "--gan",
+                str(tmp_path / "gan.hwdm"), "--out", str(out)])))
+            written = dio.read_manifest(str(out / "manifest.tsv"))
+        assert rcs == [0]
+        assert sum(s.synthetic for s in written) == synthetic
+    assert abs(peaks[64] - peaks[16]) < 224 * 224 * 3
+
+
+@pytest.mark.parametrize("command", ["eval", "preprocess"])
+def test_a_truncated_last_row_leaves_no_output(rows224, tmp_path, capsys, command):
+    # the rows before the last are staged, or written, before it is read
+    src = dio.read_manifest(rows224["manifests"][16])
+    data = rows224["manifests"][16].rsplit(os.sep, 1)[0]
+    for s in src:
+        for rel in (s.image, s.mask):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(os.path.join(data, rel), tmp_path / rel)
+    last = tmp_path / src[-1].image
+    last.write_bytes(last.read_bytes()[:-100])
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), src)
+    out = tmp_path / "deeper" / "out"
+    rc = cli.main(streamed_command(command, str(manifest), rows224, out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: pixel payload holds 150428 bytes, expected 150528\n"
+    assert leftovers(out.parent) == []
+
+
+def test_eval_without_a_mask_names_the_commands_that_need_one(workspace, tmp_path,
+                                                              capsys):
+    sample = dio.read_manifest(workspace["manifest"])[0]
+    (tmp_path / "images").mkdir()
+    shutil.copyfile(workspace["data"] / sample.image, tmp_path / sample.image)
+    manifest = tmp_path / "manifest.tsv"
+    dio.write_manifest(str(manifest), [dio.Sample(image=sample.image,
+                                                  label=sample.label)])
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--manifest", str(manifest), "--model",
+                   desk_checkpoint(tmp_path / "model.hwdm"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:2: sample has no mask (required by train and "
+        f"eval): {sample.image}\n")
+    assert not out.exists()
+
+
+def test_augment_diverging_on_its_second_chunk_leaves_out_as_it_was(
+        workspace, gan_checkpoint, tmp_path, monkeypatch, capsys):
+    # the first chunk's images, and the copied originals, are written
+    # before the generator diverges
+    skewed, _ = skewed_copy(workspace, tmp_path)
+    out = tmp_path / "balanced"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"kept")
+    before = dir_bytes(out)
+    calls = []
+    generate = gn.generate
+
+    def diverging(z, label, params):
+        calls.append(z.shape[0])
+        if len(calls) == 2:
+            raise NumericError("generate produced non-finite values")
+        return generate(z, label, params)
+
+    monkeypatch.setattr(gn, "_SAMPLE_CHUNK", 1)
+    monkeypatch.setattr(gn, "generate", diverging)
+    rc = cli.main(["augment", "--manifest", str(skewed), "--gan", gan_checkpoint,
+                   "--out", str(out), "--seed", "3"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: generator diverged: non-finite values")
+    assert calls == [1, 1]
+    assert dir_bytes(out) == before
+    assert leftovers(out) == ["balanced"]

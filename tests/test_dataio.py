@@ -309,9 +309,8 @@ def test_load_dataset_requires_masks(tmp_path):
 
 
 def test_load_dataset_reports_the_first_bad_row(tmp_path):
-    # every row is checked in order before any image is preprocessed, so
-    # the mask-less first row fails before the grey second row is seen, and
-    # with a valid first row the grey second row fails
+    # the mask-less first row fails before the grey second row is seen,
+    # and with a valid first row the grey second row fails
     make_files(tmp_path, ["a.ppm"])
     make_files(tmp_path, ["g.pgm", "m.pgm"], channels=1)
     im.write_image(str(tmp_path / "soil.pgm"), np.zeros((8, 8), dtype=np.uint8))
@@ -319,13 +318,26 @@ def test_load_dataset_reports_the_first_bad_row(tmp_path):
     path = write_lines(tmp_path, ["a.ppm\tgrass\t-\t-\t0", grey])
     with pytest.raises(DataError) as info:
         dio.load_dataset(path, small_cfg())
-    assert str(info.value) == (f"{path}:1: sample has no mask (required for "
-                               f"training): a.ppm")
+    assert str(info.value) == (f"{path}:1: sample has no mask (required by "
+                               f"train and eval): a.ppm")
     path = write_lines(tmp_path, ["a.ppm\tgrass\tsoil.pgm\t-\t0", grey])
     with pytest.raises(DataError) as info:
         dio.load_dataset(path, small_cfg())
     assert str(info.value) == (f"{path}:2: expected a color image, got 1 "
                                f"channel(s): g.pgm")
+
+
+def test_a_row_without_a_mask_fails_before_any_image_is_read(tmp_path):
+    # a missing mask is a property of the manifest, so train and eval refuse
+    # it before reading, or preprocessing, the rows above it
+    make_files(tmp_path, ["g.pgm", "m.pgm"], channels=1)
+    make_files(tmp_path, ["a.ppm"])
+    path = write_lines(tmp_path, ["g.pgm\tgrass\tm.pgm\t-\t0",
+                                  "a.ppm\tgrass\t-\t-\t0"])
+    with pytest.raises(DataError) as info:
+        dio.load_dataset(path, small_cfg())
+    assert str(info.value) == (f"{path}:2: sample has no mask (required by "
+                               f"train and eval): a.ppm")
 
 
 def test_load_dataset_rejects_out_of_vocab_mask(tmp_path):

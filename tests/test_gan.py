@@ -324,8 +324,8 @@ def test_train_gan_and_rebalance_bytes_are_pinned():
     params, history = G.train_gan(images, labels, cfg, seed=3)
     # three originals, then the synthetic images that top them up to 4 a class
     originals = G.to_uint8(images[:3])
-    synthetic, synthetic_labels = G.rebalance(np.bincount(labels[:3]), 4, params,
-                                              seed=4)
+    synthetic, synthetic_labels = collected(G.rebalance(np.bincount(labels[:3]), 4,
+                                                        params, seed=4))
     digest = hashlib.sha256(checkpoint_bytes(dp.gan_entries(params),
                                              flags=dp.FLAG_GAN))
     digest.update(np.asarray(history, dtype=np.float64).tobytes())
@@ -363,6 +363,16 @@ def test_to_uint8_clips_out_of_range():
 # ---------------------------------------------------------------- rebalance
 
 
+def collected(chunks):
+    """rebalance's (label, images) chunks as one list of images and one of
+    labels, in order."""
+    images, labels = [], []
+    for label, stack in chunks:
+        images += list(stack)
+        labels += [label] * len(stack)
+    return images, labels
+
+
 def trained_stub(seed=0):
     """A params object with the trained flag set but no real training."""
     cfg, params = tiny_gan(seed=seed)
@@ -384,31 +394,31 @@ def test_rebalance_needs_one_count_per_class():
 
 def test_rebalance_tops_up_minority_classes():
     cfg, params = trained_stub()
-    images, labels = G.rebalance([6, 2, 4], 6, params, seed=5)
-    assert images.shape == (6,) + cfg.image_size + (3,) and images.dtype == np.uint8
-    assert labels.tolist() == [1, 1, 1, 1, 2, 2]
+    chunks = list(G.rebalance([6, 2, 4], 6, params, seed=5))
+    assert [(label, images.shape, images.dtype) for label, images in chunks] == [
+        (1, (4,) + cfg.image_size + (3,), np.uint8),
+        (2, (2,) + cfg.image_size + (3,), np.uint8)]
 
 
 def test_rebalance_balanced_input_makes_no_synthetics():
     cfg, params = trained_stub(seed=4)
-    images, labels = G.rebalance([2, 2, 2], 2, params, seed=8)
-    assert images.shape == (0,) + cfg.image_size + (3,)
-    assert labels.size == 0
+    assert list(G.rebalance([2, 2, 2], 2, params, seed=8)) == []
 
 
 def test_rebalance_respects_per_class_targets_and_out_size():
     cfg, params = trained_stub(seed=5)
-    images, labels = G.rebalance([1, 0, 3], 3, params, seed=10, out_size=(16, 16))
-    assert labels.tolist() == [0, 0, 1, 1, 1]
-    assert images.shape == (5, 16, 16, 3)
+    images, labels = collected(G.rebalance([1, 0, 3], 3, params, seed=10,
+                                           out_size=(16, 16)))
+    assert labels == [0, 0, 1, 1, 1]
+    assert np.shape(images) == (5, 16, 16, 3)
 
 
 def test_rebalance_is_deterministic():
     cfg, params = trained_stub(seed=6)
-    a, labels_a = G.rebalance([2, 0, 1], 2, params, seed=12)
-    b, labels_b = G.rebalance([2, 0, 1], 2, params, seed=12)
-    assert labels_a.tolist() == labels_b.tolist() == [1, 1, 2]
-    assert a.tobytes() == b.tobytes()
+    a, labels_a = collected(G.rebalance([2, 0, 1], 2, params, seed=12))
+    b, labels_b = collected(G.rebalance([2, 0, 1], 2, params, seed=12))
+    assert labels_a == labels_b == [1, 1, 2]
+    assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -439,7 +449,8 @@ def test_rebalance_matches_per_sample_oracle(six_class_gan, monkeypatch, chunk,
 
     monkeypatch.setattr(G, "_SAMPLE_CHUNK", chunk)
     monkeypatch.setattr(G, "generate", counted)
-    images, labels = G.rebalance(counts, 40, params, seed=9, out_size=out_size)
+    images, labels = collected(G.rebalance(counts, 40, params, seed=9,
+                                           out_size=out_size))
     assert len(images) == len(labels) == len(want) == 89
     for pixels, label, (img, cls) in zip(images, labels, want):
         assert label == cls
@@ -447,3 +458,24 @@ def test_rebalance_matches_per_sample_oracle(six_class_gan, monkeypatch, chunk,
     needs = [0, 1, 15, 16, 17, 40]
     assert len(calls) == sum(-(-need // chunk) for need in needs)
     assert all(len(labels) == 1 for labels in calls)
+
+
+def test_rebalance_generates_each_chunk_when_it_is_asked_for(six_class_gan,
+                                                             monkeypatch):
+    # augment writes each chunk before the next one is generated, so it
+    # holds one chunk however many images it makes
+    cfg, params = six_class_gan
+    calls = []
+    generate = G.generate
+
+    def counted(z, label, p):
+        calls.append(z.shape[0])
+        return generate(z, label, p)
+
+    monkeypatch.setattr(G, "generate", counted)
+    chunks = G.rebalance([40, 39, 25, 24, 23, 0], 40, params, seed=9)
+    assert calls == []
+    label, images = next(chunks)
+    assert (label, len(images), calls) == (1, 1, [1])
+    label, images = next(chunks)
+    assert (label, len(images), calls) == (2, 15, [1, 15])

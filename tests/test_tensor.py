@@ -797,8 +797,8 @@ def test_model_convs_run_without_zero_extension(monkeypatch):
     real = T.const(rng.uniform(-1, 1, (2, 3) + tuple(gan_cfg.image_size)))
     G.gan_train_step(real, [0, 1], gan, init_optimizer(T.leaves(gan.d), gan_cfg.lr),
                      init_optimizer(T.leaves(gan.g), gan_cfg.lr), rng)
-    images, _ = G.rebalance([0] * gan_cfg.class_count, 1, gan)
-    assert len(images) == gan_cfg.class_count
+    chunks = G.rebalance([0] * gan_cfg.class_count, 1, gan)
+    assert sum(len(images) for _, images in chunks) == gan_cfg.class_count
 
 
 @pytest.mark.parametrize("batch", [2, 4])
@@ -1284,3 +1284,22 @@ def test_gradcheck_primitive(name):
         for _ in range(3):
             build, params = FD_CASES[name](rng)
             gradcheck(build, params, eps=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_backward_matches_the_factor_formula_bytes(dtype):
+    # the backward multiplied g by np.where(a > 0, 1.0, alpha) cast to a's
+    # dtype; it now selects g or g * alpha, and g * 1.0 is g, signed zeros
+    # included
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal(64).astype(dtype)
+    x[:4] = [0.0, -0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+    g = rng.standard_normal(64).astype(dtype)
+    g[:8] = [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+    x[4:8] = [1.0, -1.0, 2.0, -2.0]
+    a = T.Tensor(x, requires_grad=True, dtype=dtype)
+    with T.Tape() as tape:
+        tape.backward(T.sum_(T.mul(T.leaky_relu(a, 0.2), T.Tensor(g, dtype=dtype))))
+    want = g * np.where(x > 0, 1.0, 0.2).astype(dtype)
+    assert a.grad.dtype == dtype
+    assert a.grad.tobytes() == want.tobytes()
