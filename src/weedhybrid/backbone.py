@@ -24,6 +24,7 @@ and snapshot order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -297,6 +298,16 @@ def normalized_adjacency(neighbors) -> np.ndarray:
     return a / a.sum(axis=1, keepdims=True)
 
 
+@functools.cache
+def _grid_graph(rows: int, cols: int, dtype) -> tuple:
+    """(neighbors, normalized adjacency in dtype) of a (rows, cols) patch
+    grid; built once per process and dtype, the adjacency read-only."""
+    neighbors = _grid_neighbors(rows, cols)
+    adj = normalized_adjacency(neighbors).astype(dtype)
+    adj.setflags(write=False)
+    return neighbors, adj
+
+
 def build_plant_graph(f_vit: T.Tensor, grid: tuple) -> PlantGraph:
     """Nodes = patch features; edges = 4-neighborhood over the patch grid."""
     rows, cols = grid
@@ -304,9 +315,9 @@ def build_plant_graph(f_vit: T.Tensor, grid: tuple) -> PlantGraph:
     if rows * cols != n:
         raise ContractError(f"grid {grid} has {rows * cols} cells but features "
                             f"carry {n} nodes")
-    neighbors = _grid_neighbors(rows, cols)
-    adj = T.Tensor(normalized_adjacency(neighbors))
-    return PlantGraph(node_features=f_vit, adjacency=adj, neighbors=neighbors,
+    # in the features' dtype, so the Tensor wraps it without a copy
+    neighbors, adj = _grid_graph(rows, cols, f_vit.data.dtype)
+    return PlantGraph(node_features=f_vit, adjacency=T.Tensor(adj), neighbors=neighbors,
                       grid=(rows, cols))
 
 

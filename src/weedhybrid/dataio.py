@@ -261,7 +261,8 @@ def _resize_mask_nearest(mask: np.ndarray, size) -> np.ndarray:
 
 
 def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
-    """A sample's checked single-channel uint8 mask, nearest-resampled to (H, W)."""
+    """A sample's checked single-channel uint8 mask, nearest-resampled to
+    (H, W) unless it has that size already."""
     arr = im.read_image(os.path.join(
         os.path.dirname(os.path.abspath(manifest_path)), sample.mask))
     if arr.shape[2] != 1:
@@ -271,7 +272,7 @@ def read_mask(manifest_path: str, sample: Sample, size) -> np.ndarray:
     if arr.max() >= len(CLASS_NAMES):
         raise DataError(f"{manifest_path}:{sample.line}: mask value "
                         f"{arr.max()} outside the class vocabulary")
-    return _resize_mask_nearest(arr, size)
+    return arr if arr.shape == tuple(size) else _resize_mask_nearest(arr, size)
 
 
 def image_rows(manifest_path: str, samples, size=None, staged: bool = False):

@@ -197,8 +197,9 @@ def load_checkpoint(fh) -> tuple:
     fh.seek(0)
     offset = 0
 
-    def read(count, what, dtype=None):
-        """The next `count` bytes, as bytes or as a new array of `dtype`."""
+    def read(count, what, subject=None, dtype=None):
+        """The next `count` bytes, as bytes or as a new array of `dtype`; a
+        short read names `what` (of `subject`), formatted only then."""
         nonlocal offset
         whole = count <= size - offset
         if whole and dtype is None:
@@ -208,6 +209,8 @@ def load_checkpoint(fh) -> tuple:
             out = np.empty(count // np.dtype(dtype).itemsize, dtype)
             whole = fh.readinto(out) == count
         if not whole:
+            if subject is not None:
+                what = f"{what} {subject}"
             raise FormatError(f"truncated checkpoint at offset {offset}: "
                               f"needed {count} bytes for {what}")
         offset += count
@@ -222,8 +225,8 @@ def load_checkpoint(fh) -> tuple:
     (count,) = struct.unpack("<I", read(4, "tensor count"))
     entries = {}
     for index in range(count):
-        (name_len,) = struct.unpack("<H", read(2, f"name length of tensor {index}"))
-        raw = read(name_len, f"name of tensor {index}")
+        (name_len,) = struct.unpack("<H", read(2, "name length of tensor", index))
+        raw = read(name_len, "name of tensor", index)
         try:
             name = str(raw, "utf-8")
         except UnicodeDecodeError as exc:
@@ -232,14 +235,14 @@ def load_checkpoint(fh) -> tuple:
         if name in entries:
             raise FormatError(f"duplicate tensor name {name!r} at offset "
                               f"{offset - name_len}")
-        kind, rank = struct.unpack("<BB", read(2, f"kind/rank of {name}"))
+        kind, rank = struct.unpack("<BB", read(2, "kind/rank of", name))
         if kind not in (_KIND_FLOAT32, _KIND_INT8):
             raise FormatError(f"unknown tensor kind {kind} for {name} at "
                               f"offset {offset - 2}")
-        dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name}"))
+        dims = struct.unpack(f"<{rank}I", read(4 * rank, "dims of", name))
         n = math.prod(dims)  # exact: a wrapped count would pass the size check
         if kind == _KIND_FLOAT32:
-            values = read(4 * n, f"payload of {name}", "<f4")
+            values = read(4 * n, "payload of", name, "<f4")
             # a NaN or an inf reaches the payload's min or max, and neither
             # needs a payload-sized temporary
             if n and not (np.isfinite(values.min()) and np.isfinite(values.max())):
@@ -248,14 +251,14 @@ def load_checkpoint(fh) -> tuple:
                                   f"{offset - 4 * n + 4 * bad}")
             entries[name] = values.reshape(dims)
         else:
-            scale, zero_point = struct.unpack("<fb", read(5, f"scale of {name}"))
+            scale, zero_point = struct.unpack("<fb", read(5, "scale of", name))
             if zero_point != 0:
                 raise FormatError(f"nonzero zero point for {name} at offset "
                                   f"{offset - 1}")
             if not 0 < scale < np.inf:
                 raise FormatError(f"non-positive or non-finite scale for {name} "
                                   f"at offset {offset - 5}")
-            codes = read(n, f"codes of {name}", np.int8).reshape(dims)
+            codes = read(n, "codes of", name, np.int8).reshape(dims)
             entries[name] = QuantizedTensor(codes=codes, scale=float(scale))
     if offset != size:
         raise FormatError(f"{size - offset} trailing bytes at offset {offset}")

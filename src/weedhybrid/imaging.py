@@ -44,6 +44,7 @@ chunk, sub-stack, band and group boundaries.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from dataclasses import dataclass
 
@@ -412,6 +413,23 @@ def _blend_axis(extent: int, bounds) -> tuple:
     return t, u
 
 
+@functools.cache
+def _clahe_geometry(h: int, w: int, tile: int) -> tuple:
+    """(by, bx, rows, cols) of CLAHE over (h, w) images in tile x tile
+    tiles, built once per process, every array read-only: the tile bounds
+    per axis, and per axis each pixel's two nearest tiles as offsets into an
+    image's maps, with their weights."""
+    by, bx = _tile_bounds(h, w, tile)
+    gy, gx = len(by) - 1, len(bx) - 1
+    ty, uy = _blend_axis(h, by)
+    tx, ux = _blend_axis(w, bx)
+    rows = (((ty * gx) << 8, 1.0 - uy), ((np.minimum(ty + 1, gy - 1) * gx) << 8, uy))
+    cols = ((tx << 8, 1.0 - ux), (np.minimum(tx + 1, gx - 1) << 8, ux))
+    for a in (by, bx, *rows[0], *rows[1], *cols[0], *cols[1]):
+        a.setflags(write=False)
+    return by, bx, rows, cols
+
+
 def _clahe_stack(arr: np.ndarray, tile: int, clip: float) -> np.ndarray:
     """Contrast-limited adaptive histogram equalization of an (N,H,W,C) stack.
 
@@ -423,14 +441,8 @@ def _clahe_stack(arr: np.ndarray, tile: int, clip: float) -> np.ndarray:
     operations in the same order whatever the split.
     """
     n, h, w, c = arr.shape
-    by, bx = _tile_bounds(h, w, tile)
+    by, bx, rows, cols = _clahe_geometry(h, w, tile)
     gy, gx = len(by) - 1, len(bx) - 1
-    ty, uy = _blend_axis(h, by)
-    tx, ux = _blend_axis(w, bx)
-    # per axis, each pixel's two nearest tiles as offsets into an image's
-    # maps, with their weights
-    rows = (((ty * gx) << 8, 1.0 - uy), ((np.minimum(ty + 1, gy - 1) * gx) << 8, uy))
-    cols = ((tx << 8, 1.0 - ux), (np.minimum(tx + 1, gx - 1) << 8, ux))
     per = max(1, _BLOCK_BYTES // (gy * gx * 256 * 8))
     maps = np.empty((min(per, n), gy, gx, 256))
     out = np.empty(arr.shape, dtype=np.uint8)

@@ -11,10 +11,29 @@ once (PyTorch's retain_graph=False, Paszke et al. 2019). _accum is the one
 place a gradient is rounded to its tensor's storage dtype: once, as it is
 added to .grad (a rule rounds inside an expression only where its bytes
 need it). Tensors are treated as immutable once produced; there is no
-implicit broadcasting between tensors except the scalar-tensor case. A
-primitive whose result holds a non-finite value raises NumericError naming
-it; its forward runs with NumPy's floating-point warnings off, so none is
-printed first.
+implicit broadcasting between tensors except the scalar-tensor case.
+
+Every primitive ends in _result, which holds each op to one contract at
+little cost beyond the op's arithmetic:
+- a result that holds a NaN or an infinity raises NumericError naming the
+  op (one np.isfinite(...).all()); the forward runs with NumPy's
+  floating-point warnings off, so none is printed first;
+- the output dtype is NumPy's promotion of the float32/float64 operands,
+  float64 if any operand is float64, else float32, and _result wraps the
+  op's array as it is: no copy, no second check of it;
+- the output requires a gradient if an input does, and only then goes on
+  the active tape, so an op over constants adds no record;
+- a backward rule computes only the gradients of inputs that require one:
+  a constant operand (a loss mask, the patch-grid adjacency, the patch
+  embedding's input) gets no gradient formed, so it costs no arithmetic
+  and no NumericError in backward.
+Constants that depend only on a shape are built once per process and handed
+out read-only (functools.cache; writing to one raises ValueError): the
+normalized adjacency of a patch grid (backbone._grid_graph) and CLAHE's tile
+bounds, blend offsets and weights (imaging._clahe_geometry).
+upsample_bilinear2d builds its interpolation matrices per call, one when
+both axes match: a cached 224x56 float64 matrix would be 100 KB held for the
+life of the process.
 
 attention is multi-head self-attention as one op and one tape record, with
 the bytes of the per-head chain it replaced (matmul, transpose, mul,
@@ -291,10 +310,6 @@ def _backward_non_finite(kind, flag):
 _TAPE_STACK: list[Tape] = []
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
@@ -318,7 +333,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -331,22 +346,36 @@ _fp_warnings_off = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 def _recorded(inputs: Sequence[Tensor]) -> bool:
     """Whether _result will put an op over these inputs on the active tape."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
 
 
 def _result(data: np.ndarray, op: str, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """The op's checked float32/float64 result as a Tensor, put on the
+    active tape if an input requires a gradient (module docstring)."""
     _finite_or_raise(data, op)
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs),
-                 dtype=data.dtype)
-    if _recorded(inputs):
-        _active_tape()._record(out, backward_fn)
+    if type(data) is not np.ndarray:   # a ufunc over 0-d arrays gives a scalar
+        data = np.asarray(data)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            if _TAPE_STACK:
+                _TAPE_STACK[-1]._record(out, backward_fn)
+            break
     return out
 
 
 def _out_dtype(*tensors: Tensor):
-    dt = np.result_type(*(t.data.dtype for t in tensors))
-    return np.float64 if dt == np.float64 else np.float32
+    """float64 if any operand is float64, else float32: NumPy's promotion of
+    the two storage dtypes."""
+    for t in tensors:
+        if t.data.dtype == np.float64:
+            return np.float64
+    return np.float32
 
 
 def _as_scalar(x) -> float | None:
@@ -382,7 +411,7 @@ def _add(a: Tensor, b, op: str) -> Tensor:
         _accum(a, g)
         _accum(b, g)
 
-    return _result(data.astype(_out_dtype(a, b), copy=False), op, (a, b), back)
+    return _result(data, op, (a, b), back)
 
 
 @_fp_warnings_off
@@ -423,10 +452,12 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * b.data
 
     def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
-    return _result(data.astype(_out_dtype(a, b), copy=False), "mul", (a, b), back)
+    return _result(data, "mul", (a, b), back)
 
 
 @_fp_warnings_off
@@ -441,10 +472,12 @@ def div(a: Tensor, b) -> Tensor:
     data = a.data / b.data
 
     def back(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
+        if a.requires_grad:
+            _accum(a, g / b.data)
+        if b.requires_grad:
+            _accum(b, -g * a.data / (b.data * b.data))
 
-    return _result(data.astype(_out_dtype(a, b), copy=False), "div", (a, b), back)
+    return _result(data, "div", (a, b), back)
 
 
 @_fp_warnings_off
@@ -569,7 +602,7 @@ def sum_(a: Tensor, axis=None) -> Tensor:
         ge = np.expand_dims(g, axes) if axes else g
         _accum(a, np.broadcast_to(ge, a.shape))
 
-    return _result(np.asarray(data), "sum", (a,), back)
+    return _result(data, "sum", (a,), back)
 
 
 @_fp_warnings_off
@@ -582,7 +615,7 @@ def mean(a: Tensor, axis=None) -> Tensor:
         ge = np.expand_dims(g, axes) if axes else g
         _accum(a, np.broadcast_to(ge, a.shape) / n)
 
-    return _result(np.asarray(data), "mean", (a,), back)
+    return _result(data, "mean", (a,), back)
 
 
 def gap(a: Tensor) -> Tensor:
@@ -639,7 +672,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(lo, hi)
             _accum(p, g[tuple(sl)])
 
-    return _result(data.astype(_out_dtype(*parts), copy=False), "concat", tuple(parts), back)
+    return _result(data, "concat", tuple(parts), back)
 
 
 @_fp_warnings_off
@@ -652,11 +685,11 @@ def add_bcast(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         _accum(a, g)
-        lead = tuple(range(g.ndim - b.ndim))
-        db = _f64(g).sum(axis=lead) if lead else _f64(g)
-        _accum(b, db)
+        if b.requires_grad:
+            lead = tuple(range(g.ndim - b.ndim))
+            _accum(b, _f64(g).sum(axis=lead) if lead else _f64(g))
 
-    return _result(data.astype(_out_dtype(a, b), copy=False), "add_bcast", (a, b), back)
+    return _result(data, "add_bcast", (a, b), back)
 
 
 @_fp_warnings_off
@@ -667,10 +700,12 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     data = a.data * s.data[:, None]
 
     def back(g):
-        _accum(a, g * s.data[:, None])
-        _accum(s, _f64(g * a.data).sum(axis=1))
+        if a.requires_grad:
+            _accum(a, g * s.data[:, None])
+        if s.requires_grad:
+            _accum(s, _f64(g * a.data).sum(axis=1))
 
-    return _result(data.astype(_out_dtype(a, s), copy=False), "scale_rows", (a, s), back)
+    return _result(data, "scale_rows", (a, s), back)
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +753,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         g64 = _f64(g)
-        da = g64 @ np.swapaxes(_f64(b.data), -1, -2)
-        db = np.swapaxes(_f64(a.data), -1, -2) @ g64
-        _accum(a, _reduce_to(da, a.shape))
-        _accum(b, _reduce_to(db, b.shape))
+        if a.requires_grad:
+            _accum(a, _reduce_to(g64 @ np.swapaxes(_f64(b.data), -1, -2), a.shape))
+        if b.requires_grad:
+            _accum(b, _reduce_to(np.swapaxes(_f64(a.data), -1, -2) @ g64, b.shape))
 
     return _result(data, "matmul", (a, b), back)
 
@@ -1361,7 +1396,7 @@ def upsample_bilinear2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     if oh < 1 or ow < 1:
         raise DimensionError(f"upsample_bilinear2d: bad target {out_hw}")
     ry = _interp_matrix(oh, h)
-    rx = _interp_matrix(ow, w)
+    rx = ry if (ow, w) == (oh, h) else _interp_matrix(ow, w)
     out = (ry @ _f64(x.data) @ rx.T).astype(x.data.dtype)
 
     def back(g):

@@ -20,6 +20,22 @@ def tiny_config():
 # config
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_grid_graph_is_built_once_and_read_only(dtype):
+    neighbors, adj = bb._grid_graph(3, 5, np.dtype(dtype))
+    assert bb._grid_graph(3, 5, np.dtype(dtype))[1] is adj
+    assert neighbors == bb._grid_neighbors(3, 5)
+    want = bb.normalized_adjacency(neighbors).astype(dtype)
+    assert adj.dtype == dtype and adj.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        adj[0, 0] = 0.0
+    with T.default_dtype(dtype):
+        graph = bb.build_plant_graph(T.Tensor(np.zeros((1, 15, 4))), (3, 5))
+    assert graph.neighbors is neighbors
+    assert graph.adjacency.data is adj
+
+
+
 def test_config_validation():
     with pytest.raises(ContractError):
         bb.BackboneConfig(image_size=(30, 32))  # patch 8 does not divide 30

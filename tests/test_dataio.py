@@ -361,6 +361,18 @@ def test_mask_nearest_resize_preserves_ids(tmp_path):
     np.testing.assert_array_equal(data.masks[0][:, 4:], 3)
 
 
+@pytest.mark.parametrize("size", [(12, 10), (6, 5), (24, 17)])
+def test_read_mask_resamples_only_to_another_size(tmp_path, size):
+    mask = np.random.default_rng(6).integers(0, 4, (12, 10), dtype=np.uint8)
+    make_files(tmp_path, ["img.ppm"], size=(12, 10))
+    im.write_image(str(tmp_path / "m.pgm"), mask[:, :, None])
+    path = write_lines(tmp_path, ["img.ppm\tbroadleaf\tm.pgm\t-\t0"])
+    got = dio.read_mask(path, dio.read_manifest(path)[0], size)
+    want = mask if size == mask.shape else dio._resize_mask_nearest(mask, size)
+    assert got.shape == size and got.dtype == np.uint8
+    assert got.tobytes() == want.tobytes()
+
+
 def test_resize_mask_identity_when_same_size():
     rng = np.random.default_rng(5)
     mask = rng.integers(0, 4, (8, 8))

@@ -297,6 +297,25 @@ def test_unknown_tensor_kind_names_the_kind_byte():
         decode_bytes(bytes(blob))
 
 
+def test_every_truncation_names_the_read_it_cut_short():
+    qt = dp.QuantizedTensor(codes=np.array([1, -2], dtype=np.int8), scale=0.5)
+    blob = checkpoint_bytes({"w": np.zeros((2, 3), dtype=np.float32), "q": qt},
+                            flags=dp.FLAG_FULL | dp.FLAG_QUANTIZED)
+    # (offset the read starts at, its length, what it reads)
+    reads = [(0, 4, "magic"), (4, 4, "version and flags"), (8, 4, "tensor count"),
+             (12, 2, "name length of tensor 0"), (14, 1, "name of tensor 0"),
+             (15, 2, "kind/rank of w"), (17, 8, "dims of w"), (25, 24, "payload of w"),
+             (49, 2, "name length of tensor 1"), (51, 1, "name of tensor 1"),
+             (52, 2, "kind/rank of q"), (54, 4, "dims of q"), (58, 5, "scale of q"),
+             (63, 2, "codes of q")]
+    assert reads[-1][0] + reads[-1][1] == len(blob)
+    for start, count, what in reads:
+        with pytest.raises(FormatError) as err:
+            decode_bytes(blob[:start + count - 1])
+        assert str(err.value) == (f"truncated checkpoint at offset {start}: "
+                                  f"needed {count} bytes for {what}")
+
+
 @pytest.mark.parametrize("kind", [0, 1], ids=["float32", "int8"])
 def test_checkpoint_dims_past_64_bits_are_truncation(kind):
     # 65536**4 == 2**64 wraps to 0 in int64, which would let the empty

@@ -220,6 +220,18 @@ def test_clahe_constant_image_single_value():
         assert len(set(out.tobytes())) == 1
 
 
+@pytest.mark.parametrize("h,w,tile", [(24, 24, 4), (31, 17, 3), (5, 9, 8)])
+def test_clahe_geometry_is_built_once_and_read_only(h, w, tile):
+    got = im._clahe_geometry(h, w, tile)
+    assert im._clahe_geometry(h, w, tile) is got
+    fresh = im._clahe_geometry.__wrapped__(h, w, tile)
+    flat = lambda g: [g[0], g[1], *g[2][0], *g[2][1], *g[3][0], *g[3][1]]
+    for a, b in zip(flat(got), flat(fresh), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 def test_clahe_tile_mappings_monotone():
     rng = np.random.default_rng(4)
     for _ in range(10):

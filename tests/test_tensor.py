@@ -894,6 +894,16 @@ _NON_FINITE_CASES = {
     "scale_rows": lambda: T.scale_rows(T.Tensor([[_INF]]), T.Tensor([0.0])),
     "avg_pool2d": lambda: T.avg_pool2d(
         T.Tensor(np.array([_INF, -_INF, 1, 1]).reshape(1, 1, 2, 2))),
+    "div": lambda: T.div(T.Tensor([_INF]), T.Tensor([_INF])),
+    "neg": lambda: T.neg(T.Tensor([_INF])),
+    "relu": lambda: T.relu(T.Tensor([_INF])),
+    "leaky_relu": lambda: T.leaky_relu(T.Tensor([-_INF])),
+    "sigmoid": lambda: T.sigmoid(T.Tensor([np.nan])),
+    "tanh": lambda: T.tanh(T.Tensor([np.nan])),
+    "log": lambda: T.log(T.Tensor([_INF])),
+    "softplus": lambda: T.softplus(T.Tensor([_INF])),
+    "clamp_min": lambda: T.clamp_min(T.Tensor([np.nan]), 0.0),
+    "concat": lambda: T.concat([T.Tensor([1.0]), T.Tensor([_INF])]),
 }
 
 
@@ -903,6 +913,83 @@ def test_non_finite_result_raises_numeric_error_without_warning(op):
     # an op that let one through would raise RuntimeWarning here instead
     with pytest.raises(NumericError, match=f"^{op} produced non-finite values"):
         _NON_FINITE_CASES[op]()
+
+
+# Two-operand ops with the shape of their second operand beside a (2, 3) first one.
+_TWO_OPERAND_OPS = {
+    "add": (T.add, (2, 3)), "sub": (T.sub, (2, 3)), "mul": (T.mul, (2, 3)),
+    "div": (T.div, (2, 3)), "concat": (lambda a, b: T.concat([a, b]), (2, 3)),
+    "add_bcast": (T.add_bcast, (3,)), "scale_rows": (T.scale_rows, (2,)),
+    "matmul": (T.matmul, (3, 4)),
+}
+# (op, constant operand) pairs whose rule hands g, or a view of it, straight on
+_PASSED_ON = {("add", 0), ("add", 1), ("sub", 0), ("concat", 0), ("concat", 1),
+              ("add_bcast", 0)}
+
+
+def _binary_operands(op, dtypes=(np.float32, np.float32), grads=(False, False)):
+    rng = np.random.default_rng(41)
+    return (T.Tensor(rng.uniform(1, 2, (2, 3)), grads[0], dtypes[0]),
+            T.Tensor(rng.uniform(1, 2, _TWO_OPERAND_OPS[op][1]), grads[1], dtypes[1]))
+
+
+@pytest.mark.parametrize("op", sorted(_TWO_OPERAND_OPS))
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float32, np.float64),
+                                    (np.float64, np.float32), (np.float64, np.float64)],
+                         ids=["f32-f32", "f32-f64", "f64-f32", "f64-f64"])
+def test_binary_op_output_dtype_is_numpy_promotion(op, dtypes):
+    out = _TWO_OPERAND_OPS[op][0](*_binary_operands(op, dtypes))
+    assert type(out.data) is np.ndarray
+    assert out.data.dtype == np.result_type(*dtypes)
+
+
+def test_op_over_0d_tensors_holds_a_0d_array():
+    # a ufunc over 0-d arrays returns a NumPy scalar, which _result wraps
+    for out in (T.add(T.Tensor(1.0), T.Tensor(2.0)), T.neg(T.Tensor(1.0)),
+                T.mul(T.Tensor(2.0), 3.0), T.sum_(T.Tensor([1.0, 2.0]))):
+        assert type(out.data) is np.ndarray and out.shape == ()
+        assert out.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("op", sorted(_TWO_OPERAND_OPS))
+def test_op_records_only_when_an_input_requires_grad(op):
+    for grads in ((False, False), (True, False), (False, True), (True, True)):
+        with T.Tape() as tape:
+            out = _TWO_OPERAND_OPS[op][0](*_binary_operands(op, grads=grads))
+        assert (len(tape) > 0) == any(grads)
+        assert out.requires_grad == any(grads)
+
+
+@pytest.mark.parametrize("op", sorted(_TWO_OPERAND_OPS))
+@pytest.mark.parametrize("const", [0, 1], ids=["const-a", "const-b"])
+def test_backward_builds_no_gradient_for_a_constant_input(monkeypatch, op, const):
+    fn = _TWO_OPERAND_OPS[op][0]
+
+    def backward(grads):
+        ts = _binary_operands(op, grads=grads)
+        with T.Tape() as tape:
+            out = fn(*ts)
+            weights = np.random.default_rng(42).standard_normal(out.shape)
+            tape.backward(T.sum_(T.mul(out, T.const(weights))))
+        return ts
+
+    both = backward((True, True))
+    handed = []
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
+    ts = backward(tuple(i != const for i in range(2)))
+    assert ts[const].grad is None
+    assert ts[1 - const].grad.tobytes() == both[1 - const].grad.tobytes()
+    if (op, const) not in _PASSED_ON:
+        assert not any(t is ts[const] for t in handed)
+
+
+def test_backward_does_not_overflow_on_a_gradient_no_input_needs():
+    # d(a*c)/dc = g * a overflows float32; c is a constant, so it is not formed
+    a = T.Tensor([3e38], requires_grad=True)
+    with T.Tape() as tape:
+        tape.backward(T.sum_(T.mul(T.mul(a, T.const([1e-3])), 10.0)))
+    np.testing.assert_array_equal(a.grad, np.float32(10.0) * np.float32(1e-3))
 
 
 def test_softmax_symmetry_cases():

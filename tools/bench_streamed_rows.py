@@ -13,11 +13,8 @@ side and size, each in a fresh process under `tracemalloc`, and writes
 W/peaks.json: the traced peak in MiB of each command at 16 and 64 rows of
 224 px. `eval` scores a random-init paper-preset model; `augment` tops a
 set of 64 originals up with 16 or 64 synthetic images from a random-init
-default GAN marked trained. `pairs` runs `perfbench/run.py --seconds 20
---trace 0` for each seed on both sides, one run at a time, the parent
-first for odd seeds, and appends one JSON line per pair to
-R/pairs.jsonl. `summarize` gives each workload's medians, quartiles
-(numpy.percentile, linear) and the count of pairs the change wins.
+default GAN marked trained. `pairs` and the pair summary are
+tools/bench_pairs.py's.
 """
 
 from __future__ import annotations
@@ -27,12 +24,10 @@ import json
 import os
 import subprocess
 import sys
-import time
 
-import numpy as np
+from bench_pairs import add_pairs_parser, run_pairs, summarize_pairs
 
 SIZES = (16, 64)
-METRICS = ("pass_rel", "setup_s", "peak_rss_mb")   # all lower-is-better
 
 # One command under tracemalloc in a fresh interpreter: prints its exit
 # code and traced peak in MiB.
@@ -109,70 +104,14 @@ def peaks(args) -> None:
         json.dump(result, fh, indent=1)
 
 
-def run_side(root: str, workload: str, seed: int) -> dict:
-    start = time.time()
-    p = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", "20", "--trace", "0"],
-                       cwd=root, capture_output=True, text=True)
-    line = [text for text in p.stdout.splitlines() if text.startswith("{")][-1]
-    res = json.loads(line)
-    with open(os.path.join(root, ".bench_work", f"{workload}-trace0", "result.json"),
-              encoding="utf-8") as fh:
-        full = json.load(fh)
-    row = {k: round(v["value"], 3) for k, v in res["metrics"].items()}
-    row["details"] = {k: round(v, 3) for k, v in full["details"].items()}
-    row["digests"] = [full["workers"]["measure"][key]
-                      for key in ("setup_digest", "run_digest")]
-    row.update(correct=res["correct"], attempted=res["attempted"],
-               failed=res["failed"], wall_s=round(time.time() - start, 1))
-    return row
-
-
 def pairs(args) -> None:
-    lo, _, hi = args.seeds.partition("-")
-    os.makedirs(args.results, exist_ok=True)
-    for seed in range(int(lo), int(hi or lo) + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        pair = {"workload": args.workload, "seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_side(getattr(args, side), args.workload, seed)
-        with open(os.path.join(args.results, "pairs.jsonl"), "a",
-                  encoding="utf-8") as fh:
-            fh.write(json.dumps(pair) + "\n")
-        print(json.dumps(pair), flush=True)
-
-
-def quartiles(values) -> list:
-    return [round(float(q), 3) for q in np.percentile(values, [25, 50, 75])]
+    run_pairs(args.parent, args.change, args.workload, args.seeds, args.results)
 
 
 def summarize(args) -> None:
     with open(args.peaks, encoding="utf-8") as fh:
         peak = json.load(fh)
-    with open(os.path.join(args.results, "pairs.jsonl"), encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    workloads = {}
-    for workload in dict.fromkeys(r["workload"] for r in rows):
-        mine = [r for r in rows if r["workload"] == workload]
-        summary = {"pairs": len(mine)}
-        for metric in METRICS:
-            parent = [r["parent"][metric] for r in mine]
-            change = [r["change"][metric] for r in mine]
-            pq, cq = quartiles(parent), quartiles(change)
-            summary[metric] = {
-                "parent_quartiles": pq, "change_quartiles": cq,
-                "parent_iqr": round(pq[2] - pq[0], 3),
-                "median_difference": round(cq[1] - pq[1], 3),
-                "change_lower_in": f"{sum(c < p for p, c in zip(parent, change))}/{len(mine)}"}
-        summary["failed_of_attempted"] = {
-            side: [sum(r[side]["failed"] for r in mine),
-                   sum(r[side]["attempted"] for r in mine)]
-            for side in ("parent", "change")}
-        summary["all_correct"] = all(r[s]["correct"] for r in mine
-                                     for s in ("parent", "change"))
-        same = sum(r["parent"]["digests"] == r["change"]["digests"] for r in mine)
-        summary["digests_equal"] = f"{same}/{len(mine)}"
-        workloads[workload] = {"summary": summary, "pairs": mine}
+    workloads = summarize_pairs(args.results)
     bench = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -187,14 +126,11 @@ def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="mode", required=True)
-    for mode in ("peaks", "pairs"):
-        q = sub.add_parser(mode)
-        q.add_argument("--parent", required=True)
-        q.add_argument("--change", required=True)
-    sub.choices["peaks"].add_argument("--work", required=True)
-    sub.choices["pairs"].add_argument("--workload", required=True)
-    sub.choices["pairs"].add_argument("--seeds", required=True, help="FIRST-LAST")
-    sub.choices["pairs"].add_argument("--results", required=True)
+    q = sub.add_parser("peaks")
+    q.add_argument("--parent", required=True)
+    q.add_argument("--change", required=True)
+    q.add_argument("--work", required=True)
+    add_pairs_parser(sub)
     q = sub.add_parser("summarize")
     q.add_argument("--peaks", required=True)
     q.add_argument("--results", required=True)
