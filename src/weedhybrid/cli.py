@@ -167,19 +167,10 @@ def cmd_gen_data(args, cfg: RunConfig) -> int:
     manifest = synthdata.generate_dataset(args.out, counts,
                                           size=(args.size, args.size),
                                           seed=cfg.seed)
-    samples = dataio.read_manifest(manifest)
+    samples, _ = dataio.open_manifest(manifest)
     print(f"wrote {len(samples)} samples under {args.out}")
     print(f"manifest: {manifest}")
     return EXIT_OK
-
-
-def _check_raw(manifest: str) -> None:
-    """Raise DataError if a manifest holds a stage record: its images went
-    through the pipeline already, and running it again, or mixing synthetic
-    rows with them, would feed the model images no raw manifest gives."""
-    if dataio.read_stages(manifest) is not None:
-        raise DataError(f"{manifest}: already preprocessed (it holds a stage "
-                        f"record); give the raw manifest instead")
 
 
 def _check_outputs(manifest: str, samples: list, out: str) -> None:
@@ -252,10 +243,7 @@ def _staging(out: str):
 
 def cmd_preprocess(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
-    _check_raw(args.manifest)
-    samples = dataio.read_manifest(args.manifest)
-    if not samples:
-        raise DataError(f"{args.manifest}: no samples to preprocess")
+    samples, _ = dataio.open_manifest(args.manifest)
     _check_outputs(args.manifest, samples, args.out)
     with _staging(args.out) as tmp:
         for chunk in dataio.read_chunks(args.manifest, samples, pre_cfg,
@@ -272,10 +260,7 @@ def cmd_preprocess(args, cfg: RunConfig) -> int:
 
 def cmd_gan_train(args, cfg: RunConfig) -> int:
     gan_cfg = cfg.gan_config()
-    _check_raw(args.manifest)
-    samples = dataio.read_manifest(args.manifest)
-    if not samples:
-        raise DataError(f"{args.manifest}: no samples to train on")
+    samples, _ = dataio.open_manifest(args.manifest)
     stack = dataio.read_images(args.manifest, samples, gan_cfg.image_size)
     labels = np.asarray([s.label for s in samples])
     params, history = gn.train_gan(gn.to_unit_range(stack), labels, gan_cfg,
@@ -294,10 +279,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
     if params.config.class_count != len(synthdata.CLASS_NAMES):
         raise DataError(f"{args.gan}: GAN has {params.config.class_count} classes, "
                         f"expected {len(synthdata.CLASS_NAMES)}")
-    _check_raw(args.manifest)
-    samples = dataio.read_manifest(args.manifest)
-    if not samples:
-        raise DataError(f"{args.manifest}: nothing to rebalance")
+    samples, _ = dataio.open_manifest(args.manifest)
     _check_outputs(args.manifest, samples, args.out)
     # every row is checked, one image at a time; synthetic images take the
     # first one's size
@@ -341,11 +323,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     pre_cfg = cfg.preprocess_config()
-    samples = dataio.read_manifest(args.manifest)
-    if len(samples) < 2:
-        raise DataError(f"{args.manifest}: pretraining needs at least 2 "
-                        f"samples, got {len(samples)}")
-    staged = dataio.check_stages(args.manifest, pre_cfg)
+    samples, staged = dataio.open_manifest(args.manifest, pre_cfg, minimum=2)
     images = dataio.read_images(args.manifest, samples, pre_cfg.target_size, staged)
     if not staged:
         images = im.preprocess_batch(images, pre_cfg)
@@ -396,7 +374,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if heads is None:
         raise ContractError(f"{args.model} has no heads; train it first")
     pre_cfg = cfg.preprocess_config(params.config.image_size)
-    samples, chunks = dataio.open_dataset(args.manifest, pre_cfg)
+    samples, staged = dataio.open_manifest(args.manifest, pre_cfg)
+    chunks = dataio.read_chunks(args.manifest, samples, pre_cfg, staged)
     report = tr.evaluate(params, heads, (chunk.train_data(pre_cfg.normalize)
                                          for chunk in chunks))
     paths = tr.emit_plot_data([], report, args.out)

@@ -14,13 +14,14 @@ line naming the stage settings its images went through, e.g.::
 Its images are model-ready but for scaling, so loaders stack them as read
 after checking that the run's settings agree with the record.
 
-Every command reads a manifest's images through image_rows, which decides
-which images are refused and how a row becomes pixels at the size the
-command needs. read_chunks adds each row's mask and growth and runs the
-stages over chunks of whole images, so a command that takes one row at a
-time (preprocess, eval) holds one chunk; load_dataset stacks the chunks
-for the commands that need every row at once, and read_images stacks the
-bare images as uint8.
+Every command opens a manifest through open_manifest, which checks its
+stage record and then its row count, and reads its images through
+image_rows, which decides which images are refused and how a row becomes
+pixels at the size the command needs. read_chunks adds each row's mask
+and growth and runs the stages over chunks of whole images, so a command
+that takes one row at a time (preprocess, eval) holds one chunk;
+load_dataset stacks the chunks for the commands that need every row at
+once, and read_images stacks the bare images as uint8.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .synthdata import CLASS_NAMES, SOIL_ID
 from .training import TrainData
 
 __all__ = ["Sample", "write_manifest", "write_staged_manifest", "read_text",
-           "read_manifest", "read_stages", "check_stages", "read_mask",
-           "image_rows", "read_images", "Chunk", "read_chunks", "open_dataset",
+           "read_manifest", "read_stages", "open_manifest", "check_stages",
+           "read_mask", "image_rows", "read_images", "Chunk", "read_chunks",
            "load_dataset"]
 
 _MISSING = "-"
@@ -230,6 +231,29 @@ def read_stages(path: str):
     return record
 
 
+def open_manifest(path: str, pre_cfg: im.PreprocessConfig = None,
+                  minimum: int = 1) -> tuple:
+    """(samples, staged): a manifest's rows and whether its images went
+    through pre_cfg's stages already; the one way a command opens one.
+
+    The stage record is checked before any row is read. With pre_cfg it is
+    compared with pre_cfg (check_stages). Without, a manifest that holds
+    one raises DataError: its images went through the pipeline already, and
+    running it again, or mixing synthetic rows with them, would feed the
+    model images no raw manifest gives. Then the rows are read
+    (read_manifest), and fewer than minimum raise DataError.
+    """
+    if pre_cfg is None and read_stages(path) is not None:
+        raise DataError(f"{path}: already preprocessed (it holds a stage "
+                        f"record); give the raw manifest instead")
+    staged = pre_cfg is not None and check_stages(path, pre_cfg)
+    samples = read_manifest(path)
+    if len(samples) < minimum:
+        raise DataError(f"{path}: too few samples ({len(samples)}; the "
+                        f"command needs at least {minimum})")
+    return samples, staged
+
+
 def check_stages(path: str, cfg: im.PreprocessConfig) -> bool:
     """Whether a manifest's images went through cfg's stages already.
 
@@ -368,31 +392,18 @@ def read_chunks(manifest_path: str, samples, pre_cfg: im.PreprocessConfig,
                     masks=masks, growth=growth)
 
 
-def open_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
-    """(samples, chunks): a manifest's rows, and read_chunks over them with
-    every mask required.
-
-    The stage record is compared with pre_cfg first (check_stages), then
-    the manifest is read; an empty manifest raises DataError. No image is
-    read before the first chunk is asked for.
-    """
-    recorded = check_stages(manifest_path, pre_cfg)
-    samples = read_manifest(manifest_path)
-    if not samples:
-        raise DataError(f"{manifest_path}: no samples to load")
-    return samples, read_chunks(manifest_path, samples, pre_cfg, recorded)
-
-
 def load_dataset(manifest_path: str, pre_cfg: im.PreprocessConfig) -> tuple:
-    """Every row of open_dataset's chunks in one dataset -> (TrainData,
-    samples), for the commands that need random access to every row.
+    """Every row of a manifest (open_manifest), read as read_chunks reads
+    it with every mask required, in one dataset -> (TrainData, samples),
+    for the commands that need random access to every row.
 
     The chunks fill one preallocated uint8 image stack, which
     imaging.StagedImages holds and scales per batch on use, and one array
     each of labels, masks and growth; so the first bad row raises, as
     read_chunks checks it.
     """
-    samples, chunks = open_dataset(manifest_path, pre_cfg)
+    samples, staged = open_manifest(manifest_path, pre_cfg)
+    chunks = read_chunks(manifest_path, samples, pre_cfg, staged)
     h, w = pre_cfg.target_size
     n = len(samples)
     images = np.empty((n, h, w, 3), dtype=np.uint8)

@@ -437,16 +437,21 @@ def neg(a: Tensor) -> Tensor:
     return _neg(a, "neg")
 
 
+def _scaled(a: Tensor, s: float, op: str) -> Tensor:
+    """a times the scalar s, checked and recorded under op's name."""
+    data = a.data * np.asarray(s, dtype=a.data.dtype)
+
+    def back(g):
+        _accum(a, g * s)
+
+    return _result(data, op, (a,), back)
+
+
 @_fp_warnings_off
 def mul(a: Tensor, b) -> Tensor:
     s = _as_scalar(b)
     if s is not None:
-        data = a.data * np.asarray(s, dtype=a.data.dtype)
-
-        def back(g):
-            _accum(a, g * s)
-
-        return _result(data, "mul", (a,), back)
+        return _scaled(a, s, "mul")
     if a.shape != b.shape:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
     data = a.data * b.data
@@ -466,7 +471,7 @@ def div(a: Tensor, b) -> Tensor:
     if s is not None:
         if s == 0:
             raise NumericError("div produced non-finite values")
-        return mul(a, 1.0 / s)
+        return _scaled(a, 1.0 / s, "div")
     if a.shape != b.shape:
         raise DimensionError(f"div: shapes {a.shape} and {b.shape} differ")
     data = a.data / b.data
@@ -525,11 +530,7 @@ def tanh(a: Tensor) -> Tensor:
 @_fp_warnings_off
 def log(a: Tensor) -> Tensor:
     """Natural log; inputs must be positive (clamp first if they may not be)."""
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            data = np.log(a.data)
-        except FloatingPointError:
-            raise NumericError("log of non-positive value")
+    data = np.log(a.data)
 
     def back(g):
         _accum(a, g / a.data)

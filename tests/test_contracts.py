@@ -145,6 +145,9 @@ UNCALLED_PUBLIC = {
                         "for a stable loss",
     "tensor.default_dtype": "the float64 storage mode the finite-difference "
                             "gradient checks run in",
+    "training.mean_iou": "the per-mask pooled IoU that tests/oracles.py checks "
+                         "evaluate against, and the acceptance suite's metric "
+                         "spot values use",
 }
 
 
@@ -157,7 +160,9 @@ def _src_trees():
 
 
 def _src_references():
-    """(module, name) pairs referenced anywhere in the package source."""
+    """(module, name) pairs referenced anywhere in the package source: a
+    name read, not one bound, so a dataclass field or an assignment target
+    of the same name does not count as a caller."""
     refs = set()
     for module, tree in _src_trees():
         aliases = {}  # local name -> sibling module, from "from . import x"
@@ -169,7 +174,7 @@ def _src_references():
                     else:
                         refs.add((node.module, alias.name))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add((module, node.id))
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases):
@@ -285,3 +290,17 @@ def test_images_are_read_only_through_the_row_reader():
                    if isinstance(node, ast.Call)
                    and _short_name(node.func) == "read_image")
     assert sites == ["cli.cmd_infer", "dataio.image_rows", "dataio.read_mask"]
+
+
+def test_manifests_are_opened_only_through_open_manifest():
+    # every command opens its manifest through dataio.open_manifest, so the
+    # rule for a stage record and for too few rows is written once
+    readers = ("read_manifest", "read_stages", "check_stages")
+    sites = {name: [] for name in readers}
+    for module, owner, node in _owned_nodes():
+        if isinstance(node, ast.Call) and _short_name(node.func) in readers:
+            sites[_short_name(node.func)].append(f"{module}.{owner}")
+    assert {name: sorted(found) for name, found in sites.items()} == {
+        "read_manifest": ["dataio.open_manifest"],
+        "read_stages": ["dataio.check_stages", "dataio.open_manifest"],
+        "check_stages": ["dataio.open_manifest"]}

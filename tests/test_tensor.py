@@ -1213,6 +1213,19 @@ def test_div_by_scalar_zero_raises_numeric_error(zero):
         T.div(T.Tensor([1.0, 0.0]), zero)
 
 
+def test_div_by_scalar_overflow_names_div():
+    # the scalar path ran through mul, whose name the error took
+    with pytest.raises(NumericError, match="^div produced non-finite values"):
+        T.div(T.Tensor([3e38]), 1e-3)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_log_of_non_positive_value_raises_numeric_error_without_warning(value):
+    # as every other op's non-finite result does, through _result
+    with pytest.raises(NumericError, match="^log produced non-finite values"):
+        T.log(T.Tensor([value]))
+
+
 def test_div_by_scalar_is_mul_by_reciprocal():
     x = T.Tensor(np.random.default_rng(29).standard_normal(64))
     for s in (3.0, -0.7, 1e-30, 7):
