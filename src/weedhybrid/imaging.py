@@ -19,9 +19,12 @@ median-of-9 network (18 min/max passes); any other odd window takes a
 bitwise radix (8 * window**2 compare-and-add passes with four working
 planes, where a selection network's live planes grow with the window).  CLAHE
 takes every tile histogram of a sub-stack of images from one ``bincount``
-over (image, tile, luma) keys, with sub-stacks sized so their float64 tile
-maps fit in ``_BLOCK_BYTES`` (a share of a core's L2 cache), and blends in
-bands of at most ``_BAND_PIXELS`` pixels.  Brightness and gamma follow.
+over (image, tile, luma) keys, with sub-stacks sized so their tile maps fit
+in ``_BLOCK_BYTES`` (a share of a core's L2 cache), and blends in bands of
+at most ``_BAND_PIXELS`` pixels.  The maps pair neighbouring tiles of a
+tile row as the real and imaginary lanes of one complex128 array, so one
+``cumsum`` runs two tiles' running sums at once, lane by lane.  Brightness
+and gamma follow.
 The image-space body exists once, in :func:`preprocess_batch`: it takes a
 stack already resized to the target size (``dataio`` resizes each manifest
 row as it reads it) and runs the stages over chunks of whole images, each
@@ -366,39 +369,53 @@ def _tile_bounds(h: int, w: int, tile: int) -> tuple:
 
 
 def _clahe_luts(lum: np.ndarray, by, bx, clip: float, out=None) -> np.ndarray:
-    """(N, gy, gx, 256) float64 tile mappings of an (N,H,W) uint8 luma stack,
-    written to ``out`` if given.
+    """(N, gy, ceil(gx / 2), 256) complex128 tile mappings of an (N,H,W)
+    uint8 luma stack, written to ``out`` if given: tiles tx = 2j and 2j + 1
+    of a tile row are the real and imaginary lanes of entry j, a zero tile
+    pads an odd row, and the float64 view of the maps holds tile tx, luma l
+    at float offset (tx // 2) * 512 + 2 * l + tx % 2 within its tile row.
 
     One bincount over (image, tile, luma) keys gives every tile histogram.
     Each is clipped at max(1, clip * area / 256) counts per bin, the excess
     is spread evenly over the 256 bins, and the mapping is 255 * cdf / area,
-    monotone non-decreasing. :func:`_clahe_stack` calls it on sub-stacks
-    whose maps fit in a core's L2 cache, with one ``out`` for all of them,
-    so the passes over the maps stay in cache and allocate little.
+    monotone non-decreasing. The excess of a tile is NumPy's pairwise sum
+    over its 256 contiguous bins, taken before the tiles are paired; one
+    complex cumsum then runs the running sums of two tiles at once, each
+    lane on its own, so every sum keeps its bytes in half the dependent
+    adds. :func:`_clahe_stack` calls it on sub-stacks whose maps fit in a
+    core's L2 cache, with one ``out`` for all of them, so the passes over
+    the maps stay in cache and allocate little.
     """
-    n = lum.shape[0]
+    n, h, w = lum.shape
     gy, gx = len(by) - 1, len(bx) - 1
-    rows, cols = np.diff(by), np.diff(bx)
-    tile = (np.repeat(np.arange(gy) * gx, rows)[:, None]
-            + np.repeat(np.arange(gx), cols)[None, :])
-    keys = np.add(tile << 8, lum)
+    # the grid of by, bx is that of tiles max(gy, gx) over (h, w)
+    keys, lane_area = _clahe_geometry(h, w, max(gy, gx))[2:4]
+    keys = np.add(keys, lum)
     keys += (np.arange(n) * (gy * gx << 8))[:, None, None]
-    counts = np.bincount(keys.ravel(), minlength=n * gy * gx * 256)
-    counts = counts.reshape(n, gy, gx, 256)
-    hist = np.empty(counts.shape) if out is None else out
-    hist[...] = counts
-    area = (rows[:, None] * cols[None, :])[:, :, None].astype(np.float64)
+    # weights of one give the counts as float64, so no pass casts them
+    hist = np.bincount(keys.ravel(), np.ones(keys.size), minlength=n * gy * gx * 256)
+    hist = hist.reshape(n, gy, gx, 256)
+    maps = np.empty((n, gy, (gx + 1) // 2, 256), np.complex128) if out is None else out
+    lanes = maps.view(np.float64).reshape(maps.shape + (2,))
+    area = (np.diff(by)[:, None] * np.diff(bx)[None, :])[:, :, None].astype(np.float64)
     climit = np.maximum(1.0, clip * area / 256.0)
-    # the counts are copied, so their memory can hold the excess
-    excess = np.subtract(hist, climit, out=counts.view(np.float64))
-    np.maximum(excess, 0.0, out=excess)
+    # the maps' memory holds the clipped counts in tile order until they are
+    # paired; the counts' memory then holds the excess, count - clipped (the
+    # bytes of max(count - limit, 0)), then the clipped histograms
+    scratch = maps.view(np.float64).ravel()[:hist.size].reshape(hist.shape)
+    clipped = np.minimum(hist, climit, out=scratch)
+    excess = np.subtract(hist, clipped, out=hist)
     share = np.sum(excess, axis=-1, keepdims=True) / 256.0
-    np.minimum(hist, climit, out=hist)
-    hist += share
-    np.cumsum(hist, axis=-1, out=hist)
-    hist *= 255.0
-    hist /= area
-    return hist
+    clipped = np.add(clipped, share, out=excess)
+    for lane in range(2):
+        tiles = clipped[:, :, lane::2]
+        lanes[:, :, :tiles.shape[2], :, lane] = tiles
+    if gx % 2:
+        lanes[:, :, -1, :, 1] = 0.0
+    np.cumsum(maps, axis=-1, out=maps)
+    lanes *= 255.0
+    lanes /= lane_area
+    return maps
 
 
 def _blend_axis(extent: int, bounds) -> tuple:
@@ -415,43 +432,57 @@ def _blend_axis(extent: int, bounds) -> tuple:
 
 @functools.cache
 def _clahe_geometry(h: int, w: int, tile: int) -> tuple:
-    """(by, bx, rows, cols) of CLAHE over (h, w) images in tile x tile
-    tiles, built once per process, every array read-only: the tile bounds
-    per axis, and per axis each pixel's two nearest tiles as offsets into an
-    image's maps, with their weights."""
+    """(by, bx, keys, area, rows, cols) of CLAHE over (h, w) images in tile
+    x tile tiles, built once per process, every array read-only: the tile
+    bounds per axis; each pixel's tile times 256, its bincount key before
+    luma and image are added; the tile area at each entry of an image's
+    paired-lane maps (_clahe_luts), 1 in the zero tile; and per axis each
+    pixel's two nearest tiles as float offsets into those maps, with their
+    weights."""
     by, bx = _tile_bounds(h, w, tile)
     gy, gx = len(by) - 1, len(bx) - 1
+    tile_h, tile_w = np.diff(by), np.diff(bx)
+    keys = ((np.repeat(np.arange(gy) * gx, tile_h)[:, None]
+             + np.repeat(np.arange(gx), tile_w)[None, :]) << 8)
+    pairs = (gx + 1) // 2   # entries of a tile row of the maps
+    area = np.ones((gy, pairs, 256, 2))
+    for lane in range(2):
+        lane_w = tile_w[lane::2]
+        area[:, :len(lane_w), :, lane] = (tile_h[:, None] * lane_w[None, :])[:, :, None]
     ty, uy = _blend_axis(h, by)
     tx, ux = _blend_axis(w, bx)
-    rows = (((ty * gx) << 8, 1.0 - uy), ((np.minimum(ty + 1, gy - 1) * gx) << 8, uy))
-    cols = ((tx << 8, 1.0 - ux), (np.minimum(tx + 1, gx - 1) << 8, ux))
-    for a in (by, bx, *rows[0], *rows[1], *cols[0], *cols[1]):
+    rows = tuple((t * pairs * 512, weight)
+                 for t, weight in ((ty, 1.0 - uy), (np.minimum(ty + 1, gy - 1), uy)))
+    cols = tuple((((t >> 1) << 9) + (t & 1), weight)
+                 for t, weight in ((tx, 1.0 - ux), (np.minimum(tx + 1, gx - 1), ux)))
+    for a in (by, bx, keys, area, *rows[0], *rows[1], *cols[0], *cols[1]):
         a.setflags(write=False)
-    return by, bx, rows, cols
+    return by, bx, keys, area, rows, cols
 
 
 def _clahe_stack(arr: np.ndarray, tile: int, clip: float) -> np.ndarray:
     """Contrast-limited adaptive histogram equalization of an (N,H,W,C) stack.
 
-    The stack is equalized in sub-stacks of whole images whose float64
-    tile maps take at most _BLOCK_BYTES (at least one image), and each
-    sub-stack is blended in bands of whole rows of at most _BAND_PIXELS
-    pixels (at least one row), so the maps and every per-pixel temporary
-    stay in cache. Each image's maps and pixels see the same float64
-    operations in the same order whatever the split.
+    The stack is equalized in sub-stacks of whole images whose paired-lane
+    tile maps (_clahe_luts) take at most _BLOCK_BYTES (at least one image),
+    and each sub-stack is blended in bands of whole rows of at most
+    _BAND_PIXELS pixels (at least one row), so the maps and every per-pixel
+    temporary stay in cache. Each image's maps and pixels see the same
+    float64 operations in the same order whatever the split.
     """
     n, h, w, c = arr.shape
-    by, bx, rows, cols = _clahe_geometry(h, w, tile)
-    gy, gx = len(by) - 1, len(bx) - 1
-    per = max(1, _BLOCK_BYTES // (gy * gx * 256 * 8))
-    maps = np.empty((min(per, n), gy, gx, 256))
+    by, bx, _, _, rows, cols = _clahe_geometry(h, w, tile)
+    shape = (len(by) - 1, len(bx) // 2, 256)   # an image's paired-lane maps
+    size = shape[0] * shape[1] * 256
+    per = max(1, _BLOCK_BYTES // (16 * size))
+    maps = np.empty((min(per, n),) + shape, np.complex128)
     out = np.empty(arr.shape, dtype=np.uint8)
     for start in range(0, n, per):
         part = arr[start:start + per]
         lum = _luminance(part) if c == 3 else part[..., 0]
-        flat = _clahe_luts(lum, by, bx, clip, maps[:len(part)]).reshape(-1)
-        # offset of each image's maps in flat
-        base = (np.arange(len(part)) * (gy * gx << 8))[:, None, None]
+        flat = _clahe_luts(lum, by, bx, clip, maps[:len(part)]).view(np.float64).ravel()
+        # float offset of each image's maps in flat
+        base = (np.arange(len(part)) * (2 * size))[:, None, None]
         band = max(1, _BAND_PIXELS // (len(part) * w))
         for r0 in range(0, h, band):
             rs = slice(r0, r0 + band)
@@ -471,6 +502,7 @@ def _blend(part, lum, flat, base, rows, cols, out):
     channel.
     """
     lv = np.add(base, lum)
+    lv += lum   # a luma's float offset is 2 * luma
     row_idx = np.empty_like(lv)
     idx = np.empty_like(lv)
     m = None
@@ -678,18 +710,21 @@ class StagedImages:
         return self._stack.shape[0]
 
     def __getitem__(self, sel) -> np.ndarray:
+        if isinstance(sel, (int, np.integer)):
+            i = range(len(self))[sel]
+            return self._scaled(slice(i, i + 1))[0].astype(np.float32)
         idx = np.arange(len(self))[sel]
-        if idx.ndim == 0:
-            return self[idx[None]][0]
         _, c, h, w = self.shape
         out = np.empty((idx.size, c, h, w), dtype=np.float32)
         per = max(1, _BLOCK_BYTES // (h * w * c * 8))
         for at in range(0, idx.size, per):
-            part = idx[at:at + per]
-            out[at:at + per] = to_model_tensor(
-                self._stack[part], self._normalize,
-                None if self._stats is None else self._stats[:, part])
+            out[at:at + per] = self._scaled(idx[at:at + per])
         return out
+
+    def _scaled(self, part) -> np.ndarray:
+        """The float64 model values of the images self._stack[part]."""
+        return to_model_tensor(self._stack[part], self._normalize,
+                               None if self._stats is None else self._stats[:, part])
 
 
 def preprocess(arr: np.ndarray, cfg: PreprocessConfig = PreprocessConfig()) -> np.ndarray:

@@ -30,7 +30,8 @@ little cost beyond the op's arithmetic:
 Constants that depend only on a shape are built once per process and handed
 out read-only (functools.cache; writing to one raises ValueError): the
 normalized adjacency of a patch grid (backbone._grid_graph) and CLAHE's tile
-bounds, blend offsets and weights (imaging._clahe_geometry).
+bounds, bincount keys, tile areas, blend offsets and weights
+(imaging._clahe_geometry).
 upsample_bilinear2d builds its interpolation matrices per call, one when
 both axes match: a cached 224x56 float64 matrix would be 100 KB held for the
 life of the process.
@@ -38,27 +39,39 @@ life of the process.
 attention is multi-head self-attention as one op and one tape record, with
 the bytes of the per-head chain it replaced (matmul, transpose, mul,
 softmax, matmul, then a concat; tests/oracles.py keeps it):
-- One head at a time, in head order: Q, K and V are three 64-bit GEMMs of
-  the 64-bit tokens with that head's weights, each rounded to the storage
-  dtype; K^T is made C-contiguous, so every GEMM sees the chain's operand
-  layouts. The scores Q K^T are a 64-bit GEMM rounded to storage, then
-  scaled by 1/sqrt(d_k) in the storage dtype. The softmax runs in 64-bit
-  and is rounded once; A V is a 64-bit GEMM rounded into the head's columns
-  of the output. No array stacks weights or heads. One (d, 3*d_k) GEMM per
-  head is not used: OpenBLAS 0.3.31 (Haswell kernels) rounds some columns
-  of a wider float64 product differently, which changes float64-storage
-  bytes.
-- It runs over chunks of whole images (_batch_chunks), each at most
-  _GEMM_BLOCK_BYTES of 64-bit tokens and scores, so no 64-bit copy of the
-  whole batch exists; NumPy runs each image's products as a GEMM of its own
-  either way, so chunks do not change bytes.
+- Q, K and V stay per image and per head: three 64-bit GEMMs of the 64-bit
+  tokens with that head's weights, each rounded to the storage dtype, as
+  the chain's matmuls ran them (NumPy runs a stacked product as one GEMM
+  per image). One (d, 3*d_k) GEMM per head, or one over all heads, is not
+  used: OpenBLAS 0.3.31 (Haswell kernels) rounds some columns of a wider
+  float64 product differently, which changes float64-storage bytes.
+- Everything after them runs on (images, heads, P, d_k) stacks, so a call
+  pays NumPy's per-call cost once per chunk, not once per head: K is
+  rounded straight into a C-contiguous K^T, the scores Q K^T are one
+  stacked 64-bit product (one GEMM per image and head, on the chain's
+  operand layouts) rounded to storage and scaled by 1/sqrt(d_k) in the
+  storage dtype, the softmax runs in 64-bit along each score row and is
+  rounded once, and A V is a stacked 64-bit product rounded into the
+  heads' columns of the output.
+- It runs over chunks of (image, head) pairs (_head_chunks), each at most
+  _GEMM_BLOCK_BYTES of 64-bit tokens plus q, k^T, v, A V, the scores and
+  two softmax temporaries per pair (_attention_pair_bytes): whole images
+  while one image's heads fit, else one image at a time, its heads in
+  groups. All 12 paper heads of one image at once were the slowest split
+  (a paper batch-1 forward took 28.8 ms, against 21.5-22.6 ms at 2 to 4
+  heads a chunk and 23.1 ms at one, on the Xeon below): their 64-bit
+  scores and softmax temporaries leave the L2 cache. Chunks do not change
+  bytes, as every product is a GEMM per image and head either way.
 - NumericError naming attention is raised where the chain met a non-finite
   value: after Q, K, V, the scaled scores and the output.
-- Taped, it keeps only q, k^T, v and the softmax of each head, in the
-  storage dtype. Backward runs from the last head to the first with the
-  chain's formulas and rounding points, and adds each head's v, k and q
-  terms to the token gradient one at a time, in that order, each rounded,
-  as the chain's records did; a 64-bit sum of the terms would change bytes.
+- Taped, it keeps only q, k^T, v and the softmax of every (image, head),
+  in the storage dtype. Backward runs over groups of heads of the whole
+  batch, as many as fit the same budget, last group first, with the
+  chain's formulas and rounding points on stacks. It then adds each head's
+  v, k and q terms to the token gradient one at a time, from the last head
+  to the first, each rounded, as the chain's records did; a 64-bit sum of
+  the terms would change bytes. The token and weight gradients are whole-
+  batch GEMMs per head, as in the chain.
 
 The spatial primitives take only batched (N, C, H, W) maps and accumulate
 in 64-bit. The convolutions share one engine on a tap-major im2col layout:
@@ -728,6 +741,32 @@ def _batch_chunks(n: int, item_bytes: int) -> list:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
+def _attention_pair_bytes(p: int, d_k: int) -> int:
+    """The 64-bit working set of one (image, head) pair of attention over p
+    patches: q, k^T, v and the A V product, and the scores with two softmax
+    temporaries."""
+    return 8 * p * (4 * d_k + 3 * p)
+
+
+def _head_groups(heads: int, pair_bytes: int, budget: int) -> list:
+    """Slices of heads, as many a slice as fit budget at pair_bytes a head
+    (at least one)."""
+    per = max(1, budget // pair_bytes)
+    return [slice(h, h + per) for h in range(0, heads, per)]
+
+
+def _head_chunks(n: int, heads: int, image_bytes: int, pair_bytes: int) -> list:
+    """(images, head slices) chunks of attention over n images, each at most
+    _GEMM_BLOCK_BYTES at image_bytes per image plus pair_bytes per (image,
+    head) pair (at least one pair): whole images while one image's heads
+    fit, else one image at a time, its heads in groups."""
+    whole = image_bytes + heads * pair_bytes
+    if whole <= _GEMM_BLOCK_BYTES:
+        return [(s, [slice(0, heads)]) for s in _batch_chunks(n, whole)]
+    groups = _head_groups(heads, pair_bytes, _GEMM_BLOCK_BYTES - image_bytes)
+    return [(slice(i, i + 1), groups) for i in range(n)]
+
+
 @_fp_warnings_off
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. Supports 2-D operands and stacked 3-D batches; a 2-D
@@ -763,16 +802,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _softmax64(x: np.ndarray, ax: int) -> np.ndarray:
-    """The 64-bit softmax of x along axis ax, max-shifted."""
-    x = _f64(x)
-    e = np.exp(x - x.max(axis=ax, keepdims=True))
-    return e / e.sum(axis=ax, keepdims=True)
+    """The 64-bit softmax of x along axis ax, max-shifted, computed in place
+    in one new array."""
+    y = np.array(x, dtype=np.float64)
+    y -= y.max(axis=ax, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=ax, keepdims=True)
+    return y
 
 
 def _softmax_adjoint(g: np.ndarray, y: np.ndarray, ax: int) -> np.ndarray:
     """The 64-bit input gradient of a softmax along ax with output y."""
-    gy = _f64(g) * _f64(y)
-    return gy - _f64(y) * gy.sum(axis=ax, keepdims=True)
+    y = _f64(y)
+    gy = np.multiply(g, y, dtype=np.float64)
+    gy -= y * gy.sum(axis=ax, keepdims=True)
+    return gy
 
 
 @_fp_warnings_off
@@ -818,48 +862,56 @@ def attention(e: Tensor, heads: Sequence) -> Tensor:
     inputs = (e,) + tuple(w for head in heads for w in head)
     taped = _recorded(inputs)
     dtype = _out_dtype(*inputs)
-    scale = 1.0 / math.sqrt(d_k)
+    scale = np.asarray(1.0 / math.sqrt(d_k), dtype=dtype)
     n, p = e.shape[:2]
+    nh = len(heads)
+    pair_bytes = _attention_pair_bytes(p, d_k)
     out = np.empty(e.shape, dtype=dtype)
-    # (q, k^T, v, softmax) per head, in the storage dtype
-    saved = [tuple(np.empty(shape, dtype=dtype) for shape in
-                   ((n, p, d_k), (n, d_k, p), (n, p, d_k), (n, p, p))) for _ in heads
-             ] if taped else None
-    # chunks of whole images, each item one GEMM per product as in the chain
-    for s in _batch_chunks(n, 8 * p * (d + p)):
+    # the output's columns as (image, head, patch, d_k) blocks
+    out_heads = out.reshape(n, p, nh, d_k).transpose(0, 2, 1, 3)
+    # (q, k^T, v, softmax) of every (image, head), in the storage dtype
+    shapes = ((p, d_k), (d_k, p), (p, d_k), (p, p))
+    saved = [np.empty((n, nh) + shape, dtype=dtype) for shape in shapes] if taped else None
+    for s, groups in _head_chunks(n, nh, 8 * p * d, pair_bytes):
         e64 = _f64(e.data[s])
-        for h, head in enumerate(heads):
-            q, k, v = ((e64 @ _f64(w.data)).astype(dtype) for w in head)
-            for m in (q, k, v):
-                _finite_or_raise(m, "attention")
-            kt = np.ascontiguousarray(k.transpose(0, 2, 1))
-            scores = (_f64(q) @ _f64(kt)).astype(dtype) * np.asarray(scale, dtype=dtype)
+        for hs in groups:
+            q, kt, v = (saved[i][s, hs] if taped else
+                        np.empty((len(e64), len(heads[hs])) + shape, dtype=dtype)
+                        for i, shape in enumerate(shapes[:3]))
+            for j, head in enumerate(heads[hs]):
+                # one GEMM per image and weight, rounded as the chain rounded it
+                for dest, w in zip((q, kt.swapaxes(-1, -2), v), head):
+                    dest[:, j] = e64 @ _f64(w.data)
+            for part in (q, kt, v):
+                _finite_or_raise(part, "attention")
+            scores = (_f64(q) @ _f64(kt)).astype(dtype)
+            scores *= scale
             _finite_or_raise(scores, "attention")
-            a = _softmax64(scores, 2).astype(dtype)
-            out[s, :, h * d_k:(h + 1) * d_k] = (_f64(a) @ _f64(v)).astype(dtype)
+            a = _softmax64(scores, 3).astype(dtype)
             if taped:
-                for dest, part in zip(saved[h], (q, kt, v, a)):
-                    dest[s] = part
+                saved[3][s, hs] = a
+            out_heads[s, hs] = _f64(a) @ _f64(v)
 
     def back(g):
         e64 = _f64(e.data)
         e64t = np.swapaxes(e64, -1, -2)
-        for h in reversed(range(len(heads))):
-            q, kt, v, a = saved[h]
-            go = _f64(np.ascontiguousarray(g[..., h * d_k:(h + 1) * d_k]))
+        g_heads = g.reshape(n, p, nh, d_k).transpose(0, 2, 1, 3)
+        for hs in reversed(_head_groups(nh, n * pair_bytes, _GEMM_BLOCK_BYTES)):
+            q, kt, v, a = (part[:, hs] for part in saved)
+            go = np.ascontiguousarray(g_heads[:, hs], dtype=np.float64)
             ga = (go @ np.swapaxes(_f64(v), -1, -2)).astype(dtype)
             gv = (np.swapaxes(_f64(a), -1, -2) @ go).astype(dtype)
-            gs = _f64(_softmax_adjoint(ga, a, 2).astype(dtype) * scale)
+            gs = _f64(_softmax_adjoint(ga, a, 3).astype(dtype) * scale)
             gq = (gs @ np.swapaxes(_f64(kt), -1, -2)).astype(dtype)
-            gkt = (np.swapaxes(_f64(q), -1, -2) @ gs).astype(dtype)
-            gk = np.ascontiguousarray(gkt.transpose(0, 2, 1))
-            # each term reaches e.grad on its own, rounded, as the chain's did
-            for w, gw in zip(reversed(heads[h]), (gv, gk, gq)):
-                gw = _f64(gw)
-                if e.requires_grad:
-                    _accum(e, gw @ np.swapaxes(_f64(w.data), -1, -2))
-                if w.requires_grad:
-                    _accum(w, _reduce_to(e64t @ gw, w.shape))
+            gk = (np.swapaxes(_f64(q), -1, -2) @ gs).astype(dtype).swapaxes(-1, -2)
+            for j, head in reversed(list(enumerate(heads[hs]))):
+                # each term reaches e.grad on its own, rounded, as the chain's did
+                for w, gw in zip(reversed(head), (gv, gk, gq)):
+                    gw = np.ascontiguousarray(gw[:, j], dtype=np.float64)
+                    if e.requires_grad:
+                        _accum(e, gw @ np.swapaxes(_f64(w.data), -1, -2))
+                    if w.requires_grad:
+                        _accum(w, _reduce_to(e64t @ gw, w.shape))
 
     return _result(out, "attention", inputs, back)
 

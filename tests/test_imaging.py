@@ -225,11 +225,19 @@ def test_clahe_geometry_is_built_once_and_read_only(h, w, tile):
     got = im._clahe_geometry(h, w, tile)
     assert im._clahe_geometry(h, w, tile) is got
     fresh = im._clahe_geometry.__wrapped__(h, w, tile)
-    flat = lambda g: [g[0], g[1], *g[2][0], *g[2][1], *g[3][0], *g[3][1]]
+    flat = lambda g: [*g[:4], *g[4][0], *g[4][1], *g[5][0], *g[5][1]]
     for a, b in zip(flat(got), flat(fresh), strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def _tile_maps(luts, bx):
+    """_clahe_luts' paired-lane maps as (N, gy, gx, 256) float64, one tile
+    after another along each tile row."""
+    lanes = luts.view(np.float64).reshape(luts.shape + (2,))
+    tiles = np.moveaxis(lanes, -1, -2).reshape(luts.shape[:2] + (-1, 256))
+    return np.ascontiguousarray(tiles[:, :, :len(bx) - 1])
 
 
 def test_clahe_tile_mappings_monotone():
@@ -237,7 +245,7 @@ def test_clahe_tile_mappings_monotone():
     for _ in range(10):
         lum = rng.integers(0, 256, size=(1, 24, 24), dtype=np.uint8)
         by, bx = im._tile_bounds(24, 24, 4)
-        luts = im._clahe_luts(lum, by, bx, clip=2.0)
+        luts = _tile_maps(im._clahe_luts(lum, by, bx, clip=2.0), bx)
         diffs = np.diff(luts, axis=-1)
         assert np.all(diffs >= 0)
 
@@ -563,7 +571,7 @@ def test_equalization_matches_tile_loop(arrs, tile, clip):
     h, w, c = arrs[0].shape
     by, bx = im._tile_bounds(h, w, tile)
     lum = im._luminance(arrs[0]) if c == 3 else arrs[0][..., 0]
-    luts = im._clahe_luts(lum[None], by, bx, clip)[0]
+    luts = _tile_maps(im._clahe_luts(lum[None], by, bx, clip), bx)[0]
     want_by, want_bx, want_luts = oracles.clahe_luts_per_tile(arrs[0], tile, clip)
     np.testing.assert_array_equal(by, want_by)
     np.testing.assert_array_equal(bx, want_bx)

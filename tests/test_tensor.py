@@ -1046,21 +1046,46 @@ def _assert_same_bytes(got, want):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 3), p=st.integers(1, 9), h=st.integers(1, 4), d_k=st.integers(1, 6),
        dtype=st.sampled_from([np.float32, np.float64]), tokens_grad=st.booleans(),
-       chunk=st.one_of(st.none(), st.integers(1, 2)), seed=st.integers(0, 2**16))
+       chunk=st.one_of(st.none(), st.integers(1, 2)),
+       head_chunk=st.one_of(st.none(), st.integers(1, 3)), seed=st.integers(0, 2**16))
 def test_attention_matches_per_head_chain_bytes(n, p, h, d_k, dtype, tokens_grad, chunk,
-                                                seed):
+                                                head_chunk, seed):
     rng = np.random.default_rng(seed)
     d = h * d_k
     e = rng.standard_normal((n, p, d))
     heads = [[rng.standard_normal((d, d_k)) * 0.7 for _ in range(3)] for _ in range(h)]
     g = rng.standard_normal((n, p, d))
+    pair_bytes = T._attention_pair_bytes(p, d_k)
     with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            # attention's 64-bit tokens and scores of `chunk` images at a time
-            mp.setattr(T, "_GEMM_BLOCK_BYTES", chunk * 8 * p * (d + p))
+        if head_chunk is not None:
+            # below one image's heads: each image's heads `head_chunk` at a
+            # time forward, and the batch's heads as many as fit backward
+            mp.setattr(T, "_GEMM_BLOCK_BYTES", 8 * p * d + head_chunk * pair_bytes)
+        elif chunk is not None:
+            # attention's 64-bit tokens and (image, head) working sets of
+            # `chunk` images at a time
+            mp.setattr(T, "_GEMM_BLOCK_BYTES", chunk * (8 * p * d + h * pair_bytes))
         got = _attention_results(T.attention, e, heads, g, dtype, tokens_grad)
     _assert_same_bytes(
         got, _attention_results(oracles.attention_chain, e, heads, g, dtype, tokens_grad))
+
+
+@pytest.mark.parametrize("n,heads,image_bytes,pair_bytes,budget",
+                         [(5, 4, 10, 7, 99), (3, 4, 10, 7, 30), (2, 12, 0, 5, 11),
+                          (2, 3, 10, 7, 12), (1, 1, 50, 70, 1)])
+def test_attention_head_chunks_cover_each_pair_once_in_order(monkeypatch, n, heads,
+                                                             image_bytes, pair_bytes,
+                                                             budget):
+    monkeypatch.setattr(T, "_GEMM_BLOCK_BYTES", budget)
+    chunks = T._head_chunks(n, heads, image_bytes, pair_bytes)
+    pairs = [(i, h) for s, groups in chunks for i in range(n)[s]
+             for hs in groups for h in range(heads)[hs]]
+    assert pairs == [(i, h) for i in range(n) for h in range(heads)]
+    for s, groups in chunks:
+        for hs in groups:
+            m, hc = len(range(n)[s]), len(range(heads)[hs])
+            # within the budget, or a single image's single head
+            assert m * (image_bytes + hc * pair_bytes) <= budget or (m, hc) == (1, 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])

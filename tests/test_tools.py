@@ -19,7 +19,8 @@ def _bench_pairs():
 
 
 @pytest.mark.parametrize("name", ["BENCH_streamed_rows.json",
-                                  "BENCH_op_overhead.json"])
+                                  "BENCH_op_overhead.json",
+                                  "BENCH_desk_calls.json"])
 def test_committed_summaries_are_summarize_pairs_of_their_pairs(tmp_path, name):
     with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
         workloads = json.load(fh)["workloads"]
